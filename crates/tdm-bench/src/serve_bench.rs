@@ -22,8 +22,8 @@
 //! * **saturated gate** ([`SaturatedPoint`]) — the same burst pushed through
 //!   a one-slot admission gate, serialized vs waiting-room-fused; the
 //!   `saturated_fuse_vs_serial` headline (serial wall / fused wall) goes
-//!   top-level in the JSON, and the repeat round demonstrates `CoSession`
-//!   cache reuse (`co_cache_hits`).
+//!   top-level in the JSON, and the repeat round demonstrates that a fused
+//!   bundle's session is cached like any other (`co_cache_hits`).
 //! * **open loop** ([`run_open_loop`], `reproduce --serve-open-loop`) —
 //!   arrivals follow a deterministic Poisson-like schedule at a target rate,
 //!   so admission-gate queueing delay is reported separately from service
@@ -147,7 +147,7 @@ pub struct CoMinePoint {
 /// and once with pre-admission waiting-room fusion (the K requests fuse
 /// behind the leader and are admitted as one unit, one union scan per
 /// level). The second round of each service runs with warm caches: on the
-/// fused service it reuses the parked `CoSession` (see `co_cache_hits`).
+/// fused service it reuses the bundle's parked session (see `co_cache_hits`).
 #[derive(Debug, Clone)]
 pub struct SaturatedPoint {
     /// Concurrent same-database clients (each with a distinct config).
@@ -167,15 +167,15 @@ pub struct SaturatedPoint {
     pub batches: u64,
     /// Requests served from a fused scan.
     pub fused_requests: u64,
-    /// Co-session-cache hits — rounds after the first reuse the parked
-    /// `CoSession` of the same (db, config-set) bundle.
+    /// Session-cache hits on the fused service — rounds after the first
+    /// reuse the parked session of the same (db, config-set) bundle.
     pub co_cache_hits: u64,
 }
 
 /// Runs the overload-first scenario (see [`SaturatedPoint`]). Same stepped
 /// configs and serial ground truth discipline as [`run_comine`], but both
 /// services run a one-slot gate and each is hit `rounds` times so the fused
-/// side demonstrates `CoSession` reuse across repeated bundles.
+/// side demonstrates session reuse across repeated bundles.
 fn run_saturated(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SaturatedPoint {
     let clients = cfg.comine_clients.max(2);
     let rounds = 2;
@@ -237,7 +237,7 @@ fn run_saturated(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SaturatedPoint {
         ratio: serial_wall_s / fused_wall_s.max(1e-9),
         batches: stats.comining.batches,
         fused_requests: stats.comining.fused_requests,
-        co_cache_hits: stats.co_cache.hits,
+        co_cache_hits: stats.cache.hits,
     }
 }
 
@@ -1274,7 +1274,7 @@ mod tests {
         assert!(b.comine_vs_solo_scan_ratio.is_finite());
         // The saturated-gate scenario: every round formed one full batch
         // behind the one-slot gate, and the repeat round reused the parked
-        // CoSession (same db, same config set).
+        // session (same db, same config set).
         assert_eq!(b.saturated.clients, 3);
         assert_eq!(b.saturated.rounds, 2);
         assert_eq!(b.saturated.batches, 2);

@@ -32,11 +32,11 @@
 //!   each level once and owns the persistent worker pool, while counting
 //!   backends implement [`session::Executor`] over borrowed
 //!   [`session::CountRequest`] views ([`session`]);
-//! * **cross-request co-mining**: [`session::CoSession`] advances several
-//!   mining configurations over one database in lockstep, counting each
-//!   level's deduplicated [`engine::CandidateUnion`] with a single shared
-//!   scan and demultiplexing the counts back per member — bit-identical to
-//!   mining each configuration alone;
+//! * **cross-request co-mining**: a [`session::MiningSession`] built with
+//!   several configurations advances them over one database in lockstep,
+//!   counting each level's deduplicated [`engine::CandidateUnion`] with a
+//!   single shared scan and demultiplexing the counts back per member —
+//!   bit-identical to mining each configuration alone;
 //! * the level-wise mining loop of the paper's Algorithm 1, a thin driver
 //!   over a session ([`miner`]);
 //! * the episode-expiry extension sketched in the paper's future work ([`expiry`]).
@@ -82,8 +82,8 @@ pub use miner::{AutoBackend, Miner, MinerConfig, SequentialBackend};
 pub use semantics::CountSemantics;
 pub use sequence::EventDb;
 pub use session::{
-    BackendError, CancelToken, CoSession, CoSessionBuilder, CountRequest, Counts, Executor,
-    MineError, MiningSession, MiningSessionBuilder,
+    BackendError, CancelToken, CountRequest, Counts, Executor, MineError, MiningSession,
+    MiningSessionBuilder,
 };
 pub use stats::{LevelResult, MiningResult};
 pub use streaming::StreamingSession;

@@ -6,8 +6,8 @@
 //! planning decisions, separate from the backend that executes the scan. This
 //! module is that seam:
 //!
-//! * [`MiningSession`] — the **plan** side. Built from `&EventDb` +
-//!   [`MinerConfig`] via [`MiningSession::builder`], it owns the
+//! * [`MiningSession`] — the **plan** side. Built from `&EventDb` + one or
+//!   more [`MinerConfig`]s via [`MiningSession::builder`], it owns the
 //!   [`CompiledCandidates`] (recompiled in place once per level), the
 //!   database shard bounds, and a persistent [`Pool`] of worker threads that
 //!   serves every counting call of the level loop.
@@ -23,6 +23,16 @@
 //! The level-wise miner ([`crate::miner::Miner`]) is a thin driver over a
 //! session; long-lived services can hold a session directly and stream
 //! per-level results via [`MiningSession::mine_with`].
+//!
+//! A session mines **one or more** member configurations over its one stream
+//! snapshot (Mayura-style co-mining): every [`MiningSessionBuilder::config`]
+//! call adds a member, and the members' level loops advance in lockstep with
+//! one compile and one executor scan per level, however many members are
+//! still mining ([`MiningSession::co_mine`]). A solo request is a batch of
+//! one: a level with a single active member compiles that member's
+//! candidates directly and uses the counts as returned; a level with several
+//! merges them into one deduplicated [`CandidateUnion`] and demultiplexes the
+//! union counts back per member.
 //!
 //! Sessions come in two ownership shapes. [`MiningSession::builder`] borrows
 //! the database (`MiningSession<'db>`), right for scoped use. A **serving**
@@ -108,10 +118,10 @@ impl PoolSlot {
     }
 }
 
-/// A cooperative cancellation handle checked by the level loops
-/// ([`MiningSession::mine_with`], [`CoSession::co_mine`]) **between** level
-/// scans: an abandoned request stops before compiling or counting its next
-/// level instead of running the full loop for nobody.
+/// A cooperative cancellation handle checked by the level loop
+/// ([`MiningSession::mine_with`], [`MiningSession::co_mine`]) **between**
+/// level scans: an abandoned request stops before compiling or counting its
+/// next level instead of running the full loop for nobody.
 ///
 /// The flag is shared across clones (an `Arc<AtomicBool>`), so a serving
 /// layer can hand one copy to the session and keep another to fire from a
@@ -313,8 +323,8 @@ impl<'a> CountRequest<'a> {
 
     /// The per-symbol [`OccurrenceIndex`] over this session's stream
     /// snapshot, built lazily on first use and **cached on the session** —
-    /// every level of the loop (and, for a [`CoSession`], every member of the
-    /// co-mined batch) shares the one build. Vertical-strategy executors and
+    /// every level of the loop, and every member of a multi-member session,
+    /// shares the one build. Vertical-strategy executors and
     /// the per-level dispatch rule
     /// ([`CompiledCandidates::choose_strategy`]) read it from here.
     pub fn occurrence_index(&self) -> &'a OccurrenceIndex {
@@ -436,19 +446,29 @@ pub trait Executor {
     }
 }
 
-/// Builder for a [`MiningSession`].
+/// Builder for a [`MiningSession`]: add one [`config`](Self::config) per
+/// member (none means one default member), then [`build`](Self::build).
 #[derive(Debug)]
 pub struct MiningSessionBuilder<'db> {
     db: DbHandle<'db>,
-    config: MinerConfig,
+    configs: Vec<MinerConfig>,
     workers: usize,
     pool: Option<Arc<Pool>>,
 }
 
 impl<'db> MiningSessionBuilder<'db> {
-    /// Sets the mining configuration (support threshold, level bound, …).
+    /// Adds one member: a mining configuration (support threshold, level
+    /// bound, …) mined over the session's stream. Member results come back in
+    /// the order configs were added; a builder given no config builds one
+    /// member with [`MinerConfig::default`].
     pub fn config(mut self, config: MinerConfig) -> Self {
-        self.config = config;
+        self.configs.push(config);
+        self
+    }
+
+    /// Adds several members at once (see [`config`](Self::config)).
+    pub fn configs(mut self, configs: impl IntoIterator<Item = MinerConfig>) -> Self {
+        self.configs.extend(configs);
         self
     }
 
@@ -495,11 +515,11 @@ impl<'db> MiningSessionBuilder<'db> {
         self
     }
 
-    /// Builds the session: snapshots the stream (a refcount bump on the
-    /// database's own shared buffer, never a byte copy) and fixes the
-    /// database shard bounds. Without [`with_pool`], the persistent pool is
-    /// spawned lazily the first time an executor (or [`MiningSession::pool`])
-    /// asks for it.
+    /// Builds the session: snapshots the stream **once** for every member (a
+    /// refcount bump on the database's own shared buffer, never a byte copy)
+    /// and fixes the database shard bounds. Without [`with_pool`], the
+    /// persistent pool is spawned lazily the first time an executor (or
+    /// [`MiningSession::pool`]) asks for it.
     ///
     /// [`with_pool`]: MiningSessionBuilder::with_pool
     pub fn build(self) -> MiningSession<'db> {
@@ -510,12 +530,10 @@ impl<'db> MiningSessionBuilder<'db> {
         } else {
             default_workers()
         };
-        let n = self.db.get().len();
-        let shard_bounds = if workers > 1 && n >= MIN_SHARD_STREAM {
-            even_bounds(n, workers)
-        } else {
-            Vec::new()
-        };
+        let mut configs = self.configs;
+        if configs.is_empty() {
+            configs.push(MinerConfig::default());
+        }
         let stream = self.db.get().symbols_shared();
         let pool = match self.pool {
             Some(pool) => PoolSlot::Shared(pool),
@@ -524,15 +542,15 @@ impl<'db> MiningSessionBuilder<'db> {
                 cell: OnceLock::new(),
             },
         };
-        let epoch = self.db.get().epoch();
         MiningSession {
+            epoch: self.db.get().epoch(),
+            shard_bounds: shard_bounds(stream.len(), workers),
             db: self.db,
             stream,
-            epoch,
-            config: self.config,
+            configs,
+            union: CandidateUnion::default(),
             compiled: Arc::new(CompiledCandidates::default()),
             vertical: OnceLock::new(),
-            shard_bounds,
             workers,
             pool,
             priority: Priority::Normal,
@@ -542,14 +560,56 @@ impl<'db> MiningSessionBuilder<'db> {
     }
 }
 
+/// Interior shard cut positions for a stream of `n` symbols split across
+/// `workers` (none when single-worker or too short to shard).
+fn shard_bounds(n: usize, workers: usize) -> Vec<usize> {
+    if workers > 1 && n >= MIN_SHARD_STREAM {
+        even_bounds(n, workers)
+    } else {
+        Vec::new()
+    }
+}
+
 /// The plan side of the counting API: owns everything that should be built
 /// once and reused across the level loop — the compiled candidate layout, the
-/// database shard bounds, and the persistent worker pool.
+/// database shard bounds, and the persistent worker pool — for one or more
+/// member configurations mined in lockstep.
 ///
 /// One session serves any number of executors; the compiled buffers are
 /// recompiled **in place** exactly once per level (`Arc::make_mut` — workers
 /// drop their handles at the end of each execute, so the steady state never
-/// copies). See the [module docs](self) for the full picture.
+/// copies). With several members still mining, a level's candidate sets are
+/// merged into one deduplicated [`CandidateUnion`], compiled once, counted
+/// with a **single** executor scan, and demultiplexed back into each
+/// member's own candidate ordering — K requests over one database cost ~1
+/// scan per level instead of K. Results are **bit-identical** to mining each
+/// configuration alone: the engine's count of an episode never depends on
+/// what else is compiled alongside it, which the workspace differential
+/// suite (`tests/comining.rs`) proves under adversarial overlap. See the
+/// [module docs](self) for the full picture.
+///
+/// ```
+/// use std::sync::Arc;
+/// use tdm_core::miner::{Miner, MinerConfig, SequentialBackend};
+/// use tdm_core::session::MiningSession;
+/// use tdm_core::{Alphabet, EventDb};
+///
+/// let db = Arc::new(EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCD".repeat(60)).unwrap());
+/// let fast = MinerConfig { alpha: 0.01, max_level: Some(2), ..Default::default() };
+/// let deep = MinerConfig { alpha: 0.001, max_level: Some(3), ..Default::default() };
+///
+/// // Two configurations, one shared scan per level.
+/// let mut group = MiningSession::builder_shared(Arc::clone(&db)).config(fast).config(deep).build();
+/// let results = group.co_mine(&mut SequentialBackend::default()).unwrap();
+///
+/// // Bit-identical to mining each request on its own.
+/// for (cfg, got) in [fast, deep].into_iter().zip(&results) {
+///     let solo = Miner::new(cfg).mine(&db, &mut SequentialBackend::default()).unwrap();
+///     assert_eq!(*got, solo);
+/// }
+/// // Three levels deep at most, and exactly one compile+scan per level.
+/// assert_eq!(group.compiles(), results.iter().map(|r| r.levels.len()).max().unwrap());
+/// ```
 pub struct MiningSession<'db> {
     db: DbHandle<'db>,
     stream: Arc<[u8]>,
@@ -558,7 +618,11 @@ pub struct MiningSession<'db> {
     /// for this snapshot, and [`rebase`](MiningSession::rebase) refuses
     /// databases that are not append-descendants of it.
     epoch: u64,
-    config: MinerConfig,
+    /// The member configurations, in result order (never empty).
+    configs: Vec<MinerConfig>,
+    /// The deduplicated candidate union of a level with several active
+    /// members; untouched while a single member mines.
+    union: CandidateUnion,
     compiled: Arc<CompiledCandidates>,
     /// Per-symbol occurrence index over `stream`, built lazily by the first
     /// vertical-strategy execute and reused for the session's whole lifetime
@@ -578,20 +642,29 @@ impl std::fmt::Debug for MiningSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MiningSession")
             .field("db_len", &self.db.get().len())
+            .field("members", &self.configs.len())
             .field("workers", &self.workers)
             .field("compiles", &self.compiles)
             .finish()
     }
 }
 
+/// One member's progress through the lockstep level loop: its config, its
+/// current candidates (empty once it retires), and its result so far.
+struct Member {
+    config: MinerConfig,
+    candidates: Vec<Episode>,
+    result: MiningResult,
+}
+
 impl<'db> MiningSession<'db> {
-    /// Starts building a session over a borrowed `db` (default config, auto
-    /// workers). For a session with no borrowed lifetime — one a cache or
-    /// another thread can own — see [`MiningSession::builder_shared`].
+    /// Starts building a session over a borrowed `db` (one default member,
+    /// auto workers). For a session with no borrowed lifetime — one a cache
+    /// or another thread can own — see [`MiningSession::builder_shared`].
     pub fn builder(db: &'db EventDb) -> MiningSessionBuilder<'db> {
         MiningSessionBuilder {
             db: DbHandle::Borrowed(db),
-            config: MinerConfig::default(),
+            configs: Vec::new(),
             workers: 0,
             pool: None,
         }
@@ -606,7 +679,7 @@ impl<'db> MiningSession<'db> {
     pub fn builder_shared(db: Arc<EventDb>) -> MiningSessionBuilder<'static> {
         MiningSessionBuilder {
             db: DbHandle::Shared(db),
-            config: MinerConfig::default(),
+            configs: Vec::new(),
             workers: 0,
             pool: None,
         }
@@ -623,9 +696,14 @@ impl<'db> MiningSession<'db> {
         self.pool.get()
     }
 
-    /// The mining configuration.
+    /// The first member's configuration — the only one of a solo session.
     pub fn config(&self) -> &MinerConfig {
-        &self.config
+        &self.configs[0]
+    }
+
+    /// Every member's configuration, in result order.
+    pub fn configs(&self) -> &[MinerConfig] {
+        &self.configs
     }
 
     /// The session's planned worker count (decomposition width: shard bounds
@@ -639,7 +717,9 @@ impl<'db> MiningSession<'db> {
     /// parallel executors submit their scans on that lane
     /// ([`Pool::map_move_prio`]). On a *shared* pool this is how one
     /// session's request overtakes queued scans of other sessions; on a
-    /// session-owned pool it is a no-op in effect (no competing jobs).
+    /// session-owned pool it is a no-op in effect (no competing jobs). A
+    /// multi-member session typically runs at the *highest* class among its
+    /// members, so sharing a scan never deprioritizes anyone's work.
     pub fn set_job_priority(&mut self, priority: Priority) {
         self.priority = priority;
     }
@@ -652,7 +732,9 @@ impl<'db> MiningSession<'db> {
     /// Installs (or clears) the cooperative cancellation token the level loop
     /// checks before each level's compile+scan. A serving layer sets a fresh
     /// token per request — including `None` for requests without deadlines,
-    /// so a parked, reused session never inherits a stale token.
+    /// so a parked, reused session never inherits a stale token. Cancelling
+    /// fails every member: they share each level's scan, so they share the
+    /// cancellation.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
@@ -663,7 +745,10 @@ impl<'db> MiningSession<'db> {
     }
 
     /// How many candidate sets this session has compiled — exactly one per
-    /// counted level, regardless of how many executors ran against each.
+    /// counted level (the number of scans issued), regardless of how many
+    /// executors ran against each or how many members rode it. Accumulates
+    /// across runs when the session is reused (e.g. parked in a serving
+    /// cache).
     pub fn compiles(&self) -> usize {
         self.compiles
     }
@@ -681,12 +766,13 @@ impl<'db> MiningSession<'db> {
 
     /// Re-points a cached session at a **grown** database — the streaming
     /// handoff: a serving layer appends to its db, then rebases the parked
-    /// session instead of rebuilding it. The stream snapshot is replaced (a
-    /// refcount bump on the new buffer), shard bounds are recut for the new
-    /// length, and a cached [`OccurrenceIndex`] is **extended in place** over
-    /// the appended suffix ([`OccurrenceIndex::extend`]) rather than rebuilt
-    /// — so the epoch-N index is never consulted against epoch-N+1 data, and
-    /// never thrown away either.
+    /// session (one member or many) instead of rebuilding it. The stream
+    /// snapshot is replaced (a refcount bump on the new buffer), shard bounds
+    /// are recut for the new length, and a cached [`OccurrenceIndex`] is
+    /// **extended in place** over the appended suffix
+    /// ([`OccurrenceIndex::extend`]) rather than rebuilt — so the epoch-N
+    /// index is never consulted against epoch-N+1 data, and never thrown away
+    /// either.
     ///
     /// The session takes shared ownership of `db` (as with
     /// [`builder_shared`](MiningSession::builder_shared)).
@@ -696,26 +782,87 @@ impl<'db> MiningSession<'db> {
     /// the session's snapshot (older epoch, or a shorter stream at the same
     /// alphabet) — the session is left untouched.
     pub fn rebase(&mut self, db: Arc<EventDb>) -> Result<(), CoreError> {
-        let new_stream = rebase_snapshot(
-            &db,
-            self.epoch,
-            &self.stream,
-            &mut self.vertical,
-            &mut self.shard_bounds,
-            self.workers,
-        )?;
-        self.stream = new_stream;
+        if db.epoch() < self.epoch || db.len() < self.stream.len() {
+            return Err(CoreError::StaleSnapshot {
+                session_epoch: self.epoch,
+                db_epoch: db.epoch(),
+            });
+        }
+        let stream = db.symbols_shared();
+        debug_assert_eq!(
+            &stream[..self.stream.len()],
+            &self.stream[..],
+            "rebase target must be an append-descendant of the session snapshot"
+        );
+        if let Some(mut index) = self.vertical.take() {
+            Arc::make_mut(&mut index).extend(&stream[self.stream.len()..]);
+            let _ = self.vertical.set(index);
+        }
+        self.shard_bounds = shard_bounds(stream.len(), self.workers);
+        self.stream = stream;
         self.epoch = db.epoch();
         self.db = DbHandle::Shared(db);
         Ok(())
     }
 
-    /// Compiles `candidates` into the session's reusable buffers (the plan
-    /// step) and returns the request for the given level.
-    fn plan(&mut self, level: usize, candidates: &[Episode]) -> CountRequest<'_> {
-        guard_vertical_cache(&mut self.vertical, self.stream.len());
+    /// Maps each requested config to a **distinct** member of this session (a
+    /// multiset matching): `perm[i]` is the member index whose result answers
+    /// request `i`. Returns `None` unless the requested configs are exactly
+    /// this session's members (same multiset, any order).
+    ///
+    /// Plans are equal only on the exact `alpha` bit pattern (a cached plan
+    /// must answer only the *identical* threshold, not an approximately
+    /// equal one), level bound, and generation rule. This is what lets a
+    /// serving layer park a session in a cache keyed by its *sorted*
+    /// config-set fingerprint and reuse it for a batch whose members arrived
+    /// in a different order: [`co_mine`] rebuilds per-member state from the
+    /// configs on every call, so callers only need this permutation to route
+    /// each member's result back to the right requester.
+    ///
+    /// [`co_mine`]: MiningSession::co_mine
+    pub fn member_permutation(&self, configs: &[MinerConfig]) -> Option<Vec<usize>> {
+        if configs.len() != self.configs.len() {
+            return None;
+        }
+        let mut perm = Vec::with_capacity(configs.len());
+        for want in configs {
+            let j = (0..self.configs.len()).find(|j| {
+                let have = &self.configs[*j];
+                !perm.contains(j)
+                    && have.alpha.to_bits() == want.alpha.to_bits()
+                    && have.max_level == want.max_level
+                    && have.distinct_items_only == want.distinct_items_only
+            })?;
+            perm.push(j);
+        }
+        Some(perm)
+    }
+
+    /// Compiles one level's candidate sets into the session's reusable
+    /// buffers (the plan step) and returns the request for the level: a
+    /// single set compiles directly, several merge into the session's
+    /// deduplicated [`CandidateUnion`] first.
+    fn plan(&mut self, level: usize, sets: &[&[Episode]]) -> CountRequest<'_> {
+        // The epoch guard on the lazily cached occurrence index: an
+        // append-only stream never changes in place, so a cached index
+        // describes the current snapshot iff their lengths agree. A mismatch
+        // drops the cache and the next vertical execute rebuilds it — an
+        // epoch-N index is never consulted against epoch-N+1 data.
+        if self
+            .vertical
+            .get()
+            .is_some_and(|ix| ix.stream_len() != self.stream.len())
+        {
+            self.vertical.take();
+        }
         let alphabet_len = self.db.get().alphabet().len();
-        Arc::make_mut(&mut self.compiled).recompile(alphabet_len, candidates);
+        let compiled = Arc::make_mut(&mut self.compiled);
+        if let [only] = sets {
+            compiled.recompile(alphabet_len, only);
+        } else {
+            self.union.rebuild(sets);
+            compiled.recompile(alphabet_len, self.union.episodes());
+        }
         self.compiles += 1;
         CountRequest {
             db: self.db.get(),
@@ -738,7 +885,7 @@ impl<'db> MiningSession<'db> {
     /// [`count_candidates`]: MiningSession::count_candidates
     pub fn plan_candidates(&mut self, candidates: &[Episode]) -> CountRequest<'_> {
         let level = candidates.iter().map(|e| e.level()).max().unwrap_or(1);
-        self.plan(level, candidates)
+        self.plan(level, &[candidates])
     }
 
     /// Compiles `candidates` once and executes `executor` against them.
@@ -752,27 +899,28 @@ impl<'db> MiningSession<'db> {
         executor: &mut E,
     ) -> Result<Counts, MineError> {
         let level = candidates.iter().map(|e| e.level()).max().unwrap_or(1);
-        self.count_level(level, candidates, executor)
+        self.count_level(level, &[candidates], executor)
     }
 
     fn count_level<E: Executor + ?Sized>(
         &mut self,
         level: usize,
-        candidates: &[Episode],
+        sets: &[&[Episode]],
         executor: &mut E,
     ) -> Result<Counts, MineError> {
-        let req = self.plan(level, candidates);
+        let req = self.plan(level, sets);
+        let expected = req.candidates();
         let counts = executor.execute(&req).map_err(|source| MineError {
             level,
             backend: executor.name().to_string(),
             source,
         })?;
-        if counts.len() != candidates.len() {
+        if counts.len() != expected {
             return Err(MineError {
                 level,
                 backend: executor.name().to_string(),
                 source: BackendError::CountLength {
-                    expected: candidates.len(),
+                    expected,
                     got: counts.len(),
                 },
             });
@@ -781,10 +929,13 @@ impl<'db> MiningSession<'db> {
     }
 
     /// Runs the full level-wise mining loop (paper Algorithm 1) with
-    /// `executor` as the counting step.
+    /// `executor` as the counting step and returns the first member's result
+    /// — the only one of a solo session ([`co_mine`] returns every member's).
     ///
     /// # Errors
     /// [`MineError`] from the first failing level.
+    ///
+    /// [`co_mine`]: MiningSession::co_mine
     pub fn mine<E: Executor + ?Sized>(
         &mut self,
         executor: &mut E,
@@ -792,10 +943,10 @@ impl<'db> MiningSession<'db> {
         self.mine_with(executor, |_| {})
     }
 
-    /// Like [`mine`], but invokes `on_level` with each level's result as
-    /// soon as that level's elimination step finishes — the streaming hook
-    /// serving use-cases want (emit level-1 frequent episodes while level 2
-    /// counts).
+    /// Like [`mine`], but invokes `on_level` with each of the first member's
+    /// level results as soon as that level's elimination step finishes — the
+    /// streaming hook serving use-cases want (emit level-1 frequent episodes
+    /// while level 2 counts).
     ///
     /// # Errors
     /// [`MineError`] from the first failing level.
@@ -806,18 +957,68 @@ impl<'db> MiningSession<'db> {
         executor: &mut E,
         mut on_level: impl FnMut(&LevelResult),
     ) -> Result<MiningResult, MineError> {
+        let mut results = self.lockstep(executor, |member, level| {
+            if member == 0 {
+                on_level(level);
+            }
+        })?;
+        Ok(results.swap_remove(0))
+    }
+
+    /// Runs every member's level-wise mining loop in lockstep, issuing **one**
+    /// scan per level. Returns one [`MiningResult`] per member, in the order
+    /// their configs were added — each bit-identical to a solo run of that
+    /// config.
+    ///
+    /// # Errors
+    /// [`MineError`] from the first failing scan (the members share the scan,
+    /// so they share the failure).
+    pub fn co_mine<E: Executor + ?Sized>(
+        &mut self,
+        executor: &mut E,
+    ) -> Result<Vec<MiningResult>, MineError> {
+        self.lockstep(executor, |_, _| {})
+    }
+
+    /// The one level loop behind [`mine_with`](Self::mine_with) and
+    /// [`co_mine`](Self::co_mine): count the active members' candidates with
+    /// one scan, then let each member eliminate with its own α and join its
+    /// survivors into its next level. `on_level` sees each member's level
+    /// result (member index first).
+    fn lockstep<E: Executor + ?Sized>(
+        &mut self,
+        executor: &mut E,
+        mut on_level: impl FnMut(usize, &LevelResult),
+    ) -> Result<Vec<MiningResult>, MineError> {
         let n = self.db.get().len();
-        let mut result = MiningResult {
-            levels: Vec::new(),
-            db_len: n,
-        };
-        let mut candidates = level1(self.db.get().alphabet());
+        let mut members: Vec<Member> = self
+            .configs
+            .iter()
+            .map(|&config| Member {
+                config,
+                candidates: level1(self.db.get().alphabet()),
+                result: MiningResult {
+                    levels: Vec::new(),
+                    db_len: n,
+                },
+            })
+            .collect();
         let mut level = 1usize;
-        while !candidates.is_empty() {
-            if let Some(maxl) = self.config.max_level {
-                if level > maxl {
-                    break;
+        loop {
+            // Retire members past their level bound; the loop's other exit is
+            // a member running out of candidates.
+            for m in &mut members {
+                if m.config.max_level.is_some_and(|maxl| level > maxl) {
+                    m.candidates.clear();
                 }
+            }
+            let sets: Vec<&[Episode]> = members
+                .iter()
+                .filter(|m| !m.candidates.is_empty())
+                .map(|m| m.candidates.as_slice())
+                .collect();
+            if sets.is_empty() {
+                break;
             }
             // Cooperative cancellation: an abandoned request (deadline passed,
             // client gone) stops here, before compiling or scanning the next
@@ -829,512 +1030,40 @@ impl<'db> MiningSession<'db> {
                     source: BackendError::Cancelled,
                 });
             }
-            let counts = self.count_level(level, &candidates, executor)?;
-            let frequent: Vec<(Episode, u64)> = candidates
-                .iter()
-                .cloned()
-                .zip(counts.iter().copied())
-                .filter(|(_, c)| support(*c, n) > self.config.alpha)
-                .collect();
-            let next_seed: Vec<Episode> = frequent.iter().map(|(e, _)| e.clone()).collect();
-            let level_result = LevelResult {
-                level,
-                candidates: candidates.len(),
-                frequent,
-            };
-            on_level(&level_result);
-            result.levels.push(level_result);
-            if next_seed.is_empty() {
-                break;
-            }
-            candidates = apriori_join(&next_seed, self.config.distinct_items_only);
-            level += 1;
-        }
-        Ok(result)
-    }
-}
+            let fused = sets.len() > 1;
+            let counts = self.count_level(level, &sets, executor)?;
 
-/// The shared rebase step for [`MiningSession::rebase`] and
-/// [`CoSession::rebase`]: validates that `db` descends from the session's
-/// snapshot by appends, extends the cached occurrence index over the new
-/// suffix, recuts the shard bounds, and returns the new snapshot.
-fn rebase_snapshot(
-    db: &EventDb,
-    epoch: u64,
-    stream: &Arc<[u8]>,
-    vertical: &mut OnceLock<Arc<OccurrenceIndex>>,
-    shard_bounds: &mut Vec<usize>,
-    workers: usize,
-) -> Result<Arc<[u8]>, CoreError> {
-    if db.epoch() < epoch || db.len() < stream.len() {
-        return Err(CoreError::StaleSnapshot {
-            session_epoch: epoch,
-            db_epoch: db.epoch(),
-        });
-    }
-    let new_stream = db.symbols_shared();
-    debug_assert_eq!(
-        &new_stream[..stream.len()],
-        &stream[..],
-        "rebase target must be an append-descendant of the session snapshot"
-    );
-    if let Some(mut index) = vertical.take() {
-        Arc::make_mut(&mut index).extend(&new_stream[stream.len()..]);
-        let _ = vertical.set(index);
-    }
-    let n = new_stream.len();
-    *shard_bounds = if workers > 1 && n >= MIN_SHARD_STREAM {
-        even_bounds(n, workers)
-    } else {
-        Vec::new()
-    };
-    Ok(new_stream)
-}
-
-/// The plan-time epoch guard on the lazily cached occurrence index: an
-/// append-only stream never changes in place, so a cached index describes the
-/// current snapshot iff their lengths agree. A mismatch (a caller swapped the
-/// snapshot without going through [`rebase_snapshot`]) drops the cache; the
-/// next vertical execute transparently rebuilds it — an epoch-N index is
-/// never consulted against epoch-N+1 data.
-fn guard_vertical_cache(vertical: &mut OnceLock<Arc<OccurrenceIndex>>, stream_len: usize) {
-    if vertical
-        .get()
-        .is_some_and(|ix| ix.stream_len() != stream_len)
-    {
-        vertical.take();
-    }
-}
-
-/// Builder for a [`CoSession`]. Obtained from [`CoSession::builder`]; add one
-/// [`config`](CoSessionBuilder::config) per member request, then
-/// [`build`](CoSessionBuilder::build).
-#[derive(Debug)]
-pub struct CoSessionBuilder {
-    db: Arc<EventDb>,
-    configs: Vec<MinerConfig>,
-    workers: usize,
-    pool: Option<Arc<Pool>>,
-}
-
-impl CoSessionBuilder {
-    /// Adds one member: a mining configuration to co-mine alongside the
-    /// others. Member results come back in the order configs were added.
-    pub fn config(mut self, config: MinerConfig) -> Self {
-        self.configs.push(config);
-        self
-    }
-
-    /// Adds several members at once (see [`config`](CoSessionBuilder::config)).
-    pub fn configs(mut self, configs: impl IntoIterator<Item = MinerConfig>) -> Self {
-        self.configs.extend(configs);
-        self
-    }
-
-    /// Sets the decomposition width (0 = the machine's available parallelism,
-    /// or the shared pool's size when [`with_pool`] was given) — same
-    /// semantics as [`MiningSessionBuilder::workers`].
-    ///
-    /// [`with_pool`]: CoSessionBuilder::with_pool
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Attaches an externally owned shared worker pool — the serving
-    /// configuration, where every batch's union scans multiplex over the one
-    /// machine-sized pool (same semantics as
-    /// [`MiningSessionBuilder::with_pool`]).
-    pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Builds the group session: snapshots the stream **once** for every
-    /// member (a refcount bump on the database's shared buffer) and fixes the
-    /// shard bounds, exactly like a solo session — K members cost one
-    /// snapshot, not K.
-    pub fn build(self) -> CoSession {
-        let workers = if self.workers != 0 {
-            self.workers
-        } else if let Some(pool) = &self.pool {
-            pool.workers()
-        } else {
-            default_workers()
-        };
-        let n = self.db.len();
-        let shard_bounds = if workers > 1 && n >= MIN_SHARD_STREAM {
-            even_bounds(n, workers)
-        } else {
-            Vec::new()
-        };
-        let stream = self.db.symbols_shared();
-        let pool = match self.pool {
-            Some(pool) => PoolSlot::Shared(pool),
-            None => PoolSlot::Owned {
-                workers,
-                cell: OnceLock::new(),
-            },
-        };
-        let epoch = self.db.epoch();
-        CoSession {
-            db: self.db,
-            stream,
-            epoch,
-            configs: self.configs,
-            union: CandidateUnion::default(),
-            compiled: Arc::new(CompiledCandidates::default()),
-            vertical: OnceLock::new(),
-            shard_bounds,
-            workers,
-            pool,
-            priority: Priority::Normal,
-            cancel: None,
-            compiles: 0,
-        }
-    }
-}
-
-/// Plan equality for [`CoSession::member_permutation`]: exact `alpha` bit
-/// pattern (a cached plan must only answer requests with the *identical*
-/// threshold, not an approximately equal one), plus level bound and
-/// generation rule.
-fn same_plan(a: &MinerConfig, b: &MinerConfig) -> bool {
-    a.alpha.to_bits() == b.alpha.to_bits()
-        && a.max_level == b.max_level
-        && a.distinct_items_only == b.distinct_items_only
-}
-
-/// Per-member progress inside [`CoSession::co_mine`].
-struct CoMember {
-    candidates: Vec<Episode>,
-    result: MiningResult,
-    active: bool,
-}
-
-/// A **co-mining** session: the group-planning side of cross-request
-/// co-mining (Mayura-style). One database, one stream snapshot, one worker
-/// pool — and *K* mining configurations whose level loops advance in
-/// lockstep. At each level the members' candidate sets are merged into one
-/// deduplicated [`CandidateUnion`], compiled once into the session's reusable
-/// buffers, and counted with a **single** executor scan; the union counts are
-/// then demultiplexed back into each member's own candidate ordering for its
-/// elimination step. K concurrent requests over one database cost ~1 scan per
-/// level instead of K.
-///
-/// Results are **bit-identical** to mining each configuration serially with
-/// its own [`MiningSession`] (or [`crate::miner::Miner`]): the engine's count
-/// of an episode never depends on what else is compiled alongside it, so
-/// demuxed union counts equal solo counts — the workspace differential suite
-/// (`tests/comining.rs`) proves this under adversarial overlap.
-///
-/// ```
-/// use std::sync::Arc;
-/// use tdm_core::miner::{Miner, MinerConfig, SequentialBackend};
-/// use tdm_core::session::CoSession;
-/// use tdm_core::{Alphabet, EventDb};
-///
-/// let db = Arc::new(EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCD".repeat(60)).unwrap());
-/// let fast = MinerConfig { alpha: 0.01, max_level: Some(2), ..Default::default() };
-/// let deep = MinerConfig { alpha: 0.001, max_level: Some(3), ..Default::default() };
-///
-/// // Two configurations, one shared scan per level.
-/// let mut group = CoSession::builder(Arc::clone(&db)).config(fast).config(deep).build();
-/// let results = group.co_mine(&mut SequentialBackend::default()).unwrap();
-///
-/// // Bit-identical to mining each request on its own.
-/// for (cfg, got) in [fast, deep].into_iter().zip(&results) {
-///     let solo = Miner::new(cfg).mine(&db, &mut SequentialBackend::default()).unwrap();
-///     assert_eq!(*got, solo);
-/// }
-/// // Three levels deep at most, and exactly one union compile+scan per level.
-/// assert_eq!(group.compiles(), results.iter().map(|r| r.levels.len()).max().unwrap());
-/// ```
-pub struct CoSession {
-    db: Arc<EventDb>,
-    stream: Arc<[u8]>,
-    /// Append epoch of `db` when `stream` was snapshotted — the epoch the
-    /// cached occurrence index is valid for (see [`MiningSession::epoch`]).
-    epoch: u64,
-    configs: Vec<MinerConfig>,
-    union: CandidateUnion,
-    compiled: Arc<CompiledCandidates>,
-    /// Per-symbol occurrence index over the batch's one stream snapshot —
-    /// built at most once for the whole co-mined batch, however many members
-    /// and levels ride it.
-    vertical: OnceLock<Arc<OccurrenceIndex>>,
-    shard_bounds: Vec<usize>,
-    workers: usize,
-    pool: PoolSlot,
-    priority: Priority,
-    /// Cooperative cancellation for the lockstep loop; checked before each
-    /// union compile+scan. `None` (the default) never cancels.
-    cancel: Option<CancelToken>,
-    compiles: usize,
-}
-
-impl std::fmt::Debug for CoSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoSession")
-            .field("db_len", &self.db.len())
-            .field("members", &self.configs.len())
-            .field("workers", &self.workers)
-            .field("compiles", &self.compiles)
-            .finish()
-    }
-}
-
-impl CoSession {
-    /// Starts building a co-mining session over a shared database handle.
-    /// Like [`MiningSession::builder_shared`], the built session owns no
-    /// borrow, so a serving layer can assemble one per batch and run it
-    /// anywhere.
-    pub fn builder(db: Arc<EventDb>) -> CoSessionBuilder {
-        CoSessionBuilder {
-            db,
-            configs: Vec::new(),
-            workers: 0,
-            pool: None,
-        }
-    }
-
-    /// The database this group mines.
-    pub fn db(&self) -> &EventDb {
-        &self.db
-    }
-
-    /// The member configurations, in result order.
-    pub fn configs(&self) -> &[MinerConfig] {
-        &self.configs
-    }
-
-    /// Number of member requests in the group.
-    pub fn members(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// The session's planned worker count (decomposition width).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The session's worker pool (owned-lazy or shared; see
-    /// [`MiningSession::pool`]).
-    pub fn pool(&self) -> &Pool {
-        self.pool.get()
-    }
-
-    /// Sets the scheduling class the union scans run at (see
-    /// [`MiningSession::set_job_priority`]). A batch typically runs at the
-    /// *highest* class among its members, so fusing never deprioritizes
-    /// anyone's work.
-    pub fn set_job_priority(&mut self, priority: Priority) {
-        self.priority = priority;
-    }
-
-    /// The scheduling class union scans run at.
-    pub fn job_priority(&self) -> Priority {
-        self.priority
-    }
-
-    /// Installs (or clears) the cooperative cancellation token the lockstep
-    /// loop checks before each union compile+scan (see
-    /// [`MiningSession::set_cancel_token`]). Cancelling fails the whole
-    /// batch — every member shares the union scan, so every member shares the
-    /// cancellation.
-    pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// The installed cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// How many union candidate sets this session has compiled — exactly one
-    /// per counted level (the number of shared scans issued), regardless of
-    /// how many members rode each. Accumulates across [`co_mine`] calls when
-    /// the session is reused (e.g. parked in a serving cache).
-    ///
-    /// [`co_mine`]: CoSession::co_mine
-    pub fn compiles(&self) -> usize {
-        self.compiles
-    }
-
-    /// The append epoch of the stream snapshot this group counts against
-    /// (see [`EventDb::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Re-points a parked group session at a grown database — the co-mining
-    /// form of [`MiningSession::rebase`]: the cached batch plan (and a cached
-    /// occurrence index, extended in place) survives the append, so a serving
-    /// cache keyed by config fingerprint can reuse the session across stream
-    /// epochs.
-    ///
-    /// # Errors
-    /// [`CoreError::StaleSnapshot`] when `db` is not an append-descendant of
-    /// the session's snapshot — the session is left untouched.
-    pub fn rebase(&mut self, db: Arc<EventDb>) -> Result<(), CoreError> {
-        let new_stream = rebase_snapshot(
-            &db,
-            self.epoch,
-            &self.stream,
-            &mut self.vertical,
-            &mut self.shard_bounds,
-            self.workers,
-        )?;
-        self.stream = new_stream;
-        self.epoch = db.epoch();
-        self.db = db;
-        Ok(())
-    }
-
-    /// Maps each requested config to a **distinct** member of this session (a
-    /// multiset matching): `perm[i]` is the member index whose result answers
-    /// request `i`. Returns `None` unless the requested configs are exactly
-    /// this session's members (same multiset, any order).
-    ///
-    /// This is what lets a serving layer park a `CoSession` in a cache keyed
-    /// by its *sorted* config-set fingerprint and reuse it for a batch whose
-    /// members arrived in a different order: [`co_mine`] rebuilds per-member
-    /// state from `configs` on every call, so a reused session re-mines
-    /// correctly — callers only need this permutation to route each member's
-    /// result back to the right requester.
-    ///
-    /// [`co_mine`]: CoSession::co_mine
-    pub fn member_permutation(&self, configs: &[MinerConfig]) -> Option<Vec<usize>> {
-        if configs.len() != self.configs.len() {
-            return None;
-        }
-        let mut used = vec![false; self.configs.len()];
-        let mut perm = Vec::with_capacity(configs.len());
-        for want in configs {
-            let j =
-                (0..self.configs.len()).find(|&j| !used[j] && same_plan(&self.configs[j], want))?;
-            used[j] = true;
-            perm.push(j);
-        }
-        Some(perm)
-    }
-
-    /// Runs every member's level-wise mining loop in lockstep, issuing **one**
-    /// union scan per level. Returns one [`MiningResult`] per member, in the
-    /// order their configs were added — each bit-identical to a solo run of
-    /// that config.
-    ///
-    /// # Errors
-    /// [`MineError`] from the first failing union scan (the whole batch shares
-    /// the scan, so the whole batch shares the failure).
-    pub fn co_mine<E: Executor + ?Sized>(
-        &mut self,
-        executor: &mut E,
-    ) -> Result<Vec<MiningResult>, MineError> {
-        guard_vertical_cache(&mut self.vertical, self.stream.len());
-        let n = self.db.len();
-        let alphabet_len = self.db.alphabet().len();
-        let mut members: Vec<CoMember> = self
-            .configs
-            .iter()
-            .map(|_| CoMember {
-                candidates: level1(self.db.alphabet()),
-                result: MiningResult {
-                    levels: Vec::new(),
-                    db_len: n,
-                },
-                active: true,
-            })
-            .collect();
-        let mut level = 1usize;
-        loop {
-            // Retire members that are out of candidates or past their level
-            // bound — the same exits the solo loop takes before counting.
-            for (m, cfg) in members.iter_mut().zip(&self.configs) {
-                if m.active
-                    && (m.candidates.is_empty() || cfg.max_level.is_some_and(|maxl| level > maxl))
-                {
-                    m.active = false;
-                }
-            }
-            let sets: Vec<&[Episode]> = members
-                .iter()
-                .filter(|m| m.active)
-                .map(|m| m.candidates.as_slice())
-                .collect();
-            if sets.is_empty() {
-                break;
-            }
-            // Cooperative cancellation, before the union compile+scan (the
-            // same seam as the solo loop's check).
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(MineError {
-                    level,
-                    backend: executor.name().to_string(),
-                    source: BackendError::Cancelled,
-                });
-            }
-
-            // Plan: one union, one in-place compile — however many members.
-            self.union.rebuild(&sets);
-            Arc::make_mut(&mut self.compiled).recompile(alphabet_len, self.union.episodes());
-            self.compiles += 1;
-            let req = CountRequest {
-                db: &self.db,
-                stream: &self.stream,
-                compiled: &self.compiled,
-                vertical: &self.vertical,
-                shard_bounds: &self.shard_bounds,
-                pool: &self.pool,
-                workers: self.workers,
-                priority: self.priority,
-                level,
-            };
-
-            // Execute: the single shared scan of this level.
-            let union_counts = executor.execute(&req).map_err(|source| MineError {
-                level,
-                backend: executor.name().to_string(),
-                source,
-            })?;
-            if union_counts.len() != self.union.len() {
-                return Err(MineError {
-                    level,
-                    backend: executor.name().to_string(),
-                    source: BackendError::CountLength {
-                        expected: self.union.len(),
-                        got: union_counts.len(),
-                    },
-                });
-            }
-
-            // Demux + per-member elimination and generation.
+            // Per-member elimination and generation: a lone member reads the
+            // counts as returned, several demux their share of the union.
             let mut slot = 0usize;
-            for (m, cfg) in members.iter_mut().zip(&self.configs) {
-                if !m.active {
+            for (i, m) in members.iter_mut().enumerate() {
+                if m.candidates.is_empty() {
                     continue;
                 }
-                let counts = self.union.demux(slot, &union_counts);
+                let demuxed;
+                let counts: &[u64] = if fused {
+                    demuxed = self.union.demux(slot, &counts);
+                    &demuxed
+                } else {
+                    &counts
+                };
                 slot += 1;
                 let frequent: Vec<(Episode, u64)> = m
                     .candidates
                     .iter()
                     .cloned()
                     .zip(counts.iter().copied())
-                    .filter(|(_, c)| support(*c, n) > cfg.alpha)
+                    .filter(|(_, c)| support(*c, n) > m.config.alpha)
                     .collect();
                 let next_seed: Vec<Episode> = frequent.iter().map(|(e, _)| e.clone()).collect();
-                m.result.levels.push(LevelResult {
+                let level_result = LevelResult {
                     level,
                     candidates: m.candidates.len(),
                     frequent,
-                });
-                if next_seed.is_empty() {
-                    m.active = false;
-                    m.candidates.clear();
-                } else {
-                    m.candidates = apriori_join(&next_seed, cfg.distinct_items_only);
-                }
+                };
+                on_level(i, &level_result);
+                m.result.levels.push(level_result);
+                m.candidates = apriori_join(&next_seed, m.config.distinct_items_only);
             }
             level += 1;
         }
@@ -1448,7 +1177,7 @@ mod tests {
             max_level: Some(3),
             ..Default::default()
         };
-        let mut group = CoSession::builder(Arc::clone(&shared))
+        let mut group = MiningSession::builder_shared(Arc::clone(&shared))
             .config(fast)
             .config(deep)
             .build();
@@ -1463,5 +1192,42 @@ mod tests {
         group.set_cancel_token(None);
         let results = group.co_mine(&mut spy).unwrap();
         assert_eq!(results.len(), 2);
+    }
+
+    /// Records the (level, candidate count) of every request it executes.
+    struct SizeSpy(Vec<(usize, usize)>);
+
+    impl Executor for SizeSpy {
+        fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
+            self.0.push((req.level(), req.candidates()));
+            Ok(req
+                .compiled()
+                .count(req.stream(), &mut crate::engine::CountScratch::new()))
+        }
+    }
+
+    #[test]
+    fn a_one_member_session_never_builds_a_union() {
+        let db = db();
+        let mut session = MiningSession::builder(&db)
+            .config(MinerConfig {
+                alpha: 0.0001,
+                ..Default::default()
+            })
+            .build();
+        let mut spy = SizeSpy(Vec::new());
+        let result = session.mine(&mut spy).unwrap();
+        assert!(result.levels.len() > 1, "the loop must reach level 2");
+        assert!(
+            session.union.is_empty() && session.union.sources() == 0,
+            "a batch of one compiles its candidates directly"
+        );
+        // Every scan saw exactly the member's own candidate set.
+        let own: Vec<(usize, usize)> = result
+            .levels
+            .iter()
+            .map(|l| (l.level, l.candidates))
+            .collect();
+        assert_eq!(spy.0, own);
     }
 }

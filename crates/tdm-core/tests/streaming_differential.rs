@@ -12,10 +12,10 @@
 //!   through real [`MiningSession`]s over the final stream;
 //! * the incrementally **extended** occurrence index against a fresh batch
 //!   build;
-//! * the stale-snapshot hazard: [`MiningSession::rebase`] /
-//!   [`CoSession::rebase`] must never let an index built for snapshot epoch N
-//!   be consulted against epoch N+1 data, and must reject databases that are
-//!   not append-descendants of the session snapshot.
+//! * the stale-snapshot hazard: [`MiningSession::rebase`], for one member or
+//!   many, must never let an index built for snapshot epoch N be consulted
+//!   against epoch N+1 data, and must reject databases that are not
+//!   append-descendants of the session snapshot.
 //!
 //! [`SegmentEffect`]: tdm_core::segment::SegmentEffect
 
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use tdm_core::engine::{CompiledCandidates, CountScratch, OccurrenceIndex};
 use tdm_core::miner::{AutoBackend, MinerConfig};
-use tdm_core::session::{CoSession, MiningSession};
+use tdm_core::session::MiningSession;
 use tdm_core::streaming::StreamingSession;
 use tdm_core::{Alphabet, CoreError, Episode, EventDb};
 
@@ -150,7 +150,7 @@ fn rebase_rejects_databases_that_are_not_append_descendants() {
     assert_eq!(session.epoch(), 1);
 
     // Same for a co-mining session.
-    let mut group = CoSession::builder(Arc::new(grown))
+    let mut group = MiningSession::builder_shared(Arc::new(grown))
         .config(MinerConfig::default())
         .build();
     let shorter = EventDb::from_str_symbols(&ab, "ABCABC").unwrap();
@@ -174,7 +174,7 @@ fn cosession_rebase_matches_solo_mining_of_the_grown_stream() {
         max_level: Some(3),
         ..Default::default()
     };
-    let mut group = CoSession::builder(Arc::clone(&base))
+    let mut group = MiningSession::builder_shared(Arc::clone(&base))
         .config(fast)
         .config(deep)
         .build();

@@ -1,5 +1,5 @@
 //! The session cache: parked `MiningSession`s keyed by database content hash
-//! and configuration fingerprint.
+//! and config-set fingerprint — one LRU for every batch size.
 //!
 //! Repeated queries against the same database and configuration are the
 //! common case for a mining service (dashboards refreshing, clients polling a
@@ -16,17 +16,25 @@
 //! compiled-candidate storage keeps the *same address* across requests,
 //! which the workspace tests assert.
 //!
+//! A request mined alone is a batch of one, so solo requests and fused
+//! co-mining batches share the one LRU: an entry is a session with one member
+//! per configuration of its batch, keyed by the **sorted** config-set
+//! fingerprint ([`group_fingerprint`]). A recurring bundle hits whatever order
+//! its members arrive in, and a lone request's key is exactly its own
+//! [`session_key`].
+//!
 //! ## Collision safety
 //!
 //! The key is a 64-bit FNV-1a content hash (plus a config fingerprint), so
 //! two different databases *can* collide. An entry is therefore only handed
 //! out after verification against the requesting database — pointer equality
 //! of the `Arc` when the client resubmits the same handle, full
-//! symbol/timestamp comparison otherwise — and a forged or colliding key
-//! falls back to a miss instead of serving another tenant's session.
+//! symbol/timestamp comparison otherwise — and the exact config multiset; a
+//! forged or colliding key falls back to a miss instead of serving another
+//! tenant's session.
 
 use std::sync::Arc;
-use tdm_core::session::{CoSession, MiningSession};
+use tdm_core::session::MiningSession;
 use tdm_core::{EventDb, MinerConfig};
 use tdm_mapreduce::pool::Pool;
 
@@ -89,7 +97,8 @@ pub fn config_fingerprint(config: &MinerConfig) -> u64 {
     h
 }
 
-/// The [`SessionKey`] of one request.
+/// The [`SessionKey`] of one request — also the key of that request mined
+/// alone, as a batch of one.
 pub fn session_key(db: &EventDb, config: &MinerConfig) -> SessionKey {
     SessionKey {
         db_hash: db_content_hash(db),
@@ -99,10 +108,15 @@ pub fn session_key(db: &EventDb, config: &MinerConfig) -> SessionKey {
 
 /// Order-insensitive fingerprint of a *set* of configurations: the member
 /// count plus every per-config [`config_fingerprint`], folded in **sorted**
-/// order. Two batches with the same configs in a different arrival order get
-/// the same fingerprint — that is what lets a parked [`CoSession`] answer a
-/// permuted batch (see [`CoSession::member_permutation`]).
+/// order — except that a set of one fingerprints as its one member, so a
+/// batch of one is keyed exactly like the request alone. Two batches with
+/// the same configs in a different arrival order get the same fingerprint —
+/// that is what lets a parked session answer a permuted batch (see
+/// [`MiningSession::member_permutation`]).
 pub fn group_fingerprint(configs: &[MinerConfig]) -> u64 {
+    if let [only] = configs {
+        return config_fingerprint(only);
+    }
     let mut fps: Vec<u64> = configs.iter().map(config_fingerprint).collect();
     fps.sort_unstable();
     let mut h = FNV_OFFSET;
@@ -111,12 +125,6 @@ pub fn group_fingerprint(configs: &[MinerConfig]) -> u64 {
         fnv1a(&mut h, &fp.to_le_bytes());
     }
     h
-}
-
-fn config_matches(a: &MinerConfig, b: &MinerConfig) -> bool {
-    a.alpha.to_bits() == b.alpha.to_bits()
-        && a.max_level == b.max_level
-        && a.distinct_items_only == b.distinct_items_only
 }
 
 /// True when two database handles refer to the same content: pointer
@@ -129,34 +137,34 @@ pub(crate) fn db_matches(a: &Arc<EventDb>, b: &Arc<EventDb>) -> bool {
             && a.times() == b.times())
 }
 
-/// One parked session: the owned `MiningSession<'static>` plus the exact
-/// database handle and configuration it was planned for (the verification
-/// material).
+/// One parked session: the owned `MiningSession<'static>` — one member per
+/// configuration of the batch it was planned for — plus the exact database
+/// handle it was planned over (the verification material; the member configs
+/// live inside the session itself).
 pub struct CachedSession {
     db: Arc<EventDb>,
-    config: MinerConfig,
     session: MiningSession<'static>,
 }
 
 impl CachedSession {
-    /// Plans a fresh session for `db` under `config`, dispatching its scans
-    /// to the shared `pool`.
-    pub fn build(db: Arc<EventDb>, config: MinerConfig, pool: Arc<Pool>) -> Self {
+    /// Plans a fresh session for `db` with one member per entry of
+    /// `configs`, in order, dispatching its scans to the shared `pool`.
+    pub fn build(db: Arc<EventDb>, configs: &[MinerConfig], pool: Arc<Pool>) -> Self {
         let session = MiningSession::builder_shared(Arc::clone(&db))
-            .config(config)
+            .configs(configs.iter().copied())
             .with_pool(pool)
             .build();
-        CachedSession {
-            db,
-            config,
-            session,
-        }
+        CachedSession { db, session }
     }
 
-    /// True when this entry was planned for exactly this database content and
-    /// configuration (not merely the same hash).
-    pub fn matches(&self, db: &Arc<EventDb>, config: &MinerConfig) -> bool {
-        config_matches(&self.config, config) && db_matches(&self.db, db)
+    /// The member permutation when this entry was planned for exactly this
+    /// database content and this config *multiset* (any order), `None`
+    /// otherwise (see [`MiningSession::member_permutation`]).
+    pub fn matches(&self, db: &Arc<EventDb>, configs: &[MinerConfig]) -> Option<Vec<usize>> {
+        if !db_matches(&self.db, db) {
+            return None;
+        }
+        self.session.member_permutation(configs)
     }
 
     /// The parked session, for driving a mining run.
@@ -193,10 +201,13 @@ pub struct CacheStats {
     pub collisions: u64,
 }
 
-/// A small LRU map of parked sessions. Entries are **taken out** while a
-/// request uses them (a session is single-writer) and re-inserted when the
-/// request completes; concurrent identical requests simply miss and plan
-/// their own session, the last one back wins the cache slot.
+/// A small LRU map of parked sessions, one per (database, config multiset):
+/// a request mined alone and a fused K-request batch are the same kind of
+/// entry, keyed by (database content hash, [`group_fingerprint`] of the
+/// batch's configs). Entries are **taken out** while a batch uses them (a
+/// session is single-writer) and re-inserted when it completes; concurrent
+/// identical batches simply miss and plan their own session, the last one
+/// back wins the cache slot.
 #[derive(Debug)]
 pub struct SessionCache {
     capacity: usize,
@@ -207,7 +218,7 @@ pub struct SessionCache {
 
 impl SessionCache {
     /// An empty cache holding at most `capacity` sessions (0 disables
-    /// caching: every request plans fresh).
+    /// caching: every batch plans fresh).
     pub fn new(capacity: usize) -> Self {
         SessionCache {
             capacity,
@@ -231,148 +242,16 @@ impl SessionCache {
         self.stats
     }
 
-    /// Looks up `key`, verifies the entry against the actual request content,
-    /// and hands the session out (removing it from the cache while in use).
-    pub fn take(
-        &mut self,
-        key: SessionKey,
-        db: &Arc<EventDb>,
-        config: &MinerConfig,
-    ) -> Option<CachedSession> {
-        match self.entries.iter().position(|(k, _)| *k == key) {
-            Some(i) if self.entries[i].1.matches(db, config) => {
-                self.stats.hits += 1;
-                Some(self.entries.remove(i).1)
-            }
-            Some(_) => {
-                // Same 64-bit key, different content: never share the entry.
-                self.stats.collisions += 1;
-                self.stats.misses += 1;
-                None
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Parks `entry` under `key` as the most-recently-used session, evicting
-    /// the least-recently-used one when over capacity. Re-inserting an
-    /// existing key replaces that entry (the returning request has the
-    /// fresher buffers).
-    pub fn put(&mut self, key: SessionKey, entry: CachedSession) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(i);
-        }
-        self.entries.push((key, entry));
-        while self.entries.len() > self.capacity {
-            self.entries.remove(0);
-            self.stats.evictions += 1;
-        }
-    }
-}
-
-/// One parked co-mining session: the [`CoSession`] plus the exact database
-/// handle it was planned for (the verification material). The member configs
-/// live inside the session itself.
-pub struct CachedCoSession {
-    db: Arc<EventDb>,
-    session: CoSession,
-}
-
-impl CachedCoSession {
-    /// Plans a fresh co-mining session for `db` over `configs`, dispatching
-    /// its union scans to the shared `pool`.
-    pub fn build(db: Arc<EventDb>, configs: &[MinerConfig], pool: Arc<Pool>) -> Self {
-        let session = CoSession::builder(Arc::clone(&db))
-            .configs(configs.iter().copied())
-            .with_pool(pool)
-            .build();
-        CachedCoSession { db, session }
-    }
-
-    /// The member permutation when this entry was planned for exactly this
-    /// database content and this config *set* (any order), `None` otherwise.
-    pub fn matches(&self, db: &Arc<EventDb>, configs: &[MinerConfig]) -> Option<Vec<usize>> {
-        if !db_matches(&self.db, db) {
-            return None;
-        }
-        self.session.member_permutation(configs)
-    }
-
-    /// The parked co-session, for driving a fused batch.
-    pub fn session_mut(&mut self) -> &mut CoSession {
-        &mut self.session
-    }
-
-    /// The co-session (shared view).
-    pub fn session(&self) -> &CoSession {
-        &self.session
-    }
-}
-
-impl std::fmt::Debug for CachedCoSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedCoSession")
-            .field("db_len", &self.db.len())
-            .field("members", &self.session.members())
-            .finish()
-    }
-}
-
-/// An LRU map of parked [`CoSession`]s keyed by (database content hash,
-/// **sorted** config-set fingerprint) — the co-mining sibling of
-/// [`SessionCache`], with the same take/put discipline, the same full-content
-/// verification, and the same counter taxonomy. A hit additionally yields the
-/// member permutation that routes the batch's arrival order onto the parked
-/// session's member order.
-#[derive(Debug)]
-pub struct CoSessionCache {
-    capacity: usize,
-    /// Recency order: least-recently-used first.
-    entries: Vec<(SessionKey, CachedCoSession)>,
-    stats: CacheStats,
-}
-
-impl CoSessionCache {
-    /// An empty cache holding at most `capacity` co-sessions (0 disables
-    /// caching: every fused batch plans fresh).
-    pub fn new(capacity: usize) -> Self {
-        CoSessionCache {
-            capacity,
-            entries: Vec::with_capacity(capacity.min(64)),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Number of parked co-sessions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no co-session is parked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// Looks up `key`, verifies the entry against the batch's database and
-    /// config set, and hands it out (removed while in use) together with the
-    /// member permutation for `configs`' arrival order.
+    /// config multiset, and hands it out (removed while in use) together with
+    /// the member permutation that routes `configs`' arrival order onto the
+    /// parked session's member order.
     pub fn take(
         &mut self,
         key: SessionKey,
         db: &Arc<EventDb>,
         configs: &[MinerConfig],
-    ) -> Option<(CachedCoSession, Vec<usize>)> {
+    ) -> Option<(CachedSession, Vec<usize>)> {
         match self.entries.iter().position(|(k, _)| *k == key) {
             Some(i) => match self.entries[i].1.matches(db, configs) {
                 Some(perm) => {
@@ -394,9 +273,11 @@ impl CoSessionCache {
         }
     }
 
-    /// Parks `entry` under `key` as the most-recently-used co-session (same
-    /// replacement and eviction rules as [`SessionCache::put`]).
-    pub fn put(&mut self, key: SessionKey, entry: CachedCoSession) {
+    /// Parks `entry` under `key` as the most-recently-used session, evicting
+    /// the least-recently-used one when over capacity. Re-inserting an
+    /// existing key replaces that entry (the returning batch has the fresher
+    /// buffers).
+    pub fn put(&mut self, key: SessionKey, entry: CachedSession) {
         if self.capacity == 0 {
             return;
         }
@@ -477,14 +358,14 @@ mod tests {
         let a = db_of("ABCABC");
         let b = db_of("CBACBA"); // same length/alphabet, different content
         let key_a = session_key(&a, &cfg);
-        cache.put(key_a, CachedSession::build(Arc::clone(&a), cfg, pool()));
+        cache.put(key_a, CachedSession::build(Arc::clone(&a), &[cfg], pool()));
 
         // A forged lookup: database B presented under A's key must not get
         // A's session.
-        assert!(cache.take(key_a, &b, &cfg).is_none());
+        assert!(cache.take(key_a, &b, &[cfg]).is_none());
         assert_eq!(cache.stats().collisions, 1);
         // The genuine owner still finds (and verifies) the entry.
-        assert!(cache.take(key_a, &a, &cfg).is_some());
+        assert!(cache.take(key_a, &a, &[cfg]).is_some());
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -495,9 +376,9 @@ mod tests {
         let other = MinerConfig { alpha: 0.5, ..cfg };
         let a = db_of("ABCABC");
         let key = session_key(&a, &cfg);
-        cache.put(key, CachedSession::build(Arc::clone(&a), cfg, pool()));
-        assert!(cache.take(key, &a, &other).is_none());
-        assert!(cache.take(key, &a, &cfg).is_some());
+        cache.put(key, CachedSession::build(Arc::clone(&a), &[cfg], pool()));
+        assert!(cache.take(key, &a, &[other]).is_none());
+        assert!(cache.take(key, &a, &[cfg]).is_some());
     }
 
     #[test]
@@ -507,13 +388,13 @@ mod tests {
         let dbs = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
         let keys: Vec<SessionKey> = dbs.iter().map(|d| session_key(d, &cfg)).collect();
         for (k, d) in keys.iter().zip(&dbs) {
-            cache.put(*k, CachedSession::build(Arc::clone(d), cfg, pool()));
+            cache.put(*k, CachedSession::build(Arc::clone(d), &[cfg], pool()));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // The first (least recently used) entry was evicted.
-        assert!(cache.take(keys[0], &dbs[0], &cfg).is_none());
-        assert!(cache.take(keys[2], &dbs[2], &cfg).is_some());
+        assert!(cache.take(keys[0], &dbs[0], &[cfg]).is_none());
+        assert!(cache.take(keys[2], &dbs[2], &[cfg]).is_some());
     }
 
     #[test]
@@ -524,22 +405,22 @@ mod tests {
         let keys: Vec<SessionKey> = dbs.iter().map(|d| session_key(d, &cfg)).collect();
         cache.put(
             keys[0],
-            CachedSession::build(Arc::clone(&dbs[0]), cfg, pool()),
+            CachedSession::build(Arc::clone(&dbs[0]), &[cfg], pool()),
         );
         cache.put(
             keys[1],
-            CachedSession::build(Arc::clone(&dbs[1]), cfg, pool()),
+            CachedSession::build(Arc::clone(&dbs[1]), &[cfg], pool()),
         );
         // Touch entry 0: it becomes most-recently-used.
-        let e = cache.take(keys[0], &dbs[0], &cfg).unwrap();
+        let (e, _) = cache.take(keys[0], &dbs[0], &[cfg]).unwrap();
         cache.put(keys[0], e);
         // Inserting a third evicts entry 1, not entry 0.
         cache.put(
             keys[2],
-            CachedSession::build(Arc::clone(&dbs[2]), cfg, pool()),
+            CachedSession::build(Arc::clone(&dbs[2]), &[cfg], pool()),
         );
-        assert!(cache.take(keys[0], &dbs[0], &cfg).is_some());
-        assert!(cache.take(keys[1], &dbs[1], &cfg).is_none());
+        assert!(cache.take(keys[0], &dbs[0], &[cfg]).is_some());
+        assert!(cache.take(keys[1], &dbs[1], &[cfg]).is_none());
     }
 
     #[test]
@@ -555,11 +436,13 @@ mod tests {
         // Multiset, not set: duplicates count.
         assert_ne!(group_fingerprint(&[a, b]), group_fingerprint(&[a, a, b]));
         assert_ne!(group_fingerprint(&[a, a]), group_fingerprint(&[a]));
+        // A batch of one is keyed exactly like the request alone.
+        assert_eq!(group_fingerprint(&[b]), config_fingerprint(&b));
     }
 
     #[test]
     fn co_cache_hit_returns_the_routing_permutation() {
-        let mut cache = CoSessionCache::new(4);
+        let mut cache = SessionCache::new(4);
         let a = MinerConfig::default();
         let b = MinerConfig { alpha: 0.25, ..a };
         let db = db_of("ABCABC");
@@ -567,10 +450,7 @@ mod tests {
             db_hash: db_content_hash(&db),
             config_fingerprint: group_fingerprint(&[a, b]),
         };
-        cache.put(
-            key,
-            CachedCoSession::build(Arc::clone(&db), &[a, b], pool()),
-        );
+        cache.put(key, CachedSession::build(Arc::clone(&db), &[a, b], pool()));
 
         // Same set, swapped arrival order: the permutation routes member 1's
         // result to request 0 and vice versa.
@@ -595,8 +475,8 @@ mod tests {
         let cfg = MinerConfig::default();
         let a = db_of("ABAB");
         let key = session_key(&a, &cfg);
-        cache.put(key, CachedSession::build(Arc::clone(&a), cfg, pool()));
+        cache.put(key, CachedSession::build(Arc::clone(&a), &[cfg], pool()));
         assert!(cache.is_empty());
-        assert!(cache.take(key, &a, &cfg).is_none());
+        assert!(cache.take(key, &a, &[cfg]).is_none());
     }
 }

@@ -5,10 +5,11 @@
 //! walk the same stream. Mayura-style co-mining fuses them: the first such
 //! request becomes the batch **leader**; same-database requests **join**
 //! instead of mining alone. The leader then drives one
-//! [`tdm_core::session::CoSession`] over every member's configuration, runs
-//! the single shared union scan per level, and routes each member's
-//! demultiplexed result back through its parked waiter slot. N concurrent
-//! configs over one database cost ~1 scan per level instead of N.
+//! [`tdm_core::session::MiningSession`] with a member per configuration of
+//! the batch — the same serving path a request mined alone takes as a batch
+//! of one — runs the single shared union scan per level, and routes each
+//! member's demultiplexed result back through its parked waiter slot. N
+//! concurrent configs over one database cost ~1 scan per level instead of N.
 //!
 //! Batches form **before admission**: a request enters this board first and
 //! only then (as a leader or a solo) takes an in-flight slot at the gate, so
@@ -39,7 +40,7 @@ use tdm_core::{EventDb, MinerConfig};
 use tdm_mapreduce::pool::Priority;
 
 use crate::cache::db_matches;
-use crate::service::{BackendChoice, ServeError};
+use crate::service::{BackendChoice, CacheOutcome, ServeError};
 
 /// Co-mining counters since service start (a [`crate::ServiceStats`] field).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,16 +73,27 @@ pub struct CoMiningStats {
 /// forever would wedge a service worker for good.
 pub(crate) const DEFAULT_WAITER_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// What every member of a mined batch shares besides its own result: the
+/// outcome of the batch's one session-cache lookup, the batch size, and the
+/// wall time of its level loop (so a joiner can split its blocking wait into
+/// queueing — window + residual — and service time).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BatchRun {
+    pub(crate) cache: CacheOutcome,
+    pub(crate) batch: usize,
+    pub(crate) mine_time: Duration,
+}
+
+/// A routed member result, or why the batch could not serve it.
+type Delivery = Result<(MiningResult, BatchRun), ServeError>;
+
 /// A parked result slot: the joiner blocks on it; the leader delivers into it.
 ///
-/// The payload is a full [`ServeError`] (not just a [`MineError`]): since
+/// The error is a full [`ServeError`] (not just a [`MineError`]): since
 /// batches form before admission, a leader rejected at the gate shares its
 /// `Overloaded` rejection with every joiner through these slots.
 pub(crate) struct Waiter {
-    /// The routed result plus the fused scan's wall time (so a joiner can
-    /// split its blocking wait into queueing — window + residual — and
-    /// service time).
-    result: Mutex<Option<(Result<MiningResult, ServeError>, Duration)>>,
+    result: Mutex<Option<Delivery>>,
     done: Condvar,
 }
 
@@ -93,29 +105,25 @@ impl Waiter {
         }
     }
 
-    fn deliver(&self, r: Result<MiningResult, ServeError>, mine_time: Duration) {
+    fn deliver(&self, r: Delivery) {
         let mut slot = self.result.lock().expect("waiter slot");
-        *slot = Some((r, mine_time));
+        *slot = Some(r);
         drop(slot);
         self.done.notify_all();
     }
 
-    /// Blocks for the routed result; returns it with the batch's mining wall
-    /// time (the member's share of service time). Gives up after
-    /// [`DEFAULT_WAITER_TIMEOUT`] rather than blocking a service worker
-    /// forever.
+    /// Blocks for the routed result; returns it with the batch's shared
+    /// [`BatchRun`]. Gives up after [`DEFAULT_WAITER_TIMEOUT`] rather than
+    /// blocking a service worker forever.
     #[cfg(test)]
-    pub(crate) fn wait(&self) -> (Result<MiningResult, ServeError>, Duration) {
+    pub(crate) fn wait(&self) -> Delivery {
         self.wait_for(DEFAULT_WAITER_TIMEOUT)
     }
 
     /// [`Waiter::wait`] with an explicit deadline: if nothing is delivered
     /// within `timeout`, returns a typed [`MineError`] (backend
     /// `"co-mining-joiner"`) instead of spinning on the condvar forever.
-    pub(crate) fn wait_for(
-        &self,
-        timeout: Duration,
-    ) -> (Result<MiningResult, ServeError>, Duration) {
+    pub(crate) fn wait_for(&self, timeout: Duration) -> Delivery {
         let deadline = Instant::now() + timeout;
         let mut slot = self.result.lock().expect("waiter slot");
         loop {
@@ -131,7 +139,7 @@ impl Waiter {
                         "no batch result delivered within {timeout:?}; abandoning the waiter slot"
                     )),
                 };
-                return (Err(ServeError::Mine(e)), Duration::ZERO);
+                return Err(ServeError::Mine(e));
             }
             let (reacquired, _) = self
                 .done
@@ -152,9 +160,11 @@ pub(crate) struct JoinedMember {
     waiter: Arc<Waiter>,
 }
 
-/// The joiners a leader collected, with drop-safe delivery: every member is
-/// guaranteed an answer even if the leader's executor panics mid-batch
-/// (undelivered members get a [`MineError`] instead of hanging forever).
+/// The joiners a leader collected (none for a request mined alone), with
+/// drop-safe delivery: every member is guaranteed an answer even if the
+/// leader's executor panics mid-batch (undelivered members get a
+/// [`MineError`] instead of hanging forever).
+#[derive(Default)]
 pub(crate) struct Deliveries {
     members: Vec<JoinedMember>,
     /// Joins made before the leader started collecting (i.e. while it was
@@ -198,24 +208,22 @@ impl Deliveries {
     }
 
     /// Routes one demuxed result per member (in join order), stamped with
-    /// the fused scan's wall time.
-    pub(crate) fn deliver_ok(&mut self, results: Vec<MiningResult>, mine_time: Duration) {
+    /// the batch's shared run.
+    pub(crate) fn deliver_ok(&mut self, results: Vec<MiningResult>, run: BatchRun) {
         debug_assert_eq!(results.len(), self.members.len());
         // Drain only as many members as there are results: on a mismatch the
         // leftover members stay in the vec, so the drop guard fails them
         // explicitly instead of stranding their waiters forever.
         let n = results.len().min(self.members.len());
         for (member, result) in self.members.drain(..n).zip(results) {
-            member.waiter.deliver(Ok(result), mine_time);
+            member.waiter.deliver(Ok((result, run)));
         }
     }
 
     /// The shared scan failed: every member shares the failure.
-    pub(crate) fn deliver_err(&mut self, e: &MineError, mine_time: Duration) {
+    pub(crate) fn deliver_err(&mut self, e: &MineError) {
         for member in self.members.drain(..) {
-            member
-                .waiter
-                .deliver(Err(ServeError::Mine(e.clone())), mine_time);
+            member.waiter.deliver(Err(ServeError::Mine(e.clone())));
         }
     }
 
@@ -223,10 +231,9 @@ impl Deliveries {
     /// aborted batch shares the rejection.
     pub(crate) fn deliver_rejected(mut self, pending: usize, limit: usize) {
         for member in self.members.drain(..) {
-            member.waiter.deliver(
-                Err(ServeError::Overloaded { pending, limit }),
-                Duration::ZERO,
-            );
+            member
+                .waiter
+                .deliver(Err(ServeError::Overloaded { pending, limit }));
         }
     }
 }
@@ -243,14 +250,15 @@ impl Drop for Deliveries {
                     "batch leader aborted before delivering results".to_string(),
                 ),
             };
-            self.deliver_err(&e, Duration::ZERO);
+            self.deliver_err(&e);
         }
     }
 }
 
 /// How a request enters the co-mining board.
 pub(crate) enum Entry {
-    /// Batching is disabled (zero window): mine solo, untouched by the board.
+    /// Batching is disabled (zero window): mine as a batch of one, untouched
+    /// by the board.
     Solo,
     /// This request opened a batch; call [`Batcher::collect`] with the token
     /// to gather joiners (waits out the window / fills the batch).
@@ -489,10 +497,15 @@ mod tests {
             levels: Vec::new(),
             db_len: db.len(),
         };
-        joiners.deliver_ok(vec![result.clone()], Duration::from_millis(7));
-        let (routed, mine_time) = joiner.join().unwrap();
-        assert_eq!(routed.unwrap(), result);
-        assert_eq!(mine_time, Duration::from_millis(7));
+        let run = BatchRun {
+            cache: CacheOutcome::Miss,
+            batch: 2,
+            mine_time: Duration::from_millis(7),
+        };
+        joiners.deliver_ok(vec![result.clone()], run);
+        let (routed, run) = joiner.join().unwrap().unwrap();
+        assert_eq!(routed, result);
+        assert_eq!(run.mine_time, Duration::from_millis(7));
     }
 
     #[test]
@@ -561,7 +574,7 @@ mod tests {
         let joiners = b.collect(token);
         assert_eq!(joiners.len(), 1);
         drop(joiners); // leader "panicked": members must still get an answer
-        let ServeError::Mine(err) = joiner.join().unwrap().0.unwrap_err() else {
+        let ServeError::Mine(err) = joiner.join().unwrap().unwrap_err() else {
             panic!("a dropped delivery must surface as a mining error");
         };
         assert_eq!(err.backend, "co-mining-leader");
@@ -599,8 +612,7 @@ mod tests {
         assert_eq!(joiners.waiting_room_joins(), 1);
         assert_eq!(b.open_batches(), 0);
         joiners.deliver_rejected(9, 4);
-        let ServeError::Overloaded { pending, limit } = joiner.join().unwrap().0.unwrap_err()
-        else {
+        let ServeError::Overloaded { pending, limit } = joiner.join().unwrap().unwrap_err() else {
             panic!("an aborted batch must share the leader's Overloaded rejection");
         };
         assert_eq!((pending, limit), (9, 4));
@@ -611,13 +623,12 @@ mod tests {
         // A waiter whose leader never delivers (and whose Deliveries guard
         // never fires) must time out with a typed error, not block forever.
         let w = Waiter::new();
-        let (result, mine_time) = w.wait_for(Duration::from_millis(20));
+        let result = w.wait_for(Duration::from_millis(20));
         let ServeError::Mine(err) = result.unwrap_err() else {
             panic!("a timed-out waiter must surface as a mining error");
         };
         assert_eq!(err.backend, "co-mining-joiner");
         assert!(err.to_string().contains("no batch result delivered"));
-        assert_eq!(mine_time, Duration::ZERO);
     }
 
     #[test]
@@ -630,13 +641,18 @@ mod tests {
                     levels: Vec::new(),
                     db_len: 4,
                 };
-                w.deliver(Ok(result), Duration::from_millis(3));
+                let run = BatchRun {
+                    cache: CacheOutcome::Hit,
+                    batch: 2,
+                    mine_time: Duration::from_millis(3),
+                };
+                w.deliver(Ok((result, run)));
             })
         };
-        let (result, mine_time) = w.wait_for(Duration::from_secs(30));
+        let (result, run) = w.wait_for(Duration::from_secs(30)).unwrap();
         delivering.join().unwrap();
-        assert_eq!(result.unwrap().db_len, 4);
-        assert_eq!(mine_time, Duration::from_millis(3));
+        assert_eq!(result.db_len, 4);
+        assert_eq!(run.mine_time, Duration::from_millis(3));
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!
 //! Re-mines go through [`MiningService::submit`], which enters the co-mining
 //! batch board **before** admission: when several tenants over the same
-//! stream content flush concurrently, their re-mines fuse into a single
-//! `CoSession` union scan per level, exactly like interactive requests do.
+//! stream content flush concurrently, their re-mines fuse into one batch —
+//! a single union scan per level — exactly like interactive requests do, and
+//! a lone re-mine is a batch of one on the same path and session cache.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use tdm_core::{CoreError, EventDb, MinerConfig};
 
-use crate::service::{CacheOutcome, MiningRequest, MiningResponse, MiningService, ServeError};
+use crate::service::{MiningRequest, MiningResponse, MiningService, ServeError};
 
 /// When a tenant's buffered appends are sealed into a window and re-mined.
 /// Both triggers may be armed at once; whichever fires first seals.
@@ -147,9 +148,9 @@ pub struct FlushReport {
     pub epoch: u64,
     /// Symbols the window committed.
     pub symbols: usize,
-    /// The re-mine of the grown stream — `stats.cache` is
-    /// [`CacheOutcome::CoMined`] when this window's scan fused with
-    /// concurrent same-content re-mines on the batch board.
+    /// The re-mine of the grown stream — `stats.batch` is above 1 when this
+    /// window's scan fused with concurrent same-content re-mines on the batch
+    /// board.
     pub response: MiningResponse,
 }
 
@@ -451,7 +452,7 @@ impl StreamIngest {
         {
             let mut stats = self.stats.lock().expect("ingest stats");
             stats.remines += 1;
-            if response.stats.cache == CacheOutcome::CoMined {
+            if response.stats.batch > 1 {
                 stats.fused_remines += 1;
             }
         }
@@ -740,8 +741,8 @@ mod tests {
                 other => panic!("count trigger should seal: {other:?}"),
             };
             let led = leader.join().unwrap();
-            assert_eq!(led.response.stats.cache, CacheOutcome::CoMined);
-            assert_eq!(joined.response.stats.cache, CacheOutcome::CoMined);
+            assert_eq!(led.response.stats.batch, 2);
+            assert_eq!(joined.response.stats.batch, 2);
         });
         assert_eq!(service.stats().comining.batches, 1);
         assert_eq!(ingest.stats().fused_remines, 2);

@@ -17,29 +17,33 @@
 //! * **fair admission** ([`admission`]) — a configurable in-flight limit with
 //!   strict FIFO order per priority class and a bounded waiting room that
 //!   rejects overload explicitly ([`ServeError::Overloaded`]);
-//! * **a session cache** ([`cache`]) — parked `MiningSession<'static>`s keyed
-//!   by (database content hash, config fingerprint), verified against the
-//!   full request content before reuse. A hit skips session planning (stream
-//!   snapshot, shard bounds, buffer allocation) and re-enters the level loop
-//!   with the compiled candidate buffers already allocated and warm — levels
-//!   recompile in place, so the compiled storage keeps the same address
-//!   across requests;
+//! * **one serving path** — every request is a member of a batch: a batch of
+//!   one when it mines alone, a batch of K when co-mining fused it with
+//!   others. Either way the batch leader runs one `MiningSession` with one
+//!   member per configuration, and [`ResponseStats::batch`] reports K;
+//! * **one session cache** ([`cache`]) — parked `MiningSession<'static>`s
+//!   keyed by (database content hash, *sorted* config-set fingerprint),
+//!   verified against the full request content and config multiset before
+//!   reuse. A lone request's key is exactly its own [`session_key`], and a
+//!   recurring bundle hits whatever order its members arrive in. A hit skips
+//!   session planning (stream snapshot, shard bounds, buffer allocation) and
+//!   re-enters the level loop with the compiled candidate buffers already
+//!   allocated and warm — levels recompile in place, so the compiled storage
+//!   keeps the same address across requests;
 //! * **cross-request co-mining** ([`comine`]) — with a formation window
 //!   configured ([`ServiceConfig::comine_window`]), concurrent requests that
 //!   share a database (same content hash, fully verified) but differ in
 //!   configuration are **fused**: the first one leads, later ones join, and
-//!   the whole batch is mined by one `tdm_core::session::CoSession` — a
-//!   single deduplicated union scan per level instead of one scan per
-//!   request, with counts demultiplexed back per member. Batches form
-//!   **before admission** (overload-first scheduling): joiners never hold an
-//!   in-flight slot, so a saturated gate — exactly when same-database
-//!   requests pile up — fuses K queued requests into one admitted unit
-//!   instead of K serialized solo runs. Fused batches reuse parked
-//!   [`CoSessionCache`] sessions keyed by (db hash, *sorted* config-set
-//!   fingerprint), and [`MiningService::submit`]-style members vote on the
-//!   fused executor (majority wins, leader breaks ties). Results stay
-//!   bit-identical to solo mining (the workspace `tests/comining.rs`
-//!   differential suite proves it under adversarial overlap);
+//!   the whole batch is mined as one multi-member session — a single
+//!   deduplicated union scan per level instead of one scan per request, with
+//!   counts demultiplexed back per member. Batches form **before admission**
+//!   (overload-first scheduling): joiners never hold an in-flight slot, so a
+//!   saturated gate — exactly when same-database requests pile up — fuses K
+//!   queued requests into one admitted unit instead of K serialized solo
+//!   runs, and [`MiningService::submit`]-style members vote on the fused
+//!   executor (majority wins, leader breaks ties). Results stay bit-identical
+//!   to solo mining (the workspace `tests/comining.rs` differential suite
+//!   proves it under adversarial overlap);
 //! * **streaming ingestion** ([`ingest`]) — per-tenant append buffers with
 //!   count-or-age re-mine triggers and **fence** semantics: a sealed window
 //!   is committed onto the tenant's epoch-versioned
@@ -79,8 +83,7 @@ pub mod service;
 
 pub use admission::{AdmissionQueue, Overloaded, Permit, DEFAULT_AGING_LIMIT};
 pub use cache::{
-    group_fingerprint, session_key, CacheStats, CachedCoSession, CachedSession, CoSessionCache,
-    SessionCache, SessionKey,
+    group_fingerprint, session_key, CacheStats, CachedSession, SessionCache, SessionKey,
 };
 pub use comine::CoMiningStats;
 pub use ingest::{

@@ -13,10 +13,9 @@ use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 
 use crate::admission::{AdmissionQueue, DEFAULT_AGING_LIMIT};
 use crate::cache::{
-    group_fingerprint, session_key, CacheStats, CachedCoSession, CachedSession, CoSessionCache,
-    SessionCache, SessionKey,
+    group_fingerprint, session_key, CacheStats, CachedSession, SessionCache, SessionKey,
 };
-use crate::comine::{Batcher, CoMiningStats, Deliveries, Entry};
+use crate::comine::{BatchRun, Batcher, CoMiningStats, Deliveries, Entry};
 
 /// Which counting executor serves a request. All choices produce bit-identical
 /// counts; they differ only in how the scan is decomposed over the shared
@@ -176,28 +175,26 @@ impl MiningRequest {
     }
 }
 
-/// Whether a request's session came from the cache, was planned fresh, or
-/// was fused into a cross-request co-mining batch.
+/// Whether the session that served a request's batch came from the cache or
+/// was planned fresh (one lookup per batch, shared by all its members).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// A parked session was verified and reused: no session planning (no
     /// stream snapshot, shard-bound computation, or buffer allocation);
     /// levels recompile in place into the warm buffers.
     Hit,
-    /// No (verifiable) entry existed; the request planned a fresh session.
+    /// No (verifiable) entry existed; the batch planned a fresh session.
     Miss,
-    /// The request was served from a **fused** cross-request scan (it led or
-    /// joined a co-mining batch over its database). The per-(db, config)
-    /// session cache was not consulted — the batch's union scan has its own
-    /// compiled buffers, so parked sessions stay untouched.
-    CoMined,
 }
 
 /// Per-request measurements returned alongside the mining result.
 #[derive(Debug, Clone, Copy)]
 pub struct ResponseStats {
-    /// Cache hit or miss for this request's session.
+    /// Cache hit or miss for the session that served this request's batch.
     pub cache: CacheOutcome,
+    /// Requests served by that session's level loop: 1 for a request mined
+    /// alone, K for a member of a fused K-request co-mining batch.
+    pub batch: usize,
     /// Time spent waiting, not mining: the admission gate, plus — when
     /// co-mining is enabled — the batch-formation window (a leader holding
     /// it open, or a joiner's wait before the fused scan started).
@@ -355,11 +352,9 @@ pub struct ServiceStats {
     /// [`CancelToken`] fired) — counted separately from `failed`: the
     /// backend was healthy, the client just stopped waiting.
     pub cancelled: u64,
-    /// Session-cache counters (hits, misses, evictions, collisions).
+    /// Session-cache counters (hits, misses, evictions, collisions): one
+    /// lookup per batch, whatever its size.
     pub cache: CacheStats,
-    /// Co-session-cache counters: parked `CoSession`s keyed by (db hash,
-    /// sorted config-set fingerprint), reused across repeated fused batches.
-    pub co_cache: CacheStats,
     /// Cross-request co-mining counters (batches, fused requests, solo
     /// fallbacks, waiting-room joins, backend-vote overrides).
     pub comining: CoMiningStats,
@@ -407,7 +402,6 @@ pub struct MiningService {
     pool: Arc<Pool>,
     admission: AdmissionQueue,
     cache: Mutex<SessionCache>,
-    co_cache: Mutex<CoSessionCache>,
     batcher: Batcher,
     waiter_timeout: Duration,
     counters: Mutex<RequestCounters>,
@@ -444,7 +438,6 @@ impl MiningService {
                 config.aging_limit,
             ),
             cache: Mutex::new(SessionCache::new(config.cache_capacity)),
-            co_cache: Mutex::new(CoSessionCache::new(config.cache_capacity)),
             batcher: Batcher::new(config.comine_window, config.comine_max_batch),
             waiter_timeout: config.waiter_timeout,
             counters: Mutex::new(RequestCounters::default()),
@@ -474,6 +467,8 @@ impl MiningService {
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] when the waiting room is full,
+    /// [`ServeError::Cancelled`] when the request's deadline passes or its
+    /// [`CancelToken`] fires before the level loop finishes,
     /// [`ServeError::Mine`] when the backend fails.
     pub fn submit(&self, request: &MiningRequest) -> Result<MiningResponse, ServeError> {
         let mut backend = request.backend.instantiate(1);
@@ -541,17 +536,19 @@ impl MiningService {
         );
         if let Entry::Joined(waiter) = entry {
             let parked = Instant::now();
-            let (outcome_result, fused_mine_time) = waiter.wait_for(self.waiter_timeout);
-            // Waiting on the leader minus the fused scan itself is queueing
-            // (gate wait + residual window + scheduling).
-            let queue_wait = parked.elapsed().saturating_sub(fused_mine_time);
-            return self.finish(
-                outcome_result,
-                CacheOutcome::CoMined,
-                queue_wait,
-                fused_mine_time,
-                key,
-            );
+            let served = waiter.wait_for(self.waiter_timeout).map(|(result, run)| {
+                // Waiting on the leader minus the fused scan itself is
+                // queueing (gate wait + residual window + scheduling).
+                let stats = ResponseStats {
+                    cache: run.cache,
+                    batch: run.batch,
+                    queue_wait: parked.elapsed().saturating_sub(run.mine_time),
+                    mine_time: run.mine_time,
+                    key,
+                };
+                (result, stats)
+            });
+            return self.finish(served);
         }
 
         let permit = match self.admission.acquire(request.priority) {
@@ -577,171 +574,94 @@ impl MiningService {
         };
         let gate_wait = arrived.elapsed();
 
-        // Each arm separates *waiting* (batch formation) from *mining*, so
-        // queue_wait/mine_time keep their meaning with co-mining enabled.
-        let (outcome_result, outcome, batch_wait, mine_time) = match entry {
-            Entry::Joined(_) => unreachable!("joiners returned above"),
-            Entry::Solo => {
-                let mining = Instant::now();
-                let (result, outcome) = self.mine_solo(request, executor, key, cancel.as_ref());
-                (
-                    result.map_err(ServeError::Mine),
-                    outcome,
-                    Duration::ZERO,
-                    mining.elapsed(),
-                )
-            }
+        // A leader holds its formation window open for joiners; that wait is
+        // queueing, not mining. A request with co-mining off joins no one.
+        let (joiners, window_wait) = match entry {
             Entry::Leader(token) => {
                 let window = Instant::now();
                 let joiners = self.batcher.collect(token);
                 let window_wait = window.elapsed();
-                let mining = Instant::now();
+                let mut counters = self.counters.lock().expect("service counters");
                 if joiners.is_empty() {
-                    self.counters
-                        .lock()
-                        .expect("service counters")
-                        .comining
-                        .solo_fallbacks += 1;
-                    let (result, outcome) = self.mine_solo(request, executor, key, cancel.as_ref());
-                    (
-                        result.map_err(ServeError::Mine),
-                        outcome,
-                        window_wait,
-                        mining.elapsed(),
-                    )
+                    counters.comining.solo_fallbacks += 1;
                 } else {
-                    self.counters
-                        .lock()
-                        .expect("service counters")
-                        .comining
-                        .waiting_room_joins += joiners.waiting_room_joins();
-                    let result = self.mine_fused(request, executor, joiners, vote, cancel.as_ref());
-                    (
-                        result.map_err(ServeError::Mine),
-                        CacheOutcome::CoMined,
-                        window_wait,
-                        mining.elapsed(),
-                    )
+                    counters.comining.waiting_room_joins += joiners.waiting_room_joins();
                 }
+                (joiners, window_wait)
             }
+            _ => (Deliveries::default(), Duration::ZERO),
         };
-        let queue_wait = gate_wait + batch_wait;
+        let batch = 1 + joiners.len();
+        let mining = Instant::now();
+        let mined = self.mine_batch(request, executor, joiners, vote, cancel.as_ref());
+        let mine_time = mining.elapsed();
         drop(permit);
-        self.finish(outcome_result, outcome, queue_wait, mine_time, key)
+        let served = mined.map_err(ServeError::Mine).map(|(result, cache)| {
+            let stats = ResponseStats {
+                cache,
+                batch,
+                queue_wait: gate_wait + window_wait,
+                mine_time,
+                key,
+            };
+            (result, stats)
+        });
+        self.finish(served)
     }
 
     /// Books the request's terminal counter and assembles the response.
     fn finish(
         &self,
-        outcome_result: Result<MiningResult, ServeError>,
-        outcome: CacheOutcome,
-        queue_wait: Duration,
-        mine_time: Duration,
-        key: SessionKey,
+        served: Result<(MiningResult, ResponseStats), ServeError>,
     ) -> Result<MiningResponse, ServeError> {
         // Normalize cancellations on every path through here — solo, leader,
         // and joiner-delivered batch errors alike ([`classify_mine_error`]).
-        let outcome_result = outcome_result.map_err(|e| match e {
+        let served = served.map_err(|e| match e {
             ServeError::Mine(m) => classify_mine_error(m),
             other => other,
         });
         let mut counters = self.counters.lock().expect("service counters");
-        match outcome_result {
-            Ok(result) => {
-                counters.completed += 1;
-                drop(counters);
-                Ok(MiningResponse {
-                    result,
-                    stats: ResponseStats {
-                        cache: outcome,
-                        queue_wait,
-                        mine_time,
-                        key,
-                    },
-                })
-            }
-            Err(e) => {
-                match &e {
-                    ServeError::Overloaded { .. } => counters.rejected += 1,
-                    ServeError::Cancelled { .. } => counters.cancelled += 1,
-                    ServeError::Mine(_) => counters.failed += 1,
-                }
-                drop(counters);
-                Err(e)
-            }
+        match &served {
+            Ok(_) => counters.completed += 1,
+            Err(ServeError::Overloaded { .. }) => counters.rejected += 1,
+            Err(ServeError::Cancelled { .. }) => counters.cancelled += 1,
+            Err(ServeError::Mine(_)) => counters.failed += 1,
         }
+        drop(counters);
+        served.map(|(result, stats)| MiningResponse { result, stats })
     }
 
-    /// The solo path: take (or plan) the per-(db, config) cached session and
-    /// run the request's own mining loop on it.
-    fn mine_solo(
-        &self,
-        request: &MiningRequest,
-        executor: &mut dyn Executor,
-        key: SessionKey,
-        token: Option<&CancelToken>,
-    ) -> (Result<MiningResult, MineError>, CacheOutcome) {
-        let cached =
-            self.cache
-                .lock()
-                .expect("session cache")
-                .take(key, &request.db, &request.config);
-        let (mut entry, outcome) = match cached {
-            Some(entry) => (entry, CacheOutcome::Hit),
-            None => (
-                CachedSession::build(
-                    Arc::clone(&request.db),
-                    request.config,
-                    Arc::clone(&self.pool),
-                ),
-                CacheOutcome::Miss,
-            ),
-        };
-
-        // The request's class rides through to the pool's job lanes: the
-        // parallel executors submit this session's scans at this priority.
-        entry.session_mut().set_job_priority(request.priority);
-        // Always (re)set the token — Some or None — so a parked session never
-        // carries a stale deadline into the next request.
-        entry.session_mut().set_cancel_token(token.cloned());
-        let outcome_result = entry.session_mut().mine(executor);
-
-        // Park the session again even after a backend error: the plan state
-        // stays consistent, and the next (possibly healthy) request reuses it.
-        self.cache.lock().expect("session cache").put(key, entry);
-        (outcome_result, outcome)
-    }
-
-    /// The fused path (batch leader): take (or plan) a cached
-    /// [`tdm_core::session::CoSession`] over the leader's config plus every
-    /// joiner's, run the single union scan per level, route the demultiplexed
-    /// results to the joiners, and keep the leader's own.
+    /// The one mining path — for a request mined alone (co-mining off, or a
+    /// leader whose window closed empty) and a fused batch leader alike: take
+    /// (or plan) the cached session with one member per configuration — the
+    /// leader's, then every joiner's — run its level loop (one scan per level
+    /// however many members), route each joiner's result to its waiter, and
+    /// keep the leader's own.
     ///
-    /// Sessions are parked in a dedicated co-session cache keyed by (db hash,
-    /// **sorted** config-set fingerprint): a recurring bundle of queries hits
-    /// the cache even when its members arrive in a different order (the
-    /// session's member permutation routes results back), and its compiled
-    /// union buffers stay warm at a stable address across batches. The
-    /// per-(db, config) solo cache is never consulted, so parked solo
-    /// sessions stay untouched.
+    /// Sessions are parked in the one LRU keyed by (db hash, **sorted**
+    /// config-set fingerprint): a lone request's key is its own
+    /// [`MiningRequest::key`], and a recurring bundle hits the cache even when
+    /// its members arrive in a different order (the session's member
+    /// permutation routes results back). Either way the compiled buffers stay
+    /// warm at a stable address across batches.
     ///
     /// When the leader declared a backend `vote` ([`MiningService::submit`]),
     /// the batch votes: the most-requested [`BackendChoice`] among voting
     /// members runs the fused scans (leader breaks ties). Abstaining members
     /// (caller-supplied executors) don't outvote anyone, and an abstaining
     /// *leader* disables the vote entirely — `executor` runs as given.
-    fn mine_fused(
+    fn mine_batch(
         &self,
         request: &MiningRequest,
         executor: &mut dyn Executor,
         mut joiners: Deliveries,
         vote: Option<BackendChoice>,
         token: Option<&CancelToken>,
-    ) -> Result<MiningResult, MineError> {
+    ) -> Result<(MiningResult, CacheOutcome), MineError> {
         // Batch order: leader first, then joiners in join (= delivery) order.
-        let mut batch_configs = Vec::with_capacity(1 + joiners.len());
-        batch_configs.push(request.config);
-        batch_configs.extend(joiners.configs());
+        let mut configs = Vec::with_capacity(1 + joiners.len());
+        configs.push(request.config);
+        configs.extend(joiners.configs());
 
         let mut voted: Option<Box<dyn Executor>> = None;
         if let Some(leader_choice) = vote {
@@ -761,7 +681,7 @@ impl MiningService {
             // pipeline models a (1 + joiners)-tenant union launch, the CPU
             // scans ignore the hint. Solo batches keep the leader's own
             // executor unless outvoted.
-            let tenants = 1 + joiners.len();
+            let tenants = configs.len();
             if winner != leader_choice || tenants > 1 {
                 voted = Some(winner.instantiate(tenants));
             }
@@ -771,71 +691,69 @@ impl MiningService {
             None => executor,
         };
 
-        let co_key = SessionKey {
+        let key = SessionKey {
             db_hash: request.key().db_hash,
-            config_fingerprint: group_fingerprint(&batch_configs),
+            config_fingerprint: group_fingerprint(&configs),
         };
-        let cached = self.co_cache.lock().expect("co-session cache").take(
-            co_key,
-            &request.db,
-            &batch_configs,
-        );
-        let (mut entry, perm) = match cached {
-            Some((entry, perm)) => (entry, perm),
+        let cached = self
+            .cache
+            .lock()
+            .expect("session cache")
+            .take(key, &request.db, &configs);
+        let (mut entry, perm, cache) = match cached {
+            Some((entry, perm)) => (entry, perm, CacheOutcome::Hit),
             None => (
-                CachedCoSession::build(
-                    Arc::clone(&request.db),
-                    &batch_configs,
-                    Arc::clone(&self.pool),
-                ),
+                CachedSession::build(Arc::clone(&request.db), &configs, Arc::clone(&self.pool)),
                 // A fresh session's members are already in batch order.
-                (0..batch_configs.len()).collect(),
+                (0..configs.len()).collect(),
+                CacheOutcome::Miss,
             ),
         };
-        entry
-            .session_mut()
-            .set_job_priority(joiners.max_priority(request.priority));
+        let session = entry.session_mut();
+        // The batch's strongest class rides through to the pool's job lanes:
+        // the parallel executors submit its scans at this priority.
+        session.set_job_priority(joiners.max_priority(request.priority));
         // The *leader's* token governs the whole batch: joiners wait with
         // their own timeout and hold no slot, so only the scanning request
-        // can usefully cancel the fused level loop.
-        entry.session_mut().set_cancel_token(token.cloned());
+        // can usefully cancel the level loop. Always (re)set it — Some or
+        // None — so a parked session never carries a stale deadline.
+        session.set_cancel_token(token.cloned());
         let mining = Instant::now();
-        let outcome = entry.session_mut().co_mine(executor);
-        let mine_time = mining.elapsed();
-        // Park the co-session again even after a backend error: the plan
-        // state stays consistent, and the next batch of this bundle reuses it.
-        self.co_cache
-            .lock()
-            .expect("co-session cache")
-            .put(co_key, entry);
-        {
+        let outcome = session.co_mine(executor);
+        let run = BatchRun {
+            cache,
+            batch: configs.len(),
+            mine_time: mining.elapsed(),
+        };
+        // Park the session again even after a backend error: the plan state
+        // stays consistent, and the next (possibly healthy) batch reuses it.
+        self.cache.lock().expect("session cache").put(key, entry);
+        if !joiners.is_empty() {
             // Counted after the scan so the stats can't claim requests were
             // served from a batch that then failed.
             let mut counters = self.counters.lock().expect("service counters");
             counters.comining.batches += 1;
             if outcome.is_ok() {
-                counters.comining.fused_requests += 1 + joiners.len() as u64;
+                counters.comining.fused_requests += run.batch as u64;
             }
         }
         match outcome {
             Ok(results) => {
                 // `results` is in the session's member order; `perm` routes it
                 // back to batch (arrival) order.
-                let mut slots: Vec<Option<MiningResult>> = results.into_iter().map(Some).collect();
-                let mut ordered: Vec<MiningResult> = perm
-                    .iter()
-                    .map(|&j| {
-                        slots[j]
-                            .take()
-                            .expect("permutation visits each member once")
-                    })
-                    .collect();
-                let leader = ordered.remove(0);
-                joiners.deliver_ok(ordered, mine_time);
-                Ok(leader)
+                let mut results: Vec<Option<MiningResult>> =
+                    results.into_iter().map(Some).collect();
+                let mut routed = perm.iter().map(|&j| {
+                    results[j]
+                        .take()
+                        .expect("permutation visits each member once")
+                });
+                let leader = routed.next().expect("a batch has a leader");
+                joiners.deliver_ok(routed.collect(), run);
+                Ok((leader, cache))
             }
             Err(e) => {
-                joiners.deliver_err(&e, mine_time);
+                joiners.deliver_err(&e);
                 Err(e)
             }
         }
@@ -850,7 +768,6 @@ impl MiningService {
             rejected: counters.rejected,
             cancelled: counters.cancelled,
             cache: self.cache.lock().expect("session cache").stats(),
-            co_cache: self.co_cache.lock().expect("co-session cache").stats(),
             comining: counters.comining,
         }
     }
@@ -868,14 +785,9 @@ impl MiningService {
         self.batcher.waiting_joiners()
     }
 
-    /// Parked solo sessions currently in the cache.
+    /// Parked sessions currently in the cache, for batches of every size.
     pub fn cached_sessions(&self) -> usize {
         self.cache.lock().expect("session cache").len()
-    }
-
-    /// Parked co-mining sessions currently in the co-session cache.
-    pub fn cached_co_sessions(&self) -> usize {
-        self.co_cache.lock().expect("co-session cache").len()
     }
 
     /// Requests currently waiting at the admission gate.
@@ -1093,14 +1005,14 @@ mod tests {
         for (i, (resp, want)) in responses.iter().zip(&serial).enumerate() {
             let resp = resp.as_ref().unwrap();
             assert_eq!(resp.result, *want, "member {i} diverged from solo mining");
-            assert_eq!(resp.stats.cache, CacheOutcome::CoMined, "member {i}");
+            assert_eq!(resp.stats.batch, 3, "member {i}");
         }
         let stats = service.stats();
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.comining.batches, 1);
         assert_eq!(stats.comining.fused_requests, 3);
-        // The batch bypassed the session cache entirely.
-        assert_eq!(stats.cache.hits + stats.cache.misses, 0);
+        // The batch planned one session in the one cache.
+        assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1));
         assert_eq!(service.open_batches(), 0);
     }
 

@@ -581,9 +581,8 @@ fn serve_stats(state: &ServerState) -> Value {
 }
 
 fn serve_register(state: &ServerState, tenant: &str, request: &Value) -> Result<Value, Value> {
-    // Registration mutates shared service state (it seeds a stream and its
-    // CoSession), so it is metered like `ingest`; only `mine` work takes a
-    // quota slot.
+    // Registration mutates shared service state (it seeds a stream), so it is
+    // metered like `ingest`; only `mine` work takes a quota slot.
     if let Err(denial) = state.tenants.take_token(tenant) {
         return Ok(denial.to_value());
     }

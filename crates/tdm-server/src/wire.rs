@@ -258,9 +258,9 @@ pub fn mining_result_value(result: &MiningResult, alphabet: &Alphabet) -> Value 
 /// Renders a full `"mine_result"` response (result + serving measurements).
 pub fn mine_response_value(response: &MiningResponse, alphabet: &Alphabet) -> Value {
     let cache = match response.stats.cache {
+        _ if response.stats.batch > 1 => "comined",
         CacheOutcome::Hit => "hit",
         CacheOutcome::Miss => "miss",
-        CacheOutcome::CoMined => "comined",
     };
     Value::Object(vec![
         ("type".into(), Value::str("mine_result")),
@@ -321,7 +321,6 @@ pub fn stats_value(service: &ServiceStats, ingest: &IngestStats) -> Value {
                 ("rejected".into(), Value::u64(service.rejected)),
                 ("cancelled".into(), Value::u64(service.cancelled)),
                 ("cache".into(), cache_stats_value(&service.cache)),
-                ("co_cache".into(), cache_stats_value(&service.co_cache)),
                 ("comining".into(), comining_stats_value(&service.comining)),
             ]),
         ),

@@ -70,9 +70,9 @@ fn main() {
                          cache {}, queued {:>6.2} ms, mined {:>6.2} ms",
                         resp.result.total_frequent(),
                         match resp.stats.cache {
+                            _ if resp.stats.batch > 1 => "fused",
                             CacheOutcome::Hit => "hit  ",
                             CacheOutcome::Miss => "miss ",
-                            CacheOutcome::CoMined => "fused",
                         },
                         resp.stats.queue_wait.as_secs_f64() * 1e3,
                         resp.stats.mine_time.as_secs_f64() * 1e3,

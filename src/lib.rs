@@ -75,7 +75,7 @@ pub mod prelude {
     pub use tdm_core::CountingBackend;
     pub use tdm_core::StreamingSession;
     pub use tdm_core::{
-        Alphabet, AutoBackend, BackendError, BitmaskNfa, CandidateUnion, CoSession, CompileError,
+        Alphabet, AutoBackend, BackendError, BitmaskNfa, CandidateUnion, CompileError,
         CompiledCandidates, CountRequest, CountScratch, CountSemantics, CountStrategy, Counts,
         DispatchClass, Episode, EventDb, Executor, GpuDispatchModel, MineError, Miner, MinerConfig,
         MiningResult, MiningSession, OccurrenceIndex, StrategyCosts, Symbol,

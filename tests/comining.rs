@@ -14,17 +14,16 @@
 //!   partially-overlapping candidate sets, repeated items inside and across
 //!   sets, sets that go empty at different levels, workers 1..=8;
 //! * the serving layer end to end: a staged K-client batch through
-//!   `MiningService` with a formation window, every response `CoMined` and
-//!   bit-identical, exactly one executor running the fused scans.
+//!   `MiningService` with a formation window, every response reporting the
+//!   full batch and bit-identical, exactly one executor running the fused
+//!   scans.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use temporal_mining::core::count::count_episodes_naive;
 use temporal_mining::core::engine::{CandidateUnion, CompiledCandidates, CountScratch};
 use temporal_mining::core::miner::SequentialBackend;
-use temporal_mining::core::session::CoSession;
 use temporal_mining::prelude::*;
-use temporal_mining::serve::CacheOutcome;
 use temporal_mining::workloads::markov_letters;
 
 /// Counts executor invocations and the candidate-set size of each request it
@@ -80,7 +79,7 @@ fn batched_counts_are_bit_identical_to_serial_for_k_2_4_8() {
         // Across executors too: the sequential scan and the database-sharded
         // pool scan must both demux to the serial answer.
         for workers in [1usize, 4] {
-            let mut group = CoSession::builder(Arc::clone(&db))
+            let mut group = MiningSession::builder_shared(Arc::clone(&db))
                 .configs(configs.iter().copied())
                 .workers(workers)
                 .build();
@@ -112,7 +111,7 @@ fn a_k_request_batch_issues_one_union_scan_per_level_not_k() {
         let deepest = serial.iter().map(|r| r.levels.len()).max().unwrap();
 
         let mut spy = ScanSpy::default();
-        let mut group = CoSession::builder(Arc::clone(&db))
+        let mut group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
             .build();
         let results = group.co_mine(&mut spy).expect("co-mining failed");
@@ -163,7 +162,7 @@ fn members_that_go_empty_early_stop_riding_the_union() {
     );
 
     let mut spy = ScanSpy::default();
-    let mut group = CoSession::builder(Arc::clone(&db))
+    let mut group = MiningSession::builder_shared(Arc::clone(&db))
         .configs(configs.iter().copied())
         .build();
     let results = group.co_mine(&mut spy).expect("co-mining failed");
@@ -206,7 +205,7 @@ fn repeated_item_universes_co_mine_exactly() {
         "the workload must actually surface repeated-item episodes"
     );
     for workers in 1usize..=8 {
-        let mut group = CoSession::builder(Arc::clone(&db))
+        let mut group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
             .workers(workers)
             .build();
@@ -229,7 +228,7 @@ fn malformed_executors_fail_the_whole_batch_with_the_union_length() {
         }
     }
     let db = Arc::new(markov_letters(5_000, 1, 0.5));
-    let mut group = CoSession::builder(Arc::clone(&db))
+    let mut group = MiningSession::builder_shared(Arc::clone(&db))
         .configs(stepped_configs(3))
         .build();
     let err = group.co_mine(&mut Broken).unwrap_err();
@@ -289,7 +288,7 @@ fn service_batch_issues_one_fused_scan_stream_for_k_clients() {
             for (i, h) in handles.into_iter().enumerate() {
                 let resp = h.join().unwrap();
                 assert_eq!(resp.result, serial[i], "k={k} client {i} diverged");
-                assert_eq!(resp.stats.cache, CacheOutcome::CoMined, "k={k} client {i}");
+                assert_eq!(resp.stats.batch, k, "k={k} client {i}");
             }
         });
 
@@ -395,7 +394,7 @@ proptest! {
         }
     }
 
-    /// The full loop: CoSession over arbitrary configs (thresholds that
+    /// The full loop: a K-member session over arbitrary configs (thresholds that
     /// empty levels early, different level bounds, repeated-item universes)
     /// equals per-config serial mining, on sequential and sharded executors.
     #[test]
@@ -415,12 +414,12 @@ proptest! {
             })
             .collect();
         let serial = serial_results(&db, &configs);
-        let mut group = CoSession::builder(Arc::clone(&db))
+        let mut group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
             .build();
         let fused = group.co_mine(&mut SequentialBackend::default()).unwrap();
         prop_assert_eq!(&fused, &serial);
-        let mut sharded_group = CoSession::builder(Arc::clone(&db))
+        let mut sharded_group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
             .workers(3)
             .build();

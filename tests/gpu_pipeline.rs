@@ -1,13 +1,12 @@
 //! The GPU serving pipeline's differential suite: the persistent
 //! [`GpuPipelineBackend`] drives the *same* plan/execute surfaces as every
-//! CPU backend — solo sessions, `Miner::mine`, and K-member `CoSession`
+//! CPU backend — solo sessions, `Miner::mine`, and K-member `MiningSession`
 //! batches (the union CSR modeled as a K-tenant launch) — and must stay
 //! bit-identical to serial mining everywhere, while its serve-time dispatch
 //! table sends small levels to the CPU and wide ones to the device.
 
 use std::sync::Arc;
 use temporal_mining::core::miner::SequentialBackend;
-use temporal_mining::core::session::CoSession;
 use temporal_mining::prelude::*;
 use temporal_mining::workloads::markov_letters;
 
@@ -45,7 +44,7 @@ fn union_batches_demux_bit_identically_for_k_2_4_8() {
         let configs = stepped_configs(k);
         let serial = serial_results(&db, &configs);
         for workers in [1usize, 4] {
-            let mut group = CoSession::builder(Arc::clone(&db))
+            let mut group = MiningSession::builder_shared(Arc::clone(&db))
                 .configs(configs.iter().copied())
                 .workers(workers)
                 .build();
@@ -93,7 +92,7 @@ fn repeated_item_unions_ride_the_pipeline_exactly() {
         "the workload must actually surface repeated-item episodes"
     );
     for workers in 1usize..=8 {
-        let mut group = CoSession::builder(Arc::clone(&db))
+        let mut group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
             .workers(workers)
             .build();

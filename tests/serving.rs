@@ -11,17 +11,19 @@
 //!   databases with an equal hash-relevant prefix but different content never
 //!   share a session;
 //! * session-cache × co-mining interaction: a request whose session is
-//!   parked may still join a fused batch, and the union scan never touches
-//!   parked sessions — their compiled buffers keep the same address across a
-//!   batch (the bit-identity of fused results themselves is proven in
-//!   `tests/comining.rs`);
+//!   parked may still join a fused batch, and the batch's own session never
+//!   touches the parked one — its compiled buffers keep the same address
+//!   across a batch (the bit-identity of fused results themselves is proven
+//!   in `tests/comining.rs`);
 //! * **overload-first scheduling**: with a saturated one-slot gate, K queued
 //!   same-database requests fuse in the waiting room — joiners hold no
 //!   admission slot, the batch is admitted as one unit, and a spy executor
 //!   observes exactly one union scan per level instead of K solo runs;
-//! * repeated bundles hit the co-session cache: the fused union scan's
+//! * repeated bundles hit the session cache: the fused union scan's
 //!   compiled buffers keep the same address across batches, even when the
 //!   bundle's members arrive in a different order;
+//! * one LRU for every batch size: lone requests and fused bundles evict
+//!   each other in plain recency order;
 //! * fused batches vote on the backend (majority wins, leader breaks ties);
 //! * priority + admission-limit plumbing end to end.
 
@@ -290,8 +292,8 @@ fn cache_hits_may_join_a_batch_and_parked_sessions_stay_stable_after_union_scans
         };
         let la = leader.join().unwrap();
         let jb = joiner.join().unwrap();
-        assert_eq!(la.stats.cache, CacheOutcome::CoMined);
-        assert_eq!(jb.stats.cache, CacheOutcome::CoMined);
+        assert_eq!(la.stats.batch, 2);
+        assert_eq!(jb.stats.batch, 2);
         assert_eq!(la.result, serial_a);
         assert_eq!(jb.result, serial_b);
     });
@@ -299,9 +301,10 @@ fn cache_hits_may_join_a_batch_and_parked_sessions_stay_stable_after_union_scans
     assert_eq!(stats.comining.batches, 1);
     assert_eq!(stats.comining.fused_requests, 2);
 
-    // The union scan had its own compiled buffers: the parked (db, cfg_a)
-    // session was never touched, so the next solo request hits the cache and
-    // executes against the *same* compiled allocation as before the batch.
+    // The batch had its own session and compiled buffers: the parked
+    // (db, cfg_a) session was never touched, so the next solo request hits
+    // the cache and executes against the *same* compiled allocation as
+    // before the batch.
     let warm = service.submit_with(&req_a, &mut spy).unwrap();
     assert_eq!(warm.stats.cache, CacheOutcome::Hit);
     assert_eq!(warm.result, serial_a);
@@ -520,12 +523,12 @@ fn saturated_gate_fuses_queued_requests_into_one_union_scan_per_level() {
             leader_calls < solo_scan_total,
             "fusion must beat {solo_scan_total} serialized solo scans"
         );
-        assert_eq!(leader_resp.stats.cache, CacheOutcome::CoMined);
+        assert_eq!(leader_resp.stats.batch, 3);
         assert_eq!(leader_resp.result, serial[0]);
         for (i, joiner) in joiners.into_iter().enumerate() {
             let (resp, calls) = joiner.join().unwrap();
             assert_eq!(calls, 0, "joiner {i}'s own executor must never run");
-            assert_eq!(resp.stats.cache, CacheOutcome::CoMined, "joiner {i}");
+            assert_eq!(resp.stats.batch, 3, "joiner {i}");
             assert_eq!(resp.result, serial[i + 1], "joiner {i} diverged");
         }
     });
@@ -546,7 +549,7 @@ fn saturated_gate_fuses_queued_requests_into_one_union_scan_per_level() {
 #[test]
 fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
     // The same two-config bundle fused twice: the second batch must take the
-    // parked CoSession from the co-session cache and recompile in place —
+    // bundle's parked session from the session cache and recompile in place —
     // the union scan executes against the *same* compiled allocation both
     // times — even though the bundle's members arrive in swapped order.
     let service = Arc::new(MiningService::new(ServiceConfig {
@@ -586,16 +589,8 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
             };
             let (lead_resp, addrs) = leader.join().unwrap();
             let join_resp = joiner.join().unwrap();
-            assert_eq!(
-                lead_resp.stats.cache,
-                CacheOutcome::CoMined,
-                "round {round}"
-            );
-            assert_eq!(
-                join_resp.stats.cache,
-                CacheOutcome::CoMined,
-                "round {round}"
-            );
+            assert_eq!(lead_resp.stats.batch, 2, "round {round}");
+            assert_eq!(join_resp.stats.batch, 2, "round {round}");
             assert!(!addrs.is_empty());
             let (for_a, for_b) = if round == 0 {
                 (lead_resp.result, join_resp.result)
@@ -607,7 +602,7 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
     }
     assert_eq!(
         rounds[0].2, rounds[1].2,
-        "cached co-session's compiled union buffers moved across batches"
+        "cached bundle session's compiled union buffers moved across batches"
     );
     let serial_a = Miner::new(cfg_a)
         .mine(db.as_ref(), &mut SequentialBackend::default())
@@ -621,15 +616,91 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
     }
     let stats = service.stats();
     assert_eq!(stats.comining.batches, 2);
+    assert_eq!(stats.cache.misses, 1, "first bundle plans the session");
+    assert_eq!(stats.cache.hits, 1, "second bundle must reuse it");
+    assert_eq!(stats.cache.collisions, 0);
+    assert_eq!(service.cached_sessions(), 1);
+}
+
+#[test]
+fn one_lru_holds_sessions_for_every_batch_size() {
+    // Two slots shared by lone requests (batches of one) and a fused
+    // two-member bundle: the third insertion evicts the least recently used
+    // entry whatever its batch size, and the bundle still hits afterwards.
+    let service = Arc::new(MiningService::new(ServiceConfig {
+        workers: 2,
+        max_in_flight: 4,
+        cache_capacity: 2,
+        comine_window: std::time::Duration::from_millis(300),
+        comine_max_batch: 2,
+        ..Default::default()
+    }));
+    let db = Arc::new(markov_letters(12_000, 23, 0.6));
+    let [cfg_a, cfg_b, cfg_c, cfg_d] = [0.001, 0.002, 0.005, 0.01].map(|alpha| MinerConfig {
+        alpha,
+        ..mine_config()
+    });
+    let bundle = |lead_cfg: MinerConfig, join_cfg: MinerConfig| {
+        std::thread::scope(|s| {
+            let leader = {
+                let service = Arc::clone(&service);
+                let req = MiningRequest::new(Arc::clone(&db), lead_cfg);
+                s.spawn(move || service.submit(&req).unwrap())
+            };
+            while service.open_batches() == 0 {
+                std::thread::yield_now();
+            }
+            let joiner = {
+                let service = Arc::clone(&service);
+                let req = MiningRequest::new(Arc::clone(&db), join_cfg);
+                s.spawn(move || service.submit(&req).unwrap())
+            };
+            (leader.join().unwrap(), joiner.join().unwrap())
+        })
+    };
+
+    // A lone leader: its window closes empty, it mines as a batch of one.
+    let lone = service
+        .submit(&MiningRequest::new(Arc::clone(&db), cfg_a))
+        .unwrap();
     assert_eq!(
-        stats.co_cache.misses, 1,
-        "first bundle plans the co-session"
+        (lone.stats.cache, lone.stats.batch),
+        (CacheOutcome::Miss, 1)
     );
-    assert_eq!(stats.co_cache.hits, 1, "second bundle must reuse it");
-    assert_eq!(stats.co_cache.collisions, 0);
-    assert_eq!(service.cached_co_sessions(), 1);
-    // The solo session cache was never consulted for fused requests.
-    assert_eq!(stats.cache.hits + stats.cache.misses, 0);
+    // A fused two-member bundle: the second entry.
+    let (lead, join) = bundle(cfg_b, cfg_c);
+    assert_eq!(
+        (lead.stats.cache, lead.stats.batch),
+        (CacheOutcome::Miss, 2)
+    );
+    assert_eq!(join.stats.batch, 2);
+    // A second lone leader with a new config: the third insertion evicts the
+    // first.
+    let other = service
+        .submit(&MiningRequest::new(Arc::clone(&db), cfg_d))
+        .unwrap();
+    assert_eq!(
+        (other.stats.cache, other.stats.batch),
+        (CacheOutcome::Miss, 1)
+    );
+    let stats = service.stats();
+    assert_eq!(stats.cache.evictions, 1);
+    assert_eq!(service.cached_sessions(), 2);
+
+    // The bundle's second round (members swapped) finds its session parked.
+    let (lead, join) = bundle(cfg_c, cfg_b);
+    assert_eq!((lead.stats.cache, lead.stats.batch), (CacheOutcome::Hit, 2));
+    assert_eq!((join.stats.cache, join.stats.batch), (CacheOutcome::Hit, 2));
+    let serial = |cfg| {
+        Miner::new(cfg)
+            .mine(db.as_ref(), &mut SequentialBackend::default())
+            .unwrap()
+    };
+    assert_eq!(lead.result, serial(cfg_c));
+    assert_eq!(join.result, serial(cfg_b));
+    let stats = service.stats();
+    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 3));
+    assert_eq!(stats.comining.batches, 2);
 }
 
 #[test]
