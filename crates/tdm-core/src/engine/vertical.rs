@@ -27,90 +27,85 @@
 //! match site directly, so splitting the *candidate set* across workers is an
 //! exact parallel decomposition with zero boundary work.
 
+use std::sync::OnceLock;
+
 use super::CompiledCandidates;
 use crate::segment::scan_segment_items;
 
-/// A per-symbol occurrence index over one symbol stream (CSR layout): the
-/// positions at which each alphabet symbol occurs, in ascending order.
+/// A per-symbol occurrence index over one symbol stream (CSR layout): how
+/// often each alphabet symbol occurs, and the ascending positions at which it
+/// does.
 ///
-/// Build once per [`EventDb`](crate::EventDb) snapshot (one `O(stream)`
-/// counting sort) and reuse it for every level's
-/// [`CompiledCandidates::count_vertical`] — the sessions cache one behind a
-/// `OnceLock` on their shared stream snapshot, so co-mined batches and cached
-/// serving sessions build it exactly once.
+/// Build once per [`EventDb`](crate::EventDb) snapshot and reuse it for every
+/// level's [`CompiledCandidates::count_vertical`] — the sessions cache one
+/// behind a `OnceLock` on their shared stream snapshot, so co-mined batches
+/// and cached serving sessions build it exactly once.
+///
+/// The build is one counting pass: the per-symbol counts are all the cost
+/// model ([`CompiledCandidates::strategy_costs`]) and level-1 counts ever
+/// read. The position lists (4 B per symbol of stream) are scattered from the
+/// stream on the first [`occurrences`](OccurrenceIndex::occurrences) probe, so
+/// an index that only ever dispatched to the bitmask strategy never holds
+/// them.
 ///
 /// ```
 /// use tdm_core::engine::OccurrenceIndex;
 ///
 /// // Stream "ABAB" over a 2-symbol alphabet.
-/// let index = OccurrenceIndex::build(2, &[0, 1, 0, 1]);
-/// assert_eq!(index.occurrences(0), &[0, 2]);
-/// assert_eq!(index.occurrences(1), &[1, 3]);
+/// let stream = [0, 1, 0, 1];
+/// let index = OccurrenceIndex::build(2, &stream);
 /// assert_eq!(index.occ_len(1), 2);
 /// assert_eq!(index.stream_len(), 4);
+/// // The first probe builds the position lists from the indexed stream.
+/// assert_eq!(index.occurrences(&stream, 0), &[0, 2]);
+/// assert_eq!(index.occurrences(&stream, 1), &[1, 3]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OccurrenceIndex {
-    /// CSR offsets, one slot per symbol plus the terminator.
+    /// CSR offsets, one slot per symbol plus the terminator (the per-symbol
+    /// counts, built eagerly).
     offsets: Vec<u32>,
-    /// Stream positions grouped by symbol, ascending within each group.
-    positions: Vec<u32>,
+    /// Stream positions grouped by symbol, ascending within each group; built
+    /// by the first [`occurrences`](OccurrenceIndex::occurrences) probe.
+    positions: OnceLock<Vec<u32>>,
     stream_len: usize,
 }
 
 impl OccurrenceIndex {
     /// Builds the index over `stream` for an alphabet of `alphabet_len`
-    /// symbols (one counting-sort pass).
+    /// symbols (one counting pass; position lists wait for the first probe).
     ///
     /// # Panics
     /// When the stream is longer than `u32::MAX` symbols (positions are
     /// stored as `u32`, matching the compiled candidate layout) or contains a
     /// symbol `>= alphabet_len`.
     pub fn build(alphabet_len: usize, stream: &[u8]) -> Self {
-        assert!(
-            u32::try_from(stream.len()).is_ok(),
-            "stream of {} symbols exceeds the u32-indexed occurrence layout",
-            stream.len()
-        );
-        let mut offsets = vec![0u32; alphabet_len + 1];
-        for &c in stream {
-            assert!(
-                (c as usize) < alphabet_len,
-                "symbol {c} out of range for alphabet of {alphabet_len}"
-            );
-            offsets[c as usize + 1] += 1;
-        }
-        for c in 0..alphabet_len {
-            offsets[c + 1] += offsets[c];
-        }
-        let mut cursor: Vec<u32> = offsets[..alphabet_len].to_vec();
-        let mut positions = vec![0u32; stream.len()];
-        for (p, &c) in stream.iter().enumerate() {
-            positions[cursor[c as usize] as usize] = p as u32;
-            cursor[c as usize] += 1;
-        }
-        OccurrenceIndex {
-            offsets,
-            positions,
-            stream_len: stream.len(),
-        }
+        let mut index = OccurrenceIndex {
+            offsets: vec![0u32; alphabet_len + 1],
+            positions: OnceLock::new(),
+            stream_len: 0,
+        };
+        index.extend(stream);
+        index
     }
 
     /// Extends the index in place for symbols appended past the indexed
     /// prefix: `suffix` is the stream content from position
     /// [`stream_len`](OccurrenceIndex::stream_len) onward. Per-symbol
     /// occurrence lists only ever grow under append, so the extension is one
-    /// counting pass over the suffix plus a gather into the widened CSR — no
-    /// per-symbol re-sort, and no walk of the already-indexed prefix stream.
+    /// counting pass over the suffix — plus, when the position lists were
+    /// already built, a gather into the widened CSR: no per-symbol re-sort,
+    /// and no walk of the already-indexed prefix stream.
     ///
     /// ```
     /// use tdm_core::engine::OccurrenceIndex;
     ///
-    /// let mut grown = OccurrenceIndex::build(2, &[0, 1]);
-    /// grown.extend(&[1, 0]);
-    /// let batch = OccurrenceIndex::build(2, &[0, 1, 1, 0]);
-    /// assert_eq!(grown.occurrences(0), batch.occurrences(0));
-    /// assert_eq!(grown.occurrences(1), batch.occurrences(1));
+    /// let stream = [0, 1, 1, 0];
+    /// let mut grown = OccurrenceIndex::build(2, &stream[..2]);
+    /// grown.extend(&stream[2..]);
+    /// let batch = OccurrenceIndex::build(2, &stream);
+    /// assert_eq!(grown.occurrences(&stream, 0), batch.occurrences(&stream, 0));
+    /// assert_eq!(grown.occurrences(&stream, 1), batch.occurrences(&stream, 1));
     /// assert_eq!(grown.stream_len(), 4);
     /// ```
     ///
@@ -140,23 +135,23 @@ impl OccurrenceIndex {
             let old_run = self.offsets[c + 1] - self.offsets[c];
             offsets[c + 1] = offsets[c] + old_run + added[c];
         }
-        // Widen the CSR: each old per-symbol run moves once, then the suffix
-        // occurrences land at their run's tail (ascending by construction —
-        // every appended position is past everything already indexed).
-        let mut positions = vec![0u32; grown_len];
-        let mut cursor = Vec::with_capacity(alphabet_len);
-        for (c, run) in self.offsets.windows(2).enumerate() {
-            let old = run[0] as usize..run[1] as usize;
-            let dst = offsets[c] as usize;
-            positions[dst..dst + old.len()].copy_from_slice(&self.positions[old.clone()]);
-            cursor.push((dst + old.len()) as u32);
-        }
-        for (i, &c) in suffix.iter().enumerate() {
-            positions[cursor[c as usize] as usize] = (self.stream_len + i) as u32;
-            cursor[c as usize] += 1;
+        if let Some(old) = self.positions.get_mut() {
+            // Widen the CSR: each old per-symbol run moves once, then the
+            // suffix occurrences land at their run's tail (ascending by
+            // construction — every appended position is past everything
+            // already indexed).
+            let mut positions = vec![0u32; grown_len];
+            let mut cursor = Vec::with_capacity(alphabet_len);
+            for (c, run) in self.offsets.windows(2).enumerate() {
+                let run = run[0] as usize..run[1] as usize;
+                let dst = offsets[c] as usize;
+                positions[dst..dst + run.len()].copy_from_slice(&old[run.clone()]);
+                cursor.push((dst + run.len()) as u32);
+            }
+            scatter(&mut positions, &mut cursor, suffix, self.stream_len);
+            *old = positions;
         }
         self.offsets = offsets;
-        self.positions = positions;
         self.stream_len = grown_len;
     }
 
@@ -172,11 +167,30 @@ impl OccurrenceIndex {
         self.stream_len
     }
 
-    /// Ascending positions at which symbol `c` occurs.
+    /// Ascending positions at which symbol `c` occurs. `stream` must be the
+    /// stream this index describes (same content): the first probe scatters
+    /// every symbol's position list from it, once — concurrent first probes
+    /// wait for that one build.
+    ///
+    /// # Panics
+    /// When the first probe's `stream` is not [`stream_len`] symbols long.
+    ///
+    /// [`stream_len`]: OccurrenceIndex::stream_len
     #[inline]
-    pub fn occurrences(&self, c: u8) -> &[u32] {
+    pub fn occurrences(&self, stream: &[u8], c: u8) -> &[u32] {
+        let positions = self.positions.get_or_init(|| {
+            assert_eq!(
+                stream.len(),
+                self.stream_len,
+                "occurrence probe against a stream the index does not describe"
+            );
+            let mut positions = vec![0u32; stream.len()];
+            let mut cursor = self.offsets[..self.alphabet_len()].to_vec();
+            scatter(&mut positions, &mut cursor, stream, 0);
+            positions
+        });
         let c = c as usize;
-        &self.positions[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+        &positions[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
 
     /// Number of occurrences of symbol `c` (a level-1 count, for free).
@@ -184,6 +198,21 @@ impl OccurrenceIndex {
     pub fn occ_len(&self, c: u8) -> usize {
         let c = c as usize;
         (self.offsets[c + 1] - self.offsets[c]) as usize
+    }
+
+    /// True once a probe has built the position lists.
+    #[cfg(test)]
+    pub(crate) fn has_positions(&self) -> bool {
+        self.positions.get().is_some()
+    }
+}
+
+/// Writes the positions of `symbols` (stream offsets from `base`) at each
+/// symbol's `cursor`, advancing it: the scatter step of the CSR layout.
+fn scatter(positions: &mut [u32], cursor: &mut [u32], symbols: &[u8], base: usize) {
+    for (i, &c) in symbols.iter().enumerate() {
+        positions[cursor[c as usize] as usize] = (base + i) as u32;
+        cursor[c as usize] += 1;
     }
 }
 
@@ -270,7 +299,7 @@ impl CompiledCandidates {
                 .min_by_key(|&(_, &c)| index.occ_len(c))
                 .expect("episodes are non-empty");
             let mut count = 0u64;
-            for &p in index.occurrences(items[k]) {
+            for &p in index.occurrences(stream, items[k]) {
                 let p = p as usize;
                 if p < k || p - k + l > n {
                     continue;
@@ -315,10 +344,16 @@ mod tests {
         let idx = OccurrenceIndex::build(4, &stream);
         assert_eq!(idx.alphabet_len(), 4);
         assert_eq!(idx.stream_len(), 6);
-        assert_eq!(idx.occurrences(0), &[1, 3]);
-        assert_eq!(idx.occurrences(1), &[2]);
-        assert_eq!(idx.occurrences(2), &[0, 4, 5]);
-        assert_eq!(idx.occurrences(3), &[] as &[u32]);
+        assert_eq!(idx.occ_len(2), 3);
+        assert!(
+            !idx.has_positions(),
+            "counts alone must not scatter positions"
+        );
+        assert_eq!(idx.occurrences(&stream, 0), &[1, 3]);
+        assert!(idx.has_positions());
+        assert_eq!(idx.occurrences(&stream, 1), &[2]);
+        assert_eq!(idx.occurrences(&stream, 2), &[0, 4, 5]);
+        assert_eq!(idx.occurrences(&stream, 3), &[] as &[u32]);
         assert_eq!(idx.occ_len(3), 0);
     }
 
@@ -379,12 +414,19 @@ mod tests {
         let batch = OccurrenceIndex::build(4, &stream);
         assert_eq!(idx.stream_len(), batch.stream_len());
         for c in 0..4u8 {
-            assert_eq!(idx.occurrences(c), batch.occurrences(c), "symbol {c}");
+            assert_eq!(
+                idx.occurrences(&stream, c),
+                batch.occurrences(&stream, c),
+                "symbol {c}"
+            );
         }
         // Growing from empty also works.
         let mut from_empty = OccurrenceIndex::build(4, &[]);
         from_empty.extend(&stream);
-        assert_eq!(from_empty.occurrences(2), batch.occurrences(2));
+        assert_eq!(
+            from_empty.occurrences(&stream, 2),
+            batch.occurrences(&stream, 2)
+        );
     }
 
     #[test]
@@ -399,25 +441,32 @@ mod tests {
 
     proptest! {
         /// Incrementally extending an index over any chunk schedule yields the
-        /// same layout as one batch build of the concatenated stream.
+        /// same layout as one batch build of the concatenated stream — whether
+        /// the position lists were built before some extends (and widened by
+        /// the rest) or only after the last one.
         #[test]
         fn extend_equals_batch_for_any_chunking(
             data in proptest::collection::vec(0u8..5, 0..300),
             cuts in proptest::collection::vec(0usize..300, 0..6),
+            probe_after in 0usize..8,
         ) {
             let n = data.len();
             let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
             bounds.sort_unstable();
             let mut grown = OccurrenceIndex::build(5, &[]);
             let mut start = 0usize;
-            for b in bounds.into_iter().chain(std::iter::once(n)) {
+            for (step, b) in bounds.into_iter().chain(std::iter::once(n)).enumerate() {
+                if step == probe_after {
+                    grown.occurrences(&data[..start], 0);
+                }
+                prop_assert_eq!(grown.has_positions(), step >= probe_after);
                 grown.extend(&data[start..b]);
                 start = b;
             }
             let batch = OccurrenceIndex::build(5, &data);
             prop_assert_eq!(grown.stream_len(), batch.stream_len());
             for c in 0..5u8 {
-                prop_assert_eq!(grown.occurrences(c), batch.occurrences(c));
+                prop_assert_eq!(grown.occurrences(&data, c), batch.occurrences(&data, c));
             }
         }
 

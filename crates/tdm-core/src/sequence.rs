@@ -88,12 +88,29 @@ impl EventDb {
     /// Parses a string of single-character symbol names (e.g. `"ABCAB"` over
     /// [`Alphabet::latin26`]).
     ///
+    /// ASCII characters decode through a 128-entry table built once per call
+    /// (the first symbol of each single-character name wins, as in
+    /// [`Alphabet::symbol`]); any other character takes the
+    /// [`Alphabet::symbol`] lookup itself.
+    ///
     /// # Errors
     /// [`CoreError::UnknownSymbol`] for characters outside the alphabet.
     pub fn from_str_symbols(alphabet: &Alphabet, s: &str) -> Result<Self> {
+        let mut ascii = [None::<u8>; 128];
+        for symbol in alphabet.symbols() {
+            if let &[b] = alphabet.name(symbol).as_bytes() {
+                if let Some(slot) = ascii.get_mut(b as usize) {
+                    slot.get_or_insert(symbol.0);
+                }
+            }
+        }
         let mut symbols = Vec::with_capacity(s.len());
         for ch in s.chars() {
-            symbols.push(alphabet.symbol(&ch.to_string())?.0);
+            let id = match ascii.get(ch as usize) {
+                Some(&Some(id)) => id,
+                _ => alphabet.symbol(ch.encode_utf8(&mut [0; 4]))?.0,
+            };
+            symbols.push(id);
         }
         EventDb::new(alphabet.clone(), symbols)
     }
@@ -422,6 +439,42 @@ mod tests {
         let batch = EventDb::new(ab, vec![0, 1, 2]).unwrap();
         assert_eq!(grown, batch);
         assert_ne!(grown.epoch(), batch.epoch());
+    }
+
+    /// The per-letter path the decode table replaces: one
+    /// [`Alphabet::symbol`] lookup per character.
+    fn decode_per_letter(alphabet: &Alphabet, s: &str) -> Result<Vec<u8>> {
+        s.chars()
+            .map(|ch| alphabet.symbol(&ch.to_string()).map(|sym| sym.0))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Table-driven decoding returns the per-letter path's stream, or its
+        /// error, for every alphabet shape: single-letter names, multi-char
+        /// names that never match one char, and a duplicated single-char name
+        /// (the first id wins) next to a non-ASCII one.
+        #[test]
+        fn decode_table_matches_the_per_letter_path(
+            letters in proptest::collection::vec(0u8..26, 0..40),
+            junk in proptest::collection::vec(0usize..8, 0..2),
+            at in 0usize..41,
+        ) {
+            // Upper-case letters, plus at most one lower-case, unknown-ASCII
+            // or non-ASCII character spliced in.
+            let mut chars: Vec<char> = letters.iter().map(|&c| (b'A' + c) as char).collect();
+            for &j in &junk {
+                let pick = ['a', 'z', '#', '0', ' ', '\u{7f}', 'é', '→'][j];
+                chars.insert(at % (chars.len() + 1), pick);
+            }
+            let s: String = chars.into_iter().collect();
+            let names = (b'A'..=b'Z').map(|c| String::from(c as char));
+            let duplicated = Alphabet::new(names.chain(["A".into(), "é".into(), "s1".into()])).unwrap();
+            for alphabet in [Alphabet::latin26(), Alphabet::numbered(100).unwrap(), duplicated] {
+                let table = EventDb::from_str_symbols(&alphabet, &s).map(|db| db.symbols().to_vec());
+                proptest::prop_assert_eq!(table, decode_per_letter(&alphabet, &s));
+            }
+        }
     }
 
     #[test]

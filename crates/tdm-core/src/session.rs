@@ -326,7 +326,10 @@ impl<'a> CountRequest<'a> {
     /// every level of the loop, and every member of a multi-member session,
     /// shares the one build. Vertical-strategy executors and
     /// the per-level dispatch rule
-    /// ([`CompiledCandidates::choose_strategy`]) read it from here.
+    /// ([`CompiledCandidates::choose_strategy`]) read it from here. The
+    /// index's position lists are built once too, by the first vertical
+    /// probe ([`OccurrenceIndex::occurrences`]); a session whose levels all
+    /// dispatch elsewhere holds only the per-symbol counts.
     pub fn occurrence_index(&self) -> &'a OccurrenceIndex {
         self.vertical.get_or_init(|| {
             Arc::new(OccurrenceIndex::build(
@@ -625,8 +628,9 @@ pub struct MiningSession<'db> {
     union: CandidateUnion,
     compiled: Arc<CompiledCandidates>,
     /// Per-symbol occurrence index over `stream`, built lazily by the first
-    /// vertical-strategy execute and reused for the session's whole lifetime
-    /// (levels recompile, the stream never changes).
+    /// strategy-dispatching execute and reused for the session's whole
+    /// lifetime (levels recompile, the stream never changes); its position
+    /// lists wait for the first vertical probe.
     vertical: OnceLock<Arc<OccurrenceIndex>>,
     shard_bounds: Vec<usize>,
     workers: usize,
@@ -770,9 +774,9 @@ impl<'db> MiningSession<'db> {
     /// snapshot is replaced (a refcount bump on the new buffer), shard bounds
     /// are recut for the new length, and a cached [`OccurrenceIndex`] is
     /// **extended in place** over the appended suffix
-    /// ([`OccurrenceIndex::extend`]) rather than rebuilt — so the epoch-N
-    /// index is never consulted against epoch-N+1 data, and never thrown away
-    /// either.
+    /// ([`OccurrenceIndex::extend`]; position lists widen only if a probe
+    /// had built them) rather than rebuilt — so the epoch-N index is never
+    /// consulted against epoch-N+1 data, and never thrown away either.
     ///
     /// The session takes shared ownership of `db` (as with
     /// [`builder_shared`](MiningSession::builder_shared)).
@@ -1051,9 +1055,9 @@ impl<'db> MiningSession<'db> {
                 let frequent: Vec<(Episode, u64)> = m
                     .candidates
                     .iter()
-                    .cloned()
                     .zip(counts.iter().copied())
                     .filter(|(_, c)| support(*c, n) > m.config.alpha)
+                    .map(|(e, c)| (e.clone(), c))
                     .collect();
                 let next_seed: Vec<Episode> = frequent.iter().map(|(e, _)| e.clone()).collect();
                 let level_result = LevelResult {
@@ -1074,6 +1078,7 @@ impl<'db> MiningSession<'db> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::miner::{AutoBackend, Miner, SequentialBackend};
     use crate::Alphabet;
 
     /// Counts executes so tests can prove which levels ran.
@@ -1229,5 +1234,54 @@ mod tests {
             .map(|l| (l.level, l.candidates))
             .collect();
         assert_eq!(spy.0, own);
+    }
+
+    /// A session mined with the strategy-dispatching executor, plus whether
+    /// its cached index built position lists.
+    fn auto_mined(db: &EventDb, config: MinerConfig) -> (MiningResult, bool) {
+        let mut session = MiningSession::builder(db).config(config).build();
+        let result = session.mine(&mut AutoBackend).unwrap();
+        let index = session.vertical.get().expect("level 1 builds the index");
+        (result, index.has_positions())
+    }
+
+    #[test]
+    fn occurrence_positions_are_built_only_when_a_level_probes_them() {
+        let config = MinerConfig {
+            alpha: 0.0,
+            max_level: Some(3),
+            ..Default::default()
+        };
+        let sequential =
+            |db: &EventDb| Miner::new(config).mine(db, &mut SequentialBackend::default());
+
+        // Uniform letters: every level >= 2 dispatches to the bitmask scan,
+        // so the cached index keeps its counts and never scatters positions.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let uniform: Vec<u8> = (0..12_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 26) as u8
+            })
+            .collect();
+        let db = EventDb::new(Alphabet::latin26(), uniform).unwrap();
+        let (result, positions) = auto_mined(&db, config);
+        assert_eq!(result.levels.len(), 3);
+        assert_eq!(result.levels[2].candidates, 26 * 25 * 24);
+        assert!(!positions, "no level probed, yet positions were built");
+        assert_eq!(result, sequential(&db).unwrap());
+
+        // A sparse stream (rare letters between long runs of one symbol):
+        // vertical wins at level 2, and its probes build the positions.
+        let sparse: String = (0..40)
+            .map(|i| format!("{}{}", "A".repeat(60), &"BCDEFG"[i % 5..i % 5 + 2]))
+            .collect();
+        let db = EventDb::from_str_symbols(&Alphabet::latin26(), &sparse).unwrap();
+        let (result, positions) = auto_mined(&db, config);
+        assert!(result.levels.len() >= 2);
+        assert!(positions, "a vertical level must build the positions");
+        assert_eq!(result, sequential(&db).unwrap());
     }
 }

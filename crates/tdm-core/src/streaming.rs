@@ -372,9 +372,10 @@ mod tests {
         let mut live = StreamingSession::new(&db, &eps).unwrap();
         assert_eq!(live.occurrence_index().occ_len(0), 2);
         live.append(&[0, 0]).unwrap();
+        let stream = live.db().symbols_shared();
         let idx = live.occurrence_index();
         assert_eq!(idx.stream_len(), 6);
-        assert_eq!(idx.occurrences(0), &[0, 2, 4, 5]);
+        assert_eq!(idx.occurrences(&stream, 0), &[0, 2, 4, 5]);
     }
 
     #[test]

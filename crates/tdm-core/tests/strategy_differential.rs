@@ -15,7 +15,9 @@
 //! * [`CandidateUnion`] demultiplexing over the new strategies.
 
 use proptest::prelude::*;
-use tdm_core::engine::{BitmaskNfa, CandidateUnion, CompiledCandidates, OccurrenceIndex};
+use tdm_core::engine::{
+    BitmaskNfa, CandidateUnion, CompiledCandidates, CountStrategy, OccurrenceIndex,
+};
 use tdm_core::miner::AutoBackend;
 use tdm_core::segment::even_bounds;
 use tdm_core::session::MiningSession;
@@ -192,13 +194,35 @@ fn sessions_dispatch_identically_for_workers_1_through_8() {
         .iter()
         .map(|s| Episode::from_str(&ab, s).unwrap())
         .collect();
-    let reference = seed_count_episodes(ab.len(), db.symbols(), &episodes);
-    for workers in 1..=8 {
-        let mut session = MiningSession::builder(&db).workers(workers).build();
-        let counts = session
-            .count_candidates(&episodes, &mut AutoBackend)
-            .expect("auto backend never fails");
-        assert_eq!(counts, reference, "session with {workers} workers");
+    // Rare letters between long runs of 'A', and all 600 ordered pairs of
+    // the rare ones: vertical wins with enough candidates to run in parallel
+    // chunks, which race to build the cold index's position lists.
+    let sparse: String = (0..200)
+        .map(|i| {
+            let rare = (b'B' + (i % 25) as u8) as char;
+            let next = (b'B' + ((i * 7 + 3) % 25) as u8) as char;
+            format!("{}{rare}{next}", "A".repeat(100))
+        })
+        .collect();
+    let sparse = EventDb::from_str_symbols(&ab, &sparse).unwrap();
+    let rare_pairs: Vec<Episode> = tdm_core::candidate::permutations(&ab, 2)
+        .into_iter()
+        .filter(|e| !e.items().contains(&0))
+        .collect();
+    let cold = OccurrenceIndex::build(ab.len(), sparse.symbols());
+    let compiled = CompiledCandidates::compile(ab.len(), &rare_pairs);
+    assert!(rare_pairs.len() >= 256);
+    assert_eq!(compiled.choose_strategy(&cold), CountStrategy::Vertical);
+
+    for (db, episodes) in [(&db, &episodes), (&sparse, &rare_pairs)] {
+        let reference = seed_count_episodes(ab.len(), db.symbols(), episodes);
+        for workers in 1..=8 {
+            let mut session = MiningSession::builder(db).workers(workers).build();
+            let counts = session
+                .count_candidates(episodes, &mut AutoBackend)
+                .expect("auto backend never fails");
+            assert_eq!(counts, reference, "session with {workers} workers");
+        }
     }
 }
 
@@ -242,7 +266,7 @@ fn candidate_union_demux_over_the_new_strategies() {
 
 #[test]
 fn backend_class_table_is_consistent_with_strategy_costs() {
-    use tdm_core::engine::{CountStrategy, DispatchClass, GpuDispatchModel};
+    use tdm_core::engine::{DispatchClass, GpuDispatchModel};
 
     let ab = Alphabet::latin26();
     let stream: Vec<u8> = "ABCABZQXABCAACAB"

@@ -121,7 +121,11 @@ fn rebase_extends_the_cached_index_instead_of_consulting_it_stale() {
     assert_eq!(extended.stream_len(), grown.len());
     let fresh = OccurrenceIndex::build(ab.len(), grown.symbols());
     for c in 0..ab.len() as u8 {
-        assert_eq!(extended.occurrences(c), fresh.occurrences(c), "symbol {c}");
+        assert_eq!(
+            extended.occurrences(grown.symbols(), c),
+            fresh.occurrences(grown.symbols(), c),
+            "symbol {c}"
+        );
     }
 
     // And counting through the rebased session matches a from-scratch one.
@@ -273,7 +277,7 @@ proptest! {
         let fresh = OccurrenceIndex::build(alpha, &stream);
         let grown_index = live.occurrence_index();
         for c in 0..alpha as u8 {
-            prop_assert_eq!(grown_index.occurrences(c), fresh.occurrences(c));
+            prop_assert_eq!(grown_index.occurrences(&stream, c), fresh.occurrences(&stream, c));
         }
 
         // And a real session over the final db agrees at every worker count.

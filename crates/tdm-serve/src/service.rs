@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tdm_baselines::{ActiveSetBackend, MapReduceBackend, SerialScanBackend, ShardedScanBackend};
-use tdm_core::miner::SequentialBackend;
+use tdm_core::miner::{AutoBackend, SequentialBackend};
 use tdm_core::session::{BackendError, CancelToken, Executor, MineError};
 use tdm_core::stats::MiningResult;
 use tdm_core::{EventDb, MinerConfig};
@@ -18,13 +18,18 @@ use crate::cache::{
 use crate::comine::{BatchRun, Batcher, CoMiningStats, Deliveries, Entry};
 
 /// Which counting executor serves a request. All choices produce bit-identical
-/// counts; they differ only in how the scan is decomposed over the shared
-/// pool.
+/// counts; they differ only in which counting strategy runs and how it is
+/// decomposed over the shared pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
-    /// Database-sharded parallel scan over the shared pool (the paper's
-    /// block-level shape; fastest at low levels). The default.
+    /// The engine's strategy-dispatching executor
+    /// ([`tdm_core::miner::AutoBackend`]): per level, the cost model picks
+    /// vertical occurrence-list probes or word-packed bitmask scans, run in
+    /// parallel over the shared pool. The default.
     #[default]
+    Auto,
+    /// Database-sharded parallel active-set scan over the shared pool (the
+    /// paper's block-level shape; a paper baseline).
     Sharded,
     /// Candidate-sharded parallel scan over the shared pool (the paper's
     /// thread-level shape; catches up at high levels).
@@ -54,17 +59,19 @@ impl BackendChoice {
     /// the same way regardless of join order.
     fn rank(&self) -> u8 {
         match self {
-            BackendChoice::Sharded => 0,
-            BackendChoice::MapReduce => 1,
-            BackendChoice::ActiveSet => 2,
-            BackendChoice::Sequential => 3,
-            BackendChoice::SerialScan => 4,
-            BackendChoice::GpuPipeline => 5,
+            BackendChoice::Auto => 0,
+            BackendChoice::Sharded => 1,
+            BackendChoice::MapReduce => 2,
+            BackendChoice::ActiveSet => 3,
+            BackendChoice::Sequential => 4,
+            BackendChoice::SerialScan => 5,
+            BackendChoice::GpuPipeline => 6,
         }
     }
 
     fn instantiate(&self, tenants: usize) -> Box<dyn Executor> {
         match self {
+            BackendChoice::Auto => Box::new(AutoBackend),
             BackendChoice::Sharded => Box::new(ShardedScanBackend::auto()),
             BackendChoice::MapReduce => Box::new(MapReduceBackend::auto()),
             BackendChoice::ActiveSet => Box::new(ActiveSetBackend::default()),
@@ -108,8 +115,8 @@ pub struct MiningRequest {
 }
 
 impl MiningRequest {
-    /// A request with the default backend (database-sharded) and normal
-    /// priority.
+    /// A request with the default backend ([`BackendChoice::Auto`], the
+    /// strategy-dispatching engine) and normal priority.
     pub fn new(db: Arc<EventDb>, config: MinerConfig) -> Self {
         MiningRequest {
             db,
@@ -1161,6 +1168,17 @@ mod tests {
             vote_backend(Sequential, [GpuPipeline, GpuPipeline].into_iter()),
             GpuPipeline
         );
+        // The engine ranks first: it wins a tie against any challenger.
+        assert_eq!(
+            vote_backend(Sequential, [Sharded, Auto, Sharded, Auto].into_iter()),
+            Auto
+        );
+    }
+
+    #[test]
+    fn the_default_backend_is_the_strategy_dispatching_engine() {
+        assert_eq!(BackendChoice::default(), BackendChoice::Auto);
+        assert_eq!(BackendChoice::Auto.instantiate(1).name(), "engine-auto");
     }
 
     #[test]

@@ -47,11 +47,14 @@ use crate::tenant::{TenantConfig, TenantRegistry};
 use crate::wire::{self, codes, FrameError};
 
 /// Builds the executor a handler mines with. `None` on [`ServerConfig`]
-/// means requests run their declared [`BackendChoice`] through
-/// [`MiningService::submit`] (and may vote in fused batches); tests inject
-/// spy executors here to observe the level loop from outside the socket.
+/// means requests run their declared [`BackendChoice`] — the
+/// strategy-dispatching engine ([`BackendChoice::Auto`]) when a frame names
+/// none — through [`MiningService::submit`] (and may vote in fused batches);
+/// tests inject spy executors here to observe the level loop from outside the
+/// socket.
 ///
 /// [`BackendChoice`]: tdm_serve::BackendChoice
+/// [`BackendChoice::Auto`]: tdm_serve::BackendChoice::Auto
 pub type ExecutorFactory = Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>;
 
 /// Server sizing and policy.
@@ -419,6 +422,7 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
         wire::config_from(request).map_err(|msg| wire::error_value(codes::BAD_REQUEST, msg))?;
     let backend = match request.get("backend").and_then(Value::as_str) {
         None => tdm_serve::BackendChoice::default(),
+        Some("auto") => tdm_serve::BackendChoice::Auto,
         Some("sharded") => tdm_serve::BackendChoice::Sharded,
         Some("mapreduce") => tdm_serve::BackendChoice::MapReduce,
         Some("activeset") => tdm_serve::BackendChoice::ActiveSet,

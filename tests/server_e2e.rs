@@ -63,15 +63,18 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
     .unwrap();
     let addr = server.addr();
 
+    // `None` sends no "backend" field: the server's default engine.
     let backends = [
-        "sharded",
-        "mapreduce",
-        "activeset",
-        "sequential",
-        "serialscan",
+        Some("auto"),
+        None,
+        Some("sharded"),
+        Some("mapreduce"),
+        Some("activeset"),
+        Some("sequential"),
+        Some("serialscan"),
     ];
     let alphas = [0.01, 0.02, 0.05, 0.1];
-    let cases: Vec<(EventDb, MinerConfig, &str, &str, &str)> = (0..16)
+    let cases: Vec<(EventDb, MinerConfig, Option<&str>, &str, &str)> = (0..16)
         .map(|i| {
             let db = markov_letters(3_000 + 500 * i, i as u64, 0.6);
             let config = MinerConfig {
@@ -97,7 +100,7 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
                             &letters(db),
                             config.alpha,
                             config.max_level,
-                            Some(backend),
+                            *backend,
                             None,
                             None,
                         ))
@@ -117,7 +120,7 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
             assert_eq!(
                 wire_json,
                 serial_result_json(db, *config),
-                "{tenant}/{backend} diverged from serial mining"
+                "{tenant}/{backend:?} diverged from serial mining"
             );
         }
     });

@@ -86,6 +86,7 @@ fn sixteen_concurrent_clients_match_serial_mining_bit_for_bit() {
         ..Default::default()
     }));
     let backends = [
+        BackendChoice::Auto,
         BackendChoice::Sharded,
         BackendChoice::MapReduce,
         BackendChoice::ActiveSet,
