@@ -5,8 +5,9 @@
 //! *distinct* symbols: `N! / (N - L)!` episodes (Table 1), giving 26 / 650 /
 //! 15,600 candidates at levels 1–3 over the Latin alphabet. [`permutations`]
 //! enumerates that space directly; [`apriori_join`] grows candidates
-//! level-by-level from the surviving frequent set, which is what the mining loop
-//! uses once elimination starts pruning.
+//! level-by-level from a surviving frequent set. The mining loop
+//! ([`crate::session`]) runs the same join on a flat candidate lattice instead,
+//! for any number of co-mined members at once.
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::episode::Episode;
@@ -125,6 +126,172 @@ pub fn apriori_join(frequent: &[Episode], distinct_only: bool) -> Vec<Episode> {
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// The flat candidate lattice behind the mining loop: one level of candidate
+/// rows at a time, each linked to the two rows of the previous level it was
+/// joined from, shared by every member of a co-mined batch.
+///
+/// * **Rows.** A level-`k` row holds `k` items. Its *prefix parent* is the
+///   previous-level row holding its first `k − 1` items, its *suffix parent*
+///   the one holding its last `k − 1`. Level 1 is one row per symbol, all
+///   under one root. Rows stay in lexicographic order, so the rows that share
+///   a prefix parent form one contiguous range, and `children` records those
+///   ranges instead of a prefix id per row.
+/// * **Members.** Each row carries a bitset of members (bit `m` of `words`
+///   words per row; member `m` is the session's `m`-th config). Before
+///   elimination it is the set of members the row is a candidate for;
+///   [`retain`](Lattice::retain) narrows it to the members the row is
+///   frequent for and that mine the next level. A level starts with no
+///   empty set.
+/// * **The join.** [`join`](Lattice::join) pairs each row `a` with the rows of
+///   the range whose prefix parent is `a`'s suffix parent: a member keeps the
+///   new row when both parents are in its set and the row passes its
+///   `distinct_items_only` rule. For each member that is exactly
+///   [`apriori_join`] of its frequent set, in the same order, with no
+///   hashing, sorting or allocation per candidate; the rows are the union of
+///   the members' candidate sets.
+#[derive(Debug)]
+pub(crate) struct Lattice {
+    level: usize,
+    words: usize,
+    /// Row `r`'s items are `items[r * level..(r + 1) * level]`.
+    items: Vec<u8>,
+    /// Row `r`'s suffix parent, a row of the previous level.
+    suffix: Vec<u32>,
+    /// The rows whose prefix parent is previous-level row `p` are
+    /// `children[p]..children[p + 1]`.
+    children: Vec<u32>,
+    /// Row `r`'s member set is `members[r * words..(r + 1) * words]`.
+    members: Vec<u64>,
+}
+
+impl Lattice {
+    /// Level 1: one row per symbol of an `alphabet_len`-symbol alphabet, a
+    /// candidate for every member of `mining` (no rows when it is empty).
+    pub(crate) fn singletons(alphabet_len: usize, mining: &[u64]) -> Self {
+        let rows = if mining.iter().any(|&w| w != 0) {
+            alphabet_len
+        } else {
+            0
+        };
+        Lattice {
+            level: 1,
+            words: mining.len(),
+            items: (0..rows).map(|s| s as u8).collect(),
+            suffix: vec![0; rows],
+            children: vec![0, rows as u32],
+            members: mining.repeat(rows),
+        }
+    }
+
+    /// Number of rows (candidates) at this level.
+    fn len(&self) -> usize {
+        self.suffix.len()
+    }
+
+    /// True when no member has a candidate at this level.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.suffix.is_empty()
+    }
+
+    /// Items per row.
+    pub(crate) fn level(&self) -> usize {
+        self.level
+    }
+
+    /// Every row's items, laid end to end.
+    pub(crate) fn items(&self) -> &[u8] {
+        &self.items
+    }
+
+    /// The elimination step: calls `keep(member, row, items)` for every
+    /// member of every row's set, rows in order, and drops the member from
+    /// the row's set where it returns false.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize, usize, &[u8]) -> bool) {
+        let rows = self.items.chunks_exact(self.level);
+        let sets = self.members.chunks_exact_mut(self.words);
+        for (r, (items, set)) in rows.zip(sets).enumerate() {
+            for (w, word) in set.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    if !keep(w * 64 + bit as usize, r, items) {
+                        *word &= !(1 << bit);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The generation step: replaces this level with the next one, joined
+    /// from the rows' current member sets. `distinct` is the set of members
+    /// whose candidates may not repeat an item.
+    ///
+    /// # Panics
+    /// When the next level has more than `u32::MAX` rows.
+    pub(crate) fn join(&mut self, distinct: &[u64]) {
+        let (k, words) = (self.level, self.words);
+        let any_distinct = distinct.iter().any(|&w| w != 0);
+        // At most every row of each joining row's range, so the buffers
+        // never grow mid-join.
+        let bound: usize = (0..self.len())
+            .filter(|&a| {
+                self.members[a * words..(a + 1) * words]
+                    .iter()
+                    .any(|&w| w != 0)
+            })
+            .map(|a| {
+                let s = self.suffix[a] as usize;
+                (self.children[s + 1] - self.children[s]) as usize
+            })
+            .sum();
+        let mut next = Lattice {
+            level: k + 1,
+            words,
+            items: Vec::with_capacity(bound * (k + 1)),
+            suffix: Vec::with_capacity(bound),
+            children: Vec::with_capacity(self.len() + 1),
+            members: Vec::with_capacity(bound * words),
+        };
+        let row_id = |rows: usize| u32::try_from(rows).expect("lattice rows fit u32 ids");
+        for (a, (items_a, set_a)) in self
+            .items
+            .chunks_exact(k)
+            .zip(self.members.chunks_exact(words))
+            .enumerate()
+        {
+            next.children.push(row_id(next.len()));
+            if set_a.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let s = self.suffix[a] as usize;
+            for b in self.children[s] as usize..self.children[s + 1] as usize {
+                let item = self.items[(b + 1) * k - 1];
+                let repeats = any_distinct && items_a.contains(&item);
+                let set_b = &self.members[b * words..(b + 1) * words];
+                let start = next.members.len();
+                next.members
+                    .extend(set_a.iter().zip(set_b).zip(distinct).map(|((&x, &y), &d)| {
+                        if repeats {
+                            x & y & !d
+                        } else {
+                            x & y
+                        }
+                    }));
+                if next.members[start..].iter().all(|&w| w == 0) {
+                    next.members.truncate(start);
+                    continue;
+                }
+                next.items.extend_from_slice(items_a);
+                next.items.push(item);
+                next.suffix.push(b as u32);
+            }
+        }
+        next.children.push(row_id(next.len()));
+        *self = next;
+    }
 }
 
 #[cfg(test)]

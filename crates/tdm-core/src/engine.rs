@@ -65,7 +65,7 @@ pub mod vertical;
 pub use bitmask::BitmaskNfa;
 pub use vertical::OccurrenceIndex;
 
-use crate::episode::Episode;
+use crate::episode::{distinct_items, Episode};
 use crate::segment::{continuation_count_items, count_segmented_exact_items};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -112,6 +112,21 @@ impl std::fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
+
+/// Checks that `episodes` episodes holding `items` items in total fit a
+/// layout indexed below `cap`.
+fn check_layout(episodes: usize, items: usize, cap: u32) -> Result<(), CompileError> {
+    if episodes > cap as usize {
+        return Err(CompileError::TooManyEpisodes { episodes, max: cap });
+    }
+    if items > cap as usize {
+        return Err(CompileError::TooManyItems {
+            total: items,
+            max: cap,
+        });
+    }
+    Ok(())
+}
 
 /// One of the engine's interchangeable counting strategies — all
 /// bit-identical, chosen per level by cost
@@ -292,17 +307,8 @@ impl CompiledCandidates {
         episodes: &[Episode],
         cap: u32,
     ) -> Result<(), CompileError> {
-        if episodes.len() > cap as usize {
-            return Err(CompileError::TooManyEpisodes {
-                episodes: episodes.len(),
-                max: cap,
-            });
-        }
         let total: usize = episodes.iter().map(|e| e.items().len()).sum();
-        if total > cap as usize {
-            return Err(CompileError::TooManyItems { total, max: cap });
-        }
-        self.alphabet_len = alphabet_len;
+        check_layout(episodes.len(), total, cap)?;
         self.items.clear();
         self.offsets.clear();
         self.repeated.clear();
@@ -319,11 +325,46 @@ impl CompiledCandidates {
                 self.repeated.push(i as u32);
             }
         }
+        self.index_anchors(alphabet_len);
+        Ok(())
+    }
 
-        // Anchor index: counting sort of episode indices by first item.
+    /// Rebuilds the layout in place from equal-length rows of `level` items
+    /// laid end to end in `items` — one level of the mining loop's candidate
+    /// lattice, compiled without an [`Episode`] per row. Row `r` becomes
+    /// compiled episode `r`.
+    ///
+    /// # Panics
+    /// When the rows exceed the `u32`-indexed layout (as [`recompile`]).
+    ///
+    /// [`recompile`]: CompiledCandidates::recompile
+    pub(crate) fn recompile_rows(&mut self, alphabet_len: usize, level: usize, items: &[u8]) {
+        let rows = items.len() / level;
+        check_layout(rows, items.len(), u32::MAX)
+            .unwrap_or_else(|e| panic!("candidate set exceeds the compiled layout: {e}"));
+        debug_assert!(items.iter().all(|&s| (s as usize) < alphabet_len));
+        self.items.clear();
+        self.items.extend_from_slice(items);
+        self.offsets.clear();
+        self.offsets.extend((0..=rows).map(|r| (r * level) as u32));
+        self.repeated.clear();
+        for (r, row) in items.chunks_exact(level).enumerate() {
+            if !distinct_items(row) {
+                self.repeated.push(r as u32);
+            }
+        }
+        self.max_level = if rows == 0 { 0 } else { level };
+        self.index_anchors(alphabet_len);
+    }
+
+    /// Builds the anchor index over the compiled episodes: a counting sort
+    /// of episode indices by first item.
+    fn index_anchors(&mut self, alphabet_len: usize) {
+        self.alphabet_len = alphabet_len;
+        let episodes = self.len();
         self.anchor_offsets.clear();
         self.anchor_offsets.resize(alphabet_len + 1, 0);
-        for i in 0..episodes.len() {
+        for i in 0..episodes {
             let first = self.items[self.offsets[i] as usize] as usize;
             self.anchor_offsets[first + 1] += 1;
         }
@@ -331,16 +372,15 @@ impl CompiledCandidates {
             self.anchor_offsets[c + 1] += self.anchor_offsets[c];
         }
         self.anchor_episodes.clear();
-        self.anchor_episodes.resize(episodes.len(), 0);
+        self.anchor_episodes.resize(episodes, 0);
         self.anchor_cursor.clear();
         self.anchor_cursor
             .extend_from_slice(&self.anchor_offsets[..alphabet_len]);
-        for i in 0..episodes.len() {
+        for i in 0..episodes {
             let first = self.items[self.offsets[i] as usize] as usize;
             self.anchor_episodes[self.anchor_cursor[first] as usize] = i as u32;
             self.anchor_cursor[first] += 1;
         }
-        Ok(())
     }
 
     /// Number of compiled episodes.

@@ -83,14 +83,7 @@ impl Episode {
     /// consistent with sequential counting for such episodes (see
     /// [`crate::segment`]).
     pub fn has_distinct_items(&self) -> bool {
-        let mut seen = [false; 256];
-        for &i in &self.items {
-            if seen[i as usize] {
-                return false;
-            }
-            seen[i as usize] = true;
-        }
-        true
+        distinct_items(&self.items)
     }
 
     /// Renders the episode with an alphabet, e.g. `<A,B,C>`.
@@ -128,6 +121,18 @@ impl Episode {
         items.push(item.0);
         Episode { items }
     }
+}
+
+/// True when no item of `items` repeats ([`Episode::has_distinct_items`] on
+/// a bare row of items).
+pub(crate) fn distinct_items(items: &[u8]) -> bool {
+    let mut seen = [0u64; 4];
+    items.iter().all(|&i| {
+        let (word, bit) = (usize::from(i) / 64, 1u64 << (i % 64));
+        let fresh = seen[word] & bit == 0;
+        seen[word] |= bit;
+        fresh
+    })
 }
 
 #[cfg(test)]

@@ -33,10 +33,10 @@
 //!   backends implement [`session::Executor`] over borrowed
 //!   [`session::CountRequest`] views ([`session`]);
 //! * **cross-request co-mining**: a [`session::MiningSession`] built with
-//!   several configurations advances them over one database in lockstep,
-//!   counting each level's deduplicated [`engine::CandidateUnion`] with a
-//!   single shared scan and demultiplexing the counts back per member —
-//!   bit-identical to mining each configuration alone;
+//!   several configurations advances them over one database in lockstep on
+//!   one flat candidate lattice — one join, one compile and one shared scan
+//!   per level, whose counts every member reads in place — bit-identical to
+//!   mining each configuration alone;
 //! * the level-wise mining loop of the paper's Algorithm 1, a thin driver
 //!   over a session ([`miner`]);
 //! * the episode-expiry extension sketched in the paper's future work ([`expiry`]).

@@ -27,12 +27,17 @@
 //! A session mines **one or more** member configurations over its one stream
 //! snapshot (Mayura-style co-mining): every [`MiningSessionBuilder::config`]
 //! call adds a member, and the members' level loops advance in lockstep with
-//! one compile and one executor scan per level, however many members are
-//! still mining ([`MiningSession::co_mine`]). A solo request is a batch of
-//! one: a level with a single active member compiles that member's
-//! candidates directly and uses the counts as returned; a level with several
-//! merges them into one deduplicated [`CandidateUnion`] and demultiplexes the
-//! union counts back per member.
+//! one join, one compile and one executor scan per level, however many
+//! members are still mining ([`MiningSession::co_mine`]). A solo request is a
+//! batch of one. The level loop keeps its candidates in one flat lattice per
+//! mine (Patnaik et al.'s flat layouts): each level-`k` row holds its `k`
+//! items and links to its prefix and suffix parents in level `k − 1`, and
+//! carries the set of members it is a candidate for — both parents frequent
+//! for the member, and the member's `distinct_items_only` rule passed. The
+//! rows are exactly the union of the members' candidate sets, in
+//! lexicographic order; they compile straight into the session's buffers,
+//! and every member reads its counts in place. An [`Episode`] is built only
+//! for a frequent row of a member's reply.
 //!
 //! Sessions come in two ownership shapes. [`MiningSession::builder`] borrows
 //! the database (`MiningSession<'db>`), right for scoped use. A **serving**
@@ -63,8 +68,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::candidate::{apriori_join, level1};
-use crate::engine::{CandidateUnion, CompiledCandidates, OccurrenceIndex, MIN_SHARD_STREAM};
+use crate::candidate::Lattice;
+use crate::engine::{CompiledCandidates, OccurrenceIndex, MIN_SHARD_STREAM};
 use crate::episode::Episode;
 use crate::miner::MinerConfig;
 use crate::segment::even_bounds;
@@ -551,7 +556,6 @@ impl<'db> MiningSessionBuilder<'db> {
             db: self.db,
             stream,
             configs,
-            union: CandidateUnion::default(),
             compiled: Arc::new(CompiledCandidates::default()),
             vertical: OnceLock::new(),
             workers,
@@ -581,11 +585,11 @@ fn shard_bounds(n: usize, workers: usize) -> Vec<usize> {
 /// One session serves any number of executors; the compiled buffers are
 /// recompiled **in place** exactly once per level (`Arc::make_mut` — workers
 /// drop their handles at the end of each execute, so the steady state never
-/// copies). With several members still mining, a level's candidate sets are
-/// merged into one deduplicated [`CandidateUnion`], compiled once, counted
-/// with a **single** executor scan, and demultiplexed back into each
-/// member's own candidate ordering — K requests over one database cost ~1
-/// scan per level instead of K. Results are **bit-identical** to mining each
+/// copies). With several members still mining, a level is joined once over
+/// the members' frequent rows, compiled once as the union of their candidate
+/// sets, and counted with a **single** executor scan that every member reads
+/// in place — K requests over one database cost one join and one scan per
+/// level instead of K. Results are **bit-identical** to mining each
 /// configuration alone: the engine's count of an episode never depends on
 /// what else is compiled alongside it, which the workspace differential
 /// suite (`tests/comining.rs`) proves under adversarial overlap. See the
@@ -623,9 +627,6 @@ pub struct MiningSession<'db> {
     epoch: u64,
     /// The member configurations, in result order (never empty).
     configs: Vec<MinerConfig>,
-    /// The deduplicated candidate union of a level with several active
-    /// members; untouched while a single member mines.
-    union: CandidateUnion,
     compiled: Arc<CompiledCandidates>,
     /// Per-symbol occurrence index over `stream`, built lazily by the first
     /// strategy-dispatching execute and reused for the session's whole
@@ -651,14 +652,6 @@ impl std::fmt::Debug for MiningSession<'_> {
             .field("compiles", &self.compiles)
             .finish()
     }
-}
-
-/// One member's progress through the lockstep level loop: its config, its
-/// current candidates (empty once it retires), and its result so far.
-struct Member {
-    config: MinerConfig,
-    candidates: Vec<Episode>,
-    result: MiningResult,
 }
 
 impl<'db> MiningSession<'db> {
@@ -842,11 +835,14 @@ impl<'db> MiningSession<'db> {
         Some(perm)
     }
 
-    /// Compiles one level's candidate sets into the session's reusable
-    /// buffers (the plan step) and returns the request for the level: a
-    /// single set compiles directly, several merge into the session's
-    /// deduplicated [`CandidateUnion`] first.
-    fn plan(&mut self, level: usize, sets: &[&[Episode]]) -> CountRequest<'_> {
+    /// The plan step: `compile` fills the session's reusable buffers in place
+    /// (given them and the alphabet size), and the level's request borrows
+    /// the result.
+    fn plan(
+        &mut self,
+        level: usize,
+        compile: impl FnOnce(&mut CompiledCandidates, usize),
+    ) -> CountRequest<'_> {
         // The epoch guard on the lazily cached occurrence index: an
         // append-only stream never changes in place, so a cached index
         // describes the current snapshot iff their lengths agree. A mismatch
@@ -860,13 +856,7 @@ impl<'db> MiningSession<'db> {
             self.vertical.take();
         }
         let alphabet_len = self.db.get().alphabet().len();
-        let compiled = Arc::make_mut(&mut self.compiled);
-        if let [only] = sets {
-            compiled.recompile(alphabet_len, only);
-        } else {
-            self.union.rebuild(sets);
-            compiled.recompile(alphabet_len, self.union.episodes());
-        }
+        compile(Arc::make_mut(&mut self.compiled), alphabet_len);
         self.compiles += 1;
         CountRequest {
             db: self.db.get(),
@@ -889,7 +879,9 @@ impl<'db> MiningSession<'db> {
     /// [`count_candidates`]: MiningSession::count_candidates
     pub fn plan_candidates(&mut self, candidates: &[Episode]) -> CountRequest<'_> {
         let level = candidates.iter().map(|e| e.level()).max().unwrap_or(1);
-        self.plan(level, &[candidates])
+        self.plan(level, |compiled, alphabet_len| {
+            compiled.recompile(alphabet_len, candidates)
+        })
     }
 
     /// Compiles `candidates` once and executes `executor` against them.
@@ -903,16 +895,20 @@ impl<'db> MiningSession<'db> {
         executor: &mut E,
     ) -> Result<Counts, MineError> {
         let level = candidates.iter().map(|e| e.level()).max().unwrap_or(1);
-        self.count_level(level, &[candidates], executor)
+        self.count_level(
+            level,
+            |compiled, alphabet_len| compiled.recompile(alphabet_len, candidates),
+            executor,
+        )
     }
 
     fn count_level<E: Executor + ?Sized>(
         &mut self,
         level: usize,
-        sets: &[&[Episode]],
+        compile: impl FnOnce(&mut CompiledCandidates, usize),
         executor: &mut E,
     ) -> Result<Counts, MineError> {
-        let req = self.plan(level, sets);
+        let req = self.plan(level, compile);
         let expected = req.candidates();
         let counts = executor.execute(&req).map_err(|source| MineError {
             level,
@@ -985,45 +981,33 @@ impl<'db> MiningSession<'db> {
     }
 
     /// The one level loop behind [`mine_with`](Self::mine_with) and
-    /// [`co_mine`](Self::co_mine): count the active members' candidates with
-    /// one scan, then let each member eliminate with its own α and join its
-    /// survivors into its next level. `on_level` sees each member's level
-    /// result (member index first).
+    /// [`co_mine`](Self::co_mine), over one flat candidate [`Lattice`] per
+    /// mine: compile the level's rows, count them with one scan, let each
+    /// member eliminate with its own α in place, then join once for every
+    /// member still mining. `on_level` sees each member's level result
+    /// (member index first).
     fn lockstep<E: Executor + ?Sized>(
         &mut self,
         executor: &mut E,
         mut on_level: impl FnMut(usize, &LevelResult),
     ) -> Result<Vec<MiningResult>, MineError> {
-        let n = self.db.get().len();
-        let mut members: Vec<Member> = self
+        let db = self.db.get();
+        let n = db.len();
+        let mines =
+            |config: &MinerConfig, level: usize| config.max_level.is_none_or(|l| level <= l);
+        let distinct = member_set(&self.configs, |c| c.distinct_items_only);
+        let mining = member_set(&self.configs, |c| mines(c, 1));
+        let mut lattice = Lattice::singletons(db.alphabet().len(), &mining);
+        let mut results: Vec<MiningResult> = self
             .configs
             .iter()
-            .map(|&config| Member {
-                config,
-                candidates: level1(self.db.get().alphabet()),
-                result: MiningResult {
-                    levels: Vec::new(),
-                    db_len: n,
-                },
+            .map(|_| MiningResult {
+                levels: Vec::new(),
+                db_len: n,
             })
             .collect();
         let mut level = 1usize;
-        loop {
-            // Retire members past their level bound; the loop's other exit is
-            // a member running out of candidates.
-            for m in &mut members {
-                if m.config.max_level.is_some_and(|maxl| level > maxl) {
-                    m.candidates.clear();
-                }
-            }
-            let sets: Vec<&[Episode]> = members
-                .iter()
-                .filter(|m| !m.candidates.is_empty())
-                .map(|m| m.candidates.as_slice())
-                .collect();
-            if sets.is_empty() {
-                break;
-            }
+        while !lattice.is_empty() {
             // Cooperative cancellation: an abandoned request (deadline passed,
             // client gone) stops here, before compiling or scanning the next
             // level — completed levels are simply discarded with the error.
@@ -1034,45 +1018,65 @@ impl<'db> MiningSession<'db> {
                     source: BackendError::Cancelled,
                 });
             }
-            let fused = sets.len() > 1;
-            let counts = self.count_level(level, &sets, executor)?;
+            let counts = self.count_level(
+                level,
+                |compiled, alphabet_len| {
+                    compiled.recompile_rows(alphabet_len, lattice.level(), lattice.items())
+                },
+                executor,
+            )?;
 
-            // Per-member elimination and generation: a lone member reads the
-            // counts as returned, several demux their share of the union.
-            let mut slot = 0usize;
-            for (i, m) in members.iter_mut().enumerate() {
-                if m.candidates.is_empty() {
-                    continue;
-                }
-                let demuxed;
-                let counts: &[u64] = if fused {
-                    demuxed = self.union.demux(slot, &counts);
-                    &demuxed
-                } else {
-                    &counts
-                };
-                slot += 1;
-                let frequent: Vec<(Episode, u64)> = m
-                    .candidates
-                    .iter()
-                    .zip(counts.iter().copied())
-                    .filter(|(_, c)| support(*c, n) > m.config.alpha)
-                    .map(|(e, c)| (e.clone(), c))
-                    .collect();
-                let next_seed: Vec<Episode> = frequent.iter().map(|(e, _)| e.clone()).collect();
-                let level_result = LevelResult {
+            // Each member reads its rows' counts in place; an `Episode` is
+            // built only for a frequent row, and a row stays in a member's
+            // set for the join only if the member mines the next level.
+            let mut levels: Vec<LevelResult> = self
+                .configs
+                .iter()
+                .map(|_| LevelResult {
                     level,
-                    candidates: m.candidates.len(),
-                    frequent,
-                };
-                on_level(i, &level_result);
-                m.result.levels.push(level_result);
-                m.candidates = apriori_join(&next_seed, m.config.distinct_items_only);
+                    candidates: 0,
+                    frequent: Vec::new(),
+                })
+                .collect();
+            let configs = &self.configs;
+            let mut joining = false;
+            lattice.retain(|m, row, items| {
+                let result = &mut levels[m];
+                result.candidates += 1;
+                let count = counts[row];
+                let frequent = support(count, n) > configs[m].alpha;
+                if frequent {
+                    let episode = Episode::new(items.to_vec()).expect("lattice rows are non-empty");
+                    result.frequent.push((episode, count));
+                }
+                let keep = frequent && mines(&configs[m], level + 1);
+                joining |= keep;
+                keep
+            });
+            for (m, result) in levels.into_iter().enumerate() {
+                if result.candidates > 0 {
+                    on_level(m, &result);
+                    results[m].levels.push(result);
+                }
             }
+            if !joining {
+                break;
+            }
+            lattice.join(&distinct);
             level += 1;
         }
-        Ok(members.into_iter().map(|m| m.result).collect())
+        Ok(results)
     }
+}
+
+/// The set of members whose config satisfies `pick`, one bit per member in
+/// config order (the lattice's member-set layout).
+fn member_set(configs: &[MinerConfig], pick: impl Fn(&MinerConfig) -> bool) -> Vec<u64> {
+    let mut set = vec![0u64; configs.len().div_ceil(64)];
+    for (m, config) in configs.iter().enumerate() {
+        set[m / 64] |= u64::from(pick(config)) << (m % 64);
+    }
+    set
 }
 
 #[cfg(test)]
@@ -1223,10 +1227,6 @@ mod tests {
         let mut spy = SizeSpy(Vec::new());
         let result = session.mine(&mut spy).unwrap();
         assert!(result.levels.len() > 1, "the loop must reach level 2");
-        assert!(
-            session.union.is_empty() && session.union.sources() == 0,
-            "a batch of one compiles its candidates directly"
-        );
         // Every scan saw exactly the member's own candidate set.
         let own: Vec<(usize, usize)> = result
             .levels
@@ -1234,6 +1234,29 @@ mod tests {
             .map(|l| (l.level, l.candidates))
             .collect();
         assert_eq!(spy.0, own);
+    }
+
+    #[test]
+    fn a_batch_wider_than_one_member_word_mines_every_member_exactly() {
+        // 70 members: member sets span two 64-bit words per lattice row.
+        let db = EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBAC".repeat(20)).unwrap();
+        let configs: Vec<MinerConfig> = (0..70)
+            .map(|i| MinerConfig {
+                alpha: 0.02 * (i % 7) as f64,
+                max_level: Some(1 + i % 4),
+                distinct_items_only: i % 3 != 0,
+            })
+            .collect();
+        let mut group = MiningSession::builder(&db)
+            .configs(configs.iter().copied())
+            .build();
+        let results = group.co_mine(&mut SpyBackend { executes: 0 }).unwrap();
+        for (config, got) in configs.iter().zip(&results) {
+            let solo = Miner::new(*config)
+                .mine(&db, &mut SequentialBackend::default())
+                .unwrap();
+            assert_eq!(*got, solo, "{config:?}");
+        }
     }
 
     /// A session mined with the strategy-dispatching executor, plus whether

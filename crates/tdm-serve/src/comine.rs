@@ -207,7 +207,7 @@ impl Deliveries {
         }
     }
 
-    /// Routes one demuxed result per member (in join order), stamped with
+    /// Routes one result per member (in join order), stamped with
     /// the batch's shared run.
     pub(crate) fn deliver_ok(&mut self, results: Vec<MiningResult>, run: BatchRun) {
         debug_assert_eq!(results.len(), self.members.len());

@@ -34,10 +34,11 @@
 //!   configured ([`ServiceConfig::comine_window`]), concurrent requests that
 //!   share a database (same content hash, fully verified) but differ in
 //!   configuration are **fused**: the first one leads, later ones join, and
-//!   the whole batch is mined as one multi-member session — a single
-//!   deduplicated union scan per level instead of one scan per request, with
-//!   counts demultiplexed back per member. Batches form **before admission**
-//!   (overload-first scheduling): joiners never hold an in-flight slot, so a
+//!   the whole batch is mined as one multi-member session — one join and a
+//!   single scan per level over the union of the members' candidates instead
+//!   of one scan per request, each member reading its counts in place.
+//!   Batches form **before admission** (overload-first scheduling): joiners
+//!   never hold an in-flight slot, so a
 //!   saturated gate — exactly when same-database requests pile up — fuses K
 //!   queued requests into one admitted unit instead of K serialized solo
 //!   runs, and [`MiningService::submit`]-style members vote on the fused

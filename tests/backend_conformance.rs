@@ -1,7 +1,8 @@
 //! Backend conformance suite for the plan/execute counting API.
 //!
-//! Every CPU backend and all four simulated GPU kernels run through the *new*
-//! [`Executor`] trait against one shared [`MiningSession`]:
+//! Every CPU backend — the served default `AutoBackend` and the session's
+//! `SequentialBackend` included — and all four simulated GPU kernels run
+//! through the *new* [`Executor`] trait against one shared [`MiningSession`]:
 //!
 //! * bit-identical counts on the paper-database slice;
 //! * bit-identical counts on adversarial inputs — empty candidate set,
@@ -15,12 +16,20 @@
 use proptest::prelude::*;
 use temporal_mining::core::candidate::permutations;
 use temporal_mining::core::count::count_episodes_naive;
+use temporal_mining::core::miner::SequentialBackend;
 use temporal_mining::prelude::*;
 use temporal_mining::workloads::paper_database_scaled;
 
-/// All CPU executors under test, with a label.
+/// All CPU executors under test, with a label: the served default
+/// (`AutoBackend`, behind every wire `mine`), the session's built-in
+/// sequential scan, and the baselines.
 fn cpu_executors() -> Vec<(String, Box<dyn Executor>)> {
     let mut v: Vec<(String, Box<dyn Executor>)> = vec![
+        ("cpu-engine-auto".into(), Box::new(AutoBackend)),
+        (
+            "cpu-sequential".into(),
+            Box::new(SequentialBackend::default()),
+        ),
         ("cpu-serial-scan".into(), Box::new(SerialScanBackend)),
         (
             "cpu-active-set".into(),
@@ -307,6 +316,8 @@ proptest! {
         let reference = count_episodes_naive(&db, &episodes);
         let mut session = MiningSession::builder(&db).workers(workers).build();
         let mut executors: Vec<(&str, Box<dyn Executor>)> = vec![
+            ("auto", Box::new(AutoBackend)),
+            ("sequential", Box::new(SequentialBackend::default())),
             ("serial", Box::new(SerialScanBackend)),
             ("active", Box::new(ActiveSetBackend::default())),
             ("sharded", Box::new(ShardedScanBackend::new(workers))),

@@ -19,7 +19,9 @@
 //!   scans.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
+use temporal_mining::core::candidate::{apriori_join, level1};
 use temporal_mining::core::count::count_episodes_naive;
 use temporal_mining::core::engine::{CandidateUnion, CompiledCandidates, CountScratch};
 use temporal_mining::core::miner::SequentialBackend;
@@ -68,6 +70,81 @@ fn serial_results(db: &EventDb, configs: &[MinerConfig]) -> Vec<MiningResult> {
                 .expect("serial mining failed")
         })
         .collect()
+}
+
+/// The size of the union of the members' solo candidate sets at each level,
+/// each set rebuilt from the member's serial result with `apriori_join`
+/// (level 1 is every symbol) — what a fused level must compile, no more.
+fn union_of_solo_candidates(
+    db: &EventDb,
+    configs: &[MinerConfig],
+    serial: &[MiningResult],
+) -> Vec<usize> {
+    let depth = serial.iter().map(|r| r.levels.len()).max().unwrap_or(0);
+    (0..depth)
+        .map(|l| {
+            let mut union = BTreeSet::new();
+            for (config, result) in configs.iter().zip(serial) {
+                let Some(level) = result.levels.get(l) else {
+                    continue;
+                };
+                let set = match l.checked_sub(1) {
+                    None => level1(db.alphabet()),
+                    Some(prev) => {
+                        let frequent: Vec<Episode> = result.levels[prev]
+                            .frequent
+                            .iter()
+                            .map(|(e, _)| e.clone())
+                            .collect();
+                        apriori_join(&frequent, config.distinct_items_only)
+                    }
+                };
+                assert_eq!(set.len(), level.candidates, "rebuilt a wrong solo set");
+                union.extend(set);
+            }
+            union.len()
+        })
+        .collect()
+}
+
+#[test]
+fn fused_levels_compile_exactly_the_union_of_the_members_solo_candidates() {
+    // Mixed generation rules, thresholds and level bounds over a bursty
+    // stream: repeated pairs ("AA") are frequent only for the repeats-allowed
+    // member, most distinct pairs only for the low-α distinct one. Joining
+    // the union of their frequent episodes, without each member's own parent
+    // test, compiles a superset.
+    let configs = [
+        (0.0003, 3, true),
+        (0.004, 3, false),
+        (0.01, 2, false),
+        (0.001, 2, true),
+    ]
+    .map(|(alpha, max_level, distinct_items_only)| MinerConfig {
+        alpha,
+        max_level: Some(max_level),
+        distinct_items_only,
+    });
+    let db = Arc::new(markov_letters(6_000, 5, 0.6));
+    let serial = serial_results(&db, &configs);
+    let mut spy = ScanSpy::default();
+    let results = MiningSession::builder_shared(Arc::clone(&db))
+        .configs(configs)
+        .build()
+        .co_mine(&mut spy)
+        .expect("co-mining failed");
+    assert_eq!(results, serial);
+    let union = union_of_solo_candidates(&db, &configs, &serial);
+    assert_eq!(spy.set_sizes, union);
+
+    // The input has teeth: at level 3, joining every level-2 frequent
+    // episode of the members that mine level 3 gives strictly more.
+    let frequent: BTreeSet<Episode> = serial[..2]
+        .iter()
+        .flat_map(|r| r.levels[1].frequent.iter().map(|(e, _)| e.clone()))
+        .collect();
+    let frequent: Vec<Episode> = frequent.into_iter().collect();
+    assert!(apriori_join(&frequent, false).len() > union[2]);
 }
 
 #[test]
@@ -396,7 +473,9 @@ proptest! {
 
     /// The full loop: a K-member session over arbitrary configs (thresholds that
     /// empty levels early, different level bounds, repeated-item universes)
-    /// equals per-config serial mining, on sequential and sharded executors.
+    /// equals per-config serial mining, on sequential and sharded executors,
+    /// and each fused level compiles exactly the union of the members' solo
+    /// candidate sets.
     #[test]
     fn co_mining_equals_serial_mining_under_arbitrary_configs(
         data in proptest::collection::vec(0u8..4, 0..300),
@@ -417,8 +496,10 @@ proptest! {
         let mut group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
             .build();
-        let fused = group.co_mine(&mut SequentialBackend::default()).unwrap();
+        let mut spy = ScanSpy::default();
+        let fused = group.co_mine(&mut spy).unwrap();
         prop_assert_eq!(&fused, &serial);
+        prop_assert_eq!(spy.set_sizes, union_of_solo_candidates(&db, &configs, &serial));
         let mut sharded_group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
             .workers(3)
