@@ -53,7 +53,7 @@ use tdm_core::miner::{Miner, MinerConfig, SequentialBackend};
 use tdm_core::stats::MiningResult;
 use tdm_core::{Alphabet, Episode, EventDb, StreamingSession};
 use tdm_mapreduce::pool::default_workers;
-use tdm_serve::{BackendChoice, MiningRequest, MiningService, ServiceConfig};
+use tdm_serve::{MiningRequest, MiningService, ServiceConfig};
 use tdm_server::client::mine_request;
 use tdm_server::json::Value;
 use tdm_server::{wire, Client, Server, ServerConfig, TenantConfig};
@@ -409,32 +409,21 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
     // The ground truth, encoded through the very serializer the server uses:
     // replies must match byte for byte.
     let want = wire::mining_result_value(&serial, &Alphabet::latin26()).encode();
-    let backends = ["sharded", "mapreduce", "activeset"];
 
     // In-process baseline: the identical request stream (same db, same
-    // config, same backend rotation) submitted straight into a service.
+    // config) submitted straight into a service.
     let inprocess_qps_1 = {
         let service = MiningService::new(ServiceConfig {
             workers: cfg.workers,
             max_in_flight: default_workers(),
             ..Default::default()
         });
-        let requests: Vec<MiningRequest> = [
-            BackendChoice::Sharded,
-            BackendChoice::MapReduce,
-            BackendChoice::ActiveSet,
-        ]
-        .iter()
-        .map(|&b| {
-            let req = MiningRequest::new(Arc::clone(db), cfg.mining).backend(b);
-            req.key();
-            req
-        })
-        .collect();
+        let request = MiningRequest::new(Arc::clone(db), cfg.mining);
+        request.key();
         let started = Instant::now();
-        for round in 0..per_client {
+        for _ in 0..per_client {
             let resp = service
-                .submit(&requests[round % requests.len()])
+                .submit(&request)
                 .expect("in-process baseline request failed");
             assert_eq!(resp.result, serial, "in-process baseline diverged");
         }
@@ -462,7 +451,7 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
         let latencies = Arc::new(Mutex::new(Vec::<f64>::new()));
         let started = Instant::now();
         std::thread::scope(|s| {
-            for client in 0..clients {
+            for _ in 0..clients {
                 let latencies = Arc::clone(&latencies);
                 let letters = &letters;
                 let want = &want;
@@ -470,14 +459,14 @@ fn run_socket(cfg: &ServeBenchConfig, db: &Arc<EventDb>) -> SocketBench {
                     let mut conn =
                         Client::connect(addr).expect("socket bench client failed to connect");
                     let mut local = Vec::with_capacity(per_client);
-                    for round in 0..per_client {
+                    for _ in 0..per_client {
                         let request = mine_request(
                             "bench",
                             "bench",
                             letters,
                             cfg.mining.alpha,
                             cfg.mining.max_level,
-                            Some(backends[(client + round) % backends.len()]),
+                            None,
                             None,
                             None,
                         );
@@ -898,27 +887,16 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBench {
                 .expect("serial reference mining failed")
         })
         .collect();
-    // Mixed backends, mirroring heterogeneous tenants.
-    let backends = [
-        BackendChoice::Sharded,
-        BackendChoice::MapReduce,
-        BackendChoice::ActiveSet,
-    ];
     // Build (and key-hash) every request value once, outside the timed
     // region: steady-state clients hold their request values across
     // submissions, so the measured latency should not include the one-time
     // content hash.
-    let requests: Vec<Vec<MiningRequest>> = workloads
+    let requests: Vec<MiningRequest> = workloads
         .iter()
         .map(|(_, db)| {
-            backends
-                .iter()
-                .map(|&b| {
-                    let req = MiningRequest::new(Arc::clone(db), cfg.mining).backend(b);
-                    req.key(); // warm the memoized session key
-                    req
-                })
-                .collect()
+            let req = MiningRequest::new(Arc::clone(db), cfg.mining);
+            req.key(); // warm the memoized session key
+            req
         })
         .collect();
 
@@ -944,12 +922,10 @@ pub fn run(cfg: &ServeBenchConfig) -> ServeBench {
                     let mut local = Vec::with_capacity(per_client);
                     for round in 0..per_client {
                         let which = (client + round) % workloads.len();
-                        // Decorrelated from `which` (offset advances by round),
-                        // so every workload meets every backend over a
-                        // client's rounds instead of a fixed pairing.
-                        let req = &requests[which][(client + 2 * round) % backends.len()];
                         let t = Instant::now();
-                        let resp = service.submit(req).expect("serve request failed");
+                        let resp = service
+                            .submit(&requests[which])
+                            .expect("serve request failed");
                         local.push(t.elapsed().as_secs_f64() * 1e3);
                         assert_eq!(
                             resp.result, serial[which],

@@ -76,8 +76,6 @@ pub use engine::{
     DispatchClass, GpuDispatchModel, OccurrenceIndex, StrategyCosts,
 };
 pub use episode::Episode;
-#[allow(deprecated)]
-pub use miner::CountingBackend;
 pub use miner::{AutoBackend, Miner, MinerConfig, SequentialBackend};
 pub use semantics::CountSemantics;
 pub use sequence::EventDb;

@@ -20,55 +20,11 @@
 //! [`MiningSession`]: crate::session::MiningSession
 
 use crate::engine::{with_thread_scratch, BitmaskNfa, CountStrategy};
-use crate::episode::Episode;
 use crate::segment::segment_ranges;
 use crate::sequence::EventDb;
 use crate::session::{BackendError, CountRequest, Counts, Executor, MineError, MiningSession};
 use crate::stats::{LevelResult, MiningResult};
 use std::sync::Arc;
-
-/// The legacy counting-step strategy: given the database and raw candidate
-/// episodes, produce one appearance count per candidate.
-///
-/// Superseded by the plan/execute split of [`crate::session`]: implement
-/// [`Executor`] instead and drive it with a [`MiningSession`] (or
-/// [`Miner::mine`]), which compiles the candidate set once per level and
-/// lends backends a [`CountRequest`] view. Every [`Executor`] still
-/// implements this trait through a blanket shim, so old call sites keep
-/// working (each `count` call plans a throwaway session).
-///
-/// [`CountRequest`]: crate::session::CountRequest
-/// [`MiningSession`]: crate::session::MiningSession
-#[deprecated(
-    since = "0.2.0",
-    note = "implement tdm_core::session::Executor and drive it with a MiningSession (or Miner::mine)"
-)]
-pub trait CountingBackend {
-    /// Counts every candidate episode over the database.
-    fn count(&mut self, db: &EventDb, candidates: &[Episode]) -> Vec<u64>;
-
-    /// A short human-readable name (used in reports).
-    fn name(&self) -> &str {
-        "unnamed"
-    }
-}
-
-/// Every new-style [`Executor`] still serves the deprecated trait: one
-/// throwaway [`MiningSession`] per call (compile + execute). Migration shim
-/// only — the session API amortizes the plan step across levels.
-#[allow(deprecated)]
-impl<E: Executor> CountingBackend for E {
-    fn count(&mut self, db: &EventDb, candidates: &[Episode]) -> Vec<u64> {
-        let mut session = MiningSession::builder(db).build();
-        session
-            .count_candidates(candidates, self)
-            .expect("counting backend failed")
-    }
-
-    fn name(&self) -> &str {
-        Executor::name(self)
-    }
-}
 
 /// The built-in sequential executor: one active-set pass over the request's
 /// compiled layout, holding only its [`CountScratch`] across levels (the
@@ -260,6 +216,7 @@ impl Miner {
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use crate::episode::Episode;
 
     fn db_of(s: &str) -> EventDb {
         EventDb::from_str_symbols(&Alphabet::latin26(), s).unwrap()
@@ -374,23 +331,5 @@ mod tests {
             let got = session.mine(&mut AutoBackend).unwrap();
             assert_eq!(got, reference, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn legacy_trait_shim_still_counts() {
-        #[allow(deprecated)]
-        fn old_style<B: CountingBackend>(db: &EventDb, b: &mut B) -> Vec<u64> {
-            let ab = Alphabet::latin26();
-            let eps = vec![
-                Episode::from_str(&ab, "AB").unwrap(),
-                Episode::from_str(&ab, "C").unwrap(),
-            ];
-            b.count(db, &eps)
-        }
-        let db = db_of("ABCABC");
-        assert_eq!(
-            old_style(&db, &mut SequentialBackend::default()),
-            vec![2, 2]
-        );
     }
 }

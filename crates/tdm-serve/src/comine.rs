@@ -40,7 +40,7 @@ use tdm_core::{EventDb, MinerConfig};
 use tdm_mapreduce::pool::Priority;
 
 use crate::cache::db_matches;
-use crate::service::{BackendChoice, CacheOutcome, ServeError};
+use crate::service::{CacheOutcome, ServeError};
 
 /// Co-mining counters since service start (a [`crate::ServiceStats`] field).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,10 +58,6 @@ pub struct CoMiningStats {
     /// pre-admission batch formation exists for. Window joins (made during
     /// an admitted leader's formation window) are not counted here.
     pub waiting_room_joins: u64,
-    /// Fused batches whose member backend vote picked a different executor
-    /// than the leader's own [`BackendChoice`] (majority wins, the leader
-    /// breaks ties). Only batches whose leader declared a backend vote.
-    pub backend_votes_overridden: u64,
 }
 
 /// Default for how long a joiner waits on its slot before concluding the
@@ -150,13 +146,11 @@ impl Waiter {
     }
 }
 
-/// One request that joined a batch: its config, its scheduling class, its
-/// declared backend vote (None for caller-supplied executors), and the slot
-/// its routed result goes to.
+/// One request that joined a batch: its config, its scheduling class, and
+/// the slot its routed result goes to.
 pub(crate) struct JoinedMember {
     pub(crate) config: MinerConfig,
     pub(crate) priority: Priority,
-    pub(crate) backend: Option<BackendChoice>,
     waiter: Arc<Waiter>,
 }
 
@@ -189,12 +183,6 @@ impl Deliveries {
     /// Member configurations, in join (= result) order.
     pub(crate) fn configs(&self) -> impl Iterator<Item = MinerConfig> + '_ {
         self.members.iter().map(|m| m.config)
-    }
-
-    /// Member backend votes, in join order (None = caller-supplied executor,
-    /// which abstains).
-    pub(crate) fn backends(&self) -> impl Iterator<Item = Option<BackendChoice>> + '_ {
-        self.members.iter().map(|m| m.backend)
     }
 
     /// The strongest scheduling class in the batch (fusing never
@@ -345,7 +333,6 @@ impl Batcher {
         db: &Arc<EventDb>,
         config: MinerConfig,
         priority: Priority,
-        backend: Option<BackendChoice>,
     ) -> Entry {
         if !self.enabled() {
             return Entry::Solo;
@@ -360,7 +347,6 @@ impl Batcher {
             slot.joiners.push(JoinedMember {
                 config,
                 priority,
-                backend,
                 waiter: Arc::clone(&waiter),
             });
             if !slot.collecting {
@@ -452,13 +438,7 @@ mod tests {
         let b = Batcher::new(Duration::ZERO, 0);
         assert!(!b.enabled());
         let db = db_of("ABAB");
-        match b.enter(
-            hash_of(&db),
-            &db,
-            MinerConfig::default(),
-            Priority::Normal,
-            None,
-        ) {
+        match b.enter(hash_of(&db), &db, MinerConfig::default(), Priority::Normal) {
             Entry::Solo => {}
             _ => panic!("zero window must not open batches"),
         }
@@ -470,8 +450,7 @@ mod tests {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 2));
         let db = db_of("ABCABC");
         let h = hash_of(&db);
-        let Entry::Leader(token) = b.enter(h, &db, MinerConfig::default(), Priority::Normal, None)
-        else {
+        let Entry::Leader(token) = b.enter(h, &db, MinerConfig::default(), Priority::Normal) else {
             panic!("first request must lead");
         };
         assert_eq!(b.open_batches(), 1);
@@ -479,8 +458,7 @@ mod tests {
             let b = Arc::clone(&b);
             let db = Arc::clone(&db);
             std::thread::spawn(move || {
-                let Entry::Joined(waiter) =
-                    b.enter(h, &db, MinerConfig::default(), Priority::High, None)
+                let Entry::Joined(waiter) = b.enter(h, &db, MinerConfig::default(), Priority::High)
                 else {
                     panic!("second same-db request must join");
                 };
@@ -514,13 +492,12 @@ mod tests {
         let a = db_of("ABCABC");
         let other = db_of("CBACBA"); // same length/alphabet, different content
         let h = hash_of(&a);
-        let Entry::Leader(token) = b.enter(h, &a, MinerConfig::default(), Priority::Normal, None)
-        else {
+        let Entry::Leader(token) = b.enter(h, &a, MinerConfig::default(), Priority::Normal) else {
             panic!("first request must lead");
         };
         // A forged/colliding key: the other database presented under A's
         // hash must open its own batch, not fuse with A's.
-        match b.enter(h, &other, MinerConfig::default(), Priority::Normal, None) {
+        match b.enter(h, &other, MinerConfig::default(), Priority::Normal) {
             Entry::Leader(_) => {}
             _ => panic!("content verification must reject the collision"),
         }
@@ -534,16 +511,14 @@ mod tests {
         let b = Batcher::new(Duration::from_secs(5), 2);
         let db = db_of("XYXY");
         let h = hash_of(&db);
-        let Entry::Leader(_) = b.enter(h, &db, MinerConfig::default(), Priority::Normal, None)
-        else {
+        let Entry::Leader(_) = b.enter(h, &db, MinerConfig::default(), Priority::Normal) else {
             panic!("lead");
         };
-        let Entry::Joined(_) = b.enter(h, &db, MinerConfig::default(), Priority::Normal, None)
-        else {
+        let Entry::Joined(_) = b.enter(h, &db, MinerConfig::default(), Priority::Normal) else {
             panic!("join");
         };
         // Batch of 2 is full: the third same-db request leads a fresh batch.
-        match b.enter(h, &db, MinerConfig::default(), Priority::Normal, None) {
+        match b.enter(h, &db, MinerConfig::default(), Priority::Normal) {
             Entry::Leader(_) => {}
             _ => panic!("full batch must spill"),
         }
@@ -555,8 +530,7 @@ mod tests {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 2));
         let db = db_of("ABAB");
         let h = hash_of(&db);
-        let Entry::Leader(token) = b.enter(h, &db, MinerConfig::default(), Priority::Normal, None)
-        else {
+        let Entry::Leader(token) = b.enter(h, &db, MinerConfig::default(), Priority::Normal) else {
             panic!("lead");
         };
         let joiner = {
@@ -564,7 +538,7 @@ mod tests {
             let db = Arc::clone(&db);
             std::thread::spawn(move || {
                 let Entry::Joined(waiter) =
-                    b.enter(h, &db, MinerConfig::default(), Priority::Normal, None)
+                    b.enter(h, &db, MinerConfig::default(), Priority::Normal)
                 else {
                     panic!("join");
                 };
@@ -585,8 +559,7 @@ mod tests {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 0));
         let db = db_of("ABAB");
         let h = hash_of(&db);
-        let Entry::Leader(token) = b.enter(h, &db, MinerConfig::default(), Priority::Normal, None)
-        else {
+        let Entry::Leader(token) = b.enter(h, &db, MinerConfig::default(), Priority::Normal) else {
             panic!("lead");
         };
         let joiner = {
@@ -594,7 +567,7 @@ mod tests {
             let db = Arc::clone(&db);
             std::thread::spawn(move || {
                 let Entry::Joined(waiter) =
-                    b.enter(h, &db, MinerConfig::default(), Priority::Normal, None)
+                    b.enter(h, &db, MinerConfig::default(), Priority::Normal)
                 else {
                     panic!("join");
                 };
@@ -659,13 +632,9 @@ mod tests {
     fn window_expiry_closes_an_empty_batch() {
         let b = Batcher::new(Duration::from_millis(10), 0);
         let db = db_of("ABAB");
-        let Entry::Leader(token) = b.enter(
-            hash_of(&db),
-            &db,
-            MinerConfig::default(),
-            Priority::Normal,
-            None,
-        ) else {
+        let Entry::Leader(token) =
+            b.enter(hash_of(&db), &db, MinerConfig::default(), Priority::Normal)
+        else {
             panic!("lead");
         };
         let joiners = b.collect(token);

@@ -8,8 +8,12 @@
 //! engine of this reproduction:
 //!
 //! * [`MiningService`] — accepts [`MiningRequest`]s (an `Arc<EventDb>`
-//!   handle, a `MinerConfig`, a [`BackendChoice`], a [`Priority`]) from any
-//!   number of client threads and serves each a full [`MiningResponse`];
+//!   handle, a `MinerConfig`, a [`Priority`]) from any number of client
+//!   threads and serves each a full [`MiningResponse`];
+//! * **one executor** — [`MiningService::submit`] runs every request on the
+//!   engine's cost-dispatched executor (`tdm_core::AutoBackend`);
+//!   [`MiningService::submit_with`] runs any other `Executor` (a paper
+//!   baseline, the simulated GPU pipeline, a test spy);
 //! * **one shared pool** — every request's counting scans multiplex over a
 //!   single machine-sized [`Pool`](tdm_mapreduce::pool::Pool) (sessions are
 //!   built with `MiningSessionBuilder::with_pool`), so 16 clients use the
@@ -41,8 +45,7 @@
 //!   never hold an in-flight slot, so a
 //!   saturated gate — exactly when same-database requests pile up — fuses K
 //!   queued requests into one admitted unit instead of K serialized solo
-//!   runs, and [`MiningService::submit`]-style members vote on the fused
-//!   executor (majority wins, leader breaks ties). Results stay bit-identical
+//!   runs; the batch runs its leader's executor. Results stay bit-identical
 //!   to solo mining (the workspace `tests/comining.rs` differential suite
 //!   proves it under adversarial overlap);
 //! * **streaming ingestion** ([`ingest`]) — per-tenant append buffers with
@@ -54,7 +57,7 @@
 //!   any other requests ([`StreamIngest`]).
 //!
 //! Results are **bit-identical** to a serial `Miner::mine` of the same
-//! request, for every backend choice and any concurrency level — the
+//! request, for any executor and any concurrency level — the
 //! workspace test suite asserts this with 16 concurrent clients.
 //!
 //! ```

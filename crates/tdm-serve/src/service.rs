@@ -4,8 +4,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tdm_baselines::{ActiveSetBackend, MapReduceBackend, SerialScanBackend, ShardedScanBackend};
-use tdm_core::miner::{AutoBackend, SequentialBackend};
+use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CancelToken, Executor, MineError};
 use tdm_core::stats::MiningResult;
 use tdm_core::{EventDb, MinerConfig};
@@ -17,80 +16,28 @@ use crate::cache::{
 };
 use crate::comine::{BatchRun, Batcher, CoMiningStats, Deliveries, Entry};
 
-/// Which counting executor serves a request. All choices produce bit-identical
-/// counts; they differ only in which counting strategy runs and how it is
-/// decomposed over the shared pool.
+/// Which counting executor serves a request: always the engine.
+///
+/// One variant remains because the service runs one executor: the
+/// cost-dispatched engine serves every [`MiningService::submit`], every wire
+/// `mine` and every ingest re-mine. The type keeps its name and its
+/// `Default` so callers that spell the default keep compiling. The paper's
+/// baselines (`tdm-baselines`' serial, active-set, sharded and MapReduce
+/// scans) and the simulated GPU pipeline (`tdm_gpu::GpuPipelineBackend`) are
+/// the reproduction, not the service: an in-process caller runs one through
+/// [`MiningService::submit_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
     /// The engine's strategy-dispatching executor
     /// ([`tdm_core::miner::AutoBackend`]): per level, the cost model picks
     /// vertical occurrence-list probes or word-packed bitmask scans, run in
-    /// parallel over the shared pool. The default.
+    /// parallel over the shared pool.
     #[default]
     Auto,
-    /// Database-sharded parallel active-set scan over the shared pool (the
-    /// paper's block-level shape; a paper baseline).
-    Sharded,
-    /// Candidate-sharded parallel scan over the shared pool (the paper's
-    /// thread-level shape; catches up at high levels).
-    MapReduce,
-    /// Single-pass active-set scan on the calling thread (no pool jobs).
-    ActiveSet,
-    /// The built-in sequential executor of `tdm-core` (no pool jobs).
-    Sequential,
-    /// One full scan per episode on the calling thread — the GMiner-class
-    /// baseline; useful for calibration, quadratically slow on big sets.
-    SerialScan,
-    /// The persistent simulated-GPU serving pipeline
-    /// ([`tdm_gpu::GpuPipelineBackend`]): per-level CPU-vs-GPU dispatch, the
-    /// stream uploaded once and kept device-resident, fused batches modeled
-    /// as K-tenant union launches.
-    GpuPipeline,
-}
-
-impl BackendChoice {
-    /// True for the device-pipeline class (every other choice is a CPU scan).
-    pub fn is_gpu(&self) -> bool {
-        matches!(self, BackendChoice::GpuPipeline)
-    }
-
-    /// Declaration-order rank — the deterministic tie-break of
-    /// [`vote_backend`], so a CPU-vs-GPU class split among joiners resolves
-    /// the same way regardless of join order.
-    fn rank(&self) -> u8 {
-        match self {
-            BackendChoice::Auto => 0,
-            BackendChoice::Sharded => 1,
-            BackendChoice::MapReduce => 2,
-            BackendChoice::ActiveSet => 3,
-            BackendChoice::Sequential => 4,
-            BackendChoice::SerialScan => 5,
-            BackendChoice::GpuPipeline => 6,
-        }
-    }
-
-    fn instantiate(&self, tenants: usize) -> Box<dyn Executor> {
-        match self {
-            BackendChoice::Auto => Box::new(AutoBackend),
-            BackendChoice::Sharded => Box::new(ShardedScanBackend::auto()),
-            BackendChoice::MapReduce => Box::new(MapReduceBackend::auto()),
-            BackendChoice::ActiveSet => Box::new(ActiveSetBackend::default()),
-            BackendChoice::Sequential => Box::new(SequentialBackend::default()),
-            BackendChoice::SerialScan => Box::new(SerialScanBackend),
-            BackendChoice::GpuPipeline => {
-                Box::new(
-                    tdm_gpu::GpuPipelineBackend::with_defaults(
-                        gpu_sim::DeviceConfig::geforce_gtx_280(),
-                    )
-                    .tenants(tenants as u32),
-                )
-            }
-        }
-    }
 }
 
 /// One client request: a shared database handle, the mining configuration,
-/// the backend choice, and a scheduling priority.
+/// and a scheduling priority.
 ///
 /// Reuse one `MiningRequest` value (or clones of it) across submissions: the
 /// database content hash of the session key is computed once per request
@@ -100,7 +47,6 @@ impl BackendChoice {
 pub struct MiningRequest {
     db: Arc<EventDb>,
     config: MinerConfig,
-    backend: BackendChoice,
     priority: Priority,
     /// Wall-clock budget from submission: past it, the level loop stops at
     /// the next level boundary with [`ServeError::Cancelled`].
@@ -115,13 +61,11 @@ pub struct MiningRequest {
 }
 
 impl MiningRequest {
-    /// A request with the default backend ([`BackendChoice::Auto`], the
-    /// strategy-dispatching engine) and normal priority.
+    /// A request at normal priority.
     pub fn new(db: Arc<EventDb>, config: MinerConfig) -> Self {
         MiningRequest {
             db,
             config,
-            backend: BackendChoice::default(),
             priority: Priority::Normal,
             deadline: None,
             cancel: None,
@@ -129,9 +73,10 @@ impl MiningRequest {
         }
     }
 
-    /// Sets the backend choice.
-    pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
+    /// A no-op: [`BackendChoice`] has one variant, and every request runs
+    /// it. Kept only so callers that spell the default keep compiling; it
+    /// goes once the benchmark harness stops calling it.
+    pub fn backend(self, _backend: BackendChoice) -> Self {
         self
     }
 
@@ -363,7 +308,7 @@ pub struct ServiceStats {
     /// lookup per batch, whatever its size.
     pub cache: CacheStats,
     /// Cross-request co-mining counters (batches, fused requests, solo
-    /// fallbacks, waiting-room joins, backend-vote overrides).
+    /// fallbacks, waiting-room joins).
     pub comining: CoMiningStats,
 }
 
@@ -463,14 +408,8 @@ impl MiningService {
         &self.pool
     }
 
-    /// Serves one request with its configured [`BackendChoice`]; blocks
-    /// through admission and the mining loop.
-    ///
-    /// When this request's batch fuses with others submitted this way, the
-    /// members **vote** on the executor: the most-requested
-    /// [`BackendChoice`] runs the fused scans (the leader breaks ties), so a
-    /// majority asking for, say, [`BackendChoice::MapReduce`] is not silently
-    /// downgraded to whatever the leader happened to pick.
+    /// Serves one request on the engine ([`AutoBackend`]); blocks through
+    /// admission and the mining loop.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] when the waiting room is full,
@@ -478,15 +417,13 @@ impl MiningService {
     /// [`CancelToken`] fires before the level loop finishes,
     /// [`ServeError::Mine`] when the backend fails.
     pub fn submit(&self, request: &MiningRequest) -> Result<MiningResponse, ServeError> {
-        let mut backend = request.backend.instantiate(1);
-        self.submit_inner(request, backend.as_mut(), Some(request.backend))
+        self.submit_with(request, &mut AutoBackend)
     }
 
     /// Serves one request with a caller-supplied executor (any
-    /// [`Executor`] — custom kernels, instrumented spies, simulated GPUs).
-    /// The request's `backend` field is ignored, and the request abstains
-    /// from any batch backend vote: if it leads a fused batch, the supplied
-    /// executor runs the fused scans unconditionally.
+    /// [`Executor`] — a paper baseline, the simulated GPU pipeline, custom
+    /// kernels, instrumented spies). This is the one serving path:
+    /// [`MiningService::submit`] calls it with the engine.
     ///
     /// With a co-mining window configured ([`ServiceConfig::comine_window`]),
     /// the request may be **fused** with concurrent same-database requests
@@ -495,7 +432,8 @@ impl MiningService {
     /// for the whole batch), later ones join — whether the leader is still
     /// queued at the gate or already collecting — and receive their
     /// demultiplexed, still bit-identical results without ever holding a
-    /// slot.
+    /// slot. A fused batch runs its leader's executor; a joiner's own
+    /// executor runs nothing.
     ///
     /// # Errors
     /// Same taxonomy as [`MiningService::submit`]. A joiner whose leader is
@@ -504,20 +442,6 @@ impl MiningService {
         &self,
         request: &MiningRequest,
         executor: &mut dyn Executor,
-    ) -> Result<MiningResponse, ServeError> {
-        self.submit_inner(request, executor, None)
-    }
-
-    /// The one serving path. `vote` is `Some` only for [`submit`]-style
-    /// requests whose declared [`BackendChoice`] may participate in a batch
-    /// backend vote.
-    ///
-    /// [`submit`]: MiningService::submit
-    fn submit_inner(
-        &self,
-        request: &MiningRequest,
-        executor: &mut dyn Executor,
-        vote: Option<BackendChoice>,
     ) -> Result<MiningResponse, ServeError> {
         let arrived = Instant::now();
         let key = request.key();
@@ -534,13 +458,9 @@ impl MiningService {
         // Enter the batch board *before* the admission gate: a joiner rides
         // its leader's slot and must not consume one itself — that is what
         // lets K same-database requests fuse behind a saturated gate.
-        let entry = self.batcher.enter(
-            key.db_hash,
-            &request.db,
-            request.config,
-            request.priority,
-            vote,
-        );
+        let entry = self
+            .batcher
+            .enter(key.db_hash, &request.db, request.config, request.priority);
         if let Entry::Joined(waiter) = entry {
             let parked = Instant::now();
             let served = waiter.wait_for(self.waiter_timeout).map(|(result, run)| {
@@ -600,7 +520,7 @@ impl MiningService {
         };
         let batch = 1 + joiners.len();
         let mining = Instant::now();
-        let mined = self.mine_batch(request, executor, joiners, vote, cancel.as_ref());
+        let mined = self.mine_batch(request, executor, joiners, cancel.as_ref());
         let mine_time = mining.elapsed();
         drop(permit);
         let served = mined.map_err(ServeError::Mine).map(|(result, cache)| {
@@ -652,51 +572,19 @@ impl MiningService {
     /// permutation routes results back). Either way the compiled buffers stay
     /// warm at a stable address across batches.
     ///
-    /// When the leader declared a backend `vote` ([`MiningService::submit`]),
-    /// the batch votes: the most-requested [`BackendChoice`] among voting
-    /// members runs the fused scans (leader breaks ties). Abstaining members
-    /// (caller-supplied executors) don't outvote anyone, and an abstaining
-    /// *leader* disables the vote entirely — `executor` runs as given.
+    /// The leader's `executor` runs the batch's scans, whatever its joiners
+    /// submitted with.
     fn mine_batch(
         &self,
         request: &MiningRequest,
         executor: &mut dyn Executor,
         mut joiners: Deliveries,
-        vote: Option<BackendChoice>,
         token: Option<&CancelToken>,
     ) -> Result<(MiningResult, CacheOutcome), MineError> {
         // Batch order: leader first, then joiners in join (= delivery) order.
         let mut configs = Vec::with_capacity(1 + joiners.len());
         configs.push(request.config);
         configs.extend(joiners.configs());
-
-        let mut voted: Option<Box<dyn Executor>> = None;
-        if let Some(leader_choice) = vote {
-            let winner = vote_backend(leader_choice, joiners.backends().flatten());
-            if winner != leader_choice {
-                // Counted exactly when the *leader's* declared backend lost
-                // the vote — independent of how the winner is instantiated
-                // below (a fused batch re-instantiates even an unchanged
-                // winner, to size it for the batch).
-                self.counters
-                    .lock()
-                    .expect("service counters")
-                    .comining
-                    .backend_votes_overridden += 1;
-            }
-            // A fused batch's executor is sized for its member count: the GPU
-            // pipeline models a (1 + joiners)-tenant union launch, the CPU
-            // scans ignore the hint. Solo batches keep the leader's own
-            // executor unless outvoted.
-            let tenants = configs.len();
-            if winner != leader_choice || tenants > 1 {
-                voted = Some(winner.instantiate(tenants));
-            }
-        }
-        let executor: &mut dyn Executor = match voted.as_mut() {
-            Some(b) => b.as_mut(),
-            None => executor,
-        };
 
         let key = SessionKey {
             db_hash: request.key().db_hash,
@@ -808,42 +696,10 @@ impl MiningService {
     }
 }
 
-/// Majority vote over a batch's declared [`BackendChoice`]s: the leader's
-/// choice starts with one vote, every voting joiner adds one, and the
-/// most-requested choice wins. The leader breaks ties against itself (a
-/// challenger must be *strictly* more requested to displace it); ties *among*
-/// challengers — including CPU-vs-GPU class splits, where the stakes are a
-/// whole backend class — resolve by the enum's declaration-order rank, so the
-/// winner never depends on which joiner happened to reach the batch board
-/// first.
-fn vote_backend(
-    leader: BackendChoice,
-    votes: impl Iterator<Item = BackendChoice>,
-) -> BackendChoice {
-    let mut tally: Vec<(BackendChoice, usize)> = vec![(leader, 1)];
-    for v in votes {
-        match tally.iter_mut().find(|(c, _)| *c == v) {
-            Some((_, n)) => *n += 1,
-            None => tally.push((v, 1)),
-        }
-    }
-    let mut best = tally[0];
-    for &(c, n) in &tally[1..] {
-        let displaces_winner = n > best.1;
-        // Join order inserted `c` into the tally; rank, not insertion order,
-        // must pick among equally-requested challengers.
-        let deterministic_tie = n == best.1 && best.0 != leader && c.rank() < best.0.rank();
-        if displaces_winner || deterministic_tie {
-            best = (c, n);
-        }
-    }
-    best.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdm_core::miner::Miner;
+    use tdm_core::miner::{Miner, SequentialBackend};
     use tdm_core::Alphabet;
 
     fn db_of(s: &str) -> Arc<EventDb> {
@@ -868,19 +724,9 @@ mod tests {
         let serial = Miner::new(cfg())
             .mine(&db, &mut SequentialBackend::default())
             .unwrap();
-        for backend in [
-            BackendChoice::Sharded,
-            BackendChoice::MapReduce,
-            BackendChoice::ActiveSet,
-            BackendChoice::Sequential,
-            BackendChoice::SerialScan,
-        ] {
-            let resp = service
-                .submit(&MiningRequest::new(Arc::clone(&db), cfg()).backend(backend))
-                .unwrap();
-            assert_eq!(resp.result, serial, "{backend:?}");
-        }
-        assert_eq!(service.stats().completed, 5);
+        let resp = service.submit(&MiningRequest::new(db, cfg())).unwrap();
+        assert_eq!(resp.result, serial);
+        assert_eq!(service.stats().completed, 1);
     }
 
     #[test]
@@ -1117,161 +963,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_vote_tallies_with_leader_tiebreak() {
-        use BackendChoice::*;
-        // No joiners: the leader's own choice stands.
-        assert_eq!(vote_backend(Sharded, std::iter::empty()), Sharded);
-        // A strict majority overrides the leader.
-        assert_eq!(
-            vote_backend(Sharded, [MapReduce, MapReduce].into_iter()),
-            MapReduce
-        );
-        // A tie (1 leader vote vs 1 joiner vote) keeps the leader's choice.
-        assert_eq!(vote_backend(Sharded, [MapReduce].into_iter()), Sharded);
-        // 2 vs 2 across leader+joiners still resolves to the leader.
-        assert_eq!(
-            vote_backend(Sharded, [Sharded, MapReduce, MapReduce].into_iter()),
-            Sharded
-        );
-        // Joiners agreeing with the leader pile onto its tally.
-        assert_eq!(
-            vote_backend(Sharded, [Sharded, MapReduce].into_iter()),
-            Sharded
-        );
-    }
-
-    #[test]
-    fn backend_vote_challenger_ties_resolve_by_rank_not_join_order() {
-        use BackendChoice::*;
-        // Two challengers at 2 votes each both strictly outvote the leader's
-        // 1. Whichever permutation the joiners arrive in, the lower-ranked
-        // (declaration-order) challenger wins — a CPU-vs-GPU class split
-        // cannot flip on join order.
-        let winner = vote_backend(
-            Sequential,
-            [GpuPipeline, MapReduce, GpuPipeline, MapReduce].into_iter(),
-        );
-        assert_eq!(winner, MapReduce);
-        assert_eq!(
-            vote_backend(
-                Sequential,
-                [MapReduce, GpuPipeline, MapReduce, GpuPipeline].into_iter(),
-            ),
-            winner,
-            "join order changed the vote outcome"
-        );
-        // Rank only arbitrates between challengers: a lower-ranked challenger
-        // that merely *ties* the leader never displaces it.
-        assert_eq!(vote_backend(SerialScan, [Sharded].into_iter()), SerialScan);
-        // A strict GPU majority elects the pipeline over a CPU leader.
-        assert_eq!(
-            vote_backend(Sequential, [GpuPipeline, GpuPipeline].into_iter()),
-            GpuPipeline
-        );
-        // The engine ranks first: it wins a tie against any challenger.
-        assert_eq!(
-            vote_backend(Sequential, [Sharded, Auto, Sharded, Auto].into_iter()),
-            Auto
-        );
-    }
-
-    #[test]
     fn the_default_backend_is_the_strategy_dispatching_engine() {
+        // One choice remains, and naming it changes nothing about a request.
         assert_eq!(BackendChoice::default(), BackendChoice::Auto);
-        assert_eq!(BackendChoice::Auto.instantiate(1).name(), "engine-auto");
-    }
-
-    #[test]
-    fn gpu_majority_overrides_cpu_leader_and_serves_identical_counts() {
-        let service = Arc::new(MiningService::new(ServiceConfig {
-            workers: 2,
-            max_in_flight: 8,
-            comine_window: Duration::from_secs(5),
-            comine_max_batch: 3,
-            ..Default::default()
-        }));
-        let db = db_of(&"ABCABD".repeat(50));
-        let configs = [
-            MinerConfig {
-                alpha: 0.05,
-                max_level: Some(3),
-                ..Default::default()
-            },
-            MinerConfig {
-                alpha: 0.1,
-                max_level: Some(2),
-                ..Default::default()
-            },
-            MinerConfig {
-                alpha: 0.01,
-                max_level: Some(3),
-                ..Default::default()
-            },
-        ];
-        let serial: Vec<MiningResult> = configs
-            .iter()
-            .map(|cfg| {
-                Miner::new(*cfg)
-                    .mine(&db, &mut SequentialBackend::default())
-                    .unwrap()
-            })
-            .collect();
-
-        // The leader declares a CPU backend; both joiners vote for the GPU
-        // pipeline. The 2-vs-1 class split must override the leader, count
-        // the override, and still serve bit-identical results through the
-        // union-launch pipeline sized for the 3-member batch.
-        let mut responses: Vec<Option<MiningResponse>> = vec![None, None, None];
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            {
-                let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), configs[0])
-                    .backend(BackendChoice::Sequential);
-                handles.push(s.spawn(move || service.submit(&req).unwrap()));
-            }
-            while service.open_batches() == 0 {
-                std::thread::yield_now();
-            }
-            for cfg in &configs[1..] {
-                let service = Arc::clone(&service);
-                let req =
-                    MiningRequest::new(Arc::clone(&db), *cfg).backend(BackendChoice::GpuPipeline);
-                handles.push(s.spawn(move || service.submit(&req).unwrap()));
-            }
-            for (slot, h) in responses.iter_mut().zip(handles) {
-                *slot = Some(h.join().unwrap());
-            }
-        });
-        for (i, (resp, want)) in responses.iter().zip(&serial).enumerate() {
-            let resp = resp.as_ref().unwrap();
-            assert_eq!(resp.result, *want, "member {i} diverged from solo mining");
-        }
-        let stats = service.stats();
-        assert_eq!(stats.comining.batches, 1);
-        assert_eq!(stats.comining.fused_requests, 3);
-        assert_eq!(
-            stats.comining.backend_votes_overridden, 1,
-            "the leader's CPU choice lost the vote exactly once"
-        );
-    }
-
-    #[test]
-    fn gpu_backend_serves_a_solo_request() {
-        let service = MiningService::new(ServiceConfig {
-            workers: 1,
-            ..Default::default()
-        });
-        let db = db_of(&"ABCXYZ".repeat(40));
-        let serial = Miner::new(cfg())
-            .mine(&db, &mut SequentialBackend::default())
-            .unwrap();
-        let resp = service
-            .submit(&MiningRequest::new(Arc::clone(&db), cfg()).backend(BackendChoice::GpuPipeline))
-            .unwrap();
-        assert_eq!(resp.result, serial);
-        assert!(BackendChoice::GpuPipeline.is_gpu());
-        assert!(!BackendChoice::Sharded.is_gpu());
+        let req = MiningRequest::new(db_of("ABAB"), cfg());
+        assert_eq!(req.clone().backend(BackendChoice::Auto).key(), req.key());
     }
 
     #[test]

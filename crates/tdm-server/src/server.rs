@@ -47,14 +47,11 @@ use crate::tenant::{TenantConfig, TenantRegistry};
 use crate::wire::{self, codes, FrameError};
 
 /// Builds the executor a handler mines with. `None` on [`ServerConfig`]
-/// means requests run their declared [`BackendChoice`] — the
-/// strategy-dispatching engine ([`BackendChoice::Auto`]) when a frame names
-/// none — through [`MiningService::submit`] (and may vote in fused batches);
-/// tests inject spy executors here to observe the level loop from outside the
+/// means every request runs on the engine through [`MiningService::submit`];
+/// a factory's executor goes through [`MiningService::submit_with`] instead
+/// (and, when its request leads a fused batch, runs the whole batch). Tests
+/// inject spy executors here to observe the level loop from outside the
 /// socket.
-///
-/// [`BackendChoice`]: tdm_serve::BackendChoice
-/// [`BackendChoice::Auto`]: tdm_serve::BackendChoice::Auto
 pub type ExecutorFactory = Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>;
 
 /// Server sizing and policy.
@@ -420,21 +417,15 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
     let db = Arc::new(request_db(state, request)?);
     let config =
         wire::config_from(request).map_err(|msg| wire::error_value(codes::BAD_REQUEST, msg))?;
-    let backend = match request.get("backend").and_then(Value::as_str) {
-        None => tdm_serve::BackendChoice::default(),
-        Some("auto") => tdm_serve::BackendChoice::Auto,
-        Some("sharded") => tdm_serve::BackendChoice::Sharded,
-        Some("mapreduce") => tdm_serve::BackendChoice::MapReduce,
-        Some("activeset") => tdm_serve::BackendChoice::ActiveSet,
-        Some("sequential") => tdm_serve::BackendChoice::Sequential,
-        Some("serialscan") => tdm_serve::BackendChoice::SerialScan,
+    match request.get("backend").and_then(Value::as_str) {
+        None | Some("auto") => {}
         Some(other) => {
             return Err(wire::error_value(
                 codes::BAD_REQUEST,
-                format!("unknown backend {other:?}"),
+                format!("unknown backend {other:?}: the only backend is \"auto\""),
             ))
         }
-    };
+    }
     let priority = match request.get("priority").and_then(Value::as_str) {
         None | Some("normal") => Priority::Normal,
         Some("high") => Priority::High,
@@ -446,9 +437,7 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
         }
     };
 
-    let mut mining_request = MiningRequest::new(db, config)
-        .backend(backend)
-        .priority(priority);
+    let mut mining_request = MiningRequest::new(db, config).priority(priority);
     if let Some(deadline) = request.get("deadline_ms") {
         let ms = deadline.as_u64().ok_or_else(|| {
             wire::error_value(codes::BAD_REQUEST, "\"deadline_ms\" must be an integer")

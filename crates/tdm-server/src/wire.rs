@@ -302,10 +302,6 @@ fn comining_stats_value(stats: &CoMiningStats) -> Value {
             "waiting_room_joins".into(),
             Value::u64(stats.waiting_room_joins),
         ),
-        (
-            "backend_votes_overridden".into(),
-            Value::u64(stats.backend_votes_overridden),
-        ),
     ])
 }
 

@@ -139,7 +139,7 @@ fn main() {
             &big_letters,
             0.001,
             Some(6),
-            Some("sequential"),
+            None,
             None,
             Some(1),
         ))

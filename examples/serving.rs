@@ -1,7 +1,7 @@
 //! Serving: many concurrent clients, one shared worker pool, a session cache.
 //!
 //! Spins up a [`MiningService`], hammers it from 8 client threads with a mix
-//! of workloads and backends, and shows the serving telemetry: cache
+//! of workloads, and shows the serving telemetry: cache
 //! hits/misses, queue wait, and per-request mining time — every response
 //! bit-identical to a serial run of the same request.
 //!

@@ -71,8 +71,6 @@ pub mod prelude {
     pub use tdm_baselines::{
         ActiveSetBackend, MapReduceBackend, SerialScanBackend, ShardedScanBackend,
     };
-    #[allow(deprecated)]
-    pub use tdm_core::CountingBackend;
     pub use tdm_core::StreamingSession;
     pub use tdm_core::{
         Alphabet, AutoBackend, BackendError, BitmaskNfa, CandidateUnion, CompileError,

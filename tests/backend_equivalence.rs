@@ -78,28 +78,3 @@ fn mining_results_identical_across_cpu_backends() {
         miner.mine(&db, &mut MapReduceBackend::new(2)).unwrap()
     );
 }
-
-/// The deprecated `CountingBackend` trait still works through the blanket
-/// shim for any `Executor` — the migration path for old call sites.
-#[test]
-#[allow(deprecated)]
-fn legacy_counting_backend_shim_matches_new_api() {
-    let db = paper_database_scaled(0.02);
-    let episodes = permutations(db.alphabet(), 1);
-    let reference = count_episodes_naive(&db, &episodes);
-    fn legacy_count<B: CountingBackend>(
-        db: &temporal_mining::core::EventDb,
-        eps: &[Episode],
-        b: &mut B,
-    ) -> Vec<u64> {
-        b.count(db, eps)
-    }
-    assert_eq!(
-        legacy_count(&db, &episodes, &mut ActiveSetBackend::default()),
-        reference
-    );
-    assert_eq!(
-        legacy_count(&db, &episodes, &mut ShardedScanBackend::new(2)),
-        reference
-    );
-}

@@ -1,9 +1,10 @@
 //! Loopback end-to-end suite for the TCP front-end: everything the
 //! in-process serving layer guarantees must survive a real socket.
 //!
-//! * 16 concurrent TCP clients across 3 tenants, mixed workloads, configs,
-//!   and backends — every wire response **bit-identical** to a serial
-//!   `Miner::mine` of the same request, compared through the same encoder;
+//! * 16 concurrent TCP clients across 3 tenants, mixed workloads and
+//!   configs, naming the backend or not — every wire response
+//!   **bit-identical** to a serial `Miner::mine` of the same request,
+//!   compared through the same encoder;
 //! * same-database requests landing within the co-mine window **fuse over
 //!   the wire** (leader queued at a saturated gate, joiners in the waiting
 //!   room), proven via `"stats"`: `comining.batches`,
@@ -63,16 +64,8 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
     .unwrap();
     let addr = server.addr();
 
-    // `None` sends no "backend" field: the server's default engine.
-    let backends = [
-        Some("auto"),
-        None,
-        Some("sharded"),
-        Some("mapreduce"),
-        Some("activeset"),
-        Some("sequential"),
-        Some("serialscan"),
-    ];
+    // `None` sends no "backend" field; both run the one engine.
+    let backends = [Some("auto"), None];
     let alphas = [0.01, 0.02, 0.05, 0.1];
     let cases: Vec<(EventDb, MinerConfig, Option<&str>, &str, &str)> = (0..16)
         .map(|i| {

@@ -103,7 +103,7 @@ fn malformed_json_gets_a_typed_error_and_the_connection_survives() {
 fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
     let server = test_server(1 << 16);
     let mut client = Client::connect(server.addr()).unwrap();
-    let cases: [(&str, &str); 6] = [
+    let cases: [(&str, &str); 5] = [
         (
             r#"{"type":"divine","tenant":"acme","api_key":"key-a"}"#,
             "bad_request",
@@ -121,10 +121,6 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
             r#"{"type":"mine","tenant":"acme","api_key":"key-a"}"#,
             "bad_request", // neither events nor workload
         ),
-        (
-            r#"{"type":"mine","tenant":"acme","api_key":"key-a","events":"ABAB","backend":"quantum"}"#,
-            "bad_request",
-        ),
     ];
     for (request, want_code) in cases {
         let reply = client.call_bytes(request.as_bytes()).unwrap();
@@ -134,6 +130,40 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
             "request {request}"
         );
     }
+    // The wire serves one backend: every other name, the paper baselines'
+    // included, is a typed refusal that names it.
+    for backend in [
+        "quantum",
+        "sharded",
+        "mapreduce",
+        "activeset",
+        "sequential",
+        "serialscan",
+    ] {
+        let request = format!(
+            r#"{{"type":"mine","tenant":"acme","api_key":"key-a","events":"ABAB","backend":"{backend}"}}"#
+        );
+        let reply = client.call_bytes(request.as_bytes()).unwrap();
+        assert_eq!(
+            reply.get("code").and_then(Value::as_str),
+            Some("bad_request"),
+            "backend {backend}"
+        );
+        let message = reply.get("message").and_then(Value::as_str).unwrap();
+        assert!(message.contains("\"auto\""), "backend {backend}: {message}");
+    }
+    // The same connection then serves the one name.
+    let reply = client
+        .call_bytes(
+            br#"{"type":"mine","tenant":"acme","api_key":"key-a","events":"ABAB","backend":"auto"}"#,
+        )
+        .unwrap();
+    assert_eq!(
+        reply.get("type").and_then(Value::as_str),
+        Some("mine_result"),
+        "unexpected reply: {}",
+        reply.encode()
+    );
     // Bad-key and unknown-tenant responses are indistinguishable.
     let bad_key = client
         .call_bytes(br#"{"type":"mine","tenant":"acme","api_key":"wrong"}"#)

@@ -1,9 +1,9 @@
 //! Serving-layer conformance: the multi-tenant `MiningService` must be
 //! *observationally identical* to serial mining under any concurrency.
 //!
-//! * 16 concurrent clients over one shared pool, mixed workloads (Markov,
-//!   spike-train, market-basket) and mixed backends — every response
-//!   bit-identical to a serial `Miner::mine` of the same request;
+//! * 16 concurrent clients over one shared pool and mixed workloads
+//!   (Markov, spike-train, market-basket) — every response bit-identical to
+//!   a serial `Miner::mine` of the same request;
 //! * session-cache hits skip session planning (snapshot, shard bounds, buffer
 //!   allocation): the compiled candidate buffers keep the **same address**
 //!   across requests (asserted with a spy executor);
@@ -24,7 +24,8 @@
 //!   bundle's members arrive in a different order;
 //! * one LRU for every batch size: lone requests and fused bundles evict
 //!   each other in plain recency order;
-//! * fused batches vote on the backend (majority wins, leader breaks ties);
+//! * a fused batch of three distinct configs serves each member its solo
+//!   result;
 //! * priority + admission-limit plumbing end to end.
 
 use std::sync::Arc;
@@ -85,13 +86,6 @@ fn sixteen_concurrent_clients_match_serial_mining_bit_for_bit() {
         max_in_flight: 16,
         ..Default::default()
     }));
-    let backends = [
-        BackendChoice::Auto,
-        BackendChoice::Sharded,
-        BackendChoice::MapReduce,
-        BackendChoice::ActiveSet,
-        BackendChoice::Sequential,
-    ];
     std::thread::scope(|s| {
         for client in 0..16usize {
             let service = Arc::clone(&service);
@@ -100,8 +94,7 @@ fn sixteen_concurrent_clients_match_serial_mining_bit_for_bit() {
             s.spawn(move || {
                 for round in 0..3usize {
                     let which = (client + round) % dbs.len();
-                    let req = MiningRequest::new(Arc::clone(&dbs[which]), config)
-                        .backend(backends[(client + round) % backends.len()]);
+                    let req = MiningRequest::new(Arc::clone(&dbs[which]), config);
                     let resp = service.submit(&req).expect("request failed");
                     assert_eq!(
                         resp.result, serial[which],
@@ -706,8 +699,8 @@ fn one_lru_holds_sessions_for_every_batch_size() {
 
 #[test]
 fn fused_batches_vote_on_the_backend() {
-    // Leader asks for Sharded, two joiners ask for MapReduce: the majority
-    // wins and the override is counted — results stay bit-identical anyway.
+    // A leader and two joiners with distinct configs fuse into one batch;
+    // its one level loop must serve every member its solo result.
     let service = Arc::new(MiningService::new(ServiceConfig {
         workers: 2,
         max_in_flight: 4,
@@ -738,8 +731,7 @@ fn fused_batches_vote_on_the_backend() {
     std::thread::scope(|s| {
         let leader = {
             let service = Arc::clone(&service);
-            let req =
-                MiningRequest::new(Arc::clone(&db), configs[0]).backend(BackendChoice::Sharded);
+            let req = MiningRequest::new(Arc::clone(&db), configs[0]);
             s.spawn(move || service.submit(&req).unwrap())
         };
         while service.open_batches() == 0 {
@@ -749,8 +741,7 @@ fn fused_batches_vote_on_the_backend() {
             .iter()
             .map(|cfg| {
                 let service = Arc::clone(&service);
-                let req =
-                    MiningRequest::new(Arc::clone(&db), *cfg).backend(BackendChoice::MapReduce);
+                let req = MiningRequest::new(Arc::clone(&db), *cfg);
                 s.spawn(move || service.submit(&req).unwrap())
             })
             .collect();
@@ -762,8 +753,4 @@ fn fused_batches_vote_on_the_backend() {
     let stats = service.stats();
     assert_eq!(stats.comining.batches, 1);
     assert_eq!(stats.comining.fused_requests, 3);
-    assert_eq!(
-        stats.comining.backend_votes_overridden, 1,
-        "two MapReduce votes must outvote the Sharded leader"
-    );
 }

@@ -71,15 +71,17 @@ GPU="${3:-}"
 # speedup.
 MIN_SHARDED="${MIN_SHARDED:-0.70}"
 MIN_BEST="${MIN_BEST:-1.0}"
-# Serve floors: committed 1-core baselines less a generous allowance —
-# fusion's win comes from doing one union scan instead of K, which survives
-# any core count; these floors catch the batch board breaking, not noise.
+# Serve floors: the committed results/BENCH_serve.json (its
+# `available_parallelism` records the cores it ran on) less a generous
+# allowance — fusion's win comes from doing one union scan instead of K,
+# which survives any core count; these floors catch the batch board
+# breaking, not noise.
 MIN_COMINE="${MIN_COMINE:-1.2}"
 MIN_SATURATED="${MIN_SATURATED:-2.0}"
 MIN_INCREMENTAL="${MIN_INCREMENTAL:-2.0}"
-# Socket-path guards: scaling floor well under the committed 1-core artifact
-# (16 clients on 1 core can only tie, not win), overhead ceiling well over
-# it (the wire should cost a small multiple, never orders of magnitude).
+# Socket-path guards: scaling floor well under the committed artifact (16
+# clients on one core can only tie, not win), overhead ceiling well over it
+# (the wire should cost a small multiple, never orders of magnitude).
 MIN_SOCKET_SCALING="${MIN_SOCKET_SCALING:-0.3}"
 MAX_SOCKET_OVERHEAD="${MAX_SOCKET_OVERHEAD:-40.0}"
 # GPU floors are deterministic (simulated time): no noise allowance needed.
