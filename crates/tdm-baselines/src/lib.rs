@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 
 use tdm_core::count::{count_compiled_naive, count_episode};
-use tdm_core::engine::{with_thread_scratch, CompiledCandidates, CountScratch, MIN_SHARD_STREAM};
+use tdm_core::engine::{with_thread_scratch, CountScratch, MIN_SHARD_STREAM};
 use tdm_core::segment::{even_bounds, segment_ranges};
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::{Episode, EventDb};
@@ -198,28 +198,6 @@ impl Executor for MapReduceBackend {
     }
 }
 
-/// Chunked **candidate-sharded** parallel counting without the session
-/// framing: each scoped worker compiles and scans a contiguous slice of the
-/// candidate set. Complementary to [`ShardedScanBackend`]: candidate-sharding
-/// pays one full stream pass *per worker*, so it only wins once the per-pass
-/// candidate work dominates (large level-3+ sets); with few candidates over a
-/// long stream, database-sharding is strictly better (paper
-/// Characterizations 5–6).
-pub fn count_parallel_chunks(db: &EventDb, candidates: &[Episode], workers: usize) -> Vec<u64> {
-    if candidates.len() < 64 || workers <= 1 {
-        return tdm_core::count::count_episodes(db, candidates);
-    }
-    let chunk = candidates.len().div_ceil(workers);
-    let chunks: Vec<&[Episode]> = candidates.chunks(chunk).collect();
-    map_items(&chunks, workers, |c| {
-        let compiled = CompiledCandidates::compile(db.alphabet().len(), c);
-        with_thread_scratch(|scratch| compiled.count(db.symbols(), scratch))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +230,6 @@ mod tests {
         assert_eq!(a, d);
         assert_eq!(a, e);
         assert_eq!(a, f);
-        assert_eq!(a, count_parallel_chunks(&db, &eps, 4));
         // One compile per candidate set handed to count_candidates, however
         // many executors ran against it.
         assert_eq!(session.compiles(), 6);
@@ -311,16 +288,6 @@ mod tests {
         assert!(counts_of(&mut session, &none, &mut ActiveSetBackend::default()).is_empty());
         assert!(counts_of(&mut session, &none, &mut ShardedScanBackend::new(4)).is_empty());
         assert!(counts_of(&mut session, &none, &mut MapReduceBackend::new(4)).is_empty());
-    }
-
-    #[test]
-    fn parallel_chunks_small_input_falls_back() {
-        let db = uniform_letters(1_000, 5);
-        let eps = permutations(&Alphabet::latin26(), 1);
-        assert_eq!(
-            count_parallel_chunks(&db, &eps, 8),
-            tdm_core::count::count_episodes(&db, &eps)
-        );
     }
 }
 

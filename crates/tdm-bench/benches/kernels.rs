@@ -7,10 +7,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gpu_sim::texcache::{StreamPattern, TextureCache};
 use gpu_sim::{occupancy, CostModel, DeviceConfig, KernelResources};
 use std::hint::black_box;
+use tdm_baselines::ShardedScanBackend;
 use tdm_core::candidate::permutations;
 use tdm_core::count::{count_episode, count_episodes, count_episodes_naive};
 use tdm_core::engine::{CompiledCandidates, CountScratch};
 use tdm_core::segment::{count_segmented, count_segmented_exact, even_bounds};
+use tdm_core::session::{Executor, MiningSession};
 use tdm_core::{Alphabet, Episode};
 use tdm_gpu::lockstep::{run_broadcast_warp, FsmCosts};
 use tdm_workloads::uniform_letters;
@@ -52,9 +54,14 @@ fn multi_episode_counting(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("engine_compiled_L{level}")),
             |b| b.iter(|| black_box(compiled.count(db.symbols(), &mut scratch))),
         );
+        // The database-sharded count runs through a session: plan once, then
+        // time the executor on the planned request.
+        let mut session = MiningSession::builder(&db).build();
+        let req = session.plan_candidates(&eps);
+        let mut sharded = ShardedScanBackend::new(4);
         g.bench_function(
             BenchmarkId::from_parameter(format!("engine_sharded4_L{level}")),
-            |b| b.iter(|| black_box(compiled.count_sharded(db.symbols(), 4))),
+            |b| b.iter(|| black_box(sharded.execute(&req).unwrap())),
         );
     }
     g.finish();

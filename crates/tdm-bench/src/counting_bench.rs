@@ -12,14 +12,14 @@
 //! `Vec<Vec<u32>>` anchor index, no compiled layout) so the ratios keep
 //! meaning as the engine evolves.
 //!
-//! Row semantics worth knowing when comparing artifacts across versions: the
-//! `engine-sharded-w*` rows time the standalone convenience path
-//! (`count_sharded`), which since the shared-pool rewrite includes its
-//! per-call `Arc` snapshot of the compiled set and stream (the price of
-//! `'static` pool jobs with borrowed inputs — it no longer spawns threads
-//! per call). The `session-sharded-pooled` row is the zero-copy session path
-//! a mining service actually runs (Arc-shared buffers, persistent pool) and
-//! is the row to read for engine-capability trends.
+//! Row semantics worth knowing when comparing artifacts across versions:
+//! every `engine-sharded-w*` and `session-*` row times one executor on the
+//! session's planned request (zero-copy `Arc` handles, persistent pool). The
+//! `engine-sharded-w*` rows run `ShardedScanBackend::new(w)`, which cuts `w`
+//! even shards but never more than the host has threads, so on a 1-core host
+//! every one of them is the plain sequential scan. `session-sharded-pooled`
+//! follows the session's own shard bounds, and `session-auto` is the
+//! cost-dispatched executor a mining service actually runs.
 
 use std::time::Instant;
 use tdm_baselines::{MapReduceBackend, SerialScanBackend, ShardedScanBackend};
@@ -274,21 +274,35 @@ pub fn run(cfg: &BenchConfig) -> CountingBench {
             best_strategy_ms = best_strategy_ms.min(bitmask_ms);
         }
 
-        // Effective worker count 1 must dispatch straight to the sequential
-        // compiled scan — this row exists to prove the `engine-sharded-w1`
-        // time matches `engine-compiled` instead of paying snapshot + pool
-        // dispatch + merge for zero parallelism.
-        let (ms, counts) = time_best(cfg.repeats, || compiled.count_sharded(db.symbols(), 1));
-        check("engine-sharded-w1", &counts);
-        backends.push(row("engine-sharded-w1".into(), ms));
+        // The session-driven rows: plan once per level (outside the timers,
+        // exactly like the engine-* entries precompile above), then time the
+        // execute step alone — like-for-like ms across all rows. Pool
+        // threads stay persistent across every call below.
+        let req = session.plan_candidates(&episodes);
+        let mut time_executor = |name: String, ex: &mut dyn Executor| {
+            let (ms, counts) = time_best(cfg.repeats, || {
+                ex.execute(&req).expect("bench executor failed")
+            });
+            check(&name, &counts);
+            backends.push(row(name, ms));
+            ms
+        };
+
+        // An explicit worker count of 1 must dispatch straight to the
+        // sequential compiled scan — this row exists to prove the
+        // `engine-sharded-w1` time matches `engine-compiled` instead of
+        // paying pool dispatch + merge for zero parallelism.
+        time_executor("engine-sharded-w1".into(), &mut ShardedScanBackend::new(1));
 
         // The ratio entry: the sharded timing with the most workers ≤ 4, or —
         // when no such entry is configured — the fewest-worker entry, so the
         // ratio stays finite for any shard_workers list.
         let mut sharded4: Option<(usize, f64)> = None;
         for &w in &cfg.shard_workers {
-            let (ms, counts) = time_best(cfg.repeats, || compiled.count_sharded(db.symbols(), w));
-            check("engine-sharded", &counts);
+            let ms = time_executor(
+                format!("engine-sharded-w{w}"),
+                &mut ShardedScanBackend::new(w),
+            );
             sharded4 = Some(match sharded4 {
                 None => (w, ms),
                 Some((bw, bms)) => {
@@ -304,39 +318,19 @@ pub fn run(cfg: &BenchConfig) -> CountingBench {
                     }
                 }
             });
-            backends.push(row(format!("engine-sharded-w{w}"), ms));
         }
-
-        // The session-driven executors: plan once per level (outside the
-        // timers, exactly like the engine-* entries precompile above), then
-        // time the execute step alone — like-for-like ms across all rows.
-        // Pool threads stay persistent across every call below.
-        let req = session.plan_candidates(&episodes);
-        let time_executor =
-            |name: &str, ex: &mut dyn Executor, backends: &mut Vec<BackendTiming>| {
-                let (ms, counts) = time_best(cfg.repeats, || {
-                    ex.execute(&req).expect("bench executor failed")
-                });
-                check(name, &counts);
-                backends.push(row(name.into(), ms));
-            };
 
         if episodes.len() <= cfg.serial_scan_cap {
-            time_executor("cpu-serial-scan", &mut SerialScanBackend, &mut backends);
+            time_executor("cpu-serial-scan".into(), &mut SerialScanBackend);
         }
+        time_executor("cpu-mapreduce".into(), &mut MapReduceBackend::auto());
         time_executor(
-            "cpu-mapreduce",
-            &mut MapReduceBackend::auto(),
-            &mut backends,
-        );
-        time_executor(
-            "session-sharded-pooled",
+            "session-sharded-pooled".into(),
             &mut ShardedScanBackend::auto(),
-            &mut backends,
         );
         // The per-level cost-dispatched executor a session actually runs:
         // picks vertical / bitmask / scan per candidate set.
-        time_executor("session-auto", &mut AutoBackend, &mut backends);
+        time_executor("session-auto".into(), &mut AutoBackend);
 
         levels.push(LevelBench {
             level,

@@ -19,15 +19,20 @@
 //!   amortizes allocations across levels.
 //! * [`CompiledCandidates::count`] — the single-pass active-set scan over the
 //!   compiled layout (the fast sequential ground truth).
-//! * [`CompiledCandidates::count_sharded`] — the CPU analogue of the paper's
-//!   Algorithms 3/4: the stream is split into per-worker segments (via
-//!   [`tdm_mapreduce::pool`]), each worker runs the active-set scan over its
+//! * [`CompiledCandidates::shard_scan`] / [`CompiledCandidates::merge_shard_counts`]
+//!   — the map and reduce steps of the CPU analogue of the paper's
+//!   Algorithms 3/4: each worker runs the active-set scan over its stream
 //!   segment from the start state, and live partial matches at segment
 //!   boundaries are resolved with the advance-only continuation of
 //!   [`crate::segment`]. Exact for distinct-item episodes (the paper's whole
 //!   candidate universe) under any segmentation — property-tested — and exact
 //!   for repeated-item episodes too via the state-composition fallback
 //!   ([`crate::segment::count_segmented_exact_items`]).
+//!   [`CompiledCandidates::count_with_bounds`] runs both steps on one thread
+//!   over any cut positions; in parallel they run only through a session's
+//!   [`Executor`](crate::session::Executor) (e.g.
+//!   [`AutoBackend`](crate::miner::AutoBackend)), over the shard bounds and
+//!   worker pool the session planned.
 //!
 //! ## When database-sharding wins
 //!
@@ -55,8 +60,8 @@
 //! let stream: Vec<u8> = b"ABABAB".iter().map(|c| c - b'A').collect();
 //! let mut scratch = CountScratch::new();
 //! assert_eq!(compiled.count(&stream, &mut scratch), vec![3, 2]);
-//! // The sharded path is bit-identical for any worker count.
-//! assert_eq!(compiled.count_sharded(&stream, 4), vec![3, 2]);
+//! // The segmented count is bit-identical for any cut positions.
+//! assert_eq!(compiled.count_with_bounds(&stream, &[2, 3], &mut scratch), vec![3, 2]);
 //! ```
 
 pub mod bitmask;
@@ -68,8 +73,6 @@ pub use vertical::OccurrenceIndex;
 use crate::episode::{distinct_items, Episode};
 use crate::segment::{continuation_count_items, count_segmented_exact_items};
 use std::collections::HashMap;
-use std::sync::Arc;
-use tdm_mapreduce::pool::{default_workers, shared};
 
 /// Streams shorter than this are counted sequentially even when more workers
 /// are requested — dispatch costs more than the scan.
@@ -569,12 +572,12 @@ impl CompiledCandidates {
     /// `0..=stream.len()`), sequentially: per-segment active-set map step,
     /// advance-only boundary continuations (paper Fig. 5), exact-composition
     /// fallback for repeated-item episodes. Equals the sequential count for
-    /// every segmentation.
+    /// every segmentation: the sequential reference for the sharded
+    /// executors, which run the same map and reduce steps
+    /// ([`shard_scan`] / [`merge_shard_counts`]) on a session's pool.
     ///
-    /// This is the reference the parallel [`count_sharded`] is tested against
-    /// with adversarial boundary positions.
-    ///
-    /// [`count_sharded`]: CompiledCandidates::count_sharded
+    /// [`shard_scan`]: CompiledCandidates::shard_scan
+    /// [`merge_shard_counts`]: CompiledCandidates::merge_shard_counts
     pub fn count_with_bounds(
         &self,
         stream: &[u8],
@@ -594,87 +597,6 @@ impl CompiledCandidates {
         }
         self.apply_exact_fallback(stream, bounds, &mut counts);
         counts
-    }
-
-    /// Database-sharded parallel count: the stream is split into `workers`
-    /// even segments, each scanned by one pool worker from the start state;
-    /// boundary partials are resolved with continuations and the per-segment
-    /// partial counts are reduced by summation — the paper's map → span-check
-    /// → reduce pipeline (Algorithms 3/4) on host threads.
-    ///
-    /// The map step runs on the **process-wide shared pool**
-    /// ([`tdm_mapreduce::pool::shared`]): no thread is spawned per call, and
-    /// the pool workers' thread-local scan scratch stays warm across calls.
-    /// Because pool jobs are `'static`, the borrowed inputs are snapshotted
-    /// into `Arc`s once per call (a clone of the compiled buffers plus one
-    /// stream copy) — callers that already hold `Arc`'d inputs and a session
-    /// pool (the `MiningSession` executors) use the zero-copy
-    /// [`shard_scan`] / [`merge_shard_counts`] path instead.
-    ///
-    /// Bit-identical to the sequential count for every episode set (distinct
-    /// items via the continuation scheme, repeated items via exact
-    /// state-composition) and every worker count.
-    ///
-    /// [`shard_scan`]: CompiledCandidates::shard_scan
-    /// [`merge_shard_counts`]: CompiledCandidates::merge_shard_counts
-    pub fn count_sharded(&self, stream: &[u8], workers: usize) -> Vec<u64> {
-        let n = stream.len();
-        // More shards than hardware threads is pure overhead (snapshot, pool
-        // dispatch, merge) for zero parallelism — on a 1-core host every
-        // worker count collapses to the plain sequential scan.
-        let workers = workers.clamp(1, default_workers());
-        if workers == 1 || n < MIN_SHARD_STREAM || self.is_empty() {
-            let mut scratch = CountScratch::new();
-            return self.count(stream, &mut scratch);
-        }
-        // One snapshot of each borrowed input, then the Arc-native path.
-        let this: Arc<CompiledCandidates> = Arc::new(self.clone());
-        let shared_stream: Arc<[u8]> = Arc::from(stream);
-        CompiledCandidates::count_sharded_arc(&this, &shared_stream, workers)
-    }
-
-    /// The **Arc-native** database-sharded count: like [`count_sharded`], but
-    /// the compiled set and the stream arrive as shared handles, so dispatching
-    /// the map step to the process-wide pool costs refcount bumps — no clone of
-    /// the compiled buffers, no stream copy, per call. The borrowed
-    /// [`count_sharded`] pays one snapshot and then delegates here; callers
-    /// that already hold `Arc`'d inputs (e.g. a counting service outside the
-    /// session framing) skip the snapshot entirely. Session-driven executors
-    /// don't need this entry — their [`crate::session::CountRequest`] already
-    /// exposes shared handles for the equivalent [`shard_scan`] /
-    /// [`merge_shard_counts`] path.
-    ///
-    /// Bit-identical to the sequential count for every episode set and worker
-    /// count, exactly like [`count_sharded`].
-    ///
-    /// [`count_sharded`]: CompiledCandidates::count_sharded
-    /// [`shard_scan`]: CompiledCandidates::shard_scan
-    /// [`merge_shard_counts`]: CompiledCandidates::merge_shard_counts
-    pub fn count_sharded_arc(this: &Arc<Self>, stream: &Arc<[u8]>, workers: usize) -> Vec<u64> {
-        let n = stream.len();
-        // Same single-worker clamp as `count_sharded`: never cut more shards
-        // than hardware threads exist to scan them.
-        let workers = workers.clamp(1, default_workers());
-        if workers == 1 || n < MIN_SHARD_STREAM || this.is_empty() {
-            return with_thread_scratch(|scratch| this.count(stream, scratch));
-        }
-        let bounds = crate::segment::even_bounds(n, workers);
-        let ranges = crate::segment::segment_ranges(n, &bounds);
-
-        // Map: each shared-pool worker scans its segment with its persistent
-        // thread-local scratch; the Arc clones below are the whole dispatch
-        // cost.
-        let compiled = Arc::clone(this);
-        let shared_stream = Arc::clone(stream);
-        let shards: Vec<(Vec<u64>, Vec<u8>)> =
-            shared().map_move(ranges, move |r| compiled.shard_scan(&shared_stream, r));
-
-        this.merge_shard_counts(stream, &bounds, &shards)
-    }
-
-    /// Convenience: sharded count with the machine's available parallelism.
-    pub fn count_auto(&self, stream: &[u8]) -> Vec<u64> {
-        self.count_sharded(stream, default_workers())
     }
 
     /// Picks the estimated-cheapest counting strategy for this set over the
@@ -790,32 +712,23 @@ impl CompiledCandidates {
     }
 
     /// Counts with the estimated-best strategy ([`choose_strategy`]) on one
-    /// thread: the algorithmic fast path for callers without a session or a
-    /// pool (e.g. `tdm-gpu`'s reference counts). Builds the
-    /// [`OccurrenceIndex`] itself; callers that count several levels over one
-    /// stream should build the index once and use
-    /// [`count_best_with_index`] instead.
+    /// thread: the sessionless serial dispatcher (e.g. `tdm-gpu`'s reference
+    /// counts). Builds the [`OccurrenceIndex`] itself; a
+    /// [`MiningSession`](crate::session::MiningSession) caches the index
+    /// across levels and runs the same choice, in parallel, through
+    /// [`AutoBackend`](crate::miner::AutoBackend).
     ///
     /// Bit-identical to [`count`](CompiledCandidates::count) for every
     /// episode set.
     ///
     /// [`choose_strategy`]: CompiledCandidates::choose_strategy
-    /// [`count_best_with_index`]: CompiledCandidates::count_best_with_index
     pub fn count_best(&self, stream: &[u8]) -> Vec<u64> {
         let index = OccurrenceIndex::build(self.alphabet_len.max(1), stream);
-        self.count_best_with_index(stream, &index)
-    }
-
-    /// [`count_best`] with a caller-provided (typically session-cached)
-    /// occurrence index.
-    ///
-    /// [`count_best`]: CompiledCandidates::count_best
-    pub fn count_best_with_index(&self, stream: &[u8], index: &OccurrenceIndex) -> Vec<u64> {
-        match self.choose_strategy(index) {
-            CountStrategy::Vertical => self.count_vertical(stream, index),
+        match self.choose_strategy(&index) {
+            CountStrategy::Vertical => self.count_vertical(stream, &index),
             CountStrategy::Bitmask => match BitmaskNfa::build(self) {
                 Some(nfa) => nfa.count(stream),
-                None => self.count_vertical(stream, index),
+                None => self.count_vertical(stream, &index),
             },
             CountStrategy::ActiveSet => with_thread_scratch(|s| self.count(stream, s)),
         }
@@ -1235,7 +1148,7 @@ mod tests {
         let l70 = CompiledCandidates::compile(80, &[long]);
         let idx80 = OccurrenceIndex::build(80, &[0, 1, 2]);
         assert_eq!(l70.choose_strategy(&idx80), CountStrategy::Vertical);
-        assert_eq!(l70.count_best_with_index(&[0, 1, 2], &idx80), vec![0]);
+        assert_eq!(l70.count_best(&[0, 1, 2]), vec![0]);
 
         // Mixed sets with repeats stay bit-identical through dispatch.
         let mixed = CompiledCandidates::compile(26, &eps_of(&["AB", "ABA", "AAB", "Q"]));
@@ -1312,31 +1225,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_naive_on_level2_universe() {
-        // Long enough to actually shard (> MIN_SHARD_STREAM).
-        let text: String = (0..8192u32)
-            .map(|i| char::from(b'A' + ((i.wrapping_mul(2654435761) >> 7) % 26) as u8))
-            .collect();
-        let db = db_of(&text);
-        let eps = permutations(&Alphabet::latin26(), 2);
-        let c = CompiledCandidates::compile(26, &eps);
-        let expected = count_episodes_naive(&db, &eps);
-        for workers in [1usize, 2, 3, 4, 7, 8] {
-            assert_eq!(
-                c.count_sharded(db.symbols(), workers),
-                expected,
-                "workers={workers}"
-            );
-        }
-        assert_eq!(c.count_auto(db.symbols()), expected);
-    }
-
-    #[test]
     fn empty_inputs() {
         let c = CompiledCandidates::compile(26, &[]);
         let mut scratch = CountScratch::new();
         assert!(c.count(&[], &mut scratch).is_empty());
-        assert!(c.count_sharded(&[0, 1, 2], 4).is_empty());
         let c2 = CompiledCandidates::compile(26, &eps_of(&["AB"]));
         assert_eq!(c2.count(&[], &mut scratch), vec![0]);
     }
@@ -1360,32 +1252,6 @@ mod tests {
         }
         // Empty chunk touches nothing.
         assert!(c.chunk_scan(db.symbols(), 3..3).is_empty());
-    }
-
-    #[test]
-    fn arc_native_sharded_count_matches_borrowed() {
-        let text: String = (0..8192u32)
-            .map(|i| char::from(b'A' + ((i.wrapping_mul(2654435761) >> 5) % 26) as u8))
-            .collect();
-        let db = db_of(&text);
-        let eps = eps_of(&["AB", "BA", "A", "QXZ", "ABA"]);
-        let c = Arc::new(CompiledCandidates::compile(26, &eps));
-        let stream: Arc<[u8]> = Arc::from(db.symbols());
-        let expected = count_episodes_naive(&db, &eps);
-        for workers in [1usize, 2, 4, 8] {
-            assert_eq!(
-                CompiledCandidates::count_sharded_arc(&c, &stream, workers),
-                expected,
-                "workers={workers}"
-            );
-        }
-        // Short streams fall back to the sequential scan, same counts.
-        let short: Arc<[u8]> = Arc::from(&db.symbols()[..100]);
-        let short_db = EventDb::new(Alphabet::latin26(), short.to_vec()).unwrap();
-        assert_eq!(
-            CompiledCandidates::count_sharded_arc(&c, &short, 4),
-            count_episodes_naive(&short_db, &eps)
-        );
     }
 
     #[test]

@@ -110,7 +110,7 @@ fn assert_all_strategies_match(alphabet_len: usize, stream: &[u8], episodes: &[E
         assert_eq!(bitmask, reference, "bitmask vs seed");
     }
 
-    let dispatched = compiled.count_best_with_index(stream, &index);
+    let dispatched = compiled.count_best(stream);
     assert_eq!(dispatched, reference, "dispatch vs seed");
 }
 
@@ -250,7 +250,7 @@ fn candidate_union_demux_over_the_new_strategies() {
     let union_bitmask = BitmaskNfa::build(&compiled)
         .expect("small levels pack")
         .count(&stream);
-    let union_dispatch = compiled.count_best_with_index(&stream, &index);
+    let union_dispatch = compiled.count_best(&stream);
 
     for (s, source) in [&source_a, &source_b].into_iter().enumerate() {
         let expected = seed_count_episodes(ab.len(), &stream, source);
@@ -380,8 +380,7 @@ proptest! {
         let union = CandidateUnion::build(&[a, b]);
         prop_assume!(!union.is_empty());
         let compiled = CompiledCandidates::compile(alpha, union.episodes());
-        let index = OccurrenceIndex::build(alpha.max(1), &stream);
-        let union_counts = compiled.count_best_with_index(&stream, &index);
+        let union_counts = compiled.count_best(&stream);
         for (s, source) in [a, b].into_iter().enumerate() {
             let expected = seed_count_episodes(alpha, &stream, source);
             prop_assert_eq!(union.demux(s, &union_counts), expected);

@@ -36,6 +36,7 @@
 use crate::{Algorithm, KernelRun, MiningProblem, SimOptions};
 use gpu_sim::{simulate, simulate_resident, union_resources, CostModel, DeviceConfig, SimError};
 use tdm_core::engine::{CandidateUnion, CompiledCandidates, DispatchClass, GpuDispatchModel};
+use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::EventDb;
 
@@ -268,7 +269,7 @@ pub struct DispatchDecision {
 /// An [`Executor`] serving counting requests from a persistent
 /// [`DevicePipeline`], with per-level CPU-vs-GPU dispatch
 /// ([`CompiledCandidates::choose_backend_class`]): cheap levels are counted on
-/// the CPU with the engine's best strategy, expensive ones advance the
+/// the CPU by [`AutoBackend`] on the session's plan, expensive ones advance the
 /// resident pipeline (uploading the stream on first use, re-uploading only
 /// when the stream changes). Fused co-mining batches set
 /// [`tenants`](Self::tenants) so union launches are modeled with K routing
@@ -358,10 +359,10 @@ impl Executor for GpuPipelineBackend {
                 Ok(run.counts)
             }
             // The CPU classes are exactly choose_strategy's picks, so the
-            // engine's cost-dispatched counter reproduces them bit-identically.
+            // session's cost-dispatched executor runs them on the request.
             _ => {
                 self.cpu_levels += 1;
-                Ok(compiled.count_best_with_index(req.stream(), req.occurrence_index()))
+                AutoBackend.execute(req)
             }
         }
     }

@@ -215,10 +215,11 @@ impl<'a> MiningProblem<'a> {
         &self.compiled
     }
 
-    /// Ground-truth appearance counts, computed once via the engine's
-    /// cost-dispatched counter (vertical occurrence lists, word-packed
-    /// Shift-And, or the sharded scan — whichever the model picks) and
-    /// memoized.
+    /// Ground-truth appearance counts, computed once on one thread by the
+    /// engine's cost-dispatched counter
+    /// ([`CompiledCandidates::count_best`]: vertical occurrence lists,
+    /// word-packed Shift-And, or the active-set scan — whichever the model
+    /// picks) and memoized.
     pub fn counts(&self) -> &[u64] {
         self.counts
             .get_or_init(|| self.compiled.count_best(self.db.symbols()))
@@ -270,17 +271,6 @@ impl<'a> MiningProblem<'a> {
         self.profile_lock().insert(key, s.clone());
         s
     }
-}
-
-/// Ground-truth counts via the database-sharded engine: the candidate set is
-/// compiled once, the stream is split into per-worker segments over the
-/// `tdm-mapreduce` pool (inside [`CompiledCandidates::count_auto`]), and
-/// boundary spans are fixed up exactly as the paper's block-level kernels do
-/// (§3.3.3, Fig. 5). Falls back to one sequential compiled scan on short
-/// streams or single-core machines.
-pub fn parallel_counts(db: &EventDb, episodes: &[Episode]) -> Vec<u64> {
-    let compiled = CompiledCandidates::compile(db.alphabet().len(), episodes);
-    compiled.count_auto(db.symbols())
 }
 
 /// An [`Executor`] that runs one of the simulated GPU kernels for the

@@ -1,281 +1,29 @@
-//! # tdm-mapreduce — a minimal MapReduce framework
+//! # tdm-mapreduce — the worker pools under the CPU executors
 //!
 //! The paper frames its mining kernels as MapReduce computations (§2.2, §3.3.1):
 //! *map* emits the appearance count of one episode, *reduce* is either the
 //! identity (thread-level parallelism) or a sum over the partial counts of the
-//! threads that cooperated on one episode (block-level parallelism).
+//! threads that cooperated on one episode (block-level parallelism). In this
+//! workspace that shape lives in two executors of `tdm-baselines`:
+//! `MapReduceBackend` (map: scan one candidate chunk; reduce: concatenate the
+//! chunk counts) and `ShardedScanBackend` (map: scan one stream segment;
+//! reduce: sum, then the Fig. 5 boundary fix).
 //!
-//! This crate provides that programming model for the CPU side of the
-//! reproduction: [`Mapper`]/[`Reducer`] traits, a sequential executor
-//! ([`run_sequential`]) and a scoped-thread parallel executor ([`run_parallel`])
-//! whose workers mirror the figure-2 topology (map workers → grouped intermediate
-//! pairs → reduce workers). The CPU mining baselines in `tdm-baselines` are built
-//! on it.
-//!
-//! The [`pool`] module holds the execution substrate underneath: scoped
-//! parallel-for helpers for one-shot jobs, and the persistent, shareable,
-//! priority-aware [`pool::Pool`] that mining sessions — and the whole
-//! `tdm-serve` multi-tenant service — dispatch their counting scans to.
+//! This crate holds the execution substrate they run on, in the [`pool`]
+//! module: scoped parallel-for helpers for one-shot jobs, and the persistent,
+//! shareable, priority-aware [`pool::Pool`] that mining sessions — and the
+//! whole `tdm-serve` multi-tenant service — dispatch their counting scans to.
 //!
 //! ```
-//! use tdm_mapreduce::{Mapper, Reducer, run_parallel};
+//! use tdm_mapreduce::pool::map_items;
 //!
-//! struct WordLen;
-//! impl Mapper for WordLen {
-//!     type Input = String;
-//!     type Key = usize;
-//!     type Value = u64;
-//!     fn map(&self, word: &String, emit: &mut dyn FnMut(usize, u64)) {
-//!         emit(word.len(), 1);
-//!     }
-//! }
-//! struct Sum;
-//! impl Reducer for Sum {
-//!     type Key = usize;
-//!     type Value = u64;
-//!     type Output = u64;
-//!     fn reduce(&self, _k: &usize, vs: &[u64]) -> u64 { vs.iter().sum() }
-//! }
-//!
-//! let words: Vec<String> = ["a", "bb", "cc", "ddd"].iter().map(|s| s.to_string()).collect();
-//! let out = run_parallel(&WordLen, &Sum, &words, 2);
-//! assert_eq!(out, vec![(1, 1), (2, 2), (3, 1)]);
+//! // Map on scoped threads that borrow their input, then reduce by summing.
+//! let segments: Vec<&[u8]> = b"ABCABCAB".chunks(3).collect();
+//! let partial = map_items(&segments, 2, |s| s.iter().filter(|&&c| c == b'A').count());
+//! assert_eq!(partial.iter().sum::<usize>(), 3);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod pool;
-
-use std::collections::BTreeMap;
-
-/// The map side: turns one input record into intermediate key/value pairs.
-pub trait Mapper: Sync {
-    /// Input record type.
-    type Input: Sync;
-    /// Intermediate key.
-    type Key: Ord + Clone + Send + Sync;
-    /// Intermediate value.
-    type Value: Send + Sync;
-
-    /// Emits zero or more intermediate pairs for one input.
-    fn map(&self, input: &Self::Input, emit: &mut dyn FnMut(Self::Key, Self::Value));
-}
-
-/// The reduce side: folds all values of one intermediate key into an output.
-pub trait Reducer: Sync {
-    /// Intermediate key (must match the mapper's).
-    type Key: Ord + Clone + Send + Sync;
-    /// Intermediate value (must match the mapper's).
-    type Value: Send + Sync;
-    /// Final output per key.
-    type Output: Send;
-
-    /// Reduces the collected values of `key`.
-    fn reduce(&self, key: &Self::Key, values: &[Self::Value]) -> Self::Output;
-}
-
-/// An identity-style reducer for map-only jobs (the paper's thread-level
-/// algorithms): each key is expected to carry exactly one value, which is passed
-/// through.
-pub struct IdentityReducer<K, V>(std::marker::PhantomData<fn(K, V)>);
-
-impl<K, V> Default for IdentityReducer<K, V> {
-    fn default() -> Self {
-        IdentityReducer(std::marker::PhantomData)
-    }
-}
-
-impl<K: Ord + Clone + Send + Sync, V: Send + Sync + Clone> Reducer for IdentityReducer<K, V> {
-    type Key = K;
-    type Value = V;
-    type Output = V;
-
-    fn reduce(&self, _key: &K, values: &[V]) -> V {
-        debug_assert_eq!(values.len(), 1, "identity reduce expects one value per key");
-        values[0].clone()
-    }
-}
-
-/// Runs the job sequentially (reference executor).
-pub fn run_sequential<M, R>(
-    mapper: &M,
-    reducer: &R,
-    inputs: &[M::Input],
-) -> Vec<(M::Key, R::Output)>
-where
-    M: Mapper,
-    R: Reducer<Key = M::Key, Value = M::Value>,
-{
-    let mut groups: BTreeMap<M::Key, Vec<M::Value>> = BTreeMap::new();
-    for input in inputs {
-        mapper.map(input, &mut |k, v| groups.entry(k).or_default().push(v));
-    }
-    groups
-        .into_iter()
-        .map(|(k, vs)| {
-            let out = reducer.reduce(&k, &vs);
-            (k, out)
-        })
-        .collect()
-}
-
-/// Runs the job with `workers` map workers and the same number of reduce
-/// workers, using scoped threads. Output is sorted by key, identical
-/// to [`run_sequential`] for deterministic mappers/reducers.
-pub fn run_parallel<M, R>(
-    mapper: &M,
-    reducer: &R,
-    inputs: &[M::Input],
-    workers: usize,
-) -> Vec<(M::Key, R::Output)>
-where
-    M: Mapper,
-    R: Reducer<Key = M::Key, Value = M::Value>,
-{
-    let workers = workers.max(1);
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-
-    // Map phase: each worker maps a contiguous chunk into a local group table.
-    let chunk = inputs.len().div_ceil(workers);
-    let locals: Vec<BTreeMap<M::Key, Vec<M::Value>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    let mut local: BTreeMap<M::Key, Vec<M::Value>> = BTreeMap::new();
-                    for input in part {
-                        mapper.map(input, &mut |k, v| local.entry(k).or_default().push(v));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("map worker panicked"))
-            .collect()
-    });
-
-    // Shuffle: merge worker-local tables (workers produced chunks in input order,
-    // so values keep a deterministic order).
-    let mut groups: BTreeMap<M::Key, Vec<M::Value>> = BTreeMap::new();
-    for local in locals {
-        for (k, mut vs) in local {
-            groups.entry(k).or_default().append(&mut vs);
-        }
-    }
-
-    // Reduce phase: chunk keys across workers.
-    let entries: Vec<(M::Key, Vec<M::Value>)> = groups.into_iter().collect();
-    let chunk = entries.len().div_ceil(workers).max(1);
-    let reduced: Vec<Vec<(M::Key, R::Output)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = entries
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    part.iter()
-                        .map(|(k, vs)| (k.clone(), reducer.reduce(k, vs)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reduce worker panicked"))
-            .collect()
-    });
-
-    // Keys were globally sorted before chunking; concatenation preserves order.
-    reduced.into_iter().flatten().collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Tokenize;
-    impl Mapper for Tokenize {
-        type Input = String;
-        type Key = String;
-        type Value = u64;
-        fn map(&self, line: &String, emit: &mut dyn FnMut(String, u64)) {
-            for w in line.split_whitespace() {
-                emit(w.to_string(), 1);
-            }
-        }
-    }
-
-    struct Sum;
-    impl Reducer for Sum {
-        type Key = String;
-        type Value = u64;
-        type Output = u64;
-        fn reduce(&self, _k: &String, vs: &[u64]) -> u64 {
-            vs.iter().sum()
-        }
-    }
-
-    fn lines() -> Vec<String> {
-        vec![
-            "the quick brown fox".to_string(),
-            "the lazy dog".to_string(),
-            "the quick dog".to_string(),
-        ]
-    }
-
-    #[test]
-    fn word_count_sequential() {
-        let out = run_sequential(&Tokenize, &Sum, &lines());
-        let the = out.iter().find(|(k, _)| k == "the").unwrap();
-        assert_eq!(the.1, 3);
-        let quick = out.iter().find(|(k, _)| k == "quick").unwrap();
-        assert_eq!(quick.1, 2);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let seq = run_sequential(&Tokenize, &Sum, &lines());
-        for workers in [1, 2, 3, 8] {
-            assert_eq!(run_parallel(&Tokenize, &Sum, &lines(), workers), seq);
-        }
-    }
-
-    #[test]
-    fn empty_input() {
-        let out = run_parallel(&Tokenize, &Sum, &[], 4);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn identity_reducer_passes_single_values() {
-        struct One;
-        impl Mapper for One {
-            type Input = u32;
-            type Key = u32;
-            type Value = u32;
-            fn map(&self, x: &u32, emit: &mut dyn FnMut(u32, u32)) {
-                emit(*x, x * 10);
-            }
-        }
-        let out = run_parallel(&One, &IdentityReducer::default(), &[3, 1, 2], 2);
-        assert_eq!(out, vec![(1, 10), (2, 20), (3, 30)]);
-    }
-
-    #[test]
-    fn output_sorted_by_key() {
-        let out = run_parallel(&Tokenize, &Sum, &lines(), 3);
-        let keys: Vec<&String> = out.iter().map(|(k, _)| k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn more_workers_than_inputs() {
-        let out = run_parallel(&Tokenize, &Sum, &lines()[..1], 64);
-        assert_eq!(out.len(), 4); // the quick brown fox
-    }
-}

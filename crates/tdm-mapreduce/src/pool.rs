@@ -20,8 +20,6 @@
 //! [`DEFAULT_LANE_AGING`] consecutive high-lane pops made while normal jobs
 //! were waiting, one normal job runs, so a continuous high stream cannot
 //! starve the bulk lane ([`Pool::with_aging`] tunes or disables this).
-//! [`shared`] exposes one lazily spawned process-wide pool for convenience
-//! paths that have no session to borrow a pool from.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -40,7 +38,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A queued unit of work for a [`Pool`] worker.
@@ -180,11 +178,6 @@ impl Pool {
             })
             .collect();
         Pool { shared, handles }
-    }
-
-    /// A pool sized to the machine's available parallelism.
-    pub fn auto() -> Pool {
-        Pool::with_workers(default_workers())
     }
 
     /// Number of worker threads.
@@ -344,20 +337,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// The process-wide shared pool: one machine-sized [`Pool`], spawned lazily on
-/// first use and reused by every caller for the rest of the process.
-///
-/// This is what the engine-level convenience paths
-/// (`CompiledCandidates::count_sharded` / `count_auto`) dispatch to when no
-/// session pool is in scope — a shared-threads replacement for the scoped
-/// spawn-per-call they used before. Code that owns a lifecycle (a
-/// `MiningSession`, a `tdm-serve` service) should size and own its own pool
-/// instead.
-pub fn shared() -> &'static Pool {
-    static SHARED: OnceLock<Pool> = OnceLock::new();
-    SHARED.get_or_init(Pool::auto)
 }
 
 #[cfg(test)]
@@ -602,15 +581,6 @@ mod tests {
         let pool = Pool::with_workers(3);
         let out = pool.map_move_prio(Priority::High, (0..40u32).collect(), |x| x + 1);
         assert_eq!(out, (1..=40).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shared_pool_is_one_instance_and_usable() {
-        let a = shared() as *const Pool;
-        let b = shared() as *const Pool;
-        assert_eq!(a, b, "shared() must hand out one process-wide pool");
-        assert!(shared().workers() >= 1);
-        assert_eq!(shared().map_move(vec![1u32, 2, 3], |x| x * x), [1, 4, 9]);
     }
 
     #[test]

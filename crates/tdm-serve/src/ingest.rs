@@ -38,9 +38,9 @@ pub struct IngestTriggers {
     /// Seal once this many symbols are buffered (0 disables the count
     /// trigger — only [`StreamIngest::flush`] / the age trigger seal).
     pub flush_count: usize,
-    /// Seal once the oldest buffered symbol is this old. Age is evaluated by
-    /// [`StreamIngest::due`] (there is no background thread); `ZERO`
-    /// disables the age trigger.
+    /// Seal once the oldest buffered symbol is this old. Age is checked on
+    /// each [`StreamIngest::append`] and by [`StreamIngest::due`] (there is
+    /// no background thread); `ZERO` disables the age trigger.
     pub flush_age: Duration,
 }
 
@@ -331,10 +331,10 @@ impl StreamIngest {
         Ok(())
     }
 
-    /// Appends symbols to a tenant's buffer and evaluates the count trigger:
-    /// if it fires and the fence is idle, the window seals and re-mines
+    /// Appends symbols to a tenant's buffer and evaluates both triggers: if
+    /// either has fired and the fence is idle, the window seals and re-mines
     /// **on this thread** before returning (so the caller sees the result);
-    /// if it fires under a held fence, the symbols are deferred to the next
+    /// if one fired under a held fence, the symbols are deferred to the next
     /// window.
     ///
     /// # Errors
@@ -343,7 +343,7 @@ impl StreamIngest {
     /// (the window's symbols are committed and the fence released — the
     /// stream is not rolled back under a sick backend).
     pub fn append(&self, tenant: &str, symbols: &[u8]) -> Result<AppendOutcome, IngestError> {
-        let sealed = {
+        let window = {
             let mut tenants = self.tenants.lock().expect("ingest tenants");
             let t = tenants
                 .get_mut(tenant)
@@ -355,6 +355,9 @@ impl StreamIngest {
                     alphabet,
                 }));
             }
+            // The age is read before this append lands: a buffer it starts
+            // is zero seconds old.
+            let aged = t.age_trigger_fired();
             t.pending.extend_from_slice(symbols);
             if !t.pending.is_empty() {
                 t.buffered_at.get_or_insert_with(Instant::now);
@@ -362,32 +365,21 @@ impl StreamIngest {
             let mut stats = self.stats.lock().expect("ingest stats");
             stats.appends += 1;
             stats.appended_symbols += symbols.len() as u64;
-            if !t.count_trigger_fired() {
-                None
-            } else if t.fence != Fence::Idle {
-                stats.deferred_appends += 1;
-                drop(stats);
+            let fired = aged || t.count_trigger_fired();
+            if !fired || t.fence != Fence::Idle {
+                if fired {
+                    stats.deferred_appends += 1;
+                }
                 return Ok(AppendOutcome::Buffered {
                     pending: t.pending.len(),
-                    deferred: true,
+                    deferred: fired,
                 });
-            } else {
-                stats.windows_sealed += 1;
-                drop(stats);
-                Some(t.seal())
             }
+            stats.windows_sealed += 1;
+            drop(stats);
+            t.seal()
         };
-        match sealed {
-            None => {
-                let tenants = self.tenants.lock().expect("ingest tenants");
-                let pending = tenants.get(tenant).map_or(0, |t| t.pending.len());
-                Ok(AppendOutcome::Buffered {
-                    pending,
-                    deferred: false,
-                })
-            }
-            Some(window) => Ok(AppendOutcome::Flushed(self.remine(tenant, window)?)),
-        }
+        Ok(AppendOutcome::Flushed(self.remine(tenant, window)?))
     }
 
     /// Force-seals a tenant's pending buffer (any size) and re-mines it —
@@ -693,6 +685,42 @@ mod tests {
         let report = ingest.flush("slow").unwrap().expect("age-due buffer seals");
         assert_eq!((report.window, report.symbols), (0, 2));
         assert!(ingest.due().is_empty(), "flushed tenant no longer due");
+    }
+
+    #[test]
+    fn age_trigger_seals_on_the_next_append() {
+        let service = Arc::new(MiningService::new(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        }));
+        let ingest = StreamIngest::new(service);
+        ingest
+            .register(
+                "slow",
+                seed(&"AB".repeat(30)),
+                cfg(),
+                IngestTriggers {
+                    flush_count: 0,
+                    flush_age: Duration::from_millis(20),
+                },
+            )
+            .unwrap();
+
+        match ingest.append("slow", &[0, 1]).unwrap() {
+            AppendOutcome::Buffered {
+                pending: 2,
+                deferred: false,
+            } => {}
+            other => panic!("a fresh buffer is not aged: {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(40));
+        let report = match ingest.append("slow", &[0, 1]).unwrap() {
+            AppendOutcome::Flushed(r) => r,
+            other => panic!("an aged buffer seals on append: {other:?}"),
+        };
+        assert_eq!((report.window, report.epoch, report.symbols), (0, 1, 4));
+        assert_eq!(ingest.tenant("slow").unwrap().pending, 0);
+        assert_eq!(ingest.stats().windows_sealed, 1);
     }
 
     #[test]

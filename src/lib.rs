@@ -11,8 +11,10 @@
 //!   paper's three cards (Table 2) as presets;
 //! * [`gpu`] (`tdm-gpu`) — the paper's four parallel counting kernels
 //!   (thread-/block-level × unbuffered/buffered) running on the simulator;
-//! * [`mapreduce`] (`tdm-mapreduce`) — the MapReduce programming model the
-//!   paper frames its kernels with, for CPU execution;
+//! * [`mapreduce`] (`tdm-mapreduce`) — the worker pools the CPU executors run
+//!   on; the paper's MapReduce shape (§2.2, Fig. 2) is the [`baselines`]
+//!   `MapReduceBackend` (map a candidate chunk, concatenate) and
+//!   `ShardedScanBackend` (map a stream segment, sum, Fig. 5 boundary fix);
 //! * [`baselines`] (`tdm-baselines`) — GMiner-class serial and parallel CPU
 //!   counting backends;
 //! * [`workloads`] (`tdm-workloads`) — the paper's 393,019-letter database plus

@@ -25,6 +25,7 @@ use temporal_mining::core::candidate::{apriori_join, level1};
 use temporal_mining::core::count::count_episodes_naive;
 use temporal_mining::core::engine::{CandidateUnion, CompiledCandidates, CountScratch};
 use temporal_mining::core::miner::SequentialBackend;
+use temporal_mining::core::segment::even_bounds;
 use temporal_mining::prelude::*;
 use temporal_mining::workloads::markov_letters;
 
@@ -412,7 +413,8 @@ proptest! {
     /// The demux identity under arbitrary data, arbitrary episode sets
     /// (repeats included), and every worker count 1..=8: union counts
     /// gathered back per source equal that source's own counts — for both
-    /// the sequential scan and the sharded pool scan over the union.
+    /// the sequential scan and the segmented scan over the union, cut into
+    /// `workers` even shards at any stream length.
     #[test]
     fn union_demux_equals_solo_counts(
         data in proptest::collection::vec(0u8..6, 0..400),
@@ -430,12 +432,12 @@ proptest! {
             .collect();
         let refs: Vec<&[Episode]> = sets.iter().map(|s| s.as_slice()).collect();
         let union = CandidateUnion::build(&refs);
-        let compiled = Arc::new(CompiledCandidates::compile(6, union.episodes()));
-        let stream: Arc<[u8]> = Arc::from(db.symbols());
-        let sequential = compiled.count(&stream, &mut CountScratch::new());
-        // The Arc-native entry the batch path's inputs fit (shared handles,
-        // zero snapshot) must agree with the sequential scan.
-        let sharded = CompiledCandidates::count_sharded_arc(&compiled, &stream, workers);
+        let compiled = CompiledCandidates::compile(6, union.episodes());
+        let stream = db.symbols();
+        let mut scratch = CountScratch::new();
+        let sequential = compiled.count(stream, &mut scratch);
+        let bounds = even_bounds(stream.len(), workers);
+        let sharded = compiled.count_with_bounds(stream, &bounds, &mut scratch);
         prop_assert_eq!(&sequential, &sharded);
         for (s, set) in sets.iter().enumerate() {
             prop_assert_eq!(union.demux(s, &sequential), count_episodes_naive(&db, set));
@@ -465,7 +467,8 @@ proptest! {
             prop_assert_eq!(union.len(), solo.len());
         }
         let compiled = CompiledCandidates::compile(5, union.episodes());
-        let counts = compiled.count_sharded(db.symbols(), workers);
+        let bounds = even_bounds(db.len(), workers);
+        let counts = compiled.count_with_bounds(db.symbols(), &bounds, &mut CountScratch::new());
         for (s, set) in sets.iter().enumerate() {
             prop_assert_eq!(union.demux(s, &counts), count_episodes_naive(&db, set));
         }

@@ -14,7 +14,9 @@
 //! * a 10 ms-deadline request against a slow executor is **cancelled
 //!   mid-level-loop**: later levels never execute, the slot is released,
 //!   and the client gets the typed `"deadline"` error;
-//! * tenant A exhausting its in-flight quota cannot starve tenant B.
+//! * tenant A exhausting its in-flight quota cannot starve tenant B;
+//! * a stream armed with only an age trigger seals on its next `"ingest"`
+//!   frame once its oldest buffered symbol is old enough.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -560,5 +562,54 @@ fn tenant_quota_cannot_starve_other_tenants() {
 
     // Quota slots drain back to idle once the blocker finishes.
     assert_eq!(server.tenant_in_flight(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn an_age_only_stream_seals_on_its_next_ingest_frame() {
+    let server = Server::bind(ServerConfig {
+        handler_threads: 2,
+        service: temporal_mining::serve::ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        },
+        tenants: tenant_configs(),
+        ..Default::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let registered = client
+        .call_bytes(
+            br#"{"type":"register","tenant":"acme","api_key":"key-a","stream":"s","seed":"ABAB","flush_count":0,"flush_age_ms":50}"#,
+        )
+        .unwrap();
+    assert_eq!(
+        registered.get("type").and_then(Value::as_str),
+        Some("registered"),
+        "{}",
+        registered.encode()
+    );
+
+    let ingest =
+        br#"{"type":"ingest","tenant":"acme","api_key":"key-a","stream":"s","symbols":"AB"}"#;
+    let first = client.call_bytes(ingest).unwrap();
+    assert_eq!(
+        first.get("outcome").and_then(Value::as_str),
+        Some("buffered"),
+        "{}",
+        first.encode()
+    );
+    // No thread polls the age trigger; the next append must check it.
+    std::thread::sleep(Duration::from_millis(100));
+    let second = client.call_bytes(ingest).unwrap();
+    assert_eq!(
+        second.get("outcome").and_then(Value::as_str),
+        Some("flushed"),
+        "{}",
+        second.encode()
+    );
+    assert_eq!(second.get("symbols").and_then(Value::as_u64), Some(4));
+    assert_eq!(second.get("window").and_then(Value::as_u64), Some(0));
+    drop(client);
     server.shutdown();
 }

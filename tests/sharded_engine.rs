@@ -5,9 +5,33 @@
 //! one-FSM-per-episode reference.
 
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 use temporal_mining::core::count::count_episodes_naive;
-use temporal_mining::core::engine::{CompiledCandidates, CountScratch};
-use temporal_mining::core::{Alphabet, Episode, EventDb};
+use temporal_mining::prelude::*;
+
+/// One small pool behind every session below: the sessions plan the shard
+/// bounds, so `workers` shards are cut whatever the host's core count, and
+/// these two threads scan them.
+fn pool() -> Arc<Pool> {
+    static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
+    Arc::clone(POOL.get_or_init(|| Arc::new(Pool::with_workers(2))))
+}
+
+/// The parallel count: a session planned for `workers` shards runs the
+/// database-sharded executor on its request.
+fn sharded_count(db: &EventDb, episodes: &[Episode], workers: usize) -> Vec<u64> {
+    let mut session = MiningSession::builder(db)
+        .workers(workers)
+        .with_pool(pool())
+        .build();
+    let req = session.plan_candidates(episodes);
+    assert_eq!(
+        req.shard_bounds().len(),
+        workers - 1,
+        "one shard per worker"
+    );
+    ShardedScanBackend::auto().execute(&req).unwrap()
+}
 
 /// Builds a distinct-item episode from a seed by keeping each symbol's first
 /// occurrence (order preserved, so the space is richer than sorted prefixes).
@@ -39,11 +63,10 @@ proptest! {
         let db = EventDb::new(ab, data).unwrap();
         let episodes: Vec<Episode> = seeds.iter().map(|s| distinct_episode(s)).collect();
         prop_assert!(episodes.iter().all(|e| e.has_distinct_items()));
-        let compiled = CompiledCandidates::compile(6, &episodes);
         let expected = count_episodes_naive(&db, &episodes);
         for workers in 1usize..=8 {
             prop_assert_eq!(
-                &compiled.count_sharded(db.symbols(), workers),
+                &sharded_count(&db, &episodes, workers),
                 &expected,
                 "workers={}", workers
             );
@@ -88,11 +111,10 @@ proptest! {
         let db = EventDb::new(ab, data).unwrap();
         let episodes: Vec<Episode> =
             eps.into_iter().map(|v| Episode::new(v).unwrap()).collect();
-        let compiled = CompiledCandidates::compile(4, &episodes);
         let expected = count_episodes_naive(&db, &episodes);
         for workers in [2usize, 5, 8] {
             prop_assert_eq!(
-                &compiled.count_sharded(db.symbols(), workers),
+                &sharded_count(&db, &episodes, workers),
                 &expected,
                 "workers={}", workers
             );
