@@ -741,6 +741,21 @@ impl<'db> MiningSession<'db> {
         self.cancel.as_ref()
     }
 
+    /// Re-targets the session to a new member list, in result order: the
+    /// next run mines these configs over the same stream snapshot, shard
+    /// bounds, occurrence index and compiled buffers, none of which depends
+    /// on a config. An empty list leaves one default member, as the builder
+    /// does. A serving layer parks one session per database and hands it to
+    /// any batch this way: the level loop rebuilds every per-member
+    /// structure from the configs on each call.
+    pub fn set_configs(&mut self, configs: impl IntoIterator<Item = MinerConfig>) {
+        self.configs.clear();
+        self.configs.extend(configs);
+        if self.configs.is_empty() {
+            self.configs.push(MinerConfig::default());
+        }
+    }
+
     /// How many candidate sets this session has compiled — exactly one per
     /// counted level (the number of scans issued), regardless of how many
     /// executors ran against each or how many members rode it. Accumulates
@@ -800,39 +815,6 @@ impl<'db> MiningSession<'db> {
         self.epoch = db.epoch();
         self.db = DbHandle::Shared(db);
         Ok(())
-    }
-
-    /// Maps each requested config to a **distinct** member of this session (a
-    /// multiset matching): `perm[i]` is the member index whose result answers
-    /// request `i`. Returns `None` unless the requested configs are exactly
-    /// this session's members (same multiset, any order).
-    ///
-    /// Plans are equal only on the exact `alpha` bit pattern (a cached plan
-    /// must answer only the *identical* threshold, not an approximately
-    /// equal one), level bound, and generation rule. This is what lets a
-    /// serving layer park a session in a cache keyed by its *sorted*
-    /// config-set fingerprint and reuse it for a batch whose members arrived
-    /// in a different order: [`co_mine`] rebuilds per-member state from the
-    /// configs on every call, so callers only need this permutation to route
-    /// each member's result back to the right requester.
-    ///
-    /// [`co_mine`]: MiningSession::co_mine
-    pub fn member_permutation(&self, configs: &[MinerConfig]) -> Option<Vec<usize>> {
-        if configs.len() != self.configs.len() {
-            return None;
-        }
-        let mut perm = Vec::with_capacity(configs.len());
-        for want in configs {
-            let j = (0..self.configs.len()).find(|j| {
-                let have = &self.configs[*j];
-                !perm.contains(j)
-                    && have.alpha.to_bits() == want.alpha.to_bits()
-                    && have.max_level == want.max_level
-                    && have.distinct_items_only == want.distinct_items_only
-            })?;
-            perm.push(j);
-        }
-        Some(perm)
     }
 
     /// The plan step: `compile` fills the session's reusable buffers in place
@@ -1257,6 +1239,59 @@ mod tests {
                 .unwrap();
             assert_eq!(*got, solo, "{config:?}");
         }
+    }
+
+    #[test]
+    fn set_configs_retargets_one_plan_to_any_member_list() {
+        // One session, re-targeted across member lists of 1 to 3 configs
+        // (mixed α, level bounds and generation rules), mines each list
+        // exactly like fresh serial mining, on the same compiled buffers.
+        let db =
+            EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBACAAB".repeat(40)).unwrap();
+        let cfg = |alpha, max_level, distinct_items_only| MinerConfig {
+            alpha,
+            max_level,
+            distinct_items_only,
+        };
+        let lists = [
+            vec![cfg(0.01, Some(3), true)],
+            vec![cfg(0.002, Some(4), false), cfg(0.05, None, true)],
+            vec![
+                cfg(0.05, Some(2), true),
+                cfg(0.0, Some(1), false),
+                cfg(0.01, Some(3), false),
+            ],
+            vec![cfg(0.002, Some(4), false)],
+        ];
+        let mut session = MiningSession::builder(&db).build();
+        let mut compiled_at = None;
+        for configs in &lists {
+            session.set_configs(configs.iter().copied());
+            assert_eq!(session.configs().len(), configs.len());
+            let results = session.co_mine(&mut SpyBackend { executes: 0 }).unwrap();
+            for (config, got) in configs.iter().zip(&results) {
+                let solo = Miner::new(*config)
+                    .mine(&db, &mut SequentialBackend::default())
+                    .unwrap();
+                assert_eq!(*got, solo, "{config:?}");
+            }
+            let at = session.compiled() as *const CompiledCandidates;
+            assert_eq!(*compiled_at.get_or_insert(at), at, "buffers moved");
+        }
+        // An empty list leaves one default member, as the builder does.
+        session.set_configs([]);
+        let default = MinerConfig::default();
+        let [only] = session.configs() else {
+            panic!("expected one member, got {:?}", session.configs());
+        };
+        assert_eq!(
+            (only.alpha, only.max_level, only.distinct_items_only),
+            (
+                default.alpha,
+                default.max_level,
+                default.distinct_items_only
+            )
+        );
     }
 
     /// A session mined with the strategy-dispatching executor, plus whether

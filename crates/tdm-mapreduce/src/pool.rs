@@ -19,7 +19,7 @@
 //! is **aged**, mirroring the serving layer's admission queue: after
 //! [`DEFAULT_LANE_AGING`] consecutive high-lane pops made while normal jobs
 //! were waiting, one normal job runs, so a continuous high stream cannot
-//! starve the bulk lane ([`Pool::with_aging`] tunes or disables this).
+//! starve the bulk lane.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -56,16 +56,16 @@ pub enum Priority {
     Normal,
 }
 
-/// Default lane-aging limit: after this many consecutive high-lane pops made
-/// while normal jobs were waiting, one normal job runs. Mirrors the serving
-/// layer's admission aging so neither queue in the stack can starve its
-/// normal lane.
+/// Lane-aging limit: after this many consecutive high-lane pops made while
+/// normal jobs were waiting, one normal job runs. The serving layer's
+/// admission gate ages by the same constant, so neither queue in the stack
+/// can starve its normal lane.
 pub const DEFAULT_LANE_AGING: usize = 8;
 
 struct PoolState {
     /// Two FIFO lanes; workers drain `high` before touching `normal`,
-    /// except that every `aging`-th consecutive high pop (counted only while
-    /// normal jobs wait) yields to the normal lane.
+    /// except that every [`DEFAULT_LANE_AGING`]-th consecutive high pop
+    /// (counted only while normal jobs wait) yields to the normal lane.
     high: VecDeque<Job>,
     normal: VecDeque<Job>,
     /// Consecutive high-lane pops made while the normal lane was non-empty.
@@ -75,8 +75,8 @@ struct PoolState {
 
 impl PoolState {
     /// Pops the next job under the aged two-lane discipline.
-    fn pop(&mut self, aging: usize) -> Option<Job> {
-        if aging != 0 && self.high_streak >= aging && !self.normal.is_empty() {
+    fn pop(&mut self) -> Option<Job> {
+        if self.high_streak >= DEFAULT_LANE_AGING && !self.normal.is_empty() {
             self.high_streak = 0;
             return self.normal.pop_front();
         }
@@ -98,8 +98,6 @@ impl PoolState {
 struct PoolShared {
     state: Mutex<PoolState>,
     available: Condvar,
-    /// Lane-aging limit (0 = strict priority, normal can starve).
-    aging: usize,
 }
 
 /// A persistent worker pool: `n` threads spawned once, fed through a shared
@@ -125,18 +123,9 @@ impl std::fmt::Debug for Pool {
 }
 
 impl Pool {
-    /// Spawns a pool of `n` workers (0 is clamped to 1) with the default
-    /// lane-aging limit ([`DEFAULT_LANE_AGING`]).
+    /// Spawns a pool of `n` workers (0 is clamped to 1) whose normal lane
+    /// ages after [`DEFAULT_LANE_AGING`] high-lane pops.
     pub fn with_workers(n: usize) -> Pool {
-        Pool::with_aging(n, DEFAULT_LANE_AGING)
-    }
-
-    /// Spawns a pool of `n` workers (0 is clamped to 1) with an explicit
-    /// lane-aging limit: after `aging` consecutive high-lane pops made while
-    /// normal jobs were waiting, one normal job runs. `aging = 0` disables
-    /// aging (strict priority — a continuous high stream starves the normal
-    /// lane, the pre-aging behavior).
-    pub fn with_aging(n: usize, aging: usize) -> Pool {
         let n = n.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -146,7 +135,6 @@ impl Pool {
                 shutdown: false,
             }),
             available: Condvar::new(),
-            aging,
         });
         let handles = (0..n)
             .map(|i| {
@@ -157,8 +145,7 @@ impl Pool {
                         let job = {
                             let mut st = shared.state.lock().expect("pool state");
                             loop {
-                                let aging = shared.aging;
-                                if let Some(job) = st.pop(aging) {
+                                if let Some(job) = st.pop() {
                                     break job;
                                 }
                                 if st.shutdown {
@@ -183,11 +170,6 @@ impl Pool {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.handles.len()
-    }
-
-    /// The lane-aging limit this pool schedules with (0 = strict priority).
-    pub fn aging(&self) -> usize {
-        self.shared.aging
     }
 
     /// Enqueues one [`Priority::Normal`] job; returns immediately.
@@ -532,48 +514,25 @@ mod tests {
 
     #[test]
     fn a_continuous_high_stream_no_longer_starves_the_normal_lane() {
-        // Aging limit 2: after two high pops made while a normal job waits,
-        // the normal job must run — even though six high jobs are queued.
-        let order = run_gated(Pool::with_aging(1, 2), |pool, order| {
+        // After DEFAULT_LANE_AGING high pops made while a normal job waits,
+        // the normal job must run — even though more high jobs are queued.
+        let highs = DEFAULT_LANE_AGING + 4;
+        let order = run_gated(Pool::with_workers(1), |pool, order| {
             {
                 let order = Arc::clone(order);
                 pool.execute(move || order.lock().unwrap().push("normal"));
             }
-            for _ in 0..6 {
+            for _ in 0..highs {
                 let order = Arc::clone(order);
                 pool.execute_prio(Priority::High, move || order.lock().unwrap().push("high"));
             }
         });
+        let mut want = vec!["high"; highs];
+        want.insert(DEFAULT_LANE_AGING, "normal");
         assert_eq!(
-            order.as_slice(),
-            ["high", "high", "normal", "high", "high", "high", "high"],
-            "the aged normal job must run after exactly two high pops"
+            order, want,
+            "the aged normal job must run after exactly {DEFAULT_LANE_AGING} high pops"
         );
-    }
-
-    #[test]
-    fn aging_zero_restores_strict_priority() {
-        let order = run_gated(Pool::with_aging(1, 0), |pool, order| {
-            {
-                let order = Arc::clone(order);
-                pool.execute(move || order.lock().unwrap().push("normal"));
-            }
-            for _ in 0..4 {
-                let order = Arc::clone(order);
-                pool.execute_prio(Priority::High, move || order.lock().unwrap().push("high"));
-            }
-        });
-        assert_eq!(
-            order.as_slice(),
-            ["high", "high", "high", "high", "normal"],
-            "aging 0 must drain the whole high lane first"
-        );
-    }
-
-    #[test]
-    fn default_pools_age_their_lanes() {
-        assert_eq!(Pool::with_workers(1).aging(), DEFAULT_LANE_AGING);
-        assert_eq!(Pool::with_aging(1, 3).aging(), 3);
     }
 
     #[test]

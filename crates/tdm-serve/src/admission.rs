@@ -15,17 +15,17 @@
 //!
 //! Strict high-before-normal would let a continuous High stream starve a
 //! queued Normal request forever. The gate therefore **ages** the normal
-//! lane: after `aging_limit` consecutive High admissions while a Normal
-//! request was waiting, the next admission goes to the oldest Normal ticket
-//! (and the streak resets). High traffic still overtakes — it just can't
-//! monopolize: a waiting Normal request is admitted after at most
-//! `aging_limit` High admissions, however long the High stream runs.
-//! [`AdmissionQueue::with_aging`] tunes the bound; `0` disables aging
-//! (strict priority, the pre-aging behavior).
+//! lane: after [`DEFAULT_LANE_AGING`] (8) consecutive High admissions while a
+//! Normal request was waiting, the next admission goes to the oldest Normal
+//! ticket (and the streak resets). High traffic still overtakes — it just
+//! can't monopolize: a waiting Normal request is admitted after at most 8
+//! High admissions, however long the High stream runs. The shared pool's job
+//! lanes age by the same constant, so neither queue in the stack can starve
+//! its normal lane.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use tdm_mapreduce::pool::Priority;
+use tdm_mapreduce::pool::{Priority, DEFAULT_LANE_AGING};
 
 /// The admission queue refused to enqueue a request: the waiting room is
 /// already at `max_pending`.
@@ -36,10 +36,6 @@ pub struct Overloaded {
     /// The configured waiting-room bound.
     pub limit: usize,
 }
-
-/// Default aging bound: a waiting Normal request is admitted after at most
-/// this many consecutive High admissions.
-pub const DEFAULT_AGING_LIMIT: usize = 8;
 
 struct AdmitState {
     next_ticket: u64,
@@ -57,10 +53,10 @@ impl AdmitState {
 
     /// The one ticket eligible to be admitted next: the head of the high
     /// lane, or the head of the normal lane when the high lane is empty —
-    /// **or** when the normal lane has aged past `aging_limit` consecutive
-    /// High admissions (starvation control).
-    fn next_eligible(&self, aging_limit: usize) -> Option<u64> {
-        if aging_limit != 0 && self.high_streak >= aging_limit {
+    /// **or** when the normal lane has aged past [`DEFAULT_LANE_AGING`]
+    /// consecutive High admissions (starvation control).
+    fn next_eligible(&self) -> Option<u64> {
+        if self.high_streak >= DEFAULT_LANE_AGING {
             if let Some(&escalated) = self.normal.front() {
                 return Some(escalated);
             }
@@ -74,7 +70,6 @@ impl AdmitState {
 pub struct AdmissionQueue {
     max_in_flight: usize,
     max_pending: usize,
-    aging_limit: usize,
     state: Mutex<AdmitState>,
     admitted: Condvar,
 }
@@ -109,21 +104,12 @@ impl Drop for Permit<'_> {
 impl AdmissionQueue {
     /// A gate admitting at most `max_in_flight` requests concurrently
     /// (clamped to ≥ 1) with at most `max_pending` more waiting (0 =
-    /// unbounded waiting room) and the default aging bound
-    /// ([`DEFAULT_AGING_LIMIT`]).
+    /// unbounded waiting room), aging its normal lane after
+    /// [`DEFAULT_LANE_AGING`] High admissions.
     pub fn new(max_in_flight: usize, max_pending: usize) -> Self {
-        AdmissionQueue::with_aging(max_in_flight, max_pending, DEFAULT_AGING_LIMIT)
-    }
-
-    /// Like [`new`](AdmissionQueue::new), with an explicit aging bound: a
-    /// waiting Normal request is admitted after at most `aging_limit`
-    /// consecutive High admissions. `0` disables aging (strict priority — a
-    /// continuous High stream can then starve the normal lane).
-    pub fn with_aging(max_in_flight: usize, max_pending: usize, aging_limit: usize) -> Self {
         AdmissionQueue {
             max_in_flight: max_in_flight.max(1),
             max_pending,
-            aging_limit,
             state: Mutex::new(AdmitState {
                 next_ticket: 0,
                 in_flight: 0,
@@ -133,11 +119,6 @@ impl AdmissionQueue {
             }),
             admitted: Condvar::new(),
         }
-    }
-
-    /// The aging bound this gate runs with (0 = aging disabled).
-    pub fn aging_limit(&self) -> usize {
-        self.aging_limit
     }
 
     /// Takes a ticket and blocks until it is this request's turn and an
@@ -160,9 +141,7 @@ impl AdmissionQueue {
             Priority::Normal => st.normal.push_back(ticket),
         }
         loop {
-            if st.in_flight < self.max_in_flight
-                && st.next_eligible(self.aging_limit) == Some(ticket)
-            {
+            if st.in_flight < self.max_in_flight && st.next_eligible() == Some(ticket) {
                 match priority {
                     Priority::High => st.high.pop_front(),
                     Priority::Normal => st.normal.pop_front(),
@@ -335,13 +314,13 @@ mod tests {
 
     #[test]
     fn aging_prevents_a_continuous_high_stream_from_starving_normal() {
-        // One slot, aging after 2 High admissions. A Normal request queues
-        // first, then a stream of High requests keeps the high lane non-empty
-        // for the rest of the test. Under strict priority the Normal ticket
-        // would be admitted dead last; with aging it must go after exactly 2
-        // High admissions.
-        let q = Arc::new(AdmissionQueue::with_aging(1, 0, 2));
-        assert_eq!(q.aging_limit(), 2);
+        // One slot. A Normal request queues first, then a stream of High
+        // requests keeps the high lane non-empty for the rest of the test.
+        // Under strict priority the Normal ticket would be admitted dead
+        // last; with aging it must go after exactly DEFAULT_LANE_AGING High
+        // admissions.
+        let highs = DEFAULT_LANE_AGING + 3;
+        let q = Arc::new(AdmissionQueue::new(1, 0));
         let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
         let holder = q.acquire(Priority::Normal).unwrap();
         std::thread::scope(|s| {
@@ -357,7 +336,7 @@ mod tests {
             while q.pending() < 1 {
                 std::thread::yield_now();
             }
-            for i in 0..5usize {
+            for i in 0..highs {
                 {
                     let q = Arc::clone(&q);
                     let order = Arc::clone(&order);
@@ -375,56 +354,14 @@ mod tests {
             drop(holder);
         });
         let order = order.lock().unwrap();
-        assert_eq!(order.len(), 6);
+        assert_eq!(order.len(), highs + 1);
         let normal_pos = order
             .iter()
             .position(|s| *s == "normal")
             .expect("normal request never admitted — starved");
         assert_eq!(
-            normal_pos, 2,
-            "normal must be admitted after exactly aging_limit high admissions: {order:?}"
-        );
-    }
-
-    #[test]
-    fn aging_zero_keeps_strict_priority() {
-        // aging_limit 0 restores the pre-aging behavior: every queued High
-        // ticket is admitted before the waiting Normal one.
-        let q = Arc::new(AdmissionQueue::with_aging(1, 0, 0));
-        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        let holder = q.acquire(Priority::Normal).unwrap();
-        std::thread::scope(|s| {
-            {
-                let q = Arc::clone(&q);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    let p = q.acquire(Priority::Normal).unwrap();
-                    order.lock().unwrap().push("normal");
-                    drop(p);
-                });
-            }
-            while q.pending() < 1 {
-                std::thread::yield_now();
-            }
-            for i in 0..3usize {
-                {
-                    let q = Arc::clone(&q);
-                    let order = Arc::clone(&order);
-                    s.spawn(move || {
-                        let p = q.acquire(Priority::High).unwrap();
-                        order.lock().unwrap().push("high");
-                        drop(p);
-                    });
-                }
-                while q.pending() < i + 2 {
-                    std::thread::yield_now();
-                }
-            }
-            drop(holder);
-        });
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec!["high", "high", "high", "normal"]
+            normal_pos, DEFAULT_LANE_AGING,
+            "normal must be admitted after exactly {DEFAULT_LANE_AGING} high admissions: {order:?}"
         );
     }
 

@@ -1,56 +1,43 @@
 //! The session cache: parked `MiningSession`s keyed by database content hash
-//! and config-set fingerprint — one LRU for every batch size.
+//! alone — one LRU for every batch size and every configuration.
 //!
-//! Repeated queries against the same database and configuration are the
-//! common case for a mining service (dashboards refreshing, clients polling a
-//! growing stream at intervals, co-mining systems like Mayura batching
-//! similar queries). The expensive part of such a query is the *plan* state —
-//! the stream snapshot, the shard bounds, and above all the compiled
-//! candidate buffers that `MiningSession` reuses in place across levels. The
-//! cache keeps whole owned sessions (`MiningSession<'static>`, sharing the
-//! service pool) between requests, so a hit re-enters the level loop with
-//! every buffer already allocated and warm: no session planning (no stream
-//! snapshot, no shard-bound computation) and no fresh allocations. Each
-//! level's candidates are still compiled — that scan is inherent to the
-//! level loop — but *in place* into the parked session's buffers, so the
-//! compiled-candidate storage keeps the *same address* across requests,
-//! which the workspace tests assert.
+//! Repeated queries against the same database are the common case for a
+//! mining service (dashboards refreshing, clients polling a growing stream at
+//! intervals, co-mining systems like Mayura batching similar queries). The
+//! expensive part of such a query is the *plan* state — the stream snapshot,
+//! the shard bounds, the occurrence index and above all the compiled
+//! candidate buffers that `MiningSession` reuses in place across levels — and
+//! none of it depends on a configuration. The cache therefore keeps whole
+//! owned sessions (`MiningSession<'static>`, sharing the service pool) per
+//! database, and a batch re-targets the session it takes to its own configs
+//! (`MiningSession::set_configs`): a repeat, a new α, a new level bound or a
+//! fused bundle in any arrival order all hit the same parked plan. A hit
+//! re-enters the level loop with every buffer already allocated and warm: no
+//! session planning (no stream snapshot, no shard-bound computation) and no
+//! fresh allocations. Each level's candidates are still compiled — that scan
+//! is inherent to the level loop — but *in place* into the parked session's
+//! buffers, so the compiled-candidate storage keeps the *same address* across
+//! requests, which the workspace tests assert.
 //!
-//! A request mined alone is a batch of one, so solo requests and fused
-//! co-mining batches share the one LRU: an entry is a session with one member
-//! per configuration of its batch, keyed by the **sorted** config-set
-//! fingerprint ([`group_fingerprint`]). A recurring bundle hits whatever order
-//! its members arrive in, and a lone request's key is exactly its own
-//! [`session_key`].
+//! A session has one writer at a time, so a batch takes its session out of
+//! the cache and parks it again when it is done. Concurrent batches over one
+//! database (paper-scan's two lanes, one α each) each take or plan a session
+//! of their own, and every one of them is parked: a database may hold several
+//! sessions, one per batch that ran on it concurrently. The LRU capacity
+//! counts databases, so those extra sessions ride on their database's slot
+//! instead of pushing another database out.
 //!
 //! ## Collision safety
 //!
-//! The key is a 64-bit FNV-1a content hash (plus a config fingerprint), so
-//! two different databases *can* collide. An entry is therefore only handed
-//! out after verification against the requesting database — pointer equality
-//! of the `Arc` when the client resubmits the same handle, full
-//! symbol/timestamp comparison otherwise — and the exact config multiset; a
-//! forged or colliding key falls back to a miss instead of serving another
-//! tenant's session.
+//! The key is a 64-bit FNV-1a content hash, so two different databases *can*
+//! collide. An entry is therefore only handed out after verification against
+//! the requesting database — pointer equality when the client resubmits the
+//! same handle, full symbol/timestamp comparison otherwise; a forged or
+//! colliding key falls back to a miss instead of serving another tenant's
+//! session.
 
-use std::sync::Arc;
 use tdm_core::session::MiningSession;
-use tdm_core::{EventDb, MinerConfig};
-use tdm_mapreduce::pool::Pool;
-
-/// Cache key of one (database, configuration) pair: a content hash of the
-/// database plus a fingerprint of every planning-relevant `MinerConfig`
-/// field. The key is *probabilistic* — entries are verified against the full
-/// request before being shared (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionKey {
-    /// FNV-1a hash of the database content (alphabet size, symbols,
-    /// timestamps).
-    pub db_hash: u64,
-    /// FNV-1a hash of the mining configuration (α bits, level bound,
-    /// candidate universe).
-    pub config_fingerprint: u64,
-}
+use tdm_core::EventDb;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -82,109 +69,14 @@ pub fn db_content_hash(db: &EventDb) -> u64 {
     h
 }
 
-/// Fingerprint of every `MinerConfig` field that shapes the plan (candidate
-/// sets per level, elimination threshold): α's bit pattern, the level bound,
-/// and the candidate-universe switch.
-pub fn config_fingerprint(config: &MinerConfig) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv1a(&mut h, &config.alpha.to_bits().to_le_bytes());
-    let level = match config.max_level {
-        Some(l) => l as u64 + 1,
-        None => 0,
-    };
-    fnv1a(&mut h, &level.to_le_bytes());
-    fnv1a(&mut h, &[config.distinct_items_only as u8]);
-    h
-}
-
-/// The [`SessionKey`] of one request — also the key of that request mined
-/// alone, as a batch of one.
-pub fn session_key(db: &EventDb, config: &MinerConfig) -> SessionKey {
-    SessionKey {
-        db_hash: db_content_hash(db),
-        config_fingerprint: config_fingerprint(config),
-    }
-}
-
-/// Order-insensitive fingerprint of a *set* of configurations: the member
-/// count plus every per-config [`config_fingerprint`], folded in **sorted**
-/// order — except that a set of one fingerprints as its one member, so a
-/// batch of one is keyed exactly like the request alone. Two batches with
-/// the same configs in a different arrival order get the same fingerprint —
-/// that is what lets a parked session answer a permuted batch (see
-/// [`MiningSession::member_permutation`]).
-pub fn group_fingerprint(configs: &[MinerConfig]) -> u64 {
-    if let [only] = configs {
-        return config_fingerprint(only);
-    }
-    let mut fps: Vec<u64> = configs.iter().map(config_fingerprint).collect();
-    fps.sort_unstable();
-    let mut h = FNV_OFFSET;
-    fnv1a(&mut h, &(fps.len() as u64).to_le_bytes());
-    for fp in fps {
-        fnv1a(&mut h, &fp.to_le_bytes());
-    }
-    h
-}
-
-/// True when two database handles refer to the same content: pointer
-/// equality as the fast path, full symbol/timestamp comparison otherwise. A
-/// 64-bit hash collision must never share a session — or a co-mining batch.
-pub(crate) fn db_matches(a: &Arc<EventDb>, b: &Arc<EventDb>) -> bool {
-    Arc::ptr_eq(a, b)
+/// True when two databases have the same content: pointer equality as the
+/// fast path, full symbol/timestamp comparison otherwise. A 64-bit hash
+/// collision must never share a session — or a co-mining batch.
+pub(crate) fn db_matches(a: &EventDb, b: &EventDb) -> bool {
+    std::ptr::eq(a, b)
         || (a.alphabet().len() == b.alphabet().len()
             && a.symbols() == b.symbols()
             && a.times() == b.times())
-}
-
-/// One parked session: the owned `MiningSession<'static>` — one member per
-/// configuration of the batch it was planned for — plus the exact database
-/// handle it was planned over (the verification material; the member configs
-/// live inside the session itself).
-pub struct CachedSession {
-    db: Arc<EventDb>,
-    session: MiningSession<'static>,
-}
-
-impl CachedSession {
-    /// Plans a fresh session for `db` with one member per entry of
-    /// `configs`, in order, dispatching its scans to the shared `pool`.
-    pub fn build(db: Arc<EventDb>, configs: &[MinerConfig], pool: Arc<Pool>) -> Self {
-        let session = MiningSession::builder_shared(Arc::clone(&db))
-            .configs(configs.iter().copied())
-            .with_pool(pool)
-            .build();
-        CachedSession { db, session }
-    }
-
-    /// The member permutation when this entry was planned for exactly this
-    /// database content and this config *multiset* (any order), `None`
-    /// otherwise (see [`MiningSession::member_permutation`]).
-    pub fn matches(&self, db: &Arc<EventDb>, configs: &[MinerConfig]) -> Option<Vec<usize>> {
-        if !db_matches(&self.db, db) {
-            return None;
-        }
-        self.session.member_permutation(configs)
-    }
-
-    /// The parked session, for driving a mining run.
-    pub fn session_mut(&mut self) -> &mut MiningSession<'static> {
-        &mut self.session
-    }
-
-    /// The session (shared view).
-    pub fn session(&self) -> &MiningSession<'static> {
-        &self.session
-    }
-}
-
-impl std::fmt::Debug for CachedSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedSession")
-            .field("db_len", &self.db.len())
-            .field("session", &self.session)
-            .finish()
-    }
 }
 
 /// Counters describing the cache's behavior since service start.
@@ -201,25 +93,21 @@ pub struct CacheStats {
     pub collisions: u64,
 }
 
-/// A small LRU map of parked sessions, one per (database, config multiset):
-/// a request mined alone and a fused K-request batch are the same kind of
-/// entry, keyed by (database content hash, [`group_fingerprint`] of the
-/// batch's configs). Entries are **taken out** while a batch uses them (a
-/// session is single-writer) and re-inserted when it completes; concurrent
-/// identical batches simply miss and plan their own session, the last one
-/// back wins the cache slot.
+/// A small LRU of parked sessions keyed by database content hash. Entries
+/// are **taken out** while a batch uses them (a session is single-writer)
+/// and parked again when it completes. See the [module docs](self).
 #[derive(Debug)]
-pub struct SessionCache {
+pub(crate) struct SessionCache {
     capacity: usize,
     /// Recency order: least-recently-used first.
-    entries: Vec<(SessionKey, CachedSession)>,
+    entries: Vec<(u64, MiningSession<'static>)>,
     stats: CacheStats,
 }
 
 impl SessionCache {
-    /// An empty cache holding at most `capacity` sessions (0 disables
-    /// caching: every batch plans fresh).
-    pub fn new(capacity: usize) -> Self {
+    /// An empty cache holding the sessions of at most `capacity` databases
+    /// (0 disables caching: every batch plans fresh).
+    pub(crate) fn new(capacity: usize) -> Self {
         SessionCache {
             capacity,
             entries: Vec::with_capacity(capacity.min(64)),
@@ -228,81 +116,77 @@ impl SessionCache {
     }
 
     /// Number of parked sessions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no session is parked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Looks up `key`, verifies the entry against the batch's database and
-    /// config multiset, and hands it out (removed while in use) together with
-    /// the member permutation that routes `configs`' arrival order onto the
-    /// parked session's member order.
-    pub fn take(
-        &mut self,
-        key: SessionKey,
-        db: &Arc<EventDb>,
-        configs: &[MinerConfig],
-    ) -> Option<(CachedSession, Vec<usize>)> {
-        match self.entries.iter().position(|(k, _)| *k == key) {
-            Some(i) => match self.entries[i].1.matches(db, configs) {
-                Some(perm) => {
-                    self.stats.hits += 1;
-                    Some((self.entries.remove(i).1, perm))
-                }
-                None => {
-                    // Same 64-bit key, different content or config multiset:
-                    // never share the entry.
-                    self.stats.collisions += 1;
-                    self.stats.misses += 1;
-                    None
-                }
-            },
-            None => {
-                self.stats.misses += 1;
-                None
+    /// Hands out the most recently parked session for `db` (removed while in
+    /// use), whatever configs it last mined. An entry under the same hash
+    /// but over other content is never handed out.
+    pub(crate) fn take(&mut self, db_hash: u64, db: &EventDb) -> Option<MiningSession<'static>> {
+        let mut collided = false;
+        for i in (0..self.entries.len()).rev() {
+            let (hash, session) = &self.entries[i];
+            if *hash != db_hash {
+                continue;
             }
+            if db_matches(session.db(), db) {
+                self.stats.hits += 1;
+                return Some(self.entries.remove(i).1);
+            }
+            collided = true;
         }
+        self.stats.misses += 1;
+        self.stats.collisions += u64::from(collided);
+        None
     }
 
-    /// Parks `entry` under `key` as the most-recently-used session, evicting
-    /// the least-recently-used one when over capacity. Re-inserting an
-    /// existing key replaces that entry (the returning batch has the fresher
-    /// buffers).
-    pub fn put(&mut self, key: SessionKey, entry: CachedSession) {
+    /// Parks `session` as the most-recently-used entry, evicting
+    /// least-recently-used entries while more than `capacity` databases are
+    /// parked. It never replaces another entry for the same database: that
+    /// entry belongs to a batch that ran concurrently, and the next
+    /// concurrent pair needs both.
+    pub(crate) fn put(&mut self, db_hash: u64, session: MiningSession<'static>) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(i);
-        }
-        self.entries.push((key, entry));
-        while self.entries.len() > self.capacity {
+        self.entries.push((db_hash, session));
+        while self.databases() > self.capacity {
             self.entries.remove(0);
             self.stats.evictions += 1;
         }
+    }
+
+    /// Distinct databases (content hashes) with a parked session.
+    fn databases(&self) -> usize {
+        let mut hashes: Vec<u64> = self.entries.iter().map(|(hash, _)| *hash).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        hashes.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdm_core::Alphabet;
+    use std::sync::Arc;
+    use tdm_core::{Alphabet, MinerConfig};
 
     fn db_of(s: &str) -> Arc<EventDb> {
         Arc::new(EventDb::from_str_symbols(&Alphabet::latin26(), s).unwrap())
     }
 
-    fn pool() -> Arc<Pool> {
-        Arc::new(Pool::with_workers(1))
+    /// A parked session over `db` (its pool is spawned lazily, never here).
+    fn session(db: &Arc<EventDb>, config: MinerConfig) -> MiningSession<'static> {
+        MiningSession::builder_shared(Arc::clone(db))
+            .config(config)
+            .workers(1)
+            .build()
     }
 
     #[test]
@@ -316,69 +200,64 @@ mod tests {
     }
 
     #[test]
-    fn config_fingerprint_separates_every_field() {
-        let base = MinerConfig::default();
-        let alpha = MinerConfig {
-            alpha: 0.25,
-            ..base
-        };
-        let level = MinerConfig {
-            max_level: Some(2),
-            ..base
-        };
-        let universe = MinerConfig {
-            distinct_items_only: false,
-            ..base
-        };
-        let fps = [
-            config_fingerprint(&base),
-            config_fingerprint(&alpha),
-            config_fingerprint(&level),
-            config_fingerprint(&universe),
-        ];
-        for i in 0..fps.len() {
-            for j in i + 1..fps.len() {
-                assert_ne!(fps[i], fps[j], "fingerprints {i} and {j} collide");
-            }
-        }
-        // max_level None vs Some(0) must differ (the +1 encoding).
-        assert_ne!(
-            config_fingerprint(&MinerConfig {
-                max_level: Some(0),
-                ..base
-            }),
-            config_fingerprint(&base)
-        );
-    }
-
-    #[test]
     fn take_verifies_content_not_just_the_key() {
         let mut cache = SessionCache::new(4);
         let cfg = MinerConfig::default();
         let a = db_of("ABCABC");
         let b = db_of("CBACBA"); // same length/alphabet, different content
-        let key_a = session_key(&a, &cfg);
-        cache.put(key_a, CachedSession::build(Arc::clone(&a), &[cfg], pool()));
+        let key_a = db_content_hash(&a);
+        cache.put(key_a, session(&a, cfg));
 
         // A forged lookup: database B presented under A's key must not get
         // A's session.
-        assert!(cache.take(key_a, &b, &[cfg]).is_none());
+        assert!(cache.take(key_a, &b).is_none());
         assert_eq!(cache.stats().collisions, 1);
         // The genuine owner still finds (and verifies) the entry.
-        assert!(cache.take(key_a, &a, &[cfg]).is_some());
+        assert!(cache.take(key_a, &a).is_some());
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
-    fn take_verifies_config_too() {
+    fn a_database_parks_one_session_per_concurrent_batch() {
+        // Two batches over one database ran at once (one α each) and both
+        // parked: neither replaces the other, and the next two concurrent
+        // batches both hit, whatever configs they bring.
         let mut cache = SessionCache::new(4);
+        let db = db_of("ABCABC");
+        let key = db_content_hash(&db);
+        let low = MinerConfig::default();
+        let high = MinerConfig { alpha: 0.5, ..low };
+        cache.put(key, session(&db, low));
+        cache.put(key, session(&db, high));
+        assert_eq!(cache.len(), 2);
+        // Most recently parked first.
+        let first = cache.take(key, &db).expect("first lane hits");
+        assert_eq!(first.config().alpha, 0.5);
+        assert!(cache.take(key, &db).is_some(), "second lane hits");
+        assert!(cache.take(key, &db).is_none(), "both sessions are in use");
+        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 1));
+    }
+
+    #[test]
+    fn a_databases_extra_sessions_ride_on_its_slot() {
+        // Capacity 2 counts databases: a second session of A costs no slot,
+        // and a third database evicts the least-recently-used entries until
+        // two databases remain.
+        let mut cache = SessionCache::new(2);
         let cfg = MinerConfig::default();
-        let other = MinerConfig { alpha: 0.5, ..cfg };
-        let a = db_of("ABCABC");
-        let key = session_key(&a, &cfg);
-        cache.put(key, CachedSession::build(Arc::clone(&a), &[cfg], pool()));
-        assert!(cache.take(key, &a, &[other]).is_none());
-        assert!(cache.take(key, &a, &[cfg]).is_some());
+        let [a, b, c] = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
+        let [ka, kb, kc] = [&a, &b, &c].map(|d| db_content_hash(d));
+        cache.put(ka, session(&a, cfg));
+        cache.put(kb, session(&b, cfg));
+        cache.put(ka, session(&a, cfg));
+        assert_eq!((cache.len(), cache.stats().evictions), (3, 0));
+        // A's older session is the LRU entry: it goes, but A keeps its slot
+        // through the newer one, so B goes too.
+        cache.put(kc, session(&c, cfg));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 2));
+        assert!(cache.take(kb, &b).is_none());
+        assert!(cache.take(ka, &a).is_some());
+        assert!(cache.take(kc, &c).is_some());
     }
 
     #[test]
@@ -386,15 +265,15 @@ mod tests {
         let mut cache = SessionCache::new(2);
         let cfg = MinerConfig::default();
         let dbs = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
-        let keys: Vec<SessionKey> = dbs.iter().map(|d| session_key(d, &cfg)).collect();
+        let keys: Vec<u64> = dbs.iter().map(|d| db_content_hash(d)).collect();
         for (k, d) in keys.iter().zip(&dbs) {
-            cache.put(*k, CachedSession::build(Arc::clone(d), &[cfg], pool()));
+            cache.put(*k, session(d, cfg));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // The first (least recently used) entry was evicted.
-        assert!(cache.take(keys[0], &dbs[0], &[cfg]).is_none());
-        assert!(cache.take(keys[2], &dbs[2], &[cfg]).is_some());
+        assert!(cache.take(keys[0], &dbs[0]).is_none());
+        assert!(cache.take(keys[2], &dbs[2]).is_some());
     }
 
     #[test]
@@ -402,81 +281,25 @@ mod tests {
         let mut cache = SessionCache::new(2);
         let cfg = MinerConfig::default();
         let dbs = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
-        let keys: Vec<SessionKey> = dbs.iter().map(|d| session_key(d, &cfg)).collect();
-        cache.put(
-            keys[0],
-            CachedSession::build(Arc::clone(&dbs[0]), &[cfg], pool()),
-        );
-        cache.put(
-            keys[1],
-            CachedSession::build(Arc::clone(&dbs[1]), &[cfg], pool()),
-        );
+        let keys: Vec<u64> = dbs.iter().map(|d| db_content_hash(d)).collect();
+        cache.put(keys[0], session(&dbs[0], cfg));
+        cache.put(keys[1], session(&dbs[1], cfg));
         // Touch entry 0: it becomes most-recently-used.
-        let (e, _) = cache.take(keys[0], &dbs[0], &[cfg]).unwrap();
+        let e = cache.take(keys[0], &dbs[0]).unwrap();
         cache.put(keys[0], e);
         // Inserting a third evicts entry 1, not entry 0.
-        cache.put(
-            keys[2],
-            CachedSession::build(Arc::clone(&dbs[2]), &[cfg], pool()),
-        );
-        assert!(cache.take(keys[0], &dbs[0], &[cfg]).is_some());
-        assert!(cache.take(keys[1], &dbs[1], &[cfg]).is_none());
-    }
-
-    #[test]
-    fn group_fingerprint_is_order_insensitive_but_multiset_sensitive() {
-        let a = MinerConfig::default();
-        let b = MinerConfig { alpha: 0.25, ..a };
-        let c = MinerConfig {
-            max_level: Some(3),
-            ..a
-        };
-        assert_eq!(group_fingerprint(&[a, b, c]), group_fingerprint(&[c, a, b]));
-        assert_ne!(group_fingerprint(&[a, b]), group_fingerprint(&[a, b, c]));
-        // Multiset, not set: duplicates count.
-        assert_ne!(group_fingerprint(&[a, b]), group_fingerprint(&[a, a, b]));
-        assert_ne!(group_fingerprint(&[a, a]), group_fingerprint(&[a]));
-        // A batch of one is keyed exactly like the request alone.
-        assert_eq!(group_fingerprint(&[b]), config_fingerprint(&b));
-    }
-
-    #[test]
-    fn co_cache_hit_returns_the_routing_permutation() {
-        let mut cache = SessionCache::new(4);
-        let a = MinerConfig::default();
-        let b = MinerConfig { alpha: 0.25, ..a };
-        let db = db_of("ABCABC");
-        let key = SessionKey {
-            db_hash: db_content_hash(&db),
-            config_fingerprint: group_fingerprint(&[a, b]),
-        };
-        cache.put(key, CachedSession::build(Arc::clone(&db), &[a, b], pool()));
-
-        // Same set, swapped arrival order: the permutation routes member 1's
-        // result to request 0 and vice versa.
-        let (entry, perm) = cache.take(key, &db, &[b, a]).expect("permuted hit");
-        assert_eq!(perm, vec![1, 0]);
-        assert_eq!(cache.stats().hits, 1);
-        cache.put(key, entry);
-
-        // Same key, different database content: verified miss.
-        let other = db_of("CBACBA");
-        assert!(cache.take(key, &other, &[b, a]).is_none());
-        assert_eq!(cache.stats().collisions, 1);
-
-        // Same key, wrong config multiset: verified miss too.
-        assert!(cache.take(key, &db, &[a, a]).is_none());
-        assert_eq!(cache.stats().collisions, 2);
+        cache.put(keys[2], session(&dbs[2], cfg));
+        assert!(cache.take(keys[0], &dbs[0]).is_some());
+        assert!(cache.take(keys[1], &dbs[1]).is_none());
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = SessionCache::new(0);
-        let cfg = MinerConfig::default();
         let a = db_of("ABAB");
-        let key = session_key(&a, &cfg);
-        cache.put(key, CachedSession::build(Arc::clone(&a), &[cfg], pool()));
-        assert!(cache.is_empty());
-        assert!(cache.take(key, &a, &[cfg]).is_none());
+        let key = db_content_hash(&a);
+        cache.put(key, session(&a, MinerConfig::default()));
+        assert_eq!(cache.len(), 0);
+        assert!(cache.take(key, &a).is_none());
     }
 }

@@ -1,8 +1,9 @@
 //! Cross-request co-mining: the batch-formation board (the waiting room).
 //!
-//! Two concurrent requests over the *same* database but *different*
-//! configurations cannot share a cached session — yet their counting scans
-//! walk the same stream. Mayura-style co-mining fuses them: the first such
+//! Two concurrent requests over the *same* database cannot share one session
+//! — a session has one writer at a time, so each would take or plan its own
+//! — yet their counting scans walk the same stream. Mayura-style co-mining
+//! fuses them: the first such
 //! request becomes the batch **leader**; same-database requests **join**
 //! instead of mining alone. The leader then drives one
 //! [`tdm_core::session::MiningSession`] with a member per configuration of
@@ -60,13 +61,11 @@ pub struct CoMiningStats {
     pub waiting_room_joins: u64,
 }
 
-/// Default for how long a joiner waits on its slot before concluding the
-/// delivery path is gone (`ServiceConfig::waiter_timeout` overrides it per
-/// service — streaming re-mines want much shorter deadlines). Generous on
-/// purpose: a fused scan takes seconds even on huge databases, so two minutes
-/// of silence means the leader thread is lost in a way the [`Deliveries`]
-/// drop guard could not catch (e.g. a leaked guard), and blocking the joiner
-/// forever would wedge a service worker for good.
+/// How long a joiner waits on its slot before concluding the delivery path is
+/// gone. Generous on purpose: a fused scan takes seconds even on huge
+/// databases, so two minutes of silence means the leader thread is lost in a
+/// way the [`Deliveries`] drop guard could not catch (e.g. a leaked guard),
+/// and blocking the joiner forever would wedge a service worker for good.
 pub(crate) const DEFAULT_WAITER_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// What every member of a mined batch shares besides its own result: the
@@ -111,7 +110,6 @@ impl Waiter {
     /// Blocks for the routed result; returns it with the batch's shared
     /// [`BatchRun`]. Gives up after [`DEFAULT_WAITER_TIMEOUT`] rather than
     /// blocking a service worker forever.
-    #[cfg(test)]
     pub(crate) fn wait(&self) -> Delivery {
         self.wait_for(DEFAULT_WAITER_TIMEOUT)
     }

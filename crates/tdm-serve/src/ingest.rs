@@ -24,12 +24,13 @@
 //! a lone re-mine is a batch of one on the same path and session cache.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tdm_core::{CoreError, EventDb, MinerConfig};
 
-use crate::service::{MiningRequest, MiningResponse, MiningService, ServeError};
+use crate::service::{bump, MiningRequest, MiningResponse, MiningService, ServeError};
 
 /// When a tenant's buffered appends are sealed into a window and re-mined.
 /// Both triggers may be armed at once; whichever fires first seals.
@@ -218,6 +219,18 @@ pub struct IngestStats {
     pub fused_remines: u64,
 }
 
+/// The counters [`StreamIngest`] actually stores, bumped without a lock;
+/// [`StreamIngest::stats`] reads them into an [`IngestStats`].
+#[derive(Debug, Default)]
+struct IngestCounters {
+    appends: AtomicU64,
+    appended_symbols: AtomicU64,
+    deferred_appends: AtomicU64,
+    windows_sealed: AtomicU64,
+    remines: AtomicU64,
+    fused_remines: AtomicU64,
+}
+
 /// A point-in-time view of one tenant ([`StreamIngest::tenant`]).
 #[derive(Debug, Clone, Copy)]
 pub struct TenantSnapshot {
@@ -270,7 +283,7 @@ pub struct TenantSnapshot {
 pub struct StreamIngest {
     service: Arc<MiningService>,
     tenants: Mutex<HashMap<String, Tenant>>,
-    stats: Mutex<IngestStats>,
+    counters: IngestCounters,
 }
 
 impl std::fmt::Debug for StreamIngest {
@@ -291,7 +304,7 @@ impl StreamIngest {
         StreamIngest {
             service,
             tenants: Mutex::new(HashMap::new()),
-            stats: Mutex::new(IngestStats::default()),
+            counters: IngestCounters::default(),
         }
     }
 
@@ -362,21 +375,20 @@ impl StreamIngest {
             if !t.pending.is_empty() {
                 t.buffered_at.get_or_insert_with(Instant::now);
             }
-            let mut stats = self.stats.lock().expect("ingest stats");
-            stats.appends += 1;
-            stats.appended_symbols += symbols.len() as u64;
+            let c = &self.counters;
+            bump(&c.appends, 1);
+            bump(&c.appended_symbols, symbols.len() as u64);
             let fired = aged || t.count_trigger_fired();
             if !fired || t.fence != Fence::Idle {
                 if fired {
-                    stats.deferred_appends += 1;
+                    bump(&c.deferred_appends, 1);
                 }
                 return Ok(AppendOutcome::Buffered {
                     pending: t.pending.len(),
                     deferred: fired,
                 });
             }
-            stats.windows_sealed += 1;
-            drop(stats);
+            bump(&c.windows_sealed, 1);
             t.seal()
         };
         Ok(AppendOutcome::Flushed(self.remine(tenant, window)?))
@@ -398,7 +410,7 @@ impl StreamIngest {
             if t.pending.is_empty() || t.fence != Fence::Idle {
                 None
             } else {
-                self.stats.lock().expect("ingest stats").windows_sealed += 1;
+                bump(&self.counters.windows_sealed, 1);
                 Some(t.seal())
             }
         };
@@ -441,12 +453,9 @@ impl StreamIngest {
             }
         }
         let response = outcome.map_err(IngestError::Serve)?;
-        {
-            let mut stats = self.stats.lock().expect("ingest stats");
-            stats.remines += 1;
-            if response.stats.batch > 1 {
-                stats.fused_remines += 1;
-            }
+        bump(&self.counters.remines, 1);
+        if response.stats.batch > 1 {
+            bump(&self.counters.fused_remines, 1);
         }
         Ok(FlushReport {
             window: sealed.window,
@@ -480,7 +489,16 @@ impl StreamIngest {
 
     /// Aggregate ingestion counters since construction.
     pub fn stats(&self) -> IngestStats {
-        *self.stats.lock().expect("ingest stats")
+        let c = &self.counters;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        IngestStats {
+            appends: read(&c.appends),
+            appended_symbols: read(&c.appended_symbols),
+            deferred_appends: read(&c.deferred_appends),
+            windows_sealed: read(&c.windows_sealed),
+            remines: read(&c.remines),
+            fused_remines: read(&c.fused_remines),
+        }
     }
 
     /// The service re-mines are submitted through.

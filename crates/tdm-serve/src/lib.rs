@@ -26,14 +26,14 @@
 //!   others. Either way the batch leader runs one `MiningSession` with one
 //!   member per configuration, and [`ResponseStats::batch`] reports K;
 //! * **one session cache** ([`cache`]) — parked `MiningSession<'static>`s
-//!   keyed by (database content hash, *sorted* config-set fingerprint),
-//!   verified against the full request content and config multiset before
-//!   reuse. A lone request's key is exactly its own [`session_key`], and a
-//!   recurring bundle hits whatever order its members arrive in. A hit skips
-//!   session planning (stream snapshot, shard bounds, buffer allocation) and
-//!   re-enters the level loop with the compiled candidate buffers already
-//!   allocated and warm — levels recompile in place, so the compiled storage
-//!   keeps the same address across requests;
+//!   keyed by database content hash alone and verified against the full
+//!   database content before reuse. A parked session is a per-database plan:
+//!   any batch re-targets it to its own configs, so a repeat, a new α or a
+//!   fused bundle in any arrival order all hit. A hit skips session planning
+//!   (stream snapshot, shard bounds, buffer allocation) and re-enters the
+//!   level loop with the compiled candidate buffers already allocated and
+//!   warm — levels recompile in place, so the compiled storage keeps the
+//!   same address across requests;
 //! * **cross-request co-mining** ([`comine`]) — with a formation window
 //!   configured ([`ServiceConfig::comine_window`]), concurrent requests that
 //!   share a database (same content hash, fully verified) but differ in
@@ -85,10 +85,8 @@ pub mod comine;
 pub mod ingest;
 pub mod service;
 
-pub use admission::{AdmissionQueue, Overloaded, Permit, DEFAULT_AGING_LIMIT};
-pub use cache::{
-    group_fingerprint, session_key, CacheStats, CachedSession, SessionCache, SessionKey,
-};
+pub use admission::{AdmissionQueue, Overloaded, Permit};
+pub use cache::CacheStats;
 pub use comine::CoMiningStats;
 pub use ingest::{
     AppendOutcome, FlushReport, IngestError, IngestStats, IngestTriggers, StreamIngest,

@@ -1,19 +1,18 @@
 //! The multi-tenant mining service: request/response types, the error
 //! taxonomy, and [`MiningService`] itself.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tdm_core::miner::AutoBackend;
-use tdm_core::session::{BackendError, CancelToken, Executor, MineError};
+use tdm_core::session::{BackendError, CancelToken, Executor, MineError, MiningSession};
 use tdm_core::stats::MiningResult;
 use tdm_core::{EventDb, MinerConfig};
 use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 
-use crate::admission::{AdmissionQueue, DEFAULT_AGING_LIMIT};
-use crate::cache::{
-    group_fingerprint, session_key, CacheStats, CachedSession, SessionCache, SessionKey,
-};
+use crate::admission::AdmissionQueue;
+use crate::cache::{db_content_hash, CacheStats, SessionCache};
 use crate::comine::{BatchRun, Batcher, CoMiningStats, Deliveries, Entry};
 
 /// Which counting executor serves a request: always the engine.
@@ -40,9 +39,9 @@ pub enum BackendChoice {
 /// and a scheduling priority.
 ///
 /// Reuse one `MiningRequest` value (or clones of it) across submissions: the
-/// database content hash of the session key is computed once per request
-/// value and memoized, so steady-state resubmission costs no re-hash of the
-/// stream — and same-handle cache verification is pointer equality.
+/// database content hash that keys the session cache is computed once per
+/// request value and memoized, so steady-state resubmission costs no re-hash
+/// of the stream — and same-handle cache verification is pointer equality.
 #[derive(Debug, Clone)]
 pub struct MiningRequest {
     db: Arc<EventDb>,
@@ -54,10 +53,10 @@ pub struct MiningRequest {
     /// Caller-held cancellation handle (disconnect watchdogs, client aborts);
     /// combined with `deadline` into one token at submission.
     cancel: Option<CancelToken>,
-    /// Memoized [`SessionKey`] (hash of the full db content + config);
-    /// computable once because the fields above are immutable after build.
-    /// `OnceLock`'s `Clone` carries a computed key over to clones.
-    key: std::sync::OnceLock<SessionKey>,
+    /// Memoized cache key (the hash of the full db content); computable once
+    /// because the database is immutable after build. `OnceLock`'s `Clone`
+    /// carries a computed key over to clones.
+    key: std::sync::OnceLock<u64>,
 }
 
 impl MiningRequest {
@@ -120,10 +119,11 @@ impl MiningRequest {
         &self.config
     }
 
-    /// The [`SessionKey`] this request is served under (computed on first
-    /// call, memoized for the request's lifetime).
-    pub fn key(&self) -> SessionKey {
-        *self.key.get_or_init(|| session_key(&self.db, &self.config))
+    /// The session-cache key this request is served under: the content hash
+    /// of its database ([`db_content_hash`]), whatever its configuration.
+    /// Computed on first call and memoized for the request's lifetime.
+    pub fn key(&self) -> u64 {
+        *self.key.get_or_init(|| db_content_hash(&self.db))
     }
 }
 
@@ -155,8 +155,9 @@ pub struct ResponseStats {
     /// For a fused request this is the batch's mining wall time — the shared
     /// scans that produced this member's counts.
     pub mine_time: Duration,
-    /// The session key the request was served under.
-    pub key: SessionKey,
+    /// The session-cache key the request was served under: its database's
+    /// content hash ([`MiningRequest::key`]).
+    pub key: u64,
 }
 
 /// A completed request: the full mining result plus serving measurements.
@@ -247,7 +248,9 @@ pub struct ServiceConfig {
     /// How many requests may wait at the gate before new arrivals are
     /// rejected with [`ServeError::Overloaded`] (0 = unbounded).
     pub max_pending: usize,
-    /// Parked sessions kept in the LRU cache (0 disables caching).
+    /// Databases whose parked sessions the LRU cache keeps (0 disables
+    /// caching). A database keeps one session per batch that ran on it
+    /// concurrently, all on its one slot.
     pub cache_capacity: usize,
     /// How long a co-mining batch leader holds its formation window open for
     /// same-database joiners. `Duration::ZERO` (the default) disables
@@ -263,16 +266,6 @@ pub struct ServiceConfig {
     /// the leader stops collecting immediately, so saturated services don't
     /// pay the window latency.
     pub comine_max_batch: usize,
-    /// Admission aging bound: a waiting Normal request is admitted after at
-    /// most this many consecutive High admissions (0 disables aging — strict
-    /// priority, which a continuous High stream can starve).
-    pub aging_limit: usize,
-    /// How long a co-mining joiner blocks on its batch leader before giving
-    /// up with a typed error instead of wedging a service worker forever.
-    /// Defaults to 120 s — generous for interactive batches; streaming
-    /// re-mines ([`crate::ingest`]) want deadlines closer to their flush
-    /// cadence.
-    pub waiter_timeout: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -284,8 +277,6 @@ impl Default for ServiceConfig {
             cache_capacity: 32,
             comine_window: Duration::ZERO,
             comine_max_batch: 0,
-            aging_limit: DEFAULT_AGING_LIMIT,
-            waiter_timeout: crate::comine::DEFAULT_WAITER_TIMEOUT,
         }
     }
 }
@@ -312,15 +303,25 @@ pub struct ServiceStats {
     pub comining: CoMiningStats,
 }
 
-/// The request counters the service actually stores (the cache keeps its own
-/// counters; [`MiningService::stats`] joins the two into a [`ServiceStats`]).
-#[derive(Debug, Clone, Copy, Default)]
+/// The request and co-mining counters the service actually stores, bumped
+/// without a lock (the cache keeps its own counters; [`MiningService::stats`]
+/// joins the two into a [`ServiceStats`]).
+#[derive(Debug, Default)]
 struct RequestCounters {
-    completed: u64,
-    failed: u64,
-    rejected: u64,
-    cancelled: u64,
-    comining: CoMiningStats,
+    completed: AtomicU64,
+    failed: AtomicU64,
+    rejected: AtomicU64,
+    cancelled: AtomicU64,
+    batches: AtomicU64,
+    fused_requests: AtomicU64,
+    solo_fallbacks: AtomicU64,
+    waiting_room_joins: AtomicU64,
+}
+
+/// Adds `n` to a service or ingest counter. Counters are independent
+/// tallies, so relaxed ordering suffices.
+pub(crate) fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 /// A multi-tenant mining service: many concurrent clients, one shared worker
@@ -330,10 +331,10 @@ struct RequestCounters {
 /// blocks through admission and the mining loop and returns the full result.
 /// All concurrent requests multiplex their counting scans over the **single**
 /// machine-sized [`Pool`] owned by the service — no per-request thread
-/// spawning anywhere — and repeated (database, config) requests reuse parked
-/// sessions from the cache: no stream snapshot, shard-bound computation, or
-/// buffer allocation on a hit (levels recompile in place into the parked
-/// session's warm buffers, at a stable address).
+/// spawning anywhere — and every request on a database with a parked session
+/// reuses it from the cache, whatever its configuration: no stream snapshot,
+/// shard-bound computation, or buffer allocation on a hit (levels recompile
+/// in place into the parked session's warm buffers, at a stable address).
 ///
 /// ```
 /// use std::sync::Arc;
@@ -355,8 +356,7 @@ pub struct MiningService {
     admission: AdmissionQueue,
     cache: Mutex<SessionCache>,
     batcher: Batcher,
-    waiter_timeout: Duration,
-    counters: Mutex<RequestCounters>,
+    counters: RequestCounters,
 }
 
 impl std::fmt::Debug for MiningService {
@@ -384,15 +384,10 @@ impl MiningService {
         };
         MiningService {
             pool: Arc::new(Pool::with_workers(workers)),
-            admission: AdmissionQueue::with_aging(
-                max_in_flight,
-                config.max_pending,
-                config.aging_limit,
-            ),
+            admission: AdmissionQueue::new(max_in_flight, config.max_pending),
             cache: Mutex::new(SessionCache::new(config.cache_capacity)),
             batcher: Batcher::new(config.comine_window, config.comine_max_batch),
-            waiter_timeout: config.waiter_timeout,
-            counters: Mutex::new(RequestCounters::default()),
+            counters: RequestCounters::default(),
         }
     }
 
@@ -460,10 +455,10 @@ impl MiningService {
         // lets K same-database requests fuse behind a saturated gate.
         let entry = self
             .batcher
-            .enter(key.db_hash, &request.db, request.config, request.priority);
+            .enter(key, &request.db, request.config, request.priority);
         if let Entry::Joined(waiter) = entry {
             let parked = Instant::now();
-            let served = waiter.wait_for(self.waiter_timeout).map(|(result, run)| {
+            let served = waiter.wait().map(|(result, run)| {
                 // Waiting on the leader minus the fused scan itself is
                 // queueing (gate wait + residual window + scheduling).
                 let stats = ResponseStats {
@@ -485,14 +480,13 @@ impl MiningService {
                 // joined while it queued, instead of stranding them.
                 if let Entry::Leader(token) = entry {
                     let joiners = self.batcher.abort(token);
-                    self.counters
-                        .lock()
-                        .expect("service counters")
-                        .comining
-                        .waiting_room_joins += joiners.waiting_room_joins();
+                    bump(
+                        &self.counters.waiting_room_joins,
+                        joiners.waiting_room_joins(),
+                    );
                     joiners.deliver_rejected(over.pending, over.limit);
                 }
-                self.counters.lock().expect("service counters").rejected += 1;
+                bump(&self.counters.rejected, 1);
                 return Err(ServeError::Overloaded {
                     pending: over.pending,
                     limit: over.limit,
@@ -508,11 +502,13 @@ impl MiningService {
                 let window = Instant::now();
                 let joiners = self.batcher.collect(token);
                 let window_wait = window.elapsed();
-                let mut counters = self.counters.lock().expect("service counters");
                 if joiners.is_empty() {
-                    counters.comining.solo_fallbacks += 1;
+                    bump(&self.counters.solo_fallbacks, 1);
                 } else {
-                    counters.comining.waiting_room_joins += joiners.waiting_room_joins();
+                    bump(
+                        &self.counters.waiting_room_joins,
+                        joiners.waiting_room_joins(),
+                    );
                 }
                 (joiners, window_wait)
             }
@@ -547,30 +543,27 @@ impl MiningService {
             ServeError::Mine(m) => classify_mine_error(m),
             other => other,
         });
-        let mut counters = self.counters.lock().expect("service counters");
-        match &served {
-            Ok(_) => counters.completed += 1,
-            Err(ServeError::Overloaded { .. }) => counters.rejected += 1,
-            Err(ServeError::Cancelled { .. }) => counters.cancelled += 1,
-            Err(ServeError::Mine(_)) => counters.failed += 1,
-        }
-        drop(counters);
+        let counter = match &served {
+            Ok(_) => &self.counters.completed,
+            Err(ServeError::Overloaded { .. }) => &self.counters.rejected,
+            Err(ServeError::Cancelled { .. }) => &self.counters.cancelled,
+            Err(ServeError::Mine(_)) => &self.counters.failed,
+        };
+        bump(counter, 1);
         served.map(|(result, stats)| MiningResponse { result, stats })
     }
 
     /// The one mining path — for a request mined alone (co-mining off, or a
     /// leader whose window closed empty) and a fused batch leader alike: take
-    /// (or plan) the cached session with one member per configuration — the
-    /// leader's, then every joiner's — run its level loop (one scan per level
-    /// however many members), route each joiner's result to its waiter, and
-    /// keep the leader's own.
+    /// the database's parked session from the cache (or plan one), re-target
+    /// it to the batch's configs — the leader's, then every joiner's — run
+    /// its level loop (one scan per level however many members), route each
+    /// joiner's result to its waiter, and keep the leader's own.
     ///
-    /// Sessions are parked in the one LRU keyed by (db hash, **sorted**
-    /// config-set fingerprint): a lone request's key is its own
-    /// [`MiningRequest::key`], and a recurring bundle hits the cache even when
-    /// its members arrive in a different order (the session's member
-    /// permutation routes results back). Either way the compiled buffers stay
-    /// warm at a stable address across batches.
+    /// The cache is keyed on the database alone, so any batch on a parked
+    /// database hits, whatever its configs and their arrival order: the
+    /// session mines them in batch order, and the compiled buffers stay warm
+    /// at a stable address across batches.
     ///
     /// The leader's `executor` runs the batch's scans, whatever its joiners
     /// submitted with.
@@ -581,30 +574,23 @@ impl MiningService {
         mut joiners: Deliveries,
         token: Option<&CancelToken>,
     ) -> Result<(MiningResult, CacheOutcome), MineError> {
-        // Batch order: leader first, then joiners in join (= delivery) order.
-        let mut configs = Vec::with_capacity(1 + joiners.len());
-        configs.push(request.config);
-        configs.extend(joiners.configs());
-
-        let key = SessionKey {
-            db_hash: request.key().db_hash,
-            config_fingerprint: group_fingerprint(&configs),
-        };
+        let key = request.key();
         let cached = self
             .cache
             .lock()
             .expect("session cache")
-            .take(key, &request.db, &configs);
-        let (mut entry, perm, cache) = match cached {
-            Some((entry, perm)) => (entry, perm, CacheOutcome::Hit),
+            .take(key, &request.db);
+        let (mut session, cache) = match cached {
+            Some(session) => (session, CacheOutcome::Hit),
             None => (
-                CachedSession::build(Arc::clone(&request.db), &configs, Arc::clone(&self.pool)),
-                // A fresh session's members are already in batch order.
-                (0..configs.len()).collect(),
+                MiningSession::builder_shared(Arc::clone(&request.db))
+                    .with_pool(Arc::clone(&self.pool))
+                    .build(),
                 CacheOutcome::Miss,
             ),
         };
-        let session = entry.session_mut();
+        // Batch order: leader first, then joiners in join (= delivery) order.
+        session.set_configs(std::iter::once(request.config).chain(joiners.configs()));
         // The batch's strongest class rides through to the pool's job lanes:
         // the parallel executors submit its scans at this priority.
         session.set_job_priority(joiners.max_priority(request.priority));
@@ -617,34 +603,26 @@ impl MiningService {
         let outcome = session.co_mine(executor);
         let run = BatchRun {
             cache,
-            batch: configs.len(),
+            batch: 1 + joiners.len(),
             mine_time: mining.elapsed(),
         };
         // Park the session again even after a backend error: the plan state
         // stays consistent, and the next (possibly healthy) batch reuses it.
-        self.cache.lock().expect("session cache").put(key, entry);
+        self.cache.lock().expect("session cache").put(key, session);
         if !joiners.is_empty() {
             // Counted after the scan so the stats can't claim requests were
             // served from a batch that then failed.
-            let mut counters = self.counters.lock().expect("service counters");
-            counters.comining.batches += 1;
+            bump(&self.counters.batches, 1);
             if outcome.is_ok() {
-                counters.comining.fused_requests += run.batch as u64;
+                bump(&self.counters.fused_requests, run.batch as u64);
             }
         }
         match outcome {
             Ok(results) => {
-                // `results` is in the session's member order; `perm` routes it
-                // back to batch (arrival) order.
-                let mut results: Vec<Option<MiningResult>> =
-                    results.into_iter().map(Some).collect();
-                let mut routed = perm.iter().map(|&j| {
-                    results[j]
-                        .take()
-                        .expect("permutation visits each member once")
-                });
-                let leader = routed.next().expect("a batch has a leader");
-                joiners.deliver_ok(routed.collect(), run);
+                // `co_mine` answers in member order, which is batch order.
+                let mut results = results.into_iter();
+                let leader = results.next().expect("a batch has a leader");
+                joiners.deliver_ok(results.collect(), run);
                 Ok((leader, cache))
             }
             Err(e) => {
@@ -656,14 +634,20 @@ impl MiningService {
 
     /// Aggregate counters since service start.
     pub fn stats(&self) -> ServiceStats {
-        let counters = *self.counters.lock().expect("service counters");
+        let c = &self.counters;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         ServiceStats {
-            completed: counters.completed,
-            failed: counters.failed,
-            rejected: counters.rejected,
-            cancelled: counters.cancelled,
+            completed: read(&c.completed),
+            failed: read(&c.failed),
+            rejected: read(&c.rejected),
+            cancelled: read(&c.cancelled),
             cache: self.cache.lock().expect("session cache").stats(),
-            comining: counters.comining,
+            comining: CoMiningStats {
+                batches: read(&c.batches),
+                fused_requests: read(&c.fused_requests),
+                solo_fallbacks: read(&c.solo_fallbacks),
+                waiting_room_joins: read(&c.waiting_room_joins),
+            },
         }
     }
 
@@ -680,7 +664,8 @@ impl MiningService {
         self.batcher.waiting_joiners()
     }
 
-    /// Parked sessions currently in the cache, for batches of every size.
+    /// Parked sessions currently in the cache, for batches of every size (a
+    /// database holds one per batch that ran on it concurrently).
     pub fn cached_sessions(&self) -> usize {
         self.cache.lock().expect("session cache").len()
     }
@@ -750,14 +735,20 @@ mod tests {
         let third = service.submit(&MiningRequest::new(clone, cfg())).unwrap();
         assert_eq!(third.stats.cache, CacheOutcome::Hit);
 
-        // A different config misses.
+        // A different config on the same database hits the same session.
         let other = MinerConfig {
             alpha: 0.2,
             ..cfg()
         };
-        let fourth = service.submit(&MiningRequest::new(db, other)).unwrap();
-        assert_eq!(fourth.stats.cache, CacheOutcome::Miss);
-        assert_eq!(service.cached_sessions(), 2);
+        let fourth = service
+            .submit(&MiningRequest::new(Arc::clone(&db), other))
+            .unwrap();
+        assert_eq!(fourth.stats.cache, CacheOutcome::Hit);
+        assert_eq!(service.cached_sessions(), 1);
+        let serial = Miner::new(other)
+            .mine(&db, &mut SequentialBackend::default())
+            .unwrap();
+        assert_eq!(fourth.result, serial);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use temporal_mining::core::candidate::{apriori_join, level1};
 use temporal_mining::core::count::count_episodes_naive;
 use temporal_mining::core::engine::{CandidateUnion, CompiledCandidates, CountScratch};
 use temporal_mining::core::miner::SequentialBackend;
-use temporal_mining::core::segment::even_bounds;
+use temporal_mining::core::segment::{even_bounds, segment_ranges};
 use temporal_mining::prelude::*;
 use temporal_mining::workloads::markov_letters;
 
@@ -47,6 +47,32 @@ impl Executor for ScanSpy {
 
     fn name(&self) -> &str {
         "scan-spy"
+    }
+}
+
+/// `ShardedScanBackend`'s own map and reduce without its size gate: every
+/// scan cuts the stream into `w` even shards however short it is, maps
+/// `shard_scan` over them and reduces with `merge_shard_counts`, so every
+/// level crosses `w - 1` Fig. 5 boundaries. `cuts` tallies the boundaries.
+struct EvenShards {
+    w: usize,
+    cuts: usize,
+}
+
+impl Executor for EvenShards {
+    fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
+        let (stream, compiled) = (req.stream(), req.compiled());
+        let bounds = even_bounds(stream.len(), self.w);
+        self.cuts += bounds.len();
+        let shards: Vec<_> = segment_ranges(stream.len(), &bounds)
+            .into_iter()
+            .map(|range| compiled.shard_scan(stream, range))
+            .collect();
+        Ok(compiled.merge_shard_counts(stream, &bounds, &shards))
+    }
+
+    fn name(&self) -> &str {
+        "even-shards"
     }
 }
 
@@ -476,14 +502,15 @@ proptest! {
 
     /// The full loop: a K-member session over arbitrary configs (thresholds that
     /// empty levels early, different level bounds, repeated-item universes)
-    /// equals per-config serial mining, on sequential and sharded executors,
-    /// and each fused level compiles exactly the union of the members' solo
-    /// candidate sets.
+    /// equals per-config serial mining, on a sequential executor and on one
+    /// that really cuts every level into `w` shards, and each fused level
+    /// compiles exactly the union of the members' solo candidate sets.
     #[test]
     fn co_mining_equals_serial_mining_under_arbitrary_configs(
         data in proptest::collection::vec(0u8..4, 0..300),
         alphas in proptest::collection::vec(0.0f64..0.4, 2..6),
         max_levels in proptest::collection::vec(1usize..4, 2..6),
+        w in 2usize..=8,
     ) {
         let ab = Alphabet::numbered(4).unwrap();
         let db = Arc::new(EventDb::new(ab, data).unwrap());
@@ -503,11 +530,13 @@ proptest! {
         let fused = group.co_mine(&mut spy).unwrap();
         prop_assert_eq!(&fused, &serial);
         prop_assert_eq!(spy.set_sizes, union_of_solo_candidates(&db, &configs, &serial));
+        let scans = spy.calls;
         let mut sharded_group = MiningSession::builder_shared(Arc::clone(&db))
             .configs(configs.iter().copied())
-            .workers(3)
             .build();
-        let sharded = sharded_group.co_mine(&mut ShardedScanBackend::new(3)).unwrap();
+        let mut shards = EvenShards { w, cuts: 0 };
+        let sharded = sharded_group.co_mine(&mut shards).unwrap();
         prop_assert_eq!(&sharded, &serial);
+        prop_assert_eq!(shards.cuts, (w - 1) * scans);
     }
 }

@@ -334,11 +334,26 @@ fn cache_hits_keep_stable_compiled_buffers_across_connections() {
         None,
     );
 
-    // Same request over three *separate connections*: a miss, then hits.
+    // The cache is keyed on the database alone: a new α on the same stream
+    // is served by the same parked session.
+    let new_alpha = mine_request(
+        "acme",
+        "key-a",
+        &letters(&db),
+        0.05,
+        Some(3),
+        None,
+        None,
+        None,
+    );
+
+    // Same request over three *separate connections*: a miss, then hits;
+    // then the new α over a fourth.
     let mut outcomes = Vec::new();
-    for _ in 0..3 {
+    let mut last_result = String::new();
+    for frame in [&request, &request, &request, &new_alpha] {
         let mut client = Client::connect(server.addr()).unwrap();
-        let reply = client.call(&request).unwrap();
+        let reply = client.call(frame).unwrap();
         assert_eq!(
             reply.get("type").and_then(Value::as_str),
             Some("mine_result")
@@ -350,12 +365,19 @@ fn cache_hits_keep_stable_compiled_buffers_across_connections() {
                 .unwrap()
                 .to_string(),
         );
+        last_result = reply.get("result").unwrap().encode();
         client.finish().unwrap();
     }
-    assert_eq!(outcomes, ["miss", "hit", "hit"]);
+    assert_eq!(outcomes, ["miss", "hit", "hit", "hit"]);
+    let want = MinerConfig {
+        alpha: 0.05,
+        max_level: Some(3),
+        ..Default::default()
+    };
+    assert_eq!(last_result, serial_result_json(&db, want));
 
     let traces = log.lock().unwrap();
-    assert_eq!(traces.len(), 3);
+    assert_eq!(traces.len(), 4);
     assert!(!traces[0].is_empty());
     assert_eq!(
         traces[1], traces[0],
@@ -364,6 +386,11 @@ fn cache_hits_keep_stable_compiled_buffers_across_connections() {
     assert_eq!(
         traces[2], traces[0],
         "compiled buffers moved between connections"
+    );
+    assert!(!traces[3].is_empty());
+    assert!(
+        traces[3].iter().all(|&a| a == traces[0][0]),
+        "a new α left the parked session's compiled buffers"
     );
     server.shutdown();
 }

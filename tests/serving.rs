@@ -7,23 +7,28 @@
 //! * session-cache hits skip session planning (snapshot, shard bounds, buffer
 //!   allocation): the compiled candidate buffers keep the **same address**
 //!   across requests (asserted with a spy executor);
+//! * the cache is keyed on the database alone: a new α on a parked database
+//!   hits and runs on the parked compiled buffers, and two concurrent
+//!   requests over one database (paper-scan's shape, one α each) both park
+//!   and both hit the next time;
 //! * cache hit/miss/eviction semantics and db-hash collision safety — two
 //!   databases with an equal hash-relevant prefix but different content never
 //!   share a session;
-//! * session-cache × co-mining interaction: a request whose session is
-//!   parked may still join a fused batch, and the batch's own session never
-//!   touches the parked one — its compiled buffers keep the same address
-//!   across a batch (the bit-identity of fused results themselves is proven
-//!   in `tests/comining.rs`);
+//! * session-cache × co-mining interaction: a fused batch takes its
+//!   database's parked session like a lone request does, and the session's
+//!   compiled buffers keep the same address across the union scans (the
+//!   bit-identity of fused results themselves is proven in
+//!   `tests/comining.rs`);
 //! * **overload-first scheduling**: with a saturated one-slot gate, K queued
 //!   same-database requests fuse in the waiting room — joiners hold no
 //!   admission slot, the batch is admitted as one unit, and a spy executor
 //!   observes exactly one union scan per level instead of K solo runs;
 //! * repeated bundles hit the session cache: the fused union scan's
-//!   compiled buffers keep the same address across batches, even when the
-//!   bundle's members arrive in a different order;
-//! * one LRU for every batch size: lone requests and fused bundles evict
-//!   each other in plain recency order;
+//!   compiled buffers keep the same address across batches, and a bundle
+//!   whose members arrive in swapped order still serves each member its own
+//!   result;
+//! * one LRU for every batch size: lone requests and fused bundles over
+//!   different databases evict each other in plain recency order;
 //! * a fused batch of three distinct configs serves each member its solo
 //!   result;
 //! * priority + admission-limit plumbing end to end.
@@ -164,6 +169,139 @@ fn cache_hits_reuse_the_same_compiled_buffers() {
 }
 
 #[test]
+fn a_new_alpha_on_a_parked_database_hits_the_parked_compiled_buffers() {
+    let service = MiningService::new(serve_config(2));
+    let db = Arc::new(markov_letters(20_000, 9, 0.6));
+    let mut spy = AddressSpy::default();
+    let cold = service
+        .submit_with(
+            &MiningRequest::new(Arc::clone(&db), mine_config()),
+            &mut spy,
+        )
+        .unwrap();
+    assert_eq!(cold.stats.cache, CacheOutcome::Miss);
+    let parked = std::mem::take(&mut spy.addrs);
+    assert!(!parked.is_empty());
+    assert!(parked.iter().all(|&a| a == parked[0]));
+
+    // A threshold this database has never been mined at: the parked
+    // session is re-targeted to it, not re-planned.
+    let config = MinerConfig {
+        alpha: 0.004,
+        max_level: Some(3),
+        ..Default::default()
+    };
+    let warm = service
+        .submit_with(&MiningRequest::new(Arc::clone(&db), config), &mut spy)
+        .unwrap();
+    assert_eq!(warm.stats.cache, CacheOutcome::Hit);
+    assert_eq!(warm.stats.key, cold.stats.key);
+    let serial = Miner::new(config)
+        .mine(db.as_ref(), &mut SequentialBackend::default())
+        .unwrap();
+    assert_eq!(warm.result, serial);
+    assert!(!spy.addrs.is_empty());
+    assert!(
+        spy.addrs.iter().all(|&a| a == parked[0]),
+        "a new α must count on the parked session's compiled buffers"
+    );
+    assert_eq!(service.cached_sessions(), 1);
+}
+
+/// Holds every request at its first scan until `parties` requests are all
+/// inside one, so that many sessions are out of the cache at once.
+struct GateExecutor {
+    inner: temporal_mining::baselines::ActiveSetBackend,
+    gate: Arc<std::sync::Barrier>,
+    passed: bool,
+}
+
+impl Executor for GateExecutor {
+    fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
+        if !self.passed {
+            self.passed = true;
+            self.gate.wait();
+        }
+        self.inner.execute(req)
+    }
+
+    fn name(&self) -> &str {
+        "gate"
+    }
+}
+
+#[test]
+fn concurrent_requests_with_different_alphas_each_park_and_each_hit() {
+    // Paper-scan's shape: two lanes mine one database at once, one α each.
+    // Both sessions are taken out together, so both must be parked again —
+    // one entry per database would make one lane miss on every overlap.
+    let service = Arc::new(MiningService::new(ServiceConfig {
+        workers: 2,
+        max_in_flight: 2,
+        ..Default::default()
+    }));
+    let db = Arc::new(markov_letters(12_000, 29, 0.6));
+    let configs = [
+        mine_config(),
+        MinerConfig {
+            alpha: 0.01,
+            max_level: Some(3),
+            ..Default::default()
+        },
+    ];
+    let serial: Vec<MiningResult> = configs
+        .iter()
+        .map(|cfg| {
+            Miner::new(*cfg)
+                .mine(db.as_ref(), &mut SequentialBackend::default())
+                .unwrap()
+        })
+        .collect();
+    let concurrent_round = || {
+        let gate = Arc::new(std::sync::Barrier::new(configs.len()));
+        std::thread::scope(|s| {
+            let lanes: Vec<_> = configs
+                .iter()
+                .map(|cfg| {
+                    let service = Arc::clone(&service);
+                    let req = MiningRequest::new(Arc::clone(&db), *cfg);
+                    let gate = Arc::clone(&gate);
+                    s.spawn(move || {
+                        let mut executor = GateExecutor {
+                            inner: Default::default(),
+                            gate,
+                            passed: false,
+                        };
+                        service.submit_with(&req, &mut executor).unwrap()
+                    })
+                })
+                .collect();
+            lanes
+                .into_iter()
+                .map(|lane| lane.join().unwrap())
+                .collect::<Vec<_>>()
+        })
+    };
+
+    let first = concurrent_round();
+    assert!(first.iter().all(|r| r.stats.cache == CacheOutcome::Miss));
+    assert_eq!(service.cached_sessions(), 2, "both lanes park");
+    let second = concurrent_round();
+    assert!(
+        second.iter().all(|r| r.stats.cache == CacheOutcome::Hit),
+        "both lanes must find a parked session"
+    );
+    assert_eq!(service.cached_sessions(), 2);
+    for (round, responses) in [first, second].iter().enumerate() {
+        for (resp, want) in responses.iter().zip(&serial) {
+            assert_eq!(resp.result, *want, "round {round}");
+        }
+    }
+    let stats = service.stats();
+    assert_eq!((stats.cache.hits, stats.cache.misses), (2, 2));
+}
+
+#[test]
 fn equal_prefix_different_content_never_shares_a_session() {
     // Two databases identical in their first 20k symbols, diverging after:
     // any prefix-only or lazy hashing would assign them one key. They must
@@ -253,16 +391,18 @@ fn cache_hits_may_join_a_batch_and_parked_sessions_stay_stable_after_union_scans
     };
     let req_a = MiningRequest::new(Arc::clone(&db), cfg_a);
 
-    // Park a session for (db, cfg_a) and record its compiled-buffer address.
+    // Park a session for the database and record its compiled-buffer
+    // address.
     let mut spy = AddressSpy::default();
     let cold = service.submit_with(&req_a, &mut spy).unwrap();
     assert_eq!(cold.stats.cache, CacheOutcome::Miss);
     let parked_addrs = std::mem::take(&mut spy.addrs);
     assert!(!parked_addrs.is_empty());
 
-    // A request whose session is parked (it *would* be a cache hit) can
-    // still join a batch: submit cfg_a and cfg_b concurrently. Both must be
-    // served from the fused scan, bit-identical to serial mining.
+    // A request that would be a cache hit on its own can still lead a
+    // batch: submit cfg_a and cfg_b concurrently. Both must be served from
+    // the fused scan, bit-identical to serial mining, and the batch runs on
+    // the database's parked session.
     let serial_a = Miner::new(cfg_a)
         .mine(db.as_ref(), &mut SequentialBackend::default())
         .unwrap();
@@ -274,7 +414,11 @@ fn cache_hits_may_join_a_batch_and_parked_sessions_stay_stable_after_union_scans
         let leader = {
             let service = Arc::clone(&service);
             let req = req_a.clone();
-            s.spawn(move || service.submit(&req).unwrap())
+            s.spawn(move || {
+                let mut spy = AddressSpy::default();
+                let resp = service.submit_with(&req, &mut spy).unwrap();
+                (resp, spy.addrs)
+            })
         };
         while service.open_batches() == 0 {
             std::thread::yield_now();
@@ -284,19 +428,24 @@ fn cache_hits_may_join_a_batch_and_parked_sessions_stay_stable_after_union_scans
             let req = MiningRequest::new(Arc::clone(&db), cfg_b);
             s.spawn(move || service.submit(&req).unwrap())
         };
-        let la = leader.join().unwrap();
+        let (la, union_addrs) = leader.join().unwrap();
         let jb = joiner.join().unwrap();
-        assert_eq!(la.stats.batch, 2);
-        assert_eq!(jb.stats.batch, 2);
+        assert_eq!((la.stats.cache, la.stats.batch), (CacheOutcome::Hit, 2));
+        assert_eq!((jb.stats.cache, jb.stats.batch), (CacheOutcome::Hit, 2));
         assert_eq!(la.result, serial_a);
         assert_eq!(jb.result, serial_b);
+        assert!(!union_addrs.is_empty());
+        assert!(
+            union_addrs.iter().all(|&a| a == parked_addrs[0]),
+            "the union scans ran outside the parked session's buffers"
+        );
     });
     let stats = service.stats();
     assert_eq!(stats.comining.batches, 1);
     assert_eq!(stats.comining.fused_requests, 2);
+    assert_eq!(service.cached_sessions(), 1);
 
-    // The batch had its own session and compiled buffers: the parked
-    // (db, cfg_a) session was never touched, so the next solo request hits
+    // The batch parked the same session again: the next solo request hits
     // the cache and executes against the *same* compiled allocation as
     // before the batch.
     let warm = service.submit_with(&req_a, &mut spy).unwrap();
@@ -543,9 +692,10 @@ fn saturated_gate_fuses_queued_requests_into_one_union_scan_per_level() {
 #[test]
 fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
     // The same two-config bundle fused twice: the second batch must take the
-    // bundle's parked session from the session cache and recompile in place —
-    // the union scan executes against the *same* compiled allocation both
-    // times — even though the bundle's members arrive in swapped order.
+    // database's parked session from the session cache and recompile in
+    // place — the union scan executes against the *same* compiled allocation
+    // both times. Its members arrive in swapped order: the session mines
+    // them in batch order, so each member still gets its own result.
     let service = Arc::new(MiningService::new(ServiceConfig {
         workers: 2,
         max_in_flight: 4,
@@ -619,8 +769,9 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
 #[test]
 fn one_lru_holds_sessions_for_every_batch_size() {
     // Two slots shared by lone requests (batches of one) and a fused
-    // two-member bundle: the third insertion evicts the least recently used
-    // entry whatever its batch size, and the bundle still hits afterwards.
+    // two-member bundle, each over its own database: the third insertion
+    // evicts the least recently used entry whatever its batch size, and the
+    // bundle still hits afterwards.
     let service = Arc::new(MiningService::new(ServiceConfig {
         workers: 2,
         max_in_flight: 4,
@@ -629,7 +780,8 @@ fn one_lru_holds_sessions_for_every_batch_size() {
         comine_max_batch: 2,
         ..Default::default()
     }));
-    let db = Arc::new(markov_letters(12_000, 23, 0.6));
+    let [lone_db, bundle_db, other_db] =
+        [23, 24, 25].map(|seed| Arc::new(markov_letters(12_000, seed, 0.6)));
     let [cfg_a, cfg_b, cfg_c, cfg_d] = [0.001, 0.002, 0.005, 0.01].map(|alpha| MinerConfig {
         alpha,
         ..mine_config()
@@ -638,7 +790,7 @@ fn one_lru_holds_sessions_for_every_batch_size() {
         std::thread::scope(|s| {
             let leader = {
                 let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), lead_cfg);
+                let req = MiningRequest::new(Arc::clone(&bundle_db), lead_cfg);
                 s.spawn(move || service.submit(&req).unwrap())
             };
             while service.open_batches() == 0 {
@@ -646,7 +798,7 @@ fn one_lru_holds_sessions_for_every_batch_size() {
             }
             let joiner = {
                 let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), join_cfg);
+                let req = MiningRequest::new(Arc::clone(&bundle_db), join_cfg);
                 s.spawn(move || service.submit(&req).unwrap())
             };
             (leader.join().unwrap(), joiner.join().unwrap())
@@ -655,7 +807,7 @@ fn one_lru_holds_sessions_for_every_batch_size() {
 
     // A lone leader: its window closes empty, it mines as a batch of one.
     let lone = service
-        .submit(&MiningRequest::new(Arc::clone(&db), cfg_a))
+        .submit(&MiningRequest::new(Arc::clone(&lone_db), cfg_a))
         .unwrap();
     assert_eq!(
         (lone.stats.cache, lone.stats.batch),
@@ -668,10 +820,10 @@ fn one_lru_holds_sessions_for_every_batch_size() {
         (CacheOutcome::Miss, 2)
     );
     assert_eq!(join.stats.batch, 2);
-    // A second lone leader with a new config: the third insertion evicts the
-    // first.
+    // A second lone leader on a third database: the third insertion evicts
+    // the first.
     let other = service
-        .submit(&MiningRequest::new(Arc::clone(&db), cfg_d))
+        .submit(&MiningRequest::new(Arc::clone(&other_db), cfg_d))
         .unwrap();
     assert_eq!(
         (other.stats.cache, other.stats.batch),
@@ -687,13 +839,19 @@ fn one_lru_holds_sessions_for_every_batch_size() {
     assert_eq!((join.stats.cache, join.stats.batch), (CacheOutcome::Hit, 2));
     let serial = |cfg| {
         Miner::new(cfg)
-            .mine(db.as_ref(), &mut SequentialBackend::default())
+            .mine(bundle_db.as_ref(), &mut SequentialBackend::default())
             .unwrap()
     };
     assert_eq!(lead.result, serial(cfg_c));
     assert_eq!(join.result, serial(cfg_b));
+    // The evicted lone request misses again and re-plans.
+    let again = service
+        .submit(&MiningRequest::new(Arc::clone(&lone_db), cfg_a))
+        .unwrap();
+    assert_eq!(again.stats.cache, CacheOutcome::Miss);
+    assert_eq!(again.result, lone.result);
     let stats = service.stats();
-    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 3));
+    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 4));
     assert_eq!(stats.comining.batches, 2);
 }
 

@@ -19,7 +19,10 @@
 #     shards without threads to scan them is how this ratio regresses.
 #
 # Serve guard — fails when either co-mining headline regresses below the
-# committed results/BENCH_serve.json baseline (minus a noise allowance):
+# committed results/BENCH_serve.json baseline (minus a noise allowance). Both
+# co-mining ratios come from 5 bursts per side on services built once, with
+# the side that goes first alternating, divided fastest burst by fastest
+# burst (min-of-5), so one slow burst on a noisy runner cannot fail CI:
 #
 #   * `comine_vs_solo_scan_ratio` < MIN_COMINE — K same-database clients
 #     fused into one union scan per level must stay faster than K solo runs
