@@ -16,14 +16,15 @@
 //!                    write the JSON report (e.g. BENCH_counting.json) to PATH;
 //!                    with no TARGETS, only the benchmark runs
 //! --serve-bench-json PATH  run the multi-tenant serving benchmark (QPS +
-//!                    latency at 1/4/16 concurrent clients, the co-mining
-//!                    solo-vs-fused scenario, and the tdm-server socket
+//!                    latency at 1/4/16 concurrent clients, the streaming
+//!                    scenario, and the tdm-server socket
 //!                    rungs over loopback TCP) at --scale and write the
 //!                    JSON report (e.g. BENCH_serve.json) to PATH; with no
 //!                    TARGETS, only the benchmark(s) run
 //! --gpu-bench-json PATH  run the simulated GPU serving-pipeline benchmark
-//!                    (persistent fused pipeline vs per-level launches, and
-//!                    the K-tenant union launch vs K solo launches; fully
+//!                    (persistent fused pipeline vs per-level launches,
+//!                    the K-tenant union launch vs K solo launches, and the
+//!                    cost model's routed run; fully
 //!                    deterministic) and write the JSON report (e.g.
 //!                    BENCH_gpu.json) to PATH; with no TARGETS, only the
 //!                    benchmark(s) run
@@ -249,7 +250,7 @@ fn main() {
 
     if let Some(path) = serve_bench_json {
         eprintln!(
-            "benchmarking the serving layer (scale {scale}, 1/4/16 clients + co-mining + socket)..."
+            "benchmarking the serving layer (scale {scale}, 1/4/16 clients + streaming + socket)..."
         );
         let mut bench = tdm_bench::serve_bench::run(&tdm_bench::serve_bench::ServeBenchConfig {
             scale,

@@ -19,7 +19,12 @@
 //! even shards but never more than the host has threads, so on a 1-core host
 //! every one of them is the plain sequential scan. `session-sharded-pooled`
 //! follows the session's own shard bounds, and `session-auto` is the
-//! cost-dispatched executor a mining service actually runs.
+//! cost-dispatched executor a mining service actually runs; its session
+//! keeps its occurrence index across calls, as a parked serving session
+//! does, so from the second call on its level 2 is a pair-table read. The
+//! `engine-vertical` row instead builds its `OccurrenceIndex` inside the
+//! timer: it times a cold database, the per-symbol counts plus whatever the
+//! level reads (the pair table at level 2, the position lists at level 3).
 
 use std::time::Instant;
 use tdm_baselines::{MapReduceBackend, SerialScanBackend, ShardedScanBackend};
@@ -230,10 +235,6 @@ pub fn run(cfg: &BenchConfig) -> CountingBench {
     // One session for the whole benchmark: persistent pool, reusable compiled
     // buffers — the steady state a mining service would run in.
     let mut session = MiningSession::builder(&db).build();
-    // The per-symbol occurrence index is built once per database and shared
-    // across every level — exactly how sessions cache it (one build serves
-    // all levels of a mining run, and every co-mined batch member).
-    let index = OccurrenceIndex::build(ab.len(), db.symbols());
 
     for &level in &cfg.levels {
         let episodes = permutations(&ab, level);
@@ -258,10 +259,13 @@ pub fn run(cfg: &BenchConfig) -> CountingBench {
         backends.push(row("engine-compiled".into(), ms));
 
         // The two single-threaded strategies that should beat the seed
-        // scanner outright: vertical occurrence-list probing and word-packed
-        // Shift-And advancement. Their best time feeds the
-        // `best_vs_seed_speedup` ratio — an algorithmic win, not parallelism.
+        // scanner outright: vertical counting (index reads and
+        // occurrence-list probes) and word-packed Shift-And advancement.
+        // Their best time feeds the `best_vs_seed_speedup` ratio — an
+        // algorithmic win, not parallelism. The vertical row builds its
+        // index inside the timer, so a cached table never scores.
         let (vertical_ms, counts) = time_best(cfg.repeats, || {
+            let index = OccurrenceIndex::build(ab.len(), db.symbols());
             compiled.count_vertical(db.symbols(), &index)
         });
         check("engine-vertical", &counts);

@@ -2,7 +2,7 @@
 //! (`tdm_gpu::DevicePipeline`): what persistence and batching buy over the
 //! paper's launch-per-level discipline.
 //!
-//! Two scenarios, both fully deterministic (every number comes from the
+//! Three scenarios, all fully deterministic (every number comes from the
 //! `gpu-sim` cost model, never the host clock), so the committed artifact
 //! (`BENCH_gpu.json`) is reproducible bit-for-bit anywhere:
 //!
@@ -20,9 +20,16 @@
 //!   block's shared memory; the count buffer is demultiplexed per member).
 //!   Demuxed counts are asserted bit-identical to each tenant's solo launch
 //!   before the `union_launch_vs_k_solo` ratio is reported.
+//! * **routed pipeline** — the first scenario's mine through a
+//!   [`GpuPipelineBackend`] that is not forced onto the device: the
+//!   serve-time cost model (`CompiledCandidates::choose_backend_class`)
+//!   routes each level to a CPU class or the pipeline. The report records
+//!   every level's `(level, candidates, class)` and the routed run's
+//!   simulated ms; CPU-class levels add no simulated time, so the routing
+//!   shows up in the committed artifact without a host clock.
 
 use tdm_core::candidate::permutations;
-use tdm_core::engine::{CandidateUnion, CompiledCandidates};
+use tdm_core::engine::{CandidateUnion, CompiledCandidates, DispatchClass};
 use tdm_core::miner::{Miner, MinerConfig};
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::Episode;
@@ -114,6 +121,10 @@ pub struct GpuBenchReport {
     pub union_launch_ms: f64,
     /// The headline: K-solo ms over union ms (> 1 = batching pays).
     pub union_launch_vs_k_solo: f64,
+    /// Modeled milliseconds of the routed pipeline (device levels only).
+    pub routed_pipeline_ms: f64,
+    /// The routed run's decisions: `(level, candidates, class)` per level.
+    pub routed_levels: Vec<(usize, usize, DispatchClass)>,
 }
 
 /// Runs both scenarios (see the [module docs](self)).
@@ -210,6 +221,25 @@ pub fn run(cfg: &GpuBenchConfig) -> GpuBenchReport {
     }
     let union_launch_ms = union_pipeline.simulated_ms;
 
+    // Scenario 3: scenario 1's mine, routed per level by the cost model.
+    let mut routed_backend = GpuPipelineBackend::new(
+        Algorithm::BlockTexture,
+        cfg.threads_per_block,
+        device.clone(),
+    );
+    let routed_result = Miner::new(mining)
+        .mine(&db, &mut routed_backend)
+        .expect("routed pipeline mining failed");
+    assert_eq!(
+        routed_result, fused_result,
+        "routed pipeline diverged from the device-only run"
+    );
+    let routed_levels = routed_backend
+        .decisions
+        .iter()
+        .map(|d| (d.level, d.candidates, d.class))
+        .collect();
+
     GpuBenchReport {
         symbols: db.len(),
         levels: fused_result.levels.len(),
@@ -221,6 +251,8 @@ pub fn run(cfg: &GpuBenchConfig) -> GpuBenchReport {
         solo_launches_ms,
         union_launch_ms,
         union_launch_vs_k_solo: solo_launches_ms / union_launch_ms.max(1e-12),
+        routed_pipeline_ms: routed_backend.simulated_ms(),
+        routed_levels,
     }
 }
 
@@ -257,20 +289,40 @@ impl GpuBenchReport {
             self.solo_launches_ms
         ));
         s.push_str(&format!(
-            "  \"union_launch_ms\": {:.6}\n",
+            "  \"union_launch_ms\": {:.6},\n",
             self.union_launch_ms
         ));
+        s.push_str(&format!(
+            "  \"routed_pipeline_ms\": {:.6},\n",
+            self.routed_pipeline_ms
+        ));
+        let routed: Vec<String> = self
+            .routed_levels
+            .iter()
+            .map(|(level, candidates, class)| {
+                format!("{{\"level\": {level}, \"candidates\": {candidates}, \"class\": \"{class:?}\"}}")
+            })
+            .collect();
+        s.push_str(&format!("  \"routed_levels\": [{}]\n", routed.join(", ")));
         s.push('}');
         s.push('\n');
         s
     }
 
-    /// Two-line terminal summary.
+    /// Three-line terminal summary.
     pub fn summary(&self) -> String {
+        let routed: Vec<String> = self
+            .routed_levels
+            .iter()
+            .map(|(level, _, class)| {
+                let side = if class.is_cpu() { "cpu" } else { "gpu" };
+                format!("L{level} {side}")
+            })
+            .collect();
         format!(
             "gpu pipeline ({} symbols, {} levels): per-level {:.3} ms vs fused {:.3} ms \
              = {:.2}x\ngpu union ({} tenants, {} union candidates): solo {:.3} ms vs \
-             union {:.3} ms = {:.2}x\n",
+             union {:.3} ms = {:.2}x\ngpu routed: {} = {:.3} ms\n",
             self.symbols,
             self.levels,
             self.per_level_launch_ms,
@@ -280,7 +332,9 @@ impl GpuBenchReport {
             self.union_candidates,
             self.solo_launches_ms,
             self.union_launch_ms,
-            self.union_launch_vs_k_solo
+            self.union_launch_vs_k_solo,
+            routed.join(", "),
+            self.routed_pipeline_ms
         )
     }
 }
@@ -316,6 +370,30 @@ mod tests {
     }
 
     #[test]
+    fn the_routed_run_keeps_index_reads_on_the_cpu() {
+        let r = tiny();
+        assert_eq!(r.routed_levels.len(), r.levels);
+        // Levels 1 and 2 are per-symbol and pair-table reads: no device
+        // advance can beat them.
+        let classes: Vec<_> = r.routed_levels.iter().map(|&(l, _, c)| (l, c)).collect();
+        assert_eq!(
+            classes[..2],
+            [
+                (1, DispatchClass::CpuVertical),
+                (2, DispatchClass::CpuVertical)
+            ]
+        );
+        // Only device levels cost simulated time.
+        let device_levels = r
+            .routed_levels
+            .iter()
+            .filter(|(_, _, c)| !c.is_cpu())
+            .count();
+        assert_eq!(device_levels == 0, r.routed_pipeline_ms == 0.0);
+        assert!(r.routed_pipeline_ms <= r.fused_pipeline_ms);
+    }
+
+    #[test]
     fn the_report_is_deterministic() {
         let a = tiny();
         let b = tiny();
@@ -334,6 +412,7 @@ mod tests {
         assert!(j.contains("\"union_launch_vs_k_solo\""));
         assert!(j.contains("\"per_level_launch_ms\""));
         assert!(j.contains("\"union_candidates\""));
+        assert!(j.contains("\"routed_levels\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(!j.contains("NaN"));
         assert!(!r.summary().is_empty());

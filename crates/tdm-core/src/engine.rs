@@ -605,9 +605,12 @@ impl CompiledCandidates {
     ///
     /// The cost model (in comparable "simple op" units):
     ///
-    /// * **vertical** — level-1 episodes are one list-length read; longer
-    ///   distinct episodes pay ~3 ops per occurrence of their *rarest* item;
-    ///   repeated-item episodes pay a full FSM scan of the stream.
+    /// * **vertical** — level-1 and distinct level-2 episodes are one index
+    ///   read (a list length, a pair-table cell); a set with a distinct
+    ///   level-2 row also pays the table's one pass (`n + σ²`) while the index
+    ///   holds no table yet; longer distinct episodes pay ~3 ops per
+    ///   occurrence of their *rarest* item; repeated-item episodes pay a full
+    ///   FSM scan of the stream.
     /// * **bitmask** — ~2 ops of per-character overhead plus ~10 ops per
     ///   stepped word: each symbol occurrence steps the words anchored at it
     ///   (and roughly as many live words again); repeated-item episodes pay a
@@ -644,17 +647,23 @@ impl CompiledCandidates {
         let fallback_cost = 2.0 * n * self.repeated.len() as f64;
 
         let mut vertical = fallback_cost;
+        let mut reads_pairs = false;
         for e in 0..self.len() {
             if self.is_repeated(e) {
                 continue;
             }
             let items = self.items_of(e);
-            if items.len() == 1 {
+            if items.len() <= 2 {
                 vertical += 1.0;
+                reads_pairs |= items.len() == 2;
             } else {
                 let rarest = items.iter().map(|&c| index.occ_len(c)).min().unwrap_or(0);
                 vertical += 3.0 * rarest as f64;
             }
+        }
+        if reads_pairs && !index.has_pairs() {
+            let sigma = index.alphabet_len() as f64;
+            vertical += n + sigma * sigma;
         }
 
         if self.max_level > 64 {
@@ -1124,23 +1133,38 @@ mod tests {
             l1.count(db.symbols(), &mut scratch)
         );
 
-        // Over a stream that uses the whole alphabet, the dense level-2
-        // universe has no rare symbol to probe, while the word-packed scan
-        // steps about one word per character: bitmask.
+        // The dense level-2 universe reads the pair table, which costs one
+        // stream pass until the index holds it and nothing after.
         let full = db_of(&"ABCDEFGHIJKLMNOPQRSTUVWXYZ".repeat(30));
         let idx_full = OccurrenceIndex::build(26, full.symbols());
         let l2 = CompiledCandidates::compile(26, &permutations(&Alphabet::latin26(), 2));
-        assert_eq!(l2.choose_strategy(&idx_full), CountStrategy::Bitmask);
+        assert_eq!(l2.choose_strategy(&idx_full), CountStrategy::Vertical);
+        let cold = l2.strategy_costs(&idx_full).vertical;
         assert_eq!(
-            l2.count_best(full.symbols()),
+            l2.count_vertical(full.symbols(), &idx_full),
             l2.count(full.symbols(), &mut scratch)
         );
-        // Against the sparse stream the same set probes its (many) empty
-        // occurrence lists instead.
-        assert_eq!(l2.choose_strategy(&idx), CountStrategy::Vertical);
+        assert_eq!(l2.strategy_costs(&idx_full).vertical, cold - 780.0 - 676.0);
         assert_eq!(
             l2.count_best(db.symbols()),
             l2.count(db.symbols(), &mut scratch)
+        );
+
+        // Over a stream that uses the whole alphabet, the dense level-3
+        // universe has no rare symbol to probe, while the word-packed scan
+        // steps about one word per character: bitmask.
+        let l3 = CompiledCandidates::compile(26, &permutations(&Alphabet::latin26(), 3));
+        assert_eq!(l3.choose_strategy(&idx_full), CountStrategy::Bitmask);
+        assert_eq!(
+            l3.count_best(full.symbols()),
+            l3.count(full.symbols(), &mut scratch)
+        );
+        // Against the sparse stream the same set probes its (many) empty
+        // occurrence lists instead.
+        assert_eq!(l3.choose_strategy(&idx), CountStrategy::Vertical);
+        assert_eq!(
+            l3.count_best(db.symbols()),
+            l3.count(db.symbols(), &mut scratch)
         );
 
         // Levels beyond a 64-bit lane cannot pack: vertical.

@@ -26,6 +26,12 @@
 //! shard-boundary continuations at all: the occurrence list enumerates every
 //! match site directly, so splitting the *candidate set* across workers is an
 //! exact parallel decomposition with zero boundary work.
+//!
+//! Level 2 needs no probe either. By the same substring identity, a distinct
+//! pair ⟨a,b⟩ is counted once for each position `p` with `s[p−1] = a` and
+//! `s[p] = b`, so one pass over the stream fills a σ×σ table of
+//! adjacent-pair counts that answers every distinct level-2 row with one
+//! read, as the per-symbol counts answer level 1.
 
 use std::sync::OnceLock;
 
@@ -43,10 +49,16 @@ use crate::segment::scan_segment_items;
 ///
 /// The build is one counting pass: the per-symbol counts are all the cost
 /// model ([`CompiledCandidates::strategy_costs`]) and level-1 counts ever
-/// read. The position lists (4 B per symbol of stream) are scattered from the
-/// stream on the first [`occurrences`](OccurrenceIndex::occurrences) probe, so
-/// an index that only ever dispatched to the bitmask strategy never holds
-/// them.
+/// read. Two more structures wait for their first reader, each built in one
+/// pass over the stream:
+///
+/// * the position lists (4 B per symbol of stream), scattered on the first
+///   [`occurrences`](OccurrenceIndex::occurrences) probe, so an index that
+///   only ever dispatched to the bitmask strategy never holds them;
+/// * the σ×σ table of adjacent-pair counts (4 B per pair: 2,704 B over 26
+///   letters, 256 KiB at σ = 256), built by the first level-2 read. A session
+///   parks its index, so every later level-2 count on that database is a
+///   table read with no stream pass.
 ///
 /// ```
 /// use tdm_core::engine::OccurrenceIndex;
@@ -68,6 +80,13 @@ pub struct OccurrenceIndex {
     /// Stream positions grouped by symbol, ascending within each group; built
     /// by the first [`occurrences`](OccurrenceIndex::occurrences) probe.
     positions: OnceLock<Vec<u32>>,
+    /// Adjacent-pair counts, row-major: `pairs[a·σ + b]` is the number of
+    /// positions `p` with `s[p−1] = a` and `s[p] = b`. Built by the first
+    /// level-2 read.
+    pairs: OnceLock<Vec<u32>>,
+    /// The last indexed symbol: the left half of the seam pair that
+    /// [`extend`](OccurrenceIndex::extend) adds to a built pair table.
+    last: Option<u8>,
     stream_len: usize,
 }
 
@@ -83,6 +102,8 @@ impl OccurrenceIndex {
         let mut index = OccurrenceIndex {
             offsets: vec![0u32; alphabet_len + 1],
             positions: OnceLock::new(),
+            pairs: OnceLock::new(),
+            last: None,
             stream_len: 0,
         };
         index.extend(stream);
@@ -95,7 +116,9 @@ impl OccurrenceIndex {
     /// occurrence lists only ever grow under append, so the extension is one
     /// counting pass over the suffix — plus, when the position lists were
     /// already built, a gather into the widened CSR: no per-symbol re-sort,
-    /// and no walk of the already-indexed prefix stream.
+    /// and no walk of the already-indexed prefix stream. A built pair table
+    /// stays exact in O(m): it gains the seam pair (old last symbol, first
+    /// new symbol) and the suffix's own adjacent pairs.
     ///
     /// ```
     /// use tdm_core::engine::OccurrenceIndex;
@@ -151,7 +174,14 @@ impl OccurrenceIndex {
             scatter(&mut positions, &mut cursor, suffix, self.stream_len);
             *old = positions;
         }
+        if let Some(pairs) = self.pairs.get_mut() {
+            if let Some(last) = self.last {
+                pairs[last as usize * alphabet_len + suffix[0] as usize] += 1;
+            }
+            add_pairs(pairs, alphabet_len, suffix);
+        }
         self.offsets = offsets;
+        self.last = suffix.last().copied();
         self.stream_len = grown_len;
     }
 
@@ -200,6 +230,43 @@ impl OccurrenceIndex {
         (self.offsets[c + 1] - self.offsets[c]) as usize
     }
 
+    /// How often `b` directly follows `a` in the stream: the count of the
+    /// distinct level-2 episode ⟨a,b⟩. `stream` must be the stream this index
+    /// describes: the first read fills the whole σ×σ table from it in one
+    /// pass, once — concurrent first reads wait for that one build.
+    ///
+    /// # Panics
+    /// When the first read's `stream` is not [`stream_len`] symbols long.
+    ///
+    /// [`stream_len`]: OccurrenceIndex::stream_len
+    #[inline]
+    pub(crate) fn pair_count(&self, stream: &[u8], a: u8, b: u8) -> u32 {
+        let sigma = self.alphabet_len();
+        let pairs = self.pairs.get_or_init(|| {
+            assert_eq!(
+                stream.len(),
+                self.stream_len,
+                "pair-table read against a stream the index does not describe"
+            );
+            let mut pairs = vec![0u32; sigma * sigma];
+            add_pairs(&mut pairs, sigma, stream);
+            pairs
+        });
+        pairs[a as usize * sigma + b as usize]
+    }
+
+    /// True once a level-2 read has built the pair table.
+    #[inline]
+    pub(crate) fn has_pairs(&self) -> bool {
+        self.pairs.get().is_some()
+    }
+
+    /// The built pair table, if any.
+    #[cfg(test)]
+    pub(crate) fn pair_table(&self) -> Option<&[u32]> {
+        self.pairs.get().map(Vec::as_slice)
+    }
+
     /// True once a probe has built the position lists.
     #[cfg(test)]
     pub(crate) fn has_positions(&self) -> bool {
@@ -216,6 +283,14 @@ fn scatter(positions: &mut [u32], cursor: &mut [u32], symbols: &[u8], base: usiz
     }
 }
 
+/// Adds the adjacent pairs inside `symbols` to the row-major σ×σ `pairs`
+/// table.
+fn add_pairs(pairs: &mut [u32], sigma: usize, symbols: &[u8]) {
+    for w in symbols.windows(2) {
+        pairs[w[0] as usize * sigma + w[1] as usize] += 1;
+    }
+}
+
 impl CompiledCandidates {
     /// True when episode `e` has a repeated item (needs the exact FSM
     /// fallback in the occurrence-probing strategies).
@@ -224,11 +299,19 @@ impl CompiledCandidates {
         self.repeated.binary_search(&(e as u32)).is_ok()
     }
 
+    /// True when the vertical strategy counts every row with one index read:
+    /// no row is longer than two items or repeats an item.
+    #[inline]
+    pub(crate) fn reads_only_tables(&self) -> bool {
+        self.max_level <= 2 && self.repeated.is_empty()
+    }
+
     /// Counts every compiled episode with the **vertical occurrence-list
-    /// strategy**: level-1 episodes read their symbol's list length, longer
-    /// distinct-item episodes probe the occurrence list of their rarest
-    /// symbol and verify the surrounding window, and repeated-item episodes
-    /// fall back to their exact per-episode FSM scan. Bit-identical to
+    /// strategy**: level-1 episodes read their symbol's list length, distinct
+    /// level-2 episodes read the index's pair table, longer distinct-item
+    /// episodes probe the occurrence list of their rarest symbol and verify
+    /// the surrounding window, and repeated-item episodes fall back to their
+    /// exact per-episode FSM scan. Bit-identical to
     /// [`count`](CompiledCandidates::count) for every episode set.
     ///
     /// `index` must have been built over this `stream` (same content, same
@@ -289,6 +372,10 @@ impl CompiledCandidates {
             let l = items.len();
             if l == 1 {
                 counts[slot] = index.occ_len(items[0]) as u64;
+                continue;
+            }
+            if l == 2 {
+                counts[slot] = u64::from(index.pair_count(stream, items[0], items[1]));
                 continue;
             }
             // Probe the rarest symbol's occurrence list; each hit pins the
@@ -442,13 +529,14 @@ mod tests {
     proptest! {
         /// Incrementally extending an index over any chunk schedule yields the
         /// same layout as one batch build of the concatenated stream — whether
-        /// the position lists were built before some extends (and widened by
-        /// the rest) or only after the last one.
+        /// the position lists and the pair table were built before some
+        /// extends (and widened by the rest) or only after the last one.
         #[test]
         fn extend_equals_batch_for_any_chunking(
             data in proptest::collection::vec(0u8..5, 0..300),
             cuts in proptest::collection::vec(0usize..300, 0..6),
             probe_after in 0usize..8,
+            read_pairs_after in 0usize..8,
         ) {
             let n = data.len();
             let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
@@ -459,7 +547,11 @@ mod tests {
                 if step == probe_after {
                     grown.occurrences(&data[..start], 0);
                 }
+                if step == read_pairs_after {
+                    grown.pair_count(&data[..start], 0, 0);
+                }
                 prop_assert_eq!(grown.has_positions(), step >= probe_after);
+                prop_assert_eq!(grown.has_pairs(), step >= read_pairs_after);
                 grown.extend(&data[start..b]);
                 start = b;
             }
@@ -468,6 +560,57 @@ mod tests {
             for c in 0..5u8 {
                 prop_assert_eq!(grown.occurrences(&data, c), batch.occurrences(&data, c));
             }
+            for a in 0..5u8 {
+                for b in 0..5u8 {
+                    prop_assert_eq!(
+                        grown.pair_count(&data, a, b),
+                        batch.pair_count(&data, a, b),
+                        "pair ({}, {})", a, b
+                    );
+                }
+            }
+        }
+
+        /// Vertical counts, the pair table's level-2 reads included, equal the
+        /// per-episode FSM reference over any alphabet of 1 to 100 symbols,
+        /// for sets that mix 1-item rows, distinct and repeated 2-item rows,
+        /// and 3-item rows — read cold (the first read fills the table) and
+        /// again from the built table.
+        #[test]
+        fn table_reads_equal_naive_for_any_alphabet(
+            sigma in 1usize..=100,
+            raw in proptest::collection::vec(0u8..=255, 0..400),
+            rows in proptest::collection::vec(proptest::collection::vec(0u8..=255, 3), 1..40),
+            kinds in proptest::collection::vec(0u8..4, 40),
+        ) {
+            let sym = |x: u8| (x as usize % sigma) as u8;
+            let stream: Vec<u8> = raw.into_iter().map(sym).collect();
+            let episodes: Vec<Episode> = rows
+                .iter()
+                .zip(&kinds)
+                .map(|(r, kind)| {
+                    let a = sym(r[0]);
+                    // A distinct partner for `a` (none exists when σ = 1).
+                    let other = |x: u8| ((a as usize + 1 + x as usize % sigma.max(2).saturating_sub(1)) % sigma) as u8;
+                    let items = match kind {
+                        0 => vec![a],
+                        1 => vec![a, other(r[1])],
+                        2 => vec![a, a],
+                        _ => vec![a, sym(r[1]), sym(r[2])],
+                    };
+                    Episode::new(items).unwrap()
+                })
+                .collect();
+            let db = EventDb::new(Alphabet::numbered(sigma).unwrap(), stream).unwrap();
+            let c = CompiledCandidates::compile(sigma, &episodes);
+            let idx = OccurrenceIndex::build(sigma, db.symbols());
+            let want = count_episodes_naive(&db, &episodes);
+            prop_assert_eq!(&c.count_vertical(db.symbols(), &idx), &want);
+            prop_assert_eq!(
+                idx.has_pairs(),
+                episodes.iter().any(|e| e.level() == 2 && e.has_distinct_items())
+            );
+            prop_assert_eq!(&c.count_vertical(db.symbols(), &idx), &want);
         }
 
         /// Vertical counting is observationally identical to the per-episode

@@ -32,7 +32,7 @@
 //!   each level once and owns the persistent worker pool, while counting
 //!   backends implement [`session::Executor`] over borrowed
 //!   [`session::CountRequest`] views ([`session`]);
-//! * **cross-request co-mining**: a [`session::MiningSession`] built with
+//! * **co-mining**: a [`session::MiningSession`] built with
 //!   several configurations advances them over one database in lockstep on
 //!   one flat candidate lattice — one join, one compile and one shared scan
 //!   per level, whose counts every member reads in place — bit-identical to

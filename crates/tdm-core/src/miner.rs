@@ -58,7 +58,10 @@ const MIN_VERTICAL_PARALLEL: usize = 256;
 ///
 /// * **vertical** counts chunk the *candidate set* (occurrence-list probes
 ///   never walk the stream, so candidate chunking is exact with zero
-///   boundary work);
+///   boundary work). A level whose every row is one index read — level 1,
+///   or a distinct level 2 answered by the index's pair table — counts on
+///   the calling thread: 650 table reads cost less than one dispatch to the
+///   pool. Repeated-item rows keep their chunked FSM fallback;
 /// * **bitmask** scans shard the *database* along the session's planned
 ///   bounds and merge through the engine's Fig. 5 reducer
 ///   ([`CompiledCandidates::merge_shard_counts`]), exactly like the
@@ -96,7 +99,10 @@ impl Executor for AutoBackend {
             CountStrategy::ActiveSet => Ok(with_thread_scratch(|s| compiled.count(stream, s))),
             CountStrategy::Vertical => {
                 let workers = req.workers();
-                if workers <= 1 || compiled.len() < MIN_VERTICAL_PARALLEL {
+                if workers <= 1
+                    || compiled.len() < MIN_VERTICAL_PARALLEL
+                    || compiled.reads_only_tables()
+                {
                     return Ok(compiled.count_vertical(stream, index));
                 }
                 let chunks = req.chunk_ranges(workers);

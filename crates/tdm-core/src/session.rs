@@ -201,6 +201,13 @@ impl Default for CancelToken {
     }
 }
 
+/// The longest episode the level loop counts: 256 items, the most a `u8`
+/// FSM state covers (the engine's scan state, `fsm::EpisodeFsm::state` and
+/// `segment::Continuation::end_state` are all `u8`). A longer level is
+/// refused with [`BackendError::EpisodeTooLong`] instead of being counted
+/// wrong.
+pub const MAX_EPISODE_LEVEL: usize = u8::MAX as usize + 1;
+
 /// An error raised by a counting backend's execute phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
@@ -218,6 +225,14 @@ pub enum BackendError {
     /// The request's [`CancelToken`] fired (deadline passed or explicitly
     /// cancelled) before this level's scan started; later levels never ran.
     Cancelled,
+    /// The level's episodes are longer than [`MAX_EPISODE_LEVEL`] items; the
+    /// level loop refused to count it.
+    EpisodeTooLong {
+        /// The refused level.
+        level: usize,
+        /// The cap, [`MAX_EPISODE_LEVEL`].
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for BackendError {
@@ -232,6 +247,12 @@ impl std::fmt::Display for BackendError {
                 write!(
                     f,
                     "request cancelled (deadline passed) before the level scan"
+                )
+            }
+            BackendError::EpisodeTooLong { level, max } => {
+                write!(
+                    f,
+                    "level {level} exceeds the {max}-item episode cap of a u8 FSM state"
                 )
             }
         }
@@ -333,8 +354,9 @@ impl<'a> CountRequest<'a> {
     /// the per-level dispatch rule
     /// ([`CompiledCandidates::choose_strategy`]) read it from here. The
     /// index's position lists are built once too, by the first vertical
-    /// probe ([`OccurrenceIndex::occurrences`]); a session whose levels all
-    /// dispatch elsewhere holds only the per-symbol counts.
+    /// probe ([`OccurrenceIndex::occurrences`]), and so is its pair table, by
+    /// the first distinct level-2 read; a session whose levels all dispatch
+    /// elsewhere holds only the per-symbol counts.
     pub fn occurrence_index(&self) -> &'a OccurrenceIndex {
         self.vertical.get_or_init(|| {
             Arc::new(OccurrenceIndex::build(
@@ -631,7 +653,8 @@ pub struct MiningSession<'db> {
     /// Per-symbol occurrence index over `stream`, built lazily by the first
     /// strategy-dispatching execute and reused for the session's whole
     /// lifetime (levels recompile, the stream never changes); its position
-    /// lists wait for the first vertical probe.
+    /// lists wait for the first vertical probe and its pair table for the
+    /// first level-2 read, and a parked session keeps both.
     vertical: OnceLock<Arc<OccurrenceIndex>>,
     shard_bounds: Vec<usize>,
     workers: usize,
@@ -890,6 +913,16 @@ impl<'db> MiningSession<'db> {
         compile: impl FnOnce(&mut CompiledCandidates, usize),
         executor: &mut E,
     ) -> Result<Counts, MineError> {
+        if level > MAX_EPISODE_LEVEL {
+            return Err(MineError {
+                level,
+                backend: executor.name().to_string(),
+                source: BackendError::EpisodeTooLong {
+                    level,
+                    max: MAX_EPISODE_LEVEL,
+                },
+            });
+        }
         let req = self.plan(level, compile);
         let expected = req.candidates();
         let counts = executor.execute(&req).map_err(|source| MineError {
@@ -1332,14 +1365,120 @@ mod tests {
         assert_eq!(result, sequential(&db).unwrap());
 
         // A sparse stream (rare letters between long runs of one symbol):
-        // vertical wins at level 2, and its probes build the positions.
+        // level 2 reads the pair table, vertical wins at level 3, and its
+        // probes build the positions.
         let sparse: String = (0..40)
             .map(|i| format!("{}{}", "A".repeat(60), &"BCDEFG"[i % 5..i % 5 + 2]))
             .collect();
         let db = EventDb::from_str_symbols(&Alphabet::latin26(), &sparse).unwrap();
         let (result, positions) = auto_mined(&db, config);
-        assert!(result.levels.len() >= 2);
+        assert_eq!(result.levels.len(), 3);
         assert!(positions, "a vertical level must build the positions");
         assert_eq!(result, sequential(&db).unwrap());
+    }
+
+    /// The paper's Fig. 3 FSM with a `usize` state, sharing no code with the
+    /// engine: the oracle for episodes as long as the `u8` state allows.
+    fn wide_state_count(stream: &[u8], items: &[u8]) -> u64 {
+        let (mut state, mut count) = (0usize, 0u64);
+        for &c in stream {
+            if c == items[state] {
+                state += 1;
+                if state == items.len() {
+                    count += 1;
+                    state = 0;
+                }
+            } else {
+                state = usize::from(c == items[0]);
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn episodes_count_exactly_up_to_the_state_cap_and_longer_levels_are_refused() {
+        // A periodic stream (period 12) keeps 12 frequent episodes at every
+        // level: its own windows, which repeat items.
+        let text = "ABCABDBACAAB".repeat(40);
+        let db = EventDb::from_str_symbols(&Alphabet::latin26(), &text).unwrap();
+        let config = MinerConfig {
+            alpha: 0.002,
+            max_level: None,
+            distinct_items_only: false,
+        };
+        let err = Miner::new(config).mine(&db, &mut AutoBackend).unwrap_err();
+        assert_eq!(err.level, MAX_EPISODE_LEVEL + 1);
+        assert_eq!(
+            err.source,
+            BackendError::EpisodeTooLong {
+                level: 257,
+                max: 256
+            }
+        );
+        assert!(err.to_string().contains("257"), "{err}");
+
+        let capped = MinerConfig {
+            max_level: Some(MAX_EPISODE_LEVEL),
+            ..config
+        };
+        let result = Miner::new(capped).mine(&db, &mut AutoBackend).unwrap();
+        assert_eq!(result.levels.len(), MAX_EPISODE_LEVEL);
+        let stream = db.symbols();
+        for level in &result.levels[254..] {
+            // The oracle's frequent set: every distinct window of the level's
+            // length, with its wide-state count.
+            let mut want: Vec<(Vec<u8>, u64)> = stream
+                .windows(level.level)
+                .map(|w| (w.to_vec(), wide_state_count(stream, w)))
+                .filter(|&(_, count)| support(count, stream.len()) > config.alpha)
+                .collect();
+            want.sort();
+            want.dedup();
+            let mut got: Vec<(Vec<u8>, u64)> = level
+                .frequent
+                .iter()
+                .map(|(e, count)| (e.items().to_vec(), *count))
+                .collect();
+            got.sort();
+            assert_eq!(want.len(), 12, "level {}", level.level);
+            assert_eq!(level.candidates, 12, "level {}", level.level);
+            assert_eq!(got, want, "level {}", level.level);
+        }
+    }
+
+    #[test]
+    fn a_reused_session_reads_level_two_from_the_table_its_first_mine_built() {
+        let db = EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBAC".repeat(30)).unwrap();
+        let config = MinerConfig {
+            alpha: 0.01,
+            max_level: Some(2),
+            ..Default::default()
+        };
+        let mut session = MiningSession::builder(&db).config(config).build();
+        session.mine(&mut AutoBackend).unwrap();
+        let index = Arc::clone(session.vertical.get().expect("level 1 builds the index"));
+        let table = index
+            .pair_table()
+            .expect("level 2 builds the table")
+            .as_ptr();
+
+        // A new α re-targets the same plan: its level 2 reads the same table.
+        let next = MinerConfig {
+            alpha: 0.02,
+            ..config
+        };
+        session.set_configs([next]);
+        let second = session.mine(&mut AutoBackend).unwrap();
+        let reused = session.vertical.get().unwrap();
+        assert!(Arc::ptr_eq(&index, reused), "the index was rebuilt");
+        assert_eq!(
+            reused.pair_table().map(<[u32]>::as_ptr),
+            Some(table),
+            "the pair table was rebuilt"
+        );
+        assert!(!reused.has_positions(), "level 2 probed instead of reading");
+        assert_eq!(second.levels.len(), 2);
+        let serial = Miner::new(next).mine(&db, &mut SequentialBackend::default());
+        assert_eq!(second, serial.unwrap());
     }
 }

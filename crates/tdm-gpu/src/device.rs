@@ -518,8 +518,8 @@ mod tests {
     fn backend_dispatches_small_levels_to_cpu_and_wide_ones_to_gpu() {
         let d = db(20_000);
         let config = MinerConfig {
-            alpha: 0.002,
-            max_level: Some(2),
+            alpha: 0.0005,
+            max_level: Some(3),
             ..Default::default()
         };
         let mut backend = GpuPipelineBackend::with_defaults(gtx());
@@ -528,11 +528,24 @@ mod tests {
             .mine(&d, &mut SequentialBackend::default())
             .unwrap();
         assert_eq!(via_pipeline, serial);
-        // Level 1 (26 candidates) stays on CPU; level 2 (650) goes wide.
-        assert!(backend.cpu_levels >= 1, "{:?}", backend.decisions);
-        assert!(backend.gpu_levels >= 1, "{:?}", backend.decisions);
-        assert_eq!(backend.decisions[0].class, DispatchClass::CpuVertical);
-        assert_eq!(backend.decisions[1].class, DispatchClass::GpuPipeline);
+        // Level 1 (26 candidates) reads the per-symbol counts and level 2
+        // (650) the pair table, both on the CPU; the wider level 3 goes to
+        // the device.
+        let route: Vec<_> = backend
+            .decisions
+            .iter()
+            .map(|d| (d.level, d.class))
+            .collect();
+        assert_eq!(
+            route,
+            [
+                (1, DispatchClass::CpuVertical),
+                (2, DispatchClass::CpuVertical),
+                (3, DispatchClass::GpuPipeline),
+            ]
+        );
+        assert_eq!(backend.decisions[1].candidates, 650);
+        assert_eq!((backend.cpu_levels, backend.gpu_levels), (2, 1));
         assert!(backend.simulated_ms() > 0.0);
     }
 }

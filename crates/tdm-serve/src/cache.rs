@@ -1,29 +1,29 @@
 //! The session cache: parked `MiningSession`s keyed by database content hash
-//! alone — one LRU for every batch size and every configuration.
+//! alone — one LRU for every configuration.
 //!
 //! Repeated queries against the same database are the common case for a
 //! mining service (dashboards refreshing, clients polling a growing stream at
-//! intervals, co-mining systems like Mayura batching similar queries). The
+//! intervals, several tenants querying one dataset with their own α). The
 //! expensive part of such a query is the *plan* state — the stream snapshot,
-//! the shard bounds, the occurrence index and above all the compiled
-//! candidate buffers that `MiningSession` reuses in place across levels — and
-//! none of it depends on a configuration. The cache therefore keeps whole
-//! owned sessions (`MiningSession<'static>`, sharing the service pool) per
-//! database, and a batch re-targets the session it takes to its own configs
-//! (`MiningSession::set_configs`): a repeat, a new α, a new level bound or a
-//! fused bundle in any arrival order all hit the same parked plan. A hit
-//! re-enters the level loop with every buffer already allocated and warm: no
-//! session planning (no stream snapshot, no shard-bound computation) and no
-//! fresh allocations. Each level's candidates are still compiled — that scan
-//! is inherent to the level loop — but *in place* into the parked session's
+//! the shard bounds, the occurrence index (with its level-2 pair table) and
+//! the compiled candidate buffers that `MiningSession` reuses in place across
+//! levels — and none of it depends on a configuration. The cache therefore
+//! keeps whole owned sessions (`MiningSession<'static>`, sharing the service
+//! pool) per database, and a request re-targets the session it takes to its
+//! own config (`MiningSession::set_configs`): a repeat, a new α or a new
+//! level bound all hit the same parked plan. A hit re-enters the level loop
+//! with every buffer already allocated and warm: no session planning (no
+//! stream snapshot, no shard-bound computation), no fresh allocations, and
+//! level 2 read from the pair table without a stream pass. Each level's
+//! candidates are still compiled, but *in place* into the parked session's
 //! buffers, so the compiled-candidate storage keeps the *same address* across
 //! requests, which the workspace tests assert.
 //!
-//! A session has one writer at a time, so a batch takes its session out of
-//! the cache and parks it again when it is done. Concurrent batches over one
+//! A session has one writer at a time, so a request takes its session out of
+//! the cache and parks it again when it is done. Concurrent requests over one
 //! database (paper-scan's two lanes, one α each) each take or plan a session
 //! of their own, and every one of them is parked: a database may hold several
-//! sessions, one per batch that ran on it concurrently. The LRU capacity
+//! sessions, one per request that ran on it concurrently. The LRU capacity
 //! counts databases, so those extra sessions ride on their database's slot
 //! instead of pushing another database out.
 //!
@@ -71,7 +71,7 @@ pub fn db_content_hash(db: &EventDb) -> u64 {
 
 /// True when two databases have the same content: pointer equality as the
 /// fast path, full symbol/timestamp comparison otherwise. A 64-bit hash
-/// collision must never share a session — or a co-mining batch.
+/// collision must never share a session.
 pub(crate) fn db_matches(a: &EventDb, b: &EventDb) -> bool {
     std::ptr::eq(a, b)
         || (a.alphabet().len() == b.alphabet().len()
@@ -94,7 +94,7 @@ pub struct CacheStats {
 }
 
 /// A small LRU of parked sessions keyed by database content hash. Entries
-/// are **taken out** while a batch uses them (a session is single-writer)
+/// are **taken out** while a request uses them (a session is single-writer)
 /// and parked again when it completes. See the [module docs](self).
 #[derive(Debug)]
 pub(crate) struct SessionCache {
@@ -106,7 +106,7 @@ pub(crate) struct SessionCache {
 
 impl SessionCache {
     /// An empty cache holding the sessions of at most `capacity` databases
-    /// (0 disables caching: every batch plans fresh).
+    /// (0 disables caching: every request plans fresh).
     pub(crate) fn new(capacity: usize) -> Self {
         SessionCache {
             capacity,
@@ -149,7 +149,7 @@ impl SessionCache {
     /// Parks `session` as the most-recently-used entry, evicting
     /// least-recently-used entries while more than `capacity` databases are
     /// parked. It never replaces another entry for the same database: that
-    /// entry belongs to a batch that ran concurrently, and the next
+    /// entry belongs to a request that ran concurrently, and the next
     /// concurrent pair needs both.
     pub(crate) fn put(&mut self, db_hash: u64, session: MiningSession<'static>) {
         if self.capacity == 0 {
@@ -219,9 +219,9 @@ mod tests {
 
     #[test]
     fn a_database_parks_one_session_per_concurrent_batch() {
-        // Two batches over one database ran at once (one α each) and both
+        // Two requests over one database ran at once (one α each) and both
         // parked: neither replaces the other, and the next two concurrent
-        // batches both hit, whatever configs they bring.
+        // requests both hit, whatever configs they bring.
         let mut cache = SessionCache::new(4);
         let db = db_of("ABCABC");
         let key = db_content_hash(&db);

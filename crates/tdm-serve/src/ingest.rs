@@ -1,5 +1,5 @@
 //! Trigger-fenced streaming ingestion: per-tenant append buffers whose
-//! re-mines ride the service's waiting-room batch board.
+//! sealed windows are re-mined through the service.
 //!
 //! A live tenant does not re-mine on every appended symbol — it buffers, and
 //! a **trigger** (count or age) seals the buffer into a *window*: one atomic
@@ -17,11 +17,9 @@
 //! * the fence drops when the window's re-mine returns — on success *or*
 //!   failure, so a failed backend never wedges a tenant.
 //!
-//! Re-mines go through [`MiningService::submit`], which enters the co-mining
-//! batch board **before** admission: when several tenants over the same
-//! stream content flush concurrently, their re-mines fuse into one batch —
-//! a single union scan per level — exactly like interactive requests do, and
-//! a lone re-mine is a batch of one on the same path and session cache.
+//! Re-mines go through [`MiningService::submit`], the path and session cache
+//! interactive requests take: tenants over the same stream content share the
+//! database's parked session, pair table included.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,9 +147,7 @@ pub struct FlushReport {
     pub epoch: u64,
     /// Symbols the window committed.
     pub symbols: usize,
-    /// The re-mine of the grown stream — `stats.batch` is above 1 when this
-    /// window's scan fused with concurrent same-content re-mines on the batch
-    /// board.
+    /// The re-mine of the grown stream.
     pub response: MiningResponse,
 }
 
@@ -214,9 +210,6 @@ pub struct IngestStats {
     pub windows_sealed: u64,
     /// Window re-mines that completed successfully.
     pub remines: u64,
-    /// Of those, re-mines that fused with concurrent same-content re-mines
-    /// into one union scan on the batch board.
-    pub fused_remines: u64,
 }
 
 /// The counters [`StreamIngest`] actually stores, bumped without a lock;
@@ -228,7 +221,6 @@ struct IngestCounters {
     deferred_appends: AtomicU64,
     windows_sealed: AtomicU64,
     remines: AtomicU64,
-    fused_remines: AtomicU64,
 }
 
 /// A point-in-time view of one tenant ([`StreamIngest::tenant`]).
@@ -248,8 +240,7 @@ pub struct TenantSnapshot {
 
 /// The streaming front door of a [`MiningService`]: registered tenants
 /// append symbols, triggers seal windows, and every sealed window is
-/// re-mined exactly once through the service (fusing with concurrent
-/// same-content re-mines on the batch board).
+/// re-mined exactly once through the service.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -299,7 +290,7 @@ impl std::fmt::Debug for StreamIngest {
 
 impl StreamIngest {
     /// An ingestion front door over `service`. Re-mines are submitted
-    /// through it and obey its admission gate, caches, and co-mining window.
+    /// through it and obey its admission gate and session cache.
     pub fn new(service: Arc<MiningService>) -> Self {
         StreamIngest {
             service,
@@ -454,9 +445,6 @@ impl StreamIngest {
         }
         let response = outcome.map_err(IngestError::Serve)?;
         bump(&self.counters.remines, 1);
-        if response.stats.batch > 1 {
-            bump(&self.counters.fused_remines, 1);
-        }
         Ok(FlushReport {
             window: sealed.window,
             epoch: sealed.epoch,
@@ -497,7 +485,6 @@ impl StreamIngest {
             deferred_appends: read(&c.deferred_appends),
             windows_sealed: read(&c.windows_sealed),
             remines: read(&c.remines),
-            fused_remines: read(&c.fused_remines),
         }
     }
 
@@ -510,7 +497,7 @@ impl StreamIngest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceConfig;
+    use crate::service::{CacheOutcome, ServiceConfig};
     use tdm_core::miner::{Miner, SequentialBackend};
     use tdm_core::Alphabet;
 
@@ -742,17 +729,15 @@ mod tests {
     }
 
     #[test]
-    fn same_content_tenants_fuse_on_the_batch_board() {
+    fn same_content_tenants_share_the_parked_session() {
         let service = Arc::new(MiningService::new(ServiceConfig {
             workers: 2,
-            max_in_flight: 8,
-            comine_window: Duration::from_secs(5),
-            comine_max_batch: 2,
             ..Default::default()
         }));
-        let ingest = Arc::new(StreamIngest::new(Arc::clone(&service)));
+        let ingest = StreamIngest::new(Arc::clone(&service));
         // Two tenants over identical stream content (different configs):
-        // their window-0 re-mines share a db hash and fuse into one batch.
+        // their window-0 re-mines share a db hash, so the second takes the
+        // session (and the pair table) the first one parked.
         let deep = MinerConfig {
             alpha: 0.01,
             max_level: Some(3),
@@ -771,29 +756,18 @@ mod tests {
                 )
                 .unwrap();
         }
-        std::thread::scope(|s| {
-            let leader = {
-                let ingest = Arc::clone(&ingest);
-                s.spawn(move || match ingest.append("a", &[0]).unwrap() {
-                    AppendOutcome::Flushed(r) => r,
-                    other => panic!("count trigger should seal: {other:?}"),
-                })
-            };
-            while service.open_batches() == 0 {
-                std::thread::yield_now();
-            }
-            let joined = match ingest.append("b", &[0]).unwrap() {
-                AppendOutcome::Flushed(r) => r,
+        let mut outcomes = Vec::new();
+        for name in ["a", "b"] {
+            match ingest.append(name, &[0]).unwrap() {
+                AppendOutcome::Flushed(r) => outcomes.push(r.response.stats.cache),
                 other => panic!("count trigger should seal: {other:?}"),
-            };
-            let led = leader.join().unwrap();
-            assert_eq!(led.response.stats.batch, 2);
-            assert_eq!(joined.response.stats.batch, 2);
-        });
-        assert_eq!(service.stats().comining.batches, 1);
-        assert_eq!(ingest.stats().fused_remines, 2);
+            }
+        }
+        assert_eq!(outcomes, [CacheOutcome::Miss, CacheOutcome::Hit]);
+        assert_eq!(service.cached_sessions(), 1);
+        assert_eq!(ingest.stats().remines, 2);
 
-        // Fused or not, each tenant's result equals solo batch mining.
+        // Each tenant's result equals solo batch mining.
         for (name, config) in [("a", cfg()), ("b", deep)] {
             let db = ingest.snapshot(name).unwrap();
             let want = Miner::new(config)

@@ -3,9 +3,9 @@
 //! The paper characterizes the throughput of *one* mining run; a production
 //! service faces many concurrent runs from many tenants. Later GPU mining
 //! systems spell out what that takes: Everest wraps its kernels in a
-//! scheduling/serving layer, and Mayura co-mines similar queries against the
-//! same data to amortize compilation. This crate is that layer for the CPU
-//! engine of this reproduction:
+//! scheduling/serving layer, and Mayura shares work across similar queries
+//! against the same data. This crate is that layer for the CPU engine of
+//! this reproduction:
 //!
 //! * [`MiningService`] — accepts [`MiningRequest`]s (an `Arc<EventDb>`
 //!   handle, a `MinerConfig`, a [`Priority`]) from any number of client
@@ -14,6 +14,11 @@
 //!   engine's cost-dispatched executor (`tdm_core::AutoBackend`);
 //!   [`MiningService::submit_with`] runs any other `Executor` (a paper
 //!   baseline, the simulated GPU pipeline, a test spy);
+//! * **explicit batches** — [`MiningService::submit_batch`] serves requests
+//!   over one database that an in-process caller hands in together: one
+//!   place at the gate, one parked session, one union scan per level
+//!   (`MiningSession::co_mine`). The service never holds a request back to
+//!   fuse it with others;
 //! * **one shared pool** — every request's counting scans multiplex over a
 //!   single machine-sized [`Pool`](tdm_mapreduce::pool::Pool) (sessions are
 //!   built with `MiningSessionBuilder::with_pool`), so 16 clients use the
@@ -21,40 +26,24 @@
 //! * **fair admission** ([`admission`]) — a configurable in-flight limit with
 //!   strict FIFO order per priority class and a bounded waiting room that
 //!   rejects overload explicitly ([`ServeError::Overloaded`]);
-//! * **one serving path** — every request is a member of a batch: a batch of
-//!   one when it mines alone, a batch of K when co-mining fused it with
-//!   others. Either way the batch leader runs one `MiningSession` with one
-//!   member per configuration, and [`ResponseStats::batch`] reports K;
 //! * **one session cache** ([`cache`]) — parked `MiningSession<'static>`s
 //!   keyed by database content hash alone and verified against the full
 //!   database content before reuse. A parked session is a per-database plan:
-//!   any batch re-targets it to its own configs, so a repeat, a new α or a
-//!   fused bundle in any arrival order all hit. A hit skips session planning
-//!   (stream snapshot, shard bounds, buffer allocation) and re-enters the
-//!   level loop with the compiled candidate buffers already allocated and
-//!   warm — levels recompile in place, so the compiled storage keeps the
-//!   same address across requests;
-//! * **cross-request co-mining** ([`comine`]) — with a formation window
-//!   configured ([`ServiceConfig::comine_window`]), concurrent requests that
-//!   share a database (same content hash, fully verified) but differ in
-//!   configuration are **fused**: the first one leads, later ones join, and
-//!   the whole batch is mined as one multi-member session — one join and a
-//!   single scan per level over the union of the members' candidates instead
-//!   of one scan per request, each member reading its counts in place.
-//!   Batches form **before admission** (overload-first scheduling): joiners
-//!   never hold an in-flight slot, so a
-//!   saturated gate — exactly when same-database requests pile up — fuses K
-//!   queued requests into one admitted unit instead of K serialized solo
-//!   runs; the batch runs its leader's executor. Results stay bit-identical
-//!   to solo mining (the workspace `tests/comining.rs` differential suite
-//!   proves it under adversarial overlap);
+//!   any request re-targets it to its own config, so a repeat or a new α
+//!   hits. A hit skips session planning (stream snapshot, shard bounds,
+//!   buffer allocation) and re-enters the level loop with the compiled
+//!   candidate buffers already allocated and warm — levels recompile in
+//!   place, so the compiled storage keeps the same address across requests.
+//!   The parked session also keeps its occurrence index, whose σ×σ pair
+//!   table answers every later level 2 on that database without a stream
+//!   pass: the work Mayura-style co-mining would share across concurrent
+//!   requests is already shared across all of them;
 //! * **streaming ingestion** ([`ingest`]) — per-tenant append buffers with
 //!   count-or-age re-mine triggers and **fence** semantics: a sealed window
 //!   is committed onto the tenant's epoch-versioned
 //!   [`EventDb`](tdm_core::EventDb) and re-mined
-//!   exactly once, appends during a re-mine land in the next window, and
-//!   concurrent same-content window re-mines fuse on the batch board like
-//!   any other requests ([`StreamIngest`]).
+//!   exactly once through [`MiningService::submit`], and appends during a
+//!   re-mine land in the next window ([`StreamIngest`]).
 //!
 //! Results are **bit-identical** to a serial `Miner::mine` of the same
 //! request, for any executor and any concurrency level — the
@@ -81,13 +70,11 @@
 
 pub mod admission;
 pub mod cache;
-pub mod comine;
 pub mod ingest;
 pub mod service;
 
 pub use admission::{AdmissionQueue, Overloaded, Permit};
 pub use cache::CacheStats;
-pub use comine::CoMiningStats;
 pub use ingest::{
     AppendOutcome, FlushReport, IngestError, IngestStats, IngestTriggers, StreamIngest,
     TenantSnapshot,

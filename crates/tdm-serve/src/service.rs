@@ -12,8 +12,7 @@ use tdm_core::{EventDb, MinerConfig};
 use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{db_content_hash, CacheStats, SessionCache};
-use crate::comine::{BatchRun, Batcher, CoMiningStats, Deliveries, Entry};
+use crate::cache::{db_content_hash, db_matches, CacheStats, SessionCache};
 
 /// Which counting executor serves a request: always the engine.
 ///
@@ -127,33 +126,26 @@ impl MiningRequest {
     }
 }
 
-/// Whether the session that served a request's batch came from the cache or
-/// was planned fresh (one lookup per batch, shared by all its members).
+/// Whether the session that served a request came from the cache or was
+/// planned fresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// A parked session was verified and reused: no session planning (no
     /// stream snapshot, shard-bound computation, or buffer allocation);
     /// levels recompile in place into the warm buffers.
     Hit,
-    /// No (verifiable) entry existed; the batch planned a fresh session.
+    /// No (verifiable) entry existed; the request planned a fresh session.
     Miss,
 }
 
 /// Per-request measurements returned alongside the mining result.
 #[derive(Debug, Clone, Copy)]
 pub struct ResponseStats {
-    /// Cache hit or miss for the session that served this request's batch.
+    /// Cache hit or miss for the session that served this request.
     pub cache: CacheOutcome,
-    /// Requests served by that session's level loop: 1 for a request mined
-    /// alone, K for a member of a fused K-request co-mining batch.
-    pub batch: usize,
-    /// Time spent waiting, not mining: the admission gate, plus — when
-    /// co-mining is enabled — the batch-formation window (a leader holding
-    /// it open, or a joiner's wait before the fused scan started).
+    /// Time spent waiting at the admission gate, not mining.
     pub queue_wait: Duration,
     /// Time spent planning + mining (the level loop), excluding queueing.
-    /// For a fused request this is the batch's mining wall time — the shared
-    /// scans that produced this member's counts.
     pub mine_time: Duration,
     /// The session-cache key the request was served under: its database's
     /// content hash ([`MiningRequest::key`]).
@@ -249,23 +241,9 @@ pub struct ServiceConfig {
     /// rejected with [`ServeError::Overloaded`] (0 = unbounded).
     pub max_pending: usize,
     /// Databases whose parked sessions the LRU cache keeps (0 disables
-    /// caching). A database keeps one session per batch that ran on it
-    /// concurrently, all on its one slot.
+    /// caching). A database keeps one session per request or batch that ran
+    /// on it concurrently, all on its one slot.
     pub cache_capacity: usize,
-    /// How long a co-mining batch leader holds its formation window open for
-    /// same-database joiners. `Duration::ZERO` (the default) disables
-    /// cross-request co-mining: every request mines solo. Batches form
-    /// **before** admission: a request enters the batch board first and only
-    /// then (as a leader or a solo) takes an in-flight slot, so joiners never
-    /// hold slots and fusion works even at `max_in_flight = 1` — a saturated
-    /// gate is exactly when same-database requests pile up behind the queued
-    /// leader and fuse in the waiting room.
-    pub comine_window: Duration,
-    /// Maximum requests fused into one co-mining batch, leader included
-    /// (0 = unbounded — the window alone closes batches). When a batch fills,
-    /// the leader stops collecting immediately, so saturated services don't
-    /// pay the window latency.
-    pub comine_max_batch: usize,
 }
 
 impl Default for ServiceConfig {
@@ -275,8 +253,6 @@ impl Default for ServiceConfig {
             max_in_flight: 0,
             max_pending: 0,
             cache_capacity: 32,
-            comine_window: Duration::ZERO,
-            comine_max_batch: 0,
         }
     }
 }
@@ -296,26 +272,19 @@ pub struct ServiceStats {
     /// backend was healthy, the client just stopped waiting.
     pub cancelled: u64,
     /// Session-cache counters (hits, misses, evictions, collisions): one
-    /// lookup per batch, whatever its size.
+    /// lookup per admitted request.
     pub cache: CacheStats,
-    /// Cross-request co-mining counters (batches, fused requests, solo
-    /// fallbacks, waiting-room joins).
-    pub comining: CoMiningStats,
 }
 
-/// The request and co-mining counters the service actually stores, bumped
-/// without a lock (the cache keeps its own counters; [`MiningService::stats`]
-/// joins the two into a [`ServiceStats`]).
+/// The request counters the service actually stores, bumped without a lock
+/// (the cache keeps its own counters; [`MiningService::stats`] joins the two
+/// into a [`ServiceStats`]).
 #[derive(Debug, Default)]
 struct RequestCounters {
     completed: AtomicU64,
     failed: AtomicU64,
     rejected: AtomicU64,
     cancelled: AtomicU64,
-    batches: AtomicU64,
-    fused_requests: AtomicU64,
-    solo_fallbacks: AtomicU64,
-    waiting_room_joins: AtomicU64,
 }
 
 /// Adds `n` to a service or ingest counter. Counters are independent
@@ -355,7 +324,6 @@ pub struct MiningService {
     pool: Arc<Pool>,
     admission: AdmissionQueue,
     cache: Mutex<SessionCache>,
-    batcher: Batcher,
     counters: RequestCounters,
 }
 
@@ -386,7 +354,6 @@ impl MiningService {
             pool: Arc::new(Pool::with_workers(workers)),
             admission: AdmissionQueue::new(max_in_flight, config.max_pending),
             cache: Mutex::new(SessionCache::new(config.cache_capacity)),
-            batcher: Batcher::new(config.comine_window, config.comine_max_batch),
             counters: RequestCounters::default(),
         }
     }
@@ -417,219 +384,155 @@ impl MiningService {
 
     /// Serves one request with a caller-supplied executor (any
     /// [`Executor`] — a paper baseline, the simulated GPU pipeline, custom
-    /// kernels, instrumented spies). This is the one serving path:
-    /// [`MiningService::submit`] calls it with the engine.
-    ///
-    /// With a co-mining window configured ([`ServiceConfig::comine_window`]),
-    /// the request may be **fused** with concurrent same-database requests
-    /// into one shared union scan. Fusion happens *before* admission: the
-    /// first such request becomes the batch leader (taking one in-flight slot
-    /// for the whole batch), later ones join — whether the leader is still
-    /// queued at the gate or already collecting — and receive their
-    /// demultiplexed, still bit-identical results without ever holding a
-    /// slot. A fused batch runs its leader's executor; a joiner's own
-    /// executor runs nothing.
+    /// kernels, instrumented spies): a batch of one
+    /// ([`MiningService::submit_batch`]), which is the one serving path.
     ///
     /// # Errors
-    /// Same taxonomy as [`MiningService::submit`]. A joiner whose leader is
-    /// rejected at the gate shares that [`ServeError::Overloaded`].
+    /// Same taxonomy as [`MiningService::submit`].
     pub fn submit_with(
         &self,
         request: &MiningRequest,
         executor: &mut dyn Executor,
     ) -> Result<MiningResponse, ServeError> {
+        let mut served = self.submit_batch(std::slice::from_ref(request), executor)?;
+        Ok(served.swap_remove(0))
+    }
+
+    /// Serves requests over one database together, for an in-process caller
+    /// that already holds their configs: one place at the admission gate, one
+    /// parked session, and one level loop
+    /// ([`MiningSession::co_mine`]) whose single union scan per level answers
+    /// every member bit-identically to serving it alone. The service never
+    /// holds a request back to wait for others; a batch is only what the
+    /// caller hands in.
+    ///
+    /// The first request's deadline and cancel token govern the whole batch,
+    /// and its strongest priority rides to the pool. Responses come back in
+    /// request order and share the batch's cache outcome and timings; every
+    /// member counts in [`ServiceStats`]. An empty slice is served at once
+    /// with no responses.
+    ///
+    /// # Errors
+    /// Same taxonomy as [`MiningService::submit`], once for the whole batch:
+    /// the members share the scans, so they share a failure.
+    ///
+    /// # Panics
+    /// If a request's database differs in content from the first request's.
+    pub fn submit_batch(
+        &self,
+        requests: &[MiningRequest],
+        executor: &mut dyn Executor,
+    ) -> Result<Vec<MiningResponse>, ServeError> {
+        let Some(first) = requests.first() else {
+            return Ok(Vec::new());
+        };
         let arrived = Instant::now();
-        let key = request.key();
+        let key = first.key();
+        assert!(
+            requests[1..]
+                .iter()
+                .all(|r| r.key() == key && db_matches(&r.db, &first.db)),
+            "a batch mines one database"
+        );
+        let priority = if requests.iter().any(|r| r.priority == Priority::High) {
+            Priority::High
+        } else {
+            Priority::Normal
+        };
         // One effective token per submission: the caller's handle (if any)
         // tightened by the request deadline (if any), measured from *arrival*
         // — time queued at the gate spends the budget too.
-        let cancel = match (&request.cancel, request.deadline) {
+        let cancel = match (&first.cancel, first.deadline) {
             (Some(t), Some(d)) => Some(t.deadline_within(d)),
             (Some(t), None) => Some(t.clone()),
             (None, Some(d)) => Some(CancelToken::new().deadline_within(d)),
             (None, None) => None,
         };
-
-        // Enter the batch board *before* the admission gate: a joiner rides
-        // its leader's slot and must not consume one itself — that is what
-        // lets K same-database requests fuse behind a saturated gate.
-        let entry = self
-            .batcher
-            .enter(key, &request.db, request.config, request.priority);
-        if let Entry::Joined(waiter) = entry {
-            let parked = Instant::now();
-            let served = waiter.wait().map(|(result, run)| {
-                // Waiting on the leader minus the fused scan itself is
-                // queueing (gate wait + residual window + scheduling).
-                let stats = ResponseStats {
-                    cache: run.cache,
-                    batch: run.batch,
-                    queue_wait: parked.elapsed().saturating_sub(run.mine_time),
-                    mine_time: run.mine_time,
-                    key,
-                };
-                (result, stats)
-            });
-            return self.finish(served);
-        }
-
-        let permit = match self.admission.acquire(request.priority) {
+        let members = requests.len() as u64;
+        let permit = match self.admission.acquire(priority) {
             Ok(p) => p,
             Err(over) => {
-                // A rejected leader shares the rejection with everyone who
-                // joined while it queued, instead of stranding them.
-                if let Entry::Leader(token) = entry {
-                    let joiners = self.batcher.abort(token);
-                    bump(
-                        &self.counters.waiting_room_joins,
-                        joiners.waiting_room_joins(),
-                    );
-                    joiners.deliver_rejected(over.pending, over.limit);
-                }
-                bump(&self.counters.rejected, 1);
+                bump(&self.counters.rejected, members);
                 return Err(ServeError::Overloaded {
                     pending: over.pending,
                     limit: over.limit,
                 });
             }
         };
-        let gate_wait = arrived.elapsed();
-
-        // A leader holds its formation window open for joiners; that wait is
-        // queueing, not mining. A request with co-mining off joins no one.
-        let (joiners, window_wait) = match entry {
-            Entry::Leader(token) => {
-                let window = Instant::now();
-                let joiners = self.batcher.collect(token);
-                let window_wait = window.elapsed();
-                if joiners.is_empty() {
-                    bump(&self.counters.solo_fallbacks, 1);
-                } else {
-                    bump(
-                        &self.counters.waiting_room_joins,
-                        joiners.waiting_room_joins(),
-                    );
-                }
-                (joiners, window_wait)
-            }
-            _ => (Deliveries::default(), Duration::ZERO),
-        };
-        let batch = 1 + joiners.len();
+        let queue_wait = arrived.elapsed();
         let mining = Instant::now();
-        let mined = self.mine_batch(request, executor, joiners, cancel.as_ref());
+        let mined = self.mine(requests, priority, executor, cancel);
         let mine_time = mining.elapsed();
         drop(permit);
-        let served = mined.map_err(ServeError::Mine).map(|(result, cache)| {
-            let stats = ResponseStats {
-                cache,
-                batch,
-                queue_wait: gate_wait + window_wait,
-                mine_time,
-                key,
-            };
-            (result, stats)
-        });
-        self.finish(served)
-    }
-
-    /// Books the request's terminal counter and assembles the response.
-    fn finish(
-        &self,
-        served: Result<(MiningResult, ResponseStats), ServeError>,
-    ) -> Result<MiningResponse, ServeError> {
-        // Normalize cancellations on every path through here — solo, leader,
-        // and joiner-delivered batch errors alike ([`classify_mine_error`]).
-        let served = served.map_err(|e| match e {
-            ServeError::Mine(m) => classify_mine_error(m),
-            other => other,
-        });
+        // Cancellations become the typed [`ServeError::Cancelled`]
+        // ([`classify_mine_error`]).
+        let served = mined.map_err(classify_mine_error);
         let counter = match &served {
             Ok(_) => &self.counters.completed,
-            Err(ServeError::Overloaded { .. }) => &self.counters.rejected,
             Err(ServeError::Cancelled { .. }) => &self.counters.cancelled,
-            Err(ServeError::Mine(_)) => &self.counters.failed,
+            Err(_) => &self.counters.failed,
         };
-        bump(counter, 1);
-        served.map(|(result, stats)| MiningResponse { result, stats })
+        bump(counter, members);
+        served.map(|(results, cache)| {
+            results
+                .into_iter()
+                .map(|result| MiningResponse {
+                    result,
+                    stats: ResponseStats {
+                        cache,
+                        queue_wait,
+                        mine_time,
+                        key,
+                    },
+                })
+                .collect()
+        })
     }
 
-    /// The one mining path — for a request mined alone (co-mining off, or a
-    /// leader whose window closed empty) and a fused batch leader alike: take
-    /// the database's parked session from the cache (or plan one), re-target
-    /// it to the batch's configs — the leader's, then every joiner's — run
-    /// its level loop (one scan per level however many members), route each
-    /// joiner's result to its waiter, and keep the leader's own.
+    /// The one mining path: take the database's parked session from the
+    /// cache (or plan one), re-target it to the requests' configs in request
+    /// order, run its level loop on `executor`, and park it again.
     ///
-    /// The cache is keyed on the database alone, so any batch on a parked
-    /// database hits, whatever its configs and their arrival order: the
-    /// session mines them in batch order, and the compiled buffers stay warm
-    /// at a stable address across batches.
-    ///
-    /// The leader's `executor` runs the batch's scans, whatever its joiners
-    /// submitted with.
-    fn mine_batch(
+    /// The cache is keyed on the database alone, so any request on a parked
+    /// database hits, whatever its config: the compiled buffers stay warm at
+    /// a stable address, and the session's occurrence index — its pair table
+    /// included — answers every later request on that database.
+    fn mine(
         &self,
-        request: &MiningRequest,
+        requests: &[MiningRequest],
+        priority: Priority,
         executor: &mut dyn Executor,
-        mut joiners: Deliveries,
-        token: Option<&CancelToken>,
-    ) -> Result<(MiningResult, CacheOutcome), MineError> {
-        let key = request.key();
+        token: Option<CancelToken>,
+    ) -> Result<(Vec<MiningResult>, CacheOutcome), MineError> {
+        let first = &requests[0];
+        let key = first.key();
         let cached = self
             .cache
             .lock()
             .expect("session cache")
-            .take(key, &request.db);
+            .take(key, &first.db);
         let (mut session, cache) = match cached {
             Some(session) => (session, CacheOutcome::Hit),
             None => (
-                MiningSession::builder_shared(Arc::clone(&request.db))
+                MiningSession::builder_shared(Arc::clone(&first.db))
                     .with_pool(Arc::clone(&self.pool))
                     .build(),
                 CacheOutcome::Miss,
             ),
         };
-        // Batch order: leader first, then joiners in join (= delivery) order.
-        session.set_configs(std::iter::once(request.config).chain(joiners.configs()));
-        // The batch's strongest class rides through to the pool's job lanes:
-        // the parallel executors submit its scans at this priority.
-        session.set_job_priority(joiners.max_priority(request.priority));
-        // The *leader's* token governs the whole batch: joiners wait with
-        // their own timeout and hold no slot, so only the scanning request
-        // can usefully cancel the level loop. Always (re)set it — Some or
-        // None — so a parked session never carries a stale deadline.
-        session.set_cancel_token(token.cloned());
-        let mining = Instant::now();
+        session.set_configs(requests.iter().map(|r| r.config));
+        // The batch's class rides through to the pool's job lanes: the
+        // parallel executors submit its scans at this priority.
+        session.set_job_priority(priority);
+        // Always (re)set the token — Some or None — so a parked session never
+        // carries a stale deadline.
+        session.set_cancel_token(token);
+        // `co_mine` answers in member order, which is request order.
         let outcome = session.co_mine(executor);
-        let run = BatchRun {
-            cache,
-            batch: 1 + joiners.len(),
-            mine_time: mining.elapsed(),
-        };
         // Park the session again even after a backend error: the plan state
-        // stays consistent, and the next (possibly healthy) batch reuses it.
+        // stays consistent, and the next (possibly healthy) request reuses it.
         self.cache.lock().expect("session cache").put(key, session);
-        if !joiners.is_empty() {
-            // Counted after the scan so the stats can't claim requests were
-            // served from a batch that then failed.
-            bump(&self.counters.batches, 1);
-            if outcome.is_ok() {
-                bump(&self.counters.fused_requests, run.batch as u64);
-            }
-        }
-        match outcome {
-            Ok(results) => {
-                // `co_mine` answers in member order, which is batch order.
-                let mut results = results.into_iter();
-                let leader = results.next().expect("a batch has a leader");
-                joiners.deliver_ok(results.collect(), run);
-                Ok((leader, cache))
-            }
-            Err(e) => {
-                joiners.deliver_err(&e);
-                Err(e)
-            }
-        }
+        outcome.map(|results| (results, cache))
     }
 
     /// Aggregate counters since service start.
@@ -642,30 +545,11 @@ impl MiningService {
             rejected: read(&c.rejected),
             cancelled: read(&c.cancelled),
             cache: self.cache.lock().expect("session cache").stats(),
-            comining: CoMiningStats {
-                batches: read(&c.batches),
-                fused_requests: read(&c.fused_requests),
-                solo_fallbacks: read(&c.solo_fallbacks),
-                waiting_room_joins: read(&c.waiting_room_joins),
-            },
         }
     }
 
-    /// Co-mining batches currently open on the batch board — leaders queued
-    /// at the gate or holding their formation window (0 when co-mining is
-    /// disabled or idle).
-    pub fn open_batches(&self) -> usize {
-        self.batcher.open_batches()
-    }
-
-    /// Joiners currently parked on the batch board, riding a leader's slot
-    /// (they hold no admission slot of their own).
-    pub fn waiting_joiners(&self) -> usize {
-        self.batcher.waiting_joiners()
-    }
-
-    /// Parked sessions currently in the cache, for batches of every size (a
-    /// database holds one per batch that ran on it concurrently).
+    /// Parked sessions currently in the cache (a database holds one per
+    /// request that ran on it concurrently).
     pub fn cached_sessions(&self) -> usize {
         self.cache.lock().expect("session cache").len()
     }
@@ -786,16 +670,10 @@ mod tests {
 
     #[test]
     fn fused_batch_matches_solo_results_and_counts_in_stats() {
-        let service = Arc::new(MiningService::new(ServiceConfig {
+        let service = MiningService::new(ServiceConfig {
             workers: 2,
-            // A wide gate exercises the *window* formation path (the leader
-            // is admitted immediately and holds the window open); the
-            // saturated waiting-room path is covered by the workspace tests.
-            max_in_flight: 8,
-            comine_window: Duration::from_secs(5),
-            comine_max_batch: 3,
             ..Default::default()
-        }));
+        });
         let db = db_of(&"ABCABD".repeat(50));
         let configs = [
             MinerConfig {
@@ -822,88 +700,24 @@ mod tests {
                     .unwrap()
             })
             .collect();
-
-        // The leader registers first; wait for its open window before the
-        // joiners submit, so all three requests land in one batch (the batch
-        // closes on max_batch, not the window).
-        let mut responses: Vec<Option<MiningResponse>> = vec![None, None, None];
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            {
-                let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), configs[0]);
-                handles.push(s.spawn(move || service.submit(&req).unwrap()));
-            }
-            while service.open_batches() == 0 {
-                std::thread::yield_now();
-            }
-            for cfg in &configs[1..] {
-                let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), *cfg);
-                handles.push(s.spawn(move || service.submit(&req).unwrap()));
-            }
-            for (slot, h) in responses.iter_mut().zip(handles) {
-                *slot = Some(h.join().unwrap());
-            }
-        });
+        let batch: Vec<MiningRequest> = configs
+            .iter()
+            .map(|cfg| MiningRequest::new(Arc::clone(&db), *cfg))
+            .collect();
+        let responses = service.submit_batch(&batch, &mut AutoBackend).unwrap();
+        assert_eq!(responses.len(), 3);
         for (i, (resp, want)) in responses.iter().zip(&serial).enumerate() {
-            let resp = resp.as_ref().unwrap();
             assert_eq!(resp.result, *want, "member {i} diverged from solo mining");
-            assert_eq!(resp.stats.batch, 3, "member {i}");
+            assert_eq!(resp.stats.cache, CacheOutcome::Miss, "member {i}");
         }
         let stats = service.stats();
         assert_eq!(stats.completed, 3);
-        assert_eq!(stats.comining.batches, 1);
-        assert_eq!(stats.comining.fused_requests, 3);
         // The batch planned one session in the one cache.
         assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1));
-        assert_eq!(service.open_batches(), 0);
-    }
+        assert_eq!(service.cached_sessions(), 1);
 
-    #[test]
-    fn lone_leader_falls_back_to_the_solo_cache_path() {
-        let service = MiningService::new(ServiceConfig {
-            workers: 1,
-            comine_window: Duration::from_millis(5),
-            ..Default::default()
-        });
-        let db = db_of(&"AB".repeat(60));
-        let req = MiningRequest::new(Arc::clone(&db), cfg());
-        let first = service.submit(&req).unwrap();
-        assert_eq!(first.stats.cache, CacheOutcome::Miss);
-        let second = service.submit(&req).unwrap();
-        assert_eq!(second.stats.cache, CacheOutcome::Hit);
-        assert_eq!(first.result, second.result);
-        let stats = service.stats();
-        assert_eq!(stats.comining.batches, 0);
-        assert_eq!(stats.comining.solo_fallbacks, 2);
-    }
-
-    #[test]
-    fn formation_window_counts_as_queueing_not_mining() {
-        let service = MiningService::new(ServiceConfig {
-            workers: 1,
-            comine_window: Duration::from_millis(200),
-            ..Default::default()
-        });
-        let db = db_of(&"AB".repeat(60));
-        let resp = service.submit(&MiningRequest::new(db, cfg())).unwrap();
-        // A lone leader waits out the whole window before mining solo: that
-        // wait must be reported as queueing, never as mining time.
-        assert!(
-            resp.stats.queue_wait >= Duration::from_millis(200),
-            "window wait missing from queue_wait: {:?}",
-            resp.stats.queue_wait
-        );
-        assert!(
-            resp.stats.mine_time < Duration::from_millis(200),
-            "window wait leaked into mine_time: {:?}",
-            resp.stats.mine_time
-        );
-    }
-
-    #[test]
-    fn failed_batches_count_batches_but_not_fused_requests() {
+        // The members share the scans, so a failing executor fails every
+        // one of them, and each counts as failed.
         struct Broken;
         impl Executor for Broken {
             fn execute(
@@ -916,41 +730,25 @@ mod tests {
                 "broken"
             }
         }
-        let service = Arc::new(MiningService::new(ServiceConfig {
-            workers: 1,
-            max_in_flight: 4,
-            comine_window: Duration::from_secs(5),
-            comine_max_batch: 2,
-            ..Default::default()
-        }));
-        let db = db_of(&"ABC".repeat(40));
-        std::thread::scope(|s| {
-            {
-                let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), cfg());
-                // The leader's broken executor fails the whole batch.
-                s.spawn(move || {
-                    let err = service.submit_with(&req, &mut Broken).unwrap_err();
-                    assert!(matches!(err, ServeError::Mine(_)));
-                });
-            }
-            while service.open_batches() == 0 {
-                std::thread::yield_now();
-            }
-            let other = MinerConfig {
-                alpha: 0.3,
-                ..cfg()
-            };
-            let err = service
-                .submit(&MiningRequest::new(Arc::clone(&db), other))
-                .unwrap_err();
-            assert!(matches!(err, ServeError::Mine(_)));
-        });
+        let err = service.submit_batch(&batch, &mut Broken).unwrap_err();
+        assert!(matches!(err, ServeError::Mine(_)));
         let stats = service.stats();
-        assert_eq!(stats.failed, 2);
-        assert_eq!(stats.comining.batches, 1);
-        // No one was *served* from the failed scan.
-        assert_eq!(stats.comining.fused_requests, 0);
+        assert_eq!((stats.completed, stats.failed), (3, 3));
+        assert!(service.submit_batch(&[], &mut Broken).unwrap().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a batch mines one database")]
+    fn a_batch_over_two_databases_is_refused() {
+        let service = MiningService::new(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let batch = [
+            MiningRequest::new(db_of(&"AB".repeat(30)), cfg()),
+            MiningRequest::new(db_of(&"BA".repeat(30)), cfg()),
+        ];
+        let _ = service.submit_batch(&batch, &mut AutoBackend);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   loop*: an abandoned scan stops at the next level boundary, releases
 //!   its in-flight slot, and the client gets a typed `"deadline"` error;
 //! * **observability** — a `"stats"` request surfaces the service, cache,
-//!   co-mining, ingest, and connection counters as wire-readable JSON;
+//!   ingest, and connection counters as wire-readable JSON;
 //! * **streaming** — `"register"`/`"ingest"` requests route appends into
 //!   [`StreamIngest`](tdm_serve::StreamIngest), so the trigger/fence
 //!   re-mining path is reachable over the wire;
@@ -28,9 +28,9 @@
 //!
 //! Everything the in-process path guarantees still holds over the wire:
 //! responses are bit-identical to a serial `Miner::mine` of the same
-//! request, concurrent same-database requests fuse on the pre-admission
-//! batch board, and cached sessions keep their compiled buffers warm across
-//! connections. The workspace `tests/server_e2e.rs` suite proves each of
+//! request, and every request on a database, whatever its connection or α,
+//! reuses that database's parked session: its compiled buffers and its
+//! level-2 pair table. The workspace `tests/server_e2e.rs` suite proves each of
 //! those claims against a real loopback listener.
 //!
 //! ```no_run

@@ -15,11 +15,10 @@
 //! 3. A `"mine"` request passes the tenant gates in order — API key,
 //!    in-flight quota, token bucket (quota first, so a refusal at the
 //!    quota burns no rate-limit token) — then enters the shared service
-//!    through the
-//!    same pre-admission batch board in-process callers use, so wire
-//!    requests fuse with each other (and with in-process requests) whenever
-//!    they share a database. `"deadline_ms"` becomes a [`CancelToken`]
-//!    deadline checked inside the level loop.
+//!    through the same admission gate and session cache in-process callers
+//!    use, so wire requests share a database's parked session with each
+//!    other and with in-process requests. `"deadline_ms"` becomes a
+//!    [`CancelToken`] deadline checked inside the level loop.
 //! 4. The handler decrements the active-connection gauge on the way out —
 //!    the robustness suite asserts this returns to zero, so handler leaks
 //!    are test failures, not slow deaths.
@@ -48,9 +47,8 @@ use crate::wire::{self, codes, FrameError};
 
 /// Builds the executor a handler mines with. `None` on [`ServerConfig`]
 /// means every request runs on the engine through [`MiningService::submit`];
-/// a factory's executor goes through [`MiningService::submit_with`] instead
-/// (and, when its request leads a fused batch, runs the whole batch). Tests
-/// inject spy executors here to observe the level loop from outside the
+/// a factory's executor goes through [`MiningService::submit_with`] instead.
+/// Tests inject spy executors here to observe the level loop from outside the
 /// socket.
 pub type ExecutorFactory = Arc<dyn Fn() -> Box<dyn Executor> + Send + Sync>;
 

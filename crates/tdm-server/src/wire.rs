@@ -28,10 +28,9 @@
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
+use tdm_core::session::MAX_EPISODE_LEVEL;
 use tdm_core::{Alphabet, MinerConfig, MiningResult};
-use tdm_serve::{
-    CacheOutcome, CacheStats, CoMiningStats, IngestStats, MiningResponse, ServeError, ServiceStats,
-};
+use tdm_serve::{CacheOutcome, CacheStats, IngestStats, MiningResponse, ServeError, ServiceStats};
 
 use crate::json::Value;
 
@@ -258,7 +257,6 @@ pub fn mining_result_value(result: &MiningResult, alphabet: &Alphabet) -> Value 
 /// Renders a full `"mine_result"` response (result + serving measurements).
 pub fn mine_response_value(response: &MiningResponse, alphabet: &Alphabet) -> Value {
     let cache = match response.stats.cache {
-        _ if response.stats.batch > 1 => "comined",
         CacheOutcome::Hit => "hit",
         CacheOutcome::Miss => "miss",
     };
@@ -293,18 +291,6 @@ fn cache_stats_value(stats: &CacheStats) -> Value {
     ])
 }
 
-fn comining_stats_value(stats: &CoMiningStats) -> Value {
-    Value::Object(vec![
-        ("batches".into(), Value::u64(stats.batches)),
-        ("fused_requests".into(), Value::u64(stats.fused_requests)),
-        ("solo_fallbacks".into(), Value::u64(stats.solo_fallbacks)),
-        (
-            "waiting_room_joins".into(),
-            Value::u64(stats.waiting_room_joins),
-        ),
-    ])
-}
-
 /// Renders [`ServiceStats`] + [`IngestStats`] as the `"stats"` response
 /// body (the server adds its own connection counters alongside).
 pub fn stats_value(service: &ServiceStats, ingest: &IngestStats) -> Value {
@@ -317,7 +303,13 @@ pub fn stats_value(service: &ServiceStats, ingest: &IngestStats) -> Value {
                 ("rejected".into(), Value::u64(service.rejected)),
                 ("cancelled".into(), Value::u64(service.cancelled)),
                 ("cache".into(), cache_stats_value(&service.cache)),
-                ("comining".into(), comining_stats_value(&service.comining)),
+                // The service fuses no requests. The key stays, always 0,
+                // because the end-to-end benchmark's stats reader requires
+                // it; it goes when the benchmark stops reading it.
+                (
+                    "comining".into(),
+                    Value::Object(vec![("fused_requests".into(), Value::u64(0))]),
+                ),
             ]),
         ),
         (
@@ -334,7 +326,6 @@ pub fn stats_value(service: &ServiceStats, ingest: &IngestStats) -> Value {
                 ),
                 ("windows_sealed".into(), Value::u64(ingest.windows_sealed)),
                 ("remines".into(), Value::u64(ingest.remines)),
-                ("fused_remines".into(), Value::u64(ingest.fused_remines)),
             ]),
         ),
     ])
@@ -342,7 +333,8 @@ pub fn stats_value(service: &ServiceStats, ingest: &IngestStats) -> Value {
 
 /// Reads the `MinerConfig` fields off a request object (`"alpha"`,
 /// `"max_level"`, `"distinct_items_only"`), with the core defaults for
-/// absent fields.
+/// absent fields. A `"max_level"` past [`MAX_EPISODE_LEVEL`] is refused: no
+/// level past that cap can be counted.
 pub fn config_from(v: &Value) -> Result<MinerConfig, &'static str> {
     let mut config = MinerConfig::default();
     if let Some(alpha) = v.get("alpha") {
@@ -353,7 +345,10 @@ pub fn config_from(v: &Value) -> Result<MinerConfig, &'static str> {
     }
     if let Some(level) = v.get("max_level") {
         let level = level.as_u64().ok_or("\"max_level\" must be an integer")?;
-        config.max_level = Some(usize::try_from(level).map_err(|_| "\"max_level\" too large")?);
+        match usize::try_from(level) {
+            Ok(level) if level <= MAX_EPISODE_LEVEL => config.max_level = Some(level),
+            _ => return Err("\"max_level\" must be at most 256"),
+        }
     }
     if let Some(flag) = v.get("distinct_items_only") {
         config.distinct_items_only = flag
@@ -478,5 +473,15 @@ mod tests {
         assert!(config_from(&json::parse(r#"{"alpha":1.5}"#).unwrap()).is_err());
         assert!(config_from(&json::parse(r#"{"max_level":-1}"#).unwrap()).is_err());
         assert!(config_from(&json::parse(r#"{"distinct_items_only":1}"#).unwrap()).is_err());
+    }
+
+    #[test]
+    fn max_level_is_capped_at_the_longest_countable_episode() {
+        let at_cap = config_from(&json::parse(r#"{"max_level":256}"#).unwrap()).unwrap();
+        assert_eq!(at_cap.max_level, Some(MAX_EPISODE_LEVEL));
+        let err = config_from(&json::parse(r#"{"max_level":257}"#).unwrap()).unwrap_err();
+        assert!(err.contains("256"), "{err}");
+        let huge = json::parse(r#"{"max_level":18446744073709551615}"#).unwrap();
+        assert!(config_from(&huge).is_err());
     }
 }

@@ -1,19 +1,17 @@
 //! The network front-end: a loopback `tdm-server`, three tenants, and the
 //! whole gate sequence on display — authentication, rate limits, quotas,
-//! deadlines, and wire-level co-mining fusion.
+//! deadlines, and one parked session per database.
 //!
 //! Spins up a real TCP listener on an ephemeral port, then walks through:
 //! a mine round-trip checked bit-identical to serial mining; a cache hit on
-//! the second request; three same-database clients fusing into one batch
-//! over the wire; a 1 ms deadline cancelling a run mid-level-loop; and the
-//! typed refusals a hostile or over-eager client sees.
+//! the second request; three clients with three thresholds sharing one
+//! database's parked session over the wire; a 1 ms deadline cancelling a run
+//! mid-level-loop; and the typed refusals a hostile or over-eager client
+//! sees.
 //!
 //! ```sh
 //! cargo run --release --example server
 //! ```
-
-use std::sync::Arc;
-use std::time::Duration;
 
 use temporal_mining::core::{Alphabet, MinerConfig};
 use temporal_mining::prelude::*;
@@ -27,15 +25,9 @@ fn main() {
     //    different privileges, a shared mining service behind them.
     let server = Server::bind(ServerConfig {
         handler_threads: 8,
-        service: temporal_mining::serve::ServiceConfig {
-            comine_window: Duration::from_millis(150),
-            comine_max_batch: 4,
-            ..Default::default()
-        },
         tenants: vec![
             TenantConfig::new("acme", "key-a"),
-            // 1 req/s: slow enough that the bucket outlasts the co-mining
-            // formation window each request waits out (~150 ms of refill).
+            // 1 req/s with a burst of 2: back-to-back requests drain it.
             TenantConfig::new("beta", "key-b").rate(1.0, 2.0),
             TenantConfig::new("corp", "key-c").quota(1),
         ],
@@ -79,53 +71,44 @@ fn main() {
         reply.get("cache").and_then(Value::as_str).unwrap_or("?")
     );
 
-    // 4. Wire-level co-mining: three connections, one database, three
-    //    different thresholds — fused into a single batch, one union scan
-    //    per level.
-    let fuse_db = Arc::new(workloads::uniform_letters(20_000, 7));
-    let fuse_letters: String = fuse_db
+    // 4. One database, three connections, three thresholds: the first
+    //    request plans the database's session, the others take it from the
+    //    cache and read level 2 from the pair table the first one built.
+    let shared_db = workloads::uniform_letters(20_000, 7);
+    let shared_letters: String = shared_db
         .symbols()
         .iter()
         .map(|&s| (b'A' + s) as char)
         .collect();
-    std::thread::scope(|s| {
-        for (i, alpha) in [0.05, 0.02, 0.01].into_iter().enumerate() {
-            let addr = server.addr();
-            let fuse_letters = &fuse_letters;
-            s.spawn(move || {
-                let mut conn = Client::connect(addr).expect("connect failed");
-                let req = mine_request(
-                    "acme",
-                    "key-a",
-                    fuse_letters,
-                    alpha,
-                    Some(2),
-                    None,
-                    None,
-                    None,
-                );
-                let reply = conn.call(&req).expect("fused mine failed");
-                println!(
-                    "  client {i} (alpha {alpha}): cache {}",
-                    reply.get("cache").and_then(Value::as_str).unwrap_or("?")
-                );
-            });
-        }
-    });
+    for (i, alpha) in [0.05, 0.02, 0.01].into_iter().enumerate() {
+        let mut conn = Client::connect(server.addr()).expect("connect failed");
+        let req = mine_request(
+            "acme",
+            "key-a",
+            &shared_letters,
+            alpha,
+            Some(2),
+            None,
+            None,
+            None,
+        );
+        let reply = conn.call(&req).expect("shared-db mine failed");
+        println!(
+            "  client {i} (alpha {alpha}): cache {}",
+            reply.get("cache").and_then(Value::as_str).unwrap_or("?")
+        );
+    }
     let stats = acme
         .call(&stats_request("acme", "key-a"))
         .expect("stats failed");
-    let comining = stats
+    let cache = stats
         .get("service")
-        .and_then(|s| s.get("comining"))
-        .expect("no comining stats");
+        .and_then(|s| s.get("cache"))
+        .expect("no cache stats");
     println!(
-        "co-mining over the wire: {} batch(es), {} fused request(s)\n",
-        comining.get("batches").and_then(Value::as_u64).unwrap_or(0),
-        comining
-            .get("fused_requests")
-            .and_then(Value::as_u64)
-            .unwrap_or(0),
+        "session cache over the wire: {} hit(s), {} miss(es)\n",
+        cache.get("hits").and_then(Value::as_u64).unwrap_or(0),
+        cache.get("misses").and_then(Value::as_u64).unwrap_or(0),
     );
 
     // 5. Deadlines cancel inside the level loop: a 1 ms budget against a

@@ -70,7 +70,6 @@ fn main() {
                          cache {}, queued {:>6.2} ms, mined {:>6.2} ms",
                         resp.result.total_frequent(),
                         match resp.stats.cache {
-                            _ if resp.stats.batch > 1 => "fused",
                             CacheOutcome::Hit => "hit  ",
                             CacheOutcome::Miss => "miss ",
                         },
@@ -107,43 +106,15 @@ fn main() {
         serial.total_frequent()
     );
 
-    // 6. Cross-request co-mining: a service with a formation window fuses
-    //    concurrent same-database requests (different configs!) into one
-    //    union scan per level. Four tenants, one batch, four bit-identical
-    //    answers.
-    let fused_service = Arc::new(MiningService::new(ServiceConfig {
-        // Joiners must be *admitted* to reach the batch board — keep the
-        // gate at least as wide as the batch.
-        max_in_flight: 4,
-        comine_window: std::time::Duration::from_millis(500),
-        comine_max_batch: 4,
-        ..Default::default()
-    }));
-    let (name, db) = &dbs[0];
-    let configs: Vec<MinerConfig> = (0..4)
-        .map(|i| MinerConfig {
-            alpha: 0.001 * (1.0 + i as f64),
-            ..config
+    // 6. One parked session per database, whatever the config: four
+    //    thresholds in turn on one database all hit it, and their level 2
+    //    reads the pair table its first mine built.
+    let outcomes: Vec<CacheOutcome> = (0..4)
+        .map(|i| {
+            let alpha = 0.001 * (2.0 + i as f64);
+            let req = MiningRequest::new(Arc::clone(db), MinerConfig { alpha, ..config });
+            service.submit(&req).expect("request failed").stats.cache
         })
         .collect();
-    std::thread::scope(|s| {
-        {
-            let service = Arc::clone(&fused_service);
-            let req = MiningRequest::new(Arc::clone(db), configs[0]);
-            s.spawn(move || service.submit(&req).expect("leader failed"));
-        }
-        while fused_service.open_batches() == 0 {
-            std::thread::yield_now();
-        }
-        for cfg in &configs[1..] {
-            let service = Arc::clone(&fused_service);
-            let req = MiningRequest::new(Arc::clone(db), *cfg);
-            s.spawn(move || service.submit(&req).expect("joiner failed"));
-        }
-    });
-    let comining = fused_service.stats().comining;
-    println!(
-        "co-mining on {name}: {} configs fused into {} batch(es) — one union scan per level",
-        comining.fused_requests, comining.batches
-    );
+    println!("four new thresholds on {name}: {outcomes:?}");
 }

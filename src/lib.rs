@@ -20,9 +20,9 @@
 //! * [`workloads`] (`tdm-workloads`) — the paper's 393,019-letter database plus
 //!   spike-train and market-basket generators;
 //! * [`serve`] (`tdm-serve`) — the multi-tenant serving layer: concurrent
-//!   mining sessions over one shared worker pool, with an LRU session cache,
-//!   fair (aging) admission, and cross-request co-mining — concurrent
-//!   same-database requests fused into one union scan per level;
+//!   mining sessions over one shared worker pool, with an LRU session cache
+//!   that parks one plan per database (its level-2 pair table included) and
+//!   fair (aging) admission;
 //! * [`server`] (`tdm-server`) — the TCP front-end over that layer: a
 //!   length-prefixed JSON protocol with per-tenant API keys, token-bucket
 //!   rate limits, in-flight quotas, and level-loop deadline cancellation.

@@ -12,11 +12,13 @@
 //!   concatenated copies;
 //! * adversarial candidate overlap: disjoint, identical, and
 //!   partially-overlapping candidate sets, repeated items inside and across
-//!   sets, sets that go empty at different levels, workers 1..=8;
-//! * the serving layer end to end: a staged K-client batch through
-//!   `MiningService` with a formation window, every response reporting the
-//!   full batch and bit-identical, exactly one executor running the fused
-//!   scans.
+//!   sets, sets that go empty at different levels, workers 1..=8.
+//!
+//! Co-mining is an in-process API: `MiningSession::co_mine`, and
+//! `MiningService::submit_batch` for a batch its caller hands in. The
+//! service never holds a request back to fuse it with others; concurrent
+//! requests share a database's parked session and its level-2 pair table
+//! instead.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -350,13 +352,10 @@ fn malformed_executors_fail_the_whole_batch_with_the_union_length() {
 #[test]
 fn service_batch_issues_one_fused_scan_stream_for_k_clients() {
     for k in [2usize, 4, 8] {
-        let service = Arc::new(MiningService::new(ServiceConfig {
+        let service = MiningService::new(ServiceConfig {
             workers: 2,
-            max_in_flight: k + 1,
-            comine_window: std::time::Duration::from_secs(10),
-            comine_max_batch: k,
             ..Default::default()
-        }));
+        });
         let db = Arc::new(markov_letters(15_000, k as u64, 0.6));
         let configs: Vec<MinerConfig> = (0..k)
             .map(|i| MinerConfig {
@@ -367,47 +366,25 @@ fn service_batch_issues_one_fused_scan_stream_for_k_clients() {
             .collect();
         let serial = serial_results(&db, &configs);
         let deepest = serial.iter().map(|r| r.levels.len()).max().unwrap();
+        let requests: Vec<MiningRequest> = configs
+            .iter()
+            .map(|cfg| MiningRequest::new(Arc::clone(&db), *cfg))
+            .collect();
 
-        // Stage the leader first so all k requests land in one batch (the
-        // batch closes on max_batch, not the window). Every client carries
-        // its own spy: only the leader's runs the fused scans.
-        let mut spies: Vec<ScanSpy> = (0..k).map(|_| ScanSpy::default()).collect();
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            let mut spy_iter = spies.iter_mut();
-            {
-                let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), configs[0]);
-                let spy = spy_iter.next().unwrap();
-                handles.push(s.spawn(move || service.submit_with(&req, spy).unwrap()));
-            }
-            while service.open_batches() == 0 {
-                std::thread::yield_now();
-            }
-            for (cfg, spy) in configs[1..].iter().zip(spy_iter) {
-                let service = Arc::clone(&service);
-                let req = MiningRequest::new(Arc::clone(&db), *cfg);
-                handles.push(s.spawn(move || service.submit_with(&req, spy).unwrap()));
-            }
-            for (i, h) in handles.into_iter().enumerate() {
-                let resp = h.join().unwrap();
-                assert_eq!(resp.result, serial[i], "k={k} client {i} diverged");
-                assert_eq!(resp.stats.batch, k, "k={k} client {i}");
-            }
-        });
-
-        // Across ALL k clients, exactly one scan per level ran — k-1 spies
-        // never executed at all.
-        let total: usize = spies.iter().map(|s| s.calls).sum();
+        let mut spy = ScanSpy::default();
+        let responses = service.submit_batch(&requests, &mut spy).unwrap();
+        assert_eq!(responses.len(), k);
+        for (i, (resp, want)) in responses.iter().zip(&serial).enumerate() {
+            assert_eq!(resp.result, *want, "k={k} client {i} diverged");
+        }
+        // Across ALL k clients, exactly one scan per level ran.
         assert_eq!(
-            total, deepest,
+            spy.calls, deepest,
             "k={k}: the whole batch must cost one scan per level"
         );
-        assert_eq!(spies.iter().filter(|s| s.calls > 0).count(), 1);
         let stats = service.stats();
-        assert_eq!(stats.comining.batches, 1, "k={k}");
-        assert_eq!(stats.comining.fused_requests, k as u64, "k={k}");
         assert_eq!(stats.completed, k as u64, "k={k}");
+        assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1), "k={k}");
     }
 }
 

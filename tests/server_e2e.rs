@@ -5,10 +5,9 @@
 //!   configs, naming the backend or not — every wire response
 //!   **bit-identical** to a serial `Miner::mine` of the same request,
 //!   compared through the same encoder;
-//! * same-database requests landing within the co-mine window **fuse over
-//!   the wire** (leader queued at a saturated gate, joiners in the waiting
-//!   room), proven via `"stats"`: `comining.batches`,
-//!   `comining.waiting_room_joins`;
+//! * same-database requests on separate connections with different α
+//!   **share one parked session**, proven via the reply's `"cache"` and
+//!   `"stats"`;
 //! * session-cache hits keep **stable compiled-buffer addresses across
 //!   connections** (an executor-factory spy records every address);
 //! * a 10 ms-deadline request against a slow executor is **cancelled
@@ -26,7 +25,7 @@ use tdm_server::client::{mine_request, stats_request};
 use tdm_server::json::Value;
 use tdm_server::{wire, Client, Server, ServerConfig, TenantConfig};
 use temporal_mining::prelude::*;
-use temporal_mining::workloads::{markov_letters, uniform_letters};
+use temporal_mining::workloads::markov_letters;
 
 const TENANTS: [(&str, &str); 3] = [("acme", "key-a"), ("beta", "key-b"), ("corp", "key-c")];
 
@@ -127,147 +126,58 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
 }
 
 #[test]
-fn same_db_requests_fuse_over_the_wire_and_stats_show_it() {
-    // One admission slot: a blocker holds it, the fused batch's leader
-    // queues at the gate, and the joiners join in the waiting room.
+fn same_db_requests_share_one_parked_session_over_the_wire() {
+    // Three connections, one database, three thresholds: the first request
+    // plans the database's session, the other two take it from the cache,
+    // and every reply is bit-identical to serial mining.
     let server = Server::bind(ServerConfig {
-        handler_threads: 8,
-        service: temporal_mining::serve::ServiceConfig {
-            workers: 1,
-            max_in_flight: 1,
-            comine_window: Duration::from_millis(300),
-            comine_max_batch: 4,
-            ..Default::default()
-        },
+        handler_threads: 4,
         tenants: tenant_configs(),
         ..Default::default()
     })
     .unwrap();
-    let addr = server.addr();
-
-    let blocker_db = uniform_letters(40_000, 7);
-    let fused_db = markov_letters(8_000, 11, 0.6);
-    let fused_alphas = [0.05, 0.02, 0.01];
-
-    std::thread::scope(|s| {
-        // The blocker leads its own (solo) batch and holds the only slot.
-        let blocker = s.spawn(|| {
-            let mut client = Client::connect(addr).unwrap();
-            client
-                .call(&mine_request(
-                    "acme",
-                    "key-a",
-                    &letters(&blocker_db),
-                    0.02,
-                    Some(3),
-                    None,
-                    None,
-                    None,
-                ))
-                .unwrap()
-        });
-        let polling = Instant::now();
-        while server.service().open_batches() < 1 {
-            assert!(
-                polling.elapsed() < Duration::from_secs(10),
-                "blocker never led"
-            );
-            std::thread::yield_now();
-        }
-
-        // The fused batch's leader registers on the board while queued.
-        let leader = s.spawn(|| {
-            let mut client = Client::connect(addr).unwrap();
-            client
-                .call(&mine_request(
-                    "beta",
-                    "key-b",
-                    &letters(&fused_db),
-                    fused_alphas[0],
-                    Some(3),
-                    None,
-                    None,
-                    None,
-                ))
-                .unwrap()
-        });
-        let polling = Instant::now();
-        while server.service().open_batches() < 2 {
-            assert!(
-                polling.elapsed() < Duration::from_secs(10),
-                "leader never led"
-            );
-            std::thread::yield_now();
-        }
-
-        // Two more tenants' requests for the same database join it.
-        let joiners: Vec<_> = fused_alphas[1..]
-            .iter()
-            .enumerate()
-            .map(|(i, &alpha)| {
-                let fused_db = &fused_db;
-                s.spawn(move || {
-                    let (tenant, key) = TENANTS[(i + 2) % TENANTS.len()];
-                    let mut client = Client::connect(addr).unwrap();
-                    client
-                        .call(&mine_request(
-                            tenant,
-                            key,
-                            &letters(fused_db),
-                            alpha,
-                            Some(3),
-                            None,
-                            None,
-                            None,
-                        ))
-                        .unwrap()
-                })
-            })
-            .collect();
-
-        assert_eq!(
-            blocker.join().unwrap().get("type").and_then(Value::as_str),
-            Some("mine_result")
-        );
-        let fused_replies: Vec<Value> = std::iter::once(leader.join().unwrap())
-            .chain(joiners.into_iter().map(|j| j.join().unwrap()))
-            .collect();
-        for (reply, alpha) in fused_replies.iter().zip(fused_alphas) {
-            assert_eq!(
-                reply.get("cache").and_then(Value::as_str),
-                Some("comined"),
-                "alpha {alpha} was not served from the fused scan: {}",
-                reply.encode()
-            );
-            let config = MinerConfig {
+    let db = markov_letters(8_000, 11, 0.6);
+    for (i, alpha) in [0.05, 0.02, 0.01].into_iter().enumerate() {
+        let mut client = Client::connect(server.addr()).unwrap();
+        let reply = client
+            .call(&mine_request(
+                "acme",
+                "key-a",
+                &letters(&db),
                 alpha,
-                max_level: Some(3),
-                ..Default::default()
-            };
-            assert_eq!(
-                reply.get("result").unwrap().encode(),
-                serial_result_json(&fused_db, config),
-                "fused result for alpha {alpha} diverged from serial mining"
-            );
-        }
-    });
+                Some(2),
+                None,
+                None,
+                None,
+            ))
+            .unwrap();
+        let want = if i == 0 { "miss" } else { "hit" };
+        assert_eq!(reply.get("cache").and_then(Value::as_str), Some(want));
+        let config = MinerConfig {
+            alpha,
+            max_level: Some(2),
+            ..Default::default()
+        };
+        assert_eq!(
+            reply.get("result").unwrap().encode(),
+            serial_result_json(&db, config),
+            "alpha {alpha} diverged from serial mining"
+        );
+    }
 
-    // The proof that fusion happened *over the wire*, read over the wire.
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
     let stats = client.call(&stats_request("acme", "key-a")).unwrap();
-    let comining = stats
-        .get("service")
-        .and_then(|s| s.get("comining"))
-        .expect("stats carry comining counters");
-    assert_eq!(comining.get("batches").and_then(Value::as_u64), Some(1));
+    let service = stats.get("service").expect("stats carry service counters");
+    let cache = service.get("cache").unwrap();
+    assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(2));
+    assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(1));
+    // Nothing fuses; the key stays, at 0, for readers that still expect it.
     assert_eq!(
-        comining.get("fused_requests").and_then(Value::as_u64),
-        Some(3)
-    );
-    assert_eq!(
-        comining.get("waiting_room_joins").and_then(Value::as_u64),
-        Some(2),
-        "joins should have landed while the leader was queued at the gate"
+        service
+            .get("comining")
+            .and_then(|c| c.get("fused_requests"))
+            .and_then(Value::as_u64),
+        Some(0)
     );
     server.shutdown();
 }

@@ -18,19 +18,8 @@
 #     noise allowance), guarding the single-worker dispatch fix: cutting
 #     shards without threads to scan them is how this ratio regresses.
 #
-# Serve guard — fails when either co-mining headline regresses below the
-# committed results/BENCH_serve.json baseline (minus a noise allowance). Both
-# co-mining ratios come from 5 bursts per side on services built once, with
-# the side that goes first alternating, divided fastest burst by fastest
-# burst (min-of-5), so one slow burst on a noisy runner cannot fail CI:
+# Serve guard — fails when a serving headline leaves its bound:
 #
-#   * `comine_vs_solo_scan_ratio` < MIN_COMINE — K same-database clients
-#     fused into one union scan per level must stay faster than K solo runs
-#     on an open gate.
-#   * `saturated_fuse_vs_serial` < MIN_SATURATED — the overload-first
-#     scenario: the same burst through a one-slot admission gate must be
-#     fused in the waiting room instead of degrading to K serialized solo
-#     runs. This is the ratio the pre-admission batch board exists for.
 #   * `incremental_vs_rescan_ratio` < MIN_INCREMENTAL — the streaming
 #     scenario: counting an append by resuming parked continuations at the
 #     stream head must beat recounting the whole grown prefix. The floor is
@@ -67,20 +56,15 @@ set -euo pipefail
 BENCH="${1:-BENCH_counting.json}"
 SERVE="${2:-}"
 GPU="${3:-}"
-# Committed baseline 0.9548 (results/BENCH_counting.json, 1-core container —
-# the sequential compiled scan is inherently a bit slower than the seed scan
-# at level 2; the new strategies, not sharding, are what beat it) less a
-# generous timing-noise allowance. Multi-core CI runners clear it with real
-# speedup.
+# Committed baseline 0.852 (results/BENCH_counting.json, one core under
+# `taskset -c 0` on a 2-vCPU host, the median of three regenerations that
+# read 0.658, 0.908 and 0.852 — on one core every sharded row is the plain
+# sequential scan, so the ratio is host noise around the compiled scan's
+# level-2 speed, a bit under the seed scan's; the new strategies, not
+# sharding, are what beat it). The floor sits under it with a timing-noise
+# allowance. Multi-core CI runners clear it with real speedup.
 MIN_SHARDED="${MIN_SHARDED:-0.70}"
 MIN_BEST="${MIN_BEST:-1.0}"
-# Serve floors: the committed results/BENCH_serve.json (its
-# `available_parallelism` records the cores it ran on) less a generous
-# allowance — fusion's win comes from doing one union scan instead of K,
-# which survives any core count; these floors catch the batch board
-# breaking, not noise.
-MIN_COMINE="${MIN_COMINE:-1.2}"
-MIN_SATURATED="${MIN_SATURATED:-2.0}"
 MIN_INCREMENTAL="${MIN_INCREMENTAL:-2.0}"
 # Socket-path guards: scaling floor well under the committed artifact (16
 # clients on one core can only tie, not win), overhead ceiling well over it
@@ -130,8 +114,6 @@ guard level2_sharded_vs_seed "$(extract level2_sharded_vs_seed "$BENCH")" "$MIN_
 
 if [ -n "$SERVE" ]; then
     [ -f "$SERVE" ] || { echo "bench_guard: $SERVE not found" >&2; exit 1; }
-    guard comine_vs_solo_scan_ratio "$(extract comine_vs_solo_scan_ratio "$SERVE")" "$MIN_COMINE"
-    guard saturated_fuse_vs_serial "$(extract saturated_fuse_vs_serial "$SERVE")" "$MIN_SATURATED"
     guard incremental_vs_rescan_ratio "$(extract incremental_vs_rescan_ratio "$SERVE")" "$MIN_INCREMENTAL"
     guard socket_qps_16_clients_vs_1 "$(extract socket_qps_16_clients_vs_1 "$SERVE")" "$MIN_SOCKET_SCALING"
     guard_max socket_vs_inprocess_overhead "$(extract socket_vs_inprocess_overhead "$SERVE")" "$MAX_SOCKET_OVERHEAD"
