@@ -17,24 +17,41 @@
 //! session's planned request (zero-copy `Arc` handles, persistent pool). The
 //! `engine-sharded-w*` rows run `ShardedScanBackend::new(w)`, which cuts `w`
 //! even shards but never more than the host has threads, so on a 1-core host
-//! every one of them is the plain sequential scan. `session-sharded-pooled`
-//! follows the session's own shard bounds, and `session-auto` is the
-//! cost-dispatched executor a mining service actually runs; its session
-//! keeps its occurrence index across calls, as a parked serving session
-//! does, so from the second call on its level 2 is a pair-table read. The
-//! `engine-vertical` row instead builds its `OccurrenceIndex` inside the
-//! timer: it times a cold database, the per-symbol counts plus whatever the
-//! level reads (the pair table at level 2, the position lists at level 3).
+//! every one of them is the plain sequential scan. The seed row and the
+//! sharded row of the ratio are timed in alternating samples (seed, sharded,
+//! seed, …), so a swing in host speed lands on both sides of the ratio.
+//! `session-sharded-pooled` follows the session's own shard bounds, and the
+//! two `session-auto-*` rows are the cost-dispatched executor a mining
+//! service actually runs. `session-auto-cold` plans a fresh session per
+//! call, so the occurrence index and whatever the level reads (the pair
+//! table at level 2) are built inside the timer, as for a request on a new
+//! database. `session-auto-parked` runs on the bench's one session, which
+//! keeps its index across calls as a parked serving session does: a cache
+//! hit, where level 2 is a pair-table read. The `engine-vertical` row also
+//! builds its `OccurrenceIndex` inside the timer: it times a cold database,
+//! the per-symbol counts plus whatever the level reads (the pair table at
+//! level 2, the position lists at level 3).
+//!
+//! The `small_mine` section times a whole served mine on the small-requests
+//! shape (a 4,000-letter Markov stream with persistence 0.7, α 0.001, at
+//! most level 2): `MiningSession::mine` on `AutoBackend`, on a fresh session
+//! and on a parked one, each split into executor time and level-loop time
+//! (candidate generation, compile and elimination). Beside it, the frozen
+//! seed counter counts the same stream's level-1 and level-2 candidates;
+//! `small_mine_parked_vs_seed` is the seed time over the parked mine's, the
+//! ratio `tools/bench_guard.sh` holds a floor under.
 
+use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Instant;
 use tdm_baselines::{MapReduceBackend, SerialScanBackend, ShardedScanBackend};
-use tdm_core::candidate::permutations;
+use tdm_core::candidate::{apriori_join, level1, permutations};
 use tdm_core::engine::{BitmaskNfa, CompiledCandidates, CountScratch, OccurrenceIndex};
-use tdm_core::miner::AutoBackend;
-use tdm_core::session::{Executor, MiningSession};
+use tdm_core::miner::{AutoBackend, MinerConfig};
+use tdm_core::session::{BackendError, CountRequest, Counts, Executor, MiningSession};
 use tdm_core::{Alphabet, Episode, EventDb};
-use tdm_mapreduce::pool::default_workers;
-use tdm_workloads::paper_database_scaled;
+use tdm_mapreduce::pool::{default_workers, Pool};
+use tdm_workloads::{markov_letters, paper_database_scaled};
 
 /// Benchmark parameters.
 #[derive(Debug, Clone)]
@@ -122,8 +139,51 @@ pub struct CountingBench {
     /// 2 was not measured). CI fails when this drops below 1.0 — the new
     /// strategies must beat the seed scanner on one core, not via threads.
     pub level2_best_vs_seed: f64,
+    /// The small-mine headline: `small_mine.seed_ns / small_mine.parked.ns`,
+    /// how many times faster a parked served mine is than the seed counter
+    /// counting the same candidates. `tools/bench_guard.sh` holds a floor
+    /// under it.
+    pub small_mine_parked_vs_seed: f64,
+    /// A whole served mine on the small-requests shape (in the JSON report).
+    small_mine: SmallMine,
     /// Per-level results.
     pub levels: Vec<LevelBench>,
+}
+
+/// One mine's best per-call times, split at the executor boundary. Each is
+/// its own min-of-N, so a host swing inside one sample cannot move the
+/// split.
+#[derive(Debug, Clone, Copy, Default)]
+struct MineTiming {
+    /// Wall time of `MiningSession::mine`, nanoseconds.
+    ns: u64,
+    /// The part spent in the executor (`AutoBackend::execute`, every level).
+    executor_ns: u64,
+    /// The rest: candidate generation, compile and elimination.
+    level_loop_ns: u64,
+}
+
+/// A whole served mine on the small-requests shape, against the seed
+/// counter over the same candidates.
+#[derive(Debug, Clone, Default)]
+struct SmallMine {
+    /// Stream length (letters).
+    db_len: usize,
+    /// Support threshold α.
+    alpha: f64,
+    /// Deepest level mined.
+    max_level: usize,
+    /// Candidates counted per level (level 1 first).
+    candidates: Vec<usize>,
+    /// A fresh session per call: planning, the occurrence index and the
+    /// pair table are built inside the timer.
+    cold: MineTiming,
+    /// One parked session across calls (a session-cache hit).
+    parked: MineTiming,
+    /// The seed counter over each level's candidates, nanoseconds.
+    seed_level_ns: Vec<u64>,
+    /// Their sum.
+    seed_ns: u64,
 }
 
 /// The seed repository's `count_episodes` (PR 1), frozen: active-set scan with
@@ -197,26 +257,210 @@ const MAX_SAMPLE_ITERS: u32 = 10_000;
 /// sizes an inner iteration count so that every sample spans at least
 /// [`MIN_SAMPLE_MS`], then each of `repeats` samples runs `f` that many times
 /// and scores `elapsed / iters`. Returns (best per-call ms, last result).
-fn time_best<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let t = Instant::now();
-    let mut out = f();
-    let first_ms = t.elapsed().as_secs_f64() * 1e3;
-    let iters = if first_ms >= MIN_SAMPLE_MS {
+fn time_best<R>(repeats: usize, f: impl FnMut() -> R) -> (f64, R) {
+    let mut sampler = Sampler::calibrate(f);
+    for _ in 0..repeats.max(1) {
+        sampler.sample();
+    }
+    (sampler.best, sampler.out)
+}
+
+/// [`time_best`] for two calls at once, sampled alternately (`a`, `b`, `a`,
+/// …): a swing in host speed lands on both, so the ratio of their bests
+/// stays put. Returns each side's (best per-call ms, last result).
+fn time_interleaved<A, B>(
+    repeats: usize,
+    a: impl FnMut() -> A,
+    b: impl FnMut() -> B,
+) -> ((f64, A), (f64, B)) {
+    let (mut a, mut b) = (Sampler::calibrate(a), Sampler::calibrate(b));
+    for _ in 0..repeats.max(1) {
+        a.sample();
+        b.sample();
+    }
+    ((a.best, a.out), (b.best, b.out))
+}
+
+/// How many calls one sample makes so that it spans at least
+/// [`MIN_SAMPLE_MS`], given a calibration call that started at `start`.
+fn calls_per_sample(start: Instant) -> u32 {
+    let first_ms = start.elapsed().as_secs_f64() * 1e3;
+    if first_ms >= MIN_SAMPLE_MS {
         1
     } else {
         ((MIN_SAMPLE_MS / first_ms.max(1e-7)).ceil() as u32).clamp(1, MAX_SAMPLE_ITERS)
-    };
-    // The calibration call never scores: a single cheap call can land under
-    // one timer quantum and report an impossible best.
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        for _ in 0..iters {
-            out = f();
-        }
-        best = best.min(t.elapsed().as_secs_f64() * 1e3 / iters as f64);
     }
-    (best, out)
+}
+
+/// Min-of-N timing state for one call.
+struct Sampler<R, F> {
+    f: F,
+    iters: u32,
+    best: f64,
+    out: R,
+}
+
+impl<R, F: FnMut() -> R> Sampler<R, F> {
+    /// Runs `f` once to size the inner iteration count.
+    fn calibrate(mut f: F) -> Self {
+        let t = Instant::now();
+        let out = f();
+        // The calibration call never scores: a single cheap call can land
+        // under one timer quantum and report an impossible best.
+        Sampler {
+            iters: calls_per_sample(t),
+            f,
+            best: f64::INFINITY,
+            out,
+        }
+    }
+
+    /// One sample: `iters` calls, scored per call. Returns the sample's
+    /// per-call milliseconds.
+    fn sample(&mut self) -> f64 {
+        let t = Instant::now();
+        for _ in 0..self.iters {
+            self.out = (self.f)();
+        }
+        let ms = t.elapsed().as_secs_f64() * 1e3 / f64::from(self.iters);
+        self.best = self.best.min(ms);
+        ms
+    }
+}
+
+/// `AutoBackend` under a timer: adds the executor side of a mine to its
+/// counter, nanoseconds.
+#[derive(Debug)]
+struct TimedAuto<'a>(&'a Cell<u64>);
+
+impl Executor for TimedAuto<'_> {
+    fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
+        let t = Instant::now();
+        let counts = AutoBackend.execute(req);
+        self.0.set(self.0.get() + t.elapsed().as_nanos() as u64);
+        counts
+    }
+
+    fn name(&self) -> &str {
+        "timed-engine-auto"
+    }
+}
+
+/// Samples taken of each small-mine timing (min-of-N, each sample at least
+/// [`MIN_SAMPLE_MS`] long).
+const SMALL_MINE_SAMPLES: usize = 15;
+
+/// One sample of a mine whose [`TimedAuto`] adds to `executor_ns`: scores
+/// the wall time, the executor time and the rest per call into `best`.
+fn sample_mine(
+    mine: &mut Sampler<(), impl FnMut()>,
+    executor_ns: &Cell<u64>,
+    best: &mut MineTiming,
+) {
+    executor_ns.set(0);
+    let ns = (mine.sample() * 1e6).round() as u64;
+    let executor = executor_ns.get() / u64::from(mine.iters);
+    best.ns = best.ns.min(ns);
+    best.executor_ns = best.executor_ns.min(executor);
+    best.level_loop_ns = best.level_loop_ns.min(ns.saturating_sub(executor));
+}
+
+/// Times a served mine on the small-requests shape against the seed
+/// counter over the same candidates (see the [module docs](self)).
+fn small_mine(pool: &Arc<Pool>) -> SmallMine {
+    let db = Arc::new(markov_letters(4_000, 1, 0.7));
+    let config = MinerConfig {
+        alpha: 0.001,
+        max_level: Some(2),
+        ..Default::default()
+    };
+    let session = || {
+        MiningSession::builder_shared(Arc::clone(&db))
+            .config(config)
+            .with_pool(Arc::clone(pool))
+            .build()
+    };
+    let mut parked_session = session();
+    let result = parked_session
+        .mine(&mut AutoBackend)
+        .expect("small mine failed");
+    // The seed counter over each level's candidates: every symbol, then the
+    // join of the frequent ones (what the mine's level 2 counted).
+    let level1 = level1(db.alphabet());
+    let frequent: Vec<Episode> = result.levels[0]
+        .frequent
+        .iter()
+        .map(|(e, _)| e.clone())
+        .collect();
+    let level2 = apriori_join(&frequent, config.distinct_items_only);
+    let (cold_ns, parked_ns) = (Cell::new(0), Cell::new(0));
+    let mut cold_mine = Sampler::calibrate(|| {
+        let mined = session()
+            .mine(&mut TimedAuto(&cold_ns))
+            .expect("small mine failed");
+        assert_eq!(mined, result, "a cold small mine diverged");
+    });
+    let mut parked_mine = Sampler::calibrate(|| {
+        let mined = parked_session
+            .mine(&mut TimedAuto(&parked_ns))
+            .expect("small mine failed");
+        assert_eq!(mined, result, "a parked small mine diverged");
+    });
+    let stream: &EventDb = &db;
+    let mut seeds = [&level1, &level2]
+        .map(|candidates| Sampler::calibrate(move || seed_count_episodes(stream, candidates)));
+    let unsampled = MineTiming {
+        ns: u64::MAX,
+        executor_ns: u64::MAX,
+        level_loop_ns: u64::MAX,
+    };
+    let (mut cold, mut parked) = (unsampled, unsampled);
+    // Sampled in rounds, so a swing in host speed lands on every timing.
+    for _ in 0..SMALL_MINE_SAMPLES {
+        sample_mine(&mut cold_mine, &cold_ns, &mut cold);
+        sample_mine(&mut parked_mine, &parked_ns, &mut parked);
+        for seed in &mut seeds {
+            seed.sample();
+        }
+    }
+    let mut seed_level_ns = Vec::new();
+    for (level, seed) in seeds.into_iter().enumerate() {
+        let want: Vec<u64> = result.levels[level]
+            .frequent
+            .iter()
+            .map(|&(_, count)| count)
+            .collect();
+        let got: Vec<u64> = seed
+            .out
+            .into_iter()
+            .filter(|&count| tdm_core::stats::support(count, db.len()) > config.alpha)
+            .collect();
+        assert_eq!(
+            got,
+            want,
+            "the seed counter disagrees at level {}",
+            level + 1
+        );
+        seed_level_ns.push((seed.best * 1e6).round() as u64);
+    }
+    SmallMine {
+        db_len: db.len(),
+        alpha: config.alpha,
+        max_level: 2,
+        candidates: result.levels.iter().map(|l| l.candidates).collect(),
+        cold,
+        parked,
+        seed_ns: seed_level_ns.iter().sum(),
+        seed_level_ns,
+    }
+}
+
+/// The worker count of the `engine-sharded-w*` row behind the sharded ratio:
+/// the most workers ≤ 4, or the fewest when none is ≤ 4 (`None` for an empty
+/// list), so the ratio stays finite for any `shard_workers` list.
+fn ratio_workers(shard_workers: &[usize]) -> Option<usize> {
+    let at_most_4 = shard_workers.iter().copied().filter(|&w| w <= 4).max();
+    at_most_4.or_else(|| shard_workers.iter().copied().min())
 }
 
 /// Runs the benchmark.
@@ -232,16 +476,38 @@ pub fn run(cfg: &BenchConfig) -> CountingBench {
         msymbols_per_s: throughput(ms),
     };
     let mut levels = Vec::new();
-    // One session for the whole benchmark: persistent pool, reusable compiled
-    // buffers — the steady state a mining service would run in.
-    let mut session = MiningSession::builder(&db).build();
+    // One pool and one session for the whole benchmark: persistent workers,
+    // reusable compiled buffers — the steady state a mining service would
+    // run in. Fresh sessions (the cold rows) share the pool, as a service's
+    // sessions do.
+    let pool = Arc::new(Pool::with_workers(default_workers()));
+    let mut session = MiningSession::builder(&db)
+        .with_pool(Arc::clone(&pool))
+        .build();
+    let ratio_workers = ratio_workers(&cfg.shard_workers);
 
     for &level in &cfg.levels {
         let episodes = permutations(&ab, level);
         let compiled = CompiledCandidates::compile(ab.len(), &episodes);
         let mut backends: Vec<BackendTiming> = Vec::new();
 
-        let (seed_ms, reference) = time_best(cfg.repeats, || seed_count_episodes(&db, &episodes));
+        // The session-driven rows: plan once per level (outside the timers,
+        // exactly like the engine-* entries precompile), then time the
+        // execute step alone — like-for-like ms across all rows. Pool
+        // threads stay persistent across every call below.
+        let req = session.plan_candidates(&episodes);
+
+        // The seed row and the ratio's sharded row, sampled alternately.
+        let seed = || seed_count_episodes(&db, &episodes);
+        let mut ratio_backend = ratio_workers.map(ShardedScanBackend::new);
+        let ((seed_ms, reference), ratio_row) = match ratio_backend.as_mut() {
+            Some(backend) => {
+                let sharded = || backend.execute(&req).expect("bench executor failed");
+                let (seed, sharded) = time_interleaved(cfg.repeats, seed, sharded);
+                (seed, Some(sharded))
+            }
+            None => (time_best(cfg.repeats, seed), None),
+        };
         backends.push(row("seed-active-set".into(), seed_ms));
         let checksum: u64 = reference.iter().sum();
 
@@ -278,70 +544,75 @@ pub fn run(cfg: &BenchConfig) -> CountingBench {
             best_strategy_ms = best_strategy_ms.min(bitmask_ms);
         }
 
-        // The session-driven rows: plan once per level (outside the timers,
-        // exactly like the engine-* entries precompile above), then time the
-        // execute step alone — like-for-like ms across all rows. Pool
-        // threads stay persistent across every call below.
-        let req = session.plan_candidates(&episodes);
-        let mut time_executor = |name: String, ex: &mut dyn Executor| {
-            let (ms, counts) = time_best(cfg.repeats, || {
+        let time_executor = |ex: &mut dyn Executor| {
+            time_best(cfg.repeats, || {
                 ex.execute(&req).expect("bench executor failed")
-            });
+            })
+        };
+        let mut record = |name: String, (ms, counts): (f64, Counts)| {
             check(&name, &counts);
             backends.push(row(name, ms));
-            ms
         };
 
         // An explicit worker count of 1 must dispatch straight to the
         // sequential compiled scan — this row exists to prove the
         // `engine-sharded-w1` time matches `engine-compiled` instead of
         // paying pool dispatch + merge for zero parallelism.
-        time_executor("engine-sharded-w1".into(), &mut ShardedScanBackend::new(1));
+        record(
+            "engine-sharded-w1".into(),
+            time_executor(&mut ShardedScanBackend::new(1)),
+        );
 
-        // The ratio entry: the sharded timing with the most workers ≤ 4, or —
-        // when no such entry is configured — the fewest-worker entry, so the
-        // ratio stays finite for any shard_workers list.
-        let mut sharded4: Option<(usize, f64)> = None;
+        let mut ratio_row = ratio_row;
+        let mut sharded_ms = None;
         for &w in &cfg.shard_workers {
-            let ms = time_executor(
-                format!("engine-sharded-w{w}"),
-                &mut ShardedScanBackend::new(w),
-            );
-            sharded4 = Some(match sharded4 {
-                None => (w, ms),
-                Some((bw, bms)) => {
-                    let better = if bw <= 4 {
-                        w <= 4 && w > bw
-                    } else {
-                        w <= 4 || w < bw
-                    };
-                    if better {
-                        (w, ms)
-                    } else {
-                        (bw, bms)
-                    }
+            let timing = match ratio_row.take_if(|_| Some(w) == ratio_workers) {
+                Some(timing) => {
+                    sharded_ms = Some(timing.0);
+                    timing
                 }
-            });
+                None => time_executor(&mut ShardedScanBackend::new(w)),
+            };
+            record(format!("engine-sharded-w{w}"), timing);
         }
 
         if episodes.len() <= cfg.serial_scan_cap {
-            time_executor("cpu-serial-scan".into(), &mut SerialScanBackend);
+            record(
+                "cpu-serial-scan".into(),
+                time_executor(&mut SerialScanBackend),
+            );
         }
-        time_executor("cpu-mapreduce".into(), &mut MapReduceBackend::auto());
-        time_executor(
+        record(
+            "cpu-mapreduce".into(),
+            time_executor(&mut MapReduceBackend::auto()),
+        );
+        record(
             "session-sharded-pooled".into(),
-            &mut ShardedScanBackend::auto(),
+            time_executor(&mut ShardedScanBackend::auto()),
         );
         // The per-level cost-dispatched executor a session actually runs:
-        // picks vertical / bitmask / scan per candidate set.
-        time_executor("session-auto".into(), &mut AutoBackend);
+        // picks vertical / bitmask / scan per candidate set. Parked: the
+        // bench session's index (and pair table) survive across calls.
+        record(
+            "session-auto-parked".into(),
+            time_executor(&mut AutoBackend),
+        );
+        // Cold: a fresh session per call plans, builds its index and reads.
+        let cold = time_best(cfg.repeats, || {
+            let mut fresh = MiningSession::builder(&db)
+                .with_pool(Arc::clone(&pool))
+                .build();
+            let req = fresh.plan_candidates(&episodes);
+            AutoBackend.execute(&req).expect("bench executor failed")
+        });
+        record("session-auto-cold".into(), cold);
 
         levels.push(LevelBench {
             level,
             episodes: episodes.len(),
             checksum,
             backends,
-            sharded4_vs_seed_speedup: sharded4.map(|(_, ms)| seed_ms / ms).unwrap_or(0.0),
+            sharded4_vs_seed_speedup: sharded_ms.map(|ms| seed_ms / ms).unwrap_or(0.0),
             best_vs_seed_speedup: seed_ms / best_strategy_ms,
         });
     }
@@ -349,12 +620,15 @@ pub fn run(cfg: &BenchConfig) -> CountingBench {
     let level2 = levels.iter().find(|l| l.level == 2);
     let level2_sharded_vs_seed = level2.map(|l| l.sharded4_vs_seed_speedup).unwrap_or(0.0);
     let level2_best_vs_seed = level2.map(|l| l.best_vs_seed_speedup).unwrap_or(0.0);
+    let small_mine = small_mine(&pool);
     CountingBench {
         db_len: n,
         scale: cfg.scale,
         available_parallelism: default_workers(),
         level2_sharded_vs_seed,
         level2_best_vs_seed,
+        small_mine_parked_vs_seed: small_mine.seed_ns as f64 / small_mine.parked.ns.max(1) as f64,
+        small_mine,
         levels,
     }
 }
@@ -378,6 +652,32 @@ impl CountingBench {
             "  \"level2_best_vs_seed\": {:.4},\n",
             self.level2_best_vs_seed
         ));
+        s.push_str(&format!(
+            "  \"small_mine_parked_vs_seed\": {:.4},\n",
+            self.small_mine_parked_vs_seed
+        ));
+        let m = &self.small_mine;
+        let timing = |t: &MineTiming| {
+            format!(
+                "{{\"ns\": {}, \"executor_ns\": {}, \"level_loop_ns\": {}}}",
+                t.ns, t.executor_ns, t.level_loop_ns
+            )
+        };
+        let list = |v: &[u64]| v.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+        let candidates: Vec<u64> = m.candidates.iter().map(|&c| c as u64).collect();
+        s.push_str("  \"small_mine\": {\n");
+        s.push_str(&format!("    \"db_len\": {},\n", m.db_len));
+        s.push_str(&format!("    \"alpha\": {},\n", m.alpha));
+        s.push_str(&format!("    \"max_level\": {},\n", m.max_level));
+        s.push_str(&format!("    \"candidates\": [{}],\n", list(&candidates)));
+        s.push_str(&format!("    \"cold\": {},\n", timing(&m.cold)));
+        s.push_str(&format!("    \"parked\": {},\n", timing(&m.parked)));
+        s.push_str(&format!(
+            "    \"seed_level_ns\": [{}],\n",
+            list(&m.seed_level_ns)
+        ));
+        s.push_str(&format!("    \"seed_ns\": {}\n", m.seed_ns));
+        s.push_str("  },\n");
         s.push_str("  \"levels\": [\n");
         for (i, l) in self.levels.iter().enumerate() {
             s.push_str("    {\n");
@@ -419,6 +719,21 @@ impl CountingBench {
             "counting throughput (db = {} letters, {} host threads):\n",
             self.db_len, self.available_parallelism
         );
+        let m = &self.small_mine;
+        s.push_str(&format!(
+            "  small mine ({} letters, α {}, levels ≤ {}, candidates {:?}):\n",
+            m.db_len, m.alpha, m.max_level, m.candidates
+        ));
+        for (name, t) in [("cold", &m.cold), ("parked", &m.parked)] {
+            s.push_str(&format!(
+                "    {:<7} {:>9} ns  (executor {:>8} ns, level loop {:>8} ns)\n",
+                name, t.ns, t.executor_ns, t.level_loop_ns
+            ));
+        }
+        s.push_str(&format!(
+            "    seed    {:>9} ns  (per level {:?} ns)\n    parked vs seed: {:.2}x\n",
+            m.seed_ns, m.seed_level_ns, self.small_mine_parked_vs_seed
+        ));
         for l in &self.levels {
             s.push_str(&format!("  level {} ({} episodes):\n", l.level, l.episodes));
             for b in &l.backends {
@@ -460,8 +775,14 @@ mod tests {
         assert_eq!(b.levels.len(), 2);
         for l in &b.levels {
             // seed, compiled, vertical, bitmask, sharded-w1, sharded x2,
-            // mapreduce, pooled, auto (+ serial at level 1 only).
-            assert!(l.backends.len() >= 9, "level {}: {:?}", l.level, l.backends);
+            // mapreduce, pooled, auto parked and cold (+ serial at level 1
+            // only).
+            assert!(
+                l.backends.len() >= 10,
+                "level {}: {:?}",
+                l.level,
+                l.backends
+            );
             // Min-of-N iteration timing: even nanosecond-scale calls must
             // report a strictly positive time (no more 0.000 ms rows and the
             // absurd ratios they produce).
@@ -479,7 +800,8 @@ mod tests {
                 "engine-bitmask",
                 "engine-sharded-w1",
                 "session-sharded-pooled",
-                "session-auto",
+                "session-auto-parked",
+                "session-auto-cold",
             ] {
                 assert!(
                     l.backends.iter().any(|t| t.name == required),
@@ -493,6 +815,21 @@ mod tests {
             b.levels[1].sharded4_vs_seed_speedup
         );
         assert_eq!(b.level2_best_vs_seed, b.levels[1].best_vs_seed_speedup);
+        // The small mine: both sessions mined the small-requests shape, the
+        // level loop and the executor split each time, and the headline is
+        // the seed's time over the parked mine's.
+        let m = &b.small_mine;
+        assert_eq!((m.db_len, m.max_level, m.candidates.len()), (4_000, 2, 2));
+        assert_eq!(m.candidates[0], 26);
+        for t in [&m.cold, &m.parked] {
+            assert!(t.executor_ns > 0 && t.level_loop_ns > 0, "{t:?}");
+            assert!(t.ns >= t.executor_ns.max(t.level_loop_ns), "{t:?}");
+        }
+        assert_eq!(m.seed_ns, m.seed_level_ns.iter().sum::<u64>());
+        assert_eq!(
+            b.small_mine_parked_vs_seed,
+            m.seed_ns as f64 / m.parked.ns as f64
+        );
         // Serial scan gated out at level 2 (650 > cap 100).
         assert!(b.levels[1]
             .backends
@@ -537,6 +874,8 @@ mod tests {
         assert!(j.contains("\"sharded4_vs_seed_speedup\""));
         assert!(j.contains("\"level2_sharded_vs_seed\""));
         assert!(j.contains("engine-sharded-w4"));
+        assert_eq!(j.matches("\"small_mine_parked_vs_seed\":").count(), 1);
+        assert!(j.contains("\"small_mine\": {"));
         // Balanced braces and brackets (cheap structural check).
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

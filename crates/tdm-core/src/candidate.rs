@@ -130,20 +130,28 @@ pub fn apriori_join(frequent: &[Episode], distinct_only: bool) -> Vec<Episode> {
 
 /// The flat candidate lattice behind the mining loop: one level of candidate
 /// rows at a time, each linked to the two rows of the previous level it was
-/// joined from, shared by every member of a co-mined batch.
+/// joined from, shared by up to 64 members of a co-mined batch.
 ///
 /// * **Rows.** A level-`k` row holds `k` items. Its *prefix parent* is the
 ///   previous-level row holding its first `k − 1` items, its *suffix parent*
 ///   the one holding its last `k − 1`. Level 1 is one row per symbol, all
 ///   under one root. Rows stay in lexicographic order, so the rows that share
 ///   a prefix parent form one contiguous range, and `children` records those
-///   ranges instead of a prefix id per row.
-/// * **Members.** Each row carries a bitset of members (bit `m` of `words`
-///   words per row; member `m` is the session's `m`-th config). Before
-///   elimination it is the set of members the row is a candidate for;
-///   [`retain`](Lattice::retain) narrows it to the members the row is
-///   frequent for and that mine the next level. A level starts with no
-///   empty set.
+///   ranges instead of a prefix id per row. The order is an invariant the
+///   compile relies on: the rows anchored at one symbol (first item) are one
+///   run in row order, so
+///   [`recompile_rows`](crate::engine::CompiledCandidates::recompile_rows)
+///   takes them as they are. A row's first item is its prefix parent's, so
+///   the join finds the runs in O(σ): symbol `c`'s run is the children of
+///   the previous level's run of `c`.
+/// * **Repeats.** The join records the rows that repeat an item, ascending:
+///   a row repeats exactly when its prefix parent does or its last item is
+///   one of the parent's, so the compile never inspects a row for repeats.
+/// * **Members.** Each row carries its member set in one `u64` (bit `m` for
+///   the batch's `m`-th config). Before elimination it is the set of members
+///   the row is a candidate for; [`narrow`](Lattice::narrow) and
+///   [`Frequent::keep`] narrow it to the members the row is frequent for and
+///   that mine the next level. A level starts with no empty set.
 /// * **The join.** [`join`](Lattice::join) pairs each row `a` with the rows of
 ///   the range whose prefix parent is `a`'s suffix parent: a member keeps the
 ///   new row when both parents are in its set and the row passes its
@@ -154,7 +162,6 @@ pub fn apriori_join(frequent: &[Episode], distinct_only: bool) -> Vec<Episode> {
 #[derive(Debug)]
 pub(crate) struct Lattice {
     level: usize,
-    words: usize,
     /// Row `r`'s items are `items[r * level..(r + 1) * level]`.
     items: Vec<u8>,
     /// Row `r`'s suffix parent, a row of the previous level.
@@ -162,26 +169,32 @@ pub(crate) struct Lattice {
     /// The rows whose prefix parent is previous-level row `p` are
     /// `children[p]..children[p + 1]`.
     children: Vec<u32>,
-    /// Row `r`'s member set is `members[r * words..(r + 1) * words]`.
+    /// Row `r`'s member set.
     members: Vec<u64>,
+    /// The rows that repeat an item, ascending.
+    repeated: Vec<u32>,
+    /// The rows anchored at symbol `c` (first item `c`) are
+    /// `anchors[c]..anchors[c + 1]`.
+    anchors: Vec<u32>,
+    /// The rows [`narrow`](Lattice::narrow) left with a member, read only
+    /// through the [`Frequent`] it returns.
+    hits: Vec<u32>,
 }
 
 impl Lattice {
     /// Level 1: one row per symbol of an `alphabet_len`-symbol alphabet, a
     /// candidate for every member of `mining` (no rows when it is empty).
-    pub(crate) fn singletons(alphabet_len: usize, mining: &[u64]) -> Self {
-        let rows = if mining.iter().any(|&w| w != 0) {
-            alphabet_len
-        } else {
-            0
-        };
+    pub(crate) fn singletons(alphabet_len: usize, mining: u64) -> Self {
+        let rows = if mining != 0 { alphabet_len } else { 0 };
         Lattice {
             level: 1,
-            words: mining.len(),
             items: (0..rows).map(|s| s as u8).collect(),
             suffix: vec![0; rows],
             children: vec![0, rows as u32],
-            members: mining.repeat(rows),
+            members: vec![mining; rows],
+            repeated: Vec::new(),
+            anchors: (0..=alphabet_len).map(|c| c.min(rows) as u32).collect(),
+            hits: Vec::new(),
         }
     }
 
@@ -205,24 +218,40 @@ impl Lattice {
         &self.items
     }
 
-    /// The elimination step: calls `keep(member, row, items)` for every
-    /// member of every row's set, rows in order, and drops the member from
-    /// the row's set where it returns false.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize, usize, &[u8]) -> bool) {
-        let rows = self.items.chunks_exact(self.level);
-        let sets = self.members.chunks_exact_mut(self.words);
-        for (r, (items, set)) in rows.zip(sets).enumerate() {
-            for (w, word) in set.iter_mut().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    if !keep(w * 64 + bit as usize, r, items) {
-                        *word &= !(1 << bit);
-                    }
-                }
-            }
+    /// The rows that repeat an item, ascending.
+    pub(crate) fn repeated(&self) -> &[u32] {
+        &self.repeated
+    }
+
+    /// The rows anchored at each symbol: symbol `c`'s are
+    /// `anchors()[c]..anchors()[c + 1]`.
+    pub(crate) fn anchors(&self) -> &[u32] {
+        &self.anchors
+    }
+
+    /// Every row's member set, in row order.
+    pub(crate) fn members(&self) -> &[u64] {
+        &self.members
+    }
+
+    /// The elimination step: narrows every row's set to the members
+    /// `frequent(row)` admits, the members the row is frequent for, and
+    /// returns the rows left with a member. The step ends with
+    /// [`Frequent::keep`], which the borrow makes the next call on the
+    /// lattice.
+    pub(crate) fn narrow(&mut self, frequent: impl Fn(usize) -> u64) -> Frequent<'_> {
+        // Without a branch per row: frequent rows are few and scattered, so
+        // a branch would mispredict on most of them.
+        self.hits.clear();
+        self.hits.resize(self.len(), 0);
+        let mut hits = 0;
+        for (r, set) in self.members.iter_mut().enumerate() {
+            *set &= frequent(r);
+            self.hits[hits] = r as u32;
+            hits += usize::from(*set != 0);
         }
+        self.hits.truncate(hits);
+        Frequent { lattice: self }
     }
 
     /// The generation step: replaces this level with the next one, joined
@@ -231,72 +260,108 @@ impl Lattice {
     ///
     /// # Panics
     /// When the next level has more than `u32::MAX` rows.
-    pub(crate) fn join(&mut self, distinct: &[u64]) {
-        let (k, words) = (self.level, self.words);
-        let any_distinct = distinct.iter().any(|&w| w != 0);
+    pub(crate) fn join(&mut self, distinct: u64) {
+        let k = self.level;
         // At most every row of each joining row's range, so the buffers
         // never grow mid-join.
-        let bound: usize = (0..self.len())
-            .filter(|&a| {
-                self.members[a * words..(a + 1) * words]
-                    .iter()
-                    .any(|&w| w != 0)
-            })
-            .map(|a| {
-                let s = self.suffix[a] as usize;
-                (self.children[s + 1] - self.children[s]) as usize
-            })
+        let bound: usize = self
+            .members
+            .iter()
+            .zip(&self.suffix)
+            .filter(|&(&set, _)| set != 0)
+            .map(|(_, &s)| (self.children[s as usize + 1] - self.children[s as usize]) as usize)
             .sum();
-        let mut next = Lattice {
-            level: k + 1,
-            words,
-            items: Vec::with_capacity(bound * (k + 1)),
-            suffix: Vec::with_capacity(bound),
-            children: Vec::with_capacity(self.len() + 1),
-            members: Vec::with_capacity(bound * words),
-        };
+        let mut items = Vec::with_capacity(bound * (k + 1));
+        let mut suffix = Vec::with_capacity(bound);
+        let mut members = Vec::with_capacity(bound);
+        let mut children = Vec::with_capacity(self.len() + 1);
+        let mut repeated = Vec::new();
         let row_id = |rows: usize| u32::try_from(rows).expect("lattice rows fit u32 ids");
-        for (a, (items_a, set_a)) in self
-            .items
-            .chunks_exact(k)
-            .zip(self.members.chunks_exact(words))
-            .enumerate()
-        {
-            next.children.push(row_id(next.len()));
-            if set_a.iter().all(|&w| w == 0) {
+        let mut repeats_ahead = self.repeated.iter().copied();
+        let mut next_repeat = repeats_ahead.next();
+        for (a, (items_a, &set_a)) in self.items.chunks_exact(k).zip(&self.members).enumerate() {
+            children.push(row_id(suffix.len()));
+            // A repeating row holds no member that wants distinct items, so
+            // neither does any row joined from it.
+            let a_repeats = next_repeat == Some(a as u32);
+            if a_repeats {
+                next_repeat = repeats_ahead.next();
+            }
+            if set_a == 0 {
                 continue;
             }
             let s = self.suffix[a] as usize;
-            for b in self.children[s] as usize..self.children[s + 1] as usize {
-                let item = self.items[(b + 1) * k - 1];
-                let repeats = any_distinct && items_a.contains(&item);
-                let set_b = &self.members[b * words..(b + 1) * words];
-                let start = next.members.len();
-                next.members
-                    .extend(set_a.iter().zip(set_b).zip(distinct).map(|((&x, &y), &d)| {
-                        if repeats {
-                            x & y & !d
-                        } else {
-                            x & y
-                        }
-                    }));
-                if next.members[start..].iter().all(|&w| w == 0) {
-                    next.members.truncate(start);
+            let first = self.children[s] as usize;
+            let sets = &self.members[first..self.children[s + 1] as usize];
+            for (b, &set_b) in (first..).zip(sets) {
+                let item = self.items[b * k + k - 1];
+                let repeats = items_a.contains(&item);
+                let set = set_a & set_b & if repeats { !distinct } else { !0 };
+                if set == 0 {
                     continue;
                 }
-                next.items.extend_from_slice(items_a);
-                next.items.push(item);
-                next.suffix.push(b as u32);
+                if a_repeats || repeats {
+                    repeated.push(row_id(suffix.len()));
+                }
+                // One extend of the whole row: a copy call per short prefix
+                // costs more than the row.
+                items.extend(items_a.iter().copied().chain([item]));
+                suffix.push(b as u32);
+                members.push(set);
             }
         }
-        next.children.push(row_id(next.len()));
-        *self = next;
+        children.push(row_id(suffix.len()));
+        let anchors = self.anchors.iter().map(|&p| children[p as usize]).collect();
+        *self = Lattice {
+            level: k + 1,
+            items,
+            suffix,
+            children,
+            members,
+            repeated,
+            anchors,
+            hits: std::mem::take(&mut self.hits),
+        };
+    }
+}
+
+/// The rows [`Lattice::narrow`] left with a member, borrowing the lattice
+/// until [`keep`](Frequent::keep) ends the elimination step.
+#[must_use = "`keep` ends the elimination step"]
+pub(crate) struct Frequent<'a> {
+    lattice: &'a mut Lattice,
+}
+
+impl Frequent<'_> {
+    /// The rows in order: each row's member set, index and items.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (u64, usize, &[u8])> {
+        let Lattice {
+            level: k,
+            items,
+            members,
+            hits,
+            ..
+        } = &*self.lattice;
+        hits.iter().map(move |&r| {
+            let r = r as usize;
+            (members[r], r, &items[r * k..(r + 1) * k])
+        })
+    }
+
+    /// Ends the elimination step: each row keeps only the members of
+    /// `next`, the members that mine the next level.
+    pub(crate) fn keep(self, next: u64) {
+        let Lattice { members, hits, .. } = self.lattice;
+        for &r in hits.iter() {
+            members[r as usize] &= next;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CompiledCandidates;
     use proptest::prelude::*;
 
     #[test]
@@ -365,6 +430,64 @@ mod tests {
     }
 
     proptest! {
+        /// Lattices grown by the join for up to three members, each member
+        /// with or without repeated items, with random rows eliminated for
+        /// random members between levels: at every level the rows compile
+        /// by `recompile_rows`, from the join's repeat list and anchor runs,
+        /// exactly as they compile from `Episode`s.
+        #[test]
+        fn lattice_rows_compile_like_their_episodes(
+            sigma in 1usize..=64,
+            members in 1usize..=3,
+            distinct in 0u64..8,
+            seed in 1u64..u64::MAX,
+        ) {
+            let all = (1u64 << members) - 1;
+            let distinct = distinct & all;
+            let state = std::cell::Cell::new(seed);
+            let random = || {
+                let mut x = state.get();
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                state.set(x);
+                x
+            };
+            let mut lattice = Lattice::singletons(sigma, all);
+            let mut compiled = CompiledCandidates::default();
+            for level in 1..=4 {
+                prop_assert_eq!(lattice.level(), level);
+                compiled.recompile_rows(
+                    sigma,
+                    level,
+                    lattice.items(),
+                    lattice.repeated(),
+                    lattice.anchors(),
+                );
+                let episodes: Vec<Episode> = lattice
+                    .items()
+                    .chunks_exact(level)
+                    .map(|row| Episode::new(row.to_vec()).unwrap())
+                    .collect();
+                let reference = CompiledCandidates::compile(sigma, &episodes);
+                prop_assert_eq!(compiled.len(), reference.len());
+                for r in 0..compiled.len() {
+                    prop_assert_eq!(compiled.items_of(r), reference.items_of(r));
+                }
+                for c in 0..sigma as u8 {
+                    prop_assert_eq!(compiled.anchored_at(c), reference.anchored_at(c));
+                }
+                prop_assert_eq!(compiled.all_distinct(), reference.all_distinct());
+                prop_assert_eq!(compiled.max_level(), reference.max_level());
+                // Keep about 40 rows, each for a random subset of members.
+                let rows = episodes.len().max(1) as u64;
+                lattice
+                    .narrow(|_| if random() % rows < 40 { random() & all } else { 0 })
+                    .keep(all);
+                lattice.join(distinct);
+            }
+        }
+
         /// Joining the FULL distinct permutation space at level k yields exactly
         /// the full space at level k+1 (the join is complete, not just sound).
         #[test]

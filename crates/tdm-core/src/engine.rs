@@ -335,29 +335,55 @@ impl CompiledCandidates {
     /// Rebuilds the layout in place from equal-length rows of `level` items
     /// laid end to end in `items` — one level of the mining loop's candidate
     /// lattice, compiled without an [`Episode`] per row. Row `r` becomes
-    /// compiled episode `r`.
+    /// compiled episode `r`, at offset `r · level`; `repeated` lists the rows
+    /// that repeat an item, ascending, and the rows anchored at symbol `c`
+    /// are `anchors[c]..anchors[c + 1]` (the lattice keeps both).
+    ///
+    /// The rows must be sorted by first item, as lattice rows are (they are
+    /// in lexicographic order): each symbol's anchored rows are then one run
+    /// in row order, which is exactly where the counting sort of
+    /// [`recompile`] would leave them, so the anchor index is the runs as
+    /// given and nothing is sorted or inspected per row.
     ///
     /// # Panics
     /// When the rows exceed the `u32`-indexed layout (as [`recompile`]).
     ///
     /// [`recompile`]: CompiledCandidates::recompile
-    pub(crate) fn recompile_rows(&mut self, alphabet_len: usize, level: usize, items: &[u8]) {
+    pub(crate) fn recompile_rows(
+        &mut self,
+        alphabet_len: usize,
+        level: usize,
+        items: &[u8],
+        repeated: &[u32],
+        anchors: &[u32],
+    ) {
         let rows = items.len() / level;
         check_layout(rows, items.len(), u32::MAX)
             .unwrap_or_else(|e| panic!("candidate set exceeds the compiled layout: {e}"));
         debug_assert!(items.iter().all(|&s| (s as usize) < alphabet_len));
+        debug_assert_eq!(anchors.len(), alphabet_len + 1);
+        debug_assert!(items
+            .chunks_exact(level)
+            .enumerate()
+            .all(|(r, row)| distinct_items(row) != repeated.binary_search(&(r as u32)).is_ok()));
+        debug_assert!((0..alphabet_len).all(|c| {
+            let run = anchors[c] as usize..anchors[c + 1] as usize;
+            run.end <= rows && run.into_iter().all(|r| items[r * level] as usize == c)
+        }));
+        debug_assert_eq!(anchors[alphabet_len] as usize, rows);
         self.items.clear();
         self.items.extend_from_slice(items);
         self.offsets.clear();
-        self.offsets.extend((0..=rows).map(|r| (r * level) as u32));
+        self.offsets
+            .extend((0..=rows as u32).map(|r| r * level as u32));
         self.repeated.clear();
-        for (r, row) in items.chunks_exact(level).enumerate() {
-            if !distinct_items(row) {
-                self.repeated.push(r as u32);
-            }
-        }
+        self.repeated.extend_from_slice(repeated);
         self.max_level = if rows == 0 { 0 } else { level };
-        self.index_anchors(alphabet_len);
+        self.alphabet_len = alphabet_len;
+        self.anchor_offsets.clear();
+        self.anchor_offsets.extend_from_slice(anchors);
+        self.anchor_episodes.clear();
+        self.anchor_episodes.extend(0..rows as u32);
     }
 
     /// Builds the anchor index over the compiled episodes: a counting sort
@@ -618,7 +644,10 @@ impl CompiledCandidates {
     ///
     /// Sets whose level exceeds a 64-bit lane ([`BitmaskNfa::build`] returns
     /// `None`) always choose vertical; empty sets report
-    /// [`CountStrategy::ActiveSet`] (nothing to scan either way).
+    /// [`CountStrategy::ActiveSet`] (nothing to scan either way). A set of
+    /// pure table reads (no row longer than two items or repeating one) is
+    /// priced in O(σ): one per row, plus the table's pass while unbuilt, is
+    /// the row walk's sum in closed form.
     pub fn choose_strategy(&self, index: &OccurrenceIndex) -> CountStrategy {
         if self.is_empty() {
             return CountStrategy::ActiveSet;
@@ -647,20 +676,28 @@ impl CompiledCandidates {
         let fallback_cost = 2.0 * n * self.repeated.len() as f64;
 
         let mut vertical = fallback_cost;
-        let mut reads_pairs = false;
-        for e in 0..self.len() {
-            if self.is_repeated(e) {
-                continue;
+        let reads_pairs = if self.reads_only_tables() {
+            // Every row is one read, and a two-item row exists iff the
+            // longest has two items: the row walk's sum in closed form.
+            vertical += self.len() as f64;
+            self.max_level == 2
+        } else {
+            let mut reads_pairs = false;
+            for e in 0..self.len() {
+                if self.is_repeated(e) {
+                    continue;
+                }
+                let items = self.items_of(e);
+                if items.len() <= 2 {
+                    vertical += 1.0;
+                    reads_pairs |= items.len() == 2;
+                } else {
+                    let rarest = items.iter().map(|&c| index.occ_len(c)).min().unwrap_or(0);
+                    vertical += 3.0 * rarest as f64;
+                }
             }
-            let items = self.items_of(e);
-            if items.len() <= 2 {
-                vertical += 1.0;
-                reads_pairs |= items.len() == 2;
-            } else {
-                let rarest = items.iter().map(|&c| index.occ_len(c)).min().unwrap_or(0);
-                vertical += 3.0 * rarest as f64;
-            }
-        }
+            reads_pairs
+        };
         if reads_pairs && !index.has_pairs() {
             let sigma = index.alphabet_len() as f64;
             vertical += n + sigma * sigma;
@@ -675,12 +712,16 @@ impl CompiledCandidates {
         let lanes = (64 / self.max_level.max(1)).max(1);
         let mut bitmask = 2.0 * n + fallback_cost;
         for c in 0..self.alphabet_len {
-            let anchored = self
-                .anchored_at(c as u8)
-                .iter()
-                .filter(|&&e| !self.is_repeated(e as usize))
-                .count();
-            let words = anchored.div_ceil(lanes) as f64;
+            let anchored = self.anchored_at(c as u8);
+            let repeated = if self.repeated.is_empty() {
+                0
+            } else {
+                anchored
+                    .iter()
+                    .filter(|&&e| self.is_repeated(e as usize))
+                    .count()
+            };
+            let words = (anchored.len() - repeated).div_ceil(lanes) as f64;
             bitmask += 10.0 * 2.0 * words * index.occ_len(c as u8) as f64;
         }
 
@@ -1437,5 +1478,127 @@ mod tests {
                 count_episodes_naive(&db, &episodes)
             );
         }
+
+        /// Sorted lattice-shaped rows compiled by `recompile_rows` (offsets
+        /// `r·k`, anchors left in row order as the caller's runs, the
+        /// caller's repeat list) equal the same rows compiled from `Episode`s
+        /// by `recompile`, over buffers that held another set before.
+        #[test]
+        fn sorted_rows_compile_like_the_same_episodes(
+            sigma in 1usize..=64,
+            level in 1usize..=4,
+            raw in proptest::collection::vec(0u8..=255, 0..160),
+            distinct_only in 0u8..2,
+        ) {
+            let mut rows: Vec<Vec<u8>> = raw
+                .chunks_exact(level)
+                .map(|row| row.iter().map(|&s| s % sigma as u8).collect())
+                .collect();
+            let episodes = |rows: &[Vec<u8>]| -> Vec<Episode> {
+                rows.iter().map(|row| Episode::new(row.clone()).unwrap()).collect()
+            };
+            if distinct_only == 1 {
+                rows.retain(|row| Episode::new(row.clone()).unwrap().has_distinct_items());
+            }
+            rows.sort();
+            rows.dedup();
+            let repeated: Vec<u32> = episodes(&rows)
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| !e.has_distinct_items())
+                .map(|(r, _)| r as u32)
+                .collect();
+            let anchors: Vec<u32> = (0..=sigma)
+                .map(|c| rows.partition_point(|row| (row[0] as usize) < c) as u32)
+                .collect();
+            let mut from_rows = CompiledCandidates::compile(64, &episodes(&[vec![63, 0, 63]]));
+            from_rows.recompile_rows(sigma, level, &rows.concat(), &repeated, &anchors);
+            let from_episodes = CompiledCandidates::compile(sigma, &episodes(&rows));
+            prop_assert_eq!(from_rows.len(), rows.len());
+            for (r, row) in rows.iter().enumerate() {
+                prop_assert_eq!(from_rows.items_of(r), &row[..]);
+                prop_assert_eq!(from_rows.items_of(r), from_episodes.items_of(r));
+            }
+            for c in 0..sigma as u8 {
+                prop_assert_eq!(from_rows.anchored_at(c), from_episodes.anchored_at(c), "symbol {}", c);
+            }
+            prop_assert_eq!(from_rows.all_distinct(), from_episodes.all_distinct());
+            prop_assert_eq!(from_rows.max_level(), from_episodes.max_level());
+            prop_assert_eq!(from_rows.alphabet_len(), from_episodes.alphabet_len());
+        }
+
+        /// A level of pure table reads is priced in closed form, and the price
+        /// is bit-for-bit the row walk's — so is the strategy chosen from it —
+        /// for 1-item, 2-item and mixed sets, with the pair table built or not;
+        /// sets with longer or repeated rows still walk their rows.
+        #[test]
+        fn closed_form_pricing_equals_the_row_walk(
+            sigma in 1usize..=40,
+            data in proptest::collection::vec(0u8..=255, 0..300),
+            rows in proptest::collection::vec(proptest::collection::vec(0u8..=255, 1..4), 0..60),
+            longest in 1usize..=3,
+            table_built in 0u8..2,
+        ) {
+            let stream: Vec<u8> = data.iter().map(|&s| s % sigma as u8).collect();
+            let episodes: Vec<Episode> = rows
+                .iter()
+                .map(|row| {
+                    let row: Vec<u8> = row.iter().take(longest).map(|&s| s % sigma as u8).collect();
+                    Episode::new(row).unwrap()
+                })
+                .collect();
+            let compiled = CompiledCandidates::compile(sigma, &episodes);
+            let index = OccurrenceIndex::build(sigma, &stream);
+            if table_built == 1 {
+                index.pairs(&stream);
+            }
+            let costs = compiled.strategy_costs(&index);
+            prop_assert_eq!(costs, row_walk_costs(&compiled, &index));
+            let walked = if costs.vertical <= costs.bitmask {
+                CountStrategy::Vertical
+            } else {
+                CountStrategy::Bitmask
+            };
+            if !compiled.is_empty() {
+                prop_assert_eq!(compiled.choose_strategy(&index), walked);
+            }
+        }
+    }
+
+    /// The cost model priced row by row: the reference that the closed form
+    /// for a level of pure table reads must equal.
+    fn row_walk_costs(c: &CompiledCandidates, index: &OccurrenceIndex) -> StrategyCosts {
+        let n = index.stream_len() as f64;
+        let fallback_cost = 2.0 * n * c.repeated.len() as f64;
+        let mut vertical = fallback_cost;
+        let mut reads_pairs = false;
+        for e in 0..c.len() {
+            if c.is_repeated(e) {
+                continue;
+            }
+            let items = c.items_of(e);
+            if items.len() <= 2 {
+                vertical += 1.0;
+                reads_pairs |= items.len() == 2;
+            } else {
+                let rarest = items.iter().map(|&s| index.occ_len(s)).min().unwrap_or(0);
+                vertical += 3.0 * rarest as f64;
+            }
+        }
+        if reads_pairs && !index.has_pairs() {
+            let sigma = index.alphabet_len() as f64;
+            vertical += n + sigma * sigma;
+        }
+        let lanes = (64 / c.max_level.max(1)).max(1);
+        let mut bitmask = 2.0 * n + fallback_cost;
+        for s in 0..c.alphabet_len {
+            let anchored = c
+                .anchored_at(s as u8)
+                .iter()
+                .filter(|&&e| !c.is_repeated(e as usize))
+                .count();
+            bitmask += 10.0 * 2.0 * anchored.div_ceil(lanes) as f64 * index.occ_len(s as u8) as f64;
+        }
+        StrategyCosts { vertical, bitmask }
     }
 }

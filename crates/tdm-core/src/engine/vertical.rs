@@ -230,29 +230,36 @@ impl OccurrenceIndex {
         (self.offsets[c + 1] - self.offsets[c]) as usize
     }
 
-    /// How often `b` directly follows `a` in the stream: the count of the
+    /// The σ×σ table of adjacent-pair counts, row-major: entry `a·σ + b`
+    /// is how often `b` directly follows `a` in the stream, the count of the
     /// distinct level-2 episode ⟨a,b⟩. `stream` must be the stream this index
-    /// describes: the first read fills the whole σ×σ table from it in one
-    /// pass, once — concurrent first reads wait for that one build.
+    /// describes: the first read fills the whole table from it in one pass,
+    /// once — concurrent first reads wait for that one build.
     ///
     /// # Panics
     /// When the first read's `stream` is not [`stream_len`] symbols long.
     ///
     /// [`stream_len`]: OccurrenceIndex::stream_len
     #[inline]
-    pub(crate) fn pair_count(&self, stream: &[u8], a: u8, b: u8) -> u32 {
-        let sigma = self.alphabet_len();
-        let pairs = self.pairs.get_or_init(|| {
+    pub(crate) fn pairs(&self, stream: &[u8]) -> &[u32] {
+        self.pairs.get_or_init(|| {
             assert_eq!(
                 stream.len(),
                 self.stream_len,
                 "pair-table read against a stream the index does not describe"
             );
+            let sigma = self.alphabet_len();
             let mut pairs = vec![0u32; sigma * sigma];
             add_pairs(&mut pairs, sigma, stream);
             pairs
-        });
-        pairs[a as usize * sigma + b as usize]
+        })
+    }
+
+    /// How often `b` directly follows `a` in the stream (one
+    /// [`pairs`](OccurrenceIndex::pairs) entry).
+    #[cfg(test)]
+    pub(crate) fn pair_count(&self, stream: &[u8], a: u8, b: u8) -> u32 {
+        self.pairs(stream)[a as usize * self.alphabet_len() + b as usize]
     }
 
     /// True once a level-2 read has built the pair table.
@@ -362,48 +369,55 @@ impl CompiledCandidates {
         debug_assert!(episodes.end <= self.len());
         debug_assert_eq!(index.stream_len(), stream.len());
         let n = stream.len();
-        for e in episodes.clone() {
-            let slot = e - episodes.start;
+        let sigma = index.alphabet_len();
+        let any_repeated = !self.repeated.is_empty();
+        // Fetched by the first two-item row, so a level without one never
+        // builds the table.
+        let mut pairs: Option<&[u32]> = None;
+        for (count, e) in counts.iter_mut().zip(episodes) {
             let items = self.items_of(e);
-            if self.is_repeated(e) {
-                counts[slot] = scan_segment_items(stream, items, 0..n).count;
-                continue;
-            }
-            let l = items.len();
-            if l == 1 {
-                counts[slot] = index.occ_len(items[0]) as u64;
-                continue;
-            }
-            if l == 2 {
-                counts[slot] = u64::from(index.pair_count(stream, items[0], items[1]));
-                continue;
-            }
-            // Probe the rarest symbol's occurrence list; each hit pins the
-            // whole candidate window, which one direct comparison verifies.
-            let (k, _) = items
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &c)| index.occ_len(c))
-                .expect("episodes are non-empty");
-            let mut count = 0u64;
-            for &p in index.occurrences(stream, items[k]) {
-                let p = p as usize;
-                if p < k || p - k + l > n {
-                    continue;
+            *count = match *items {
+                _ if any_repeated && self.is_repeated(e) => {
+                    scan_segment_items(stream, items, 0..n).count
                 }
-                let start = p - k;
-                let window = &stream[start..start + l];
-                if window
-                    .iter()
-                    .zip(items.iter())
-                    .all(|(&have, &want)| have == want)
-                {
-                    count += 1;
+                [a] => index.occ_len(a) as u64,
+                [a, b] => {
+                    let pairs = *pairs.get_or_insert_with(|| index.pairs(stream));
+                    u64::from(pairs[a as usize * sigma + b as usize])
                 }
-            }
-            counts[slot] = count;
+                _ => probe_rarest(stream, index, items),
+            };
         }
     }
+}
+
+/// Counts a distinct-item episode of three or more items by probing its
+/// rarest symbol's occurrence list: each hit pins the whole candidate
+/// window, which one direct comparison verifies.
+fn probe_rarest(stream: &[u8], index: &OccurrenceIndex, items: &[u8]) -> u64 {
+    let (n, l) = (stream.len(), items.len());
+    let (k, _) = items
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &c)| index.occ_len(c))
+        .expect("episodes are non-empty");
+    let mut count = 0u64;
+    for &p in index.occurrences(stream, items[k]) {
+        let p = p as usize;
+        if p < k || p - k + l > n {
+            continue;
+        }
+        let start = p - k;
+        let window = &stream[start..start + l];
+        if window
+            .iter()
+            .zip(items.iter())
+            .all(|(&have, &want)| have == want)
+        {
+            count += 1;
+        }
+    }
+    count
 }
 
 #[cfg(test)]

@@ -28,16 +28,18 @@
 //! snapshot (Mayura-style co-mining): every [`MiningSessionBuilder::config`]
 //! call adds a member, and the members' level loops advance in lockstep with
 //! one join, one compile and one executor scan per level, however many
-//! members are still mining ([`MiningSession::co_mine`]). A solo request is a
-//! batch of one. The level loop keeps its candidates in one flat lattice per
-//! mine (Patnaik et al.'s flat layouts): each level-`k` row holds its `k`
-//! items and links to its prefix and suffix parents in level `k − 1`, and
-//! carries the set of members it is a candidate for — both parents frequent
-//! for the member, and the member's `distinct_items_only` rule passed. The
-//! rows are exactly the union of the members' candidate sets, in
-//! lexicographic order; they compile straight into the session's buffers,
-//! and every member reads its counts in place. An [`Episode`] is built only
-//! for a frequent row of a member's reply.
+//! members are still mining ([`MiningSession::co_mine`]; a batch of more
+//! than 64 members mines 64 at a time). A solo request is a batch of one.
+//! The level loop keeps its candidates in one flat lattice per mine
+//! (Patnaik et al.'s flat layouts): each level-`k` row holds its `k` items
+//! and links to its prefix and suffix parents in level `k − 1`, and carries
+//! the set of members it is a candidate for, one bit each in a `u64` — both
+//! parents frequent for the member, and the member's `distinct_items_only`
+//! rule passed. The rows are exactly the union of the members' candidate
+//! sets, in lexicographic order; they compile straight into the session's
+//! buffers, and every member reads its counts in place against an integer
+//! threshold (the least count whose support exceeds its α). An [`Episode`]
+//! is built only for a frequent row of a member's reply.
 //!
 //! Sessions come in two ownership shapes. [`MiningSession::builder`] borrows
 //! the database (`MiningSession<'db>`), right for scoped use. A **serving**
@@ -74,7 +76,7 @@ use crate::episode::Episode;
 use crate::miner::MinerConfig;
 use crate::segment::even_bounds;
 use crate::sequence::EventDb;
-use crate::stats::{support, LevelResult, MiningResult};
+use crate::stats::{min_frequent_count, LevelResult, MiningResult};
 use crate::CoreError;
 use std::sync::OnceLock;
 use tdm_mapreduce::pool::{default_workers, Pool, Priority};
@@ -611,7 +613,8 @@ fn shard_bounds(n: usize, workers: usize) -> Vec<usize> {
 /// the members' frequent rows, compiled once as the union of their candidate
 /// sets, and counted with a **single** executor scan that every member reads
 /// in place — K requests over one database cost one join and one scan per
-/// level instead of K. Results are **bit-identical** to mining each
+/// level instead of K (per group of 64 members: a lattice row's member set
+/// is one `u64`). Results are **bit-identical** to mining each
 /// configuration alone: the engine's count of an episode never depends on
 /// what else is compiled alongside it, which the workspace differential
 /// suite (`tests/comining.rs`) proves under adversarial overlap. See the
@@ -972,7 +975,8 @@ impl<'db> MiningSession<'db> {
         executor: &mut E,
         mut on_level: impl FnMut(&LevelResult),
     ) -> Result<MiningResult, MineError> {
-        let mut results = self.lockstep(executor, |member, level| {
+        let group = 0..self.configs.len().min(GROUP);
+        let mut results = self.lockstep(group, executor, |member, level| {
             if member == 0 {
                 on_level(level);
             }
@@ -981,9 +985,10 @@ impl<'db> MiningSession<'db> {
     }
 
     /// Runs every member's level-wise mining loop in lockstep, issuing **one**
-    /// scan per level. Returns one [`MiningResult`] per member, in the order
-    /// their configs were added — each bit-identical to a solo run of that
-    /// config.
+    /// scan per level per 64 members: a batch of more than 64 members mines
+    /// 64 at a time, in order. Returns one [`MiningResult`] per member, in the
+    /// order their configs were added — each bit-identical to a solo run of
+    /// that config.
     ///
     /// # Errors
     /// [`MineError`] from the first failing scan (the members share the scan,
@@ -992,29 +997,43 @@ impl<'db> MiningSession<'db> {
         &mut self,
         executor: &mut E,
     ) -> Result<Vec<MiningResult>, MineError> {
-        self.lockstep(executor, |_, _| {})
+        let members = self.configs.len();
+        let mut results = Vec::with_capacity(members);
+        for start in (0..members).step_by(GROUP) {
+            let group = start..members.min(start + GROUP);
+            results.extend(self.lockstep(group, executor, |_, _| {})?);
+        }
+        Ok(results)
     }
 
     /// The one level loop behind [`mine_with`](Self::mine_with) and
     /// [`co_mine`](Self::co_mine), over one flat candidate [`Lattice`] per
-    /// mine: compile the level's rows, count them with one scan, let each
-    /// member eliminate with its own α in place, then join once for every
-    /// member still mining. `on_level` sees each member's level result
-    /// (member index first).
+    /// mine for the members `group` (at most [`GROUP`] of them, one bit each
+    /// in a row's member set): compile the level's rows, count them with one
+    /// scan, let each member eliminate in place against its integer
+    /// threshold, then join once for every member still mining. `on_level`
+    /// sees each member's level result (member index first).
     fn lockstep<E: Executor + ?Sized>(
         &mut self,
+        group: std::ops::Range<usize>,
         executor: &mut E,
         mut on_level: impl FnMut(usize, &LevelResult),
     ) -> Result<Vec<MiningResult>, MineError> {
+        debug_assert!(group.len() <= GROUP);
         let db = self.db.get();
-        let n = db.len();
+        let (n, alphabet_len) = (db.len(), db.alphabet().len());
         let mines =
             |config: &MinerConfig, level: usize| config.max_level.is_none_or(|l| level <= l);
-        let distinct = member_set(&self.configs, |c| c.distinct_items_only);
-        let mining = member_set(&self.configs, |c| mines(c, 1));
-        let mut lattice = Lattice::singletons(db.alphabet().len(), &mining);
-        let mut results: Vec<MiningResult> = self
-            .configs
+        let configs = &self.configs[group.clone()];
+        // A row is frequent for member `m` iff its count reaches
+        // `thresholds[m]`: the same verdict as `support(count, n) > alpha`.
+        let thresholds: Vec<u64> = configs
+            .iter()
+            .map(|c| min_frequent_count(n, c.alpha))
+            .collect();
+        let distinct = member_set(configs, |c| c.distinct_items_only);
+        let mut lattice = Lattice::singletons(alphabet_len, member_set(configs, |c| mines(c, 1)));
+        let mut results: Vec<MiningResult> = configs
             .iter()
             .map(|_| MiningResult {
                 levels: Vec::new(),
@@ -1036,68 +1055,103 @@ impl<'db> MiningSession<'db> {
             let counts = self.count_level(
                 level,
                 |compiled, alphabet_len| {
-                    compiled.recompile_rows(alphabet_len, lattice.level(), lattice.items())
+                    compiled.recompile_rows(
+                        alphabet_len,
+                        lattice.level(),
+                        lattice.items(),
+                        lattice.repeated(),
+                        lattice.anchors(),
+                    )
                 },
                 executor,
             )?;
 
-            // Each member reads its rows' counts in place; an `Episode` is
-            // built only for a frequent row, and a row stays in a member's
-            // set for the join only if the member mines the next level.
-            let mut levels: Vec<LevelResult> = self
-                .configs
-                .iter()
-                .map(|_| LevelResult {
+            // Each member reads its rows' counts in place against its
+            // integer threshold; an `Episode` is built only for a frequent
+            // row, and a row stays in a member's set for the join only if
+            // the member mines the next level.
+            let next = member_set(&self.configs[group.clone()], |c| mines(c, level + 1));
+            let mut levels: Vec<LevelResult> = (0..thresholds.len())
+                .map(|m| LevelResult {
                     level,
-                    candidates: 0,
+                    candidates: lattice
+                        .members()
+                        .iter()
+                        .filter(|&&set| set >> m & 1 != 0)
+                        .count(),
                     frequent: Vec::new(),
                 })
                 .collect();
-            let configs = &self.configs;
-            let mut joining = false;
-            lattice.retain(|m, row, items| {
-                let result = &mut levels[m];
-                result.candidates += 1;
+            let frequent = lattice.narrow(|row| {
                 let count = counts[row];
-                let frequent = support(count, n) > configs[m].alpha;
-                if frequent {
-                    let episode = Episode::new(items.to_vec()).expect("lattice rows are non-empty");
-                    result.frequent.push((episode, count));
-                }
-                let keep = frequent && mines(&configs[m], level + 1);
-                joining |= keep;
-                keep
+                thresholds
+                    .iter()
+                    .enumerate()
+                    .fold(0, |set, (m, &threshold)| {
+                        set | u64::from(count >= threshold) << m
+                    })
             });
+            let mut sizes = [0; GROUP];
+            for (set, _, _) in frequent.rows() {
+                for_each_member(set, |m| sizes[m] += 1);
+            }
+            for (result, &size) in levels.iter_mut().zip(&sizes) {
+                result.frequent.reserve_exact(size);
+            }
+            for (set, row, items) in frequent.rows() {
+                for_each_member(set, |m| {
+                    let episode = Episode::new(items.to_vec()).expect("lattice rows are non-empty");
+                    levels[m].frequent.push((episode, counts[row]));
+                });
+            }
+            let joining = sizes
+                .iter()
+                .enumerate()
+                .any(|(m, &size)| size > 0 && next >> m & 1 != 0);
+            frequent.keep(next);
             for (m, result) in levels.into_iter().enumerate() {
                 if result.candidates > 0 {
-                    on_level(m, &result);
+                    on_level(group.start + m, &result);
                     results[m].levels.push(result);
                 }
             }
             if !joining {
                 break;
             }
-            lattice.join(&distinct);
+            lattice.join(distinct);
             level += 1;
         }
         Ok(results)
     }
 }
 
-/// The set of members whose config satisfies `pick`, one bit per member in
-/// config order (the lattice's member-set layout).
-fn member_set(configs: &[MinerConfig], pick: impl Fn(&MinerConfig) -> bool) -> Vec<u64> {
-    let mut set = vec![0u64; configs.len().div_ceil(64)];
-    for (m, config) in configs.iter().enumerate() {
-        set[m / 64] |= u64::from(pick(config)) << (m % 64);
+/// Members per level loop: a lattice row's member set is one `u64`, so
+/// [`MiningSession::co_mine`] runs larger batches 64 members at a time.
+const GROUP: usize = 64;
+
+/// Calls `f` with each member of `set`, in order.
+fn for_each_member(mut set: u64, mut f: impl FnMut(usize)) {
+    while set != 0 {
+        f(set.trailing_zeros() as usize);
+        set &= set - 1;
     }
-    set
+}
+
+/// The set of members whose config satisfies `pick`, one bit per member in
+/// config order (the lattice's member-set layout; at most [`GROUP`] configs).
+fn member_set(configs: &[MinerConfig], pick: impl Fn(&MinerConfig) -> bool) -> u64 {
+    debug_assert!(configs.len() <= GROUP);
+    configs
+        .iter()
+        .enumerate()
+        .fold(0, |set, (m, config)| set | u64::from(pick(config)) << m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::miner::{AutoBackend, Miner, SequentialBackend};
+    use crate::stats::support;
     use crate::Alphabet;
 
     /// Counts executes so tests can prove which levels ran.
@@ -1253,7 +1307,8 @@ mod tests {
 
     #[test]
     fn a_batch_wider_than_one_member_word_mines_every_member_exactly() {
-        // 70 members: member sets span two 64-bit words per lattice row.
+        // 70 members: a row's member set is one 64-bit word, so the batch
+        // mines in two groups, 64 members and then 6.
         let db = EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBAC".repeat(20)).unwrap();
         let configs: Vec<MinerConfig> = (0..70)
             .map(|i| MinerConfig {

@@ -13,6 +13,42 @@ pub fn support(count: u64, db_len: usize) -> f64 {
     }
 }
 
+/// The least count whose [`support`] over a `db_len`-symbol stream exceeds
+/// `alpha`: `count >= min_frequent_count(db_len, alpha)` exactly when
+/// `support(count, db_len) > alpha`, for every count below `u64::MAX` (which
+/// no stream reaches). It is `u64::MAX` when no smaller count qualifies: for
+/// a NaN `alpha`, or an empty stream and `alpha >= 0`. The elimination step
+/// computes it once per member and mine, then compares integers.
+///
+/// `support` never decreases as the count grows (converting to `f64` and
+/// dividing by a fixed length both round monotonically), so the qualifying
+/// counts are one upward run: gallop up from the stream length until a count
+/// qualifies, then bisect.
+pub(crate) fn min_frequent_count(db_len: usize, alpha: f64) -> u64 {
+    let frequent = |count: u64| support(count, db_len) > alpha;
+    if frequent(0) {
+        return 0;
+    }
+    // `lo` never qualifies; `hi` does unless it is `u64::MAX`.
+    let (mut lo, mut hi) = (0u64, (db_len as u64).max(1));
+    while !frequent(hi) {
+        if hi == u64::MAX {
+            return u64::MAX;
+        }
+        lo = hi;
+        hi = hi.saturating_mul(2);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if frequent(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 /// One mined level: the surviving (frequent) episodes with their counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LevelResult {
@@ -79,6 +115,7 @@ impl MiningResult {
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use proptest::prelude::*;
 
     #[test]
     fn support_is_count_over_n() {
@@ -115,5 +152,59 @@ mod tests {
         let rows: Vec<_> = res.iter().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].2, 0.07);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `count >= min_frequent_count(n, alpha)` is `support(count, n) >
+        /// alpha` for every count up to `n + 1` and on both sides of the
+        /// threshold itself, for empty, one-symbol, small-request and long
+        /// streams, and for thresholds of 0, 1, above 1 (up to far past any
+        /// count), negative, NaN, infinite, and exactly `k / n` or one step
+        /// either side of it. At α ≥ 1 or NaN no count of at most `n`
+        /// qualifies, and every search ends.
+        #[test]
+        fn the_integer_threshold_agrees_with_support(
+            n in prop::sample::select(vec![0usize, 1, 4_000, 1_000_000]),
+            kind in 0u8..12,
+            k in 0u64..=1_000_000,
+            x in 0.0f64..1e6,
+        ) {
+            let exact = if n == 0 { 0.0 } else { (k % (n as u64 + 1)) as f64 / n as f64 };
+            let alpha = match kind {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 1.0 + x,
+                3 => -x - f64::MIN_POSITIVE,
+                4 => f64::NAN,
+                5 => f64::INFINITY,
+                6 => f64::NEG_INFINITY,
+                7 => 1e300,
+                11 => 1e9 * (1.0 + x),
+                8 => exact,
+                9 => exact.next_up(),
+                _ => exact.next_down(),
+            };
+            let threshold = min_frequent_count(n, alpha);
+            for count in 0..=n as u64 + 1 {
+                prop_assert_eq!(
+                    count >= threshold,
+                    support(count, n) > alpha,
+                    "n {} alpha {:e} count {} threshold {}",
+                    n,
+                    alpha,
+                    count,
+                    threshold
+                );
+            }
+            let edge = [threshold.saturating_sub(1), threshold.min(u64::MAX - 1)];
+            for count in edge {
+                prop_assert_eq!(count >= threshold, support(count, n) > alpha, "edge {}", count);
+            }
+            if alpha.is_nan() || alpha >= 1.0 {
+                prop_assert!(threshold > n as u64, "alpha {:e} admits a count of n", alpha);
+            }
+        }
     }
 }

@@ -96,6 +96,10 @@ pub struct CacheStats {
 /// A small LRU of parked sessions keyed by database content hash. Entries
 /// are **taken out** while a request uses them (a session is single-writer)
 /// and parked again when it completes. See the [module docs](self).
+///
+/// The cache never frees a session: [`put`](SessionCache::put) hands the
+/// sessions it evicts back, so the caller can drop them — often the last
+/// handle on a database and its alphabet — after it releases the lock.
 #[derive(Debug)]
 pub(crate) struct SessionCache {
     capacity: usize,
@@ -148,27 +152,35 @@ impl SessionCache {
 
     /// Parks `session` as the most-recently-used entry, evicting
     /// least-recently-used entries while more than `capacity` databases are
-    /// parked. It never replaces another entry for the same database: that
-    /// entry belongs to a request that ran concurrently, and the next
-    /// concurrent pair needs both.
-    pub(crate) fn put(&mut self, db_hash: u64, session: MiningSession<'static>) {
+    /// parked, and returns the evicted sessions, least recently used first
+    /// (`session` itself when caching is disabled): the caller drops them
+    /// outside its lock. It never replaces another entry for the same
+    /// database: that entry belongs to a request that ran concurrently, and
+    /// the next concurrent pair needs both.
+    pub(crate) fn put(
+        &mut self,
+        db_hash: u64,
+        session: MiningSession<'static>,
+    ) -> Vec<MiningSession<'static>> {
         if self.capacity == 0 {
-            return;
+            return vec![session];
         }
         self.entries.push((db_hash, session));
-        while self.databases() > self.capacity {
-            self.entries.remove(0);
-            self.stats.evictions += 1;
+        let mut evicted = 0;
+        while databases(&self.entries[evicted..]) > self.capacity {
+            evicted += 1;
         }
+        self.stats.evictions += evicted as u64;
+        self.entries.drain(..evicted).map(|(_, s)| s).collect()
     }
+}
 
-    /// Distinct databases (content hashes) with a parked session.
-    fn databases(&self) -> usize {
-        let mut hashes: Vec<u64> = self.entries.iter().map(|(hash, _)| *hash).collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        hashes.len()
-    }
+/// Distinct databases (content hashes) among `entries`, counted without
+/// allocating: the entries whose hash no later entry repeats.
+fn databases(entries: &[(u64, MiningSession<'static>)]) -> usize {
+    (0..entries.len())
+        .filter(|&i| entries[i + 1..].iter().all(|e| e.0 != entries[i].0))
+        .count()
 }
 
 #[cfg(test)]
@@ -291,6 +303,36 @@ mod tests {
         cache.put(keys[2], session(&dbs[2], cfg));
         assert!(cache.take(keys[0], &dbs[0]).is_some());
         assert!(cache.take(keys[1], &dbs[1]).is_none());
+    }
+
+    #[test]
+    fn put_hands_back_what_it_evicts_least_recently_used_first() {
+        let mut cache = SessionCache::new(2);
+        let cfg = MinerConfig::default();
+        let [a, b, c, d] = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC"), db_of("DDDD")];
+        let [ka, kb, kc, kd] = [&a, &b, &c, &d].map(|db| db_content_hash(db));
+        let over = |sessions: &[MiningSession<'static>], dbs: &[&Arc<EventDb>]| {
+            sessions.len() == dbs.len()
+                && sessions
+                    .iter()
+                    .zip(dbs)
+                    .all(|(s, db)| std::ptr::eq(s.db(), &***db))
+        };
+        assert!(cache.put(ka, session(&a, cfg)).is_empty());
+        assert!(cache.put(kb, session(&b, cfg)).is_empty());
+        assert!(cache.put(ka, session(&a, cfg)).is_empty());
+        // C needs a slot: A's older session goes first but frees none (A's
+        // newer one stays), so B goes too.
+        assert!(over(&cache.put(kc, session(&c, cfg)), &[&a, &b]));
+        assert!(over(&cache.put(kd, session(&d, cfg)), &[&a]));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 3));
+        // Taking C's only session frees its slot: B parks without evicting.
+        let taken = cache.take(kc, &c).expect("C is parked");
+        assert!(cache.put(kb, session(&b, cfg)).is_empty());
+        // Parking C again evicts D, the least recently used.
+        assert!(over(&cache.put(kc, taken), &[&d]));
+        // A disabled cache hands the session straight back.
+        assert!(over(&SessionCache::new(0).put(ka, session(&a, cfg)), &[&a]));
     }
 
     #[test]

@@ -531,7 +531,9 @@ impl MiningService {
         let outcome = session.co_mine(executor);
         // Park the session again even after a backend error: the plan state
         // stays consistent, and the next (possibly healthy) request reuses it.
-        self.cache.lock().expect("session cache").put(key, session);
+        // The sessions it evicts are freed here, after the lock is released.
+        let evicted = self.cache.lock().expect("session cache").put(key, session);
+        drop(evicted);
         outcome.map(|results| (results, cache))
     }
 

@@ -139,6 +139,32 @@ fn the_latin_alphabet_repeated_mines_twenty_six_levels() {
     assert!(results[0].levels.iter().skip(1).all(|l| l.len() == 26));
 }
 
+#[test]
+fn a_batch_of_seventy_mines_in_two_groups_of_sixty_four() {
+    // A row's member set is one 64-bit word, so 70 members mine as a group
+    // of 64 and a group of 6: each equals Algorithm 1 and its solo mine, and
+    // each group issues one scan per level of its deepest member.
+    let db = Arc::new(
+        EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBACAAB".repeat(15)).unwrap(),
+    );
+    let configs: Vec<MinerConfig> = (0..70)
+        .map(|i| config(0.01 * (i % 9) as f64, Some(1 + i % 4), i % 3 != 0))
+        .collect();
+    let expected = check(&db, &configs);
+    let mut session = MiningSession::builder_shared(Arc::clone(&db))
+        .configs(configs.iter().copied())
+        .build();
+    let results = session
+        .co_mine(&mut SequentialBackend::default())
+        .expect("co-mining failed");
+    assert_eq!(results, expected);
+    let deepest = |group: &[MiningResult]| group.iter().map(|r| r.levels.len()).max().unwrap();
+    assert_eq!(
+        session.compiles(),
+        deepest(&expected[..64]) + deepest(&expected[64..])
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
