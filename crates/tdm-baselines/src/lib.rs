@@ -317,7 +317,7 @@ pub fn count_episode_parallel(db: &EventDb, episode: &Episode, workers: usize) -
         })
         .collect();
     let effects = map_items(&ranges, workers, |r| {
-        SegmentEffect::compute(db.symbols(), episode, r.clone())
+        SegmentEffect::compute_items(db.symbols(), episode.items(), r.clone())
     });
     let mut acc: Option<SegmentEffect> = None;
     for eff in effects {

@@ -11,7 +11,7 @@ use tdm_baselines::ShardedScanBackend;
 use tdm_core::candidate::permutations;
 use tdm_core::count::{count_episode, count_episodes, count_episodes_naive};
 use tdm_core::engine::{CompiledCandidates, CountScratch};
-use tdm_core::segment::{count_segmented, count_segmented_exact, even_bounds};
+use tdm_core::segment::{count_segmented, count_segmented_exact_items, even_bounds};
 use tdm_core::session::{Executor, MiningSession};
 use tdm_core::{Alphabet, Episode};
 use tdm_gpu::lockstep::{run_broadcast_warp, FsmCosts};
@@ -81,7 +81,15 @@ fn segmented_counting(c: &mut Criterion) {
         );
         g.bench_function(
             BenchmarkId::from_parameter(format!("exact_compose_{parts}")),
-            |b| b.iter(|| black_box(count_segmented_exact(&db, &ep, &bounds))),
+            |b| {
+                b.iter(|| {
+                    black_box(count_segmented_exact_items(
+                        db.symbols(),
+                        ep.items(),
+                        &bounds,
+                    ))
+                })
+            },
         );
     }
     g.finish();

@@ -26,8 +26,8 @@
 //! call, so the occurrence index and whatever the level reads (the pair
 //! table at level 2) are built inside the timer, as for a request on a new
 //! database. `session-auto-parked` runs on the bench's one session, which
-//! keeps its index across calls as a parked serving session does: a cache
-//! hit, where level 2 is a pair-table read. The `engine-vertical` row also
+//! keeps its index across calls as the serving layer's index cache does for
+//! a database: a cache hit, where level 2 is a pair-table read. The `engine-vertical` row also
 //! builds its `OccurrenceIndex` inside the timer: it times a cold database,
 //! the per-symbol counts plus whatever the level reads (the pair table at
 //! level 2, the position lists at level 3).
@@ -35,7 +35,9 @@
 //! The `small_mine` section times a whole served mine on the small-requests
 //! shape (a 4,000-letter Markov stream with persistence 0.7, α 0.001, at
 //! most level 2): `MiningSession::mine` on `AutoBackend`, on a fresh session
-//! and on a parked one, each split into executor time and level-loop time
+//! and on a reused one whose index is built (a cache hit; a served hit also
+//! recompiles into fresh buffers, which costs well under a microsecond),
+//! each split into executor time and level-loop time
 //! (candidate generation, compile and elimination). Beside it, the frozen
 //! seed counter counts the same stream's level-1 and level-2 candidates;
 //! `small_mine_parked_vs_seed` is the seed time over the parked mine's, the
@@ -178,7 +180,7 @@ struct SmallMine {
     /// A fresh session per call: planning, the occurrence index and the
     /// pair table are built inside the timer.
     cold: MineTiming,
-    /// One parked session across calls (a session-cache hit).
+    /// One session across calls, its index built (an index-cache hit).
     parked: MineTiming,
     /// The seed counter over each level's candidates, nanoseconds.
     seed_level_ns: Vec<u64>,

@@ -22,18 +22,18 @@
 //!   before the `union_launch_vs_k_solo` ratio is reported.
 //! * **routed pipeline** — the first scenario's mine through a
 //!   [`GpuPipelineBackend`] that is not forced onto the device: the
-//!   serve-time cost model (`CompiledCandidates::choose_backend_class`)
+//!   serve-time cost model (`GpuDispatchModel::choose_backend_class`)
 //!   routes each level to a CPU class or the pipeline. The report records
 //!   every level's `(level, candidates, class)` and the routed run's
 //!   simulated ms; CPU-class levels add no simulated time, so the routing
 //!   shows up in the committed artifact without a host clock.
 
 use tdm_core::candidate::permutations;
-use tdm_core::engine::{CandidateUnion, CompiledCandidates, DispatchClass};
+use tdm_core::engine::{CandidateUnion, CompiledCandidates};
 use tdm_core::miner::{Miner, MinerConfig};
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::Episode;
-use tdm_gpu::{Algorithm, DevicePipeline, GpuPipelineBackend};
+use tdm_gpu::{Algorithm, DevicePipeline, DispatchClass, GpuPipelineBackend};
 use tdm_workloads::markov_letters;
 
 use gpu_sim::DeviceConfig;

@@ -4,7 +4,7 @@
 //! The counting benchmark ([`crate::counting_bench`]) measures one scan at a
 //! time; this one measures the *service* shape the ROADMAP's north star asks
 //! for: many clients submitting full mining requests against one
-//! [`MiningService`] — one shared pool, fair admission, the session cache in
+//! [`MiningService`] — one shared pool, fair admission, the index cache in
 //! the loop. Each client-count rung (1, 4, 16 by default) runs a mixed
 //! workload (Markov letters, spike trains, market baskets) and reports QPS
 //! plus p50/p95 per-request latency; the headline

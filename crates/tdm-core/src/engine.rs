@@ -168,51 +168,6 @@ impl StrategyCosts {
     }
 }
 
-/// What [`CompiledCandidates::choose_backend_class`] picks per (level, union
-/// size) at serve time: one of the CPU strategy classes, or handing the level
-/// to a resident GPU pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DispatchClass {
-    /// CPU, seed-style active-set scan (empty sets land here too).
-    CpuActiveSet,
-    /// CPU, vertical occurrence-list probing.
-    CpuVertical,
-    /// CPU, word-packed Shift-And.
-    CpuBitmask,
-    /// A resident device pipeline advance (the `tdm-gpu` serving backend).
-    GpuPipeline,
-}
-
-impl DispatchClass {
-    /// True for the CPU classes.
-    pub fn is_cpu(self) -> bool {
-        !matches!(self, DispatchClass::GpuPipeline)
-    }
-}
-
-/// The GPU side of the serve-time dispatch model, in the same op units as
-/// [`StrategyCosts`]. Plain numbers by design: `tdm-core` knows nothing about
-/// the simulator — the GPU crate (or a calibration pass) supplies them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GpuDispatchModel {
-    /// Fixed ops-equivalent of one pipeline advance: the doorbell write,
-    /// count-buffer readback, and host demux.
-    pub advance_ops: f64,
-    /// Device throughput advantage over one CPU core for the scan itself.
-    pub speedup: f64,
-}
-
-impl Default for GpuDispatchModel {
-    fn default() -> Self {
-        // ~20k ops ≈ a few microseconds of fixed cost at CPU op rates; 8× is
-        // the conservative end of the paper's measured kernel speedups.
-        GpuDispatchModel {
-            advance_ops: 20_000.0,
-            speedup: 8.0,
-        }
-    }
-}
-
 /// A candidate set compiled into flat, scan-friendly buffers.
 ///
 /// Layout (all CSR):
@@ -664,13 +619,12 @@ impl CompiledCandidates {
     }
 
     /// The cost model behind [`choose_strategy`], exposed so serve-time
-    /// dispatch (CPU class vs a GPU pipeline, [`choose_backend_class`]) can
+    /// dispatch (CPU class vs a GPU pipeline, `tdm-gpu`'s dispatch model) can
     /// reason in the same comparable "simple op" units instead of inventing a
     /// second model. Sets too long for a 64-bit lane report an infinite
     /// bitmask cost (that strategy does not exist for them).
     ///
     /// [`choose_strategy`]: CompiledCandidates::choose_strategy
-    /// [`choose_backend_class`]: CompiledCandidates::choose_backend_class
     pub fn strategy_costs(&self, index: &OccurrenceIndex) -> StrategyCosts {
         let n = index.stream_len() as f64;
         let fallback_cost = 2.0 * n * self.repeated.len() as f64;
@@ -726,39 +680,6 @@ impl CompiledCandidates {
         }
 
         StrategyCosts { vertical, bitmask }
-    }
-
-    /// Serve-time backend dispatch: picks a CPU strategy class or the GPU
-    /// pipeline for this (level, candidate-set) pair, reusing
-    /// [`strategy_costs`]'s op units. The GPU side pays a fixed per-advance
-    /// cost (`gpu.advance_ops`, covering the doorbell + count readback) and
-    /// then runs the scan `gpu.speedup`× faster than one CPU core — so small
-    /// sets (level 1, narrow unions) stay on the CPU and wide levels go to the
-    /// device, per the paper's small-problem characterization.
-    ///
-    /// The CPU classes mirror [`choose_strategy`] exactly; empty sets are
-    /// [`DispatchClass::CpuActiveSet`] (nothing to scan either way).
-    ///
-    /// [`strategy_costs`]: CompiledCandidates::strategy_costs
-    /// [`choose_strategy`]: CompiledCandidates::choose_strategy
-    pub fn choose_backend_class(
-        &self,
-        index: &OccurrenceIndex,
-        gpu: &GpuDispatchModel,
-    ) -> DispatchClass {
-        if self.is_empty() {
-            return DispatchClass::CpuActiveSet;
-        }
-        let costs = self.strategy_costs(index);
-        let cpu_best = costs.vertical.min(costs.bitmask);
-        let gpu_cost = gpu.advance_ops + cpu_best / gpu.speedup.max(1.0);
-        if gpu_cost < cpu_best {
-            DispatchClass::GpuPipeline
-        } else if costs.vertical <= costs.bitmask {
-            DispatchClass::CpuVertical
-        } else {
-            DispatchClass::CpuBitmask
-        }
     }
 
     /// Counts with the estimated-best strategy ([`choose_strategy`]) on one

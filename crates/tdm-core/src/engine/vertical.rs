@@ -43,9 +43,11 @@ use crate::segment::scan_segment_items;
 /// does.
 ///
 /// Build once per [`EventDb`](crate::EventDb) snapshot and reuse it for every
-/// level's [`CompiledCandidates::count_vertical`] — the sessions cache one
-/// behind a `OnceLock` on their shared stream snapshot, so co-mined batches
-/// and cached serving sessions build it exactly once.
+/// level's [`CompiledCandidates::count_vertical`] — a session caches one
+/// behind a `OnceLock` on its stream snapshot, or is handed a shared one
+/// ([`MiningSessionBuilder::with_index`](crate::session::MiningSessionBuilder::with_index)),
+/// so co-mined batches and every served request on a database build it
+/// exactly once.
 ///
 /// The build is one counting pass: the per-symbol counts are all the cost
 /// model ([`CompiledCandidates::strategy_costs`]) and level-1 counts ever
@@ -56,9 +58,9 @@ use crate::segment::scan_segment_items;
 ///   [`occurrences`](OccurrenceIndex::occurrences) probe, so an index that
 ///   only ever dispatched to the bitmask strategy never holds them;
 /// * the σ×σ table of adjacent-pair counts (4 B per pair: 2,704 B over 26
-///   letters, 256 KiB at σ = 256), built by the first level-2 read. A session
-///   parks its index, so every later level-2 count on that database is a
-///   table read with no stream pass.
+///   letters, 256 KiB at σ = 256), built by the first level-2 read. The
+///   serving layer shares one index per database, so every later level-2
+///   count on that database is a table read with no stream pass.
 ///
 /// ```
 /// use tdm_core::engine::OccurrenceIndex;

@@ -73,7 +73,7 @@ pub mod streaming;
 pub use alphabet::{Alphabet, Symbol};
 pub use engine::{
     BitmaskNfa, CandidateUnion, CompileError, CompiledCandidates, CountScratch, CountStrategy,
-    DispatchClass, GpuDispatchModel, OccurrenceIndex, StrategyCosts,
+    OccurrenceIndex, StrategyCosts,
 };
 pub use episode::Episode;
 pub use miner::{AutoBackend, Miner, MinerConfig, SequentialBackend};

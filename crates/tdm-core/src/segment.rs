@@ -5,15 +5,16 @@
 //! intermediate step between map and reduce accounts for it. This module houses
 //! the counting-side machinery those kernels use:
 //!
-//! * [`scan_segment`]: a thread's map step — scan a range from the start state,
-//!   reporting the count and the live FSM state at the segment end;
-//! * [`continuation_count`]: the span fix — resolve a live partial match by
+//! * [`scan_segment_items`]: a thread's map step — scan a range from the start
+//!   state, reporting the count and the live FSM state at the segment end;
+//! * [`continuation_count_items`]: the span fix — resolve a live partial match by
 //!   scanning past the boundary, advancing only. The continuation stops as soon as
 //!   the match would *restart* (ownership of that anchor belongs to the next
 //!   segment) or *reset* (the partial dies);
 //! * [`count_segmented`]: map + span fix + reduce over an arbitrary segmentation;
-//! * [`count_segmented_exact`]: an exact alternative based on FSM state-function
-//!   composition, correct for *any* episode (see the consistency note below).
+//! * [`count_segmented_exact_items`]: an exact alternative based on FSM
+//!   state-function composition, correct for *any* episode (see the
+//!   consistency note below).
 //!
 //! ## Consistency
 //!
@@ -21,7 +22,7 @@
 //! uses (permutations of distinct letters) — `count_segmented` equals the
 //! sequential FSM count for every segmentation (property-tested). For episodes
 //! with repeated items the greedy FSM's restart ambiguity can make the continuation
-//! disagree with a sequential scan by a small amount; `count_segmented_exact`
+//! disagree with a sequential scan by a small amount; `count_segmented_exact_items`
 //! composes per-segment transition functions and is exact for all episodes at the
 //! cost of `L + 1` scans' worth of state per segment.
 
@@ -38,18 +39,8 @@ pub struct SegmentScan {
     pub end_state: u8,
 }
 
-/// Scans `stream[range]` from the start state (a block-level thread's map step).
-pub fn scan_segment(
-    stream: &[u8],
-    episode: &Episode,
-    range: std::ops::Range<usize>,
-) -> SegmentScan {
-    scan_segment_items(stream, episode.items(), range)
-}
-
-/// Item-slice form of [`scan_segment`], for callers holding a compiled
-/// candidate layout ([`crate::engine::CompiledCandidates`]) rather than
-/// [`Episode`] values. `items` must be non-empty.
+/// Scans `stream[range]` from the start state (a block-level thread's map
+/// step) for the episode whose items are `items` (non-empty).
 pub fn scan_segment_items(
     stream: &[u8],
     items: &[u8],
@@ -70,13 +61,8 @@ pub fn scan_segment_items(
 /// * anything else → stop. In particular `c == a1` stops because a restarted
 ///   match is anchored in the downstream segment, which counts it itself.
 ///
-/// Returns 1 when the spanning appearance completes, 0 otherwise.
-pub fn continuation_count(stream: &[u8], episode: &Episode, state: u8, from: usize) -> u64 {
-    continuation_count_items(stream, episode.items(), state, from)
-}
-
-/// Item-slice form of [`continuation_count`] (the engine's boundary-fix step
-/// uses this directly on the compiled layout).
+/// Returns 1 when the spanning appearance completes, 0 otherwise. The
+/// engine's boundary-fix step calls this directly on the compiled layout.
 pub fn continuation_count_items(stream: &[u8], items: &[u8], state: u8, from: usize) -> u64 {
     if state == 0 {
         return 0;
@@ -157,10 +143,10 @@ pub fn count_segmented(db: &EventDb, episode: &Episode, bounds: &[usize]) -> u64
     let mut start = 0usize;
     for &b in bounds.iter().chain(std::iter::once(&stream.len())) {
         debug_assert!(b >= start && b <= stream.len());
-        let scan = scan_segment(stream, episode, start..b);
+        let scan = scan_segment_items(stream, episode.items(), start..b);
         total += scan.count;
         if b < stream.len() {
-            total += continuation_count(stream, episode, scan.end_state, b);
+            total += continuation_count_items(stream, episode.items(), scan.end_state, b);
         }
         start = b;
     }
@@ -182,12 +168,8 @@ pub struct SegmentEffect {
 }
 
 impl SegmentEffect {
-    /// Computes the effect of `stream[range]` for an episode of level `l`.
-    pub fn compute(stream: &[u8], episode: &Episode, range: std::ops::Range<usize>) -> Self {
-        Self::compute_items(stream, episode.items(), range)
-    }
-
-    /// Item-slice form of [`SegmentEffect::compute`].
+    /// Computes the effect of `stream[range]` for the episode whose items
+    /// are `items`.
     pub fn compute_items(stream: &[u8], items: &[u8], range: std::ops::Range<usize>) -> Self {
         let l = items.len();
         let mut completions = vec![0u64; l];
@@ -219,13 +201,8 @@ impl SegmentEffect {
 }
 
 /// Exact segmented count via state-function composition. Matches the sequential
-/// FSM count for **every** episode and segmentation.
-pub fn count_segmented_exact(db: &EventDb, episode: &Episode, bounds: &[usize]) -> u64 {
-    count_segmented_exact_items(db.symbols(), episode.items(), bounds)
-}
-
-/// Item-slice form of [`count_segmented_exact`] — the engine's fallback for
-/// repeated-item episodes in a sharded count.
+/// FSM count for **every** episode and segmentation — the engine's fallback
+/// for repeated-item episodes in a sharded count.
 pub fn count_segmented_exact_items(stream: &[u8], items: &[u8], bounds: &[usize]) -> u64 {
     let mut start = 0usize;
     let mut acc: Option<SegmentEffect> = None;
@@ -289,7 +266,7 @@ mod tests {
         // Dropping the continuation loses the spanning appearance:
         let naive: u64 = [0..4, 4..5]
             .into_iter()
-            .map(|r| scan_segment(db2.symbols(), &ep, r).count)
+            .map(|r| scan_segment_items(db2.symbols(), ep.items(), r).count)
             .sum();
         assert_eq!(naive, 1);
         drop(db);
@@ -327,10 +304,17 @@ mod tests {
         // over "A | AAB". Sequential: A,A->2; A restarts->1; B resets. Count 0.
         let (db, ep) = setup("AAAB", "AAB");
         assert_eq!(count_episode(&db, &ep), 0);
-        assert_eq!(count_segmented_exact(&db, &ep, &[1]), 0);
+        assert_eq!(
+            count_segmented_exact_items(db.symbols(), ep.items(), &[1]),
+            0
+        );
         // ... for every cut.
         for cut in 1..4 {
-            assert_eq!(count_segmented_exact(&db, &ep, &[cut]), 0, "cut={cut}");
+            assert_eq!(
+                count_segmented_exact_items(db.symbols(), ep.items(), &[cut]),
+                0,
+                "cut={cut}"
+            );
         }
     }
 
@@ -366,7 +350,10 @@ mod tests {
     fn empty_segments_are_harmless() {
         let (db, ep) = setup("ABAB", "AB");
         assert_eq!(count_segmented(&db, &ep, &[2, 2, 2]), 2);
-        assert_eq!(count_segmented_exact(&db, &ep, &[0, 4]), 2);
+        assert_eq!(
+            count_segmented_exact_items(db.symbols(), ep.items(), &[0, 4]),
+            2
+        );
     }
 
     #[test]
@@ -411,7 +398,7 @@ mod tests {
             let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
             bounds.sort_unstable();
             prop_assert_eq!(
-                count_segmented_exact(&db, &ep, &bounds),
+                count_segmented_exact_items(db.symbols(), ep.items(), &bounds),
                 count_episode(&db, &ep)
             );
         }
@@ -426,9 +413,9 @@ mod tests {
             let ep = Episode::new(ep_items).unwrap();
             let n = data.len();
             let (c1, c2) = (n / 3, 2 * n / 3);
-            let a = SegmentEffect::compute(&data, &ep, 0..c1);
-            let b = SegmentEffect::compute(&data, &ep, c1..c2);
-            let c = SegmentEffect::compute(&data, &ep, c2..n);
+            let a = SegmentEffect::compute_items(&data, ep.items(), 0..c1);
+            let b = SegmentEffect::compute_items(&data, ep.items(), c1..c2);
+            let c = SegmentEffect::compute_items(&data, ep.items(), c2..n);
             prop_assert_eq!(a.then(&b).then(&c), a.then(&b.then(&c)));
         }
     }

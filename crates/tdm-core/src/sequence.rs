@@ -19,8 +19,8 @@ use std::sync::Arc;
 /// [`extend`](EventDb::extend) grow the stream by allocating a fresh `Arc`
 /// buffer and bumping the [`epoch`](EventDb::epoch) counter, so every
 /// previously taken [`symbols_shared`](EventDb::symbols_shared) snapshot keeps
-/// aliasing the buffer it was taken from — parked sessions stay valid while
-/// the live head moves on.
+/// aliasing the buffer it was taken from — sessions planned on it stay valid
+/// while the live head moves on.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EventDb {
     alphabet: Alphabet,

@@ -43,13 +43,14 @@
 //!
 //! Sessions come in two ownership shapes. [`MiningSession::builder`] borrows
 //! the database (`MiningSession<'db>`), right for scoped use. A **serving**
-//! layer instead wants sessions that outlive any one request and share one
-//! machine-sized worker pool across tenants: [`MiningSession::builder_shared`]
-//! takes `Arc<EventDb>` and yields a `MiningSession<'static>` that can live in
-//! a cache, and [`MiningSessionBuilder::with_pool`] attaches an externally
-//! owned `Arc<Pool>` instead of spawning a private one — any number of
-//! concurrent sessions multiplex their scan jobs over the same threads (see
-//! the `tdm-serve` crate).
+//! layer instead plans one session per request on a thread of its own and
+//! shares the rest across tenants: [`MiningSession::builder_shared`] takes
+//! `Arc<EventDb>` and yields a `MiningSession<'static>`,
+//! [`MiningSessionBuilder::with_pool`] attaches an externally owned
+//! `Arc<Pool>` instead of spawning a private one — any number of concurrent
+//! sessions multiplex their scan jobs over the same threads — and
+//! [`MiningSessionBuilder::with_index`] hands every session over one database
+//! the same [`OccurrenceIndex`] (see the `tdm-serve` crate).
 //!
 //! ```
 //! use tdm_core::session::MiningSession;
@@ -85,8 +86,8 @@ use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 pub type Counts = Vec<u64>;
 
 /// How a session holds its database: borrowed for scoped use, or shared
-/// behind an `Arc` so the session has no borrowed lifetime and can sit in a
-/// cache between requests (the serving configuration).
+/// behind an `Arc` so the session has no borrowed lifetime and can move to
+/// another thread (the serving configuration).
 #[derive(Debug, Clone)]
 enum DbHandle<'db> {
     Borrowed(&'db EventDb),
@@ -352,7 +353,8 @@ impl<'a> CountRequest<'a> {
     /// The per-symbol [`OccurrenceIndex`] over this session's stream
     /// snapshot, built lazily on first use and **cached on the session** —
     /// every level of the loop, and every member of a multi-member session,
-    /// shares the one build. Vertical-strategy executors and
+    /// shares the one build — or the shared index the session was built with
+    /// ([`MiningSessionBuilder::with_index`]). Vertical-strategy executors and
     /// the per-level dispatch rule
     /// ([`CompiledCandidates::choose_strategy`]) read it from here. The
     /// index's position lists are built once too, by the first vertical
@@ -486,6 +488,7 @@ pub struct MiningSessionBuilder<'db> {
     configs: Vec<MinerConfig>,
     workers: usize,
     pool: Option<Arc<Pool>>,
+    index: Option<Arc<OccurrenceIndex>>,
 }
 
 impl<'db> MiningSessionBuilder<'db> {
@@ -547,6 +550,17 @@ impl<'db> MiningSessionBuilder<'db> {
         self
     }
 
+    /// Counts against `index`, an [`OccurrenceIndex`] shared with whoever
+    /// else holds it, instead of building the session's own on first use.
+    /// A serving layer keeps one index per database, and every request's
+    /// session reads it, so its pair table and position lists are built
+    /// once for all of them. `index` must describe the database's stream;
+    /// one of another length is dropped at the first plan and rebuilt.
+    pub fn with_index(mut self, index: Arc<OccurrenceIndex>) -> Self {
+        self.index = Some(index);
+        self
+    }
+
     /// Builds the session: snapshots the stream **once** for every member (a
     /// refcount bump on the database's own shared buffer, never a byte copy)
     /// and fixes the database shard bounds. Without [`with_pool`], the
@@ -581,7 +595,7 @@ impl<'db> MiningSessionBuilder<'db> {
             stream,
             configs,
             compiled: Arc::new(CompiledCandidates::default()),
-            vertical: OnceLock::new(),
+            vertical: self.index.map_or_else(OnceLock::new, OnceLock::from),
             workers,
             pool,
             priority: Priority::Normal,
@@ -653,11 +667,11 @@ pub struct MiningSession<'db> {
     /// The member configurations, in result order (never empty).
     configs: Vec<MinerConfig>,
     compiled: Arc<CompiledCandidates>,
-    /// Per-symbol occurrence index over `stream`, built lazily by the first
-    /// strategy-dispatching execute and reused for the session's whole
-    /// lifetime (levels recompile, the stream never changes); its position
-    /// lists wait for the first vertical probe and its pair table for the
-    /// first level-2 read, and a parked session keeps both.
+    /// Per-symbol occurrence index over `stream`: the shared one the builder
+    /// was given, or built lazily by the first strategy-dispatching execute,
+    /// and reused for the session's whole lifetime (levels recompile, the
+    /// stream never changes); its position lists wait for the first vertical
+    /// probe and its pair table for the first level-2 read.
     vertical: OnceLock<Arc<OccurrenceIndex>>,
     shard_bounds: Vec<usize>,
     workers: usize,
@@ -690,21 +704,23 @@ impl<'db> MiningSession<'db> {
             configs: Vec::new(),
             workers: 0,
             pool: None,
+            index: None,
         }
     }
 
     /// Starts building a `MiningSession<'static>` that *shares ownership* of
     /// the database. Because nothing is borrowed, the built session can be
-    /// stored, sent to another thread, or parked in a session cache between
-    /// requests — the serving configuration (`tdm-serve`). Combine with
-    /// [`MiningSessionBuilder::with_pool`] to run many such sessions over one
-    /// machine-sized pool.
+    /// stored or sent to another thread — the serving configuration
+    /// (`tdm-serve`). Combine with [`MiningSessionBuilder::with_pool`] to run
+    /// many such sessions over one machine-sized pool, and with
+    /// [`MiningSessionBuilder::with_index`] to count them against one index.
     pub fn builder_shared(db: Arc<EventDb>) -> MiningSessionBuilder<'static> {
         MiningSessionBuilder {
             db: DbHandle::Shared(db),
             configs: Vec::new(),
             workers: 0,
             pool: None,
+            index: None,
         }
     }
 
@@ -753,9 +769,8 @@ impl<'db> MiningSession<'db> {
     }
 
     /// Installs (or clears) the cooperative cancellation token the level loop
-    /// checks before each level's compile+scan. A serving layer sets a fresh
-    /// token per request — including `None` for requests without deadlines,
-    /// so a parked, reused session never inherits a stale token. Cancelling
+    /// checks before each level's compile+scan. A serving layer sets the
+    /// request's token on the session it plans for that request. Cancelling
     /// fails every member: they share each level's scan, so they share the
     /// cancellation.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
@@ -767,26 +782,10 @@ impl<'db> MiningSession<'db> {
         self.cancel.as_ref()
     }
 
-    /// Re-targets the session to a new member list, in result order: the
-    /// next run mines these configs over the same stream snapshot, shard
-    /// bounds, occurrence index and compiled buffers, none of which depends
-    /// on a config. An empty list leaves one default member, as the builder
-    /// does. A serving layer parks one session per database and hands it to
-    /// any batch this way: the level loop rebuilds every per-member
-    /// structure from the configs on each call.
-    pub fn set_configs(&mut self, configs: impl IntoIterator<Item = MinerConfig>) {
-        self.configs.clear();
-        self.configs.extend(configs);
-        if self.configs.is_empty() {
-            self.configs.push(MinerConfig::default());
-        }
-    }
-
     /// How many candidate sets this session has compiled — exactly one per
     /// counted level (the number of scans issued), regardless of how many
     /// executors ran against each or how many members rode it. Accumulates
-    /// across runs when the session is reused (e.g. parked in a serving
-    /// cache).
+    /// across runs when the session is reused.
     pub fn compiles(&self) -> usize {
         self.compiles
     }
@@ -802,14 +801,14 @@ impl<'db> MiningSession<'db> {
         self.epoch
     }
 
-    /// Re-points a cached session at a **grown** database — the streaming
-    /// handoff: a serving layer appends to its db, then rebases the parked
-    /// session (one member or many) instead of rebuilding it. The stream
-    /// snapshot is replaced (a refcount bump on the new buffer), shard bounds
-    /// are recut for the new length, and a cached [`OccurrenceIndex`] is
-    /// **extended in place** over the appended suffix
-    /// ([`OccurrenceIndex::extend`]; position lists widen only if a probe
-    /// had built them) rather than rebuilt — so the epoch-N index is never
+    /// Re-points a session at a **grown** database — the streaming handoff:
+    /// a caller appends to its db, then rebases the session (one member or
+    /// many) instead of rebuilding it. The stream snapshot is replaced (a
+    /// refcount bump on the new buffer), shard bounds are recut for the new
+    /// length, and a cached [`OccurrenceIndex`] is **extended** over the
+    /// appended suffix ([`OccurrenceIndex::extend`]; position lists widen
+    /// only if a probe had built them; an index shared with other sessions
+    /// is copied first) rather than rebuilt — so the epoch-N index is never
     /// consulted against epoch-N+1 data, and never thrown away either.
     ///
     /// The session takes shared ownership of `db` (as with
@@ -1266,7 +1265,7 @@ mod tests {
         let err = group.co_mine(&mut spy).unwrap_err();
         assert_eq!(err.source, BackendError::Cancelled);
         assert_eq!(spy.executes, 0);
-        // Clearing recovers the parked batch plan.
+        // Clearing recovers the batch plan.
         group.set_cancel_token(None);
         let results = group.co_mine(&mut spy).unwrap();
         assert_eq!(results.len(), 2);
@@ -1330,12 +1329,14 @@ mod tests {
     }
 
     #[test]
-    fn set_configs_retargets_one_plan_to_any_member_list() {
-        // One session, re-targeted across member lists of 1 to 3 configs
-        // (mixed α, level bounds and generation rules), mines each list
-        // exactly like fresh serial mining, on the same compiled buffers.
-        let db =
-            EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBACAAB".repeat(40)).unwrap();
+    fn sessions_sharing_one_index_mine_any_member_list_exactly() {
+        // One session per member list of 1 to 3 configs (mixed α, level
+        // bounds and generation rules), all counting against one shared
+        // index: each list mines exactly like fresh serial mining, and the
+        // index stays the one handed in.
+        let db = Arc::new(
+            EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBACAAB".repeat(40)).unwrap(),
+        );
         let cfg = |alpha, max_level, distinct_items_only| MinerConfig {
             alpha,
             max_level,
@@ -1349,37 +1350,66 @@ mod tests {
                 cfg(0.0, Some(1), false),
                 cfg(0.01, Some(3), false),
             ],
-            vec![cfg(0.002, Some(4), false)],
         ];
-        let mut session = MiningSession::builder(&db).build();
-        let mut compiled_at = None;
-        for configs in &lists {
-            session.set_configs(configs.iter().copied());
-            assert_eq!(session.configs().len(), configs.len());
-            let results = session.co_mine(&mut SpyBackend { executes: 0 }).unwrap();
-            for (config, got) in configs.iter().zip(&results) {
-                let solo = Miner::new(*config)
-                    .mine(&db, &mut SequentialBackend::default())
-                    .unwrap();
-                assert_eq!(*got, solo, "{config:?}");
-            }
-            let at = session.compiled() as *const CompiledCandidates;
-            assert_eq!(*compiled_at.get_or_insert(at), at, "buffers moved");
-        }
-        // An empty list leaves one default member, as the builder does.
-        session.set_configs([]);
-        let default = MinerConfig::default();
-        let [only] = session.configs() else {
-            panic!("expected one member, got {:?}", session.configs());
+        let solo = |config: MinerConfig| {
+            Miner::new(config)
+                .mine(&db, &mut SequentialBackend::default())
+                .unwrap()
         };
-        assert_eq!(
-            (only.alpha, only.max_level, only.distinct_items_only),
-            (
-                default.alpha,
-                default.max_level,
-                default.distinct_items_only
-            )
-        );
+        let index = Arc::new(OccurrenceIndex::build(db.alphabet().len(), db.symbols()));
+        for configs in &lists {
+            let mut session = MiningSession::builder_shared(Arc::clone(&db))
+                .configs(configs.iter().copied())
+                .with_index(Arc::clone(&index))
+                .build();
+            let results = session.co_mine(&mut AutoBackend).unwrap();
+            for (config, got) in configs.iter().zip(&results) {
+                assert_eq!(*got, solo(*config), "{config:?}");
+            }
+            assert!(Arc::ptr_eq(session.vertical.get().unwrap(), &index));
+        }
+        assert!(index.has_pairs(), "level 2 read the shared table");
+
+        // An index over another stream length is dropped at the first plan,
+        // never read.
+        let short = Arc::new(OccurrenceIndex::build(26, &db.symbols()[..10]));
+        let config = lists[0][0];
+        let mut session = MiningSession::builder(&db)
+            .config(config)
+            .with_index(Arc::clone(&short))
+            .build();
+        assert_eq!(session.mine(&mut AutoBackend).unwrap(), solo(config));
+        assert!(!Arc::ptr_eq(session.vertical.get().unwrap(), &short));
+    }
+
+    #[test]
+    fn rebasing_a_session_copies_its_shared_index_instead_of_growing_it() {
+        let base = EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABD".repeat(30)).unwrap();
+        let index = Arc::new(OccurrenceIndex::build(
+            base.alphabet().len(),
+            base.symbols(),
+        ));
+        let config = MinerConfig {
+            alpha: 0.01,
+            max_level: Some(3),
+            ..Default::default()
+        };
+        let mut session = MiningSession::builder_shared(Arc::new(base.clone()))
+            .config(config)
+            .with_index(Arc::clone(&index))
+            .build();
+        session.mine(&mut AutoBackend).unwrap();
+        let mut grown = base.clone();
+        grown.extend(&[2, 1, 0, 3]).unwrap();
+        session.rebase(Arc::new(grown.clone())).unwrap();
+        let serial = Miner::new(config).mine(&grown, &mut SequentialBackend::default());
+        assert_eq!(session.mine(&mut AutoBackend).unwrap(), serial.unwrap());
+        // The session grew a copy; the index other sessions share still
+        // describes the stream it was built over.
+        assert_eq!(index.stream_len(), base.len());
+        let own = session.vertical.get().unwrap();
+        assert!(!Arc::ptr_eq(own, &index));
+        assert_eq!(own.stream_len(), grown.len());
     }
 
     /// A session mined with the strategy-dispatching executor, plus whether
@@ -1503,35 +1533,49 @@ mod tests {
 
     #[test]
     fn a_reused_session_reads_level_two_from_the_table_its_first_mine_built() {
-        let db = EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBAC".repeat(30)).unwrap();
+        let db = Arc::new(
+            EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBAC".repeat(30)).unwrap(),
+        );
         let config = MinerConfig {
             alpha: 0.01,
             max_level: Some(2),
             ..Default::default()
         };
-        let mut session = MiningSession::builder(&db).config(config).build();
-        session.mine(&mut AutoBackend).unwrap();
+        let mut session = MiningSession::builder_shared(Arc::clone(&db))
+            .config(config)
+            .build();
+        let first = session.mine(&mut AutoBackend).unwrap();
         let index = Arc::clone(session.vertical.get().expect("level 1 builds the index"));
         let table = index
             .pair_table()
             .expect("level 2 builds the table")
             .as_ptr();
+        let reads_the_table = |session: &MiningSession<'_>| {
+            let reused = session.vertical.get().unwrap();
+            assert!(Arc::ptr_eq(&index, reused), "the index was rebuilt");
+            assert_eq!(
+                reused.pair_table().map(<[u32]>::as_ptr),
+                Some(table),
+                "the pair table was rebuilt"
+            );
+            assert!(!reused.has_positions(), "level 2 probed instead of reading");
+        };
 
-        // A new α re-targets the same plan: its level 2 reads the same table.
+        // Mining again on the same session reads the same table.
+        assert_eq!(session.mine(&mut AutoBackend).unwrap(), first);
+        reads_the_table(&session);
+
+        // So does a new α on another session handed the same index.
         let next = MinerConfig {
             alpha: 0.02,
             ..config
         };
-        session.set_configs([next]);
-        let second = session.mine(&mut AutoBackend).unwrap();
-        let reused = session.vertical.get().unwrap();
-        assert!(Arc::ptr_eq(&index, reused), "the index was rebuilt");
-        assert_eq!(
-            reused.pair_table().map(<[u32]>::as_ptr),
-            Some(table),
-            "the pair table was rebuilt"
-        );
-        assert!(!reused.has_positions(), "level 2 probed instead of reading");
+        let mut other = MiningSession::builder_shared(Arc::clone(&db))
+            .config(next)
+            .with_index(Arc::clone(&index))
+            .build();
+        let second = other.mine(&mut AutoBackend).unwrap();
+        reads_the_table(&other);
         assert_eq!(second.levels.len(), 2);
         let serial = Miner::new(next).mine(&db, &mut SequentialBackend::default());
         assert_eq!(second, serial.unwrap());

@@ -261,62 +261,6 @@ fn candidate_union_demux_over_the_new_strategies() {
 }
 
 // ---------------------------------------------------------------------------
-// Serve-time dispatch: StrategyCosts and the CPU-vs-GPU class table
-// ---------------------------------------------------------------------------
-
-#[test]
-fn backend_class_table_is_consistent_with_strategy_costs() {
-    use tdm_core::engine::{DispatchClass, GpuDispatchModel};
-
-    let ab = Alphabet::latin26();
-    let stream: Vec<u8> = "ABCABZQXABCAACAB"
-        .repeat(64)
-        .bytes()
-        .map(|c| c - b'A')
-        .collect();
-    let index = OccurrenceIndex::build(ab.len(), &stream);
-
-    // Empty set: active-set trivially, on any model.
-    let empty = CompiledCandidates::compile(ab.len(), &[]);
-    assert_eq!(
-        empty.choose_backend_class(&index, &GpuDispatchModel::default()),
-        DispatchClass::CpuActiveSet
-    );
-
-    let episodes = episodes_of(&[b"AB", b"ABC", b"CA", b"QXA"]);
-    let compiled = CompiledCandidates::compile(ab.len(), &episodes);
-    let costs = compiled.strategy_costs(&index);
-    assert!(costs.cpu_best() <= costs.vertical && costs.cpu_best() <= costs.bitmask);
-
-    // A free, infinitely fast device always wins a non-empty level; a device
-    // with a prohibitive advance cost never does — and the CPU class it falls
-    // back to is exactly choose_strategy's pick.
-    let free_gpu = GpuDispatchModel {
-        advance_ops: 0.0,
-        speedup: 1e9,
-    };
-    assert_eq!(
-        compiled.choose_backend_class(&index, &free_gpu),
-        DispatchClass::GpuPipeline
-    );
-    let dead_gpu = GpuDispatchModel {
-        advance_ops: f64::INFINITY,
-        speedup: 8.0,
-    };
-    let cpu_class = compiled.choose_backend_class(&index, &dead_gpu);
-    match compiled.choose_strategy(&index) {
-        CountStrategy::Vertical => assert_eq!(cpu_class, DispatchClass::CpuVertical),
-        CountStrategy::Bitmask => assert_eq!(cpu_class, DispatchClass::CpuBitmask),
-        CountStrategy::ActiveSet => assert_eq!(cpu_class, DispatchClass::CpuActiveSet),
-    }
-
-    // Episodes too long to word-pack price the bitmask out entirely.
-    let long: Vec<Episode> = vec![Episode::new([0, 1].repeat(40)).unwrap()];
-    let long_compiled = CompiledCandidates::compile(ab.len(), &long);
-    assert_eq!(long_compiled.strategy_costs(&index).bitmask, f64::INFINITY);
-}
-
-// ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
 

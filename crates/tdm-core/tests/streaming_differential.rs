@@ -102,7 +102,7 @@ fn rebase_extends_the_cached_index_instead_of_consulting_it_stale() {
     let req = session.plan_candidates(&episodes);
     assert_eq!(req.occurrence_index().stream_len(), base.len());
 
-    // Grow the database by two appends, then rebase the parked session.
+    // Grow the database by two appends, then rebase the session.
     let mut grown = base.clone();
     grown
         .extend(&"CABACABA".bytes().map(|c| c - b'A').collect::<Vec<_>>()[..])
@@ -287,7 +287,7 @@ proptest! {
         prop_assert_eq!(&counts[..], live.counts());
     }
 
-    /// Rebasing a parked session across a random append agrees with a
+    /// Rebasing a session across a random append agrees with a
     /// from-scratch session — with the cached index already materialized, so
     /// the extend-in-place path is the one under test.
     #[test]

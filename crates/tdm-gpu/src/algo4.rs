@@ -336,7 +336,9 @@ mod tests {
             let start = (e * g.buffer_bytes) as usize;
             let end = (start + g.slice_bytes as usize).min(db.len());
             if start < db.len() {
-                expect0 += tdm_core::segment::scan_segment(db.symbols(), &ep, start..end).count;
+                expect0 +=
+                    tdm_core::segment::scan_segment_items(db.symbols(), ep.items(), start..end)
+                        .count;
             }
         }
         assert_eq!(counts[0], expect0);

@@ -28,14 +28,15 @@
 //!
 //! [`GpuPipelineBackend`] wraps the pipeline as an [`Executor`] with
 //! serve-time CPU-vs-GPU dispatch: each level is routed per
-//! [`CompiledCandidates::choose_backend_class`] (the same op-unit cost model
-//! as [`CompiledCandidates::choose_strategy`]), so level 1 and narrow unions
+//! [`GpuDispatchModel::choose_backend_class`] (over the op-unit costs of
+//! [`CompiledCandidates::strategy_costs`], the model behind
+//! [`CompiledCandidates::choose_strategy`]), so level 1 and narrow unions
 //! stay on the CPU and wide levels advance the device pipeline. Both paths
 //! produce bit-identical counts.
 
 use crate::{Algorithm, KernelRun, MiningProblem, SimOptions};
 use gpu_sim::{simulate, simulate_resident, union_resources, CostModel, DeviceConfig, SimError};
-use tdm_core::engine::{CandidateUnion, CompiledCandidates, DispatchClass, GpuDispatchModel};
+use tdm_core::engine::{CandidateUnion, CompiledCandidates, OccurrenceIndex};
 use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::EventDb;
@@ -255,6 +256,85 @@ pub struct UnionLaunch {
     pub member_counts: Vec<Vec<u64>>,
 }
 
+/// What [`GpuDispatchModel::choose_backend_class`] picks per (level, union
+/// size) at serve time: one of the CPU strategy classes, or handing the level
+/// to a resident GPU pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DispatchClass {
+    /// CPU, seed-style active-set scan (empty sets land here too).
+    CpuActiveSet,
+    /// CPU, vertical occurrence-list probing.
+    CpuVertical,
+    /// CPU, word-packed Shift-And.
+    CpuBitmask,
+    /// A resident device pipeline advance ([`GpuPipelineBackend`]).
+    GpuPipeline,
+}
+
+impl DispatchClass {
+    /// True for the CPU classes.
+    pub fn is_cpu(self) -> bool {
+        !matches!(self, DispatchClass::GpuPipeline)
+    }
+}
+
+/// The GPU side of the serve-time dispatch model, in the op units of
+/// [`CompiledCandidates::strategy_costs`]. Plain numbers by design: a
+/// calibration pass (or a test) can supply its own.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GpuDispatchModel {
+    /// Fixed ops-equivalent of one pipeline advance: the doorbell write,
+    /// count-buffer readback, and host demux.
+    pub advance_ops: f64,
+    /// Device throughput advantage over one CPU core for the scan itself.
+    pub speedup: f64,
+}
+
+impl Default for GpuDispatchModel {
+    fn default() -> Self {
+        // ~20k ops ≈ a few microseconds of fixed cost at CPU op rates; 8× is
+        // the conservative end of the paper's measured kernel speedups.
+        GpuDispatchModel {
+            advance_ops: 20_000.0,
+            speedup: 8.0,
+        }
+    }
+}
+
+impl GpuDispatchModel {
+    /// Serve-time backend dispatch: picks a CPU strategy class or the GPU
+    /// pipeline for one level's `compiled` set over the stream `index`
+    /// describes, in [`CompiledCandidates::strategy_costs`]'s op units. The
+    /// GPU side pays a fixed per-advance cost (`advance_ops`, covering the
+    /// doorbell + count readback) and then runs the scan `speedup`× faster
+    /// than one CPU core — so small sets (level 1, narrow unions) stay on the
+    /// CPU and wide levels go to the device, per the paper's small-problem
+    /// characterization.
+    ///
+    /// The CPU classes mirror [`CompiledCandidates::choose_strategy`]
+    /// exactly; empty sets are [`DispatchClass::CpuActiveSet`] (nothing to
+    /// scan either way).
+    pub fn choose_backend_class(
+        &self,
+        compiled: &CompiledCandidates,
+        index: &OccurrenceIndex,
+    ) -> DispatchClass {
+        if compiled.is_empty() {
+            return DispatchClass::CpuActiveSet;
+        }
+        let costs = compiled.strategy_costs(index);
+        let cpu_best = costs.cpu_best();
+        let gpu_cost = self.advance_ops + cpu_best / self.speedup.max(1.0);
+        if gpu_cost < cpu_best {
+            DispatchClass::GpuPipeline
+        } else if costs.vertical <= costs.bitmask {
+            DispatchClass::CpuVertical
+        } else {
+            DispatchClass::CpuBitmask
+        }
+    }
+}
+
 /// One serve-time routing decision of [`GpuPipelineBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchDecision {
@@ -268,7 +348,7 @@ pub struct DispatchDecision {
 
 /// An [`Executor`] serving counting requests from a persistent
 /// [`DevicePipeline`], with per-level CPU-vs-GPU dispatch
-/// ([`CompiledCandidates::choose_backend_class`]): cheap levels are counted on
+/// ([`GpuDispatchModel::choose_backend_class`]): cheap levels are counted on
 /// the CPU by [`AutoBackend`] on the session's plan, expensive ones advance the
 /// resident pipeline (uploading the stream on first use, re-uploading only
 /// when the stream changes). Fused co-mining batches set
@@ -341,7 +421,8 @@ impl Executor for GpuPipelineBackend {
         let class = if self.force_gpu {
             DispatchClass::GpuPipeline
         } else {
-            compiled.choose_backend_class(req.occurrence_index(), &self.dispatch)
+            self.dispatch
+                .choose_backend_class(compiled, req.occurrence_index())
         };
         self.decisions.push(DispatchDecision {
             level: req.level(),
@@ -547,5 +628,64 @@ mod tests {
         assert_eq!(backend.decisions[1].candidates, 650);
         assert_eq!((backend.cpu_levels, backend.gpu_levels), (2, 1));
         assert!(backend.simulated_ms() > 0.0);
+    }
+
+    #[test]
+    fn backend_class_table_is_consistent_with_strategy_costs() {
+        use tdm_core::engine::CountStrategy;
+        use tdm_core::Episode;
+
+        let ab = Alphabet::latin26();
+        let stream: Vec<u8> = "ABCABZQXABCAACAB"
+            .repeat(64)
+            .bytes()
+            .map(|c| c - b'A')
+            .collect();
+        let index = OccurrenceIndex::build(ab.len(), &stream);
+        let episodes = |items: &[&[u8]]| -> Vec<Episode> {
+            items
+                .iter()
+                .map(|e| Episode::new(e.iter().map(|c| c - b'A').collect::<Vec<u8>>()).unwrap())
+                .collect()
+        };
+
+        // Empty set: active-set trivially, on any model.
+        let empty = CompiledCandidates::compile(ab.len(), &[]);
+        assert_eq!(
+            GpuDispatchModel::default().choose_backend_class(&empty, &index),
+            DispatchClass::CpuActiveSet
+        );
+
+        let compiled =
+            CompiledCandidates::compile(ab.len(), &episodes(&[b"AB", b"ABC", b"CA", b"QXA"]));
+        let costs = compiled.strategy_costs(&index);
+        assert!(costs.cpu_best() <= costs.vertical && costs.cpu_best() <= costs.bitmask);
+
+        // A free, infinitely fast device always wins a non-empty level; a
+        // device with a prohibitive advance cost never does — and the CPU
+        // class it falls back to is exactly choose_strategy's pick.
+        let free_gpu = GpuDispatchModel {
+            advance_ops: 0.0,
+            speedup: 1e9,
+        };
+        assert_eq!(
+            free_gpu.choose_backend_class(&compiled, &index),
+            DispatchClass::GpuPipeline
+        );
+        let dead_gpu = GpuDispatchModel {
+            advance_ops: f64::INFINITY,
+            speedup: 8.0,
+        };
+        let cpu_class = dead_gpu.choose_backend_class(&compiled, &index);
+        match compiled.choose_strategy(&index) {
+            CountStrategy::Vertical => assert_eq!(cpu_class, DispatchClass::CpuVertical),
+            CountStrategy::Bitmask => assert_eq!(cpu_class, DispatchClass::CpuBitmask),
+            CountStrategy::ActiveSet => assert_eq!(cpu_class, DispatchClass::CpuActiveSet),
+        }
+
+        // Episodes too long to word-pack price the bitmask out entirely.
+        let long = vec![Episode::new([0, 1].repeat(40)).unwrap()];
+        let long_compiled = CompiledCandidates::compile(ab.len(), &long);
+        assert_eq!(long_compiled.strategy_costs(&index).bitmask, f64::INFINITY);
     }
 }

@@ -1,31 +1,25 @@
-//! The session cache: parked `MiningSession`s keyed by database content hash
-//! alone — one LRU for every configuration.
+//! The index cache: one shared [`OccurrenceIndex`] per database, keyed by
+//! database content hash alone.
 //!
 //! Repeated queries against the same database are the common case for a
 //! mining service (dashboards refreshing, clients polling a growing stream at
 //! intervals, several tenants querying one dataset with their own α). The
-//! expensive part of such a query is the *plan* state — the stream snapshot,
-//! the shard bounds, the occurrence index (with its level-2 pair table) and
-//! the compiled candidate buffers that `MiningSession` reuses in place across
-//! levels — and none of it depends on a configuration. The cache therefore
-//! keeps whole owned sessions (`MiningSession<'static>`, sharing the service
-//! pool) per database, and a request re-targets the session it takes to its
-//! own config (`MiningSession::set_configs`): a repeat, a new α or a new
-//! level bound all hit the same parked plan. A hit re-enters the level loop
-//! with every buffer already allocated and warm: no session planning (no
-//! stream snapshot, no shard-bound computation), no fresh allocations, and
-//! level 2 read from the pair table without a stream pass. Each level's
-//! candidates are still compiled, but *in place* into the parked session's
-//! buffers, so the compiled-candidate storage keeps the *same address* across
-//! requests, which the workspace tests assert.
+//! per-database work such a query can reuse is the occurrence index: the
+//! per-symbol counts, the σ×σ adjacent-pair table that answers every
+//! distinct level 2 with one read, and the position lists of vertical
+//! probes. None of it depends on a configuration, so a repeat, a new α or a
+//! new level bound all hit the same entry.
 //!
-//! A session has one writer at a time, so a request takes its session out of
-//! the cache and parks it again when it is done. Concurrent requests over one
-//! database (paper-scan's two lanes, one α each) each take or plan a session
-//! of their own, and every one of them is parked: a database may hold several
-//! sessions, one per request that ran on it concurrently. The LRU capacity
-//! counts databases, so those extra sessions ride on their database's slot
-//! instead of pushing another database out.
+//! An entry is the verified database handle and its index, both behind an
+//! `Arc`. A lookup hands out clones and never takes the entry out, so
+//! concurrent requests over one database (paper-scan's two lanes, one α
+//! each) count against one index, and its pair table is built once for all
+//! of them. Each request plans its own `MiningSession` over the entry
+//! (`MiningSessionBuilder::with_index`): the compiled candidate buffers are
+//! per request and cheap to rebuild, while the index is what a database's
+//! requests share. On a miss the service builds the index outside the lock
+//! and inserts it before mining; when two requests miss on one database at
+//! once, the first insert wins and the second counts against its index too.
 //!
 //! ## Collision safety
 //!
@@ -34,10 +28,11 @@
 //! the requesting database — pointer equality when the client resubmits the
 //! same handle, full symbol/timestamp comparison otherwise; a forged or
 //! colliding key falls back to a miss instead of serving another tenant's
-//! session.
+//! index.
 
-use tdm_core::session::MiningSession;
-use tdm_core::EventDb;
+use std::sync::Arc;
+
+use tdm_core::{EventDb, OccurrenceIndex};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -71,7 +66,7 @@ pub fn db_content_hash(db: &EventDb) -> u64 {
 
 /// True when two databases have the same content: pointer equality as the
 /// fast path, full symbol/timestamp comparison otherwise. A 64-bit hash
-/// collision must never share a session.
+/// collision must never share an index.
 pub(crate) fn db_matches(a: &EventDb, b: &EventDb) -> bool {
     std::ptr::eq(a, b)
         || (a.alphabet().len() == b.alphabet().len()
@@ -93,33 +88,42 @@ pub struct CacheStats {
     pub collisions: u64,
 }
 
-/// A small LRU of parked sessions keyed by database content hash. Entries
-/// are **taken out** while a request uses them (a session is single-writer)
-/// and parked again when it completes. See the [module docs](self).
+/// One cached database: the verified handle and the occurrence index over
+/// its stream, each shared by every request that mines it.
+#[derive(Debug, Clone)]
+pub(crate) struct Entry {
+    pub(crate) db: Arc<EventDb>,
+    pub(crate) index: Arc<OccurrenceIndex>,
+}
+
+/// A small LRU of shared indexes, at most one entry per database. Lookups
+/// hand out clones; nothing is taken out while a request mines. See the
+/// [module docs](self).
 ///
-/// The cache never frees a session: [`put`](SessionCache::put) hands the
-/// sessions it evicts back, so the caller can drop them — often the last
-/// handle on a database and its alphabet — after it releases the lock.
+/// The cache never frees an entry: [`put`](IndexCache::put) hands back the
+/// entry it evicts, or the one it turns away, so the caller can drop it —
+/// often the last handle on a database and its alphabet — after it releases
+/// the lock.
 #[derive(Debug)]
-pub(crate) struct SessionCache {
+pub(crate) struct IndexCache {
     capacity: usize,
     /// Recency order: least-recently-used first.
-    entries: Vec<(u64, MiningSession<'static>)>,
+    entries: Vec<(u64, Entry)>,
     stats: CacheStats,
 }
 
-impl SessionCache {
-    /// An empty cache holding the sessions of at most `capacity` databases
-    /// (0 disables caching: every request plans fresh).
+impl IndexCache {
+    /// An empty cache holding at most `capacity` databases (0 disables
+    /// caching: every request builds its own index).
     pub(crate) fn new(capacity: usize) -> Self {
-        SessionCache {
+        IndexCache {
             capacity,
             entries: Vec::with_capacity(capacity.min(64)),
             stats: CacheStats::default(),
         }
     }
 
-    /// Number of parked sessions.
+    /// Number of cached databases.
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
@@ -129,76 +133,70 @@ impl SessionCache {
         self.stats
     }
 
-    /// Hands out the most recently parked session for `db` (removed while in
-    /// use), whatever configs it last mined. An entry under the same hash
-    /// but over other content is never handed out.
-    pub(crate) fn take(&mut self, db_hash: u64, db: &EventDb) -> Option<MiningSession<'static>> {
-        let mut collided = false;
-        for i in (0..self.entries.len()).rev() {
-            let (hash, session) = &self.entries[i];
-            if *hash != db_hash {
-                continue;
-            }
-            if db_matches(session.db(), db) {
-                self.stats.hits += 1;
-                return Some(self.entries.remove(i).1);
-            }
-            collided = true;
-        }
-        self.stats.misses += 1;
-        self.stats.collisions += u64::from(collided);
-        None
+    /// The entry for `db`, if one is cached, as the most recently used
+    /// (one hit or one miss). An entry under the same hash but over other
+    /// content is never handed out.
+    pub(crate) fn get(&mut self, db_hash: u64, db: &EventDb) -> Option<Entry> {
+        let Some(i) = self.find(db_hash, db) else {
+            self.stats.misses += 1;
+            // Any entry under this key holds other content.
+            self.stats.collisions += u64::from(self.entries.iter().any(|e| e.0 == db_hash));
+            return None;
+        };
+        self.stats.hits += 1;
+        let hit = self.entries.remove(i);
+        let entry = hit.1.clone();
+        self.entries.push(hit);
+        Some(entry)
     }
 
-    /// Parks `session` as the most-recently-used entry, evicting
-    /// least-recently-used entries while more than `capacity` databases are
-    /// parked, and returns the evicted sessions, least recently used first
-    /// (`session` itself when caching is disabled): the caller drops them
-    /// outside its lock. It never replaces another entry for the same
-    /// database: that entry belongs to a request that ran concurrently, and
-    /// the next concurrent pair needs both.
-    pub(crate) fn put(
-        &mut self,
-        db_hash: u64,
-        session: MiningSession<'static>,
-    ) -> Vec<MiningSession<'static>> {
+    /// Caches `entry` as the most recently used, unless its database is
+    /// cached already: a request that missed alongside this one inserted
+    /// first, and its entry wins. Returns the entry to mine with and the one
+    /// for the caller to drop outside its lock, if any: the entry evicted to
+    /// make room, or `entry` itself when it lost. With caching disabled,
+    /// `entry` comes straight back.
+    pub(crate) fn put(&mut self, db_hash: u64, entry: Entry) -> (Entry, Option<Entry>) {
+        if let Some(i) = self.find(db_hash, &entry.db) {
+            return (self.entries[i].1.clone(), Some(entry));
+        }
         if self.capacity == 0 {
-            return vec![session];
+            return (entry, None);
         }
-        self.entries.push((db_hash, session));
-        let mut evicted = 0;
-        while databases(&self.entries[evicted..]) > self.capacity {
-            evicted += 1;
-        }
-        self.stats.evictions += evicted as u64;
-        self.entries.drain(..evicted).map(|(_, s)| s).collect()
+        let evicted = (self.entries.len() == self.capacity).then(|| self.entries.remove(0).1);
+        self.stats.evictions += u64::from(evicted.is_some());
+        self.entries.push((db_hash, entry.clone()));
+        (entry, evicted)
     }
-}
 
-/// Distinct databases (content hashes) among `entries`, counted without
-/// allocating: the entries whose hash no later entry repeats.
-fn databases(entries: &[(u64, MiningSession<'static>)]) -> usize {
-    (0..entries.len())
-        .filter(|&i| entries[i + 1..].iter().all(|e| e.0 != entries[i].0))
-        .count()
+    /// Position of the entry holding `db`'s content.
+    fn find(&self, db_hash: u64, db: &EventDb) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|(hash, entry)| *hash == db_hash && db_matches(&entry.db, db))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use tdm_core::{Alphabet, MinerConfig};
+    use tdm_core::Alphabet;
 
     fn db_of(s: &str) -> Arc<EventDb> {
         Arc::new(EventDb::from_str_symbols(&Alphabet::latin26(), s).unwrap())
     }
 
-    /// A parked session over `db` (its pool is spawned lazily, never here).
-    fn session(db: &Arc<EventDb>, config: MinerConfig) -> MiningSession<'static> {
-        MiningSession::builder_shared(Arc::clone(db))
-            .config(config)
-            .workers(1)
-            .build()
+    /// An entry over `db` with an index of its own.
+    fn entry(db: &Arc<EventDb>) -> Entry {
+        Entry {
+            db: Arc::clone(db),
+            index: Arc::new(OccurrenceIndex::build(db.alphabet().len(), db.symbols())),
+        }
+    }
+
+    /// True when `entry` is over exactly `db` (the same handle).
+    fn over(entry: &Entry, db: &Arc<EventDb>) -> bool {
+        Arc::ptr_eq(&entry.db, db)
     }
 
     #[test]
@@ -212,136 +210,111 @@ mod tests {
     }
 
     #[test]
-    fn take_verifies_content_not_just_the_key() {
-        let mut cache = SessionCache::new(4);
-        let cfg = MinerConfig::default();
+    fn get_verifies_content_not_just_the_key() {
+        let mut cache = IndexCache::new(4);
         let a = db_of("ABCABC");
         let b = db_of("CBACBA"); // same length/alphabet, different content
         let key_a = db_content_hash(&a);
-        cache.put(key_a, session(&a, cfg));
+        cache.put(key_a, entry(&a));
 
         // A forged lookup: database B presented under A's key must not get
-        // A's session.
-        assert!(cache.take(key_a, &b).is_none());
+        // A's index, and B's own entry goes beside A's, not over it.
+        assert!(cache.get(key_a, &b).is_none());
         assert_eq!(cache.stats().collisions, 1);
-        // The genuine owner still finds (and verifies) the entry.
-        assert!(cache.take(key_a, &a).is_some());
+        let (kept, _) = cache.put(key_a, entry(&b));
+        assert!(over(&kept, &b));
+        assert_eq!(cache.len(), 2);
+        // The genuine owner still finds (and verifies) its entry.
+        assert!(over(&cache.get(key_a, &a).unwrap(), &a));
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
-    fn a_database_parks_one_session_per_concurrent_batch() {
-        // Two requests over one database ran at once (one α each) and both
-        // parked: neither replaces the other, and the next two concurrent
-        // requests both hit, whatever configs they bring.
-        let mut cache = SessionCache::new(4);
+    fn the_first_put_for_a_database_wins() {
+        // Two requests missed on one database at once, and each built an
+        // index: the second put gets the first one's entry back, so both
+        // count against one index, and the database holds one slot.
+        let mut cache = IndexCache::new(4);
         let db = db_of("ABCABC");
         let key = db_content_hash(&db);
-        let low = MinerConfig::default();
-        let high = MinerConfig { alpha: 0.5, ..low };
-        cache.put(key, session(&db, low));
-        cache.put(key, session(&db, high));
-        assert_eq!(cache.len(), 2);
-        // Most recently parked first.
-        let first = cache.take(key, &db).expect("first lane hits");
-        assert_eq!(first.config().alpha, 0.5);
-        assert!(cache.take(key, &db).is_some(), "second lane hits");
-        assert!(cache.take(key, &db).is_none(), "both sessions are in use");
-        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 1));
-    }
-
-    #[test]
-    fn a_databases_extra_sessions_ride_on_its_slot() {
-        // Capacity 2 counts databases: a second session of A costs no slot,
-        // and a third database evicts the least-recently-used entries until
-        // two databases remain.
-        let mut cache = SessionCache::new(2);
-        let cfg = MinerConfig::default();
-        let [a, b, c] = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
-        let [ka, kb, kc] = [&a, &b, &c].map(|d| db_content_hash(d));
-        cache.put(ka, session(&a, cfg));
-        cache.put(kb, session(&b, cfg));
-        cache.put(ka, session(&a, cfg));
-        assert_eq!((cache.len(), cache.stats().evictions), (3, 0));
-        // A's older session is the LRU entry: it goes, but A keeps its slot
-        // through the newer one, so B goes too.
-        cache.put(kc, session(&c, cfg));
-        assert_eq!((cache.len(), cache.stats().evictions), (2, 2));
-        assert!(cache.take(kb, &b).is_none());
-        assert!(cache.take(ka, &a).is_some());
-        assert!(cache.take(kc, &c).is_some());
+        let first = entry(&db);
+        let (kept, dropped) = cache.put(key, first.clone());
+        assert!(Arc::ptr_eq(&kept.index, &first.index) && dropped.is_none());
+        let second = entry(&db_of("ABCABC"));
+        let (kept, dropped) = cache.put(key, second.clone());
+        assert!(Arc::ptr_eq(&kept.index, &first.index));
+        // The losing entry comes back for the caller to drop.
+        assert!(Arc::ptr_eq(
+            &dropped.expect("handed back").index,
+            &second.index
+        ));
+        assert_eq!(cache.len(), 1);
+        // Lookups hand out clones and leave the entry in place.
+        for _ in 0..2 {
+            let hit = cache.get(key, &db).expect("cached");
+            assert!(Arc::ptr_eq(&hit.index, &first.index));
+        }
+        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 0));
     }
 
     #[test]
     fn lru_eviction_order() {
-        let mut cache = SessionCache::new(2);
-        let cfg = MinerConfig::default();
+        let mut cache = IndexCache::new(2);
         let dbs = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
         let keys: Vec<u64> = dbs.iter().map(|d| db_content_hash(d)).collect();
         for (k, d) in keys.iter().zip(&dbs) {
-            cache.put(*k, session(d, cfg));
+            cache.put(*k, entry(d));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // The first (least recently used) entry was evicted.
-        assert!(cache.take(keys[0], &dbs[0]).is_none());
-        assert!(cache.take(keys[2], &dbs[2]).is_some());
+        assert!(cache.get(keys[0], &dbs[0]).is_none());
+        assert!(cache.get(keys[2], &dbs[2]).is_some());
     }
 
     #[test]
     fn reinsert_refreshes_recency() {
-        let mut cache = SessionCache::new(2);
-        let cfg = MinerConfig::default();
+        let mut cache = IndexCache::new(2);
         let dbs = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
         let keys: Vec<u64> = dbs.iter().map(|d| db_content_hash(d)).collect();
-        cache.put(keys[0], session(&dbs[0], cfg));
-        cache.put(keys[1], session(&dbs[1], cfg));
-        // Touch entry 0: it becomes most-recently-used.
-        let e = cache.take(keys[0], &dbs[0]).unwrap();
-        cache.put(keys[0], e);
+        cache.put(keys[0], entry(&dbs[0]));
+        cache.put(keys[1], entry(&dbs[1]));
+        // A hit moves entry 0 back in as the most recently used.
+        assert!(cache.get(keys[0], &dbs[0]).is_some());
         // Inserting a third evicts entry 1, not entry 0.
-        cache.put(keys[2], session(&dbs[2], cfg));
-        assert!(cache.take(keys[0], &dbs[0]).is_some());
-        assert!(cache.take(keys[1], &dbs[1]).is_none());
+        cache.put(keys[2], entry(&dbs[2]));
+        assert!(cache.get(keys[0], &dbs[0]).is_some());
+        assert!(cache.get(keys[1], &dbs[1]).is_none());
     }
 
     #[test]
     fn put_hands_back_what_it_evicts_least_recently_used_first() {
-        let mut cache = SessionCache::new(2);
-        let cfg = MinerConfig::default();
+        let mut cache = IndexCache::new(2);
         let [a, b, c, d] = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC"), db_of("DDDD")];
         let [ka, kb, kc, kd] = [&a, &b, &c, &d].map(|db| db_content_hash(db));
-        let over = |sessions: &[MiningSession<'static>], dbs: &[&Arc<EventDb>]| {
-            sessions.len() == dbs.len()
-                && sessions
-                    .iter()
-                    .zip(dbs)
-                    .all(|(s, db)| std::ptr::eq(s.db(), &***db))
-        };
-        assert!(cache.put(ka, session(&a, cfg)).is_empty());
-        assert!(cache.put(kb, session(&b, cfg)).is_empty());
-        assert!(cache.put(ka, session(&a, cfg)).is_empty());
-        // C needs a slot: A's older session goes first but frees none (A's
-        // newer one stays), so B goes too.
-        assert!(over(&cache.put(kc, session(&c, cfg)), &[&a, &b]));
-        assert!(over(&cache.put(kd, session(&d, cfg)), &[&a]));
-        assert_eq!((cache.len(), cache.stats().evictions), (2, 3));
-        // Taking C's only session frees its slot: B parks without evicting.
-        let taken = cache.take(kc, &c).expect("C is parked");
-        assert!(cache.put(kb, session(&b, cfg)).is_empty());
-        // Parking C again evicts D, the least recently used.
-        assert!(over(&cache.put(kc, taken), &[&d]));
-        // A disabled cache hands the session straight back.
-        assert!(over(&SessionCache::new(0).put(ka, session(&a, cfg)), &[&a]));
+        assert!(cache.put(ka, entry(&a)).1.is_none());
+        assert!(cache.put(kb, entry(&b)).1.is_none());
+        // Each new database past capacity evicts the least recently used.
+        assert!(over(&cache.put(kc, entry(&c)).1.unwrap(), &a));
+        assert!(cache.get(kb, &b).is_some());
+        assert!(over(&cache.put(kd, entry(&d)).1.unwrap(), &c));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 2));
+        // A database already cached evicts nothing: the caller's own entry
+        // comes back.
+        assert!(over(&cache.put(kb, entry(&b)).1.unwrap(), &b));
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let mut cache = SessionCache::new(0);
+        let mut cache = IndexCache::new(0);
         let a = db_of("ABAB");
         let key = db_content_hash(&a);
-        cache.put(key, session(&a, MinerConfig::default()));
+        let built = entry(&a);
+        let (kept, evicted) = cache.put(key, built.clone());
+        assert!(Arc::ptr_eq(&kept.index, &built.index) && evicted.is_none());
         assert_eq!(cache.len(), 0);
-        assert!(cache.take(key, &a).is_none());
+        assert!(cache.get(key, &a).is_none());
     }
 }

@@ -17,9 +17,9 @@
 //! * the fence drops when the window's re-mine returns — on success *or*
 //!   failure, so a failed backend never wedges a tenant.
 //!
-//! Re-mines go through [`MiningService::submit`], the path and session cache
+//! Re-mines go through [`MiningService::submit`], the path and index cache
 //! interactive requests take: tenants over the same stream content share the
-//! database's parked session, pair table included.
+//! database's cached occurrence index, pair table included.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,7 +290,7 @@ impl std::fmt::Debug for StreamIngest {
 
 impl StreamIngest {
     /// An ingestion front door over `service`. Re-mines are submitted
-    /// through it and obey its admission gate and session cache.
+    /// through it and obey its admission gate and index cache.
     pub fn new(service: Arc<MiningService>) -> Self {
         StreamIngest {
             service,
@@ -736,8 +736,8 @@ mod tests {
         }));
         let ingest = StreamIngest::new(Arc::clone(&service));
         // Two tenants over identical stream content (different configs):
-        // their window-0 re-mines share a db hash, so the second takes the
-        // session (and the pair table) the first one parked.
+        // their window-0 re-mines share a db hash, so the second counts
+        // against the index (and the pair table) the first one cached.
         let deep = MinerConfig {
             alpha: 0.01,
             max_level: Some(3),
@@ -764,7 +764,7 @@ mod tests {
             }
         }
         assert_eq!(outcomes, [CacheOutcome::Miss, CacheOutcome::Hit]);
-        assert_eq!(service.cached_sessions(), 1);
+        assert_eq!(service.cached_databases(), 1);
         assert_eq!(ingest.stats().remines, 2);
 
         // Each tenant's result equals solo batch mining.

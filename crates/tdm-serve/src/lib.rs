@@ -16,7 +16,7 @@
 //!   baseline, the simulated GPU pipeline, a test spy);
 //! * **explicit batches** — [`MiningService::submit_batch`] serves requests
 //!   over one database that an in-process caller hands in together: one
-//!   place at the gate, one parked session, one union scan per level
+//!   place at the gate, one session, one union scan per level
 //!   (`MiningSession::co_mine`). The service never holds a request back to
 //!   fuse it with others;
 //! * **one shared pool** — every request's counting scans multiplex over a
@@ -26,18 +26,17 @@
 //! * **fair admission** ([`admission`]) — a configurable in-flight limit with
 //!   strict FIFO order per priority class and a bounded waiting room that
 //!   rejects overload explicitly ([`ServeError::Overloaded`]);
-//! * **one session cache** ([`cache`]) — parked `MiningSession<'static>`s
-//!   keyed by database content hash alone and verified against the full
-//!   database content before reuse. A parked session is a per-database plan:
-//!   any request re-targets it to its own config, so a repeat or a new α
-//!   hits. A hit skips session planning (stream snapshot, shard bounds,
-//!   buffer allocation) and re-enters the level loop with the compiled
-//!   candidate buffers already allocated and warm — levels recompile in
-//!   place, so the compiled storage keeps the same address across requests.
-//!   The parked session also keeps its occurrence index, whose σ×σ pair
-//!   table answers every later level 2 on that database without a stream
-//!   pass: the work Mayura-style co-mining would share across concurrent
-//!   requests is already shared across all of them;
+//! * **one index cache** ([`cache`]) — one entry per database, keyed by
+//!   database content hash alone and verified against the full database
+//!   content before reuse: the database handle and its `OccurrenceIndex`
+//!   (per-symbol counts, the σ×σ pair table, lazily built position lists).
+//!   None of it depends on a configuration, so a repeat or a new α hits.
+//!   Each request plans its own session over the entry
+//!   (`MiningSessionBuilder::with_index`), and nothing is taken out of the
+//!   cache while it mines: concurrent requests on one database count against
+//!   one index, and a level the index answers (level 1, a distinct level 2)
+//!   makes no stream pass on a hit — the work Mayura-style co-mining would
+//!   share across concurrent requests is already shared across all of them;
 //! * **streaming ingestion** ([`ingest`]) — per-tenant append buffers with
 //!   count-or-age re-mine triggers and **fence** semantics: a sealed window
 //!   is committed onto the tenant's epoch-versioned
@@ -61,7 +60,7 @@
 //! let cold = service.submit(&request).unwrap();
 //! let warm = service.submit(&request).unwrap();
 //! assert_eq!(cold.stats.cache, CacheOutcome::Miss);
-//! assert_eq!(warm.stats.cache, CacheOutcome::Hit);   // reused parked session
+//! assert_eq!(warm.stats.cache, CacheOutcome::Hit);   // shared the cached index
 //! assert_eq!(cold.result, warm.result);
 //! ```
 

@@ -1,6 +1,7 @@
 //! The multi-tenant mining service: request/response types, the error
 //! taxonomy, and [`MiningService`] itself.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -8,11 +9,11 @@ use std::time::{Duration, Instant};
 use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CancelToken, Executor, MineError, MiningSession};
 use tdm_core::stats::MiningResult;
-use tdm_core::{EventDb, MinerConfig};
+use tdm_core::{EventDb, MinerConfig, OccurrenceIndex};
 use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{db_content_hash, db_matches, CacheStats, SessionCache};
+use crate::cache::{db_content_hash, db_matches, CacheStats, Entry, IndexCache};
 
 /// Which counting executor serves a request: always the engine.
 ///
@@ -38,7 +39,7 @@ pub enum BackendChoice {
 /// and a scheduling priority.
 ///
 /// Reuse one `MiningRequest` value (or clones of it) across submissions: the
-/// database content hash that keys the session cache is computed once per
+/// database content hash that keys the index cache is computed once per
 /// request value and memoized, so steady-state resubmission costs no re-hash
 /// of the stream — and same-handle cache verification is pointer equality.
 #[derive(Debug, Clone)]
@@ -118,7 +119,7 @@ impl MiningRequest {
         &self.config
     }
 
-    /// The session-cache key this request is served under: the content hash
+    /// The index-cache key this request is served under: the content hash
     /// of its database ([`db_content_hash`]), whatever its configuration.
     /// Computed on first call and memoized for the request's lifetime.
     pub fn key(&self) -> u64 {
@@ -126,28 +127,31 @@ impl MiningRequest {
     }
 }
 
-/// Whether the session that served a request came from the cache or was
-/// planned fresh.
+/// Whether the occurrence index a request counted against came from the
+/// cache or was built for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// A parked session was verified and reused: no session planning (no
-    /// stream snapshot, shard-bound computation, or buffer allocation);
-    /// levels recompile in place into the warm buffers.
+    /// The database's cached entry was verified and shared: the request
+    /// counted against the index earlier requests built, pair table and
+    /// position lists included, so no level it reads from them passes over
+    /// the stream.
     Hit,
-    /// No (verifiable) entry existed; the request planned a fresh session.
+    /// No (verifiable) entry existed; the request built the database's index
+    /// and cached it.
     Miss,
 }
 
 /// Per-request measurements returned alongside the mining result.
 #[derive(Debug, Clone, Copy)]
 pub struct ResponseStats {
-    /// Cache hit or miss for the session that served this request.
+    /// Cache hit or miss for the index this request counted against.
     pub cache: CacheOutcome,
     /// Time spent waiting at the admission gate, not mining.
     pub queue_wait: Duration,
-    /// Time spent planning + mining (the level loop), excluding queueing.
+    /// Time spent on the cache, planning and mining (the level loop),
+    /// excluding queueing.
     pub mine_time: Duration,
-    /// The session-cache key the request was served under: its database's
+    /// The index-cache key the request was served under: its database's
     /// content hash ([`MiningRequest::key`]).
     pub key: u64,
 }
@@ -240,9 +244,8 @@ pub struct ServiceConfig {
     /// How many requests may wait at the gate before new arrivals are
     /// rejected with [`ServeError::Overloaded`] (0 = unbounded).
     pub max_pending: usize,
-    /// Databases whose parked sessions the LRU cache keeps (0 disables
-    /// caching). A database keeps one session per request or batch that ran
-    /// on it concurrently, all on its one slot.
+    /// Databases whose shared occurrence index the LRU cache keeps, one
+    /// entry each (0 disables caching: every request builds its own index).
     pub cache_capacity: usize,
 }
 
@@ -258,7 +261,7 @@ impl Default for ServiceConfig {
 }
 
 /// Aggregate service counters since start (a [`MiningService::stats`]
-/// snapshot; the cache counters live in the session cache itself).
+/// snapshot; the cache counters live in the index cache itself).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
     /// Requests that completed successfully.
@@ -271,7 +274,7 @@ pub struct ServiceStats {
     /// [`CancelToken`] fired) — counted separately from `failed`: the
     /// backend was healthy, the client just stopped waiting.
     pub cancelled: u64,
-    /// Session-cache counters (hits, misses, evictions, collisions): one
+    /// Index-cache counters (hits, misses, evictions, collisions): one
     /// lookup per admitted request.
     pub cache: CacheStats,
 }
@@ -294,16 +297,18 @@ pub(crate) fn bump(counter: &AtomicU64, n: u64) {
 }
 
 /// A multi-tenant mining service: many concurrent clients, one shared worker
-/// pool, an LRU session cache, and fair admission.
+/// pool, an LRU cache of one occurrence index per database, and fair
+/// admission.
 ///
 /// Clients call [`MiningService::submit`] from their own threads; the call
 /// blocks through admission and the mining loop and returns the full result.
 /// All concurrent requests multiplex their counting scans over the **single**
 /// machine-sized [`Pool`] owned by the service — no per-request thread
-/// spawning anywhere — and every request on a database with a parked session
-/// reuses it from the cache, whatever its configuration: no stream snapshot,
-/// shard-bound computation, or buffer allocation on a hit (levels recompile
-/// in place into the parked session's warm buffers, at a stable address).
+/// spawning anywhere. Each request plans its own session, and every request
+/// on a cached database counts against that database's one shared index,
+/// whatever its configuration and however many requests read it at once: a
+/// level the index answers (level 1 from its counts, a distinct level 2 from
+/// its pair table) makes no stream pass on a hit.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -315,7 +320,7 @@ pub(crate) fn bump(counter: &AtomicU64, n: u64) {
 /// let request = MiningRequest::new(db, MinerConfig { alpha: 0.1, ..Default::default() });
 ///
 /// let first = service.submit(&request).unwrap();
-/// let second = service.submit(&request).unwrap(); // session-cache hit
+/// let second = service.submit(&request).unwrap(); // index-cache hit
 /// assert_eq!(first.result, second.result);
 /// assert!(first.result.total_frequent() > 0);
 /// assert_eq!(service.stats().cache.hits, 1);
@@ -323,7 +328,7 @@ pub(crate) fn bump(counter: &AtomicU64, n: u64) {
 pub struct MiningService {
     pool: Arc<Pool>,
     admission: AdmissionQueue,
-    cache: Mutex<SessionCache>,
+    cache: Mutex<IndexCache>,
     counters: RequestCounters,
 }
 
@@ -353,13 +358,13 @@ impl MiningService {
         MiningService {
             pool: Arc::new(Pool::with_workers(workers)),
             admission: AdmissionQueue::new(max_in_flight, config.max_pending),
-            cache: Mutex::new(SessionCache::new(config.cache_capacity)),
+            cache: Mutex::new(IndexCache::new(config.cache_capacity)),
             counters: RequestCounters::default(),
         }
     }
 
     /// A service with default sizing (machine-sized pool, one in-flight
-    /// request per worker, 32 cached sessions).
+    /// request per worker, 32 cached databases).
     pub fn with_defaults() -> Self {
         MiningService::new(ServiceConfig::default())
     }
@@ -400,7 +405,7 @@ impl MiningService {
 
     /// Serves requests over one database together, for an in-process caller
     /// that already holds their configs: one place at the admission gate, one
-    /// parked session, and one level loop
+    /// cache lookup, one session, and one level loop
     /// ([`MiningSession::co_mine`]) whose single union scan per level answers
     /// every member bit-identically to serving it alone. The service never
     /// holds a request back to wait for others; a batch is only what the
@@ -417,7 +422,9 @@ impl MiningService {
     /// the members share the scans, so they share a failure.
     ///
     /// # Panics
-    /// If a request's database differs in content from the first request's.
+    /// If a request's database differs in content from the first request's,
+    /// and whenever `executor` panics: the panic goes on to the caller after
+    /// every member is counted as failed.
     pub fn submit_batch(
         &self,
         requests: &[MiningRequest],
@@ -461,7 +468,15 @@ impl MiningService {
         };
         let queue_wait = arrived.elapsed();
         let mining = Instant::now();
-        let mined = self.mine(requests, priority, executor, cancel);
+        // A panicking executor still counts: its members fail, and the panic
+        // goes on. The cache is never locked while the level loop runs.
+        let mined = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.mine(requests, priority, executor, cancel)
+        }))
+        .unwrap_or_else(|panic| {
+            bump(&self.counters.failed, members);
+            std::panic::resume_unwind(panic)
+        });
         let mine_time = mining.elapsed();
         drop(permit);
         // Cancellations become the typed [`ServeError::Cancelled`]
@@ -489,14 +504,14 @@ impl MiningService {
         })
     }
 
-    /// The one mining path: take the database's parked session from the
-    /// cache (or plan one), re-target it to the requests' configs in request
-    /// order, run its level loop on `executor`, and park it again.
+    /// The one mining path: share the database's cached index (or build it
+    /// and cache it), plan a session over it for the requests' configs in
+    /// request order, and run its level loop on `executor`.
     ///
-    /// The cache is keyed on the database alone, so any request on a parked
-    /// database hits, whatever its config: the compiled buffers stay warm at
-    /// a stable address, and the session's occurrence index — its pair table
-    /// included — answers every later request on that database.
+    /// The cache is keyed on the database alone, so any request on a cached
+    /// database hits, whatever its config, and nothing is taken out while it
+    /// mines: concurrent requests on one database read one index, pair table
+    /// included.
     fn mine(
         &self,
         requests: &[MiningRequest],
@@ -506,35 +521,33 @@ impl MiningService {
     ) -> Result<(Vec<MiningResult>, CacheOutcome), MineError> {
         let first = &requests[0];
         let key = first.key();
-        let cached = self
-            .cache
-            .lock()
-            .expect("session cache")
-            .take(key, &first.db);
-        let (mut session, cache) = match cached {
-            Some(session) => (session, CacheOutcome::Hit),
-            None => (
-                MiningSession::builder_shared(Arc::clone(&first.db))
-                    .with_pool(Arc::clone(&self.pool))
-                    .build(),
-                CacheOutcome::Miss,
-            ),
+        let cached = self.cache.lock().expect("index cache").get(key, &first.db);
+        let (entry, cache) = match cached {
+            Some(entry) => (entry, CacheOutcome::Hit),
+            None => {
+                let db = &first.db;
+                let built = Entry {
+                    db: Arc::clone(db),
+                    index: Arc::new(OccurrenceIndex::build(db.alphabet().len(), db.symbols())),
+                };
+                let (entry, unused) = self.cache.lock().expect("index cache").put(key, built);
+                // Freed here, after the lock is released.
+                drop(unused);
+                (entry, CacheOutcome::Miss)
+            }
         };
-        session.set_configs(requests.iter().map(|r| r.config));
+        let mut session = MiningSession::builder_shared(entry.db)
+            .with_pool(Arc::clone(&self.pool))
+            .with_index(entry.index)
+            .configs(requests.iter().map(|r| r.config))
+            .build();
         // The batch's class rides through to the pool's job lanes: the
         // parallel executors submit its scans at this priority.
         session.set_job_priority(priority);
-        // Always (re)set the token — Some or None — so a parked session never
-        // carries a stale deadline.
         session.set_cancel_token(token);
         // `co_mine` answers in member order, which is request order.
-        let outcome = session.co_mine(executor);
-        // Park the session again even after a backend error: the plan state
-        // stays consistent, and the next (possibly healthy) request reuses it.
-        // The sessions it evicts are freed here, after the lock is released.
-        let evicted = self.cache.lock().expect("session cache").put(key, session);
-        drop(evicted);
-        outcome.map(|results| (results, cache))
+        let results = session.co_mine(executor)?;
+        Ok((results, cache))
     }
 
     /// Aggregate counters since service start.
@@ -546,14 +559,13 @@ impl MiningService {
             failed: read(&c.failed),
             rejected: read(&c.rejected),
             cancelled: read(&c.cancelled),
-            cache: self.cache.lock().expect("session cache").stats(),
+            cache: self.cache.lock().expect("index cache").stats(),
         }
     }
 
-    /// Parked sessions currently in the cache (a database holds one per
-    /// request that ran on it concurrently).
-    pub fn cached_sessions(&self) -> usize {
-        self.cache.lock().expect("session cache").len()
+    /// Databases currently in the cache, one entry each.
+    pub fn cached_databases(&self) -> usize {
+        self.cache.lock().expect("index cache").len()
     }
 
     /// Requests currently waiting at the admission gate.
@@ -613,7 +625,7 @@ mod tests {
         let second = service.submit(&req).unwrap();
         assert_eq!(second.stats.cache, CacheOutcome::Hit);
         assert_eq!(first.result, second.result);
-        assert_eq!(service.cached_sessions(), 1);
+        assert_eq!(service.cached_databases(), 1);
 
         // Same content under a different Arc handle still hits (content
         // verification, not pointer identity).
@@ -621,7 +633,7 @@ mod tests {
         let third = service.submit(&MiningRequest::new(clone, cfg())).unwrap();
         assert_eq!(third.stats.cache, CacheOutcome::Hit);
 
-        // A different config on the same database hits the same session.
+        // A different config on the same database hits the same entry.
         let other = MinerConfig {
             alpha: 0.2,
             ..cfg()
@@ -630,7 +642,7 @@ mod tests {
             .submit(&MiningRequest::new(Arc::clone(&db), other))
             .unwrap();
         assert_eq!(fourth.stats.cache, CacheOutcome::Hit);
-        assert_eq!(service.cached_sessions(), 1);
+        assert_eq!(service.cached_databases(), 1);
         let serial = Miner::new(other)
             .mine(&db, &mut SequentialBackend::default())
             .unwrap();
@@ -664,10 +676,40 @@ mod tests {
         }
         assert!(!err.to_string().is_empty());
         assert_eq!(service.stats().failed, 1);
-        // The parked session still serves healthy requests afterwards.
+        // The cached index still serves healthy requests afterwards.
         let ok = service.submit(&req).unwrap();
         assert_eq!(ok.stats.cache, CacheOutcome::Hit);
         assert_eq!(service.stats().completed, 1);
+    }
+
+    #[test]
+    fn a_panicking_executor_counts_as_failed_and_keeps_the_cached_index() {
+        struct Panics;
+        impl Executor for Panics {
+            fn execute(
+                &mut self,
+                _: &tdm_core::session::CountRequest<'_>,
+            ) -> Result<tdm_core::session::Counts, tdm_core::session::BackendError> {
+                panic!("executor bug")
+            }
+        }
+        let service = MiningService::new(ServiceConfig {
+            workers: 1,
+            max_in_flight: 1,
+            ..Default::default()
+        });
+        let req = MiningRequest::new(db_of(&"ABC".repeat(30)), cfg());
+        service.submit(&req).unwrap();
+        let unwound =
+            std::panic::catch_unwind(AssertUnwindSafe(|| service.submit_with(&req, &mut Panics)));
+        assert!(unwound.is_err(), "the panic reaches the caller");
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.failed), (1, 1));
+        assert_eq!(service.in_flight(), 0);
+        // Nothing was taken out of the cache, so nothing was lost with it.
+        let next = service.submit(&req).unwrap();
+        assert_eq!(next.stats.cache, CacheOutcome::Hit);
+        assert_eq!(next.result.db_len, 90);
     }
 
     #[test]
@@ -714,9 +756,9 @@ mod tests {
         }
         let stats = service.stats();
         assert_eq!(stats.completed, 3);
-        // The batch planned one session in the one cache.
+        // The batch built one index in the one cache.
         assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1));
-        assert_eq!(service.cached_sessions(), 1);
+        assert_eq!(service.cached_databases(), 1);
 
         // The members share the scans, so a failing executor fails every
         // one of them, and each counts as failed.
@@ -838,10 +880,10 @@ mod tests {
         assert_eq!(service.stats().cancelled, 1);
 
         // The in-flight slot was released (max_in_flight=1: a stuck slot
-        // would deadlock) and the parked session carries no stale token.
+        // would deadlock), and the database's index stays cached.
         let ok = service
             .submit(&MiningRequest::new(db, config))
-            .expect("slot released and token cleared");
+            .expect("slot released");
         assert_eq!(ok.stats.cache, CacheOutcome::Hit);
         assert_eq!(service.stats().completed, 1);
     }

@@ -29,8 +29,8 @@
 //! Everything the in-process path guarantees still holds over the wire:
 //! responses are bit-identical to a serial `Miner::mine` of the same
 //! request, and every request on a database, whatever its connection or α,
-//! reuses that database's parked session: its compiled buffers and its
-//! level-2 pair table. The workspace `tests/server_e2e.rs` suite proves each of
+//! counts against that database's one cached occurrence index, level-2 pair
+//! table included. The workspace `tests/server_e2e.rs` suite proves each of
 //! those claims against a real loopback listener.
 //!
 //! ```no_run

@@ -15,8 +15,8 @@
 //! 3. A `"mine"` request passes the tenant gates in order — API key,
 //!    in-flight quota, token bucket (quota first, so a refusal at the
 //!    quota burns no rate-limit token) — then enters the shared service
-//!    through the same admission gate and session cache in-process callers
-//!    use, so wire requests share a database's parked session with each
+//!    through the same admission gate and index cache in-process callers
+//!    use, so wire requests share a database's cached index with each
 //!    other and with in-process requests. `"deadline_ms"` becomes a
 //!    [`CancelToken`] deadline checked inside the level loop.
 //! 4. The handler decrements the active-connection gauge on the way out —

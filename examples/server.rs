@@ -1,11 +1,11 @@
 //! The network front-end: a loopback `tdm-server`, three tenants, and the
 //! whole gate sequence on display — authentication, rate limits, quotas,
-//! deadlines, and one parked session per database.
+//! deadlines, and one shared occurrence index per database.
 //!
 //! Spins up a real TCP listener on an ephemeral port, then walks through:
 //! a mine round-trip checked bit-identical to serial mining; a cache hit on
 //! the second request; three clients with three thresholds sharing one
-//! database's parked session over the wire; a 1 ms deadline cancelling a run
+//! database's cached index over the wire; a 1 ms deadline cancelling a run
 //! mid-level-loop; and the typed refusals a hostile or over-eager client
 //! sees.
 //!
@@ -64,16 +64,17 @@ fn main() {
         reply.get("cache").and_then(Value::as_str).unwrap_or("?")
     );
 
-    // 3. Same request again: the parked session is a cache hit.
+    // 3. Same request again: the database's cached index is a hit.
     let reply = acme.call(&request).expect("repeat mine failed");
     println!(
-        "repeat: cache {} (planning skipped, warm buffers)\n",
+        "repeat: cache {} (levels 1-2 read from the cached index)\n",
         reply.get("cache").and_then(Value::as_str).unwrap_or("?")
     );
 
     // 4. One database, three connections, three thresholds: the first
-    //    request plans the database's session, the others take it from the
-    //    cache and read level 2 from the pair table the first one built.
+    //    request builds the database's index, the others count against it
+    //    from the cache and read level 2 from the pair table the first one
+    //    built.
     let shared_db = workloads::uniform_letters(20_000, 7);
     let shared_letters: String = shared_db
         .symbols()
@@ -106,7 +107,7 @@ fn main() {
         .and_then(|s| s.get("cache"))
         .expect("no cache stats");
     println!(
-        "session cache over the wire: {} hit(s), {} miss(es)\n",
+        "index cache over the wire: {} hit(s), {} miss(es)\n",
         cache.get("hits").and_then(Value::as_u64).unwrap_or(0),
         cache.get("misses").and_then(Value::as_u64).unwrap_or(0),
     );

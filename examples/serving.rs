@@ -1,4 +1,4 @@
-//! Serving: many concurrent clients, one shared worker pool, a session cache.
+//! Serving: many concurrent clients, one shared worker pool, an index cache.
 //!
 //! Spins up a [`MiningService`], hammers it from 8 client threads with a mix
 //! of workloads, and shows the serving telemetry: cache
@@ -16,7 +16,8 @@ use temporal_mining::workloads;
 
 fn main() {
     // 1. One service for the whole process: a machine-sized shared pool,
-    //    fair FIFO admission, and an LRU cache of parked mining sessions.
+    //    fair FIFO admission, and an LRU cache of one occurrence index per
+    //    database.
     let service = Arc::new(MiningService::new(ServiceConfig {
         cache_capacity: 8,
         ..Default::default()
@@ -84,12 +85,12 @@ fn main() {
     // 4. The telemetry a production operator would scrape.
     let stats = service.stats();
     println!(
-        "\nserved {} requests: {} cache hits, {} misses, {} evictions, {} parked sessions",
+        "\nserved {} requests: {} cache hits, {} misses, {} evictions, {} cached databases",
         stats.completed,
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.evictions,
-        service.cached_sessions()
+        service.cached_databases()
     );
 
     // 5. The serving guarantee: a served result is exactly a serial mine.
@@ -106,9 +107,10 @@ fn main() {
         serial.total_frequent()
     );
 
-    // 6. One parked session per database, whatever the config: four
-    //    thresholds in turn on one database all hit it, and their level 2
-    //    reads the pair table its first mine built.
+    // 6. One shared index per database, whatever the config: four
+    //    thresholds in turn on one database all hit it, each request plans
+    //    its own session over it, and their level 2 reads the pair table its
+    //    first mine built.
     let outcomes: Vec<CacheOutcome> = (0..4)
         .map(|i| {
             let alpha = 0.001 * (2.0 + i as f64);

@@ -20,9 +20,9 @@
 //! * [`workloads`] (`tdm-workloads`) — the paper's 393,019-letter database plus
 //!   spike-train and market-basket generators;
 //! * [`serve`] (`tdm-serve`) — the multi-tenant serving layer: concurrent
-//!   mining sessions over one shared worker pool, with an LRU session cache
-//!   that parks one plan per database (its level-2 pair table included) and
-//!   fair (aging) admission;
+//!   mining sessions over one shared worker pool, with an LRU cache of one
+//!   shared occurrence index per database (its level-2 pair table included)
+//!   and fair (aging) admission;
 //! * [`server`] (`tdm-server`) — the TCP front-end over that layer: a
 //!   length-prefixed JSON protocol with per-tenant API keys, token-bucket
 //!   rate limits, in-flight quotas, and level-loop deadline cancellation.
@@ -77,8 +77,8 @@ pub mod prelude {
     pub use tdm_core::{
         Alphabet, AutoBackend, BackendError, BitmaskNfa, CandidateUnion, CompileError,
         CompiledCandidates, CountRequest, CountScratch, CountSemantics, CountStrategy, Counts,
-        DispatchClass, Episode, EventDb, Executor, GpuDispatchModel, MineError, Miner, MinerConfig,
-        MiningResult, MiningSession, OccurrenceIndex, StrategyCosts, Symbol,
+        Episode, EventDb, Executor, MineError, Miner, MinerConfig, MiningResult, MiningSession,
+        OccurrenceIndex, StrategyCosts, Symbol,
     };
     pub use tdm_gpu::{
         Algorithm, DevicePipeline, GpuBackend, GpuPipelineBackend, KernelRun, MiningProblem,

@@ -17,8 +17,8 @@
 //! Co-mining is an in-process API: `MiningSession::co_mine`, and
 //! `MiningService::submit_batch` for a batch its caller hands in. The
 //! service never holds a request back to fuse it with others; concurrent
-//! requests share a database's parked session and its level-2 pair table
-//! instead.
+//! requests share a database's cached occurrence index and its level-2 pair
+//! table instead.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use temporal_mining::core::count::count_episode;
 use temporal_mining::core::expiry::count_with_expiry;
-use temporal_mining::core::segment::{count_segmented, count_segmented_exact, even_bounds};
+use temporal_mining::core::segment::{count_segmented, count_segmented_exact_items, even_bounds};
 use temporal_mining::core::semantics::{count_distinct_starts, count_non_overlapping};
 use temporal_mining::core::{Alphabet, Episode, EventDb};
 
@@ -170,7 +170,7 @@ proptest! {
         let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
         bounds.sort_unstable();
         prop_assert_eq!(
-            count_segmented_exact(&db, &ep, &bounds),
+            count_segmented_exact_items(db.symbols(), ep.items(), &bounds),
             count_episode(&db, &ep),
             "bounds={:?} n={}", bounds, n
         );

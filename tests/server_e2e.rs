@@ -6,10 +6,10 @@
 //!   **bit-identical** to a serial `Miner::mine` of the same request,
 //!   compared through the same encoder;
 //! * same-database requests on separate connections with different α
-//!   **share one parked session**, proven via the reply's `"cache"` and
+//!   **share one cache entry**, proven via the reply's `"cache"` and
 //!   `"stats"`;
-//! * session-cache hits keep **stable compiled-buffer addresses across
-//!   connections** (an executor-factory spy records every address);
+//! * index-cache hits count against **one occurrence index across
+//!   connections** (an executor-factory spy records its address);
 //! * a 10 ms-deadline request against a slow executor is **cancelled
 //!   mid-level-loop**: later levels never execute, the slot is released,
 //!   and the client gets the typed `"deadline"` error;
@@ -128,8 +128,8 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
 #[test]
 fn same_db_requests_share_one_parked_session_over_the_wire() {
     // Three connections, one database, three thresholds: the first request
-    // plans the database's session, the other two take it from the cache,
-    // and every reply is bit-identical to serial mining.
+    // builds the database's index, the other two count against it from the
+    // cache, and every reply is bit-identical to serial mining.
     let server = Server::bind(ServerConfig {
         handler_threads: 4,
         tenants: tenant_configs(),
@@ -182,11 +182,10 @@ fn same_db_requests_share_one_parked_session_over_the_wire() {
     server.shutdown();
 }
 
-/// An executor that counts for real but records every compiled-candidate
-/// address; each request's trace lands in the shared log when the executor
-/// drops.
+/// An executor that counts for real but records the address of the
+/// occurrence index every level counts against; each request's trace lands
+/// in the shared log when the executor drops.
 struct AddressSpy {
-    inner: ActiveSetBackend,
     addrs: Vec<usize>,
     log: Arc<Mutex<Vec<Vec<usize>>>>,
 }
@@ -194,8 +193,8 @@ struct AddressSpy {
 impl Executor for AddressSpy {
     fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
         self.addrs
-            .push(req.compiled() as *const CompiledCandidates as usize);
-        self.inner.execute(req)
+            .push(req.occurrence_index() as *const OccurrenceIndex as usize);
+        AutoBackend.execute(req)
     }
     fn name(&self) -> &str {
         "address-spy"
@@ -212,7 +211,7 @@ impl Drop for AddressSpy {
 }
 
 #[test]
-fn cache_hits_keep_stable_compiled_buffers_across_connections() {
+fn cache_hits_share_one_index_across_connections() {
     let log: Arc<Mutex<Vec<Vec<usize>>>> = Arc::new(Mutex::new(Vec::new()));
     let factory_log = Arc::clone(&log);
     let server = Server::bind(ServerConfig {
@@ -223,7 +222,6 @@ fn cache_hits_keep_stable_compiled_buffers_across_connections() {
         tenants: tenant_configs(),
         executor_factory: Some(Arc::new(move || {
             Box::new(AddressSpy {
-                inner: ActiveSetBackend::default(),
                 addrs: Vec::new(),
                 log: Arc::clone(&factory_log),
             })
@@ -245,7 +243,7 @@ fn cache_hits_keep_stable_compiled_buffers_across_connections() {
     );
 
     // The cache is keyed on the database alone: a new α on the same stream
-    // is served by the same parked session.
+    // counts against the same index.
     let new_alpha = mine_request(
         "acme",
         "key-a",
@@ -288,19 +286,10 @@ fn cache_hits_keep_stable_compiled_buffers_across_connections() {
 
     let traces = log.lock().unwrap();
     assert_eq!(traces.len(), 4);
-    assert!(!traces[0].is_empty());
-    assert_eq!(
-        traces[1], traces[0],
-        "compiled buffers moved between connections"
-    );
-    assert_eq!(
-        traces[2], traces[0],
-        "compiled buffers moved between connections"
-    );
-    assert!(!traces[3].is_empty());
+    assert!(traces.iter().all(|trace| !trace.is_empty()));
     assert!(
-        traces[3].iter().all(|&a| a == traces[0][0]),
-        "a new α left the parked session's compiled buffers"
+        traces.iter().flatten().all(|&a| a == traces[0][0]),
+        "a request counted against another index"
     );
     server.shutdown();
 }
@@ -367,7 +356,7 @@ fn deadline_cancels_mid_level_loop_over_the_wire() {
     assert!(executes.load(Ordering::SeqCst) <= 1);
 
     // The in-flight slot was released (max_in_flight=1: a leaked slot would
-    // wedge this) and the parked session carries no stale token.
+    // wedge this), and the next request on the database mines normally.
     let reply = client
         .call(&mine_request(
             "acme",

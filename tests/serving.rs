@@ -4,24 +4,23 @@
 //! * 16 concurrent clients over one shared pool and mixed workloads
 //!   (Markov, spike-train, market-basket) — every response bit-identical to
 //!   a serial `Miner::mine` of the same request;
-//! * session-cache hits skip session planning (snapshot, shard bounds, buffer
-//!   allocation): the compiled candidate buffers keep the **same address**
-//!   across requests (asserted with a spy executor);
-//! * the cache is keyed on the database alone: a new α on a parked database
-//!   hits and runs on the parked compiled buffers, and two concurrent
-//!   requests over one database (paper-scan's shape, one α each) both park
-//!   and both hit the next time;
+//! * index-cache hits count against the **same occurrence index** the
+//!   database's first request built (asserted with a spy executor that
+//!   records the index's address);
+//! * the cache is keyed on the database alone: a new α on a cached database
+//!   hits and reads the pair table the first request built, and two
+//!   concurrent requests over one database (paper-scan's shape, one α each)
+//!   count against one index while both are mining;
 //! * an explicit batch (`MiningService::submit_batch`) over one database
-//!   takes one place at the gate and one parked session, runs one union scan
-//!   per level on that session's compiled buffers, and answers each member
-//!   as serial mining would;
+//!   takes one place at the gate and one cache lookup, runs one union scan
+//!   per level against the database's index, and answers each member as
+//!   serial mining would;
 //! * cache hit/miss/eviction semantics and db-hash collision safety — two
 //!   databases with an equal hash-relevant prefix but different content never
-//!   share a session;
+//!   share an index;
 //! * priority + admission-limit plumbing end to end.
 
-use std::sync::Arc;
-use temporal_mining::core::engine::CompiledCandidates;
+use std::sync::{mpsc, Arc};
 use temporal_mining::core::miner::SequentialBackend;
 use temporal_mining::prelude::*;
 use temporal_mining::serve::CacheOutcome;
@@ -100,66 +99,88 @@ fn sixteen_concurrent_clients_match_serial_mining_bit_for_bit() {
     let stats = service.stats();
     assert_eq!(stats.completed, 48);
     assert_eq!(stats.failed + stats.rejected, 0);
-    // 3 workloads, one planned session each; every other request could hit.
+    // 3 workloads, one index built each; every other request could hit.
     assert!(stats.cache.misses as usize >= dbs.len());
     assert!(
         stats.cache.hits > 0,
-        "expected warm-session reuse: {stats:?}"
+        "expected shared-index reuse: {stats:?}"
     );
     assert_eq!(stats.cache.collisions, 0);
 }
 
-/// Records the address of every compiled candidate set it executes against.
+/// Counts with the engine and records, per level, the level, the address of
+/// the occurrence index it counted against, and whether a distinct level 2
+/// found its pair table already built (the cost model then prices the level
+/// at one read per row, with no pass to fill the table).
 #[derive(Default)]
-struct AddressSpy {
-    inner: temporal_mining::baselines::ActiveSetBackend,
-    addrs: Vec<usize>,
+struct IndexSpy {
+    levels: Vec<(usize, usize, bool)>,
 }
 
-impl Executor for AddressSpy {
+impl Executor for IndexSpy {
     fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
-        self.addrs
-            .push(req.compiled() as *const CompiledCandidates as usize);
-        self.inner.execute(req)
+        let index = req.occurrence_index();
+        let table_built = req.compiled().strategy_costs(index).vertical == req.candidates() as f64;
+        self.levels.push((
+            req.level(),
+            index as *const OccurrenceIndex as usize,
+            table_built,
+        ));
+        AutoBackend.execute(req)
     }
 
     fn name(&self) -> &str {
-        "address-spy"
+        "index-spy"
     }
 }
 
+/// The one index address every recorded level counted against.
+fn one_index(levels: &[(usize, usize, bool)]) -> usize {
+    assert!(!levels.is_empty());
+    let address = levels[0].1;
+    assert!(
+        levels.iter().all(|l| l.1 == address),
+        "levels counted against different indexes: {levels:?}"
+    );
+    address
+}
+
+/// Whether level 2 found the pair table built.
+fn level_two_found_the_table(levels: &[(usize, usize, bool)]) -> bool {
+    let level = levels.iter().find(|l| l.0 == 2).expect("level 2 ran");
+    level.2
+}
+
 #[test]
-fn cache_hits_reuse_the_same_compiled_buffers() {
+fn cache_hits_reuse_the_same_occurrence_index() {
     let service = MiningService::new(serve_config(2));
     let db = Arc::new(markov_letters(20_000, 5, 0.6));
     let req = MiningRequest::new(Arc::clone(&db), mine_config());
 
-    let mut spy = AddressSpy::default();
+    let mut spy = IndexSpy::default();
     let cold = service.submit_with(&req, &mut spy).unwrap();
     assert_eq!(cold.stats.cache, CacheOutcome::Miss);
-    assert!(!spy.addrs.is_empty());
-    let cold_addrs = std::mem::take(&mut spy.addrs);
+    let cached = one_index(&spy.levels);
+    assert!(!level_two_found_the_table(&spy.levels));
 
-    // Second, third request: cache hits recompile in place into the parked
-    // session's buffers — every level executes against the very same
-    // compiled allocation the first request planned.
+    // Second, third request: cache hits count every level against the very
+    // index the first request built, pair table included.
     for round in 0..2 {
+        let mut spy = IndexSpy::default();
         let warm = service.submit_with(&req, &mut spy).unwrap();
         assert_eq!(warm.stats.cache, CacheOutcome::Hit, "round {round}");
-        assert_eq!(
-            spy.addrs, cold_addrs,
-            "round {round}: compiled buffers moved across cached requests"
-        );
+        assert_eq!(one_index(&spy.levels), cached, "round {round}");
+        assert!(level_two_found_the_table(&spy.levels), "round {round}");
         assert_eq!(warm.result, cold.result);
-        spy.addrs.clear();
     }
+    assert_eq!(service.cached_databases(), 1);
 }
 
 #[test]
-fn a_new_alpha_on_a_parked_database_hits_the_parked_compiled_buffers() {
+fn a_new_alpha_on_a_cached_database_reads_the_pair_table_the_first_request_built() {
     let service = MiningService::new(serve_config(2));
     let db = Arc::new(markov_letters(20_000, 9, 0.6));
-    let mut spy = AddressSpy::default();
+    let mut spy = IndexSpy::default();
     let cold = service
         .submit_with(
             &MiningRequest::new(Arc::clone(&db), mine_config()),
@@ -167,61 +188,60 @@ fn a_new_alpha_on_a_parked_database_hits_the_parked_compiled_buffers() {
         )
         .unwrap();
     assert_eq!(cold.stats.cache, CacheOutcome::Miss);
-    let parked = std::mem::take(&mut spy.addrs);
-    assert!(!parked.is_empty());
-    assert!(parked.iter().all(|&a| a == parked[0]));
+    let cached = one_index(&spy.levels);
 
-    // A threshold this database has never been mined at: the parked
-    // session is re-targeted to it, not re-planned.
+    // A threshold this database has never been mined at, one level deeper:
+    // the request plans its own session over the cached index.
     let config = MinerConfig {
         alpha: 0.004,
         max_level: Some(3),
         ..Default::default()
     };
+    let mut spy = IndexSpy::default();
     let warm = service
         .submit_with(&MiningRequest::new(Arc::clone(&db), config), &mut spy)
         .unwrap();
     assert_eq!(warm.stats.cache, CacheOutcome::Hit);
     assert_eq!(warm.stats.key, cold.stats.key);
-    let serial = Miner::new(config)
-        .mine(db.as_ref(), &mut SequentialBackend::default())
-        .unwrap();
-    assert_eq!(warm.result, serial);
-    assert!(!spy.addrs.is_empty());
+    assert_eq!(warm.result, serial(&db, config));
+    assert_eq!(one_index(&spy.levels), cached);
     assert!(
-        spy.addrs.iter().all(|&a| a == parked[0]),
-        "a new α must count on the parked session's compiled buffers"
+        level_two_found_the_table(&spy.levels),
+        "a new α must read the pair table the first request built"
     );
-    assert_eq!(service.cached_sessions(), 1);
+    assert_eq!(service.cached_databases(), 1);
 }
 
-/// Holds every request at its first scan until `parties` requests are all
-/// inside one, so that many sessions are out of the cache at once.
-struct GateExecutor {
-    inner: temporal_mining::baselines::ActiveSetBackend,
-    gate: Arc<std::sync::Barrier>,
-    passed: bool,
+/// Counts like [`IndexSpy`], then holds its request inside level 2 until
+/// released: one request mid-level while another mines the same database.
+struct HeldAtLevelTwo {
+    spy: IndexSpy,
+    reached: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
 }
 
-impl Executor for GateExecutor {
+impl Executor for HeldAtLevelTwo {
     fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
-        if !self.passed {
-            self.passed = true;
-            self.gate.wait();
+        let counts = self.spy.execute(req)?;
+        if req.level() == 2 {
+            self.reached.send(()).unwrap();
+            self.release.recv().unwrap();
         }
-        self.inner.execute(req)
+        Ok(counts)
     }
 
     fn name(&self) -> &str {
-        "gate"
+        "held"
     }
 }
 
 #[test]
-fn concurrent_requests_with_different_alphas_each_park_and_each_hit() {
-    // Paper-scan's shape: two lanes mine one database at once, one α each.
-    // Both sessions are taken out together, so both must be parked again —
-    // one entry per database would make one lane miss on every overlap.
+fn concurrent_requests_on_one_database_count_against_one_index() {
+    // Paper-scan's shape: two requests on one database at once, one α each.
+    // The first is held inside level 2, after its count built the pair
+    // table; the second runs start to finish meanwhile. Nothing is taken out
+    // of the cache while a request mines, so the second hits, counts against
+    // the first one's index, and finds the pair table built.
     let service = Arc::new(MiningService::new(ServiceConfig {
         workers: 2,
         max_in_flight: 2,
@@ -232,60 +252,48 @@ fn concurrent_requests_with_different_alphas_each_park_and_each_hit() {
         mine_config(),
         MinerConfig {
             alpha: 0.01,
-            max_level: Some(3),
-            ..Default::default()
+            ..mine_config()
         },
     ];
-    let serial: Vec<MiningResult> = configs
-        .iter()
-        .map(|cfg| {
-            Miner::new(*cfg)
-                .mine(db.as_ref(), &mut SequentialBackend::default())
-                .unwrap()
-        })
-        .collect();
-    let concurrent_round = || {
-        let gate = Arc::new(std::sync::Barrier::new(configs.len()));
-        std::thread::scope(|s| {
-            let lanes: Vec<_> = configs
-                .iter()
-                .map(|cfg| {
-                    let service = Arc::clone(&service);
-                    let req = MiningRequest::new(Arc::clone(&db), *cfg);
-                    let gate = Arc::clone(&gate);
-                    s.spawn(move || {
-                        let mut executor = GateExecutor {
-                            inner: Default::default(),
-                            gate,
-                            passed: false,
-                        };
-                        service.submit_with(&req, &mut executor).unwrap()
-                    })
-                })
-                .collect();
-            lanes
-                .into_iter()
-                .map(|lane| lane.join().unwrap())
-                .collect::<Vec<_>>()
-        })
-    };
-
-    let first = concurrent_round();
-    assert!(first.iter().all(|r| r.stats.cache == CacheOutcome::Miss));
-    assert_eq!(service.cached_sessions(), 2, "both lanes park");
-    let second = concurrent_round();
+    let (reached_tx, reached) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let (first, first_levels, second, second_levels) = std::thread::scope(|s| {
+        let held = {
+            let service = Arc::clone(&service);
+            let req = MiningRequest::new(Arc::clone(&db), configs[0]);
+            s.spawn(move || {
+                let mut executor = HeldAtLevelTwo {
+                    spy: IndexSpy::default(),
+                    reached: reached_tx,
+                    release: release_rx,
+                };
+                let response = service.submit_with(&req, &mut executor).unwrap();
+                (response, executor.spy.levels)
+            })
+        };
+        reached.recv().unwrap();
+        let mut spy = IndexSpy::default();
+        let second = service
+            .submit_with(&MiningRequest::new(Arc::clone(&db), configs[1]), &mut spy)
+            .unwrap();
+        assert_eq!(service.in_flight(), 1, "the first request is still mining");
+        release.send(()).unwrap();
+        let (first, first_levels) = held.join().unwrap();
+        (first, first_levels, second, spy.levels)
+    });
+    assert_eq!(first.stats.cache, CacheOutcome::Miss);
+    assert_eq!(second.stats.cache, CacheOutcome::Hit);
+    assert_eq!(one_index(&first_levels), one_index(&second_levels));
+    assert!(!level_two_found_the_table(&first_levels));
     assert!(
-        second.iter().all(|r| r.stats.cache == CacheOutcome::Hit),
-        "both lanes must find a parked session"
+        level_two_found_the_table(&second_levels),
+        "the pair table was built twice"
     );
-    assert_eq!(service.cached_sessions(), 2);
-    for (round, responses) in [first, second].iter().enumerate() {
-        for (resp, want) in responses.iter().zip(&serial) {
-            assert_eq!(resp.result, *want, "round {round}");
-        }
-    }
+    assert_eq!(first.result, serial(&db, configs[0]));
+    assert_eq!(second.result, serial(&db, configs[1]));
+    assert_eq!(service.cached_databases(), 1);
     let stats = service.stats();
-    assert_eq!((stats.cache.hits, stats.cache.misses), (2, 2));
+    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
 }
 
 #[test]
@@ -316,9 +324,9 @@ fn equal_prefix_different_content_never_shares_a_session() {
         "different content must mine differently"
     );
     assert_ne!(ra.stats.key, rb.stats.key, "content hash ignored the tail");
-    assert_eq!(service.cached_sessions(), 2);
+    assert_eq!(service.cached_databases(), 2);
 
-    // Each db re-hits its own session, and the results replay exactly.
+    // Each db re-hits its own entry, and the results replay exactly.
     let ra2 = service.submit(&MiningRequest::new(a, cfg)).unwrap();
     let rb2 = service.submit(&MiningRequest::new(b, cfg)).unwrap();
     assert_eq!(ra2.stats.cache, CacheOutcome::Hit);
@@ -343,15 +351,15 @@ fn eviction_makes_room_and_evicted_requests_miss_again() {
             .unwrap();
     }
     let stats = service.stats();
-    assert_eq!(service.cached_sessions(), 2);
+    assert_eq!(service.cached_databases(), 2);
     assert_eq!(stats.cache.evictions, 1);
-    // The first workload was evicted (LRU): resubmitting misses, re-plans,
-    // and still produces the right result.
+    // The first workload was evicted (LRU): resubmitting misses, rebuilds
+    // its index, and still produces the right result.
     let again = service
         .submit(&MiningRequest::new(Arc::clone(&dbs[0]), cfg))
         .unwrap();
     assert_eq!(again.stats.cache, CacheOutcome::Miss);
-    // The most-recent workload is still parked.
+    // The most-recent workload is still cached.
     let warm = service
         .submit(&MiningRequest::new(Arc::clone(&dbs[2]), cfg))
         .unwrap();
@@ -365,10 +373,10 @@ fn serial(db: &EventDb, cfg: MinerConfig) -> MiningResult {
 }
 
 #[test]
-fn cache_hits_may_join_a_batch_and_parked_sessions_stay_stable_after_union_scans() {
-    // A solo request parks the database's session. A later batch over that
-    // database is a cache hit: its union scans run on the parked session's
-    // compiled buffers, and the session goes back to the cache unmoved.
+fn cache_hits_may_join_a_batch_over_the_cached_index() {
+    // A solo request caches the database's index. A later batch over that
+    // database is a cache hit: its union scans count against the same index,
+    // and so does the next solo request.
     let service = MiningService::new(serve_config(2));
     let db = Arc::new(markov_letters(15_000, 41, 0.6));
     let cfg_a = mine_config();
@@ -380,38 +388,30 @@ fn cache_hits_may_join_a_batch_and_parked_sessions_stay_stable_after_union_scans
     let serial_a = serial(&db, cfg_a);
     let serial_b = serial(&db, cfg_b);
 
-    // Park a session for the database and record its compiled-buffer
-    // address.
-    let mut spy = AddressSpy::default();
+    let mut spy = IndexSpy::default();
     let cold = service.submit_with(&req_a, &mut spy).unwrap();
     assert_eq!(cold.stats.cache, CacheOutcome::Miss);
     assert_eq!(cold.result, serial_a);
-    let parked_addrs = std::mem::take(&mut spy.addrs);
-    assert!(!parked_addrs.is_empty());
+    let cached = one_index(&spy.levels);
 
     let batch = [req_a.clone(), MiningRequest::new(Arc::clone(&db), cfg_b)];
+    let mut spy = IndexSpy::default();
     let fused = service.submit_batch(&batch, &mut spy).unwrap();
-    let union_addrs = std::mem::take(&mut spy.addrs);
     assert!(fused.iter().all(|r| r.stats.cache == CacheOutcome::Hit));
     assert_eq!(fused[0].result, serial_a);
     assert_eq!(fused[1].result, serial_b);
-    assert!(!union_addrs.is_empty());
-    assert!(
-        union_addrs.iter().all(|&a| a == parked_addrs[0]),
-        "the union scans ran outside the parked session's buffers"
+    assert_eq!(
+        one_index(&spy.levels),
+        cached,
+        "the union scans counted against another index"
     );
-    assert_eq!(service.cached_sessions(), 1);
+    assert_eq!(service.cached_databases(), 1);
 
-    // The batch parked the same session again: the next solo request hits
-    // the cache and executes against the *same* compiled allocation as
-    // before the batch.
+    let mut spy = IndexSpy::default();
     let warm = service.submit_with(&req_a, &mut spy).unwrap();
     assert_eq!(warm.stats.cache, CacheOutcome::Hit);
     assert_eq!(warm.result, serial_a);
-    assert_eq!(
-        spy.addrs, parked_addrs,
-        "union scan moved a parked session's compiled buffers"
-    );
+    assert_eq!(one_index(&spy.levels), cached);
 }
 
 /// Counts executor invocations: the instrument for "one union scan per
@@ -562,13 +562,11 @@ fn saturated_gate_fuses_queued_requests_into_one_union_scan_per_level() {
 }
 
 #[test]
-fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
-    // The same two-config bundle submitted twice: the second batch must take
-    // the database's parked session from the session cache and recompile in
-    // place, so the union scan executes against the *same* compiled
-    // allocation both times. Its members arrive in swapped order: the
-    // session mines them in request order, so each member still gets its own
-    // result.
+fn repeated_bundles_hit_the_cache_and_share_its_index() {
+    // The same two-config bundle submitted twice: the second batch hits the
+    // database's cache entry, so both union scans count against one index.
+    // Its members arrive in swapped order: the session mines them in request
+    // order, so each member still gets its own result.
     let service = MiningService::new(serve_config(2));
     let db = Arc::new(markov_letters(15_000, 17, 0.6));
     let cfg_a = mine_config();
@@ -577,14 +575,14 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
         ..mine_config()
     };
 
-    // (result for cfg_a, result for cfg_b, compiled addresses).
-    let mut rounds: Vec<(MiningResult, MiningResult, Vec<usize>)> = Vec::new();
+    // (result for cfg_a, result for cfg_b, index address).
+    let mut rounds: Vec<(MiningResult, MiningResult, usize)> = Vec::new();
     for (round, (first, second)) in [(cfg_a, cfg_b), (cfg_b, cfg_a)].into_iter().enumerate() {
         let bundle = [
             MiningRequest::new(Arc::clone(&db), first),
             MiningRequest::new(Arc::clone(&db), second),
         ];
-        let mut spy = AddressSpy::default();
+        let mut spy = IndexSpy::default();
         let mut responses = service.submit_batch(&bundle, &mut spy).unwrap();
         assert_eq!(responses.len(), 2, "round {round}");
         let want = if round == 0 {
@@ -596,7 +594,6 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
             responses.iter().all(|r| r.stats.cache == want),
             "round {round}"
         );
-        assert!(!spy.addrs.is_empty());
         let second = responses.pop().unwrap().result;
         let first = responses.pop().unwrap().result;
         let (for_a, for_b) = if round == 0 {
@@ -604,11 +601,11 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
         } else {
             (second, first)
         };
-        rounds.push((for_a, for_b, spy.addrs));
+        rounds.push((for_a, for_b, one_index(&spy.levels)));
     }
     assert_eq!(
         rounds[0].2, rounds[1].2,
-        "cached bundle session's compiled union buffers moved across batches"
+        "the second bundle counted against another index"
     );
     let serial_a = serial(&db, cfg_a);
     let serial_b = serial(&db, cfg_b);
@@ -618,18 +615,18 @@ fn repeated_bundles_hit_the_co_session_cache_with_stable_buffers() {
     }
     let stats = service.stats();
     assert_eq!(stats.completed, 4);
-    assert_eq!(stats.cache.misses, 1, "first bundle plans the session");
+    assert_eq!(stats.cache.misses, 1, "first bundle builds the index");
     assert_eq!(stats.cache.hits, 1, "second bundle must reuse it");
     assert_eq!(stats.cache.collisions, 0);
-    assert_eq!(service.cached_sessions(), 1);
+    assert_eq!(service.cached_databases(), 1);
 }
 
 #[test]
 fn one_lru_holds_sessions_for_every_batch_size() {
     // Two slots shared by lone requests (batches of one) and a two-member
-    // bundle, each over its own database: the third insertion evicts the
-    // least recently used entry whatever its batch size, and the bundle
-    // still hits afterwards.
+    // bundle, each over its own database: the third database evicts the
+    // least recently used entry whatever batch size cached it, and the
+    // bundle still hits afterwards.
     let service = MiningService::new(ServiceConfig {
         workers: 2,
         cache_capacity: 2,
@@ -660,23 +657,22 @@ fn one_lru_holds_sessions_for_every_batch_size() {
     let (first, second) = bundle(cfg_b, cfg_c);
     assert_eq!(first.stats.cache, CacheOutcome::Miss);
     assert_eq!(second.stats.cache, CacheOutcome::Miss);
-    // A second lone request on a third database: the third insertion evicts
-    // the first.
+    // A second lone request on a third database: it evicts the first.
     let other = service
         .submit(&MiningRequest::new(Arc::clone(&other_db), cfg_d))
         .unwrap();
     assert_eq!(other.stats.cache, CacheOutcome::Miss);
     let stats = service.stats();
     assert_eq!(stats.cache.evictions, 1);
-    assert_eq!(service.cached_sessions(), 2);
+    assert_eq!(service.cached_databases(), 2);
 
-    // The bundle's second round (members swapped) finds its session parked.
+    // The bundle's second round (members swapped) finds its entry cached.
     let (first, second) = bundle(cfg_c, cfg_b);
     assert_eq!(first.stats.cache, CacheOutcome::Hit);
     assert_eq!(second.stats.cache, CacheOutcome::Hit);
     assert_eq!(first.result, serial(&bundle_db, cfg_c));
     assert_eq!(second.result, serial(&bundle_db, cfg_b));
-    // The evicted lone request misses again and re-plans.
+    // The evicted lone request misses again and rebuilds its index.
     let again = service
         .submit(&MiningRequest::new(Arc::clone(&lone_db), cfg_a))
         .unwrap();

@@ -18,8 +18,8 @@
 #     noise allowance), guarding the single-worker dispatch fix: cutting
 #     shards without threads to scan them is how this ratio regresses.
 #   * `small_mine_parked_vs_seed` < MIN_SMALL_MINE — a whole served mine on
-#     the small-requests shape (4,000 letters, α 0.001, levels 1–2) on a
-#     parked session must stay this many times faster than the seed counter
+#     the small-requests shape (4,000 letters, α 0.001, levels 1–2) over an
+#     already built index must stay this many times faster than the seed counter
 #     over the same candidates. Counting is a few index reads there, so the
 #     ratio guards the level loop around them: candidate generation, compile
 #     and elimination.
@@ -62,6 +62,8 @@ set -euo pipefail
 BENCH="${1:-BENCH_counting.json}"
 SERVE="${2:-}"
 GPU="${3:-}"
+# Every bound below is fixed here, not read from the environment: only a
+# reviewed edit moves one.
 # Committed baseline 1.145 (results/BENCH_counting.json, one core under
 # `taskset -c 0` on a 2-vCPU host, the median of three regenerations that
 # read 1.215, 0.878 and 1.145; earlier ones read 0.832-1.285 — on one core
@@ -72,8 +74,8 @@ GPU="${3:-}"
 # swing in host speed lands on both sides. The floor sits under every
 # reading with a timing-noise allowance. Multi-core CI runners clear it with
 # real speedup.
-MIN_SHARDED="${MIN_SHARDED:-0.70}"
-MIN_BEST="${MIN_BEST:-1.0}"
+MIN_SHARDED=0.70
+MIN_BEST=1.0
 # Committed baseline 37.68 (results/BENCH_counting.json, one core under
 # `taskset -c 0` on a 2-vCPU host). On that host 28 readings of the level
 # loop with one-word member sets and integer thresholds ran 28.8-55.3,
@@ -81,18 +83,17 @@ MIN_BEST="${MIN_BEST:-1.0}"
 # code, ran 11.1-19.5. The lowest reading sat 20% under the median, and the
 # floor leaves the same 20% again under the lowest (28.8 x 0.8 = 23); the
 # earlier loop's highest reading is 15% under the floor. No reading comes
-# from a CI runner. Fixed here, not read from the environment: only an edit
-# moves it.
+# from a CI runner.
 MIN_SMALL_MINE=23.0
-MIN_INCREMENTAL="${MIN_INCREMENTAL:-2.0}"
+MIN_INCREMENTAL=2.0
 # Socket-path guards: scaling floor well under the committed artifact (16
 # clients on one core can only tie, not win), overhead ceiling well over it
 # (the wire should cost a small multiple, never orders of magnitude).
-MIN_SOCKET_SCALING="${MIN_SOCKET_SCALING:-0.3}"
-MAX_SOCKET_OVERHEAD="${MAX_SOCKET_OVERHEAD:-40.0}"
+MIN_SOCKET_SCALING=0.3
+MAX_SOCKET_OVERHEAD=40.0
 # GPU floors are deterministic (simulated time): no noise allowance needed.
-MIN_GPU_FUSED="${MIN_GPU_FUSED:-1.2}"
-MIN_GPU_UNION="${MIN_GPU_UNION:-1.0}"
+MIN_GPU_FUSED=1.2
+MIN_GPU_UNION=1.0
 
 [ -f "$BENCH" ] || { echo "bench_guard: $BENCH not found" >&2; exit 1; }
 
