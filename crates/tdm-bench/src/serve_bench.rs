@@ -101,9 +101,9 @@ pub struct LoadPoint {
     pub p50_ms: f64,
     /// 95th-percentile per-request latency, milliseconds.
     pub p95_ms: f64,
-    /// Session-cache hits across the rung.
+    /// Index-cache hits across the rung.
     pub cache_hits: u64,
-    /// Session-cache misses across the rung.
+    /// Index-cache misses across the rung.
     pub cache_misses: u64,
 }
 

@@ -6,8 +6,7 @@
 //! 15,600 candidates at levels 1–3 over the Latin alphabet. [`permutations`]
 //! enumerates that space directly; [`apriori_join`] grows candidates
 //! level-by-level from a surviving frequent set. The mining loop
-//! ([`crate::session`]) runs the same join on a flat candidate lattice instead,
-//! for any number of co-mined members at once.
+//! ([`crate::session`]) runs the same join on a flat candidate lattice instead.
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::episode::Episode;
@@ -130,7 +129,7 @@ pub fn apriori_join(frequent: &[Episode], distinct_only: bool) -> Vec<Episode> {
 
 /// The flat candidate lattice behind the mining loop: one level of candidate
 /// rows at a time, each linked to the two rows of the previous level it was
-/// joined from, shared by up to 64 members of a co-mined batch.
+/// joined from.
 ///
 /// * **Rows.** A level-`k` row holds `k` items. Its *prefix parent* is the
 ///   previous-level row holding its first `k − 1` items, its *suffix parent*
@@ -147,18 +146,14 @@ pub fn apriori_join(frequent: &[Episode], distinct_only: bool) -> Vec<Episode> {
 /// * **Repeats.** The join records the rows that repeat an item, ascending:
 ///   a row repeats exactly when its prefix parent does or its last item is
 ///   one of the parent's, so the compile never inspects a row for repeats.
-/// * **Members.** Each row carries its member set in one `u64` (bit `m` for
-///   the batch's `m`-th config). Before elimination it is the set of members
-///   the row is a candidate for; [`narrow`](Lattice::narrow) and
-///   [`Frequent::keep`] narrow it to the members the row is frequent for and
-///   that mine the next level. A level starts with no empty set.
-/// * **The join.** [`join`](Lattice::join) pairs each row `a` with the rows of
-///   the range whose prefix parent is `a`'s suffix parent: a member keeps the
-///   new row when both parents are in its set and the row passes its
-///   `distinct_items_only` rule. For each member that is exactly
-///   [`apriori_join`] of its frequent set, in the same order, with no
-///   hashing, sorting or allocation per candidate; the rows are the union of
-///   the members' candidate sets.
+/// * **Frequent flags.** [`narrow`](Lattice::narrow) flags each row frequent
+///   or not; the join reads the flags.
+/// * **The join.** [`join`](Lattice::join) pairs each frequent row `a` with
+///   the frequent rows of the range whose prefix parent is `a`'s suffix
+///   parent, and keeps the new row unless it repeats an item under
+///   `distinct_items_only`. That is exactly [`apriori_join`] of the frequent
+///   set, in the same order, with no hashing, sorting or allocation per
+///   candidate.
 #[derive(Debug)]
 pub(crate) struct Lattice {
     level: usize,
@@ -169,29 +164,28 @@ pub(crate) struct Lattice {
     /// The rows whose prefix parent is previous-level row `p` are
     /// `children[p]..children[p + 1]`.
     children: Vec<u32>,
-    /// Row `r`'s member set.
-    members: Vec<u64>,
+    /// Whether row `r` is frequent (false until [`narrow`](Lattice::narrow)).
+    frequent: Vec<bool>,
     /// The rows that repeat an item, ascending.
     repeated: Vec<u32>,
     /// The rows anchored at symbol `c` (first item `c`) are
     /// `anchors[c]..anchors[c + 1]`.
     anchors: Vec<u32>,
-    /// The rows [`narrow`](Lattice::narrow) left with a member, read only
-    /// through the [`Frequent`] it returns.
+    /// The rows [`narrow`](Lattice::narrow) flagged, ascending.
     hits: Vec<u32>,
 }
 
 impl Lattice {
-    /// Level 1: one row per symbol of an `alphabet_len`-symbol alphabet, a
-    /// candidate for every member of `mining` (no rows when it is empty).
-    pub(crate) fn singletons(alphabet_len: usize, mining: u64) -> Self {
-        let rows = if mining != 0 { alphabet_len } else { 0 };
+    /// Level 1: one row per symbol of an `alphabet_len`-symbol alphabet, or
+    /// no rows when the mine counts no level (`mining` false).
+    pub(crate) fn singletons(alphabet_len: usize, mining: bool) -> Self {
+        let rows = if mining { alphabet_len } else { 0 };
         Lattice {
             level: 1,
             items: (0..rows).map(|s| s as u8).collect(),
             suffix: vec![0; rows],
             children: vec![0, rows as u32],
-            members: vec![mining; rows],
+            frequent: vec![false; rows],
             repeated: Vec::new(),
             anchors: (0..=alphabet_len).map(|c| c.min(rows) as u32).collect(),
             hits: Vec::new(),
@@ -203,7 +197,7 @@ impl Lattice {
         self.suffix.len()
     }
 
-    /// True when no member has a candidate at this level.
+    /// True when this level has no candidate.
     pub(crate) fn is_empty(&self) -> bool {
         self.suffix.is_empty()
     }
@@ -229,75 +223,75 @@ impl Lattice {
         &self.anchors
     }
 
-    /// Every row's member set, in row order.
-    pub(crate) fn members(&self) -> &[u64] {
-        &self.members
-    }
-
-    /// The elimination step: narrows every row's set to the members
-    /// `frequent(row)` admits, the members the row is frequent for, and
-    /// returns the rows left with a member. The step ends with
-    /// [`Frequent::keep`], which the borrow makes the next call on the
-    /// lattice.
-    pub(crate) fn narrow(&mut self, frequent: impl Fn(usize) -> u64) -> Frequent<'_> {
+    /// The elimination step: flags each row `r` frequent or not by
+    /// `frequent(r)`, and returns the frequent rows in order, each with its
+    /// index and items.
+    pub(crate) fn narrow(
+        &mut self,
+        frequent: impl Fn(usize) -> bool,
+    ) -> impl Iterator<Item = (usize, &[u8])> {
         // Without a branch per row: frequent rows are few and scattered, so
         // a branch would mispredict on most of them.
         self.hits.clear();
         self.hits.resize(self.len(), 0);
         let mut hits = 0;
-        for (r, set) in self.members.iter_mut().enumerate() {
-            *set &= frequent(r);
+        for (r, flag) in self.frequent.iter_mut().enumerate() {
+            *flag = frequent(r);
             self.hits[hits] = r as u32;
-            hits += usize::from(*set != 0);
+            hits += usize::from(*flag);
         }
         self.hits.truncate(hits);
-        Frequent { lattice: self }
+        let (k, items) = (self.level, &self.items);
+        self.hits.iter().map(move |&r| {
+            let r = r as usize;
+            (r, &items[r * k..(r + 1) * k])
+        })
     }
 
     /// The generation step: replaces this level with the next one, joined
-    /// from the rows' current member sets. `distinct` is the set of members
-    /// whose candidates may not repeat an item.
+    /// from the frequent rows. With `distinct`, a candidate may not repeat
+    /// an item.
     ///
     /// # Panics
     /// When the next level has more than `u32::MAX` rows.
-    pub(crate) fn join(&mut self, distinct: u64) {
+    pub(crate) fn join(&mut self, distinct: bool) {
         let k = self.level;
         // At most every row of each joining row's range, so the buffers
         // never grow mid-join.
         let bound: usize = self
-            .members
+            .frequent
             .iter()
             .zip(&self.suffix)
-            .filter(|&(&set, _)| set != 0)
+            .filter(|&(&frequent, _)| frequent)
             .map(|(_, &s)| (self.children[s as usize + 1] - self.children[s as usize]) as usize)
             .sum();
         let mut items = Vec::with_capacity(bound * (k + 1));
         let mut suffix = Vec::with_capacity(bound);
-        let mut members = Vec::with_capacity(bound);
         let mut children = Vec::with_capacity(self.len() + 1);
         let mut repeated = Vec::new();
         let row_id = |rows: usize| u32::try_from(rows).expect("lattice rows fit u32 ids");
         let mut repeats_ahead = self.repeated.iter().copied();
         let mut next_repeat = repeats_ahead.next();
-        for (a, (items_a, &set_a)) in self.items.chunks_exact(k).zip(&self.members).enumerate() {
+        for (a, (items_a, &frequent_a)) in
+            self.items.chunks_exact(k).zip(&self.frequent).enumerate()
+        {
             children.push(row_id(suffix.len()));
-            // A repeating row holds no member that wants distinct items, so
-            // neither does any row joined from it.
+            // A row joined from a repeating row repeats too: it holds all
+            // of that row's items.
             let a_repeats = next_repeat == Some(a as u32);
             if a_repeats {
                 next_repeat = repeats_ahead.next();
             }
-            if set_a == 0 {
+            if !frequent_a {
                 continue;
             }
             let s = self.suffix[a] as usize;
             let first = self.children[s] as usize;
-            let sets = &self.members[first..self.children[s + 1] as usize];
-            for (b, &set_b) in (first..).zip(sets) {
+            let flags = &self.frequent[first..self.children[s + 1] as usize];
+            for (b, &frequent_b) in (first..).zip(flags) {
                 let item = self.items[b * k + k - 1];
                 let repeats = items_a.contains(&item);
-                let set = set_a & set_b & if repeats { !distinct } else { !0 };
-                if set == 0 {
+                if !frequent_b || (repeats && distinct) {
                     continue;
                 }
                 if a_repeats || repeats {
@@ -307,7 +301,6 @@ impl Lattice {
                 // costs more than the row.
                 items.extend(items_a.iter().copied().chain([item]));
                 suffix.push(b as u32);
-                members.push(set);
             }
         }
         children.push(row_id(suffix.len()));
@@ -315,46 +308,13 @@ impl Lattice {
         *self = Lattice {
             level: k + 1,
             items,
+            frequent: vec![false; suffix.len()],
             suffix,
             children,
-            members,
             repeated,
             anchors,
             hits: std::mem::take(&mut self.hits),
         };
-    }
-}
-
-/// The rows [`Lattice::narrow`] left with a member, borrowing the lattice
-/// until [`keep`](Frequent::keep) ends the elimination step.
-#[must_use = "`keep` ends the elimination step"]
-pub(crate) struct Frequent<'a> {
-    lattice: &'a mut Lattice,
-}
-
-impl Frequent<'_> {
-    /// The rows in order: each row's member set, index and items.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = (u64, usize, &[u8])> {
-        let Lattice {
-            level: k,
-            items,
-            members,
-            hits,
-            ..
-        } = &*self.lattice;
-        hits.iter().map(move |&r| {
-            let r = r as usize;
-            (members[r], r, &items[r * k..(r + 1) * k])
-        })
-    }
-
-    /// Ends the elimination step: each row keeps only the members of
-    /// `next`, the members that mine the next level.
-    pub(crate) fn keep(self, next: u64) {
-        let Lattice { members, hits, .. } = self.lattice;
-        for &r in hits.iter() {
-            members[r as usize] &= next;
-        }
     }
 }
 
@@ -430,20 +390,17 @@ mod tests {
     }
 
     proptest! {
-        /// Lattices grown by the join for up to three members, each member
-        /// with or without repeated items, with random rows eliminated for
-        /// random members between levels: at every level the rows compile
-        /// by `recompile_rows`, from the join's repeat list and anchor runs,
-        /// exactly as they compile from `Episode`s.
+        /// Lattices grown by the join, with or without repeated items, with
+        /// random rows eliminated between levels: at every level the rows
+        /// compile by `recompile_rows`, from the join's repeat list and
+        /// anchor runs, exactly as they compile from `Episode`s, and the
+        /// next level is `apriori_join` of the rows kept frequent.
         #[test]
         fn lattice_rows_compile_like_their_episodes(
             sigma in 1usize..=64,
-            members in 1usize..=3,
-            distinct in 0u64..8,
+            distinct in true,
             seed in 1u64..u64::MAX,
         ) {
-            let all = (1u64 << members) - 1;
-            let distinct = distinct & all;
             let state = std::cell::Cell::new(seed);
             let random = || {
                 let mut x = state.get();
@@ -453,8 +410,9 @@ mod tests {
                 state.set(x);
                 x
             };
-            let mut lattice = Lattice::singletons(sigma, all);
+            let mut lattice = Lattice::singletons(sigma, true);
             let mut compiled = CompiledCandidates::default();
+            let mut expected: Option<Vec<Episode>> = None;
             for level in 1..=4 {
                 prop_assert_eq!(lattice.level(), level);
                 compiled.recompile_rows(
@@ -469,6 +427,9 @@ mod tests {
                     .chunks_exact(level)
                     .map(|row| Episode::new(row.to_vec()).unwrap())
                     .collect();
+                if let Some(expected) = &expected {
+                    prop_assert_eq!(&episodes, expected);
+                }
                 let reference = CompiledCandidates::compile(sigma, &episodes);
                 prop_assert_eq!(compiled.len(), reference.len());
                 for r in 0..compiled.len() {
@@ -479,11 +440,21 @@ mod tests {
                 }
                 prop_assert_eq!(compiled.all_distinct(), reference.all_distinct());
                 prop_assert_eq!(compiled.max_level(), reference.max_level());
-                // Keep about 40 rows, each for a random subset of members.
+                // Keep about 40 rows frequent.
                 let rows = episodes.len().max(1) as u64;
-                lattice
-                    .narrow(|_| if random() % rows < 40 { random() & all } else { 0 })
-                    .keep(all);
+                let keep: Vec<bool> = (0..episodes.len()).map(|_| random() % rows < 40).collect();
+                let frequent: Vec<Episode> = lattice
+                    .narrow(|r| keep[r])
+                    .map(|(_, items)| Episode::new(items.to_vec()).unwrap())
+                    .collect();
+                let kept: Vec<Episode> = episodes
+                    .iter()
+                    .zip(&keep)
+                    .filter(|&(_, &k)| k)
+                    .map(|(e, _)| e.clone())
+                    .collect();
+                prop_assert_eq!(&frequent, &kept);
+                expected = Some(apriori_join(&frequent, distinct));
                 lattice.join(distinct);
             }
         }

@@ -862,7 +862,8 @@ impl CountScratch {
 }
 
 /// The deduplicated union of several candidate sets, with per-source
-/// ownership maps — the compile side of **cross-request co-mining**.
+/// ownership maps — the compile side of a K-tenant **union launch** (the
+/// simulated GPU pipeline's `advance_union`).
 ///
 /// When K concurrent mining requests share one database, their per-level
 /// candidate sets usually overlap heavily (identical configs overlap fully;
@@ -887,7 +888,7 @@ impl CountScratch {
 /// per-source scans.
 ///
 /// [`rebuild`](CandidateUnion::rebuild) reuses every buffer's capacity, so a
-/// co-mining session re-unions each level without steady-state allocation.
+/// caller can re-union each level without steady-state allocation.
 ///
 /// ```
 /// use tdm_core::engine::{CandidateUnion, CompiledCandidates, CountScratch};
@@ -933,7 +934,7 @@ impl CandidateUnion {
     }
 
     /// Rebuilds the union in place, reusing every buffer's capacity — the
-    /// per-level step of a co-mining session.
+    /// per-level step of a caller that unions every level.
     pub fn rebuild(&mut self, sources: &[&[Episode]]) {
         self.episodes.clear();
         self.map_items.clear();
@@ -942,8 +943,8 @@ impl CandidateUnion {
         self.map_offsets.push(0);
         for source in sources {
             for ep in source.iter() {
-                // Probe before cloning: in the heavy-overlap regime co-mining
-                // targets, most candidates are duplicates, and the episode is
+                // Probe before cloning: in the heavy-overlap regime unions
+                // target, most candidates are duplicates, and the episode is
                 // only cloned on a genuine first appearance.
                 let slot = match self.index.get(ep) {
                     Some(&slot) => slot,
@@ -975,7 +976,7 @@ impl CandidateUnion {
         self.map_offsets.len().saturating_sub(1)
     }
 
-    /// The deduplicated episode set — what a co-mining scan compiles.
+    /// The deduplicated episode set — what a union scan compiles.
     pub fn episodes(&self) -> &[Episode] {
         &self.episodes
     }

@@ -46,8 +46,7 @@ use crate::segment::scan_segment_items;
 /// level's [`CompiledCandidates::count_vertical`] — a session caches one
 /// behind a `OnceLock` on its stream snapshot, or is handed a shared one
 /// ([`MiningSessionBuilder::with_index`](crate::session::MiningSessionBuilder::with_index)),
-/// so co-mined batches and every served request on a database build it
-/// exactly once.
+/// so every served request on a database shares one build.
 ///
 /// The build is one counting pass: the per-symbol counts are all the cost
 /// model ([`CompiledCandidates::strategy_costs`]) and level-1 counts ever

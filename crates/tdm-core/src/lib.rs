@@ -32,13 +32,10 @@
 //!   each level once and owns the persistent worker pool, while counting
 //!   backends implement [`session::Executor`] over borrowed
 //!   [`session::CountRequest`] views ([`session`]);
-//! * **co-mining**: a [`session::MiningSession`] built with
-//!   several configurations advances them over one database in lockstep on
-//!   one flat candidate lattice — one join, one compile and one shared scan
-//!   per level, whose counts every member reads in place — bit-identical to
-//!   mining each configuration alone;
-//! * the level-wise mining loop of the paper's Algorithm 1, a thin driver
-//!   over a session ([`miner`]);
+//! * the level-wise mining loop of the paper's Algorithm 1: a session mines
+//!   one configuration on one flat candidate lattice — one join, one compile
+//!   and one scan per level, whose counts it reads in place — and
+//!   [`miner`] is a thin driver over a session;
 //! * the episode-expiry extension sketched in the paper's future work ([`expiry`]).
 //!
 //! ## Quick example

@@ -6,8 +6,8 @@
 //! planning decisions, separate from the backend that executes the scan. This
 //! module is that seam:
 //!
-//! * [`MiningSession`] — the **plan** side. Built from `&EventDb` + one or
-//!   more [`MinerConfig`]s via [`MiningSession::builder`], it owns the
+//! * [`MiningSession`] — the **plan** side. Built from `&EventDb` + one
+//!   [`MinerConfig`] via [`MiningSession::builder`], it owns the
 //!   [`CompiledCandidates`] (recompiled in place once per level), the
 //!   database shard bounds, and a persistent [`Pool`] of worker threads that
 //!   serves every counting call of the level loop.
@@ -24,22 +24,16 @@
 //! session; long-lived services can hold a session directly and stream
 //! per-level results via [`MiningSession::mine_with`].
 //!
-//! A session mines **one or more** member configurations over its one stream
-//! snapshot (Mayura-style co-mining): every [`MiningSessionBuilder::config`]
-//! call adds a member, and the members' level loops advance in lockstep with
-//! one join, one compile and one executor scan per level, however many
-//! members are still mining ([`MiningSession::co_mine`]; a batch of more
-//! than 64 members mines 64 at a time). A solo request is a batch of one.
-//! The level loop keeps its candidates in one flat lattice per mine
+//! A session mines **one** configuration over its one stream snapshot, as
+//! paper Algorithm 1 does: one join, one compile and one executor scan per
+//! level. The level loop keeps its candidates in one flat lattice per mine
 //! (Patnaik et al.'s flat layouts): each level-`k` row holds its `k` items
-//! and links to its prefix and suffix parents in level `k − 1`, and carries
-//! the set of members it is a candidate for, one bit each in a `u64` — both
-//! parents frequent for the member, and the member's `distinct_items_only`
-//! rule passed. The rows are exactly the union of the members' candidate
-//! sets, in lexicographic order; they compile straight into the session's
-//! buffers, and every member reads its counts in place against an integer
-//! threshold (the least count whose support exceeds its α). An [`Episode`]
-//! is built only for a frequent row of a member's reply.
+//! and links to its prefix and suffix parents in level `k − 1`, both
+//! frequent. The rows are exactly the level's candidate set, in
+//! lexicographic order; they compile straight into the session's buffers,
+//! and the loop reads their counts in place against an integer threshold
+//! (the least count whose support exceeds α). An [`Episode`] is built only
+//! for a frequent row of the reply.
 //!
 //! Sessions come in two ownership shapes. [`MiningSession::builder`] borrows
 //! the database (`MiningSession<'db>`), right for scoped use. A **serving**
@@ -127,8 +121,7 @@ impl PoolSlot {
 }
 
 /// A cooperative cancellation handle checked by the level loop
-/// ([`MiningSession::mine_with`], [`MiningSession::co_mine`]) **between**
-/// level scans: an abandoned request stops before compiling or counting its
+/// ([`MiningSession::mine_with`]) **between** level scans: an abandoned request stops before compiling or counting its
 /// next level instead of running the full loop for nobody.
 ///
 /// The flag is shared across clones (an `Arc<AtomicBool>`), so a serving
@@ -352,8 +345,8 @@ impl<'a> CountRequest<'a> {
 
     /// The per-symbol [`OccurrenceIndex`] over this session's stream
     /// snapshot, built lazily on first use and **cached on the session** —
-    /// every level of the loop, and every member of a multi-member session,
-    /// shares the one build — or the shared index the session was built with
+    /// every level of the loop shares the one build — or the shared index
+    /// the session was built with
     /// ([`MiningSessionBuilder::with_index`]). Vertical-strategy executors and
     /// the per-level dispatch rule
     /// ([`CompiledCandidates::choose_strategy`]) read it from here. The
@@ -480,30 +473,22 @@ pub trait Executor {
     }
 }
 
-/// Builder for a [`MiningSession`]: add one [`config`](Self::config) per
-/// member (none means one default member), then [`build`](Self::build).
+/// Builder for a [`MiningSession`]: set its [`config`](Self::config) (the
+/// default is [`MinerConfig::default`]), then [`build`](Self::build).
 #[derive(Debug)]
 pub struct MiningSessionBuilder<'db> {
     db: DbHandle<'db>,
-    configs: Vec<MinerConfig>,
+    config: MinerConfig,
     workers: usize,
     pool: Option<Arc<Pool>>,
     index: Option<Arc<OccurrenceIndex>>,
 }
 
 impl<'db> MiningSessionBuilder<'db> {
-    /// Adds one member: a mining configuration (support threshold, level
-    /// bound, …) mined over the session's stream. Member results come back in
-    /// the order configs were added; a builder given no config builds one
-    /// member with [`MinerConfig::default`].
+    /// Sets the mining configuration (support threshold, level bound, …)
+    /// the session mines over its stream. A second call replaces the first.
     pub fn config(mut self, config: MinerConfig) -> Self {
-        self.configs.push(config);
-        self
-    }
-
-    /// Adds several members at once (see [`config`](Self::config)).
-    pub fn configs(mut self, configs: impl IntoIterator<Item = MinerConfig>) -> Self {
-        self.configs.extend(configs);
+        self.config = config;
         self
     }
 
@@ -561,9 +546,9 @@ impl<'db> MiningSessionBuilder<'db> {
         self
     }
 
-    /// Builds the session: snapshots the stream **once** for every member (a
-    /// refcount bump on the database's own shared buffer, never a byte copy)
-    /// and fixes the database shard bounds. Without [`with_pool`], the
+    /// Builds the session: snapshots the stream **once** (a refcount bump on
+    /// the database's own shared buffer, never a byte copy) and fixes the
+    /// database shard bounds. Without [`with_pool`], the
     /// persistent pool is spawned lazily the first time an executor (or
     /// [`MiningSession::pool`]) asks for it.
     ///
@@ -576,10 +561,6 @@ impl<'db> MiningSessionBuilder<'db> {
         } else {
             default_workers()
         };
-        let mut configs = self.configs;
-        if configs.is_empty() {
-            configs.push(MinerConfig::default());
-        }
         let stream = self.db.get().symbols_shared();
         let pool = match self.pool {
             Some(pool) => PoolSlot::Shared(pool),
@@ -593,7 +574,7 @@ impl<'db> MiningSessionBuilder<'db> {
             shard_bounds: shard_bounds(stream.len(), workers),
             db: self.db,
             stream,
-            configs,
+            config: self.config,
             compiled: Arc::new(CompiledCandidates::default()),
             vertical: self.index.map_or_else(OnceLock::new, OnceLock::from),
             workers,
@@ -617,22 +598,15 @@ fn shard_bounds(n: usize, workers: usize) -> Vec<usize> {
 
 /// The plan side of the counting API: owns everything that should be built
 /// once and reused across the level loop — the compiled candidate layout, the
-/// database shard bounds, and the persistent worker pool — for one or more
-/// member configurations mined in lockstep.
+/// database shard bounds, and the persistent worker pool — for the one
+/// configuration it mines.
 ///
 /// One session serves any number of executors; the compiled buffers are
 /// recompiled **in place** exactly once per level (`Arc::make_mut` — workers
 /// drop their handles at the end of each execute, so the steady state never
-/// copies). With several members still mining, a level is joined once over
-/// the members' frequent rows, compiled once as the union of their candidate
-/// sets, and counted with a **single** executor scan that every member reads
-/// in place — K requests over one database cost one join and one scan per
-/// level instead of K (per group of 64 members: a lattice row's member set
-/// is one `u64`). Results are **bit-identical** to mining each
-/// configuration alone: the engine's count of an episode never depends on
-/// what else is compiled alongside it, which the workspace differential
-/// suite (`tests/comining.rs`) proves under adversarial overlap. See the
-/// [module docs](self) for the full picture.
+/// copies). Results are **bit-identical** to the serial miner whatever the
+/// executor, worker count or shared index. See the [module docs](self) for
+/// the full picture.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -641,20 +615,16 @@ fn shard_bounds(n: usize, workers: usize) -> Vec<usize> {
 /// use tdm_core::{Alphabet, EventDb};
 ///
 /// let db = Arc::new(EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCD".repeat(60)).unwrap());
-/// let fast = MinerConfig { alpha: 0.01, max_level: Some(2), ..Default::default() };
-/// let deep = MinerConfig { alpha: 0.001, max_level: Some(3), ..Default::default() };
+/// let config = MinerConfig { alpha: 0.001, max_level: Some(3), ..Default::default() };
 ///
-/// // Two configurations, one shared scan per level.
-/// let mut group = MiningSession::builder_shared(Arc::clone(&db)).config(fast).config(deep).build();
-/// let results = group.co_mine(&mut SequentialBackend::default()).unwrap();
+/// let mut session = MiningSession::builder_shared(Arc::clone(&db)).config(config).build();
+/// let result = session.mine(&mut SequentialBackend::default()).unwrap();
 ///
-/// // Bit-identical to mining each request on its own.
-/// for (cfg, got) in [fast, deep].into_iter().zip(&results) {
-///     let solo = Miner::new(cfg).mine(&db, &mut SequentialBackend::default()).unwrap();
-///     assert_eq!(*got, solo);
-/// }
+/// // Bit-identical to the serial miner.
+/// let serial = Miner::new(config).mine(&db, &mut SequentialBackend::default()).unwrap();
+/// assert_eq!(result, serial);
 /// // Three levels deep at most, and exactly one compile+scan per level.
-/// assert_eq!(group.compiles(), results.iter().map(|r| r.levels.len()).max().unwrap());
+/// assert_eq!(session.compiles(), result.levels.len());
 /// ```
 pub struct MiningSession<'db> {
     db: DbHandle<'db>,
@@ -664,8 +634,8 @@ pub struct MiningSession<'db> {
     /// for this snapshot, and [`rebase`](MiningSession::rebase) refuses
     /// databases that are not append-descendants of it.
     epoch: u64,
-    /// The member configurations, in result order (never empty).
-    configs: Vec<MinerConfig>,
+    /// The configuration the level loop mines.
+    config: MinerConfig,
     compiled: Arc<CompiledCandidates>,
     /// Per-symbol occurrence index over `stream`: the shared one the builder
     /// was given, or built lazily by the first strategy-dispatching execute,
@@ -687,7 +657,7 @@ impl std::fmt::Debug for MiningSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MiningSession")
             .field("db_len", &self.db.get().len())
-            .field("members", &self.configs.len())
+            .field("config", &self.config)
             .field("workers", &self.workers)
             .field("compiles", &self.compiles)
             .finish()
@@ -695,13 +665,13 @@ impl std::fmt::Debug for MiningSession<'_> {
 }
 
 impl<'db> MiningSession<'db> {
-    /// Starts building a session over a borrowed `db` (one default member,
-    /// auto workers). For a session with no borrowed lifetime — one a cache
+    /// Starts building a session over a borrowed `db` (default config, auto
+    /// workers). For a session with no borrowed lifetime — one a cache
     /// or another thread can own — see [`MiningSession::builder_shared`].
     pub fn builder(db: &'db EventDb) -> MiningSessionBuilder<'db> {
         MiningSessionBuilder {
             db: DbHandle::Borrowed(db),
-            configs: Vec::new(),
+            config: MinerConfig::default(),
             workers: 0,
             pool: None,
             index: None,
@@ -717,7 +687,7 @@ impl<'db> MiningSession<'db> {
     pub fn builder_shared(db: Arc<EventDb>) -> MiningSessionBuilder<'static> {
         MiningSessionBuilder {
             db: DbHandle::Shared(db),
-            configs: Vec::new(),
+            config: MinerConfig::default(),
             workers: 0,
             pool: None,
             index: None,
@@ -735,14 +705,9 @@ impl<'db> MiningSession<'db> {
         self.pool.get()
     }
 
-    /// The first member's configuration — the only one of a solo session.
+    /// The configuration the session mines.
     pub fn config(&self) -> &MinerConfig {
-        &self.configs[0]
-    }
-
-    /// Every member's configuration, in result order.
-    pub fn configs(&self) -> &[MinerConfig] {
-        &self.configs
+        &self.config
     }
 
     /// The session's planned worker count (decomposition width: shard bounds
@@ -756,9 +721,7 @@ impl<'db> MiningSession<'db> {
     /// parallel executors submit their scans on that lane
     /// ([`Pool::map_move_prio`]). On a *shared* pool this is how one
     /// session's request overtakes queued scans of other sessions; on a
-    /// session-owned pool it is a no-op in effect (no competing jobs). A
-    /// multi-member session typically runs at the *highest* class among its
-    /// members, so sharing a scan never deprioritizes anyone's work.
+    /// session-owned pool it is a no-op in effect (no competing jobs).
     pub fn set_job_priority(&mut self, priority: Priority) {
         self.priority = priority;
     }
@@ -770,9 +733,7 @@ impl<'db> MiningSession<'db> {
 
     /// Installs (or clears) the cooperative cancellation token the level loop
     /// checks before each level's compile+scan. A serving layer sets the
-    /// request's token on the session it plans for that request. Cancelling
-    /// fails every member: they share each level's scan, so they share the
-    /// cancellation.
+    /// request's token on the session it plans for that request.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
@@ -784,7 +745,7 @@ impl<'db> MiningSession<'db> {
 
     /// How many candidate sets this session has compiled — exactly one per
     /// counted level (the number of scans issued), regardless of how many
-    /// executors ran against each or how many members rode it. Accumulates
+    /// executors ran against each. Accumulates
     /// across runs when the session is reused.
     pub fn compiles(&self) -> usize {
         self.compiles
@@ -802,8 +763,8 @@ impl<'db> MiningSession<'db> {
     }
 
     /// Re-points a session at a **grown** database — the streaming handoff:
-    /// a caller appends to its db, then rebases the session (one member or
-    /// many) instead of rebuilding it. The stream snapshot is replaced (a
+    /// a caller appends to its db, then rebases the session instead of
+    /// rebuilding it. The stream snapshot is replaced (a
     /// refcount bump on the new buffer), shard bounds are recut for the new
     /// length, and a cached [`OccurrenceIndex`] is **extended** over the
     /// appended suffix ([`OccurrenceIndex::extend`]; position lists widen
@@ -946,13 +907,10 @@ impl<'db> MiningSession<'db> {
     }
 
     /// Runs the full level-wise mining loop (paper Algorithm 1) with
-    /// `executor` as the counting step and returns the first member's result
-    /// — the only one of a solo session ([`co_mine`] returns every member's).
+    /// `executor` as the counting step.
     ///
     /// # Errors
     /// [`MineError`] from the first failing level.
-    ///
-    /// [`co_mine`]: MiningSession::co_mine
     pub fn mine<E: Executor + ?Sized>(
         &mut self,
         executor: &mut E,
@@ -960,10 +918,15 @@ impl<'db> MiningSession<'db> {
         self.mine_with(executor, |_| {})
     }
 
-    /// Like [`mine`], but invokes `on_level` with each of the first member's
-    /// level results as soon as that level's elimination step finishes — the
-    /// streaming hook serving use-cases want (emit level-1 frequent episodes
-    /// while level 2 counts).
+    /// Like [`mine`], but invokes `on_level` with each level result as soon
+    /// as that level's elimination step finishes — the streaming hook
+    /// serving use-cases want (emit level-1 frequent episodes while level 2
+    /// counts).
+    ///
+    /// The level loop runs over one flat candidate lattice: compile the
+    /// level's rows, count them with one scan, eliminate in place against
+    /// the integer threshold, then join the frequent rows into the next
+    /// level.
     ///
     /// # Errors
     /// [`MineError`] from the first failing level.
@@ -974,71 +937,18 @@ impl<'db> MiningSession<'db> {
         executor: &mut E,
         mut on_level: impl FnMut(&LevelResult),
     ) -> Result<MiningResult, MineError> {
-        let group = 0..self.configs.len().min(GROUP);
-        let mut results = self.lockstep(group, executor, |member, level| {
-            if member == 0 {
-                on_level(level);
-            }
-        })?;
-        Ok(results.swap_remove(0))
-    }
-
-    /// Runs every member's level-wise mining loop in lockstep, issuing **one**
-    /// scan per level per 64 members: a batch of more than 64 members mines
-    /// 64 at a time, in order. Returns one [`MiningResult`] per member, in the
-    /// order their configs were added — each bit-identical to a solo run of
-    /// that config.
-    ///
-    /// # Errors
-    /// [`MineError`] from the first failing scan (the members share the scan,
-    /// so they share the failure).
-    pub fn co_mine<E: Executor + ?Sized>(
-        &mut self,
-        executor: &mut E,
-    ) -> Result<Vec<MiningResult>, MineError> {
-        let members = self.configs.len();
-        let mut results = Vec::with_capacity(members);
-        for start in (0..members).step_by(GROUP) {
-            let group = start..members.min(start + GROUP);
-            results.extend(self.lockstep(group, executor, |_, _| {})?);
-        }
-        Ok(results)
-    }
-
-    /// The one level loop behind [`mine_with`](Self::mine_with) and
-    /// [`co_mine`](Self::co_mine), over one flat candidate [`Lattice`] per
-    /// mine for the members `group` (at most [`GROUP`] of them, one bit each
-    /// in a row's member set): compile the level's rows, count them with one
-    /// scan, let each member eliminate in place against its integer
-    /// threshold, then join once for every member still mining. `on_level`
-    /// sees each member's level result (member index first).
-    fn lockstep<E: Executor + ?Sized>(
-        &mut self,
-        group: std::ops::Range<usize>,
-        executor: &mut E,
-        mut on_level: impl FnMut(usize, &LevelResult),
-    ) -> Result<Vec<MiningResult>, MineError> {
-        debug_assert!(group.len() <= GROUP);
         let db = self.db.get();
         let (n, alphabet_len) = (db.len(), db.alphabet().len());
-        let mines =
-            |config: &MinerConfig, level: usize| config.max_level.is_none_or(|l| level <= l);
-        let configs = &self.configs[group.clone()];
-        // A row is frequent for member `m` iff its count reaches
-        // `thresholds[m]`: the same verdict as `support(count, n) > alpha`.
-        let thresholds: Vec<u64> = configs
-            .iter()
-            .map(|c| min_frequent_count(n, c.alpha))
-            .collect();
-        let distinct = member_set(configs, |c| c.distinct_items_only);
-        let mut lattice = Lattice::singletons(alphabet_len, member_set(configs, |c| mines(c, 1)));
-        let mut results: Vec<MiningResult> = configs
-            .iter()
-            .map(|_| MiningResult {
-                levels: Vec::new(),
-                db_len: n,
-            })
-            .collect();
+        let config = self.config;
+        let mines = |level: usize| config.max_level.is_none_or(|l| level <= l);
+        // A row is frequent iff its count reaches `threshold`: the same
+        // verdict as `support(count, n) > alpha`.
+        let threshold = min_frequent_count(n, config.alpha);
+        let mut lattice = Lattice::singletons(alphabet_len, mines(1));
+        let mut result = MiningResult {
+            levels: Vec::new(),
+            db_len: n,
+        };
         let mut level = 1usize;
         while !lattice.is_empty() {
             // Cooperative cancellation: an abandoned request (deadline passed,
@@ -1065,85 +975,31 @@ impl<'db> MiningSession<'db> {
                 executor,
             )?;
 
-            // Each member reads its rows' counts in place against its
-            // integer threshold; an `Episode` is built only for a frequent
-            // row, and a row stays in a member's set for the join only if
-            // the member mines the next level.
-            let next = member_set(&self.configs[group.clone()], |c| mines(c, level + 1));
-            let mut levels: Vec<LevelResult> = (0..thresholds.len())
-                .map(|m| LevelResult {
-                    level,
-                    candidates: lattice
-                        .members()
-                        .iter()
-                        .filter(|&&set| set >> m & 1 != 0)
-                        .count(),
-                    frequent: Vec::new(),
+            // The rows' counts are read in place against the threshold; an
+            // `Episode` is built only for a frequent row.
+            let frequent = lattice
+                .narrow(|row| counts[row] >= threshold)
+                .map(|(row, items)| {
+                    let episode = Episode::new(items.to_vec()).expect("lattice rows are non-empty");
+                    (episode, counts[row])
                 })
                 .collect();
-            let frequent = lattice.narrow(|row| {
-                let count = counts[row];
-                thresholds
-                    .iter()
-                    .enumerate()
-                    .fold(0, |set, (m, &threshold)| {
-                        set | u64::from(count >= threshold) << m
-                    })
-            });
-            let mut sizes = [0; GROUP];
-            for (set, _, _) in frequent.rows() {
-                for_each_member(set, |m| sizes[m] += 1);
-            }
-            for (result, &size) in levels.iter_mut().zip(&sizes) {
-                result.frequent.reserve_exact(size);
-            }
-            for (set, row, items) in frequent.rows() {
-                for_each_member(set, |m| {
-                    let episode = Episode::new(items.to_vec()).expect("lattice rows are non-empty");
-                    levels[m].frequent.push((episode, counts[row]));
-                });
-            }
-            let joining = sizes
-                .iter()
-                .enumerate()
-                .any(|(m, &size)| size > 0 && next >> m & 1 != 0);
-            frequent.keep(next);
-            for (m, result) in levels.into_iter().enumerate() {
-                if result.candidates > 0 {
-                    on_level(group.start + m, &result);
-                    results[m].levels.push(result);
-                }
-            }
+            let level_result = LevelResult {
+                level,
+                candidates: counts.len(),
+                frequent,
+            };
+            on_level(&level_result);
+            let joining = !level_result.frequent.is_empty() && mines(level + 1);
+            result.levels.push(level_result);
             if !joining {
                 break;
             }
-            lattice.join(distinct);
+            lattice.join(config.distinct_items_only);
             level += 1;
         }
-        Ok(results)
+        Ok(result)
     }
-}
-
-/// Members per level loop: a lattice row's member set is one `u64`, so
-/// [`MiningSession::co_mine`] runs larger batches 64 members at a time.
-const GROUP: usize = 64;
-
-/// Calls `f` with each member of `set`, in order.
-fn for_each_member(mut set: u64, mut f: impl FnMut(usize)) {
-    while set != 0 {
-        f(set.trailing_zeros() as usize);
-        set &= set - 1;
-    }
-}
-
-/// The set of members whose config satisfies `pick`, one bit per member in
-/// config order (the lattice's member-set layout; at most [`GROUP`] configs).
-fn member_set(configs: &[MinerConfig], pick: impl Fn(&MinerConfig) -> bool) -> u64 {
-    debug_assert!(configs.len() <= GROUP);
-    configs
-        .iter()
-        .enumerate()
-        .fold(0, |set, (m, config)| set | u64::from(pick(config)) << m)
 }
 
 #[cfg(test)]
@@ -1242,98 +1098,10 @@ mod tests {
     }
 
     #[test]
-    fn co_session_cancellation_fails_the_whole_batch() {
-        let shared = Arc::new(db());
-        let fast = MinerConfig {
-            alpha: 0.01,
-            max_level: Some(2),
-            ..Default::default()
-        };
-        let deep = MinerConfig {
-            alpha: 0.001,
-            max_level: Some(3),
-            ..Default::default()
-        };
-        let mut group = MiningSession::builder_shared(Arc::clone(&shared))
-            .config(fast)
-            .config(deep)
-            .build();
-        let token = CancelToken::new();
-        token.cancel();
-        group.set_cancel_token(Some(token));
-        let mut spy = SpyBackend { executes: 0 };
-        let err = group.co_mine(&mut spy).unwrap_err();
-        assert_eq!(err.source, BackendError::Cancelled);
-        assert_eq!(spy.executes, 0);
-        // Clearing recovers the batch plan.
-        group.set_cancel_token(None);
-        let results = group.co_mine(&mut spy).unwrap();
-        assert_eq!(results.len(), 2);
-    }
-
-    /// Records the (level, candidate count) of every request it executes.
-    struct SizeSpy(Vec<(usize, usize)>);
-
-    impl Executor for SizeSpy {
-        fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
-            self.0.push((req.level(), req.candidates()));
-            Ok(req
-                .compiled()
-                .count(req.stream(), &mut crate::engine::CountScratch::new()))
-        }
-    }
-
-    #[test]
-    fn a_one_member_session_never_builds_a_union() {
-        let db = db();
-        let mut session = MiningSession::builder(&db)
-            .config(MinerConfig {
-                alpha: 0.0001,
-                ..Default::default()
-            })
-            .build();
-        let mut spy = SizeSpy(Vec::new());
-        let result = session.mine(&mut spy).unwrap();
-        assert!(result.levels.len() > 1, "the loop must reach level 2");
-        // Every scan saw exactly the member's own candidate set.
-        let own: Vec<(usize, usize)> = result
-            .levels
-            .iter()
-            .map(|l| (l.level, l.candidates))
-            .collect();
-        assert_eq!(spy.0, own);
-    }
-
-    #[test]
-    fn a_batch_wider_than_one_member_word_mines_every_member_exactly() {
-        // 70 members: a row's member set is one 64-bit word, so the batch
-        // mines in two groups, 64 members and then 6.
-        let db = EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBAC".repeat(20)).unwrap();
-        let configs: Vec<MinerConfig> = (0..70)
-            .map(|i| MinerConfig {
-                alpha: 0.02 * (i % 7) as f64,
-                max_level: Some(1 + i % 4),
-                distinct_items_only: i % 3 != 0,
-            })
-            .collect();
-        let mut group = MiningSession::builder(&db)
-            .configs(configs.iter().copied())
-            .build();
-        let results = group.co_mine(&mut SpyBackend { executes: 0 }).unwrap();
-        for (config, got) in configs.iter().zip(&results) {
-            let solo = Miner::new(*config)
-                .mine(&db, &mut SequentialBackend::default())
-                .unwrap();
-            assert_eq!(*got, solo, "{config:?}");
-        }
-    }
-
-    #[test]
-    fn sessions_sharing_one_index_mine_any_member_list_exactly() {
-        // One session per member list of 1 to 3 configs (mixed α, level
-        // bounds and generation rules), all counting against one shared
-        // index: each list mines exactly like fresh serial mining, and the
-        // index stays the one handed in.
+    fn sessions_sharing_one_index_mine_every_config_exactly() {
+        // One session per config (mixed α, level bounds and generation
+        // rules), all counting against one shared index: each mines exactly
+        // like fresh serial mining, and the index stays the one handed in.
         let db = Arc::new(
             EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBACAAB".repeat(40)).unwrap(),
         );
@@ -1342,14 +1110,13 @@ mod tests {
             max_level,
             distinct_items_only,
         };
-        let lists = [
-            vec![cfg(0.01, Some(3), true)],
-            vec![cfg(0.002, Some(4), false), cfg(0.05, None, true)],
-            vec![
-                cfg(0.05, Some(2), true),
-                cfg(0.0, Some(1), false),
-                cfg(0.01, Some(3), false),
-            ],
+        let configs = [
+            cfg(0.01, Some(3), true),
+            cfg(0.002, Some(4), false),
+            cfg(0.05, None, true),
+            cfg(0.05, Some(2), true),
+            cfg(0.0, Some(1), false),
+            cfg(0.01, Some(3), false),
         ];
         let solo = |config: MinerConfig| {
             Miner::new(config)
@@ -1357,15 +1124,16 @@ mod tests {
                 .unwrap()
         };
         let index = Arc::new(OccurrenceIndex::build(db.alphabet().len(), db.symbols()));
-        for configs in &lists {
+        for config in configs {
             let mut session = MiningSession::builder_shared(Arc::clone(&db))
-                .configs(configs.iter().copied())
+                .config(config)
                 .with_index(Arc::clone(&index))
                 .build();
-            let results = session.co_mine(&mut AutoBackend).unwrap();
-            for (config, got) in configs.iter().zip(&results) {
-                assert_eq!(*got, solo(*config), "{config:?}");
-            }
+            assert_eq!(
+                session.mine(&mut AutoBackend).unwrap(),
+                solo(config),
+                "{config:?}"
+            );
             assert!(Arc::ptr_eq(session.vertical.get().unwrap(), &index));
         }
         assert!(index.has_pairs(), "level 2 read the shared table");
@@ -1373,13 +1141,34 @@ mod tests {
         // An index over another stream length is dropped at the first plan,
         // never read.
         let short = Arc::new(OccurrenceIndex::build(26, &db.symbols()[..10]));
-        let config = lists[0][0];
+        let config = configs[0];
         let mut session = MiningSession::builder(&db)
             .config(config)
             .with_index(Arc::clone(&short))
             .build();
         assert_eq!(session.mine(&mut AutoBackend).unwrap(), solo(config));
         assert!(!Arc::ptr_eq(session.vertical.get().unwrap(), &short));
+    }
+
+    #[test]
+    fn a_second_config_call_replaces_the_first() {
+        let db = db();
+        let first = MinerConfig {
+            alpha: 0.5,
+            ..Default::default()
+        };
+        let second = MinerConfig {
+            alpha: 0.01,
+            max_level: Some(2),
+            ..Default::default()
+        };
+        let mut session = MiningSession::builder(&db)
+            .config(first)
+            .config(second)
+            .build();
+        assert_eq!(session.config().max_level, Some(2));
+        let serial = Miner::new(second).mine(&db, &mut SequentialBackend::default());
+        assert_eq!(session.mine(&mut AutoBackend).unwrap(), serial.unwrap());
     }
 
     #[test]

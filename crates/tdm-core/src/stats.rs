@@ -18,7 +18,7 @@ pub fn support(count: u64, db_len: usize) -> f64 {
 /// `support(count, db_len) > alpha`, for every count below `u64::MAX` (which
 /// no stream reaches). It is `u64::MAX` when no smaller count qualifies: for
 /// a NaN `alpha`, or an empty stream and `alpha >= 0`. The elimination step
-/// computes it once per member and mine, then compares integers.
+/// computes it once per mine, then compares integers.
 ///
 /// `support` never decreases as the count grows (converting to `f64` and
 /// dividing by a fixed length both round monotonically), so the qualifying

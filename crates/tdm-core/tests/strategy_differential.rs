@@ -12,11 +12,14 @@
 //! * shard boundaries straddling partial matches;
 //! * a single-symbol alphabet;
 //! * worker counts 1..=8 through real [`MiningSession`]s;
-//! * [`CandidateUnion`] demultiplexing over the new strategies.
+//! * [`CandidateUnion`] demultiplexing over the new strategies, and under
+//!   identical, disjoint and partially overlapping sources cut into any
+//!   number of shards.
 
 use proptest::prelude::*;
+use tdm_core::count::count_episodes_naive;
 use tdm_core::engine::{
-    BitmaskNfa, CandidateUnion, CompiledCandidates, CountStrategy, OccurrenceIndex,
+    BitmaskNfa, CandidateUnion, CompiledCandidates, CountScratch, CountStrategy, OccurrenceIndex,
 };
 use tdm_core::miner::AutoBackend;
 use tdm_core::segment::even_bounds;
@@ -264,6 +267,28 @@ fn candidate_union_demux_over_the_new_strategies() {
 // Property tests
 // ---------------------------------------------------------------------------
 
+/// Builds episode sets with a chosen overlap pattern from a shared pool of
+/// episodes: 0 = identical, 1 = disjoint slices, 2 = overlapping windows.
+fn overlapped_sets(pool: &[Episode], k: usize, mode: u8) -> Vec<Vec<Episode>> {
+    let n = pool.len().max(1);
+    (0..k)
+        .map(|i| match mode {
+            0 => pool.to_vec(),
+            1 => {
+                let chunk = n.div_ceil(k);
+                pool.iter().skip(i * chunk).take(chunk).cloned().collect()
+            }
+            _ => {
+                // Windows of 2/3 the pool, shifted per source: neighbors
+                // share about half their episodes.
+                let len = (2 * n).div_ceil(3).max(1);
+                let start = (i * n) / k.max(1);
+                (0..len).map(|j| pool[(start + j) % n].clone()).collect()
+            }
+        })
+        .collect()
+}
+
 /// Folds raw generated bytes into a concrete alphabet: every symbol taken
 /// mod `alpha`, so small alphabets force collisions, repeats, and (for the
 /// larger declared alphabet) absent symbols.
@@ -328,6 +353,68 @@ proptest! {
         for (s, source) in [a, b].into_iter().enumerate() {
             let expected = seed_count_episodes(alpha, &stream, source);
             prop_assert_eq!(union.demux(s, &union_counts), expected);
+        }
+    }
+
+    /// The demux identity under arbitrary data, arbitrary episode sets
+    /// (repeats included), and every worker count 1..=8: union counts
+    /// gathered back per source equal that source's own counts — for both
+    /// the sequential scan and the segmented scan over the union, cut into
+    /// `workers` even shards at any stream length.
+    #[test]
+    fn union_demux_equals_solo_counts(
+        data in proptest::collection::vec(0u8..6, 0..400),
+        sets in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(0u8..6, 1..4), 0..12),
+            2..6,
+        ),
+        workers in 1usize..=8,
+    ) {
+        let db = EventDb::new(Alphabet::numbered(6).unwrap(), data).unwrap();
+        let sets: Vec<Vec<Episode>> = sets
+            .into_iter()
+            .map(|set| set.into_iter().map(|v| Episode::new(v).unwrap()).collect())
+            .collect();
+        let refs: Vec<&[Episode]> = sets.iter().map(|s| s.as_slice()).collect();
+        let union = CandidateUnion::build(&refs);
+        let compiled = CompiledCandidates::compile(6, union.episodes());
+        let stream = db.symbols();
+        let mut scratch = CountScratch::new();
+        let sequential = compiled.count(stream, &mut scratch);
+        let bounds = even_bounds(stream.len(), workers);
+        let sharded = compiled.count_with_bounds(stream, &bounds, &mut scratch);
+        prop_assert_eq!(&sequential, &sharded);
+        for (s, set) in sets.iter().enumerate() {
+            prop_assert_eq!(union.demux(s, &sequential), count_episodes_naive(&db, set));
+        }
+    }
+
+    /// Adversarial overlap shapes — identical, disjoint, and
+    /// partially-overlapping candidate sets drawn from one pool (repeated
+    /// items included) — demux exactly under any worker count.
+    #[test]
+    fn union_demux_survives_disjoint_identical_and_partial_overlap(
+        data in proptest::collection::vec(0u8..5, 50..300),
+        pool in proptest::collection::vec(proptest::collection::vec(0u8..5, 1..4), 4..20),
+        k in 2usize..=8,
+        mode in 0u8..3,
+        workers in 1usize..=8,
+    ) {
+        let db = EventDb::new(Alphabet::numbered(5).unwrap(), data).unwrap();
+        let pool: Vec<Episode> = pool.into_iter().map(|v| Episode::new(v).unwrap()).collect();
+        let sets = overlapped_sets(&pool, k, mode);
+        let refs: Vec<&[Episode]> = sets.iter().map(|s| s.as_slice()).collect();
+        let union = CandidateUnion::build(&refs);
+        if mode == 0 {
+            // Identical sets must dedup to exactly one set's distinct size.
+            let solo = CandidateUnion::build(&refs[..1]);
+            prop_assert_eq!(union.len(), solo.len());
+        }
+        let compiled = CompiledCandidates::compile(5, union.episodes());
+        let bounds = even_bounds(db.len(), workers);
+        let counts = compiled.count_with_bounds(db.symbols(), &bounds, &mut CountScratch::new());
+        for (s, set) in sets.iter().enumerate() {
+            prop_assert_eq!(union.demux(s, &counts), count_episodes_naive(&db, set));
         }
     }
 }

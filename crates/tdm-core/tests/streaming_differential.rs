@@ -12,10 +12,10 @@
 //!   through real [`MiningSession`]s over the final stream;
 //! * the incrementally **extended** occurrence index against a fresh batch
 //!   build;
-//! * the stale-snapshot hazard: [`MiningSession::rebase`], for one member or
-//!   many, must never let an index built for snapshot epoch N be consulted
-//!   against epoch N+1 data, and must reject databases that are not
-//!   append-descendants of the session snapshot.
+//! * the stale-snapshot hazard: [`MiningSession::rebase`] must never let an
+//!   index built for snapshot epoch N be consulted against epoch N+1 data,
+//!   and must reject databases that are not append-descendants of the
+//!   session snapshot.
 //!
 //! [`SegmentEffect`]: tdm_core::segment::SegmentEffect
 
@@ -153,56 +153,15 @@ fn rebase_rejects_databases_that_are_not_append_descendants() {
     ));
     assert_eq!(session.epoch(), 1);
 
-    // Same for a co-mining session.
-    let mut group = MiningSession::builder_shared(Arc::new(grown))
+    // A shorter stream is refused too.
+    let mut configured = MiningSession::builder_shared(Arc::new(grown))
         .config(MinerConfig::default())
         .build();
     let shorter = EventDb::from_str_symbols(&ab, "ABCABC").unwrap();
     assert!(matches!(
-        group.rebase(Arc::new(shorter)),
+        configured.rebase(Arc::new(shorter)),
         Err(CoreError::StaleSnapshot { .. })
     ));
-}
-
-#[test]
-fn cosession_rebase_matches_solo_mining_of_the_grown_stream() {
-    let ab = Alphabet::latin26();
-    let base = Arc::new(EventDb::from_str_symbols(&ab, &"ABCD".repeat(60)).unwrap());
-    let fast = MinerConfig {
-        alpha: 0.01,
-        max_level: Some(2),
-        ..Default::default()
-    };
-    let deep = MinerConfig {
-        alpha: 0.001,
-        max_level: Some(3),
-        ..Default::default()
-    };
-    let mut group = MiningSession::builder_shared(Arc::clone(&base))
-        .config(fast)
-        .config(deep)
-        .build();
-    // Mine once at epoch 0 (builds and caches whatever the strategy needs).
-    group.co_mine(&mut AutoBackend).unwrap();
-
-    let mut grown = (*base).clone();
-    grown
-        .extend(
-            &"DCBA"
-                .repeat(20)
-                .bytes()
-                .map(|c| c - b'A')
-                .collect::<Vec<_>>()[..],
-        )
-        .unwrap();
-    group.rebase(Arc::new(grown.clone())).unwrap();
-    let results = group.co_mine(&mut AutoBackend).unwrap();
-
-    for (cfg, got) in [fast, deep].into_iter().zip(&results) {
-        let mut solo = MiningSession::builder(&grown).config(cfg).build();
-        let want = solo.mine(&mut AutoBackend).unwrap();
-        assert_eq!(*got, want, "rebased co-mine vs solo on the grown stream");
-    }
 }
 
 #[test]

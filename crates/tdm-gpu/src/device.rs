@@ -18,8 +18,8 @@
 //! 3. [`advance_union`](DevicePipeline::advance_union) — a K-tenant batched
 //!    advance over a [`CandidateUnion`]'s fused CSR: per-tenant routing tables
 //!    widen the block's shared memory ([`gpu_sim::union_resources`]), the
-//!    count buffer is demultiplexed per member exactly as the CPU co-mining
-//!    path does ([`CandidateUnion::demux`]), and the demux cost is charged at
+//!    count buffer is demultiplexed per member ([`CandidateUnion::demux`]),
+//!    and the demux cost is charged at
 //!    [`gpu_sim::CostModel::union_demux_cycles`].
 //!
 //! A plan compiled against a different stream than the one resident is a
@@ -30,7 +30,7 @@
 //! serve-time CPU-vs-GPU dispatch: each level is routed per
 //! [`GpuDispatchModel::choose_backend_class`] (over the op-unit costs of
 //! [`CompiledCandidates::strategy_costs`], the model behind
-//! [`CompiledCandidates::choose_strategy`]), so level 1 and narrow unions
+//! [`CompiledCandidates::choose_strategy`]), so level 1 and narrow levels
 //! stay on the CPU and wide levels advance the device pipeline. Both paths
 //! produce bit-identical counts.
 
@@ -159,8 +159,8 @@ impl DevicePipeline {
 
     /// A K-tenant batched advance over a [`CandidateUnion`]'s fused CSR:
     /// counts the union once, widens the block with per-tenant routing tables,
-    /// charges the host demux, and returns the per-member counts demultiplexed
-    /// exactly as the CPU co-mining path does.
+    /// charges the host demux, and returns the per-member counts
+    /// ([`CandidateUnion::demux`]).
     ///
     /// `compiled` must be the compiled form of `union.episodes()`.
     ///
@@ -183,21 +183,6 @@ impl DevicePipeline {
             member_counts,
             run,
         })
-    }
-
-    /// [`advance_union`](Self::advance_union) when only the tenant count is
-    /// known (the serving layer's fused batches carry the union's compiled CSR
-    /// but not the union itself): models K routing tables and a full-overlap
-    /// demux (`K × |union|` mapped slots — exact for identical members, an
-    /// upper bound otherwise), without demultiplexing.
-    pub fn advance_modeled(
-        &mut self,
-        db: &EventDb,
-        compiled: &CompiledCandidates,
-        tenants: u32,
-    ) -> Result<KernelRun, SimError> {
-        let mapped_slots = tenants as u64 * compiled.len() as u64;
-        self.advance_inner(db, compiled, tenants.max(1), mapped_slots)
     }
 
     fn demux_ms(&self, mapped_slots: u64) -> f64 {
@@ -256,9 +241,9 @@ pub struct UnionLaunch {
     pub member_counts: Vec<Vec<u64>>,
 }
 
-/// What [`GpuDispatchModel::choose_backend_class`] picks per (level, union
-/// size) at serve time: one of the CPU strategy classes, or handing the level
-/// to a resident GPU pipeline.
+/// What [`GpuDispatchModel::choose_backend_class`] picks per (level,
+/// candidate-set size) at serve time: one of the CPU strategy classes, or
+/// handing the level to a resident GPU pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DispatchClass {
     /// CPU, seed-style active-set scan (empty sets land here too).
@@ -307,7 +292,7 @@ impl GpuDispatchModel {
     /// describes, in [`CompiledCandidates::strategy_costs`]'s op units. The
     /// GPU side pays a fixed per-advance cost (`advance_ops`, covering the
     /// doorbell + count readback) and then runs the scan `speedup`× faster
-    /// than one CPU core — so small sets (level 1, narrow unions) stay on the
+    /// than one CPU core — so small sets (level 1, narrow levels) stay on the
     /// CPU and wide levels go to the device, per the paper's small-problem
     /// characterization.
     ///
@@ -340,7 +325,7 @@ impl GpuDispatchModel {
 pub struct DispatchDecision {
     /// Episode level of the request.
     pub level: usize,
-    /// Candidate-set (union) size.
+    /// Candidate-set size.
     pub candidates: usize,
     /// Where the level ran.
     pub class: DispatchClass,
@@ -351,16 +336,11 @@ pub struct DispatchDecision {
 /// ([`GpuDispatchModel::choose_backend_class`]): cheap levels are counted on
 /// the CPU by [`AutoBackend`] on the session's plan, expensive ones advance the
 /// resident pipeline (uploading the stream on first use, re-uploading only
-/// when the stream changes). Fused co-mining batches set
-/// [`tenants`](Self::tenants) so union launches are modeled with K routing
-/// tables; the counts themselves are bit-identical either way.
+/// when the stream changes). The counts are bit-identical either way.
 pub struct GpuPipelineBackend {
     pipeline: DevicePipeline,
     /// The GPU side of the dispatch cost model.
     pub dispatch: GpuDispatchModel,
-    /// Union members sharing each launch (1 = solo; the serving layer sets
-    /// the fused batch's size).
-    pub tenants: u32,
     /// Route every level to the device regardless of the model (conformance
     /// tests exercise the GPU path on workloads dispatch would keep on CPU).
     pub force_gpu: bool,
@@ -378,7 +358,6 @@ impl GpuPipelineBackend {
         GpuPipelineBackend {
             pipeline: DevicePipeline::new(algo, threads_per_block, device),
             dispatch: GpuDispatchModel::default(),
-            tenants: 1,
             force_gpu: false,
             gpu_levels: 0,
             cpu_levels: 0,
@@ -390,12 +369,6 @@ impl GpuPipelineBackend {
     /// texture) at 512 threads per block.
     pub fn with_defaults(device: DeviceConfig) -> Self {
         Self::new(Algorithm::BlockTexture, 512, device)
-    }
-
-    /// Sets the union-launch tenant count (builder style).
-    pub fn tenants(mut self, tenants: u32) -> Self {
-        self.tenants = tenants.max(1);
-        self
     }
 
     /// Forces every level onto the device (builder style).
@@ -434,7 +407,7 @@ impl Executor for GpuPipelineBackend {
                 self.pipeline.upload(req.db());
                 let run = self
                     .pipeline
-                    .advance_modeled(req.db(), compiled, self.tenants)
+                    .advance(req.db(), compiled)
                     .map_err(|e| BackendError::Launch(e.to_string()))?;
                 self.gpu_levels += 1;
                 Ok(run.counts)

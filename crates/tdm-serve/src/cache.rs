@@ -67,7 +67,7 @@ pub fn db_content_hash(db: &EventDb) -> u64 {
 /// True when two databases have the same content: pointer equality as the
 /// fast path, full symbol/timestamp comparison otherwise. A 64-bit hash
 /// collision must never share an index.
-pub(crate) fn db_matches(a: &EventDb, b: &EventDb) -> bool {
+fn db_matches(a: &EventDb, b: &EventDb) -> bool {
     std::ptr::eq(a, b)
         || (a.alphabet().len() == b.alphabet().len()
             && a.symbols() == b.symbols()

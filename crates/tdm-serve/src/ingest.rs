@@ -729,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn same_content_tenants_share_the_parked_session() {
+    fn same_content_tenants_share_the_cached_index() {
         let service = Arc::new(MiningService::new(ServiceConfig {
             workers: 2,
             ..Default::default()

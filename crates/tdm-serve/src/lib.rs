@@ -14,11 +14,9 @@
 //!   engine's cost-dispatched executor (`tdm_core::AutoBackend`);
 //!   [`MiningService::submit_with`] runs any other `Executor` (a paper
 //!   baseline, the simulated GPU pipeline, a test spy);
-//! * **explicit batches** — [`MiningService::submit_batch`] serves requests
-//!   over one database that an in-process caller hands in together: one
-//!   place at the gate, one session, one union scan per level
-//!   (`MiningSession::co_mine`). The service never holds a request back to
-//!   fuse it with others;
+//! * **one request, one configuration** — each request takes one place at
+//!   the gate and plans one session for its own `MinerConfig`; the service
+//!   never holds a request back to fuse it with others;
 //! * **one shared pool** — every request's counting scans multiplex over a
 //!   single machine-sized [`Pool`](tdm_mapreduce::pool::Pool) (sessions are
 //!   built with `MiningSessionBuilder::with_pool`), so 16 clients use the

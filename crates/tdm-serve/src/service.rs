@@ -13,7 +13,7 @@ use tdm_core::{EventDb, MinerConfig, OccurrenceIndex};
 use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{db_content_hash, db_matches, CacheStats, Entry, IndexCache};
+use crate::cache::{db_content_hash, CacheStats, Entry, IndexCache};
 
 /// Which counting executor serves a request: always the engine.
 ///
@@ -389,77 +389,38 @@ impl MiningService {
 
     /// Serves one request with a caller-supplied executor (any
     /// [`Executor`] — a paper baseline, the simulated GPU pipeline, custom
-    /// kernels, instrumented spies): a batch of one
-    /// ([`MiningService::submit_batch`]), which is the one serving path.
+    /// kernels, instrumented spies): one place at the admission gate, one
+    /// cache lookup and one session's level loop. This is the one serving
+    /// path.
     ///
     /// # Errors
     /// Same taxonomy as [`MiningService::submit`].
+    ///
+    /// # Panics
+    /// Whenever `executor` panics: the panic goes on to the caller after the
+    /// request is counted as failed.
     pub fn submit_with(
         &self,
         request: &MiningRequest,
         executor: &mut dyn Executor,
     ) -> Result<MiningResponse, ServeError> {
-        let mut served = self.submit_batch(std::slice::from_ref(request), executor)?;
-        Ok(served.swap_remove(0))
-    }
-
-    /// Serves requests over one database together, for an in-process caller
-    /// that already holds their configs: one place at the admission gate, one
-    /// cache lookup, one session, and one level loop
-    /// ([`MiningSession::co_mine`]) whose single union scan per level answers
-    /// every member bit-identically to serving it alone. The service never
-    /// holds a request back to wait for others; a batch is only what the
-    /// caller hands in.
-    ///
-    /// The first request's deadline and cancel token govern the whole batch,
-    /// and its strongest priority rides to the pool. Responses come back in
-    /// request order and share the batch's cache outcome and timings; every
-    /// member counts in [`ServiceStats`]. An empty slice is served at once
-    /// with no responses.
-    ///
-    /// # Errors
-    /// Same taxonomy as [`MiningService::submit`], once for the whole batch:
-    /// the members share the scans, so they share a failure.
-    ///
-    /// # Panics
-    /// If a request's database differs in content from the first request's,
-    /// and whenever `executor` panics: the panic goes on to the caller after
-    /// every member is counted as failed.
-    pub fn submit_batch(
-        &self,
-        requests: &[MiningRequest],
-        executor: &mut dyn Executor,
-    ) -> Result<Vec<MiningResponse>, ServeError> {
-        let Some(first) = requests.first() else {
-            return Ok(Vec::new());
-        };
         let arrived = Instant::now();
-        let key = first.key();
-        assert!(
-            requests[1..]
-                .iter()
-                .all(|r| r.key() == key && db_matches(&r.db, &first.db)),
-            "a batch mines one database"
-        );
-        let priority = if requests.iter().any(|r| r.priority == Priority::High) {
-            Priority::High
-        } else {
-            Priority::Normal
-        };
+        // The cache key hashes the whole database: computed before taking a
+        // slot, so hashing never holds one.
+        let key = request.key();
         // One effective token per submission: the caller's handle (if any)
         // tightened by the request deadline (if any), measured from *arrival*
         // — time queued at the gate spends the budget too.
-        let cancel = match (&first.cancel, first.deadline) {
+        let cancel = match (&request.cancel, request.deadline) {
             (Some(t), Some(d)) => Some(t.deadline_within(d)),
             (Some(t), None) => Some(t.clone()),
             (None, Some(d)) => Some(CancelToken::new().deadline_within(d)),
             (None, None) => None,
         };
-        let members = requests.len() as u64;
-        let permit = match self.admission.acquire(priority) {
+        let permit = match self.admission.acquire(request.priority) {
             Ok(p) => p,
             Err(over) => {
-                bump(&self.counters.rejected, members);
+                bump(&self.counters.rejected, 1);
                 return Err(ServeError::Overloaded {
                     pending: over.pending,
                     limit: over.limit,
@@ -468,15 +429,14 @@ impl MiningService {
         };
         let queue_wait = arrived.elapsed();
         let mining = Instant::now();
-        // A panicking executor still counts: its members fail, and the panic
-        // goes on. The cache is never locked while the level loop runs.
-        let mined = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            self.mine(requests, priority, executor, cancel)
-        }))
-        .unwrap_or_else(|panic| {
-            bump(&self.counters.failed, members);
-            std::panic::resume_unwind(panic)
-        });
+        // A panicking executor still counts: the request fails, and the
+        // panic goes on. The cache is never locked while the level loop runs.
+        let mined =
+            std::panic::catch_unwind(AssertUnwindSafe(|| self.mine(request, executor, cancel)))
+                .unwrap_or_else(|panic| {
+                    bump(&self.counters.failed, 1);
+                    std::panic::resume_unwind(panic)
+                });
         let mine_time = mining.elapsed();
         drop(permit);
         // Cancellations become the typed [`ServeError::Cancelled`]
@@ -487,26 +447,21 @@ impl MiningService {
             Err(ServeError::Cancelled { .. }) => &self.counters.cancelled,
             Err(_) => &self.counters.failed,
         };
-        bump(counter, members);
-        served.map(|(results, cache)| {
-            results
-                .into_iter()
-                .map(|result| MiningResponse {
-                    result,
-                    stats: ResponseStats {
-                        cache,
-                        queue_wait,
-                        mine_time,
-                        key,
-                    },
-                })
-                .collect()
+        bump(counter, 1);
+        served.map(|(result, cache)| MiningResponse {
+            result,
+            stats: ResponseStats {
+                cache,
+                queue_wait,
+                mine_time,
+                key,
+            },
         })
     }
 
     /// The one mining path: share the database's cached index (or build it
-    /// and cache it), plan a session over it for the requests' configs in
-    /// request order, and run its level loop on `executor`.
+    /// and cache it), plan a session over it for the request's config, and
+    /// run its level loop on `executor`.
     ///
     /// The cache is keyed on the database alone, so any request on a cached
     /// database hits, whatever its config, and nothing is taken out while it
@@ -514,18 +469,15 @@ impl MiningService {
     /// included.
     fn mine(
         &self,
-        requests: &[MiningRequest],
-        priority: Priority,
+        request: &MiningRequest,
         executor: &mut dyn Executor,
         token: Option<CancelToken>,
-    ) -> Result<(Vec<MiningResult>, CacheOutcome), MineError> {
-        let first = &requests[0];
-        let key = first.key();
-        let cached = self.cache.lock().expect("index cache").get(key, &first.db);
+    ) -> Result<(MiningResult, CacheOutcome), MineError> {
+        let (key, db) = (request.key(), &request.db);
+        let cached = self.cache.lock().expect("index cache").get(key, db);
         let (entry, cache) = match cached {
             Some(entry) => (entry, CacheOutcome::Hit),
             None => {
-                let db = &first.db;
                 let built = Entry {
                     db: Arc::clone(db),
                     index: Arc::new(OccurrenceIndex::build(db.alphabet().len(), db.symbols())),
@@ -539,15 +491,14 @@ impl MiningService {
         let mut session = MiningSession::builder_shared(entry.db)
             .with_pool(Arc::clone(&self.pool))
             .with_index(entry.index)
-            .configs(requests.iter().map(|r| r.config))
+            .config(request.config)
             .build();
-        // The batch's class rides through to the pool's job lanes: the
+        // The request's class rides through to the pool's job lanes: the
         // parallel executors submit its scans at this priority.
-        session.set_job_priority(priority);
+        session.set_job_priority(request.priority);
         session.set_cancel_token(token);
-        // `co_mine` answers in member order, which is request order.
-        let results = session.co_mine(executor)?;
-        Ok((results, cache))
+        let result = session.mine(executor)?;
+        Ok((result, cache))
     }
 
     /// Aggregate counters since service start.
@@ -710,89 +661,6 @@ mod tests {
         let next = service.submit(&req).unwrap();
         assert_eq!(next.stats.cache, CacheOutcome::Hit);
         assert_eq!(next.result.db_len, 90);
-    }
-
-    #[test]
-    fn fused_batch_matches_solo_results_and_counts_in_stats() {
-        let service = MiningService::new(ServiceConfig {
-            workers: 2,
-            ..Default::default()
-        });
-        let db = db_of(&"ABCABD".repeat(50));
-        let configs = [
-            MinerConfig {
-                alpha: 0.05,
-                max_level: Some(3),
-                ..Default::default()
-            },
-            MinerConfig {
-                alpha: 0.1,
-                max_level: Some(2),
-                ..Default::default()
-            },
-            MinerConfig {
-                alpha: 0.01,
-                max_level: Some(3),
-                ..Default::default()
-            },
-        ];
-        let serial: Vec<MiningResult> = configs
-            .iter()
-            .map(|cfg| {
-                Miner::new(*cfg)
-                    .mine(&db, &mut SequentialBackend::default())
-                    .unwrap()
-            })
-            .collect();
-        let batch: Vec<MiningRequest> = configs
-            .iter()
-            .map(|cfg| MiningRequest::new(Arc::clone(&db), *cfg))
-            .collect();
-        let responses = service.submit_batch(&batch, &mut AutoBackend).unwrap();
-        assert_eq!(responses.len(), 3);
-        for (i, (resp, want)) in responses.iter().zip(&serial).enumerate() {
-            assert_eq!(resp.result, *want, "member {i} diverged from solo mining");
-            assert_eq!(resp.stats.cache, CacheOutcome::Miss, "member {i}");
-        }
-        let stats = service.stats();
-        assert_eq!(stats.completed, 3);
-        // The batch built one index in the one cache.
-        assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1));
-        assert_eq!(service.cached_databases(), 1);
-
-        // The members share the scans, so a failing executor fails every
-        // one of them, and each counts as failed.
-        struct Broken;
-        impl Executor for Broken {
-            fn execute(
-                &mut self,
-                req: &tdm_core::session::CountRequest<'_>,
-            ) -> Result<tdm_core::session::Counts, tdm_core::session::BackendError> {
-                Ok(vec![0; req.candidates() + 1])
-            }
-            fn name(&self) -> &str {
-                "broken"
-            }
-        }
-        let err = service.submit_batch(&batch, &mut Broken).unwrap_err();
-        assert!(matches!(err, ServeError::Mine(_)));
-        let stats = service.stats();
-        assert_eq!((stats.completed, stats.failed), (3, 3));
-        assert!(service.submit_batch(&[], &mut Broken).unwrap().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "a batch mines one database")]
-    fn a_batch_over_two_databases_is_refused() {
-        let service = MiningService::new(ServiceConfig {
-            workers: 1,
-            ..Default::default()
-        });
-        let batch = [
-            MiningRequest::new(db_of(&"AB".repeat(30)), cfg()),
-            MiningRequest::new(db_of(&"BA".repeat(30)), cfg()),
-        ];
-        let _ = service.submit_batch(&batch, &mut AutoBackend);
     }
 
     #[test]

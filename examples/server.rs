@@ -5,9 +5,9 @@
 //! Spins up a real TCP listener on an ephemeral port, then walks through:
 //! a mine round-trip checked bit-identical to serial mining; a cache hit on
 //! the second request; three clients with three thresholds sharing one
-//! database's cached index over the wire; a 1 ms deadline cancelling a run
-//! mid-level-loop; and the typed refusals a hostile or over-eager client
-//! sees.
+//! database's cached index over the wire; a deadline that expires on arrival
+//! cancelling a run at its level-1 check; and the typed refusals a hostile
+//! or over-eager client sees.
 //!
 //! ```sh
 //! cargo run --release --example server
@@ -112,27 +112,26 @@ fn main() {
         cache.get("misses").and_then(Value::as_u64).unwrap_or(0),
     );
 
-    // 5. Deadlines cancel inside the level loop: a 1 ms budget against a
-    //    40k-symbol stream aborts with a typed error naming the level.
-    let big = workloads::markov_letters(40_000, 13, 0.7);
-    let big_letters: String = big.symbols().iter().map(|&s| (b'A' + s) as char).collect();
+    // 5. Deadlines cancel inside the level loop, which checks the request's
+    //    deadline before every level: a 0 ms budget expires on arrival, so
+    //    the level-1 check aborts with a typed error naming the level.
     let reply = acme
         .call(&mine_request(
             "acme",
             "key-a",
-            &big_letters,
-            0.001,
-            Some(6),
+            &letters,
+            0.02,
+            Some(3),
             None,
             None,
-            Some(1),
+            Some(0),
         ))
         .expect("deadline call failed");
-    println!(
-        "deadline 1ms: code {:?} at level {:?}",
-        reply.get("code").and_then(Value::as_str).unwrap_or("—"),
-        reply.get("level").and_then(Value::as_u64),
-    );
+    let code = reply.get("code").and_then(Value::as_str);
+    let level = reply.get("level").and_then(Value::as_u64);
+    assert_eq!(code, Some("deadline"), "an expired deadline must cancel");
+    assert_eq!(level, Some(1), "cancelled at the level-1 check");
+    println!("deadline 0ms: code \"deadline\" at level 1 ✓\n");
 
     // 6. The refusals: a bad key, then a drained token bucket — each a
     //    typed error on a live connection, never a dropped socket.

@@ -58,8 +58,8 @@ fn cpu_executors() -> Vec<(String, Box<dyn Executor>)> {
 }
 
 /// The four GPU kernels as executors, plus the persistent device pipeline:
-/// dispatching (serve-time CPU-vs-GPU choice per level), pinned to the GPU
-/// path, and modeling multi-tenant union launches with K ∈ {2, 4, 8}.
+/// dispatching (serve-time CPU-vs-GPU choice per level) and pinned to the
+/// GPU path.
 fn gpu_executors() -> Vec<(String, Box<dyn Executor>)> {
     let mut v: Vec<(String, Box<dyn Executor>)> = Algorithm::ALL
         .iter()
@@ -81,16 +81,6 @@ fn gpu_executors() -> Vec<(String, Box<dyn Executor>)> {
         "gpu-pipeline-forced".into(),
         Box::new(GpuPipelineBackend::with_defaults(DeviceConfig::geforce_gtx_280()).force_gpu()),
     ));
-    for k in [2u32, 4, 8] {
-        v.push((
-            format!("gpu-pipeline-union-k{k}"),
-            Box::new(
-                GpuPipelineBackend::with_defaults(DeviceConfig::geforce_gtx_280())
-                    .tenants(k)
-                    .force_gpu(),
-            ),
-        ));
-    }
     v
 }
 

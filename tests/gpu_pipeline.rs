@@ -1,71 +1,62 @@
 //! The GPU serving pipeline's differential suite: the persistent
 //! [`GpuPipelineBackend`] drives the *same* plan/execute surfaces as every
-//! CPU backend — solo sessions, `Miner::mine`, and K-member `MiningSession`
-//! batches (the union CSR modeled as a K-tenant launch) — and must stay
-//! bit-identical to serial mining everywhere, while its serve-time dispatch
-//! table sends small levels to the CPU and wide ones to the device.
+//! CPU backend — `MiningSession`s of any worker count and `Miner::mine` —
+//! and must stay bit-identical to serial mining everywhere, while its
+//! serve-time dispatch table sends small levels to the CPU and wide ones to
+//! the device.
 
 use std::sync::Arc;
 use temporal_mining::core::miner::SequentialBackend;
 use temporal_mining::prelude::*;
 use temporal_mining::workloads::markov_letters;
 
-/// K distinct configs over one db: stepped thresholds and level bounds, so
-/// members survive (and retire) at different levels.
-fn stepped_configs(k: usize) -> Vec<MinerConfig> {
-    (0..k)
-        .map(|i| MinerConfig {
-            alpha: 0.001 * (1.0 + i as f64),
-            max_level: Some(2 + (i % 2)),
-            ..Default::default()
-        })
-        .collect()
+fn serial(db: &EventDb, config: MinerConfig) -> MiningResult {
+    Miner::new(config)
+        .mine(db, &mut SequentialBackend::default())
+        .expect("serial mining failed")
 }
 
-fn serial_results(db: &EventDb, configs: &[MinerConfig]) -> Vec<MiningResult> {
-    configs
-        .iter()
-        .map(|cfg| {
-            Miner::new(*cfg)
-                .mine(db, &mut SequentialBackend::default())
-                .expect("serial mining failed")
-        })
-        .collect()
+fn pipeline() -> GpuPipelineBackend {
+    GpuPipelineBackend::with_defaults(DeviceConfig::geforce_gtx_280())
 }
 
-fn pipeline(tenants: u32) -> GpuPipelineBackend {
-    GpuPipelineBackend::with_defaults(DeviceConfig::geforce_gtx_280()).tenants(tenants)
+/// Mines `config` through a fresh pipeline on a session planned for
+/// `workers`.
+fn piped(db: &Arc<EventDb>, config: MinerConfig, workers: usize) -> MiningResult {
+    MiningSession::builder_shared(Arc::clone(db))
+        .config(config)
+        .workers(workers)
+        .build()
+        .mine(&mut pipeline())
+        .expect("pipeline mining failed")
 }
 
 #[test]
-fn union_batches_demux_bit_identically_for_k_2_4_8() {
+fn stepped_configs_ride_the_pipeline_bit_identically() {
+    // Stepped thresholds and level bounds, so runs stop at different levels.
     let db = Arc::new(markov_letters(20_000, 7, 0.65));
-    for k in [2usize, 4, 8] {
-        let configs = stepped_configs(k);
-        let serial = serial_results(&db, &configs);
+    for i in 0..8 {
+        let config = MinerConfig {
+            alpha: 0.001 * (1.0 + i as f64),
+            max_level: Some(2 + (i % 2)),
+            ..Default::default()
+        };
+        let want = serial(&db, config);
         for workers in [1usize, 4] {
-            let mut group = MiningSession::builder_shared(Arc::clone(&db))
-                .configs(configs.iter().copied())
-                .workers(workers)
-                .build();
-            let mut backend = pipeline(k as u32);
-            let results = group.co_mine(&mut backend).expect("co-mining failed");
-            assert_eq!(results.len(), k);
-            for (i, (got, want)) in results.iter().zip(&serial).enumerate() {
-                assert_eq!(got, want, "k={k} workers={workers} member {i} diverged");
-            }
+            let got = piped(&db, config, workers);
+            assert_eq!(got, want, "{config:?} workers={workers}");
         }
     }
 }
 
 #[test]
-fn repeated_item_unions_ride_the_pipeline_exactly() {
+fn repeated_item_configs_ride_the_pipeline_exactly() {
     // distinct_items_only = false lets the Apriori join emit repeated-item
     // episodes ("ABA"); the pipeline's counts must inherit the exact
     // state-composition semantics whichever side of the dispatch table runs.
     let db =
         Arc::new(EventDb::from_str_symbols(&Alphabet::latin26(), &"ABAABBA".repeat(800)).unwrap());
-    let configs = vec![
+    let configs = [
         MinerConfig {
             alpha: 0.01,
             max_level: Some(3),
@@ -82,7 +73,7 @@ fn repeated_item_unions_ride_the_pipeline_exactly() {
             distinct_items_only: false,
         },
     ];
-    let serial = serial_results(&db, &configs);
+    let serial: Vec<MiningResult> = configs.iter().map(|c| serial(&db, *c)).collect();
     assert!(
         serial[0]
             .levels
@@ -92,14 +83,10 @@ fn repeated_item_unions_ride_the_pipeline_exactly() {
         "the workload must actually surface repeated-item episodes"
     );
     for workers in 1usize..=8 {
-        let mut group = MiningSession::builder_shared(Arc::clone(&db))
-            .configs(configs.iter().copied())
-            .workers(workers)
-            .build();
-        let results = group
-            .co_mine(&mut pipeline(configs.len() as u32))
-            .expect("co-mining failed");
-        assert_eq!(results, serial, "workers={workers}");
+        for (config, want) in configs.iter().zip(&serial) {
+            let got = piped(&db, *config, workers);
+            assert_eq!(&got, want, "{config:?} workers={workers}");
+        }
     }
 }
 
@@ -111,11 +98,9 @@ fn forced_gpu_and_dispatching_pipelines_agree_with_the_miner() {
         max_level: Some(3),
         ..Default::default()
     };
-    let serial = Miner::new(config)
-        .mine(&db, &mut SequentialBackend::default())
-        .unwrap();
+    let serial = serial(&db, config);
 
-    let mut dispatching = pipeline(1);
+    let mut dispatching = pipeline();
     assert_eq!(
         Miner::new(config).mine(&db, &mut dispatching).unwrap(),
         serial
@@ -134,7 +119,7 @@ fn forced_gpu_and_dispatching_pipelines_agree_with_the_miner() {
         "expected levels 1-2 on the CPU and level 3 on the device"
     );
 
-    let mut forced = pipeline(1).force_gpu();
+    let mut forced = pipeline().force_gpu();
     assert_eq!(Miner::new(config).mine(&db, &mut forced).unwrap(), serial);
     assert!(
         forced.decisions.iter().all(|d| !d.class.is_cpu()),
@@ -154,7 +139,7 @@ fn the_resident_stream_survives_across_mining_runs() {
         max_level: Some(2),
         ..Default::default()
     };
-    let mut backend = pipeline(1).force_gpu();
+    let mut backend = pipeline().force_gpu();
     let first = Miner::new(config).mine(&db, &mut backend).unwrap();
     let advances_after_first = backend.pipeline().advances();
     let second = Miner::new(config).mine(&db, &mut backend).unwrap();

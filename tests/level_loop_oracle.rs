@@ -5,7 +5,7 @@
 //! written from the generation, counting and support primitives alone —
 //! `candidate::level1`, `count::count_episodes_naive`, `stats::support` and
 //! `candidate::apriori_join` — with no session, engine or lattice in it.
-//! Both `Miner::mine` and `MiningSession::co_mine` must equal it.
+//! Both `Miner::mine` and a `MiningSession` on the engine must equal it.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -42,23 +42,26 @@ fn algorithm1(db: &EventDb, config: &MinerConfig) -> MiningResult {
     MiningResult { levels, db_len: n }
 }
 
-/// Asserts that solo mining of each config, and co-mining all of them in one
-/// session, equal the oracle; returns the oracle's results.
+/// Asserts that `Miner::mine` of each config, and a two-worker session on
+/// the engine, equal the oracle; returns the oracle's results.
 fn check(db: &Arc<EventDb>, configs: &[MinerConfig]) -> Vec<MiningResult> {
     let expected: Vec<MiningResult> = configs.iter().map(|c| algorithm1(db, c)).collect();
     for (config, want) in configs.iter().zip(&expected) {
-        let solo = Miner::new(*config)
+        let serial = Miner::new(*config)
             .mine(db, &mut SequentialBackend::default())
-            .expect("solo mining failed");
-        assert_eq!(&solo, want, "Miner::mine diverged for {config:?}");
+            .expect("serial mining failed");
+        assert_eq!(&serial, want, "Miner::mine diverged for {config:?}");
+        let engine = MiningSession::builder_shared(Arc::clone(db))
+            .config(*config)
+            .workers(2)
+            .build()
+            .mine(&mut AutoBackend)
+            .expect("engine mining failed");
+        assert_eq!(
+            &engine, want,
+            "the engine's session diverged for {config:?}"
+        );
     }
-    let co_mined = MiningSession::builder_shared(Arc::clone(db))
-        .configs(configs.iter().copied())
-        .workers(2)
-        .build()
-        .co_mine(&mut AutoBackend)
-        .expect("co-mining failed");
-    assert_eq!(co_mined, expected, "co_mine diverged for {configs:?}");
     expected
 }
 
@@ -140,29 +143,24 @@ fn the_latin_alphabet_repeated_mines_twenty_six_levels() {
 }
 
 #[test]
-fn a_batch_of_seventy_mines_in_two_groups_of_sixty_four() {
-    // A row's member set is one 64-bit word, so 70 members mine as a group
-    // of 64 and a group of 6: each equals Algorithm 1 and its solo mine, and
-    // each group issues one scan per level of its deepest member.
+fn level_bounds_of_zero_and_one_count_no_level_and_one() {
+    // The wire accepts `"max_level": 0`: the loop then counts no level and
+    // makes no scan. A bound of 1 scans level 1 once and joins nothing.
     let db = Arc::new(
         EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABDBACAAB".repeat(15)).unwrap(),
     );
-    let configs: Vec<MinerConfig> = (0..70)
-        .map(|i| config(0.01 * (i % 9) as f64, Some(1 + i % 4), i % 3 != 0))
-        .collect();
-    let expected = check(&db, &configs);
-    let mut session = MiningSession::builder_shared(Arc::clone(&db))
-        .configs(configs.iter().copied())
-        .build();
-    let results = session
-        .co_mine(&mut SequentialBackend::default())
-        .expect("co-mining failed");
-    assert_eq!(results, expected);
-    let deepest = |group: &[MiningResult]| group.iter().map(|r| r.levels.len()).max().unwrap();
-    assert_eq!(
-        session.compiles(),
-        deepest(&expected[..64]) + deepest(&expected[64..])
-    );
+    for bound in [0, 1] {
+        for distinct in [true, false] {
+            let config = config(0.01, Some(bound), distinct);
+            let mut session = MiningSession::builder_shared(Arc::clone(&db))
+                .config(config)
+                .build();
+            let result = session.mine(&mut AutoBackend).expect("mining failed");
+            assert_eq!(result, algorithm1(&db, &config), "{config:?}");
+            assert_eq!(result.levels.len(), bound, "{config:?}");
+            assert_eq!(session.compiles(), bound, "one scan per level counted");
+        }
+    }
 }
 
 proptest! {
@@ -170,8 +168,8 @@ proptest! {
 
     /// Random streams over 1 to 8 symbols or the Latin alphabet, random
     /// thresholds (a quarter of them exactly 0), level bounds of `None` or
-    /// `Some(0..4)`, and both generation rules: `Miner::mine` and a co-mined
-    /// batch of 1 to 3 members both equal Algorithm 1.
+    /// `Some(0..4)`, and both generation rules: for 1 to 3 configs,
+    /// `Miner::mine` and the engine's session both equal Algorithm 1.
     #[test]
     fn the_level_loop_equals_algorithm_1(
         sigma in prop::sample::select(vec![1usize, 2, 3, 4, 5, 6, 7, 8, 26]),
@@ -179,7 +177,7 @@ proptest! {
         alphas in proptest::collection::vec(-0.1f64..0.3, 3),
         bounds in proptest::collection::vec(0usize..5, 3),
         distinct in proptest::collection::vec(true, 3),
-        members in 1usize..4,
+        configs in 1usize..4,
     ) {
         let alphabet = if sigma == 26 {
             Alphabet::latin26()
@@ -188,7 +186,7 @@ proptest! {
         };
         let symbols: Vec<u8> = raw.into_iter().map(|s| (s as usize % sigma) as u8).collect();
         let db = Arc::new(EventDb::new(alphabet, symbols).unwrap());
-        let configs: Vec<MinerConfig> = (0..members)
+        let configs: Vec<MinerConfig> = (0..configs)
             .map(|m| config(alphas[m].max(0.0), Some(bounds[m]).filter(|&l| l < 4), distinct[m]))
             .collect();
         check(&db, &configs);

@@ -11,10 +11,6 @@
 //!   hits and reads the pair table the first request built, and two
 //!   concurrent requests over one database (paper-scan's shape, one α each)
 //!   count against one index while both are mining;
-//! * an explicit batch (`MiningService::submit_batch`) over one database
-//!   takes one place at the gate and one cache lookup, runs one union scan
-//!   per level against the database's index, and answers each member as
-//!   serial mining would;
 //! * cache hit/miss/eviction semantics and db-hash collision safety — two
 //!   databases with an equal hash-relevant prefix but different content never
 //!   share an index;
@@ -297,7 +293,7 @@ fn concurrent_requests_on_one_database_count_against_one_index() {
 }
 
 #[test]
-fn equal_prefix_different_content_never_shares_a_session() {
+fn equal_prefix_different_content_never_shares_an_index() {
     // Two databases identical in their first 20k symbols, diverging after:
     // any prefix-only or lazy hashing would assign them one key. They must
     // mine to different results and occupy distinct cache entries.
@@ -370,353 +366,6 @@ fn serial(db: &EventDb, cfg: MinerConfig) -> MiningResult {
     Miner::new(cfg)
         .mine(db, &mut SequentialBackend::default())
         .unwrap()
-}
-
-#[test]
-fn cache_hits_may_join_a_batch_over_the_cached_index() {
-    // A solo request caches the database's index. A later batch over that
-    // database is a cache hit: its union scans count against the same index,
-    // and so does the next solo request.
-    let service = MiningService::new(serve_config(2));
-    let db = Arc::new(markov_letters(15_000, 41, 0.6));
-    let cfg_a = mine_config();
-    let cfg_b = MinerConfig {
-        alpha: 0.01,
-        ..mine_config()
-    };
-    let req_a = MiningRequest::new(Arc::clone(&db), cfg_a);
-    let serial_a = serial(&db, cfg_a);
-    let serial_b = serial(&db, cfg_b);
-
-    let mut spy = IndexSpy::default();
-    let cold = service.submit_with(&req_a, &mut spy).unwrap();
-    assert_eq!(cold.stats.cache, CacheOutcome::Miss);
-    assert_eq!(cold.result, serial_a);
-    let cached = one_index(&spy.levels);
-
-    let batch = [req_a.clone(), MiningRequest::new(Arc::clone(&db), cfg_b)];
-    let mut spy = IndexSpy::default();
-    let fused = service.submit_batch(&batch, &mut spy).unwrap();
-    assert!(fused.iter().all(|r| r.stats.cache == CacheOutcome::Hit));
-    assert_eq!(fused[0].result, serial_a);
-    assert_eq!(fused[1].result, serial_b);
-    assert_eq!(
-        one_index(&spy.levels),
-        cached,
-        "the union scans counted against another index"
-    );
-    assert_eq!(service.cached_databases(), 1);
-
-    let mut spy = IndexSpy::default();
-    let warm = service.submit_with(&req_a, &mut spy).unwrap();
-    assert_eq!(warm.stats.cache, CacheOutcome::Hit);
-    assert_eq!(warm.result, serial_a);
-    assert_eq!(one_index(&spy.levels), cached);
-}
-
-/// Counts executor invocations: the instrument for "one union scan per
-/// level, not K solo runs" (same shape as the spy in `tests/comining.rs`).
-#[derive(Default)]
-struct ScanSpy {
-    inner: temporal_mining::baselines::ActiveSetBackend,
-    calls: usize,
-}
-
-impl Executor for ScanSpy {
-    fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
-        self.calls += 1;
-        self.inner.execute(req)
-    }
-
-    fn name(&self) -> &str {
-        "scan-spy"
-    }
-}
-
-/// Blocks inside its first scan until released: pins the admission gate's
-/// only slot while other requests pile up behind it.
-struct GateHolder {
-    inner: temporal_mining::baselines::ActiveSetBackend,
-    started: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-    release: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-}
-
-impl Executor for GateHolder {
-    fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
-        {
-            let (flag, cv) = &*self.started;
-            *flag.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        let (flag, cv) = &*self.release;
-        let mut go = flag.lock().unwrap();
-        while !*go {
-            go = cv.wait(go).unwrap();
-        }
-        drop(go);
-        self.inner.execute(req)
-    }
-
-    fn name(&self) -> &str {
-        "gate-holder"
-    }
-}
-
-#[test]
-fn saturated_gate_fuses_queued_requests_into_one_union_scan_per_level() {
-    // One in-flight slot, held hostage by a request (over a *different*
-    // database) blocked inside its scan. A K = 3 batch over one database
-    // then queues at the gate as one request, not three. When the gate
-    // frees, the whole batch is admitted as one unit and served by one union
-    // scan per level, not 3 serialized solo runs.
-    let service = Arc::new(MiningService::new(ServiceConfig {
-        workers: 2,
-        max_in_flight: 1,
-        ..Default::default()
-    }));
-    let db = Arc::new(markov_letters(15_000, 43, 0.6));
-    let other_db = Arc::new(markov_letters(8_000, 7, 0.5));
-    let configs = [
-        mine_config(),
-        MinerConfig {
-            alpha: 0.005,
-            ..mine_config()
-        },
-        MinerConfig {
-            alpha: 0.02,
-            max_level: Some(3),
-            ..mine_config()
-        },
-    ];
-    let serial: Vec<MiningResult> = configs.iter().map(|cfg| serial(&db, *cfg)).collect();
-
-    let started = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-    let release = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-    std::thread::scope(|s| {
-        let holder = {
-            let service = Arc::clone(&service);
-            let req = MiningRequest::new(Arc::clone(&other_db), mine_config());
-            let started = Arc::clone(&started);
-            let release = Arc::clone(&release);
-            s.spawn(move || {
-                let mut holder = GateHolder {
-                    inner: Default::default(),
-                    started,
-                    release,
-                };
-                service.submit_with(&req, &mut holder).unwrap()
-            })
-        };
-        // The holder is inside its first scan: the only slot is taken.
-        {
-            let (flag, cv) = &*started;
-            let mut up = flag.lock().unwrap();
-            while !*up {
-                up = cv.wait(up).unwrap();
-            }
-        }
-        assert_eq!(service.in_flight(), 1);
-
-        let batch = {
-            let service = Arc::clone(&service);
-            let requests: Vec<MiningRequest> = configs
-                .iter()
-                .map(|cfg| MiningRequest::new(Arc::clone(&db), *cfg))
-                .collect();
-            s.spawn(move || {
-                let mut spy = ScanSpy::default();
-                let responses = service.submit_batch(&requests, &mut spy).unwrap();
-                (responses, spy.calls)
-            })
-        };
-        while service.pending() == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(service.in_flight(), 1, "the batch must wait for the slot");
-        assert_eq!(service.pending(), 1, "the batch queues as one request");
-
-        // Free the gate: the batch is admitted as one unit.
-        {
-            let (flag, cv) = &*release;
-            *flag.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        holder.join().unwrap();
-
-        let (responses, calls) = batch.join().unwrap();
-        let deepest = serial.iter().map(|r| r.levels.len()).max().unwrap();
-        let solo_scan_total: usize = serial.iter().map(|r| r.levels.len()).sum();
-        assert_eq!(calls, deepest, "expected exactly one union scan per level");
-        assert!(
-            calls < solo_scan_total,
-            "fusion must beat {solo_scan_total} serialized solo scans"
-        );
-        assert_eq!(responses.len(), 3);
-        for (i, (resp, want)) in responses.iter().zip(&serial).enumerate() {
-            assert_eq!(resp.result, *want, "member {i} diverged");
-        }
-    });
-    let stats = service.stats();
-    assert_eq!(stats.completed, 4);
-    assert_eq!((service.in_flight(), service.pending()), (0, 0));
-}
-
-#[test]
-fn repeated_bundles_hit_the_cache_and_share_its_index() {
-    // The same two-config bundle submitted twice: the second batch hits the
-    // database's cache entry, so both union scans count against one index.
-    // Its members arrive in swapped order: the session mines them in request
-    // order, so each member still gets its own result.
-    let service = MiningService::new(serve_config(2));
-    let db = Arc::new(markov_letters(15_000, 17, 0.6));
-    let cfg_a = mine_config();
-    let cfg_b = MinerConfig {
-        alpha: 0.01,
-        ..mine_config()
-    };
-
-    // (result for cfg_a, result for cfg_b, index address).
-    let mut rounds: Vec<(MiningResult, MiningResult, usize)> = Vec::new();
-    for (round, (first, second)) in [(cfg_a, cfg_b), (cfg_b, cfg_a)].into_iter().enumerate() {
-        let bundle = [
-            MiningRequest::new(Arc::clone(&db), first),
-            MiningRequest::new(Arc::clone(&db), second),
-        ];
-        let mut spy = IndexSpy::default();
-        let mut responses = service.submit_batch(&bundle, &mut spy).unwrap();
-        assert_eq!(responses.len(), 2, "round {round}");
-        let want = if round == 0 {
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Hit
-        };
-        assert!(
-            responses.iter().all(|r| r.stats.cache == want),
-            "round {round}"
-        );
-        let second = responses.pop().unwrap().result;
-        let first = responses.pop().unwrap().result;
-        let (for_a, for_b) = if round == 0 {
-            (first, second)
-        } else {
-            (second, first)
-        };
-        rounds.push((for_a, for_b, one_index(&spy.levels)));
-    }
-    assert_eq!(
-        rounds[0].2, rounds[1].2,
-        "the second bundle counted against another index"
-    );
-    let serial_a = serial(&db, cfg_a);
-    let serial_b = serial(&db, cfg_b);
-    for (round, (for_a, for_b, _)) in rounds.iter().enumerate() {
-        assert_eq!(*for_a, serial_a, "round {round} cfg_a diverged");
-        assert_eq!(*for_b, serial_b, "round {round} cfg_b diverged");
-    }
-    let stats = service.stats();
-    assert_eq!(stats.completed, 4);
-    assert_eq!(stats.cache.misses, 1, "first bundle builds the index");
-    assert_eq!(stats.cache.hits, 1, "second bundle must reuse it");
-    assert_eq!(stats.cache.collisions, 0);
-    assert_eq!(service.cached_databases(), 1);
-}
-
-#[test]
-fn one_lru_holds_sessions_for_every_batch_size() {
-    // Two slots shared by lone requests (batches of one) and a two-member
-    // bundle, each over its own database: the third database evicts the
-    // least recently used entry whatever batch size cached it, and the
-    // bundle still hits afterwards.
-    let service = MiningService::new(ServiceConfig {
-        workers: 2,
-        cache_capacity: 2,
-        ..Default::default()
-    });
-    let [lone_db, bundle_db, other_db] =
-        [23, 24, 25].map(|seed| Arc::new(markov_letters(12_000, seed, 0.6)));
-    let [cfg_a, cfg_b, cfg_c, cfg_d] = [0.001, 0.002, 0.005, 0.01].map(|alpha| MinerConfig {
-        alpha,
-        ..mine_config()
-    });
-    let bundle = |first: MinerConfig, second: MinerConfig| {
-        let requests = [
-            MiningRequest::new(Arc::clone(&bundle_db), first),
-            MiningRequest::new(Arc::clone(&bundle_db), second),
-        ];
-        let mut responses = service.submit_batch(&requests, &mut AutoBackend).unwrap();
-        let second = responses.pop().unwrap();
-        (responses.pop().unwrap(), second)
-    };
-
-    // A lone request: a batch of one.
-    let lone = service
-        .submit(&MiningRequest::new(Arc::clone(&lone_db), cfg_a))
-        .unwrap();
-    assert_eq!(lone.stats.cache, CacheOutcome::Miss);
-    // A two-member bundle: the second entry.
-    let (first, second) = bundle(cfg_b, cfg_c);
-    assert_eq!(first.stats.cache, CacheOutcome::Miss);
-    assert_eq!(second.stats.cache, CacheOutcome::Miss);
-    // A second lone request on a third database: it evicts the first.
-    let other = service
-        .submit(&MiningRequest::new(Arc::clone(&other_db), cfg_d))
-        .unwrap();
-    assert_eq!(other.stats.cache, CacheOutcome::Miss);
-    let stats = service.stats();
-    assert_eq!(stats.cache.evictions, 1);
-    assert_eq!(service.cached_databases(), 2);
-
-    // The bundle's second round (members swapped) finds its entry cached.
-    let (first, second) = bundle(cfg_c, cfg_b);
-    assert_eq!(first.stats.cache, CacheOutcome::Hit);
-    assert_eq!(second.stats.cache, CacheOutcome::Hit);
-    assert_eq!(first.result, serial(&bundle_db, cfg_c));
-    assert_eq!(second.result, serial(&bundle_db, cfg_b));
-    // The evicted lone request misses again and rebuilds its index.
-    let again = service
-        .submit(&MiningRequest::new(Arc::clone(&lone_db), cfg_a))
-        .unwrap();
-    assert_eq!(again.stats.cache, CacheOutcome::Miss);
-    assert_eq!(again.result, lone.result);
-    let stats = service.stats();
-    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 4));
-    assert_eq!(stats.completed, 7);
-}
-
-#[test]
-fn fused_batches_vote_on_the_backend() {
-    // A batch settles on one backend for all its members: the executor its
-    // caller hands in, the engine through `submit`'s `AutoBackend` or a
-    // paper baseline. Either way its one level loop must serve every member
-    // its solo result.
-    let service = MiningService::new(serve_config(2));
-    let db = Arc::new(markov_letters(12_000, 5, 0.6));
-    let configs = [
-        mine_config(),
-        MinerConfig {
-            alpha: 0.005,
-            ..mine_config()
-        },
-        MinerConfig {
-            alpha: 0.02,
-            ..mine_config()
-        },
-    ];
-    let serial: Vec<MiningResult> = configs.iter().map(|cfg| serial(&db, *cfg)).collect();
-    let requests: Vec<MiningRequest> = configs
-        .iter()
-        .map(|cfg| MiningRequest::new(Arc::clone(&db), *cfg))
-        .collect();
-    let executors: [&mut dyn Executor; 2] = [&mut AutoBackend, &mut ShardedScanBackend::new(2)];
-    for executor in executors {
-        let name = executor.name().to_string();
-        let responses = service.submit_batch(&requests, executor).unwrap();
-        assert_eq!(responses.len(), configs.len(), "{name}");
-        for (i, (resp, want)) in responses.iter().zip(&serial).enumerate() {
-            assert_eq!(resp.result, *want, "{name}: member {i} diverged");
-        }
-    }
-    assert_eq!(service.stats().completed, 6);
 }
 
 /// Asserts the request's scheduling class reaches every `CountRequest` (the
