@@ -11,9 +11,6 @@
 //! * [`SerialScanBackend`] — one full database scan per episode on one core:
 //!   the direct CPU analogue of what each GPU thread does, and the
 //!   GMiner-class single-CPU baseline;
-//! * [`ActiveSetBackend`] — the optimized single-core counter (one database
-//!   pass for all candidates over the request's compiled layout), holding
-//!   only its [`CountScratch`] across calls;
 //! * [`ShardedScanBackend`] — **database-sharded** parallel counting: the
 //!   symbol stream is split into per-worker segments, each segment is scanned
 //!   by a persistent pool worker, and boundary spans are fixed up — the CPU
@@ -27,18 +24,20 @@
 //!   layout — so nothing is copied per chunk. The right shape once candidates
 //!   are plentiful (level 3+).
 //!
-//! All four implement [`tdm_core::session::Executor`], so the level-wise
-//! miner runs unchanged on any of them, and their counts are bit-identical —
-//! which the tests (and the workspace conformance suite) assert.
+//! All three implement [`tdm_core::session::Executor`], so the level-wise
+//! miner runs unchanged on any of them, and their counts are bit-identical to
+//! the optimized single-core counter, `tdm_core`'s [`SequentialBackend`] (one
+//! database pass for all candidates) — which the tests (and the workspace
+//! conformance suite) assert.
 //!
 //! [`CountRequest`]: tdm_core::session::CountRequest
-//! [`CountScratch`]: tdm_core::engine::CountScratch
+//! [`SequentialBackend`]: tdm_core::miner::SequentialBackend
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use tdm_core::count::{count_compiled_naive, count_episode};
-use tdm_core::engine::{with_thread_scratch, CountScratch, MIN_SHARD_STREAM};
+use tdm_core::engine::{with_thread_scratch, MIN_SHARD_STREAM};
 use tdm_core::segment::{even_bounds, segment_ranges};
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::{Episode, EventDb};
@@ -55,25 +54,6 @@ impl Executor for SerialScanBackend {
 
     fn name(&self) -> &str {
         "cpu-serial-scan"
-    }
-}
-
-/// Single-core active-set counter (one pass over the database for all
-/// candidates) — the fast CPU ground truth. The compiled layout lives in the
-/// session; only the scan scratch persists here, so repeated counting (the
-/// miner's level loop) reuses every buffer.
-#[derive(Debug, Default, Clone)]
-pub struct ActiveSetBackend {
-    scratch: CountScratch,
-}
-
-impl Executor for ActiveSetBackend {
-    fn execute(&mut self, req: &CountRequest<'_>) -> Result<Counts, BackendError> {
-        Ok(req.compiled().count(req.stream(), &mut self.scratch))
-    }
-
-    fn name(&self) -> &str {
-        "cpu-active-set"
     }
 }
 
@@ -203,7 +183,7 @@ mod tests {
     use super::*;
     use tdm_core::candidate::permutations;
     use tdm_core::session::MiningSession;
-    use tdm_core::{Alphabet, Miner, MinerConfig};
+    use tdm_core::{Alphabet, Miner, MinerConfig, SequentialBackend};
     use tdm_workloads::uniform_letters;
 
     fn counts_of(
@@ -220,7 +200,7 @@ mod tests {
         let eps = permutations(&Alphabet::latin26(), 2);
         let mut session = MiningSession::builder(&db).workers(4).build();
         let a = counts_of(&mut session, &eps, &mut SerialScanBackend);
-        let b = counts_of(&mut session, &eps, &mut ActiveSetBackend::default());
+        let b = counts_of(&mut session, &eps, &mut SequentialBackend::default());
         let c = counts_of(&mut session, &eps, &mut MapReduceBackend::new(3));
         let d = counts_of(&mut session, &eps, &mut ShardedScanBackend::new(4));
         let e = counts_of(&mut session, &eps, &mut ShardedScanBackend::auto());
@@ -240,7 +220,7 @@ mod tests {
         let db = uniform_letters(30_000, 23);
         let eps = permutations(&Alphabet::latin26(), 2);
         let mut session = MiningSession::builder(&db).workers(3).build();
-        let reference = counts_of(&mut session, &eps, &mut ActiveSetBackend::default());
+        let reference = counts_of(&mut session, &eps, &mut SequentialBackend::default());
         for workers in [1usize, 2, 3, 5, 8] {
             assert_eq!(
                 counts_of(&mut session, &eps, &mut ShardedScanBackend::new(workers)),
@@ -261,7 +241,7 @@ mod tests {
             ..Default::default()
         });
         let r1 = miner.mine(&db, &mut SerialScanBackend).unwrap();
-        let r2 = miner.mine(&db, &mut ActiveSetBackend::default()).unwrap();
+        let r2 = miner.mine(&db, &mut SequentialBackend::default()).unwrap();
         let r3 = miner.mine(&db, &mut MapReduceBackend::new(2)).unwrap();
         let r4 = miner.mine(&db, &mut ShardedScanBackend::new(3)).unwrap();
         assert_eq!(r1, r2);
@@ -274,7 +254,6 @@ mod tests {
     fn backend_names() {
         use tdm_core::session::Executor as _;
         assert_eq!(SerialScanBackend.name(), "cpu-serial-scan");
-        assert_eq!(ActiveSetBackend::default().name(), "cpu-active-set");
         assert_eq!(MapReduceBackend::auto().name(), "cpu-mapreduce");
         assert_eq!(ShardedScanBackend::auto().name(), "cpu-sharded-scan");
     }
@@ -285,7 +264,7 @@ mod tests {
         let mut session = MiningSession::builder(&db).workers(2).build();
         let none: Vec<Episode> = Vec::new();
         assert!(counts_of(&mut session, &none, &mut SerialScanBackend).is_empty());
-        assert!(counts_of(&mut session, &none, &mut ActiveSetBackend::default()).is_empty());
+        assert!(counts_of(&mut session, &none, &mut SequentialBackend::default()).is_empty());
         assert!(counts_of(&mut session, &none, &mut ShardedScanBackend::new(4)).is_empty());
         assert!(counts_of(&mut session, &none, &mut MapReduceBackend::new(4)).is_empty());
     }

@@ -129,8 +129,8 @@ pub struct StreamingPoint {
     pub incremental_wall_s: f64,
     /// Wall time of the full-prefix rescans, seconds.
     pub rescan_wall_s: f64,
-    /// The headline: rescan wall over incremental wall (> 1 = parking
-    /// continuations at the stream head beats recounting history).
+    /// The headline: rescan wall over incremental wall (> 1 = resuming the
+    /// scan state kept at the stream head beats recounting history).
     pub ratio: f64,
 }
 
@@ -180,7 +180,7 @@ fn run_streaming(db: &Arc<EventDb>) -> StreamingPoint {
     }
 
     // Incremental: one StreamingSession, each batch counted by resuming the
-    // parked per-episode continuations at the stream head.
+    // scan from the state it left at the stream head.
     let base_db = EventDb::new(db.alphabet().clone(), symbols[..base].to_vec())
         .expect("base stream rebuild failed");
     let mut live =

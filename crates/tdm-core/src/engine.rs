@@ -452,30 +452,50 @@ impl CompiledCandidates {
     ) {
         debug_assert_eq!(counts.len(), episodes.len());
         debug_assert!(episodes.start <= episodes.end && episodes.end <= self.len());
-        scratch.prepare(episodes.len());
+        scratch.prepare(self, episodes.clone());
+        self.scan_prepared(stream, range, episodes, scratch, counts);
+    }
+
+    /// Continues the whole-set scan `scratch` holds over `stream`, as if
+    /// `stream` directly followed the last range it scanned: the FSM states
+    /// and the active set carry over, so a stream scanned in consecutive
+    /// pieces counts exactly what one scan of their concatenation counts,
+    /// repeated-item episodes included. Only the repeated-item `last_step`
+    /// guard resets, because its positions are range-local.
+    ///
+    /// `scratch` must come from a whole-set scan of this compiled set
+    /// (`counts.len() == self.len()`); the appends of a
+    /// [`StreamingSession`](crate::streaming::StreamingSession) run here.
+    pub(crate) fn resume_scan(
+        &self,
+        stream: &[u8],
+        scratch: &mut CountScratch,
+        counts: &mut [u64],
+    ) {
+        debug_assert_eq!(counts.len(), self.len());
+        debug_assert_eq!(scratch.state.len(), self.len());
+        scratch.last_step.fill(u64::MAX);
+        self.scan_prepared(stream, 0..stream.len(), 0..self.len(), scratch, counts);
+    }
+
+    /// The active-set loop of [`scan_episode_range`] over `stream[range]`,
+    /// starting from the states, active set and anchor windows in `scratch`.
+    ///
+    /// [`scan_episode_range`]: CompiledCandidates::scan_episode_range
+    #[inline]
+    fn scan_prepared(
+        &self,
+        stream: &[u8],
+        range: std::ops::Range<usize>,
+        episodes: std::ops::Range<usize>,
+        scratch: &mut CountScratch,
+        counts: &mut [u64],
+    ) {
         let ep_base = episodes.start;
         if self.is_empty() || range.is_empty() || episodes.is_empty() {
             return;
         }
         let (ep_lo, ep_hi) = (episodes.start as u32, episodes.end as u32);
-        let whole_set = ep_lo == 0 && ep_hi as usize == self.len();
-        // Per-symbol anchor-bucket windows restricted to the chunk. Bucket
-        // entries are ascending (counting sort preserves episode order), so the
-        // chunk members form one contiguous sub-slice per bucket.
-        scratch.anchor_window.clear();
-        for c in 0..self.alphabet_len {
-            let bucket = &self.anchor_episodes
-                [self.anchor_offsets[c] as usize..self.anchor_offsets[c + 1] as usize];
-            let (lo, hi) = if whole_set {
-                (0, bucket.len() as u32)
-            } else {
-                (
-                    bucket.partition_point(|&e| e < ep_lo) as u32,
-                    bucket.partition_point(|&e| e < ep_hi) as u32,
-                )
-            };
-            scratch.anchor_window.push((lo, hi));
-        }
         let CountScratch {
             state,
             last_step,
@@ -850,14 +870,35 @@ impl CountScratch {
         &self.state
     }
 
-    /// Resets for a scan over `n_eps` episodes, reusing capacity.
-    fn prepare(&mut self, n_eps: usize) {
+    /// Resets for a scan of `compiled`'s episode chunk `episodes` from the
+    /// start state, reusing capacity.
+    fn prepare(&mut self, compiled: &CompiledCandidates, episodes: std::ops::Range<usize>) {
+        let n_eps = episodes.len();
         self.state.clear();
         self.state.resize(n_eps, 0);
         self.last_step.clear();
         self.last_step.resize(n_eps, u64::MAX);
         self.active.clear();
         self.next_active.clear();
+        let (ep_lo, ep_hi) = (episodes.start as u32, episodes.end as u32);
+        let whole_set = ep_lo == 0 && ep_hi as usize == compiled.len();
+        // Per-symbol anchor-bucket windows restricted to the chunk. Bucket
+        // entries are ascending (counting sort preserves episode order), so the
+        // chunk members form one contiguous sub-slice per bucket.
+        self.anchor_window.clear();
+        for c in 0..compiled.alphabet_len {
+            let bucket = &compiled.anchor_episodes
+                [compiled.anchor_offsets[c] as usize..compiled.anchor_offsets[c + 1] as usize];
+            let (lo, hi) = if whole_set {
+                (0, bucket.len() as u32)
+            } else {
+                (
+                    bucket.partition_point(|&e| e < ep_lo) as u32,
+                    bucket.partition_point(|&e| e < ep_hi) as u32,
+                )
+            };
+            self.anchor_window.push((lo, hi));
+        }
     }
 }
 
@@ -886,9 +927,6 @@ impl CountScratch {
 /// never depends on what else is compiled alongside it — property-tested in
 /// the workspace suite), demuxed union counts are **bit-identical** to
 /// per-source scans.
-///
-/// [`rebuild`](CandidateUnion::rebuild) reuses every buffer's capacity, so a
-/// caller can re-union each level without steady-state allocation.
 ///
 /// ```
 /// use tdm_core::engine::{CandidateUnion, CompiledCandidates, CountScratch};
@@ -921,44 +959,27 @@ pub struct CandidateUnion {
     /// .. map_offsets[s+1]]` is source `s`'s map).
     map_items: Vec<u32>,
     map_offsets: Vec<u32>,
-    /// Dedup index, kept to reuse its table capacity across rebuilds.
-    index: HashMap<Episode, u32>,
 }
 
 impl CandidateUnion {
     /// Builds the union of `sources` (each one request's candidate set).
     pub fn build(sources: &[&[Episode]]) -> Self {
-        let mut u = CandidateUnion::default();
-        u.rebuild(sources);
-        u
-    }
-
-    /// Rebuilds the union in place, reusing every buffer's capacity — the
-    /// per-level step of a caller that unions every level.
-    pub fn rebuild(&mut self, sources: &[&[Episode]]) {
-        self.episodes.clear();
-        self.map_items.clear();
-        self.map_offsets.clear();
-        self.index.clear();
-        self.map_offsets.push(0);
+        let mut u = CandidateUnion {
+            map_offsets: vec![0],
+            ..CandidateUnion::default()
+        };
+        let mut index: HashMap<&Episode, u32> = HashMap::new();
         for source in sources {
             for ep in source.iter() {
-                // Probe before cloning: in the heavy-overlap regime unions
-                // target, most candidates are duplicates, and the episode is
-                // only cloned on a genuine first appearance.
-                let slot = match self.index.get(ep) {
-                    Some(&slot) => slot,
-                    None => {
-                        let next = self.episodes.len() as u32;
-                        self.index.insert(ep.clone(), next);
-                        self.episodes.push(ep.clone());
-                        next
-                    }
-                };
-                self.map_items.push(slot);
+                let slot = *index.entry(ep).or_insert_with(|| {
+                    u.episodes.push(ep.clone());
+                    u.episodes.len() as u32 - 1
+                });
+                u.map_items.push(slot);
             }
-            self.map_offsets.push(self.map_items.len() as u32);
+            u.map_offsets.push(u.map_items.len() as u32);
         }
+        u
     }
 
     /// Number of distinct episodes in the union.
@@ -1271,19 +1292,6 @@ mod tests {
         let none = CandidateUnion::build(&[]);
         assert!(none.is_empty());
         assert_eq!(none.sources(), 0);
-    }
-
-    #[test]
-    fn union_rebuild_reuses_buffers() {
-        let big: Vec<Episode> = permutations(&Alphabet::latin26(), 2);
-        let mut u = CandidateUnion::build(&[&big, &big]);
-        assert_eq!(u.len(), big.len());
-        let caps = (u.episodes.capacity(), u.map_items.capacity());
-        let small = eps_of(&["AB"]);
-        u.rebuild(&[&small]);
-        assert_eq!(u.len(), 1);
-        assert_eq!(u.sources(), 1);
-        assert_eq!(caps, (u.episodes.capacity(), u.map_items.capacity()));
     }
 
     #[test]

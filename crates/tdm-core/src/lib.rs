@@ -113,14 +113,6 @@ pub enum CoreError {
         /// Number of timestamps.
         times: usize,
     },
-    /// A session built over one stream snapshot was asked to serve (or rebase
-    /// onto) a database that is not an append-descendant of that snapshot.
-    StaleSnapshot {
-        /// Epoch of the snapshot the session holds.
-        session_epoch: u64,
-        /// Epoch of the database it was offered.
-        db_epoch: u64,
-    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -148,15 +140,6 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::LengthMismatch { symbols, times } => {
                 write!(f, "{symbols} symbols but {times} timestamps")
-            }
-            CoreError::StaleSnapshot {
-                session_epoch,
-                db_epoch,
-            } => {
-                write!(
-                    f,
-                    "session snapshot at epoch {session_epoch} cannot rebase onto a database at epoch {db_epoch}"
-                )
             }
         }
     }

@@ -16,6 +16,13 @@
 //!   state-function composition, correct for *any* episode (see the
 //!   consistency note below).
 //!
+//! All of this exists because a segment's scan starts without knowing the FSM
+//! state its left neighbour ends in, as it does in the database-sharded
+//! executors and the simulated GPU's block-level kernels. A stream
+//! counted in appends knows that state at every seam: a
+//! [`StreamingSession`](crate::streaming::StreamingSession) carries its scan
+//! state across each append and needs none of this module.
+//!
 //! ## Consistency
 //!
 //! For episodes with **distinct items** — every candidate the paper's evaluation
@@ -79,54 +86,6 @@ pub fn continuation_count_items(stream: &[u8], items: &[u8], state: u8, from: us
         }
     }
     0
-}
-
-/// Outcome of advancing a parked continuation through one appended chunk
-/// (the streaming form of [`continuation_count_items`], where the "rest of
-/// the stream" has not arrived yet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Continuation {
-    /// The spanning appearance completed inside the chunk: count it.
-    Completed,
-    /// The partial died on a mismatch: nothing to count, nothing left parked.
-    Died,
-    /// The chunk ended while the partial was still advancing — park this
-    /// state at the new stream head and resume on the next append.
-    Pending(u8),
-}
-
-/// Advances a live partial match (`state`, non-zero) through `chunk`,
-/// **advancing only** — the same stop-on-mismatch rule as
-/// [`continuation_count_items`] — but reporting a still-live partial as
-/// [`Continuation::Pending`] instead of dropping it, so a caller feeding the
-/// stream chunk-by-chunk can carry the partial across any number of append
-/// seams. Resuming a `Pending(s)` with the next chunk is exactly equivalent
-/// to one [`continuation_count_items`] walk over the concatenation.
-///
-/// ```
-/// use tdm_core::segment::{continuation_advance_items, Continuation};
-///
-/// // Episode ABC parked at state 1 (seen A); the next two chunks deliver
-/// // B, then C.
-/// let items = [0u8, 1, 2];
-/// assert_eq!(continuation_advance_items(&[1], &items, 1), Continuation::Pending(2));
-/// assert_eq!(continuation_advance_items(&[2], &items, 2), Continuation::Completed);
-/// assert_eq!(continuation_advance_items(&[9], &items, 1), Continuation::Died);
-/// ```
-pub fn continuation_advance_items(chunk: &[u8], items: &[u8], state: u8) -> Continuation {
-    debug_assert!(state > 0, "only live partials can be advanced");
-    let mut j = state as usize;
-    for &c in chunk {
-        if c == items[j] {
-            j += 1;
-            if j == items.len() {
-                return Continuation::Completed;
-            }
-        } else {
-            return Continuation::Died;
-        }
-    }
-    Continuation::Pending(j as u8)
 }
 
 /// Full segmented count: segments are delimited by `bounds`, a non-decreasing
@@ -316,34 +275,6 @@ mod tests {
                 "cut={cut}"
             );
         }
-    }
-
-    #[test]
-    fn chunked_continuation_equals_one_walk() {
-        // Resuming Pending states chunk-by-chunk matches a single
-        // continuation walk over the concatenated remainder.
-        let items = [0u8, 1, 2, 3];
-        let rest = [1u8, 2, 3];
-        assert_eq!(continuation_count_items(&rest, &items, 1, 0), 1);
-        let mut state = 1u8;
-        let mut completed = 0u64;
-        for chunk in rest.chunks(1) {
-            match continuation_advance_items(chunk, &items, state) {
-                Continuation::Completed => {
-                    completed += 1;
-                    break;
-                }
-                Continuation::Died => break,
-                Continuation::Pending(s) => state = s,
-            }
-        }
-        assert_eq!(completed, 1);
-        // A mismatch kills the partial exactly like the one-walk form.
-        assert_eq!(continuation_count_items(&[1, 9, 2, 3], &items, 1, 0), 0);
-        assert_eq!(
-            continuation_advance_items(&[1, 9], &items, 1),
-            Continuation::Died
-        );
     }
 
     #[test]

@@ -138,9 +138,9 @@ impl EventDb {
 
     /// The append generation of this database value: 0 at construction,
     /// incremented once per successful (non-empty) [`append`](EventDb::append)
-    /// / [`extend`](EventDb::extend) batch. Snapshot consumers (sessions,
-    /// cached occurrence indexes) record the epoch they were built against and
-    /// use it to detect that the live stream has moved past them.
+    /// / [`extend`](EventDb::extend) batch: a version number for the stream.
+    /// Streaming ingest (`tdm-serve`'s `StreamIngest`) reports it with each
+    /// sealed window, and the network front-end puts it on the wire.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch

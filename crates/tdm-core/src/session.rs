@@ -21,8 +21,8 @@
 //!   compiled layout.
 //!
 //! The level-wise miner ([`crate::miner::Miner`]) is a thin driver over a
-//! session; long-lived services can hold a session directly and stream
-//! per-level results via [`MiningSession::mine_with`].
+//! session; a caller that wants each level as it finishes drives the session
+//! itself through [`MiningSession::mine_with`].
 //!
 //! A session mines **one** configuration over its one stream snapshot, as
 //! paper Algorithm 1 does: one join, one compile and one executor scan per
@@ -72,7 +72,6 @@ use crate::miner::MinerConfig;
 use crate::segment::even_bounds;
 use crate::sequence::EventDb;
 use crate::stats::{min_frequent_count, LevelResult, MiningResult};
-use crate::CoreError;
 use std::sync::OnceLock;
 use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 
@@ -199,7 +198,7 @@ impl Default for CancelToken {
 
 /// The longest episode the level loop counts: 256 items, the most a `u8`
 /// FSM state covers (the engine's scan state, `fsm::EpisodeFsm::state` and
-/// `segment::Continuation::end_state` are all `u8`). A longer level is
+/// `segment::SegmentScan::end_state` are all `u8`). A longer level is
 /// refused with [`BackendError::EpisodeTooLong`] instead of being counted
 /// wrong.
 pub const MAX_EPISODE_LEVEL: usize = u8::MAX as usize + 1;
@@ -540,7 +539,8 @@ impl<'db> MiningSessionBuilder<'db> {
     /// A serving layer keeps one index per database, and every request's
     /// session reads it, so its pair table and position lists are built
     /// once for all of them. `index` must describe the database's stream;
-    /// one of another length is dropped at the first plan and rebuilt.
+    /// [`build`](MiningSessionBuilder::build) drops one of another length,
+    /// and the session builds its own on first use.
     pub fn with_index(mut self, index: Arc<OccurrenceIndex>) -> Self {
         self.index = Some(index);
         self
@@ -562,6 +562,9 @@ impl<'db> MiningSessionBuilder<'db> {
             default_workers()
         };
         let stream = self.db.get().symbols_shared();
+        // An append-only stream never changes in place, so an index describes
+        // it iff their lengths agree.
+        let index = self.index.filter(|ix| ix.stream_len() == stream.len());
         let pool = match self.pool {
             Some(pool) => PoolSlot::Shared(pool),
             None => PoolSlot::Owned {
@@ -570,13 +573,12 @@ impl<'db> MiningSessionBuilder<'db> {
             },
         };
         MiningSession {
-            epoch: self.db.get().epoch(),
             shard_bounds: shard_bounds(stream.len(), workers),
             db: self.db,
             stream,
             config: self.config,
             compiled: Arc::new(CompiledCandidates::default()),
-            vertical: self.index.map_or_else(OnceLock::new, OnceLock::from),
+            vertical: index.map_or_else(OnceLock::new, OnceLock::from),
             workers,
             pool,
             priority: Priority::Normal,
@@ -629,11 +631,6 @@ fn shard_bounds(n: usize, workers: usize) -> Vec<usize> {
 pub struct MiningSession<'db> {
     db: DbHandle<'db>,
     stream: Arc<[u8]>,
-    /// Append epoch of the database at the moment `stream` was snapshotted
-    /// ([`EventDb::epoch`]); the cached occurrence index is only ever valid
-    /// for this snapshot, and [`rebase`](MiningSession::rebase) refuses
-    /// databases that are not append-descendants of it.
-    epoch: u64,
     /// The configuration the level loop mines.
     config: MinerConfig,
     compiled: Arc<CompiledCandidates>,
@@ -756,53 +753,6 @@ impl<'db> MiningSession<'db> {
         &self.compiled
     }
 
-    /// The append epoch of the stream snapshot this session counts against
-    /// (see [`EventDb::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Re-points a session at a **grown** database — the streaming handoff:
-    /// a caller appends to its db, then rebases the session instead of
-    /// rebuilding it. The stream snapshot is replaced (a
-    /// refcount bump on the new buffer), shard bounds are recut for the new
-    /// length, and a cached [`OccurrenceIndex`] is **extended** over the
-    /// appended suffix ([`OccurrenceIndex::extend`]; position lists widen
-    /// only if a probe had built them; an index shared with other sessions
-    /// is copied first) rather than rebuilt — so the epoch-N index is never
-    /// consulted against epoch-N+1 data, and never thrown away either.
-    ///
-    /// The session takes shared ownership of `db` (as with
-    /// [`builder_shared`](MiningSession::builder_shared)).
-    ///
-    /// # Errors
-    /// [`CoreError::StaleSnapshot`] when `db` is not an append-descendant of
-    /// the session's snapshot (older epoch, or a shorter stream at the same
-    /// alphabet) — the session is left untouched.
-    pub fn rebase(&mut self, db: Arc<EventDb>) -> Result<(), CoreError> {
-        if db.epoch() < self.epoch || db.len() < self.stream.len() {
-            return Err(CoreError::StaleSnapshot {
-                session_epoch: self.epoch,
-                db_epoch: db.epoch(),
-            });
-        }
-        let stream = db.symbols_shared();
-        debug_assert_eq!(
-            &stream[..self.stream.len()],
-            &self.stream[..],
-            "rebase target must be an append-descendant of the session snapshot"
-        );
-        if let Some(mut index) = self.vertical.take() {
-            Arc::make_mut(&mut index).extend(&stream[self.stream.len()..]);
-            let _ = self.vertical.set(index);
-        }
-        self.shard_bounds = shard_bounds(stream.len(), self.workers);
-        self.stream = stream;
-        self.epoch = db.epoch();
-        self.db = DbHandle::Shared(db);
-        Ok(())
-    }
-
     /// The plan step: `compile` fills the session's reusable buffers in place
     /// (given them and the alphabet size), and the level's request borrows
     /// the result.
@@ -811,18 +761,6 @@ impl<'db> MiningSession<'db> {
         level: usize,
         compile: impl FnOnce(&mut CompiledCandidates, usize),
     ) -> CountRequest<'_> {
-        // The epoch guard on the lazily cached occurrence index: an
-        // append-only stream never changes in place, so a cached index
-        // describes the current snapshot iff their lengths agree. A mismatch
-        // drops the cache and the next vertical execute rebuilds it — an
-        // epoch-N index is never consulted against epoch-N+1 data.
-        if self
-            .vertical
-            .get()
-            .is_some_and(|ix| ix.stream_len() != self.stream.len())
-        {
-            self.vertical.take();
-        }
         let alphabet_len = self.db.get().alphabet().len();
         compile(Arc::make_mut(&mut self.compiled), alphabet_len);
         self.compiles += 1;
@@ -1138,8 +1076,8 @@ mod tests {
         }
         assert!(index.has_pairs(), "level 2 read the shared table");
 
-        // An index over another stream length is dropped at the first plan,
-        // never read.
+        // An index over another stream length is dropped at build, never
+        // read.
         let short = Arc::new(OccurrenceIndex::build(26, &db.symbols()[..10]));
         let config = configs[0];
         let mut session = MiningSession::builder(&db)
@@ -1169,36 +1107,6 @@ mod tests {
         assert_eq!(session.config().max_level, Some(2));
         let serial = Miner::new(second).mine(&db, &mut SequentialBackend::default());
         assert_eq!(session.mine(&mut AutoBackend).unwrap(), serial.unwrap());
-    }
-
-    #[test]
-    fn rebasing_a_session_copies_its_shared_index_instead_of_growing_it() {
-        let base = EventDb::from_str_symbols(&Alphabet::latin26(), &"ABCABD".repeat(30)).unwrap();
-        let index = Arc::new(OccurrenceIndex::build(
-            base.alphabet().len(),
-            base.symbols(),
-        ));
-        let config = MinerConfig {
-            alpha: 0.01,
-            max_level: Some(3),
-            ..Default::default()
-        };
-        let mut session = MiningSession::builder_shared(Arc::new(base.clone()))
-            .config(config)
-            .with_index(Arc::clone(&index))
-            .build();
-        session.mine(&mut AutoBackend).unwrap();
-        let mut grown = base.clone();
-        grown.extend(&[2, 1, 0, 3]).unwrap();
-        session.rebase(Arc::new(grown.clone())).unwrap();
-        let serial = Miner::new(config).mine(&grown, &mut SequentialBackend::default());
-        assert_eq!(session.mine(&mut AutoBackend).unwrap(), serial.unwrap());
-        // The session grew a copy; the index other sessions share still
-        // describes the stream it was built over.
-        assert_eq!(index.stream_len(), base.len());
-        let own = session.vertical.get().unwrap();
-        assert!(!Arc::ptr_eq(own, &index));
-        assert_eq!(own.stream_len(), grown.len());
     }
 
     /// A session mined with the strategy-dispatching executor, plus whether

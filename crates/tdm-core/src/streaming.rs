@@ -2,46 +2,34 @@
 //! [`EventDb`].
 //!
 //! Batch mining rescans the whole stream every time it runs; a live stream
-//! that grows by a few hundred symbols between queries makes that O(stream)
-//! cost per append absurd. This module applies the paper's Fig. 5
-//! boundary-continuation machinery (built for *spatial* shard boundaries) to
-//! the **temporal** boundary at the stream head: a [`StreamingSession`] parks
-//! one FSM continuation state per episode at the head and, when symbols
-//! arrive, does O(new symbols) work —
-//!
-//! 1. one compiled active-set pass over **just the appended chunk** (the same
-//!    map step a database shard runs, [`CompiledCandidates::shard_scan`]);
-//! 2. the seam fix: every parked partial match is resumed into the chunk with
-//!    the advance-only continuation rule
-//!    ([`continuation_advance_items`]) — completing, dying, or parking again
-//!    at the new head if the chunk was too short to resolve it;
-//! 3. for the few repeated-item episodes (where the greedy continuation is
-//!    not exact) the exact [`SegmentEffect`] state-composition runs over the
-//!    appended chunk only, composed onto a running effect — the exact
-//!    fallback confined to the seam window instead of the paper-merge's full
-//!    rescan.
+//! that grows by a few hundred symbols between queries would pay O(stream)
+//! counting work per append that way. A [`StreamingSession`] instead keeps
+//! the compiled active-set scan's state at the stream head — every episode's
+//! FSM state and the active set, one [`CountScratch`] — and an append
+//! continues that scan over the new symbols
+//! ([`CompiledCandidates::scan_range`]'s loop, resumed). Counting a stream in
+//! appends is therefore one sequential scan split at the append seams. The
+//! state at a seam is known, so no seam needs the paper's Fig. 5 boundary
+//! fix (which exists because a block-level thread starts its segment without
+//! knowing the state its left neighbour ends in), and repeated-item episodes
+//! need no exact fallback.
 //!
 //! The result is bit-identical to a one-shot batch count of the concatenated
 //! stream for **every** episode set and chunk schedule (the workspace
-//! differential suite pins this), while the per-append cost tracks the chunk,
-//! not the stream.
-//!
-//! [`continuation_advance_items`]: crate::segment::continuation_advance_items
-//! [`CompiledCandidates::shard_scan`]: crate::engine::CompiledCandidates::shard_scan
+//! differential suite pins this), while the scan work per append tracks the
+//! chunk, not the stream.
 
-use crate::engine::{CompiledCandidates, OccurrenceIndex};
+use crate::engine::{CompiledCandidates, CountScratch, OccurrenceIndex};
 use crate::episode::Episode;
-use crate::segment::{continuation_advance_items, Continuation, SegmentEffect};
 use crate::sequence::EventDb;
 use crate::stats::support;
 use crate::{CoreError, Result};
 
 /// An incremental counter over an append-only event stream: owns the evolving
-/// [`EventDb`], a candidate set compiled once, and per-episode continuation
-/// state parked at the stream head. [`append`](StreamingSession::append)
-/// updates every count in O(appended symbols); [`counts`](StreamingSession::counts)
-/// always equals what a from-scratch batch count of the current stream would
-/// return.
+/// [`EventDb`], a candidate set compiled once, and the scan state at the
+/// stream head. [`append`](StreamingSession::append) resumes the scan over
+/// the appended symbols; [`counts`](StreamingSession::counts) always equals
+/// what a from-scratch batch count of the current stream would return.
 ///
 /// ```
 /// use tdm_core::engine::{CompiledCandidates, CountScratch};
@@ -70,14 +58,10 @@ pub struct StreamingSession {
     compiled: CompiledCandidates,
     /// Exact serial count of each episode over the current stream.
     counts: Vec<u64>,
-    /// Parked continuation state per episode at the stream head (0 = no live
-    /// partial). Only distinct-item episodes park here; repeated-item
-    /// episodes live in `effects`.
-    cont: Vec<u8>,
-    /// Running exact state-composition per repeated-item episode: composing
-    /// each appended chunk's [`SegmentEffect`] keeps these episodes exact
-    /// while still touching only the appended window.
-    effects: Vec<(usize, SegmentEffect)>,
+    /// The scan state at the stream head: each episode's FSM state (non-zero
+    /// = a live partial match) and the active set. Every append resumes the
+    /// scan from here.
+    head: CountScratch,
     /// Lazily built vertical index, extended in place on every append once
     /// materialized.
     index: Option<OccurrenceIndex>,
@@ -88,8 +72,8 @@ pub struct StreamingSession {
 impl StreamingSession {
     /// Builds a streaming session over the database's current content for a
     /// fixed episode set (compiled once; `counts` stays aligned to
-    /// `episodes` order). The base stream is counted through the same ingest
-    /// path later appends take.
+    /// `episodes` order): one scan of the base stream, whose end state
+    /// later appends resume.
     ///
     /// # Errors
     /// [`CoreError::SymbolOutOfRange`] when an episode uses a symbol outside
@@ -106,37 +90,25 @@ impl StreamingSession {
             }
         }
         let compiled = CompiledCandidates::compile(alphabet, episodes);
-        let effects = (0..compiled.len())
-            .filter(|&e| compiled.is_repeated(e))
-            .map(|e| {
-                // The empty-segment effect: zero completions, identity exits.
-                (
-                    e,
-                    SegmentEffect::compute_items(&[], compiled.items_of(e), 0..0),
-                )
-            })
-            .collect();
-        let mut session = StreamingSession {
+        let mut counts = vec![0; compiled.len()];
+        let mut head = CountScratch::new();
+        compiled.scan_range(db.symbols(), 0..db.len(), &mut head, &mut counts);
+        Ok(StreamingSession {
             db: db.clone(),
             episodes: episodes.to_vec(),
-            counts: vec![0; compiled.len()],
-            cont: vec![0; compiled.len()],
-            effects,
             compiled,
+            counts,
+            head,
             index: None,
             appends: 0,
             appended_symbols: 0,
-        };
-        let base = session.db.symbols_shared();
-        session.ingest(&base);
-        session.appends = 0;
-        session.appended_symbols = 0;
-        Ok(session)
+        })
     }
 
     /// Appends a batch of events to the owned database (epoch bump, fresh
-    /// stream buffer — parked external snapshots stay valid) and updates
-    /// every count with O(batch) work. Returns the updated counts.
+    /// stream buffer — snapshots held elsewhere stay valid) and counts the
+    /// batch by resuming the scan at the old stream head. Returns the updated
+    /// counts.
     ///
     /// # Errors
     /// As [`EventDb::extend`]; on error nothing changes.
@@ -156,58 +128,16 @@ impl StreamingSession {
         Ok(&self.counts)
     }
 
-    /// The incremental counting step: one fresh compiled scan of the chunk,
-    /// the continuation seam fix for parked partials, and the exact
-    /// state-composition update for repeated-item episodes.
+    /// The incremental counting step: the scan continues from the head state
+    /// over the appended symbols, and a built index widens over them.
     fn ingest(&mut self, suffix: &[u8]) {
         if suffix.is_empty() {
             return;
         }
         self.appends += 1;
         self.appended_symbols += suffix.len() as u64;
-        // Map step over the chunk only — identical to one database shard's
-        // scan, with the seam at the old stream head playing the role of the
-        // shard boundary.
-        let (fresh_counts, fresh_states) = self.compiled.shard_scan(suffix, 0..suffix.len());
-        for e in 0..self.compiled.len() {
-            if self.compiled.is_repeated(e) {
-                continue;
-            }
-            let resolved = match self.cont[e] {
-                0 => true,
-                parked => {
-                    match continuation_advance_items(suffix, self.compiled.items_of(e), parked) {
-                        Continuation::Completed => {
-                            self.counts[e] += 1;
-                            true
-                        }
-                        Continuation::Died => true,
-                        Continuation::Pending(s) => {
-                            self.cont[e] = s;
-                            false
-                        }
-                    }
-                }
-            };
-            self.counts[e] += fresh_counts[e];
-            if resolved {
-                // The freshest seam's live partial (if any) is the one to
-                // park at the new head.
-                self.cont[e] = fresh_states[e];
-            } else {
-                // A partial still pending after the whole chunk means every
-                // chunk symbol fed it — for a distinct-item episode none of
-                // them can be the anchor, so the fresh scan saw nothing.
-                debug_assert_eq!(fresh_counts[e], 0);
-                debug_assert_eq!(fresh_states[e], 0);
-            }
-        }
-        for (e, eff) in self.effects.iter_mut() {
-            let chunk =
-                SegmentEffect::compute_items(suffix, self.compiled.items_of(*e), 0..suffix.len());
-            *eff = eff.then(&chunk);
-            self.counts[*e] = eff.completions[0];
-        }
+        self.compiled
+            .resume_scan(suffix, &mut self.head, &mut self.counts);
         if let Some(index) = self.index.as_mut() {
             index.extend(suffix);
         }
@@ -264,9 +194,10 @@ impl StreamingSession {
         self.index.as_ref().expect("index built above")
     }
 
-    /// Episodes with a live partial match parked at the stream head.
+    /// Episodes with a live partial match at the stream head (a non-zero
+    /// FSM state in the head's scan state).
     pub fn parked_partials(&self) -> usize {
-        self.cont.iter().filter(|&&s| s != 0).count()
+        self.head.end_states().iter().filter(|&&s| s != 0).count()
     }
 
     /// Append batches ingested since construction.
@@ -287,7 +218,6 @@ impl StreamingSession {
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
-    use crate::engine::CountScratch;
 
     fn eps_of(specs: &[&str]) -> Vec<Episode> {
         let ab = Alphabet::latin26();

@@ -1,32 +1,25 @@
 //! Differential suite for streaming ingestion: a [`StreamingSession`] fed any
 //! append chunk schedule must report counts **bit-identical** to a one-shot
 //! batch build over the concatenated stream — the whole contract of the
-//! incremental path. Adversarial axes:
+//! incremental path, where every append resumes the compiled scan from the
+//! state the previous one left at the stream head. Adversarial axes:
 //!
 //! * random chunk schedules, chunk sizes 1..=stream_len (proptest), so
 //!   occurrences straddle every append seam somewhere;
-//! * repeated-item episodes straddling the seam (the greedy continuation is
-//!   inexact for them — the session's per-episode [`SegmentEffect`]
-//!   composition must keep them exact anyway);
+//! * repeated-item episodes straddling one seam or two (a resume after a
+//!   resume), at every cut: the scan's repeated-item guard must not carry a
+//!   stale position across a seam;
 //! * cross-checks against every counting strategy and worker counts 1..=8
 //!   through real [`MiningSession`]s over the final stream;
 //! * the incrementally **extended** occurrence index against a fresh batch
-//!   build;
-//! * the stale-snapshot hazard: [`MiningSession::rebase`] must never let an
-//!   index built for snapshot epoch N be consulted against epoch N+1 data,
-//!   and must reject databases that are not append-descendants of the
-//!   session snapshot.
-//!
-//! [`SegmentEffect`]: tdm_core::segment::SegmentEffect
-
-use std::sync::Arc;
+//!   build.
 
 use proptest::prelude::*;
 use tdm_core::engine::{CompiledCandidates, CountScratch, OccurrenceIndex};
-use tdm_core::miner::{AutoBackend, MinerConfig};
+use tdm_core::miner::AutoBackend;
 use tdm_core::session::MiningSession;
 use tdm_core::streaming::StreamingSession;
-use tdm_core::{Alphabet, CoreError, Episode, EventDb};
+use tdm_core::{Alphabet, Episode, EventDb};
 
 /// One-shot batch reference: compile + sequential active-set scan (itself
 /// pinned against the frozen seed counter by `strategy_differential.rs`).
@@ -68,8 +61,10 @@ fn chunk_schedule(len: usize, raw_sizes: &[usize]) -> Vec<usize> {
 #[test]
 fn repeated_item_episodes_stay_exact_across_every_seam() {
     // "AAB" over "AAAB" counts 0 under the FSM (not 1 as substring counting
-    // would say); any greedy per-seam continuation gets some cut of the
-    // repeated runs wrong. Sweep every single cut of adversarial streams.
+    // would say), and whether a repeated-item episode may re-anchor depends
+    // on what it did one symbol earlier. Sweep every single cut and every
+    // pair of cuts of adversarial streams: a resume that mishandles any of
+    // the scan state gets one of them wrong.
     let streams: [&[u8]; 3] = [b"AAAB", b"AABAABAA", b"AAAAAAAA"];
     let episodes: Vec<Episode> = [b"AAB".as_slice(), b"AA", b"ABA", b"AAAB"]
         .iter()
@@ -78,90 +73,20 @@ fn repeated_item_episodes_stay_exact_across_every_seam() {
     let ab = Alphabet::numbered(2).unwrap();
     for raw in streams {
         let stream: Vec<u8> = raw.iter().map(|c| c - b'A').collect();
+        let n = stream.len();
         let reference = batch_counts(2, &stream, &episodes);
-        for cut in 0..=stream.len() {
-            let db = EventDb::new(ab.clone(), stream[..cut].to_vec()).unwrap();
+        let one_cut = (0..=n).map(|cut| vec![cut]);
+        let two_cuts = (0..=n).flat_map(|a| (a..=n).map(move |b| vec![a, b]));
+        for cuts in one_cut.chain(two_cuts) {
+            let db = EventDb::new(ab.clone(), stream[..cuts[0]].to_vec()).unwrap();
             let mut live = StreamingSession::new(&db, &episodes).unwrap();
-            live.append(&stream[cut..]).unwrap();
-            assert_eq!(live.counts(), &reference[..], "cut at {cut} of {raw:?}");
+            for (i, &from) in cuts.iter().enumerate() {
+                let to = cuts.get(i + 1).copied().unwrap_or(n);
+                live.append(&stream[from..to]).unwrap();
+            }
+            assert_eq!(live.counts(), &reference[..], "cuts {cuts:?} of {raw:?}");
         }
     }
-}
-
-#[test]
-fn rebase_extends_the_cached_index_instead_of_consulting_it_stale() {
-    let ab = Alphabet::latin26();
-    let base = EventDb::from_str_symbols(&ab, &"ABCABZQXABCAACAB".repeat(64)).unwrap();
-    let episodes: Vec<Episode> = ["A", "AB", "ABC", "AAC", "CABA"]
-        .iter()
-        .map(|s| Episode::from_str(&ab, s).unwrap())
-        .collect();
-
-    let mut session = MiningSession::builder_shared(Arc::new(base.clone())).build();
-    // Force the lazy index build on the epoch-0 snapshot.
-    let req = session.plan_candidates(&episodes);
-    assert_eq!(req.occurrence_index().stream_len(), base.len());
-
-    // Grow the database by two appends, then rebase the session.
-    let mut grown = base.clone();
-    grown
-        .extend(&"CABACABA".bytes().map(|c| c - b'A').collect::<Vec<_>>()[..])
-        .unwrap();
-    grown
-        .extend(&"ABCABC".bytes().map(|c| c - b'A').collect::<Vec<_>>()[..])
-        .unwrap();
-    assert_eq!(grown.epoch(), 2);
-    session.rebase(Arc::new(grown.clone())).unwrap();
-    assert_eq!(session.epoch(), 2);
-
-    // The request's index now describes the grown stream exactly — extended
-    // in place, never the stale epoch-0 layout.
-    let req = session.plan_candidates(&episodes);
-    let extended = req.occurrence_index();
-    assert_eq!(extended.stream_len(), grown.len());
-    let fresh = OccurrenceIndex::build(ab.len(), grown.symbols());
-    for c in 0..ab.len() as u8 {
-        assert_eq!(
-            extended.occurrences(grown.symbols(), c),
-            fresh.occurrences(grown.symbols(), c),
-            "symbol {c}"
-        );
-    }
-
-    // And counting through the rebased session matches a from-scratch one.
-    let counts = session
-        .count_candidates(&episodes, &mut AutoBackend)
-        .unwrap();
-    assert_eq!(counts, batch_counts(ab.len(), grown.symbols(), &episodes));
-}
-
-#[test]
-fn rebase_rejects_databases_that_are_not_append_descendants() {
-    let ab = Alphabet::latin26();
-    let mut grown = EventDb::from_str_symbols(&ab, "ABCABC").unwrap();
-    grown.extend(&[0, 1]).unwrap();
-
-    let mut session = MiningSession::builder_shared(Arc::new(grown.clone())).build();
-    // An older epoch of the "same" stream: refused, session untouched.
-    let old = EventDb::from_str_symbols(&ab, "ABCABC").unwrap();
-    assert!(matches!(
-        session.rebase(Arc::new(old)),
-        Err(CoreError::StaleSnapshot {
-            session_epoch: 1,
-            db_epoch: 0
-        })
-    ));
-    assert_eq!(session.epoch(), 1);
-
-    // A shorter stream is refused too.
-    let mut configured = MiningSession::builder_shared(Arc::new(grown))
-        .config(MinerConfig::default())
-        .build();
-    let shorter = EventDb::from_str_symbols(&ab, "ABCABC").unwrap();
-    assert!(matches!(
-        configured.rebase(Arc::new(shorter)),
-        Err(CoreError::StaleSnapshot { .. })
-    ));
 }
 
 #[test]
@@ -244,31 +169,5 @@ proptest! {
         let counts = session.count_candidates(&episodes, &mut AutoBackend)
             .expect("auto backend never fails");
         prop_assert_eq!(&counts[..], live.counts());
-    }
-
-    /// Rebasing a session across a random append agrees with a
-    /// from-scratch session — with the cached index already materialized, so
-    /// the extend-in-place path is the one under test.
-    #[test]
-    fn rebase_across_random_appends_matches_fresh_sessions(
-        alpha in 1usize..=6,
-        raw_base in proptest::collection::vec(0u8..6, 1..200),
-        raw_suffix in proptest::collection::vec(0u8..6, 1..200),
-        raw_eps in proptest::collection::vec(proptest::collection::vec(0u8..6, 1..6), 1..12),
-    ) {
-        let (base, episodes) = fold_inputs(alpha, &raw_base, &raw_eps);
-        let suffix: Vec<u8> = raw_suffix.iter().map(|&c| c % alpha as u8).collect();
-        let ab = Alphabet::numbered(alpha).unwrap();
-        let db = EventDb::new(ab, base).unwrap();
-        let mut session = MiningSession::builder_shared(Arc::new(db.clone())).build();
-        // Materialize the epoch-0 index.
-        session.plan_candidates(&episodes).occurrence_index();
-
-        let mut grown = db.clone();
-        grown.extend(&suffix).unwrap();
-        session.rebase(Arc::new(grown.clone())).unwrap();
-        let counts = session.count_candidates(&episodes, &mut AutoBackend)
-            .expect("auto backend never fails");
-        prop_assert_eq!(counts, batch_counts(alpha, grown.symbols(), &episodes));
     }
 }

@@ -166,21 +166,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Non-blocking admission: takes a slot immediately when one is free and
-    /// nobody is queued ahead, `None` otherwise — this call never waits and
-    /// never takes a ticket. Per-tenant quota gates (the network front-end's
-    /// in-flight quotas) use this to turn quota exhaustion into an immediate
-    /// typed error instead of parking a bounded handler thread at the gate.
-    pub fn try_acquire(&self) -> Option<Permit<'_>> {
-        let mut st = self.state.lock().expect("admission state");
-        if st.in_flight < self.max_in_flight && st.pending() == 0 {
-            st.in_flight += 1;
-            Some(Permit { queue: self })
-        } else {
-            None
-        }
-    }
-
     /// Requests currently waiting for admission.
     pub fn pending(&self) -> usize {
         self.state.lock().expect("admission state").pending()
@@ -363,36 +348,6 @@ mod tests {
             normal_pos, DEFAULT_LANE_AGING,
             "normal must be admitted after exactly {DEFAULT_LANE_AGING} high admissions: {order:?}"
         );
-    }
-
-    #[test]
-    fn try_acquire_never_blocks_and_respects_queued_waiters() {
-        let q = Arc::new(AdmissionQueue::new(1, 0));
-        let first = q.try_acquire().expect("free slot");
-        assert_eq!(q.in_flight(), 1);
-        // Slot taken: immediate None, no queueing.
-        assert!(q.try_acquire().is_none());
-        assert_eq!(q.pending(), 0);
-        // With a blocking waiter queued, a freed slot belongs to the waiter —
-        // try_acquire must not jump the line.
-        std::thread::scope(|s| {
-            {
-                let q = Arc::clone(&q);
-                s.spawn(move || {
-                    let p = q.acquire(Priority::Normal).unwrap();
-                    drop(p);
-                });
-            }
-            while q.pending() < 1 {
-                std::thread::yield_now();
-            }
-            assert!(q.try_acquire().is_none(), "queued waiter has the next slot");
-            drop(first);
-        });
-        // Idle again: the slot is immediately takeable.
-        let p = q.try_acquire().expect("idle gate");
-        drop(p);
-        assert_eq!(q.in_flight(), 0);
     }
 
     #[test]

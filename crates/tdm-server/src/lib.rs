@@ -11,8 +11,8 @@
 //! What the socket path adds over in-process serving:
 //!
 //! * **tenants** ([`tenant`]) — API keys, token-bucket rate limits, and
-//!   per-tenant in-flight quotas (the admission machinery's non-blocking
-//!   `try_acquire`, so one tenant's backlog cannot starve another's);
+//!   per-tenant in-flight quotas (a counter that refuses at the quota
+//!   instead of queueing, so one tenant's backlog cannot starve another's);
 //! * **deadlines** — a request's `deadline_ms` becomes a
 //!   [`CancelToken`](tdm_core::CancelToken) checked *inside the level
 //!   loop*: an abandoned scan stops at the next level boundary, releases

@@ -6,19 +6,19 @@
 //!
 //! * a **token bucket** (requests per second with a burst allowance) —
 //!   refilled lazily on each check, no background thread;
-//! * an **in-flight quota** — a per-tenant [`AdmissionQueue`] consulted with
-//!   [`AdmissionQueue::try_acquire`], so a tenant at its quota is refused
-//!   *immediately* (with a retry hint) instead of queueing, and can never
-//!   occupy more of the service's global waiting room than its quota allows.
-//!   Tenant A saturating its own quota therefore cannot starve tenant B:
-//!   B's requests reach the global gate regardless of A's backlog.
+//! * an **in-flight quota** — a per-tenant counter, taken by compare-exchange
+//!   while it is under the quota and released when the request's
+//!   [`QuotaPermit`] drops. It never queues: a tenant at its quota is refused
+//!   *immediately* (with a retry hint), and can never occupy more of the
+//!   service's global waiting room than its quota allows. Tenant A
+//!   saturating its own quota therefore cannot starve tenant B: B's requests
+//!   reach the global gate regardless of A's backlog.
 //!
 //! Both gates return typed denials that map 1:1 onto wire error codes.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-use tdm_serve::{AdmissionQueue, Permit};
 
 use crate::wire::{retry_after_hint, RETRY_FLOOR_MS};
 
@@ -133,16 +133,25 @@ struct Bucket {
 struct Tenant {
     config: TenantConfig,
     bucket: Mutex<Bucket>,
-    /// The quota gate. Only `try_acquire` is ever called on it: quota
-    /// rejections are immediate, and its waiting room stays empty.
-    gate: Option<AdmissionQueue>,
+    /// Requests holding a quota slot; stays 0 for a tenant without a quota.
+    in_flight: AtomicUsize,
 }
 
 /// A mining request's hold on its tenant's quota; dropping it releases the
 /// slot.
 #[derive(Debug)]
 pub struct QuotaPermit<'a> {
-    _permit: Option<Permit<'a>>,
+    /// The tenant's in-flight counter, or `None` for a tenant without a
+    /// quota.
+    slot: Option<&'a AtomicUsize>,
+}
+
+impl Drop for QuotaPermit<'_> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot {
+            slot.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 /// The set of tenants a server was configured with.
@@ -157,17 +166,13 @@ impl TenantRegistry {
     pub fn new(configs: Vec<TenantConfig>) -> Self {
         let tenants = configs
             .into_iter()
-            .map(|config| {
-                let gate = (config.max_in_flight > 0)
-                    .then(|| AdmissionQueue::new(config.max_in_flight, 1));
-                Tenant {
-                    bucket: Mutex::new(Bucket {
-                        tokens: config.burst.max(1.0),
-                        refilled: Instant::now(),
-                    }),
-                    gate,
-                    config,
-                }
+            .map(|config| Tenant {
+                bucket: Mutex::new(Bucket {
+                    tokens: config.burst.max(1.0),
+                    refilled: Instant::now(),
+                }),
+                in_flight: AtomicUsize::new(0),
+                config,
             })
             .collect();
         TenantRegistry { tenants }
@@ -217,17 +222,16 @@ impl TenantRegistry {
     /// backlog lives client-side, not in the shared waiting room.
     pub fn take_quota(&self, name: &str) -> Result<QuotaPermit<'_>, Denial> {
         let tenant = self.find(name).ok_or(Denial::UnknownTenant)?;
-        match &tenant.gate {
-            None => Ok(QuotaPermit { _permit: None }),
-            Some(gate) => match gate.try_acquire() {
-                Some(permit) => Ok(QuotaPermit {
-                    _permit: Some(permit),
-                }),
-                None => Err(Denial::QuotaExhausted {
-                    in_flight: gate.in_flight(),
-                    quota: tenant.config.max_in_flight,
-                }),
-            },
+        let quota = tenant.config.max_in_flight;
+        if quota == 0 {
+            return Ok(QuotaPermit { slot: None });
+        }
+        let slot = &tenant.in_flight;
+        match slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |held| {
+            (held < quota).then_some(held + 1)
+        }) {
+            Ok(_) => Ok(QuotaPermit { slot: Some(slot) }),
+            Err(in_flight) => Err(Denial::QuotaExhausted { in_flight, quota }),
         }
     }
 
@@ -235,16 +239,14 @@ impl TenantRegistry {
     /// tenants) — the idle-accounting hook the leak tests assert on.
     pub fn in_flight(&self, name: &str) -> usize {
         self.find(name)
-            .and_then(|t| t.gate.as_ref())
-            .map_or(0, AdmissionQueue::in_flight)
+            .map_or(0, |t| t.in_flight.load(Ordering::SeqCst))
     }
 
     /// Total in-flight requests across all quota-gated tenants.
     pub fn total_in_flight(&self) -> usize {
         self.tenants
             .iter()
-            .filter_map(|t| t.gate.as_ref())
-            .map(AdmissionQueue::in_flight)
+            .map(|t| t.in_flight.load(Ordering::SeqCst))
             .sum()
     }
 }

@@ -25,7 +25,7 @@ fn main() {
         ..Default::default()
     });
     let result = miner
-        .mine(&db, &mut ActiveSetBackend::default())
+        .mine(&db, &mut SequentialBackend::default())
         .expect("mining failed");
     println!(
         "mined {} candidates -> {} frequent episodes",

@@ -34,7 +34,7 @@ fn main() {
         .build();
     let t0 = std::time::Instant::now();
     let result = session
-        .mine_with(&mut ActiveSetBackend::default(), |level| {
+        .mine_with(&mut SequentialBackend::default(), |level| {
             println!(
                 "  level {}: {} candidates, {} frequent (streamed)",
                 level.level,

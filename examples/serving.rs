@@ -96,7 +96,7 @@ fn main() {
     // 5. The serving guarantee: a served result is exactly a serial mine.
     let (name, db) = &dbs[0];
     let serial = Miner::new(config)
-        .mine(db.as_ref(), &mut ActiveSetBackend::default())
+        .mine(db.as_ref(), &mut SequentialBackend::default())
         .unwrap();
     let served = service
         .submit(&MiningRequest::new(Arc::clone(db), config))

@@ -43,7 +43,7 @@
 //!
 //! // Execute many times: every backend is an Executor over the same
 //! // borrowed CountRequest — here the CPU active-set counter…
-//! let cpu = session.mine(&mut ActiveSetBackend::default()).unwrap();
+//! let cpu = session.mine(&mut SequentialBackend::default()).unwrap();
 //!
 //! // …and the simulated GPU kernel of the paper's Algorithm 3 on a GeForce
 //! // GTX 280 — identical results, plus a time model. Each run compiles once
@@ -70,15 +70,13 @@ pub use tdm_workloads as workloads;
 /// The most common imports, for `use temporal_mining::prelude::*;`.
 pub mod prelude {
     pub use gpu_sim::{CostModel, DeviceConfig, SimReport};
-    pub use tdm_baselines::{
-        ActiveSetBackend, MapReduceBackend, SerialScanBackend, ShardedScanBackend,
-    };
+    pub use tdm_baselines::{MapReduceBackend, SerialScanBackend, ShardedScanBackend};
     pub use tdm_core::StreamingSession;
     pub use tdm_core::{
         Alphabet, AutoBackend, BackendError, BitmaskNfa, CandidateUnion, CompileError,
         CompiledCandidates, CountRequest, CountScratch, CountSemantics, CountStrategy, Counts,
         Episode, EventDb, Executor, MineError, Miner, MinerConfig, MiningResult, MiningSession,
-        OccurrenceIndex, StrategyCosts, Symbol,
+        OccurrenceIndex, SequentialBackend, StrategyCosts, Symbol,
     };
     pub use tdm_gpu::{
         Algorithm, DevicePipeline, GpuBackend, GpuPipelineBackend, KernelRun, MiningProblem,

@@ -32,10 +32,6 @@ fn cpu_executors() -> Vec<(String, Box<dyn Executor>)> {
         ),
         ("cpu-serial-scan".into(), Box::new(SerialScanBackend)),
         (
-            "cpu-active-set".into(),
-            Box::new(ActiveSetBackend::default()),
-        ),
-        (
             "cpu-sharded-auto".into(),
             Box::new(ShardedScanBackend::auto()),
         ),
@@ -155,7 +151,7 @@ fn session_compiles_exactly_once_per_level_into_the_same_buffers() {
             ..Default::default()
         })
         .build();
-    let mut spy = SpyExecutor::<ActiveSetBackend>::default();
+    let mut spy = SpyExecutor::<SequentialBackend>::default();
     let result = session.mine_with(&mut spy, |_| {}).unwrap();
     assert!(result.levels.len() >= 2, "want a multi-level run");
     // One execute — and exactly one compile — per level.
@@ -309,7 +305,6 @@ proptest! {
             ("auto", Box::new(AutoBackend)),
             ("sequential", Box::new(SequentialBackend::default())),
             ("serial", Box::new(SerialScanBackend)),
-            ("active", Box::new(ActiveSetBackend::default())),
             ("sharded", Box::new(ShardedScanBackend::new(workers))),
             ("sharded-auto", Box::new(ShardedScanBackend::auto())),
             ("mapreduce", Box::new(MapReduceBackend::new(workers))),

@@ -21,8 +21,8 @@ fn all_backends_bit_identical_on_paper_db_slice() {
         let mut executors: Vec<(String, Box<dyn Executor>)> = vec![
             ("cpu-serial-scan".into(), Box::new(SerialScanBackend)),
             (
-                "cpu-active-set".into(),
-                Box::new(ActiveSetBackend::default()),
+                "cpu-sequential".into(),
+                Box::new(SequentialBackend::default()),
             ),
             ("cpu-mapreduce".into(), Box::new(MapReduceBackend::new(3))),
             (
@@ -67,7 +67,7 @@ fn mining_results_identical_across_cpu_backends() {
     assert!(reference.total_frequent() > 0);
     assert_eq!(
         reference,
-        miner.mine(&db, &mut ActiveSetBackend::default()).unwrap()
+        miner.mine(&db, &mut SequentialBackend::default()).unwrap()
     );
     assert_eq!(
         reference,

@@ -3,7 +3,7 @@
 //! kernels) → identical results; plus the expiry extension on timestamped data
 //! and dataset (de)serialization in the loop.
 
-use temporal_mining::baselines::{ActiveSetBackend, MapReduceBackend, SerialScanBackend};
+use temporal_mining::baselines::{MapReduceBackend, SerialScanBackend};
 use temporal_mining::core::expiry::count_with_expiry;
 use temporal_mining::prelude::*;
 use temporal_mining::workloads::{
@@ -21,8 +21,8 @@ fn all_backends_mine_identically() {
     let reference = miner.mine(&db, &mut SerialScanBackend).unwrap();
     assert!(reference.total_frequent() > 0);
 
-    let mut active = ActiveSetBackend::default();
-    assert_eq!(miner.mine(&db, &mut active).unwrap(), reference);
+    let mut sequential = SequentialBackend::default();
+    assert_eq!(miner.mine(&db, &mut sequential).unwrap(), reference);
 
     let mut mapreduce = MapReduceBackend::new(2);
     assert_eq!(miner.mine(&db, &mut mapreduce).unwrap(), reference);
@@ -43,7 +43,7 @@ fn mining_respects_support_threshold() {
         alpha: 0.05,
         ..Default::default()
     })
-    .mine(&db, &mut ActiveSetBackend::default())
+    .mine(&db, &mut SequentialBackend::default())
     .unwrap();
     assert_eq!(strict.total_frequent(), 0);
 
@@ -52,7 +52,7 @@ fn mining_respects_support_threshold() {
         max_level: Some(1),
         ..Default::default()
     })
-    .mine(&db, &mut ActiveSetBackend::default())
+    .mine(&db, &mut SequentialBackend::default())
     .unwrap();
     assert_eq!(lax.levels[0].len(), 26);
     for (_, count, support) in lax.iter() {
@@ -104,7 +104,7 @@ fn basket_round_trips_through_serialization_and_mines_the_motif() {
         max_level: Some(3),
         ..Default::default()
     });
-    let result = miner.mine(&db2, &mut ActiveSetBackend::default()).unwrap();
+    let result = miner.mine(&db2, &mut SequentialBackend::default()).unwrap();
     let motif = Episode::new(vec![0, 1, 2]).unwrap(); // peanut-butter, bread, jelly
     assert!(
         result.count_of(&motif).is_some(),
@@ -144,7 +144,7 @@ fn facade_prelude_covers_the_doctest_workflow() {
         max_level: Some(2),
         ..Default::default()
     });
-    let cpu = miner.mine(&db, &mut ActiveSetBackend::default()).unwrap();
+    let cpu = miner.mine(&db, &mut SequentialBackend::default()).unwrap();
     let mut gpu = GpuBackend::new(
         Algorithm::ThreadBuffered,
         96,

@@ -126,7 +126,7 @@ fn sixteen_concurrent_clients_across_three_tenants_are_bit_identical() {
 }
 
 #[test]
-fn same_db_requests_share_one_parked_session_over_the_wire() {
+fn same_db_requests_share_one_cached_index_over_the_wire() {
     // Three connections, one database, three thresholds: the first request
     // builds the database's index, the other two count against it from the
     // cache, and every reply is bit-identical to serial mining.

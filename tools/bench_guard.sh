@@ -27,7 +27,7 @@
 # Serve guard — fails when a serving headline leaves its bound:
 #
 #   * `incremental_vs_rescan_ratio` < MIN_INCREMENTAL — the streaming
-#     scenario: counting an append by resuming parked continuations at the
+#     scenario: counting an append by resuming the scan state kept at the
 #     stream head must beat recounting the whole grown prefix. The floor is
 #     an order of magnitude under the committed artifact: it catches the
 #     incremental path silently degrading to a rescan, not timing noise.
