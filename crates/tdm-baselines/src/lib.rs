@@ -36,12 +36,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use tdm_core::count::{count_compiled_naive, count_episode};
+use tdm_core::count::count_compiled_naive;
 use tdm_core::engine::{with_thread_scratch, MIN_SHARD_STREAM};
 use tdm_core::segment::{even_bounds, segment_ranges};
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
-use tdm_core::{Episode, EventDb};
-use tdm_mapreduce::pool::{default_workers, map_items};
+use tdm_mapreduce::pool::default_workers;
 
 /// Single-core, one-scan-per-episode baseline (GMiner-class).
 #[derive(Debug, Default, Clone, Copy)]
@@ -183,7 +182,7 @@ mod tests {
     use super::*;
     use tdm_core::candidate::permutations;
     use tdm_core::session::MiningSession;
-    use tdm_core::{Alphabet, Miner, MinerConfig, SequentialBackend};
+    use tdm_core::{Alphabet, Episode, Miner, MinerConfig, SequentialBackend};
     use tdm_workloads::uniform_letters;
 
     fn counts_of(
@@ -267,79 +266,5 @@ mod tests {
         assert!(counts_of(&mut session, &none, &mut SequentialBackend::default()).is_empty());
         assert!(counts_of(&mut session, &none, &mut ShardedScanBackend::new(4)).is_empty());
         assert!(counts_of(&mut session, &none, &mut MapReduceBackend::new(4)).is_empty());
-    }
-}
-
-/// Data-parallel counting of a **single** episode: the database is split into
-/// contiguous chunks, each worker computes the chunk's FSM
-/// [`tdm_core::segment::SegmentEffect`] (the transition function for every
-/// possible entry state), and the effects compose left-to-right — exact for
-/// *any* episode, including repeated-item ones where the paper's continuation
-/// scheme is only approximate. This is the classic parallel-FSM decomposition,
-/// complementary to the multi-candidate backends above: it accelerates the case
-/// of one watched episode over a huge stream (the real-time monitoring setting
-/// of the paper's introduction).
-pub fn count_episode_parallel(db: &EventDb, episode: &Episode, workers: usize) -> u64 {
-    use tdm_core::segment::SegmentEffect;
-    let n = db.len();
-    let workers = workers.max(1);
-    if n < 4096 || workers == 1 {
-        return count_episode(db, episode);
-    }
-    let bounds: Vec<usize> = (0..workers).map(|w| w * n / workers).collect();
-    let ranges: Vec<std::ops::Range<usize>> = bounds
-        .iter()
-        .enumerate()
-        .map(|(i, &start)| {
-            let end = if i + 1 < workers { bounds[i + 1] } else { n };
-            start..end
-        })
-        .collect();
-    let effects = map_items(&ranges, workers, |r| {
-        SegmentEffect::compute_items(db.symbols(), episode.items(), r.clone())
-    });
-    let mut acc: Option<SegmentEffect> = None;
-    for eff in effects {
-        acc = Some(match acc {
-            None => eff,
-            Some(prev) => prev.then(&eff),
-        });
-    }
-    acc.map(|e| e.completions[0]).unwrap_or(0)
-}
-
-#[cfg(test)]
-mod parallel_fsm_tests {
-    use super::*;
-    use tdm_core::{Alphabet, Episode};
-    use tdm_workloads::{markov_letters, uniform_letters};
-
-    #[test]
-    fn parallel_single_episode_matches_sequential() {
-        let ab = Alphabet::latin26();
-        for (db, name) in [
-            (uniform_letters(50_000, 21), "uniform"),
-            (markov_letters(50_000, 22, 0.8), "markov"),
-        ] {
-            for ep_str in ["A", "AB", "ABC", "ABA", "AAB"] {
-                let ep = Episode::from_str(&ab, ep_str).unwrap();
-                let seq = count_episode(&db, &ep);
-                for workers in [2usize, 3, 8] {
-                    assert_eq!(
-                        count_episode_parallel(&db, &ep, workers),
-                        seq,
-                        "{name}/{ep_str}/{workers}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_small_input_falls_back() {
-        let ab = Alphabet::latin26();
-        let db = uniform_letters(100, 3);
-        let ep = Episode::from_str(&ab, "AB").unwrap();
-        assert_eq!(count_episode_parallel(&db, &ep, 8), count_episode(&db, &ep));
     }
 }

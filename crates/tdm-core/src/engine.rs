@@ -136,9 +136,6 @@ fn check_layout(episodes: usize, items: usize, cap: u32) -> Result<(), CompileEr
 /// ([`CompiledCandidates::choose_strategy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CountStrategy {
-    /// The seed-style single-pass scan with a per-episode active set
-    /// ([`CompiledCandidates::count`]).
-    ActiveSet,
     /// Occurrence-list probing via an [`OccurrenceIndex`]
     /// ([`CompiledCandidates::count_vertical`]) — `O(min occurrences)` per
     /// episode, no stream pass at all.
@@ -162,9 +159,15 @@ pub struct StrategyCosts {
 }
 
 impl StrategyCosts {
-    /// The cheaper CPU strategy's cost.
-    pub fn cpu_best(&self) -> f64 {
-        self.vertical.min(self.bitmask)
+    /// The cheaper strategy and its cost: the engine's one comparison of
+    /// the two, ties going to vertical. The bitmask is never picked for a
+    /// set no 64-bit lane holds, whose bitmask cost is infinite.
+    pub fn cheapest(&self) -> (CountStrategy, f64) {
+        if self.vertical <= self.bitmask {
+            (CountStrategy::Vertical, self.vertical)
+        } else {
+            (CountStrategy::Bitmask, self.bitmask)
+        }
     }
 }
 
@@ -617,25 +620,14 @@ impl CompiledCandidates {
     ///   (and roughly as many live words again); repeated-item episodes pay a
     ///   full FSM scan of the stream.
     ///
-    /// Sets whose level exceeds a 64-bit lane ([`BitmaskNfa::build`] returns
-    /// `None`) always choose vertical; empty sets report
-    /// [`CountStrategy::ActiveSet`] (nothing to scan either way). A set of
-    /// pure table reads (no row longer than two items or repeating one) is
-    /// priced in O(σ): one per row, plus the table's pass while unbuilt, is
-    /// the row walk's sum in closed form.
+    /// [`StrategyCosts::cheapest`] compares the two. A set whose level
+    /// exceeds a 64-bit lane prices the bitmask at infinity, so it counts
+    /// vertically; an empty set costs nothing vertically and is a vertical
+    /// loop over no rows. A set of pure table reads (no row longer than two
+    /// items or repeating one) is priced in O(σ): one per row, plus the
+    /// table's pass while unbuilt, is the row walk's sum in closed form.
     pub fn choose_strategy(&self, index: &OccurrenceIndex) -> CountStrategy {
-        if self.is_empty() {
-            return CountStrategy::ActiveSet;
-        }
-        if self.max_level > 64 {
-            return CountStrategy::Vertical;
-        }
-        let costs = self.strategy_costs(index);
-        if costs.vertical <= costs.bitmask {
-            CountStrategy::Vertical
-        } else {
-            CountStrategy::Bitmask
-        }
+        self.strategy_costs(index).cheapest().0
     }
 
     /// The cost model behind [`choose_strategy`], exposed so serve-time
@@ -715,14 +707,32 @@ impl CompiledCandidates {
     /// [`choose_strategy`]: CompiledCandidates::choose_strategy
     pub fn count_best(&self, stream: &[u8]) -> Vec<u64> {
         let index = OccurrenceIndex::build(self.alphabet_len.max(1), stream);
-        match self.choose_strategy(&index) {
-            CountStrategy::Vertical => self.count_vertical(stream, &index),
-            CountStrategy::Bitmask => match BitmaskNfa::build(self) {
-                Some(nfa) => nfa.count(stream),
-                None => self.count_vertical(stream, &index),
-            },
-            CountStrategy::ActiveSet => with_thread_scratch(|s| self.count(stream, s)),
+        self.count_serial(self.choose_strategy(&index), stream, &index)
+    }
+
+    /// Counts with `strategy` on the calling thread over the indexed
+    /// `stream`: the serial runner behind [`count_best`] and
+    /// [`AutoBackend`](crate::miner::AutoBackend)'s unsplit levels.
+    ///
+    /// [`count_best`]: CompiledCandidates::count_best
+    pub(crate) fn count_serial(
+        &self,
+        strategy: CountStrategy,
+        stream: &[u8],
+        index: &OccurrenceIndex,
+    ) -> Vec<u64> {
+        match strategy {
+            CountStrategy::Vertical => self.count_vertical(stream, index),
+            CountStrategy::Bitmask => self.packed().count(stream),
         }
+    }
+
+    /// The word-packed form of a set [`choose_strategy`] sent to the
+    /// bitmask, which it does only for sets a 64-bit lane holds.
+    ///
+    /// [`choose_strategy`]: CompiledCandidates::choose_strategy
+    pub(crate) fn packed(&self) -> BitmaskNfa {
+        BitmaskNfa::build(self).expect("the bitmask is chosen only for levels of at most 64 items")
     }
 
     /// The reduce step of a database-sharded count: sums per-segment partial
@@ -1104,9 +1114,9 @@ mod tests {
         let idx = OccurrenceIndex::build(26, db.symbols());
         let mut scratch = CountScratch::new();
 
-        // Empty set: trivially the active-set scan.
+        // Empty set: costs nothing vertically, a loop over no rows.
         let none = CompiledCandidates::compile(26, &[]);
-        assert_eq!(none.choose_strategy(&idx), CountStrategy::ActiveSet);
+        assert_eq!(none.choose_strategy(&idx), CountStrategy::Vertical);
         assert!(none.count_best(db.symbols()).is_empty());
 
         // Level-1 sets are free with occurrence lists.
@@ -1482,16 +1492,9 @@ mod tests {
             if table_built == 1 {
                 index.pairs(&stream);
             }
-            let costs = compiled.strategy_costs(&index);
-            prop_assert_eq!(costs, row_walk_costs(&compiled, &index));
-            let walked = if costs.vertical <= costs.bitmask {
-                CountStrategy::Vertical
-            } else {
-                CountStrategy::Bitmask
-            };
-            if !compiled.is_empty() {
-                prop_assert_eq!(compiled.choose_strategy(&index), walked);
-            }
+            let walked = row_walk_costs(&compiled, &index);
+            prop_assert_eq!(compiled.strategy_costs(&index), walked);
+            prop_assert_eq!(compiled.choose_strategy(&index), walked.cheapest().0);
         }
     }
 

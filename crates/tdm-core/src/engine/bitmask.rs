@@ -82,7 +82,8 @@ pub struct BitmaskNfa {
     lane_eps: Vec<u32>,
     /// Per-symbol contiguous word range whose lanes anchor at that symbol.
     anchor_words: Vec<(u32, u32)>,
-    /// Repeated-item episodes (exact FSM fallback) and their items (CSR).
+    /// Repeated-item episodes (exact FSM fallback) and their items (CSR),
+    /// in anchor-bucket order: counts are written by episode id.
     fallback: Vec<u32>,
     fallback_items: Vec<u8>,
     fallback_offsets: Vec<u32>,
@@ -90,7 +91,8 @@ pub struct BitmaskNfa {
 
 impl BitmaskNfa {
     /// Packs `compiled` into words. Returns `None` when a lane cannot hold an
-    /// episode (`max_level > 64`) — callers fall back to another strategy.
+    /// episode (`max_level > 64`), a set the cost model
+    /// ([`CompiledCandidates::strategy_costs`]) never sends to the bitmask.
     pub fn build(compiled: &CompiledCandidates) -> Option<Self> {
         let lane_width = compiled.max_level().max(1);
         if lane_width > 64 {
@@ -156,25 +158,6 @@ impl BitmaskNfa {
             }
             nfa.anchor_words.push((word_lo, nfa.words as u32));
         }
-        // Fallback episodes were emitted in anchor-bucket order; the scan
-        // indexes counts by episode id, but `fallback` must be sorted for the
-        // deterministic ordering tests expect. Sort the ids with their items.
-        let mut order: Vec<usize> = (0..nfa.fallback.len()).collect();
-        order.sort_unstable_by_key(|&i| nfa.fallback[i]);
-        if order.iter().enumerate().any(|(a, &b)| a != b) {
-            let items: Vec<Vec<u8>> = order
-                .iter()
-                .map(|&i| nfa.fallback_item_slice(i).to_vec())
-                .collect();
-            nfa.fallback = order.iter().map(|&i| nfa.fallback[i]).collect();
-            nfa.fallback_items.clear();
-            nfa.fallback_offsets.clear();
-            nfa.fallback_offsets.push(0);
-            for it in items {
-                nfa.fallback_items.extend_from_slice(&it);
-                nfa.fallback_offsets.push(nfa.fallback_items.len() as u32);
-            }
-        }
         Some(nfa)
     }
 
@@ -200,12 +183,6 @@ impl BitmaskNfa {
     #[inline]
     pub fn lane_width(&self) -> usize {
         self.lane_width
-    }
-
-    /// Episodes that take the exact FSM fallback (repeated items).
-    #[inline]
-    pub fn fallback_episodes(&self) -> &[u32] {
-        &self.fallback
     }
 
     #[inline]
@@ -352,7 +329,6 @@ mod tests {
         let c = CompiledCandidates::compile(26, &eps);
         let nfa = BitmaskNfa::build(&c).unwrap();
         assert_eq!(nfa.len(), eps.len());
-        assert_eq!(nfa.fallback_episodes(), &[6, 7, 8]); // AA, ABA, AAB
         assert_eq!(
             nfa.count(db.symbols()),
             c.count(db.symbols(), &mut CountScratch::new())

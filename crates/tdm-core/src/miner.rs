@@ -19,11 +19,11 @@
 //! [`CountRequest`]: crate::session::CountRequest
 //! [`MiningSession`]: crate::session::MiningSession
 
-use crate::engine::{with_thread_scratch, BitmaskNfa, CountStrategy};
+use crate::engine::CountStrategy;
 use crate::segment::segment_ranges;
 use crate::sequence::EventDb;
 use crate::session::{BackendError, CountRequest, Counts, Executor, MineError, MiningSession};
-use crate::stats::{LevelResult, MiningResult};
+use crate::stats::MiningResult;
 use std::sync::Arc;
 
 /// The built-in sequential executor: one active-set pass over the request's
@@ -67,6 +67,9 @@ const MIN_VERTICAL_PARALLEL: usize = 256;
 ///   ([`CompiledCandidates::merge_shard_counts`]), exactly like the
 ///   active-set sharded backend.
 ///
+/// A level split neither way counts on the calling thread, through the same
+/// serial runner as [`CompiledCandidates::count_best`].
+///
 /// Counts are bit-identical to [`SequentialBackend`] for every episode set,
 /// worker count, and stream — the workspace differential suite pins this.
 ///
@@ -86,6 +89,7 @@ const MIN_VERTICAL_PARALLEL: usize = 256;
 ///
 /// [`CompiledCandidates::choose_strategy`]: crate::engine::CompiledCandidates::choose_strategy
 /// [`CompiledCandidates::merge_shard_counts`]: crate::engine::CompiledCandidates::merge_shard_counts
+/// [`CompiledCandidates::count_best`]: crate::engine::CompiledCandidates::count_best
 /// [`OccurrenceIndex`]: crate::engine::OccurrenceIndex
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AutoBackend;
@@ -95,16 +99,15 @@ impl Executor for AutoBackend {
         let compiled = req.compiled();
         let stream = req.stream();
         let index = req.occurrence_index();
-        match compiled.choose_strategy(index) {
-            CountStrategy::ActiveSet => Ok(with_thread_scratch(|s| compiled.count(stream, s))),
-            CountStrategy::Vertical => {
-                let workers = req.workers();
-                if workers <= 1
-                    || compiled.len() < MIN_VERTICAL_PARALLEL
-                    || compiled.reads_only_tables()
-                {
-                    return Ok(compiled.count_vertical(stream, index));
-                }
+        let strategy = compiled.choose_strategy(index);
+        let workers = req.workers();
+        let bounds = req.shard_bounds();
+        match strategy {
+            CountStrategy::Vertical
+                if workers > 1
+                    && compiled.len() >= MIN_VERTICAL_PARALLEL
+                    && !compiled.reads_only_tables() =>
+            {
                 let chunks = req.chunk_ranges(workers);
                 let shared_compiled = req.compiled_shared();
                 let shared_stream = req.stream_shared();
@@ -121,16 +124,8 @@ impl Executor for AutoBackend {
                 });
                 Ok(parts.into_iter().flatten().collect())
             }
-            CountStrategy::Bitmask => {
-                let Some(nfa) = BitmaskNfa::build(compiled) else {
-                    // max_level > 64 never chooses Bitmask, but stay total.
-                    return Ok(compiled.count_vertical(stream, index));
-                };
-                let bounds = req.shard_bounds();
-                if bounds.is_empty() {
-                    return Ok(nfa.count(stream));
-                }
-                let nfa = Arc::new(nfa);
+            CountStrategy::Bitmask if !bounds.is_empty() => {
+                let nfa = Arc::new(compiled.packed());
                 let shared_stream = req.stream_shared();
                 let ranges = segment_ranges(stream.len(), bounds);
                 let shards = req.pool().map_move_prio(req.priority(), ranges, move |r| {
@@ -138,6 +133,7 @@ impl Executor for AutoBackend {
                 });
                 Ok(compiled.merge_shard_counts(stream, bounds, &shards))
             }
+            _ => Ok(compiled.count_serial(strategy, stream, index)),
         }
     }
 
@@ -196,25 +192,6 @@ impl Miner {
             .config(self.config)
             .build()
             .mine(executor)
-    }
-
-    /// Like [`mine`], but invokes `on_level` as each level completes (the
-    /// streaming hook for serving use-cases).
-    ///
-    /// # Errors
-    /// [`MineError`] when the executor fails or returns malformed counts.
-    ///
-    /// [`mine`]: Miner::mine
-    pub fn mine_streaming<E: Executor + ?Sized>(
-        &self,
-        db: &EventDb,
-        executor: &mut E,
-        on_level: impl FnMut(&LevelResult),
-    ) -> Result<MiningResult, MineError> {
-        MiningSession::builder(db)
-            .config(self.config)
-            .build()
-            .mine_with(executor, on_level)
     }
 }
 
@@ -304,16 +281,16 @@ mod tests {
     #[test]
     fn streaming_levels_arrive_in_order() {
         let db = db_of(&"ABC".repeat(60));
-        let miner = Miner::new(MinerConfig {
+        let config = MinerConfig {
             alpha: 0.05,
             max_level: Some(3),
             ..Default::default()
-        });
+        };
         let mut seen: Vec<usize> = Vec::new();
-        let res = miner
-            .mine_streaming(&db, &mut SequentialBackend::default(), |l| {
-                seen.push(l.level);
-            })
+        let res = MiningSession::builder(&db)
+            .config(config)
+            .build()
+            .mine_with(&mut SequentialBackend::default(), |l| seen.push(l.level))
             .unwrap();
         assert_eq!(seen, (1..=res.levels.len()).collect::<Vec<_>>());
     }

@@ -9,6 +9,17 @@ use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a state `h`, one byte at a time.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(FNV_PRIME);
+    }
+}
+
 /// An ordered database of events over an [`Alphabet`].
 ///
 /// The symbol stream lives behind an [`Arc`], so cloning the database — or
@@ -286,6 +297,29 @@ impl EventDb {
             .collect()
     }
 
+    /// 64-bit FNV-1a hash of the database's content: alphabet size, length,
+    /// the full symbol stream, and the timestamps when present. Every byte of
+    /// content participates, so equal prefixes with different tails hash
+    /// differently. `tdm-serve`'s index cache keys on it and `tdm-gpu`'s
+    /// device pipeline fingerprints its resident stream with it; a 64-bit
+    /// hash can collide, so a match is confirmed by comparing content.
+    pub fn content_hash(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, &(self.alphabet.len() as u64).to_le_bytes());
+        fnv1a(&mut h, &(self.len() as u64).to_le_bytes());
+        fnv1a(&mut h, &self.symbols);
+        match &self.times {
+            Some(times) => {
+                fnv1a(&mut h, &[1]);
+                for &t in times {
+                    fnv1a(&mut h, &t.to_le_bytes());
+                }
+            }
+            None => fnv1a(&mut h, &[0]),
+        }
+        h
+    }
+
     /// Per-symbol occurrence histogram (length = alphabet size).
     pub fn histogram(&self) -> Vec<u64> {
         let mut h = vec![0u64; self.alphabet.len()];
@@ -299,6 +333,24 @@ impl EventDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn content_hash_is_fnv1a_over_the_cache_key_bytes() {
+        // Pinned values: alphabet size and length as little-endian u64s,
+        // the symbols, then a timestamp tag byte and the timestamps.
+        let ab = Alphabet::latin26();
+        let untimed = EventDb::from_str_symbols(&ab, "ABAB").unwrap();
+        assert_eq!(untimed.content_hash(), 0xaf8f_dcdc_c960_1a29);
+        let timed = EventDb::with_times(ab.clone(), vec![0, 1, 2], vec![5, 9, 300]).unwrap();
+        assert_eq!(timed.content_hash(), 0xcdba_4ac2_2c91_229d);
+        // An empty timestamp channel still differs from none.
+        assert_ne!(
+            EventDb::new(ab.clone(), vec![]).unwrap().content_hash(),
+            EventDb::with_times(ab, vec![], vec![])
+                .unwrap()
+                .content_hash()
+        );
+    }
 
     #[test]
     fn from_str_round_trips() {

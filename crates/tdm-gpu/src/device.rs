@@ -10,7 +10,8 @@
 //!
 //! 1. [`upload`](DevicePipeline::upload) — one host→device copy of the stream
 //!    (at [`gpu_sim::CostModel::h2d_bandwidth_gbs`]) plus the persistent
-//!    kernel's single driver launch, idempotent per stream fingerprint;
+//!    kernel's single driver launch, idempotent per stream content hash
+//!    ([`EventDb::content_hash`]);
 //! 2. [`advance`](DevicePipeline::advance) — run one level's counting kernel
 //!    with the resident stream: identical wave timing to a fresh launch, but
 //!    the fixed cost is [`gpu_sim::CostModel::advance_overhead_us`]
@@ -36,33 +37,15 @@
 
 use crate::{Algorithm, KernelRun, MiningProblem, SimOptions};
 use gpu_sim::{simulate, simulate_resident, union_resources, CostModel, DeviceConfig, SimError};
-use tdm_core::engine::{CandidateUnion, CompiledCandidates, OccurrenceIndex};
+use tdm_core::engine::{CandidateUnion, CompiledCandidates, CountStrategy, OccurrenceIndex};
 use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::EventDb;
 
-/// FNV-1a content fingerprint of the stream a pipeline holds resident
-/// (alphabet size, length, symbols — everything the kernels scan).
-pub fn stream_fingerprint(db: &EventDb) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(&(db.alphabet().len() as u64).to_le_bytes());
-    eat(&(db.symbols().len() as u64).to_le_bytes());
-    eat(db.symbols());
-    h
-}
-
 /// What the pipeline holds on the device after [`DevicePipeline::upload`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamResidency {
-    /// [`stream_fingerprint`] of the uploaded stream.
+    /// [`EventDb::content_hash`] of the uploaded stream.
     pub fingerprint: u64,
     /// Bytes copied host→device.
     pub bytes: u64,
@@ -121,7 +104,7 @@ impl DevicePipeline {
     /// costs nothing; a *different* stream evicts the old plan and pays the
     /// copy again.
     pub fn upload(&mut self, db: &EventDb) -> f64 {
-        let fingerprint = stream_fingerprint(db);
+        let fingerprint = db.content_hash();
         if let Some(res) = &self.resident {
             if res.fingerprint == fingerprint {
                 return 0.0;
@@ -196,7 +179,7 @@ impl DevicePipeline {
         tenants: u32,
         mapped_slots: u64,
     ) -> Result<KernelRun, SimError> {
-        let got = stream_fingerprint(db);
+        let got = db.content_hash();
         let expected = match &self.resident {
             Some(res) => res.fingerprint,
             None => 0,
@@ -242,13 +225,11 @@ pub struct UnionLaunch {
 }
 
 /// What [`GpuDispatchModel::choose_backend_class`] picks per (level,
-/// candidate-set size) at serve time: one of the CPU strategy classes, or
-/// handing the level to a resident GPU pipeline.
+/// candidate-set size) at serve time: the CPU strategy the engine's cost
+/// comparison picks, or handing the level to a resident GPU pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DispatchClass {
-    /// CPU, seed-style active-set scan (empty sets land here too).
-    CpuActiveSet,
-    /// CPU, vertical occurrence-list probing.
+    /// CPU, vertical occurrence-list probing (empty sets land here too).
     CpuVertical,
     /// CPU, word-packed Shift-And.
     CpuBitmask,
@@ -296,26 +277,24 @@ impl GpuDispatchModel {
     /// CPU and wide levels go to the device, per the paper's small-problem
     /// characterization.
     ///
-    /// The CPU classes mirror [`CompiledCandidates::choose_strategy`]
-    /// exactly; empty sets are [`DispatchClass::CpuActiveSet`] (nothing to
-    /// scan either way).
+    /// The CPU strategy and its cost come from the engine's one comparison
+    /// ([`StrategyCosts::cheapest`]), so the CPU class is always
+    /// [`CompiledCandidates::choose_strategy`]'s pick. An empty set costs
+    /// nothing on the CPU, so no device with `advance_ops >= 0` takes it.
+    ///
+    /// [`StrategyCosts::cheapest`]: tdm_core::engine::StrategyCosts::cheapest
     pub fn choose_backend_class(
         &self,
         compiled: &CompiledCandidates,
         index: &OccurrenceIndex,
     ) -> DispatchClass {
-        if compiled.is_empty() {
-            return DispatchClass::CpuActiveSet;
+        let (strategy, cpu_cost) = compiled.strategy_costs(index).cheapest();
+        if self.advance_ops + cpu_cost / self.speedup.max(1.0) < cpu_cost {
+            return DispatchClass::GpuPipeline;
         }
-        let costs = compiled.strategy_costs(index);
-        let cpu_best = costs.cpu_best();
-        let gpu_cost = self.advance_ops + cpu_best / self.speedup.max(1.0);
-        if gpu_cost < cpu_best {
-            DispatchClass::GpuPipeline
-        } else if costs.vertical <= costs.bitmask {
-            DispatchClass::CpuVertical
-        } else {
-            DispatchClass::CpuBitmask
+        match strategy {
+            CountStrategy::Vertical => DispatchClass::CpuVertical,
+            CountStrategy::Bitmask => DispatchClass::CpuBitmask,
         }
     }
 }
@@ -475,8 +454,8 @@ mod tests {
         let err = p.advance(&b, &compiled).unwrap_err();
         assert!(matches!(err, SimError::StalePlan { .. }));
         if let SimError::StalePlan { expected, got } = err {
-            assert_eq!(expected, stream_fingerprint(&a));
-            assert_eq!(got, stream_fingerprint(&b));
+            assert_eq!(expected, a.content_hash());
+            assert_eq!(got, b.content_hash());
             assert_ne!(expected, got);
         }
         // The resident stream still advances fine.
@@ -605,60 +584,52 @@ mod tests {
 
     #[test]
     fn backend_class_table_is_consistent_with_strategy_costs() {
-        use tdm_core::engine::CountStrategy;
         use tdm_core::Episode;
 
         let ab = Alphabet::latin26();
-        let stream: Vec<u8> = "ABCABZQXABCAACAB"
-            .repeat(64)
+        let stream: Vec<u8> = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+            .repeat(30)
             .bytes()
             .map(|c| c - b'A')
             .collect();
         let index = OccurrenceIndex::build(ab.len(), &stream);
-        let episodes = |items: &[&[u8]]| -> Vec<Episode> {
-            items
-                .iter()
-                .map(|e| Episode::new(e.iter().map(|c| c - b'A').collect::<Vec<u8>>()).unwrap())
-                .collect()
-        };
-
-        // Empty set: active-set trivially, on any model.
-        let empty = CompiledCandidates::compile(ab.len(), &[]);
-        assert_eq!(
-            GpuDispatchModel::default().choose_backend_class(&empty, &index),
-            DispatchClass::CpuActiveSet
-        );
-
-        let compiled =
-            CompiledCandidates::compile(ab.len(), &episodes(&[b"AB", b"ABC", b"CA", b"QXA"]));
-        let costs = compiled.strategy_costs(&index);
-        assert!(costs.cpu_best() <= costs.vertical && costs.cpu_best() <= costs.bitmask);
-
-        // A free, infinitely fast device always wins a non-empty level; a
-        // device with a prohibitive advance cost never does — and the CPU
-        // class it falls back to is exactly choose_strategy's pick.
         let free_gpu = GpuDispatchModel {
             advance_ops: 0.0,
             speedup: 1e9,
         };
-        assert_eq!(
-            free_gpu.choose_backend_class(&compiled, &index),
-            DispatchClass::GpuPipeline
-        );
         let dead_gpu = GpuDispatchModel {
             advance_ops: f64::INFINITY,
             speedup: 8.0,
         };
-        let cpu_class = dead_gpu.choose_backend_class(&compiled, &index);
-        match compiled.choose_strategy(&index) {
-            CountStrategy::Vertical => assert_eq!(cpu_class, DispatchClass::CpuVertical),
-            CountStrategy::Bitmask => assert_eq!(cpu_class, DispatchClass::CpuBitmask),
-            CountStrategy::ActiveSet => assert_eq!(cpu_class, DispatchClass::CpuActiveSet),
-        }
 
-        // Episodes too long to word-pack price the bitmask out entirely.
+        // A free, infinitely fast device takes a non-empty level; one with a
+        // prohibitive advance cost leaves it to the CPU strategy the engine
+        // picks (the word-packed scan for the dense level-3 universe).
+        let l3 = CompiledCandidates::compile(ab.len(), &permutations(&ab, 3));
+        assert_eq!(
+            free_gpu.choose_backend_class(&l3, &index),
+            DispatchClass::GpuPipeline
+        );
+        assert_eq!(
+            dead_gpu.choose_backend_class(&l3, &index),
+            DispatchClass::CpuBitmask
+        );
+
+        // An empty set costs nothing on the CPU, so not even a free device
+        // takes it.
+        let empty = CompiledCandidates::compile(ab.len(), &[]);
+        assert_eq!(
+            free_gpu.choose_backend_class(&empty, &index),
+            DispatchClass::CpuVertical
+        );
+
+        // No 64-bit lane holds an 80-item episode: its bitmask costs
+        // infinity, so its CPU class is vertical.
         let long = vec![Episode::new([0, 1].repeat(40)).unwrap()];
         let long_compiled = CompiledCandidates::compile(ab.len(), &long);
-        assert_eq!(long_compiled.strategy_costs(&index).bitmask, f64::INFINITY);
+        assert_eq!(
+            dead_gpu.choose_backend_class(&long_compiled, &index),
+            DispatchClass::CpuVertical
+        );
     }
 }

@@ -32,8 +32,8 @@ pub mod pipeline;
 pub mod validate;
 
 pub use device::{
-    stream_fingerprint, DevicePipeline, DispatchClass, DispatchDecision, GpuDispatchModel,
-    GpuPipelineBackend, StreamResidency, UnionLaunch,
+    DevicePipeline, DispatchClass, DispatchDecision, GpuDispatchModel, GpuPipelineBackend,
+    StreamResidency, UnionLaunch,
 };
 
 use gpu_sim::{CostModel, DeviceConfig, KernelSpec, LaunchConfig, SimError, SimReport};

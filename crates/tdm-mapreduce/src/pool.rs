@@ -16,10 +16,10 @@
 //! pool this way). Jobs carry a [`Priority`] tag — [`Priority::High`] jobs
 //! overtake queued [`Priority::Normal`] ones, letting latency-sensitive
 //! requests cut ahead of bulk work sharing the same threads. The overtaking
-//! is **aged**, mirroring the serving layer's admission queue: after
-//! [`DEFAULT_LANE_AGING`] consecutive high-lane pops made while normal jobs
-//! were waiting, one normal job runs, so a continuous high stream cannot
-//! starve the bulk lane.
+//! is **aged**: the queue is a [`PriorityLanes`], whose normal lane goes
+//! next after [`DEFAULT_LANE_AGING`] consecutive high-lane pops made while
+//! it waited, so a continuous high stream cannot starve the bulk lane. The
+//! serving layer's admission gate queues its tickets in the same type.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -57,42 +57,101 @@ pub enum Priority {
 }
 
 /// Lane-aging limit: after this many consecutive high-lane pops made while
-/// normal jobs were waiting, one normal job runs. The serving layer's
-/// admission gate ages by the same constant, so neither queue in the stack
-/// can starve its normal lane.
+/// normal items were waiting, one normal item goes next. Every
+/// [`PriorityLanes`] ages by it: the pool's job queue and the serving
+/// layer's admission gate alike.
 pub const DEFAULT_LANE_AGING: usize = 8;
 
-struct PoolState {
-    /// Two FIFO lanes; workers drain `high` before touching `normal`,
-    /// except that every [`DEFAULT_LANE_AGING`]-th consecutive high pop
-    /// (counted only while normal jobs wait) yields to the normal lane.
-    high: VecDeque<Job>,
-    normal: VecDeque<Job>,
+/// Two FIFO lanes drained high-first, with the normal lane aged: after
+/// [`DEFAULT_LANE_AGING`] consecutive high pops made while normal items
+/// waited, the oldest normal item goes next, so a continuous high stream
+/// cannot starve the normal lane. The one queue discipline of the stack:
+/// the pool's job queue and `tdm-serve`'s admission gate both hold one.
+///
+/// ```
+/// use tdm_mapreduce::pool::{Priority, PriorityLanes};
+///
+/// let mut lanes = PriorityLanes::default();
+/// lanes.push(Priority::Normal, "bulk");
+/// lanes.push(Priority::High, "interactive");
+/// assert_eq!(lanes.peek(), Some(&"interactive"));
+/// assert_eq!(lanes.pop(), Some("interactive"));
+/// assert_eq!(lanes.pop(), Some("bulk"));
+/// assert!(lanes.is_empty());
+/// ```
+#[derive(Debug)]
+pub struct PriorityLanes<T> {
+    high: VecDeque<T>,
+    normal: VecDeque<T>,
     /// Consecutive high-lane pops made while the normal lane was non-empty.
     high_streak: usize,
-    shutdown: bool,
 }
 
-impl PoolState {
-    /// Pops the next job under the aged two-lane discipline.
-    fn pop(&mut self) -> Option<Job> {
-        if self.high_streak >= DEFAULT_LANE_AGING && !self.normal.is_empty() {
-            self.high_streak = 0;
-            return self.normal.pop_front();
+impl<T> Default for PriorityLanes<T> {
+    fn default() -> Self {
+        PriorityLanes {
+            high: VecDeque::new(),
+            normal: VecDeque::new(),
+            high_streak: 0,
         }
-        if let Some(job) = self.high.pop_front() {
-            // Only count the streak against waiting normal jobs: a high lane
-            // running alone starves no one.
-            if self.normal.is_empty() {
-                self.high_streak = 0;
-            } else {
-                self.high_streak += 1;
+    }
+}
+
+impl<T> PriorityLanes<T> {
+    /// Queues `item` at the back of its priority's lane.
+    pub fn push(&mut self, priority: Priority, item: T) {
+        match priority {
+            Priority::High => self.high.push_back(item),
+            Priority::Normal => self.normal.push_back(item),
+        }
+    }
+
+    /// True when the normal lane has aged past the limit and goes next.
+    fn normal_aged(&self) -> bool {
+        self.high_streak >= DEFAULT_LANE_AGING && !self.normal.is_empty()
+    }
+
+    /// The item [`pop`](PriorityLanes::pop) would return next.
+    pub fn peek(&self) -> Option<&T> {
+        if self.normal_aged() {
+            return self.normal.front();
+        }
+        self.high.front().or_else(|| self.normal.front())
+    }
+
+    /// Removes the next item: the head of the high lane, or the head of the
+    /// normal lane when the high lane is empty or the normal lane has aged.
+    pub fn pop(&mut self) -> Option<T> {
+        if !self.normal_aged() {
+            if let Some(item) = self.high.pop_front() {
+                // Only count the streak against waiting normal items: a high
+                // lane running alone starves no one.
+                self.high_streak = if self.normal.is_empty() {
+                    0
+                } else {
+                    self.high_streak + 1
+                };
+                return Some(item);
             }
-            return Some(job);
         }
         self.high_streak = 0;
         self.normal.pop_front()
     }
+
+    /// Items queued in both lanes.
+    pub fn len(&self) -> usize {
+        self.high.len() + self.normal.len()
+    }
+
+    /// True when both lanes are empty.
+    pub fn is_empty(&self) -> bool {
+        self.high.is_empty() && self.normal.is_empty()
+    }
+}
+
+struct PoolState {
+    jobs: PriorityLanes<Job>,
+    shutdown: bool,
 }
 
 struct PoolShared {
@@ -129,9 +188,7 @@ impl Pool {
         let n = n.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
-                high_streak: 0,
+                jobs: PriorityLanes::default(),
                 shutdown: false,
             }),
             available: Condvar::new(),
@@ -145,7 +202,7 @@ impl Pool {
                         let job = {
                             let mut st = shared.state.lock().expect("pool state");
                             loop {
-                                if let Some(job) = st.pop() {
+                                if let Some(job) = st.jobs.pop() {
                                     break job;
                                 }
                                 if st.shutdown {
@@ -182,10 +239,7 @@ impl Pool {
     /// never preempt one already running.
     pub fn execute_prio(&self, priority: Priority, job: impl FnOnce() + Send + 'static) {
         let mut st = self.shared.state.lock().expect("pool state");
-        match priority {
-            Priority::High => st.high.push_back(Box::new(job)),
-            Priority::Normal => st.normal.push_back(Box::new(job)),
-        }
+        st.jobs.push(priority, Box::new(job));
         drop(st);
         self.shared.available.notify_one();
     }

@@ -6,26 +6,26 @@
 //! *mine* concurrently: arrivals take a ticket and block until admitted.
 //! Admission order is strict FIFO within a priority class, and
 //! [`Priority::High`] tickets are admitted before waiting
-//! [`Priority::Normal`] ones (matching the pool's own high/normal job lanes),
-//! so interactive traffic overtakes bulk traffic at both layers. A bounded
-//! waiting room ([`AdmissionQueue::new`]'s `max_pending`) converts overload
-//! into an immediate, explicit rejection instead of an unbounded queue.
+//! [`Priority::Normal`] ones, so interactive traffic overtakes bulk traffic
+//! here as it does on the pool. A bounded waiting room
+//! ([`AdmissionQueue::new`]'s `max_pending`) converts overload into an
+//! immediate, explicit rejection instead of an unbounded queue.
 //!
 //! ## Aging (starvation control)
 //!
 //! Strict high-before-normal would let a continuous High stream starve a
-//! queued Normal request forever. The gate therefore **ages** the normal
-//! lane: after [`DEFAULT_LANE_AGING`] (8) consecutive High admissions while a
-//! Normal request was waiting, the next admission goes to the oldest Normal
-//! ticket (and the streak resets). High traffic still overtakes — it just
-//! can't monopolize: a waiting Normal request is admitted after at most 8
-//! High admissions, however long the High stream runs. The shared pool's job
-//! lanes age by the same constant, so neither queue in the stack can starve
-//! its normal lane.
+//! queued Normal request forever. Waiting tickets therefore sit in a
+//! [`PriorityLanes`], the type the shared pool queues its jobs in, which
+//! **ages** the normal lane: after
+//! [`DEFAULT_LANE_AGING`](tdm_mapreduce::pool::DEFAULT_LANE_AGING) (8)
+//! consecutive High admissions while a Normal request was waiting, the next
+//! admission goes to the oldest Normal ticket (and the streak resets). High
+//! traffic still overtakes — it just can't monopolize: a waiting Normal
+//! request is admitted after at most 8 High admissions, however long the
+//! High stream runs.
 
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use tdm_mapreduce::pool::{Priority, DEFAULT_LANE_AGING};
+use tdm_mapreduce::pool::{Priority, PriorityLanes};
 
 /// The admission queue refused to enqueue a request: the waiting room is
 /// already at `max_pending`.
@@ -40,29 +40,9 @@ pub struct Overloaded {
 struct AdmitState {
     next_ticket: u64,
     in_flight: usize,
-    high: VecDeque<u64>,
-    normal: VecDeque<u64>,
-    /// Consecutive High admissions made while a Normal request waited.
-    high_streak: usize,
-}
-
-impl AdmitState {
-    fn pending(&self) -> usize {
-        self.high.len() + self.normal.len()
-    }
-
-    /// The one ticket eligible to be admitted next: the head of the high
-    /// lane, or the head of the normal lane when the high lane is empty —
-    /// **or** when the normal lane has aged past [`DEFAULT_LANE_AGING`]
-    /// consecutive High admissions (starvation control).
-    fn next_eligible(&self) -> Option<u64> {
-        if self.high_streak >= DEFAULT_LANE_AGING {
-            if let Some(&escalated) = self.normal.front() {
-                return Some(escalated);
-            }
-        }
-        self.high.front().or_else(|| self.normal.front()).copied()
-    }
+    /// Waiting tickets; the one [`PriorityLanes::peek`] returns is admitted
+    /// next.
+    waiting: PriorityLanes<u64>,
 }
 
 /// A blocking, priority-aware, fair-FIFO admission gate with normal-lane
@@ -80,7 +60,7 @@ impl std::fmt::Debug for AdmissionQueue {
         f.debug_struct("AdmissionQueue")
             .field("max_in_flight", &self.max_in_flight)
             .field("in_flight", &st.in_flight)
-            .field("pending", &st.pending())
+            .field("pending", &st.waiting.len())
             .finish()
     }
 }
@@ -105,7 +85,8 @@ impl AdmissionQueue {
     /// A gate admitting at most `max_in_flight` requests concurrently
     /// (clamped to ≥ 1) with at most `max_pending` more waiting (0 =
     /// unbounded waiting room), aging its normal lane after
-    /// [`DEFAULT_LANE_AGING`] High admissions.
+    /// [`DEFAULT_LANE_AGING`](tdm_mapreduce::pool::DEFAULT_LANE_AGING) High
+    /// admissions.
     pub fn new(max_in_flight: usize, max_pending: usize) -> Self {
         AdmissionQueue {
             max_in_flight: max_in_flight.max(1),
@@ -113,9 +94,7 @@ impl AdmissionQueue {
             state: Mutex::new(AdmitState {
                 next_ticket: 0,
                 in_flight: 0,
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
-                high_streak: 0,
+                waiting: PriorityLanes::default(),
             }),
             admitted: Condvar::new(),
         }
@@ -128,31 +107,19 @@ impl AdmissionQueue {
     /// [`Overloaded`] immediately when the waiting room is full.
     pub fn acquire(&self, priority: Priority) -> Result<Permit<'_>, Overloaded> {
         let mut st = self.state.lock().expect("admission state");
-        if self.max_pending != 0 && st.pending() >= self.max_pending {
+        let pending = st.waiting.len();
+        if self.max_pending != 0 && pending >= self.max_pending {
             return Err(Overloaded {
-                pending: st.pending(),
+                pending,
                 limit: self.max_pending,
             });
         }
         let ticket = st.next_ticket;
         st.next_ticket += 1;
-        match priority {
-            Priority::High => st.high.push_back(ticket),
-            Priority::Normal => st.normal.push_back(ticket),
-        }
+        st.waiting.push(priority, ticket);
         loop {
-            if st.in_flight < self.max_in_flight && st.next_eligible() == Some(ticket) {
-                match priority {
-                    Priority::High => st.high.pop_front(),
-                    Priority::Normal => st.normal.pop_front(),
-                };
-                // Aging bookkeeping: High admissions made while Normal work
-                // waits build the streak; any Normal admission resets it.
-                match priority {
-                    Priority::High if !st.normal.is_empty() => st.high_streak += 1,
-                    Priority::High => st.high_streak = 0,
-                    Priority::Normal => st.high_streak = 0,
-                }
+            if st.in_flight < self.max_in_flight && st.waiting.peek() == Some(&ticket) {
+                st.waiting.pop();
                 st.in_flight += 1;
                 let slots_left = st.in_flight < self.max_in_flight;
                 drop(st);
@@ -168,7 +135,7 @@ impl AdmissionQueue {
 
     /// Requests currently waiting for admission.
     pub fn pending(&self) -> usize {
-        self.state.lock().expect("admission state").pending()
+        self.state.lock().expect("admission state").waiting.len()
     }
 
     /// Requests currently admitted (holding a [`Permit`]).
@@ -182,6 +149,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use tdm_mapreduce::pool::DEFAULT_LANE_AGING;
 
     #[test]
     fn in_flight_never_exceeds_the_limit() {

@@ -23,9 +23,10 @@
 //!
 //! ## Collision safety
 //!
-//! The key is a 64-bit FNV-1a content hash, so two different databases *can*
-//! collide. An entry is therefore only handed out after verification against
-//! the requesting database — pointer equality when the client resubmits the
+//! The key is the database's 64-bit FNV-1a content hash
+//! ([`EventDb::content_hash`]), so two different databases *can* collide.
+//! An entry is therefore only handed out after verification against the
+//! requesting database — pointer equality when the client resubmits the
 //! same handle, full symbol/timestamp comparison otherwise; a forged or
 //! colliding key falls back to a miss instead of serving another tenant's
 //! index.
@@ -33,36 +34,6 @@
 use std::sync::Arc;
 
 use tdm_core::{EventDb, OccurrenceIndex};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// 64-bit FNV-1a content hash of a database: alphabet size, length, the full
-/// symbol stream, and the timestamps when present. Every byte of content
-/// participates — equal prefixes with different tails hash differently.
-pub fn db_content_hash(db: &EventDb) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv1a(&mut h, &(db.alphabet().len() as u64).to_le_bytes());
-    fnv1a(&mut h, &(db.len() as u64).to_le_bytes());
-    fnv1a(&mut h, db.symbols());
-    match db.times() {
-        Some(times) => {
-            fnv1a(&mut h, &[1]);
-            for &t in times {
-                fnv1a(&mut h, &t.to_le_bytes());
-            }
-        }
-        None => fnv1a(&mut h, &[0]),
-    }
-    h
-}
 
 /// True when two databases have the same content: pointer equality as the
 /// fast path, full symbol/timestamp comparison otherwise. A 64-bit hash
@@ -205,8 +176,8 @@ mod tests {
         // whole stream, not a prefix.
         let a = db_of(&("AB".repeat(100) + "X"));
         let b = db_of(&("AB".repeat(100) + "Y"));
-        assert_ne!(db_content_hash(&a), db_content_hash(&b));
-        assert_eq!(db_content_hash(&a), db_content_hash(&a.clone()));
+        assert_ne!(a.content_hash(), b.content_hash());
+        assert_eq!(a.content_hash(), a.clone().content_hash());
     }
 
     #[test]
@@ -214,7 +185,7 @@ mod tests {
         let mut cache = IndexCache::new(4);
         let a = db_of("ABCABC");
         let b = db_of("CBACBA"); // same length/alphabet, different content
-        let key_a = db_content_hash(&a);
+        let key_a = a.content_hash();
         cache.put(key_a, entry(&a));
 
         // A forged lookup: database B presented under A's key must not get
@@ -236,7 +207,7 @@ mod tests {
         // count against one index, and the database holds one slot.
         let mut cache = IndexCache::new(4);
         let db = db_of("ABCABC");
-        let key = db_content_hash(&db);
+        let key = db.content_hash();
         let first = entry(&db);
         let (kept, dropped) = cache.put(key, first.clone());
         assert!(Arc::ptr_eq(&kept.index, &first.index) && dropped.is_none());
@@ -262,7 +233,7 @@ mod tests {
     fn lru_eviction_order() {
         let mut cache = IndexCache::new(2);
         let dbs = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
-        let keys: Vec<u64> = dbs.iter().map(|d| db_content_hash(d)).collect();
+        let keys: Vec<u64> = dbs.iter().map(|d| d.content_hash()).collect();
         for (k, d) in keys.iter().zip(&dbs) {
             cache.put(*k, entry(d));
         }
@@ -277,7 +248,7 @@ mod tests {
     fn reinsert_refreshes_recency() {
         let mut cache = IndexCache::new(2);
         let dbs = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC")];
-        let keys: Vec<u64> = dbs.iter().map(|d| db_content_hash(d)).collect();
+        let keys: Vec<u64> = dbs.iter().map(|d| d.content_hash()).collect();
         cache.put(keys[0], entry(&dbs[0]));
         cache.put(keys[1], entry(&dbs[1]));
         // A hit moves entry 0 back in as the most recently used.
@@ -292,7 +263,7 @@ mod tests {
     fn put_hands_back_what_it_evicts_least_recently_used_first() {
         let mut cache = IndexCache::new(2);
         let [a, b, c, d] = [db_of("AAAA"), db_of("BBBB"), db_of("CCCC"), db_of("DDDD")];
-        let [ka, kb, kc, kd] = [&a, &b, &c, &d].map(|db| db_content_hash(db));
+        let [ka, kb, kc, kd] = [&a, &b, &c, &d].map(|db| db.content_hash());
         assert!(cache.put(ka, entry(&a)).1.is_none());
         assert!(cache.put(kb, entry(&b)).1.is_none());
         // Each new database past capacity evicts the least recently used.
@@ -310,7 +281,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let mut cache = IndexCache::new(0);
         let a = db_of("ABAB");
-        let key = db_content_hash(&a);
+        let key = a.content_hash();
         let built = entry(&a);
         let (kept, evicted) = cache.put(key, built.clone());
         assert!(Arc::ptr_eq(&kept.index, &built.index) && evicted.is_none());

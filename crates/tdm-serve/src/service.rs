@@ -13,7 +13,7 @@ use tdm_core::{EventDb, MinerConfig, OccurrenceIndex};
 use tdm_mapreduce::pool::{default_workers, Pool, Priority};
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{db_content_hash, CacheStats, Entry, IndexCache};
+use crate::cache::{CacheStats, Entry, IndexCache};
 
 /// Which counting executor serves a request: always the engine.
 ///
@@ -120,10 +120,11 @@ impl MiningRequest {
     }
 
     /// The index-cache key this request is served under: the content hash
-    /// of its database ([`db_content_hash`]), whatever its configuration.
-    /// Computed on first call and memoized for the request's lifetime.
+    /// of its database ([`EventDb::content_hash`]), whatever its
+    /// configuration. Computed on first call and memoized for the request's
+    /// lifetime.
     pub fn key(&self) -> u64 {
-        *self.key.get_or_init(|| db_content_hash(&self.db))
+        *self.key.get_or_init(|| self.db.content_hash())
     }
 }
 

@@ -185,11 +185,6 @@ impl Server {
         &self.state.service
     }
 
-    /// The streaming front door underneath.
-    pub fn ingest(&self) -> &StreamIngest {
-        &self.state.ingest
-    }
-
     /// Connections currently inside a handler. Returns to 0 when every
     /// client has disconnected — the leak-accounting hook.
     pub fn active_connections(&self) -> usize {
@@ -600,12 +595,15 @@ fn serve_register(state: &ServerState, tenant: &str, request: &Value) -> Result<
             wire::error_value(codes::BAD_REQUEST, "\"flush_age_ms\" must be an integer")
         })?);
     }
-    match state.ingest.register(stream, db, config, triggers) {
+    match state
+        .ingest
+        .register(&stream_key(tenant, stream), db, config, triggers)
+    {
         Ok(()) => Ok(Value::Object(vec![
             ("type".into(), Value::str("registered")),
             ("stream".into(), Value::str(stream)),
         ])),
-        Err(e) => Err(ingest_error_value(&e)),
+        Err(e) => Err(ingest_error_value(&e, stream)),
     }
 }
 
@@ -623,7 +621,7 @@ fn serve_ingest(state: &ServerState, tenant: &str, request: &Value) -> Result<Va
         .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"symbols\""))?;
     let symbols = letters_to_symbols(text)
         .map_err(|c| wire::error_value(codes::BAD_REQUEST, format!("symbol {c:?} not in A–Z")))?;
-    match state.ingest.append(stream, &symbols) {
+    match state.ingest.append(&stream_key(tenant, stream), &symbols) {
         Ok(AppendOutcome::Buffered { pending, deferred }) => Ok(Value::Object(vec![
             ("type".into(), Value::str("ingest")),
             ("outcome".into(), Value::str("buffered")),
@@ -641,23 +639,32 @@ fn serve_ingest(state: &ServerState, tenant: &str, request: &Value) -> Result<Va
                 wire::mine_response_value(&report.response, &state.alphabet),
             ),
         ])),
-        Err(e) => Err(ingest_error_value(&e)),
+        Err(e) => Err(ingest_error_value(&e, stream)),
     }
 }
 
-fn ingest_error_value(e: &IngestError) -> Value {
+/// The [`StreamIngest`] name of `tenant`'s stream `stream`: stream names are
+/// per tenant, and the tenant's length prefix keeps the keys of any two
+/// (tenant, stream) pairs apart (`("a:b", "c")` and `("a", "b:c")` differ).
+fn stream_key(tenant: &str, stream: &str) -> String {
+    format!("{}:{tenant}:{stream}", tenant.len())
+}
+
+/// The wire error for `e`, naming the client's own `stream` (never the
+/// tenant-scoped key the ingest layer saw).
+fn ingest_error_value(e: &IngestError, stream: &str) -> Value {
     match e {
-        IngestError::UnknownTenant(name) => wire::error_value(
+        IngestError::UnknownTenant(_) => wire::error_value(
             codes::UNKNOWN_STREAM,
-            format!("no stream registered as {name:?}"),
+            format!("no stream registered as {stream:?}"),
         ),
-        IngestError::DuplicateTenant(name) => wire::error_value(
+        IngestError::DuplicateTenant(_) => wire::error_value(
             codes::BAD_REQUEST,
-            format!("stream {name:?} is already registered"),
+            format!("stream {stream:?} is already registered"),
         ),
-        IngestError::TimedStream(name) => wire::error_value(
+        IngestError::TimedStream(_) => wire::error_value(
             codes::BAD_REQUEST,
-            format!("stream {name:?} carries timestamps; symbol appends cannot grow it"),
+            format!("stream {stream:?} carries timestamps; symbol appends cannot grow it"),
         ),
         IngestError::Core(e) => wire::error_value(codes::BAD_REQUEST, e.to_string()),
         IngestError::Serve(e) => wire::serve_error_value(e),

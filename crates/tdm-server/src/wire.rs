@@ -14,10 +14,15 @@
 //!   `"workload"`) under a [`MinerConfig`]; responds
 //!   with `"mine_result"`.
 //! * `"stats"` — a point-in-time metrics snapshot; responds with `"stats"`.
-//! * `"register"` — register a streaming tenant (seed events + config +
+//! * `"register"` — register a named stream (seed events + config +
 //!   triggers); responds with `"registered"`.
 //! * `"ingest"` — append symbols to a registered stream; responds with
 //!   `"ingest"` (`"buffered"` or `"flushed"` + the re-mine result).
+//!
+//! A stream belongs to the tenant that registered it: `"stream"` names are
+//! per tenant, so two tenants may register the same name, and an `"ingest"`
+//! naming a stream the requesting tenant did not register is
+//! `unknown_stream`, whoever else holds that name.
 //!
 //! Every request carries `"tenant"` and `"api_key"`. Failures of any kind
 //! are `"error"` responses with a machine-readable `"code"` (see

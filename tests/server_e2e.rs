@@ -15,7 +15,10 @@
 //!   and the client gets the typed `"deadline"` error;
 //! * tenant A exhausting its in-flight quota cannot starve tenant B;
 //! * a stream armed with only an age trigger seals on its next `"ingest"`
-//!   frame once its oldest buffered symbol is old enough.
+//!   frame once its oldest buffered symbol is old enough;
+//! * a stream belongs to the tenant that registered it: another tenant's
+//!   `"ingest"` under its name is `unknown_stream`, and both tenants can
+//!   register the same name.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -536,6 +539,90 @@ fn an_age_only_stream_seals_on_its_next_ingest_frame() {
     );
     assert_eq!(second.get("symbols").and_then(Value::as_u64), Some(4));
     assert_eq!(second.get("window").and_then(Value::as_u64), Some(0));
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn streams_belong_to_the_tenant_that_registered_them() {
+    let server = Server::bind(ServerConfig {
+        handler_threads: 2,
+        service: temporal_mining::serve::ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        },
+        tenants: tenant_configs(),
+        ..Default::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut call = |frame: String| client.call_bytes(frame.as_bytes()).unwrap();
+    let register = |(tenant, key): (&str, &str), seed: &str| {
+        format!(
+            r#"{{"type":"register","tenant":"{tenant}","api_key":"{key}","stream":"s","seed":"{seed}","alpha":0.1,"max_level":2,"flush_count":2}}"#
+        )
+    };
+    let ingest = |(tenant, key): (&str, &str), symbols: &str| {
+        format!(
+            r#"{{"type":"ingest","tenant":"{tenant}","api_key":"{key}","stream":"s","symbols":"{symbols}"}}"#
+        )
+    };
+    let (acme, beta) = (TENANTS[0], TENANTS[1]);
+
+    let registered = call(register(acme, "ABAB"));
+    assert_eq!(registered.get("stream").and_then(Value::as_str), Some("s"));
+
+    // Beta can neither append to acme's stream nor read its re-mine, and the
+    // error names the stream as beta sent it.
+    let foreign = call(ingest(beta, "AB"));
+    assert_eq!(
+        foreign.get("code").and_then(Value::as_str),
+        Some(wire::codes::UNKNOWN_STREAM),
+        "{}",
+        foreign.encode()
+    );
+    assert_eq!(
+        foreign.get("message").and_then(Value::as_str),
+        Some(r#"no stream registered as "s""#)
+    );
+
+    // The same name registers for beta too, and each append re-mines only
+    // its own tenant's stream.
+    let registered = call(register(beta, "CDCDCD"));
+    assert_eq!(
+        registered.get("type").and_then(Value::as_str),
+        Some("registered"),
+        "{}",
+        registered.encode()
+    );
+    let config = MinerConfig {
+        alpha: 0.1,
+        max_level: Some(2),
+        ..Default::default()
+    };
+    for (tenant, symbols, stream) in [(acme, "AB", "ABABAB"), (beta, "CD", "CDCDCDCD")] {
+        let flushed = call(ingest(tenant, symbols));
+        assert_eq!(
+            flushed.get("outcome").and_then(Value::as_str),
+            Some("flushed"),
+            "{}",
+            flushed.encode()
+        );
+        let result = flushed.get("result").and_then(|r| r.get("result")).unwrap();
+        let db = EventDb::from_str_symbols(&Alphabet::latin26(), stream).unwrap();
+        assert_eq!(
+            result.encode(),
+            serial_result_json(&db, config),
+            "{tenant:?}"
+        );
+    }
+
+    // A second registration of a tenant's own name is still a duplicate.
+    let again = call(register(acme, "ABAB"));
+    assert_eq!(
+        again.get("message").and_then(Value::as_str),
+        Some(r#"stream "s" is already registered"#)
+    );
     drop(client);
     server.shutdown();
 }
