@@ -41,10 +41,6 @@ pub struct CostModel {
     /// cost [`crate::simulate_resident`] charges instead of
     /// [`launch_overhead_us`](Self::launch_overhead_us).
     pub advance_overhead_us: f64,
-    /// Cycles per mapped candidate slot to demultiplex a K-tenant union
-    /// launch's count buffer back into per-member counts (one gather + add per
-    /// slot; see [`union_demux_cycles`](Self::union_demux_cycles)).
-    pub demux_cycles_per_candidate: f64,
     /// Host→device copy bandwidth in GB/s (PCIe 1.x/2.0-era pinned-memory
     /// transfer), used to model the one-time stream upload of a resident
     /// pipeline.
@@ -79,7 +75,6 @@ impl Default for CostModel {
             gmem_transaction_bytes: 64,
             launch_overhead_us: 15.0,
             advance_overhead_us: 1.0,
-            demux_cycles_per_candidate: 2.0,
             h2d_bandwidth_gbs: 3.0,
             barrier_cycles: 120.0,
             smem_banks: 16,
@@ -124,14 +119,6 @@ impl CostModel {
         }
     }
 
-    /// Cycles to demultiplex a union launch's count buffer: one gather + add
-    /// per mapped candidate slot, summed over the union's K members. The demux
-    /// runs on the host after the D2H count readback, so it scales with the
-    /// total mapped slots, not with stream length.
-    pub fn union_demux_cycles(&self, mapped_slots: u64) -> f64 {
-        self.demux_cycles_per_candidate * mapped_slots as f64
-    }
-
     /// Milliseconds to copy `bytes` host→device at
     /// [`h2d_bandwidth_gbs`](Self::h2d_bandwidth_gbs) (plus one launch-sized
     /// driver round trip to enqueue the copy).
@@ -169,13 +156,6 @@ mod tests {
     fn resident_advance_is_cheaper_than_a_launch() {
         let c = CostModel::default();
         assert!(c.advance_overhead_us < c.launch_overhead_us);
-    }
-
-    #[test]
-    fn demux_scales_with_mapped_slots() {
-        let c = CostModel::default();
-        assert_eq!(c.union_demux_cycles(0), 0.0);
-        assert_eq!(c.union_demux_cycles(1000), 2.0 * c.union_demux_cycles(500));
     }
 
     #[test]

@@ -46,10 +46,7 @@ pub use config::{ComputeCapability, DeviceConfig};
 pub use cost::CostModel;
 pub use engine::{simulate, simulate_resident};
 pub use kernel::{BlockProfile, KernelSpec, LaunchConfig, MemKind, MemTraffic, Phase};
-pub use occupancy::{
-    occupancy, union_occupancy, union_resources, KernelResources, Occupancy, OccupancyLimiter,
-    UNION_SMEM_PER_TENANT,
-};
+pub use occupancy::{occupancy, KernelResources, Occupancy, OccupancyLimiter};
 pub use report::{BoundKind, SimCounters, SimReport};
 
 /// Errors from kernel validation and simulation.

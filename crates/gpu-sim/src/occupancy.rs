@@ -132,37 +132,6 @@ pub fn occupancy(dev: &DeviceConfig, res: &KernelResources) -> Option<Occupancy>
     })
 }
 
-/// Per-tenant shared-memory scratch a multi-tenant union launch adds to each
-/// block: a routing entry (member id + candidate-offset base) plus a staging
-/// slot for the member's partial count, kept bank-padded — 64 bytes per tenant.
-pub const UNION_SMEM_PER_TENANT: u32 = 64;
-
-/// The resource footprint of a K-tenant union launch built from a solo
-/// kernel's resources: same threads and registers, plus
-/// [`UNION_SMEM_PER_TENANT`] bytes of per-block shared memory per tenant for
-/// the demux routing/staging tables. `tenants == 1` (or 0) is the solo kernel
-/// unchanged.
-pub fn union_resources(res: &KernelResources, tenants: u32) -> KernelResources {
-    let extra = tenants
-        .saturating_sub(1)
-        .saturating_mul(UNION_SMEM_PER_TENANT);
-    KernelResources {
-        shared_mem_per_block: res.shared_mem_per_block.saturating_add(extra),
-        ..*res
-    }
-}
-
-/// [`occupancy`] of a K-tenant union launch: the solo kernel's resources
-/// widened by [`union_resources`]. Returns `None` when the routing tables push
-/// a block past the SM's shared memory.
-pub fn union_occupancy(
-    dev: &DeviceConfig,
-    res: &KernelResources,
-    tenants: u32,
-) -> Option<Occupancy> {
-    occupancy(dev, &union_resources(res, tenants))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,32 +211,6 @@ mod tests {
         assert_eq!(res.warps_per_block(32), 2);
         let occ = occupancy(&gtx(), &res).unwrap();
         assert_eq!(occ.active_warps, occ.active_blocks * 2);
-    }
-
-    #[test]
-    fn union_of_one_is_the_solo_kernel() {
-        let res = KernelResources::new(256).with_shared_mem(1024);
-        assert_eq!(union_resources(&res, 1), res);
-        assert_eq!(union_resources(&res, 0), res);
-        assert_eq!(union_occupancy(&gtx(), &res, 1), occupancy(&gtx(), &res));
-    }
-
-    #[test]
-    fn union_tenants_add_smem_and_squeeze_occupancy() {
-        // 3.8 KB base: 4 blocks fit per 16 KB SM solo; +64 tenants of routing
-        // scratch (~4 KB extra) drops residency.
-        let res = KernelResources::new(64)
-            .with_registers(10)
-            .with_shared_mem(3840);
-        let solo = occupancy(&gtx(), &res).unwrap();
-        let fused = union_occupancy(&gtx(), &res, 65).unwrap();
-        assert_eq!(
-            union_resources(&res, 65).shared_mem_per_block,
-            3840 + 64 * UNION_SMEM_PER_TENANT
-        );
-        assert!(fused.active_blocks < solo.active_blocks);
-        // An absurd tenant count can't fit a single block.
-        assert!(union_occupancy(&gtx(), &res, 100_000).is_none());
     }
 
     #[test]

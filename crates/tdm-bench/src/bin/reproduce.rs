@@ -22,10 +22,9 @@
 //!                    JSON report (e.g. BENCH_serve.json) to PATH; with no
 //!                    TARGETS, only the benchmark(s) run
 //! --gpu-bench-json PATH  run the simulated GPU serving-pipeline benchmark
-//!                    (persistent fused pipeline vs per-level launches,
-//!                    the K-tenant union launch vs K solo launches, and the
-//!                    cost model's routed run; fully
-//!                    deterministic) and write the JSON report (e.g.
+//!                    (persistent fused pipeline vs per-level launches and
+//!                    the cost model's routed run; fully deterministic)
+//!                    and write the JSON report (e.g.
 //!                    BENCH_gpu.json) to PATH; with no TARGETS, only the
 //!                    benchmark(s) run
 //! --serve-open-loop  also run the open-loop serving benchmark (deterministic

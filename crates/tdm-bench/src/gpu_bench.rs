@@ -1,8 +1,8 @@
 //! Simulated-time benchmark of the Everest-style GPU serving pipeline
-//! (`tdm_gpu::DevicePipeline`): what persistence and batching buy over the
-//! paper's launch-per-level discipline.
+//! (`tdm_gpu::DevicePipeline`): what persistence buys over the paper's
+//! launch-per-level discipline.
 //!
-//! Three scenarios, all fully deterministic (every number comes from the
+//! Two scenarios, both fully deterministic (every number comes from the
 //! `gpu-sim` cost model, never the host clock), so the committed artifact
 //! (`BENCH_gpu.json`) is reproducible bit-for-bit anywhere:
 //!
@@ -13,13 +13,6 @@
 //!   does — a fresh driver launch per level, re-uploading the stream each
 //!   time. The `fused_pipeline_vs_per_level` headline (per-level ms / fused
 //!   ms) goes top-level in the JSON and is floor-guarded in CI.
-//! * **union launch vs K solo launches** — K tenants with overlapping
-//!   level-2 candidate sets, served once as K separate upload+launch cycles
-//!   and once as a single [`DevicePipeline::advance_union`] over their
-//!   deduplicated [`CandidateUnion`] CSR (per-tenant routing tables widen the
-//!   block's shared memory; the count buffer is demultiplexed per member).
-//!   Demuxed counts are asserted bit-identical to each tenant's solo launch
-//!   before the `union_launch_vs_k_solo` ratio is reported.
 //! * **routed pipeline** — the first scenario's mine through a
 //!   [`GpuPipelineBackend`] that is not forced onto the device: the
 //!   serve-time cost model (`GpuDispatchModel::choose_backend_class`)
@@ -28,11 +21,8 @@
 //!   simulated ms; CPU-class levels add no simulated time, so the routing
 //!   shows up in the committed artifact without a host clock.
 
-use tdm_core::candidate::permutations;
-use tdm_core::engine::{CandidateUnion, CompiledCandidates};
 use tdm_core::miner::{Miner, MinerConfig};
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
-use tdm_core::Episode;
 use tdm_gpu::{Algorithm, DevicePipeline, DispatchClass, GpuPipelineBackend};
 use tdm_workloads::markov_letters;
 
@@ -47,8 +37,6 @@ pub struct GpuBenchConfig {
     pub alpha: f64,
     /// Level cap of the mining run.
     pub max_level: usize,
-    /// Tenants sharing the union launch in the batching scenario.
-    pub tenants: usize,
     /// Block size of every simulated kernel.
     pub threads_per_block: u32,
 }
@@ -59,7 +47,6 @@ impl Default for GpuBenchConfig {
             symbols: 2_000,
             alpha: 0.001,
             max_level: 4,
-            tenants: 4,
             threads_per_block: 64,
         }
     }
@@ -110,17 +97,6 @@ pub struct GpuBenchReport {
     pub fused_pipeline_ms: f64,
     /// The headline: per-level ms over fused ms (> 1 = persistence pays).
     pub fused_pipeline_vs_per_level: f64,
-    /// Tenants in the batching scenario.
-    pub tenants: usize,
-    /// Deduplicated union candidates the batched launch counted.
-    pub union_candidates: usize,
-    /// Modeled milliseconds of K separate upload+launch cycles.
-    pub solo_launches_ms: f64,
-    /// Modeled milliseconds of the single K-tenant union launch (upload +
-    /// fused kernel + per-member demux).
-    pub union_launch_ms: f64,
-    /// The headline: K-solo ms over union ms (> 1 = batching pays).
-    pub union_launch_vs_k_solo: f64,
     /// Modeled milliseconds of the routed pipeline (device levels only).
     pub routed_pipeline_ms: f64,
     /// The routed run's decisions: `(level, candidates, class)` per level.
@@ -163,65 +139,7 @@ pub fn run(cfg: &GpuBenchConfig) -> GpuBenchReport {
     let fused_pipeline_ms = fused_backend.simulated_ms();
     let per_level_launch_ms = per_level.simulated_ms;
 
-    // Scenario 2: K overlapping level-2 tenants, solo launches vs one union.
-    let tenants = cfg.tenants.max(2);
-    let all_pairs = permutations(db.alphabet(), 2);
-    // Overlapping windows over the pair space: every adjacent pair of tenants
-    // shares half its candidates — the partial-overlap regime union launches
-    // target (disjoint sets would make the union as big as the concatenation).
-    let window = (all_pairs.len() / (tenants + 1)).max(2) * 2;
-    let sources: Vec<Vec<Episode>> = (0..tenants)
-        .map(|t| {
-            let start = t * window / 2;
-            all_pairs
-                .iter()
-                .cycle()
-                .skip(start)
-                .take(window)
-                .cloned()
-                .collect()
-        })
-        .collect();
-    let source_refs: Vec<&[Episode]> = sources.iter().map(|s| s.as_slice()).collect();
-    let union = CandidateUnion::build(&source_refs);
-    let union_compiled = CompiledCandidates::compile(db.alphabet().len(), union.episodes());
-
-    let mut solo_launches_ms = 0.0;
-    let mut solo_counts: Vec<Vec<u64>> = Vec::with_capacity(tenants);
-    for source in &sources {
-        let compiled = CompiledCandidates::compile(db.alphabet().len(), source);
-        let mut pipeline = DevicePipeline::new(
-            Algorithm::BlockTexture,
-            cfg.threads_per_block,
-            device.clone(),
-        );
-        pipeline.upload(&db);
-        let run = pipeline
-            .advance(&db, &compiled)
-            .expect("solo tenant launch failed");
-        solo_counts.push(run.counts);
-        solo_launches_ms += pipeline.simulated_ms;
-    }
-
-    let mut union_pipeline = DevicePipeline::new(
-        Algorithm::BlockTexture,
-        cfg.threads_per_block,
-        device.clone(),
-    );
-    union_pipeline.upload(&db);
-    let launch = union_pipeline
-        .advance_union(&db, &union_compiled, &union)
-        .expect("union launch failed");
-    assert_eq!(launch.tenants, tenants);
-    for (t, want) in solo_counts.iter().enumerate() {
-        assert_eq!(
-            &launch.member_counts[t], want,
-            "union demux diverged from tenant {t}'s solo launch"
-        );
-    }
-    let union_launch_ms = union_pipeline.simulated_ms;
-
-    // Scenario 3: scenario 1's mine, routed per level by the cost model.
+    // Scenario 2: scenario 1's mine, routed per level by the cost model.
     let mut routed_backend = GpuPipelineBackend::new(
         Algorithm::BlockTexture,
         cfg.threads_per_block,
@@ -246,11 +164,6 @@ pub fn run(cfg: &GpuBenchConfig) -> GpuBenchReport {
         per_level_launch_ms,
         fused_pipeline_ms,
         fused_pipeline_vs_per_level: per_level_launch_ms / fused_pipeline_ms.max(1e-12),
-        tenants,
-        union_candidates: union_compiled.len(),
-        solo_launches_ms,
-        union_launch_ms,
-        union_launch_vs_k_solo: solo_launches_ms / union_launch_ms.max(1e-12),
         routed_pipeline_ms: routed_backend.simulated_ms(),
         routed_levels,
     }
@@ -268,29 +181,12 @@ impl GpuBenchReport {
             self.fused_pipeline_vs_per_level
         ));
         s.push_str(&format!(
-            "  \"union_launch_vs_k_solo\": {:.4},\n",
-            self.union_launch_vs_k_solo
-        ));
-        s.push_str(&format!(
             "  \"per_level_launch_ms\": {:.6},\n",
             self.per_level_launch_ms
         ));
         s.push_str(&format!(
             "  \"fused_pipeline_ms\": {:.6},\n",
             self.fused_pipeline_ms
-        ));
-        s.push_str(&format!("  \"tenants\": {},\n", self.tenants));
-        s.push_str(&format!(
-            "  \"union_candidates\": {},\n",
-            self.union_candidates
-        ));
-        s.push_str(&format!(
-            "  \"solo_launches_ms\": {:.6},\n",
-            self.solo_launches_ms
-        ));
-        s.push_str(&format!(
-            "  \"union_launch_ms\": {:.6},\n",
-            self.union_launch_ms
         ));
         s.push_str(&format!(
             "  \"routed_pipeline_ms\": {:.6},\n",
@@ -309,7 +205,7 @@ impl GpuBenchReport {
         s
     }
 
-    /// Three-line terminal summary.
+    /// Two-line terminal summary.
     pub fn summary(&self) -> String {
         let routed: Vec<String> = self
             .routed_levels
@@ -321,18 +217,12 @@ impl GpuBenchReport {
             .collect();
         format!(
             "gpu pipeline ({} symbols, {} levels): per-level {:.3} ms vs fused {:.3} ms \
-             = {:.2}x\ngpu union ({} tenants, {} union candidates): solo {:.3} ms vs \
-             union {:.3} ms = {:.2}x\ngpu routed: {} = {:.3} ms\n",
+             = {:.2}x\ngpu routed: {} = {:.3} ms\n",
             self.symbols,
             self.levels,
             self.per_level_launch_ms,
             self.fused_pipeline_ms,
             self.fused_pipeline_vs_per_level,
-            self.tenants,
-            self.union_candidates,
-            self.solo_launches_ms,
-            self.union_launch_ms,
-            self.union_launch_vs_k_solo,
             routed.join(", "),
             self.routed_pipeline_ms
         )
@@ -348,24 +238,19 @@ mod tests {
             symbols: 1_000,
             alpha: 0.002,
             max_level: 3,
-            tenants: 3,
             ..Default::default()
         })
     }
 
     #[test]
-    fn both_headlines_exceed_their_floors() {
+    fn the_fused_headline_exceeds_its_floor() {
         let r = tiny();
         assert!(r.levels >= 2, "want a multi-level run, got {}", r.levels);
-        // The acceptance floors guarded by tools/bench_guard.sh — if these
-        // fail here, the committed artifact would fail CI too.
+        // The acceptance floor guarded by tools/bench_guard.sh — if this
+        // fails here, the committed artifact would fail CI too.
         assert!(
             r.fused_pipeline_vs_per_level >= 1.2,
             "fused ratio below floor: {r:?}"
-        );
-        assert!(
-            r.union_launch_vs_k_solo > 1.0,
-            "union ratio below floor: {r:?}"
         );
     }
 
@@ -409,9 +294,7 @@ mod tests {
         assert!(j.starts_with("{\n"));
         assert!(j.trim_end().ends_with('}'));
         assert!(j.contains("\"fused_pipeline_vs_per_level\""));
-        assert!(j.contains("\"union_launch_vs_k_solo\""));
         assert!(j.contains("\"per_level_launch_ms\""));
-        assert!(j.contains("\"union_candidates\""));
         assert!(j.contains("\"routed_levels\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(!j.contains("NaN"));

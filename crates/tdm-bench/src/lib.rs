@@ -20,7 +20,7 @@
 //! concurrent clients over one shared pool (`BENCH_serve.json`). The
 //! simulated-GPU serving trajectory ([`gpu_bench`], `BENCH_gpu.json`) models
 //! what the persistent device pipeline buys: fused advances vs per-level
-//! launches, and K-tenant union launches vs K solo ones.
+//! launches, and the cost model's per-level routing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

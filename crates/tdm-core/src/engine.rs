@@ -72,7 +72,6 @@ pub use vertical::OccurrenceIndex;
 
 use crate::episode::{distinct_items, Episode};
 use crate::segment::{continuation_count_items, count_segmented_exact_items};
-use std::collections::HashMap;
 
 /// Streams shorter than this are counted sequentially even when more workers
 /// are requested — dispatch costs more than the scan.
@@ -912,130 +911,6 @@ impl CountScratch {
     }
 }
 
-/// The deduplicated union of several candidate sets, with per-source
-/// ownership maps — the compile side of a K-tenant **union launch** (the
-/// simulated GPU pipeline's `advance_union`).
-///
-/// When K concurrent mining requests share one database, their per-level
-/// candidate sets usually overlap heavily (identical configs overlap fully;
-/// different support thresholds still share the dense core of the space).
-/// Scanning each set separately pays K stream passes for work one pass could
-/// do. A `CandidateUnion` merges the sets:
-///
-/// * [`episodes`](CandidateUnion::episodes) — every distinct episode across
-///   the sources, in first-appearance order (source 0's candidates first, then
-///   the novel tail of source 1, …). Compile *this* set into a
-///   [`CompiledCandidates`] and scan it **once**.
-/// * [`map`](CandidateUnion::map) — for each source `s`, the offset map from
-///   source-local candidate index to union index: `map(s)[i]` is where source
-///   `s`'s candidate `i` landed in the union.
-/// * [`demux`](CandidateUnion::demux) — gathers a union count vector back
-///   into one source's own candidate ordering, so every request sees exactly
-///   the counts a solo scan of its set would have produced.
-///
-/// Because the engine's scan semantics are per-episode (an episode's count
-/// never depends on what else is compiled alongside it — property-tested in
-/// the workspace suite), demuxed union counts are **bit-identical** to
-/// per-source scans.
-///
-/// ```
-/// use tdm_core::engine::{CandidateUnion, CompiledCandidates, CountScratch};
-/// use tdm_core::{Alphabet, Episode};
-///
-/// let ab = Alphabet::latin26();
-/// let eps = |specs: &[&str]| -> Vec<Episode> {
-///     specs.iter().map(|s| Episode::from_str(&ab, s).unwrap()).collect()
-/// };
-/// let req_a = eps(&["AB", "BC", "CA"]);
-/// let req_b = eps(&["BC", "AB", "XY"]); // overlaps A on {AB, BC}
-///
-/// let union = CandidateUnion::build(&[&req_a, &req_b]);
-/// assert_eq!(union.len(), 4); // AB, BC, CA, XY — deduplicated
-///
-/// // One compile, one scan, two demuxed answers.
-/// let compiled = CompiledCandidates::compile(ab.len(), union.episodes());
-/// let stream: Vec<u8> = b"ABCABXY".iter().map(|c| c - b'A').collect();
-/// let counts = compiled.count(&stream, &mut CountScratch::new());
-/// let a = union.demux(0, &counts);
-/// let b = union.demux(1, &counts);
-/// assert_eq!(a, CompiledCandidates::compile(ab.len(), &req_a).count(&stream, &mut CountScratch::new()));
-/// assert_eq!(b, CompiledCandidates::compile(ab.len(), &req_b).count(&stream, &mut CountScratch::new()));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CandidateUnion {
-    /// Distinct episodes across every source, first-appearance order.
-    episodes: Vec<Episode>,
-    /// Per-source offset maps into `episodes` (CSR: `map_items[map_offsets[s]
-    /// .. map_offsets[s+1]]` is source `s`'s map).
-    map_items: Vec<u32>,
-    map_offsets: Vec<u32>,
-}
-
-impl CandidateUnion {
-    /// Builds the union of `sources` (each one request's candidate set).
-    pub fn build(sources: &[&[Episode]]) -> Self {
-        let mut u = CandidateUnion {
-            map_offsets: vec![0],
-            ..CandidateUnion::default()
-        };
-        let mut index: HashMap<&Episode, u32> = HashMap::new();
-        for source in sources {
-            for ep in source.iter() {
-                let slot = *index.entry(ep).or_insert_with(|| {
-                    u.episodes.push(ep.clone());
-                    u.episodes.len() as u32 - 1
-                });
-                u.map_items.push(slot);
-            }
-            u.map_offsets.push(u.map_items.len() as u32);
-        }
-        u
-    }
-
-    /// Number of distinct episodes in the union.
-    pub fn len(&self) -> usize {
-        self.episodes.len()
-    }
-
-    /// True when the union holds no episode.
-    pub fn is_empty(&self) -> bool {
-        self.episodes.is_empty()
-    }
-
-    /// Number of source sets the union was built from.
-    pub fn sources(&self) -> usize {
-        self.map_offsets.len().saturating_sub(1)
-    }
-
-    /// The deduplicated episode set — what a union scan compiles.
-    pub fn episodes(&self) -> &[Episode] {
-        &self.episodes
-    }
-
-    /// Source `s`'s offset map: element `i` is the union index of source
-    /// `s`'s candidate `i`.
-    pub fn map(&self, s: usize) -> &[u32] {
-        &self.map_items[self.map_offsets[s] as usize..self.map_offsets[s + 1] as usize]
-    }
-
-    /// Gathers union-ordered `counts` back into source `s`'s own candidate
-    /// ordering — the demultiplex step after the single shared scan.
-    ///
-    /// # Panics
-    /// When `counts.len() != self.len()` — a malformed scan result would
-    /// otherwise demux silently wrong counts.
-    pub fn demux(&self, s: usize, counts: &[u64]) -> Vec<u64> {
-        assert_eq!(
-            counts.len(),
-            self.len(),
-            "union scan returned {} counts for {} distinct episodes",
-            counts.len(),
-            self.len()
-        );
-        self.map(s).iter().map(|&u| counts[u as usize]).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1270,60 +1145,6 @@ mod tests {
         }
         // Empty chunk touches nothing.
         assert!(c.chunk_scan(db.symbols(), 3..3).is_empty());
-    }
-
-    #[test]
-    fn union_dedups_and_maps_every_source() {
-        let a = eps_of(&["AB", "BC", "CA"]);
-        let b = eps_of(&["BC", "AB", "XY"]);
-        let c = eps_of(&["Q"]);
-        let u = CandidateUnion::build(&[&a, &b, &c]);
-        assert_eq!(u.sources(), 3);
-        assert_eq!(u.len(), 5); // AB BC CA XY Q
-        assert_eq!(u.map(0), &[0, 1, 2]);
-        assert_eq!(u.map(1), &[1, 0, 3]);
-        assert_eq!(u.map(2), &[4]);
-        // First-appearance order.
-        assert_eq!(u.episodes()[3], b[2]);
-        assert_eq!(u.episodes()[4], c[0]);
-    }
-
-    #[test]
-    fn union_handles_empty_and_duplicate_sources() {
-        let a = eps_of(&["AB", "AB"]); // repeated inside one source
-        let empty: Vec<Episode> = Vec::new();
-        let u = CandidateUnion::build(&[&a, &empty, &a]);
-        assert_eq!(u.len(), 1);
-        assert_eq!(u.map(0), &[0, 0]);
-        assert!(u.map(1).is_empty());
-        assert_eq!(u.map(2), &[0, 0]);
-        assert_eq!(u.demux(1, &[7]), Vec::<u64>::new());
-        assert_eq!(u.demux(2, &[7]), vec![7, 7]);
-        let none = CandidateUnion::build(&[]);
-        assert!(none.is_empty());
-        assert_eq!(none.sources(), 0);
-    }
-
-    #[test]
-    fn union_demux_equals_solo_counts() {
-        let db = db_of(&"ABCABZQXABC".repeat(40));
-        let sets = [
-            eps_of(&["A", "AB", "ABC", "AA"]),
-            eps_of(&["AB", "ZQ", "QZ", "ABA"]),
-            eps_of(&["X", "ABC", "BCA"]),
-        ];
-        let refs: Vec<&[Episode]> = sets.iter().map(|s| s.as_slice()).collect();
-        let u = CandidateUnion::build(&refs);
-        let compiled = CompiledCandidates::compile(26, u.episodes());
-        let mut scratch = CountScratch::new();
-        let union_counts = compiled.count(db.symbols(), &mut scratch);
-        for (s, set) in sets.iter().enumerate() {
-            assert_eq!(
-                u.demux(s, &union_counts),
-                count_episodes_naive(&db, set),
-                "source {s}"
-            );
-        }
     }
 
     #[test]

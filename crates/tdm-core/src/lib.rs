@@ -69,8 +69,8 @@ pub mod streaming;
 
 pub use alphabet::{Alphabet, Symbol};
 pub use engine::{
-    BitmaskNfa, CandidateUnion, CompileError, CompiledCandidates, CountScratch, CountStrategy,
-    OccurrenceIndex, StrategyCosts,
+    BitmaskNfa, CompileError, CompiledCandidates, CountScratch, CountStrategy, OccurrenceIndex,
+    StrategyCosts,
 };
 pub use episode::Episode;
 pub use miner::{AutoBackend, Miner, MinerConfig, SequentialBackend};

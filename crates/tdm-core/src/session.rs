@@ -723,21 +723,11 @@ impl<'db> MiningSession<'db> {
         self.priority = priority;
     }
 
-    /// The scheduling class new counting calls run at.
-    pub fn job_priority(&self) -> Priority {
-        self.priority
-    }
-
     /// Installs (or clears) the cooperative cancellation token the level loop
     /// checks before each level's compile+scan. A serving layer sets the
     /// request's token on the session it plans for that request.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
-    }
-
-    /// The installed cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// How many candidate sets this session has compiled — exactly one per

@@ -12,16 +12,10 @@
 //! * shard boundaries straddling partial matches;
 //! * a single-symbol alphabet;
 //! * empty episode sets and a row longer than a 64-bit lane;
-//! * worker counts 1..=8 through real [`MiningSession`]s;
-//! * [`CandidateUnion`] demultiplexing over the new strategies, and under
-//!   identical, disjoint and partially overlapping sources cut into any
-//!   number of shards.
+//! * worker counts 1..=8 through real [`MiningSession`]s.
 
 use proptest::prelude::*;
-use tdm_core::count::count_episodes_naive;
-use tdm_core::engine::{
-    BitmaskNfa, CandidateUnion, CompiledCandidates, CountScratch, CountStrategy, OccurrenceIndex,
-};
+use tdm_core::engine::{BitmaskNfa, CompiledCandidates, CountStrategy, OccurrenceIndex};
 use tdm_core::miner::AutoBackend;
 use tdm_core::segment::even_bounds;
 use tdm_core::session::MiningSession;
@@ -253,65 +247,9 @@ fn sessions_dispatch_identically_for_workers_1_through_8() {
     }
 }
 
-#[test]
-fn candidate_union_demux_over_the_new_strategies() {
-    let ab = Alphabet::latin26();
-    let stream: Vec<u8> = "ABCABZQXABCAACAB"
-        .repeat(16)
-        .bytes()
-        .map(|c| c - b'A')
-        .collect();
-    let source_a: Vec<Episode> = ["AB", "ABC", "AA"]
-        .iter()
-        .map(|s| Episode::from_str(&ab, s).unwrap())
-        .collect();
-    let source_b: Vec<Episode> = ["ABC", "CA", "AB", "QXA"]
-        .iter()
-        .map(|s| Episode::from_str(&ab, s).unwrap())
-        .collect();
-    let union = CandidateUnion::build(&[&source_a, &source_b]);
-    let compiled = CompiledCandidates::compile(ab.len(), union.episodes());
-    let index = OccurrenceIndex::build(ab.len(), &stream);
-
-    let union_vertical = compiled.count_vertical(&stream, &index);
-    let union_bitmask = BitmaskNfa::build(&compiled)
-        .expect("small levels pack")
-        .count(&stream);
-    let union_dispatch = compiled.count_best(&stream);
-
-    for (s, source) in [&source_a, &source_b].into_iter().enumerate() {
-        let expected = seed_count_episodes(ab.len(), &stream, source);
-        assert_eq!(union.demux(s, &union_vertical), expected, "vertical demux");
-        assert_eq!(union.demux(s, &union_bitmask), expected, "bitmask demux");
-        assert_eq!(union.demux(s, &union_dispatch), expected, "dispatch demux");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Property tests
 // ---------------------------------------------------------------------------
-
-/// Builds episode sets with a chosen overlap pattern from a shared pool of
-/// episodes: 0 = identical, 1 = disjoint slices, 2 = overlapping windows.
-fn overlapped_sets(pool: &[Episode], k: usize, mode: u8) -> Vec<Vec<Episode>> {
-    let n = pool.len().max(1);
-    (0..k)
-        .map(|i| match mode {
-            0 => pool.to_vec(),
-            1 => {
-                let chunk = n.div_ceil(k);
-                pool.iter().skip(i * chunk).take(chunk).cloned().collect()
-            }
-            _ => {
-                // Windows of 2/3 the pool, shifted per source: neighbors
-                // share about half their episodes.
-                let len = (2 * n).div_ceil(3).max(1);
-                let start = (i * n) / k.max(1);
-                (0..len).map(|j| pool[(start + j) % n].clone()).collect()
-            }
-        })
-        .collect()
-}
 
 /// Folds raw generated bytes into a concrete alphabet: every symbol taken
 /// mod `alpha`, so small alphabets force collisions, repeats, and (for the
@@ -357,88 +295,6 @@ proptest! {
                     .collect();
             let merged = compiled.merge_shard_counts(&stream, &bounds, &shards);
             prop_assert_eq!(merged, reference);
-        }
-    }
-
-    #[test]
-    fn union_demux_matches_per_source_seed_counts(
-        alpha in 1usize..=6,
-        raw_stream in proptest::collection::vec(0u8..6, 0..300),
-        raw_eps in proptest::collection::vec(proptest::collection::vec(0u8..6, 1..6), 1..20),
-        split in 0usize..20,
-    ) {
-        let (stream, episodes) = fold_inputs(alpha, &raw_stream, &raw_eps);
-        let cut = split.min(episodes.len());
-        let (a, b) = episodes.split_at(cut);
-        let union = CandidateUnion::build(&[a, b]);
-        prop_assume!(!union.is_empty());
-        let compiled = CompiledCandidates::compile(alpha, union.episodes());
-        let union_counts = compiled.count_best(&stream);
-        for (s, source) in [a, b].into_iter().enumerate() {
-            let expected = seed_count_episodes(alpha, &stream, source);
-            prop_assert_eq!(union.demux(s, &union_counts), expected);
-        }
-    }
-
-    /// The demux identity under arbitrary data, arbitrary episode sets
-    /// (repeats included), and every worker count 1..=8: union counts
-    /// gathered back per source equal that source's own counts — for both
-    /// the sequential scan and the segmented scan over the union, cut into
-    /// `workers` even shards at any stream length.
-    #[test]
-    fn union_demux_equals_solo_counts(
-        data in proptest::collection::vec(0u8..6, 0..400),
-        sets in proptest::collection::vec(
-            proptest::collection::vec(proptest::collection::vec(0u8..6, 1..4), 0..12),
-            2..6,
-        ),
-        workers in 1usize..=8,
-    ) {
-        let db = EventDb::new(Alphabet::numbered(6).unwrap(), data).unwrap();
-        let sets: Vec<Vec<Episode>> = sets
-            .into_iter()
-            .map(|set| set.into_iter().map(|v| Episode::new(v).unwrap()).collect())
-            .collect();
-        let refs: Vec<&[Episode]> = sets.iter().map(|s| s.as_slice()).collect();
-        let union = CandidateUnion::build(&refs);
-        let compiled = CompiledCandidates::compile(6, union.episodes());
-        let stream = db.symbols();
-        let mut scratch = CountScratch::new();
-        let sequential = compiled.count(stream, &mut scratch);
-        let bounds = even_bounds(stream.len(), workers);
-        let sharded = compiled.count_with_bounds(stream, &bounds, &mut scratch);
-        prop_assert_eq!(&sequential, &sharded);
-        for (s, set) in sets.iter().enumerate() {
-            prop_assert_eq!(union.demux(s, &sequential), count_episodes_naive(&db, set));
-        }
-    }
-
-    /// Adversarial overlap shapes — identical, disjoint, and
-    /// partially-overlapping candidate sets drawn from one pool (repeated
-    /// items included) — demux exactly under any worker count.
-    #[test]
-    fn union_demux_survives_disjoint_identical_and_partial_overlap(
-        data in proptest::collection::vec(0u8..5, 50..300),
-        pool in proptest::collection::vec(proptest::collection::vec(0u8..5, 1..4), 4..20),
-        k in 2usize..=8,
-        mode in 0u8..3,
-        workers in 1usize..=8,
-    ) {
-        let db = EventDb::new(Alphabet::numbered(5).unwrap(), data).unwrap();
-        let pool: Vec<Episode> = pool.into_iter().map(|v| Episode::new(v).unwrap()).collect();
-        let sets = overlapped_sets(&pool, k, mode);
-        let refs: Vec<&[Episode]> = sets.iter().map(|s| s.as_slice()).collect();
-        let union = CandidateUnion::build(&refs);
-        if mode == 0 {
-            // Identical sets must dedup to exactly one set's distinct size.
-            let solo = CandidateUnion::build(&refs[..1]);
-            prop_assert_eq!(union.len(), solo.len());
-        }
-        let compiled = CompiledCandidates::compile(5, union.episodes());
-        let bounds = even_bounds(db.len(), workers);
-        let counts = compiled.count_with_bounds(db.symbols(), &bounds, &mut CountScratch::new());
-        for (s, set) in sets.iter().enumerate() {
-            prop_assert_eq!(union.demux(s, &counts), count_episodes_naive(&db, set));
         }
     }
 }

@@ -15,13 +15,7 @@
 //! 2. [`advance`](DevicePipeline::advance) — run one level's counting kernel
 //!    with the resident stream: identical wave timing to a fresh launch, but
 //!    the fixed cost is [`gpu_sim::CostModel::advance_overhead_us`]
-//!    (first advance still pays the full launch);
-//! 3. [`advance_union`](DevicePipeline::advance_union) — a K-tenant batched
-//!    advance over a [`CandidateUnion`]'s fused CSR: per-tenant routing tables
-//!    widen the block's shared memory ([`gpu_sim::union_resources`]), the
-//!    count buffer is demultiplexed per member ([`CandidateUnion::demux`]),
-//!    and the demux cost is charged at
-//!    [`gpu_sim::CostModel::union_demux_cycles`].
+//!    (first advance still pays the full launch).
 //!
 //! A plan compiled against a different stream than the one resident is a
 //! [`SimError::StalePlan`] — the serving layer rebuilds the pipeline instead
@@ -36,8 +30,8 @@
 //! produce bit-identical counts.
 
 use crate::{Algorithm, KernelRun, MiningProblem, SimOptions};
-use gpu_sim::{simulate, simulate_resident, union_resources, CostModel, DeviceConfig, SimError};
-use tdm_core::engine::{CandidateUnion, CompiledCandidates, CountStrategy, OccurrenceIndex};
+use gpu_sim::{simulate, simulate_resident, CostModel, DeviceConfig, SimError};
+use tdm_core::engine::{CompiledCandidates, CountStrategy, OccurrenceIndex};
 use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CountRequest, Counts, Executor};
 use tdm_core::EventDb;
@@ -62,13 +56,13 @@ pub struct DevicePipeline {
     pub threads_per_block: u32,
     /// Simulated card.
     pub device: DeviceConfig,
-    /// Cost model (launch/advance overheads, H2D bandwidth, demux rate).
+    /// Cost model (launch/advance overheads, H2D bandwidth).
     pub cost: CostModel,
     /// Execution options.
     pub opts: SimOptions,
     resident: Option<StreamResidency>,
     advances: u64,
-    /// Accumulated simulated milliseconds (uploads + advances + demux).
+    /// Accumulated simulated milliseconds (uploads + advances).
     pub simulated_ms: f64,
 }
 
@@ -137,48 +131,6 @@ impl DevicePipeline {
         db: &EventDb,
         compiled: &CompiledCandidates,
     ) -> Result<KernelRun, SimError> {
-        self.advance_inner(db, compiled, 1, 0)
-    }
-
-    /// A K-tenant batched advance over a [`CandidateUnion`]'s fused CSR:
-    /// counts the union once, widens the block with per-tenant routing tables,
-    /// charges the host demux, and returns the per-member counts
-    /// ([`CandidateUnion::demux`]).
-    ///
-    /// `compiled` must be the compiled form of `union.episodes()`.
-    ///
-    /// # Errors
-    /// As [`advance`](Self::advance); additionally, enough tenants can push
-    /// the routing tables past the SM's shared memory.
-    pub fn advance_union(
-        &mut self,
-        db: &EventDb,
-        compiled: &CompiledCandidates,
-        union: &CandidateUnion,
-    ) -> Result<UnionLaunch, SimError> {
-        let tenants = union.sources();
-        let mapped_slots: u64 = (0..tenants).map(|s| union.map(s).len() as u64).sum();
-        let run = self.advance_inner(db, compiled, tenants as u32, mapped_slots)?;
-        let member_counts = (0..tenants).map(|s| union.demux(s, &run.counts)).collect();
-        Ok(UnionLaunch {
-            demux_ms: self.demux_ms(mapped_slots),
-            tenants,
-            member_counts,
-            run,
-        })
-    }
-
-    fn demux_ms(&self, mapped_slots: u64) -> f64 {
-        self.cost.union_demux_cycles(mapped_slots) / self.device.clock_hz() * 1e3
-    }
-
-    fn advance_inner(
-        &mut self,
-        db: &EventDb,
-        compiled: &CompiledCandidates,
-        tenants: u32,
-        mapped_slots: u64,
-    ) -> Result<KernelRun, SimError> {
         let got = db.content_hash();
         let expected = match &self.resident {
             Some(res) => res.fingerprint,
@@ -195,9 +147,6 @@ impl DevicePipeline {
             &self.cost,
             &self.opts,
         )?;
-        if tenants > 1 {
-            run.spec.resources = union_resources(&run.spec.resources, tenants);
-        }
         run.report = if self.advances == 0 {
             // The persistent kernel's one driver-mediated launch.
             simulate(&self.device, &self.cost, &run.spec)?
@@ -205,23 +154,9 @@ impl DevicePipeline {
             simulate_resident(&self.device, &self.cost, &run.spec)?
         };
         self.advances += 1;
-        self.simulated_ms += run.report.time_ms + self.demux_ms(mapped_slots);
+        self.simulated_ms += run.report.time_ms;
         Ok(run)
     }
-}
-
-/// One K-tenant union advance: the fused kernel run plus the per-member demux.
-#[derive(Debug, Clone)]
-pub struct UnionLaunch {
-    /// The fused launch (counts are the *union*'s counts).
-    pub run: KernelRun,
-    /// Modeled milliseconds of the host-side demux.
-    pub demux_ms: f64,
-    /// Union members sharing the launch.
-    pub tenants: usize,
-    /// `member_counts[s]` = member `s`'s counts, in its own submission order
-    /// ([`CandidateUnion::demux`]).
-    pub member_counts: Vec<Vec<u64>>,
 }
 
 /// What [`GpuDispatchModel::choose_backend_class`] picks per (level,
@@ -249,8 +184,8 @@ impl DispatchClass {
 /// calibration pass (or a test) can supply its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuDispatchModel {
-    /// Fixed ops-equivalent of one pipeline advance: the doorbell write,
-    /// count-buffer readback, and host demux.
+    /// Fixed ops-equivalent of one pipeline advance: the doorbell write and
+    /// the count-buffer readback.
     pub advance_ops: f64,
     /// Device throughput advantage over one CPU core for the scan itself.
     pub speedup: f64,
@@ -502,49 +437,6 @@ mod tests {
         // Counts stay ground truth regardless of residency.
         let again = p.advance(&d, &compiled[1]).unwrap();
         assert_eq!(again.counts, compiled[1].count_best(d.symbols()));
-    }
-
-    #[test]
-    fn union_advance_demuxes_like_the_cpu_path() {
-        let d = db(12_000);
-        let all = permutations(d.alphabet(), 2);
-        // Three overlapping members.
-        let members: Vec<Vec<tdm_core::Episode>> = vec![
-            all[0..200].to_vec(),
-            all[100..300].to_vec(),
-            all[50..250].to_vec(),
-        ];
-        let sources: Vec<&[tdm_core::Episode]> = members.iter().map(|m| m.as_slice()).collect();
-        let union = CandidateUnion::build(&sources);
-        let compiled = CompiledCandidates::compile(26, union.episodes());
-
-        let mut p = DevicePipeline::new(Algorithm::BlockTexture, 512, gtx());
-        p.upload(&d);
-        let launch = p.advance_union(&d, &compiled, &union).unwrap();
-        assert_eq!(launch.tenants, 3);
-        assert!(launch.demux_ms > 0.0);
-        // Bit-identical to each member counted solo.
-        for (s, member) in members.iter().enumerate() {
-            let solo = CompiledCandidates::compile(26, member);
-            assert_eq!(
-                launch.member_counts[s],
-                solo.count_best(d.symbols()),
-                "member {s} diverged"
-            );
-        }
-        // Routing tables widened the block's shared memory.
-        let solo_res = MiningProblem::from_compiled(&d, &compiled)
-            .run(
-                Algorithm::BlockTexture,
-                512,
-                &gtx(),
-                &CostModel::default(),
-                &SimOptions::default(),
-            )
-            .unwrap()
-            .spec
-            .resources;
-        assert!(launch.run.spec.resources.shared_mem_per_block > solo_res.shared_mem_per_block);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod validate;
 
 pub use device::{
     DevicePipeline, DispatchClass, DispatchDecision, GpuDispatchModel, GpuPipelineBackend,
-    StreamResidency, UnionLaunch,
+    StreamResidency,
 };
 
 use gpu_sim::{CostModel, DeviceConfig, KernelSpec, LaunchConfig, SimError, SimReport};

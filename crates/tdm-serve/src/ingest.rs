@@ -35,11 +35,13 @@ use crate::service::{bump, MiningRequest, MiningResponse, MiningService, ServeEr
 #[derive(Debug, Clone, Copy)]
 pub struct IngestTriggers {
     /// Seal once this many symbols are buffered (0 disables the count
-    /// trigger — only [`StreamIngest::flush`] / the age trigger seal).
+    /// trigger; the age trigger must then be armed, or
+    /// [`StreamIngest::register`] refuses the stream).
     pub flush_count: usize,
     /// Seal once the oldest buffered symbol is this old. Age is checked on
-    /// each [`StreamIngest::append`] and by [`StreamIngest::due`] (there is
-    /// no background thread); `ZERO` disables the age trigger.
+    /// each [`StreamIngest::append`] (there is no background thread), so an
+    /// aged buffer seals with the next append; `ZERO` disables the age
+    /// trigger.
     pub flush_age: Duration,
 }
 
@@ -161,6 +163,10 @@ pub enum IngestError {
     /// The tenant's database carries timestamps; the symbol-only append path
     /// cannot grow it.
     TimedStream(String),
+    /// The tenant's triggers are both disabled (`flush_count` 0 and a zero
+    /// `flush_age`): no window would ever seal, and its buffer would grow
+    /// without bound.
+    NoTrigger(String),
     /// A core-layer validation failed (e.g. an appended symbol outside the
     /// tenant's alphabet); nothing was buffered.
     Core(CoreError),
@@ -179,6 +185,9 @@ impl std::fmt::Display for IngestError {
                     f,
                     "tenant {t:?} has a timestamped database; streaming ingestion is symbol-only"
                 )
+            }
+            IngestError::NoTrigger(t) => {
+                write!(f, "tenant {t:?} arms no trigger; no window would ever seal")
             }
             IngestError::Core(e) => write!(f, "append rejected: {e}"),
             IngestError::Serve(e) => write!(f, "window re-mine failed: {e}"),
@@ -305,7 +314,8 @@ impl StreamIngest {
     /// # Errors
     /// [`IngestError::DuplicateTenant`] for a name already registered;
     /// [`IngestError::TimedStream`] for a timestamped database (the append
-    /// path is symbol-only).
+    /// path is symbol-only); [`IngestError::NoTrigger`] when `triggers`
+    /// disables both the count and the age trigger.
     pub fn register(
         &self,
         name: &str,
@@ -313,6 +323,9 @@ impl StreamIngest {
         config: MinerConfig,
         triggers: IngestTriggers,
     ) -> Result<(), IngestError> {
+        if triggers.flush_count == 0 && triggers.flush_age.is_zero() {
+            return Err(IngestError::NoTrigger(name.to_string()));
+        }
         if db.times().is_some() {
             return Err(IngestError::TimedStream(name.to_string()));
         }
@@ -383,46 +396,6 @@ impl StreamIngest {
             t.seal()
         };
         Ok(AppendOutcome::Flushed(self.remine(tenant, window)?))
-    }
-
-    /// Force-seals a tenant's pending buffer (any size) and re-mines it —
-    /// the age-trigger driver: pair with [`due`](StreamIngest::due).
-    /// Returns `Ok(None)` when there is nothing to flush or a re-mine is
-    /// already in flight (the fenced window will carry the symbols).
-    ///
-    /// # Errors
-    /// As [`append`](StreamIngest::append).
-    pub fn flush(&self, tenant: &str) -> Result<Option<FlushReport>, IngestError> {
-        let sealed = {
-            let mut tenants = self.tenants.lock().expect("ingest tenants");
-            let t = tenants
-                .get_mut(tenant)
-                .ok_or_else(|| IngestError::UnknownTenant(tenant.to_string()))?;
-            if t.pending.is_empty() || t.fence != Fence::Idle {
-                None
-            } else {
-                bump(&self.counters.windows_sealed, 1);
-                Some(t.seal())
-            }
-        };
-        match sealed {
-            None => Ok(None),
-            Some(window) => Ok(Some(self.remine(tenant, window)?)),
-        }
-    }
-
-    /// Tenants whose **age** trigger has fired (oldest buffered symbol older
-    /// than `flush_age`, fence idle). A driver loop calls this periodically
-    /// and [`flush`](StreamIngest::flush)es each.
-    pub fn due(&self) -> Vec<String> {
-        let tenants = self.tenants.lock().expect("ingest tenants");
-        let mut due: Vec<String> = tenants
-            .iter()
-            .filter(|(_, t)| t.fence == Fence::Idle && t.age_trigger_fired())
-            .map(|(name, _)| name.clone())
-            .collect();
-        due.sort();
-        due
     }
 
     /// The one re-mine of a sealed window. Runs outside the tenants lock —
@@ -553,13 +526,12 @@ mod tests {
             .unwrap();
         assert_eq!(report.response.result, want);
 
-        // The window drained: nothing pending, nothing to flush again.
+        // The window drained: nothing pending, sealed once.
         let snap = ingest.tenant("t").unwrap();
         assert_eq!(
             (snap.pending, snap.windows_sealed, snap.in_flight_window),
             (0, 1, None)
         );
-        assert!(ingest.flush("t").unwrap().is_none());
         assert_eq!(ingest.stats().windows_sealed, 1);
     }
 
@@ -643,53 +615,16 @@ mod tests {
         });
 
         // The deferred symbols are still pending, fence released; the next
-        // trigger evaluation seals them as window 1.
+        // append's trigger evaluation seals them with it as window 1.
         let snap = ingest.tenant("t").unwrap();
         assert_eq!((snap.pending, snap.in_flight_window), (3, None));
-        let report = ingest.flush("t").unwrap().expect("deferred window seals");
-        assert_eq!((report.window, report.epoch, report.symbols), (1, 2, 3));
+        let report = match ingest.append("t", &[1]).unwrap() {
+            AppendOutcome::Flushed(r) => r,
+            other => panic!("deferred window should seal: {other:?}"),
+        };
+        assert_eq!((report.window, report.epoch, report.symbols), (1, 2, 4));
         assert_eq!(ingest.stats().deferred_appends, 1);
-        assert_eq!(ingest.tenant("t").unwrap().stream_len, 85);
-    }
-
-    #[test]
-    fn age_trigger_reports_due_tenants() {
-        let service = Arc::new(MiningService::new(ServiceConfig {
-            workers: 1,
-            ..Default::default()
-        }));
-        let ingest = StreamIngest::new(service);
-        ingest
-            .register(
-                "slow",
-                seed(&"AB".repeat(30)),
-                cfg(),
-                IngestTriggers {
-                    flush_count: 0,
-                    flush_age: Duration::from_millis(1),
-                },
-            )
-            .unwrap();
-        ingest
-            .register(
-                "idle",
-                seed(&"AB".repeat(30)),
-                cfg(),
-                IngestTriggers {
-                    flush_count: 0,
-                    flush_age: Duration::from_millis(1),
-                },
-            )
-            .unwrap();
-
-        assert!(ingest.due().is_empty(), "nothing buffered yet");
-        ingest.append("slow", &[0, 1]).unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(ingest.due(), vec!["slow".to_string()]);
-
-        let report = ingest.flush("slow").unwrap().expect("age-due buffer seals");
-        assert_eq!((report.window, report.symbols), (0, 2));
-        assert!(ingest.due().is_empty(), "flushed tenant no longer due");
+        assert_eq!(ingest.tenant("t").unwrap().stream_len, 86);
     }
 
     #[test]
@@ -773,8 +708,6 @@ mod tests {
             let want = Miner::new(config)
                 .mine(&db, &mut SequentialBackend::default())
                 .unwrap();
-            let again = ingest.flush(name).unwrap();
-            assert!(again.is_none(), "window already processed");
             let resp = service.submit(&MiningRequest::new(db, config)).unwrap();
             assert_eq!(resp.result, want, "tenant {name}");
         }
@@ -813,5 +746,23 @@ mod tests {
             ingest.register("timed", timed, cfg(), IngestTriggers::default()),
             Err(IngestError::TimedStream(_))
         ));
+    }
+
+    #[test]
+    fn a_stream_whose_triggers_never_fire_is_refused() {
+        let service = Arc::new(MiningService::new(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        }));
+        let ingest = StreamIngest::new(service);
+        let never = IngestTriggers {
+            flush_count: 0,
+            flush_age: Duration::ZERO,
+        };
+        assert!(matches!(
+            ingest.register("never", seed("ABAB"), cfg(), never),
+            Err(IngestError::NoTrigger(name)) if name == "never"
+        ));
+        assert!(ingest.tenant("never").is_none(), "nothing was registered");
     }
 }

@@ -364,12 +364,6 @@ impl MiningService {
         }
     }
 
-    /// A service with default sizing (machine-sized pool, one in-flight
-    /// request per worker, 32 cached databases).
-    pub fn with_defaults() -> Self {
-        MiningService::new(ServiceConfig::default())
-    }
-
     /// The shared worker pool (e.g. to build coordinated sessions outside the
     /// service).
     pub fn pool(&self) -> &Arc<Pool> {

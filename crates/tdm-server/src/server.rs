@@ -666,6 +666,12 @@ fn ingest_error_value(e: &IngestError, stream: &str) -> Value {
             codes::BAD_REQUEST,
             format!("stream {stream:?} carries timestamps; symbol appends cannot grow it"),
         ),
+        IngestError::NoTrigger(_) => wire::error_value(
+            codes::BAD_REQUEST,
+            format!(
+                "stream {stream:?} arms no trigger: set \"flush_count\" or \"flush_age_ms\" above 0"
+            ),
+        ),
         IngestError::Core(e) => wire::error_value(codes::BAD_REQUEST, e.to_string()),
         IngestError::Serve(e) => wire::serve_error_value(e),
     }

@@ -275,7 +275,7 @@ impl Denial {
                     pairs.push(("quota".into(), Value::u64(*quota as u64)));
                     pairs.push((
                         "retry_after_ms".into(),
-                        Value::u64(retry_after_hint(*in_flight, *quota)),
+                        Value::u64(retry_after_hint(*in_flight)),
                     ));
                 }
                 _ => {}

@@ -15,7 +15,8 @@
 //!   with `"mine_result"`.
 //! * `"stats"` — a point-in-time metrics snapshot; responds with `"stats"`.
 //! * `"register"` — register a named stream (seed events + config +
-//!   triggers); responds with `"registered"`.
+//!   triggers: `"flush_count"`, 256 when absent, and `"flush_age_ms"`, of
+//!   which at least one must be above 0); responds with `"registered"`.
 //! * `"ingest"` — append symbols to a registered stream; responds with
 //!   `"ingest"` (`"buffered"` or `"flushed"` + the re-mine result).
 //!
@@ -172,10 +173,8 @@ pub mod codes {
 /// proxy for position. Clamped to [[`RETRY_FLOOR_MS`], [`RETRY_CAP_MS`]]:
 /// never zero (a tight retry loop re-rejects instantly) and never so long
 /// that a recovered server sits idle.
-pub fn retry_after_hint(pending: usize, limit: usize) -> u64 {
-    // ~25ms of drain per queued request ahead of this one; an unbounded
-    // waiting room (limit 0) still hints from its observed depth.
-    let _ = limit;
+pub fn retry_after_hint(pending: usize) -> u64 {
+    // ~25ms of drain per queued request ahead of this one.
     let per_slot: u64 = 25;
     (per_slot * (pending as u64 + 1)).clamp(RETRY_FLOOR_MS, RETRY_CAP_MS)
 }
@@ -206,7 +205,7 @@ pub fn serve_error_value(e: &ServeError) -> Value {
             push(
                 &mut v,
                 "retry_after_ms",
-                Value::u64(retry_after_hint(*pending, *limit)),
+                Value::u64(retry_after_hint(*pending)),
             );
             v
         }
@@ -424,18 +423,18 @@ mod tests {
     #[test]
     fn retry_hint_grows_with_depth_and_stays_clamped() {
         // An empty queue still backs off a little.
-        assert_eq!(retry_after_hint(0, 8), RETRY_FLOOR_MS);
+        assert_eq!(retry_after_hint(0), RETRY_FLOOR_MS);
         // Monotone in observed depth.
         let mut last = 0;
         for pending in 0..64 {
-            let hint = retry_after_hint(pending, 8);
+            let hint = retry_after_hint(pending);
             assert!(hint >= last, "hint regressed at depth {pending}");
             last = hint;
         }
         // Deep queues saturate at the cap instead of stranding the client.
-        assert_eq!(retry_after_hint(10_000, 8), RETRY_CAP_MS);
-        // The unbounded-waiting-room sentinel (limit 0) still maps sanely.
-        assert_eq!(retry_after_hint(3, 0), 100);
+        assert_eq!(retry_after_hint(10_000), RETRY_CAP_MS);
+        // Linear in between: 25 ms per request ahead, plus this one.
+        assert_eq!(retry_after_hint(3), 100);
     }
 
     #[test]
@@ -450,7 +449,7 @@ mod tests {
         assert_eq!(v.get("limit").unwrap().as_u64(), Some(8));
         assert_eq!(
             v.get("retry_after_ms").unwrap().as_u64(),
-            Some(retry_after_hint(7, 8))
+            Some(retry_after_hint(7))
         );
         // The document survives an encode/parse cycle intact.
         let reparsed = json::parse(&v.encode()).unwrap();

@@ -73,14 +73,14 @@ pub mod prelude {
     pub use tdm_baselines::{MapReduceBackend, SerialScanBackend, ShardedScanBackend};
     pub use tdm_core::StreamingSession;
     pub use tdm_core::{
-        Alphabet, AutoBackend, BackendError, BitmaskNfa, CandidateUnion, CompileError,
-        CompiledCandidates, CountRequest, CountScratch, CountSemantics, CountStrategy, Counts,
-        Episode, EventDb, Executor, MineError, Miner, MinerConfig, MiningResult, MiningSession,
-        OccurrenceIndex, SequentialBackend, StrategyCosts, Symbol,
+        Alphabet, AutoBackend, BackendError, BitmaskNfa, CompileError, CompiledCandidates,
+        CountRequest, CountScratch, CountSemantics, CountStrategy, Counts, Episode, EventDb,
+        Executor, MineError, Miner, MinerConfig, MiningResult, MiningSession, OccurrenceIndex,
+        SequentialBackend, StrategyCosts, Symbol,
     };
     pub use tdm_gpu::{
         Algorithm, DevicePipeline, GpuBackend, GpuPipelineBackend, KernelRun, MiningProblem,
-        SimOptions, StreamResidency, UnionLaunch,
+        SimOptions, StreamResidency,
     };
     pub use tdm_mapreduce::pool::{Pool, Priority};
     pub use tdm_serve::{

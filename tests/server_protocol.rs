@@ -103,7 +103,7 @@ fn malformed_json_gets_a_typed_error_and_the_connection_survives() {
 fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
     let server = test_server(1 << 16);
     let mut client = Client::connect(server.addr()).unwrap();
-    let cases: [(&str, &str); 5] = [
+    let cases: [(&str, &str); 6] = [
         (
             r#"{"type":"divine","tenant":"acme","api_key":"key-a"}"#,
             "bad_request",
@@ -121,6 +121,10 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
             r#"{"type":"mine","tenant":"acme","api_key":"key-a"}"#,
             "bad_request", // neither events nor workload
         ),
+        (
+            r#"{"type":"register","tenant":"acme","api_key":"key-a","stream":"never","seed":"ABAB","flush_count":0}"#,
+            "bad_request", // no trigger could ever seal a window
+        ),
     ];
     for (request, want_code) in cases {
         let reply = client.call_bytes(request.as_bytes()).unwrap();
@@ -130,6 +134,14 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
             "request {request}"
         );
     }
+    // The trigger refusal names the client's stream, not the tenant-scoped
+    // key the ingest layer saw.
+    let refusal = client.call_bytes(cases[5].0.as_bytes()).unwrap();
+    let message = refusal.get("message").and_then(Value::as_str).unwrap();
+    assert!(
+        message.contains("\"never\"") && !message.contains("acme"),
+        "{message}"
+    );
     // The wire serves one backend: every other name, the paper baselines'
     // included, is a typed refusal that names it.
     for backend in [

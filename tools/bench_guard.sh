@@ -42,7 +42,7 @@
 #     encoding), not ordinary serialization cost.
 #
 # GPU guard — the simulated serving-pipeline trajectory (`BENCH_gpu.json`)
-# is fully deterministic (simulated time, no host clock), so its floors are
+# is fully deterministic (simulated time, no host clock), so its floor is
 # tight:
 #
 #   * `fused_pipeline_vs_per_level` < MIN_GPU_FUSED — the persistent device
@@ -50,9 +50,6 @@
 #     must beat the paper's launch-per-level discipline by >= 1.2x on the
 #     serving workload; regression means advances stopped amortizing the
 #     driver launch or the upload stopped being resident.
-#   * `union_launch_vs_k_solo` < MIN_GPU_UNION — one K-tenant union launch
-#     over the deduplicated CSR must beat K solo upload+launch cycles at all;
-#     1.0 catches batching silently degrading to concatenation.
 #
 # The JSONs are hand-rolled reports from `reproduce` (the workspace builds
 # offline without a JSON crate), so the parse here is a plain key grep —
@@ -95,9 +92,8 @@ MIN_INCREMENTAL=2.0
 # (the wire should cost a small multiple, never orders of magnitude).
 MIN_SOCKET_SCALING=0.3
 MAX_SOCKET_OVERHEAD=40.0
-# GPU floors are deterministic (simulated time): no noise allowance needed.
+# The GPU floor is deterministic (simulated time): no noise allowance needed.
 MIN_GPU_FUSED=1.2
-MIN_GPU_UNION=1.0
 
 [ -f "$BENCH" ] || { echo "bench_guard: $BENCH not found" >&2; exit 1; }
 
@@ -147,7 +143,6 @@ fi
 if [ -n "$GPU" ]; then
     [ -f "$GPU" ] || { echo "bench_guard: $GPU not found" >&2; exit 1; }
     guard fused_pipeline_vs_per_level "$(extract fused_pipeline_vs_per_level "$GPU")" "$MIN_GPU_FUSED"
-    guard union_launch_vs_k_solo "$(extract union_launch_vs_k_solo "$GPU")" "$MIN_GPU_UNION"
 fi
 
 exit "$fail"

@@ -2,8 +2,10 @@
 # Production size of the workspace: the two numbers every change reports.
 #
 # Lines: non-blank, non-comment Rust lines of `src/` and `crates/*/src`,
-# each file read up to its first `#[cfg(test)]` at column 0 (the unit-test
-# module; an indented one gates a single item and does not end the count).
+# less every item gated by `#[cfg(test)]`, wherever it sits: a unit-test
+# module, or a test-only method inside an `impl`. A gated item ends at the
+# `;` that closes it or where its braces balance again; char and string
+# literals and trailing comments are stripped before braces are counted.
 # A line whose first non-blank characters are `//` is a comment, so `///`
 # and `//!` docs do not count and deleting comments alone moves nothing.
 # Items: the entries of results/PUBLIC_API.txt (see tools/public_api.sh).
@@ -15,9 +17,23 @@ cd "$(dirname "$0")/.."
 
 count() {
   find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-    FNR == 1 { live = 1 }
-    /^#\[cfg\(test\)\]/ { live = 0 }
-    live && !/^[[:space:]]*(\/\/|$)/ { n++ }
+    FNR == 1 { gated = 0 }
+    !gated && /^[[:space:]]*#\[cfg\(test\)\]/ {
+      gated = 1; depth = 0; opened = 0
+      sub(/^[[:space:]]*#\[cfg\(test\)\]/, "")
+    }
+    gated {
+      t = $0
+      gsub(/\047([^\047\\]|\\.)\047/, "", t)
+      gsub(/"([^"\\]|\\.)*"/, "", t)
+      sub(/\/\/.*/, "", t)
+      opens = gsub(/[{]/, "", t)
+      depth += opens - gsub(/[}]/, "", t)
+      if (opens) opened = 1
+      if (opened ? depth <= 0 : t ~ /;[[:space:]]*$/) gated = 0
+      next
+    }
+    !/^[[:space:]]*(\/\/|$)/ { n++ }
     END { print n + 0 }'
 }
 
