@@ -33,9 +33,12 @@ impl From<u8> for Symbol {
 /// A finite, ordered set of named symbols (at most 256).
 ///
 /// Symbol ids are dense: `0..len()`. Names are unique.
+///
+/// The names live behind an [`Arc`](std::sync::Arc), so cloning an alphabet
+/// (every decoded [`EventDb`](crate::EventDb) holds one) is a refcount bump.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Alphabet {
-    names: Vec<String>,
+    names: std::sync::Arc<[String]>,
 }
 
 impl Alphabet {
@@ -44,7 +47,7 @@ impl Alphabet {
     /// # Errors
     /// Returns [`CoreError::AlphabetTooLarge`] for more than 256 names.
     pub fn new<S: Into<String>>(names: impl IntoIterator<Item = S>) -> Result<Self> {
-        let names: Vec<String> = names.into_iter().map(Into::into).collect();
+        let names: std::sync::Arc<[String]> = names.into_iter().map(Into::into).collect();
         if names.len() > 256 {
             return Err(CoreError::AlphabetTooLarge(names.len()));
         }

@@ -9,15 +9,28 @@ use crate::{CoreError, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The content hash's starting state and its odd multiplier.
+const HASH_SEED: u64 = 0x243f_6a88_85a3_08d3;
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Folds `bytes` into the FNV-1a state `h`, one byte at a time.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
+/// One content-hash step: folds an 8-byte word into the state. For a fixed
+/// word the step is a bijection of the state (xor, odd multiply, rotate), so
+/// two inputs that differ in one word never meet again.
+fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(HASH_MUL).rotate_left(29)
+}
+
+/// Folds `bytes` into the state 8 bytes per step, little-endian, then the
+/// remaining 0–7 bytes zero-padded to one more word.
+fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word: [u8; 8] = word.try_into().expect("8-byte chunk");
+        h = mix(h, u64::from_le_bytes(word));
     }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(h, u64::from_le_bytes(tail))
 }
 
 /// An ordered database of events over an [`Alphabet`].
@@ -61,11 +74,8 @@ impl EventDb {
     /// # Errors
     /// [`CoreError::SymbolOutOfRange`] when an id is not in the alphabet.
     pub fn new(alphabet: Alphabet, symbols: Vec<u8>) -> Result<Self> {
-        if let Some(&bad) = symbols.iter().find(|&&s| s as usize >= alphabet.len()) {
-            return Err(CoreError::SymbolOutOfRange {
-                id: bad,
-                alphabet: alphabet.len(),
-            });
+        for &id in &symbols {
+            alphabet.check(id)?;
         }
         Ok(EventDb {
             alphabet,
@@ -99,31 +109,53 @@ impl EventDb {
     /// Parses a string of single-character symbol names (e.g. `"ABCAB"` over
     /// [`Alphabet::latin26`]).
     ///
-    /// ASCII characters decode through a 128-entry table built once per call
-    /// (the first symbol of each single-character name wins, as in
-    /// [`Alphabet::symbol`]); any other character takes the
-    /// [`Alphabet::symbol`] lookup itself.
+    /// Bytes decode through a 256-entry table built once per call, straight
+    /// into the shared stream buffer; the table holds only single-byte names
+    /// (the first symbol of each wins, as in [`Alphabet::symbol`]), so a hit
+    /// is a valid id and the table is the validation. A string with any miss
+    /// (a non-ASCII character, or a character outside the alphabet) decodes
+    /// again one character at a time, table hits first and
+    /// [`Alphabet::symbol`] for the rest, which reports the first unknown
+    /// character.
     ///
     /// # Errors
     /// [`CoreError::UnknownSymbol`] for characters outside the alphabet.
     pub fn from_str_symbols(alphabet: &Alphabet, s: &str) -> Result<Self> {
-        let mut ascii = [None::<u8>; 128];
-        for symbol in alphabet.symbols() {
-            if let &[b] = alphabet.name(symbol).as_bytes() {
-                if let Some(slot) = ascii.get_mut(b as usize) {
-                    slot.get_or_insert(symbol.0);
-                }
+        const MISS: u16 = u16::MAX;
+        let mut table = [MISS; 256];
+        // In reverse, so the first symbol of a repeated name wins.
+        for id in (0..alphabet.len() as u16).rev() {
+            if let &[b] = alphabet.name(Symbol(id as u8)).as_bytes() {
+                table[b as usize] = id;
             }
         }
-        let mut symbols = Vec::with_capacity(s.len());
-        for ch in s.chars() {
-            let id = match ascii.get(ch as usize) {
-                Some(&Some(id)) => id,
-                _ => alphabet.symbol(ch.encode_utf8(&mut [0; 4]))?.0,
-            };
-            symbols.push(id);
+        // One allocation, filled in place. A miss sets bits above a `u8` in
+        // `seen`, which stays in a register (a flag the loop stored through
+        // a reference would be reloaded on every byte).
+        let mut symbols: Arc<[u8]> = std::iter::repeat_n(0, s.len()).collect();
+        let mut seen = 0u16;
+        let slots = Arc::get_mut(&mut symbols).expect("a fresh buffer has no other handle");
+        for (slot, b) in slots.iter_mut().zip(s.bytes()) {
+            let id = table[b as usize];
+            seen |= id;
+            *slot = id as u8;
         }
-        EventDb::new(alphabet.clone(), symbols)
+        if seen > u16::from(u8::MAX) {
+            let mut ids = Vec::with_capacity(s.len());
+            for ch in s.chars() {
+                ids.push(match table.get(ch as usize) {
+                    Some(&id) if id != MISS => id as u8,
+                    _ => alphabet.symbol(ch.encode_utf8(&mut [0; 4]))?.0,
+                });
+            }
+            symbols = ids.into();
+        }
+        Ok(EventDb {
+            alphabet: alphabet.clone(),
+            symbols,
+            times: None,
+            epoch: 0,
+        })
     }
 
     /// The alphabet the events are drawn from.
@@ -240,11 +272,8 @@ impl EventDb {
     /// Shared append tail: validates the suffix, reallocates the stream
     /// buffer, bumps the epoch.
     fn extend_symbols(&mut self, suffix: &[u8]) -> Result<u64> {
-        if let Some(&bad) = suffix.iter().find(|&&s| s as usize >= self.alphabet.len()) {
-            return Err(CoreError::SymbolOutOfRange {
-                id: bad,
-                alphabet: self.alphabet.len(),
-            });
+        for &id in suffix {
+            self.alphabet.check(id)?;
         }
         if suffix.is_empty() {
             return Ok(self.epoch);
@@ -297,27 +326,23 @@ impl EventDb {
             .collect()
     }
 
-    /// 64-bit FNV-1a hash of the database's content: alphabet size, length,
-    /// the full symbol stream, and the timestamps when present. Every byte of
-    /// content participates, so equal prefixes with different tails hash
-    /// differently. `tdm-serve`'s index cache keys on it and `tdm-gpu`'s
-    /// device pipeline fingerprints its resident stream with it; a 64-bit
-    /// hash can collide, so a match is confirmed by comparing content.
+    /// 64-bit hash of the database's content, 8 bytes per step: the
+    /// alphabet size, the symbol stream in little-endian words (then its 0–7
+    /// last bytes zero-padded to one more word), a timestamp tag and the timestamps when present, and the
+    /// length last, so the fold over the stream does not depend on how long
+    /// it will grow. Every byte of content participates: streams that differ
+    /// in one byte always hash differently, and equal prefixes with different
+    /// tails almost always do. `tdm-serve`'s index cache keys on it and
+    /// `tdm-gpu`'s device pipeline fingerprints its resident stream with it;
+    /// a 64-bit hash can collide, so a match is confirmed by comparing
+    /// content.
     pub fn content_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, &(self.alphabet.len() as u64).to_le_bytes());
-        fnv1a(&mut h, &(self.len() as u64).to_le_bytes());
-        fnv1a(&mut h, &self.symbols);
-        match &self.times {
-            Some(times) => {
-                fnv1a(&mut h, &[1]);
-                for &t in times {
-                    fnv1a(&mut h, &t.to_le_bytes());
-                }
-            }
-            None => fnv1a(&mut h, &[0]),
-        }
-        h
+        let h = mix_bytes(mix(HASH_SEED, self.alphabet.len() as u64), &self.symbols);
+        let h = match &self.times {
+            Some(times) => times.iter().fold(mix(h, 1), |h, &t| mix(h, t)),
+            None => mix(h, 0),
+        };
+        mix(h, self.len() as u64)
     }
 
     /// Per-symbol occurrence histogram (length = alphabet size).
@@ -335,14 +360,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn content_hash_is_fnv1a_over_the_cache_key_bytes() {
-        // Pinned values: alphabet size and length as little-endian u64s,
-        // the symbols, then a timestamp tag byte and the timestamps.
+    fn content_hash_is_pinned_over_the_cache_key_words() {
+        // Pinned values: the alphabet size, the symbols in little-endian
+        // words, the 0-7 bytes left zero-padded to one more word, a timestamp
+        // tag and the timestamps, then the length.
         let ab = Alphabet::latin26();
         let untimed = EventDb::from_str_symbols(&ab, "ABAB").unwrap();
-        assert_eq!(untimed.content_hash(), 0xaf8f_dcdc_c960_1a29);
+        assert_eq!(untimed.content_hash(), 0xc08d_615e_6806_9136);
+        // The same steps by hand: the length is folded in after everything.
+        let h = mix(
+            mix(HASH_SEED, 26),
+            u64::from_le_bytes([0, 1, 0, 1, 0, 0, 0, 0]),
+        );
+        assert_eq!(untimed.content_hash(), mix(mix(h, 0), 4));
+        // A whole last word is still followed by a zero-padded (empty) one.
+        let eight = EventDb::from_str_symbols(&ab, "ABCDEFGH").unwrap();
+        let words = mix(mix(HASH_SEED, 26), 0x0706_0504_0302_0100);
+        assert_eq!(eight.content_hash(), mix(mix(mix(words, 0), 0), 8));
+        let nine = EventDb::from_str_symbols(&ab, "ABCDEFGHI").unwrap();
+        assert_eq!(nine.content_hash(), 0x9b24_7135_20c3_9b1e);
         let timed = EventDb::with_times(ab.clone(), vec![0, 1, 2], vec![5, 9, 300]).unwrap();
-        assert_eq!(timed.content_hash(), 0xcdba_4ac2_2c91_229d);
+        assert_eq!(timed.content_hash(), 0xb625_88dd_ece3_6a78);
         // An empty timestamp channel still differs from none.
         assert_ne!(
             EventDb::new(ab.clone(), vec![]).unwrap().content_hash(),

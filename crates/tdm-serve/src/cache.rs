@@ -23,8 +23,9 @@
 //!
 //! ## Collision safety
 //!
-//! The key is the database's 64-bit FNV-1a content hash
-//! ([`EventDb::content_hash`]), so two different databases *can* collide.
+//! The key is the database's 64-bit content hash
+//! ([`EventDb::content_hash`], 8 bytes per step), so two different databases
+//! *can* collide.
 //! An entry is therefore only handed out after verification against the
 //! requesting database — pointer equality when the client resubmits the
 //! same handle, full symbol/timestamp comparison otherwise; a forged or
@@ -178,6 +179,50 @@ mod tests {
         let b = db_of(&("AB".repeat(100) + "Y"));
         assert_ne!(a.content_hash(), b.content_hash());
         assert_eq!(a.content_hash(), a.clone().content_hash());
+
+        // A one-byte change anywhere, in every word position and in a
+        // partial last word, changes the hash.
+        let ab = Alphabet::latin26();
+        for len in 0..=17usize {
+            let base: Vec<u8> = (0..len).map(|i| (i * 7 % 26) as u8).collect();
+            let hash = EventDb::new(ab.clone(), base.clone())
+                .unwrap()
+                .content_hash();
+            for at in 0..len {
+                for other in (0..26).filter(|&s| s != base[at]) {
+                    let mut flipped = base.clone();
+                    flipped[at] = other;
+                    let flipped = EventDb::new(ab.clone(), flipped).unwrap();
+                    assert_ne!(flipped.content_hash(), hash, "len {len}, at {at}");
+                }
+            }
+        }
+
+        // Timestamps participate: a moved timestamp, or none, hashes apart.
+        let timed = |times: Vec<u64>| {
+            EventDb::with_times(ab.clone(), vec![0, 1, 2], times)
+                .unwrap()
+                .content_hash()
+        };
+        let untimed = EventDb::new(ab.clone(), vec![0, 1, 2]).unwrap();
+        assert_ne!(timed(vec![5, 9, 300]), timed(vec![5, 9, 301]));
+        assert_ne!(timed(vec![5, 9, 300]), timed(vec![5, 10, 300]));
+        assert_ne!(timed(vec![0, 0, 0]), untimed.content_hash());
+
+        // Equal content hashes equal, whatever append history reached it.
+        let stream: Vec<u8> = (0..41).map(|i| (i * 11 % 26) as u8).collect();
+        let batch = EventDb::new(ab.clone(), stream.clone()).unwrap();
+        for chunk in [1, 3, 8, 9, 40] {
+            let mut grown = EventDb::new(ab.clone(), stream[..5].to_vec()).unwrap();
+            for part in stream[5..].chunks(chunk) {
+                grown.extend(part).unwrap();
+            }
+            assert_eq!(
+                grown.content_hash(),
+                batch.content_hash(),
+                "chunks of {chunk}"
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub enum Value {
     Array(Vec<Value>),
     /// An object, as ordered key/value pairs.
     Object(Vec<(String, Value)>),
+    /// One value already encoded as compact JSON text, which
+    /// [`encode`](Value::encode) copies verbatim. [`parse`] never produces
+    /// it, and the accessors see nothing inside it. Whoever builds one
+    /// guarantees the text is a single well-formed JSON value.
+    Raw(String),
 }
 
 impl Value {
@@ -106,6 +111,7 @@ impl Value {
             Value::Bool(false) => out.push_str("false"),
             Value::Number(n) => write_number(*n, out),
             Value::String(s) => write_string(s, out),
+            Value::Raw(text) => out.push_str(text),
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -132,7 +138,7 @@ impl Value {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+pub(crate) fn write_number(n: f64, out: &mut String) {
     use std::fmt::Write;
     if !n.is_finite() {
         // JSON has no NaN/Infinity; degrade to null rather than emit garbage.
@@ -146,8 +152,16 @@ fn write_number(n: f64, out: &mut String) {
 }
 
 fn write_string(s: &str, out: &mut String) {
-    use std::fmt::Write;
     out.push('"');
+    write_escaped(s, out);
+    out.push('"');
+}
+
+/// Appends the body of `s`'s JSON string literal (no quotes). Escaping is
+/// per character, so the body of a concatenation is the concatenation of
+/// the bodies.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
+    use std::fmt::Write;
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -161,7 +175,6 @@ fn write_string(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// A parse failure: what was wrong and the byte offset it was noticed at.

@@ -25,7 +25,7 @@
 //!
 //! [`CancelToken`]: tdm_core::CancelToken
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -298,13 +298,17 @@ fn handler_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<TcpStream>>>) 
     }
 }
 
-fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+fn handle_connection(state: &ServerState, stream: TcpStream) {
+    // Frames are read through a buffer, so a small frame costs one read of
+    // the socket; replies go straight to the socket, one write per frame.
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     loop {
-        match wire::read_frame(&mut stream, state.max_frame) {
+        match wire::read_frame(&mut reader, state.max_frame) {
             Ok(payload) => {
                 state.frames.fetch_add(1, Ordering::Relaxed);
                 let reply = dispatch_bytes(state, &payload);
-                if wire::write_frame(&mut stream, reply.encode().as_bytes()).is_err() {
+                if wire::write_frame(&mut writer, reply.encode().as_bytes()).is_err() {
                     return;
                 }
             }
@@ -321,7 +325,7 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) {
                     codes::OVERSIZED_FRAME,
                     format!("declared frame of {declared} bytes exceeds the {max}-byte cap"),
                 );
-                let _ = wire::write_frame(&mut stream, reply.encode().as_bytes());
+                let _ = wire::write_frame(&mut writer, reply.encode().as_bytes());
                 return;
             }
             Err(FrameError::Closed) => return,
@@ -453,11 +457,13 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
     })
 }
 
-/// Upper bound on a generated workload's `"n"`. Inline `"events"` are
-/// bounded by the frame cap (~1M letters); this keeps a named `"workload"`
-/// in the same ballpark — the field is attacker-controlled, and an
-/// unbounded `n` would let one authenticated frame demand a petabyte-scale
-/// allocation and OOM the whole server.
+/// Upper bound on a generated workload's `"n"`, and so on the largest
+/// database a request may name. Inline `"events"` are bounded by the frame
+/// cap (~1M letters); this keeps a named `"workload"` in the same ballpark —
+/// the field is attacker-controlled, and an unbounded `n` would let one
+/// authenticated frame demand a petabyte-scale allocation and OOM the whole
+/// server. A stream's `"flush_count"` is capped by it too: a count trigger
+/// above it would let the pending buffer grow for the server's lifetime.
 pub const MAX_WORKLOAD_N: u64 = 4_000_000;
 
 /// Materializes the database a mine request names: inline `"events"`
@@ -586,9 +592,15 @@ fn serve_register(state: &ServerState, tenant: &str, request: &Value) -> Result<
         wire::config_from(request).map_err(|msg| wire::error_value(codes::BAD_REQUEST, msg))?;
     let mut triggers = IngestTriggers::default();
     if let Some(count) = request.get("flush_count") {
-        triggers.flush_count = count.as_u64().ok_or_else(|| {
-            wire::error_value(codes::BAD_REQUEST, "\"flush_count\" must be an integer")
-        })? as usize;
+        triggers.flush_count = count
+            .as_u64()
+            .filter(|&count| count <= MAX_WORKLOAD_N)
+            .ok_or_else(|| {
+                wire::error_value(
+                    codes::BAD_REQUEST,
+                    format!("stream {stream:?}: \"flush_count\" must be an integer of at most {MAX_WORKLOAD_N}"),
+                )
+            })? as usize;
     }
     if let Some(age) = request.get("flush_age_ms") {
         triggers.flush_age = Duration::from_millis(age.as_u64().ok_or_else(|| {
@@ -619,9 +631,10 @@ fn serve_ingest(state: &ServerState, tenant: &str, request: &Value) -> Result<Va
         .get("symbols")
         .and_then(Value::as_str)
         .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"symbols\""))?;
-    let symbols = letters_to_symbols(text)
-        .map_err(|c| wire::error_value(codes::BAD_REQUEST, format!("symbol {c:?} not in A–Z")))?;
-    match state.ingest.append(&stream_key(tenant, stream), &symbols) {
+    let letters = EventDb::from_str_symbols(&state.alphabet, text)
+        .map_err(|e| wire::error_value(codes::BAD_REQUEST, e.to_string()))?;
+    let key = stream_key(tenant, stream);
+    match state.ingest.append(&key, letters.symbols()) {
         Ok(AppendOutcome::Buffered { pending, deferred }) => Ok(Value::Object(vec![
             ("type".into(), Value::str("ingest")),
             ("outcome".into(), Value::str("buffered")),
@@ -675,17 +688,4 @@ fn ingest_error_value(e: &IngestError, stream: &str) -> Value {
         IngestError::Core(e) => wire::error_value(codes::BAD_REQUEST, e.to_string()),
         IngestError::Serve(e) => wire::serve_error_value(e),
     }
-}
-
-/// Maps `A`–`Z` letters to latin26 symbol ids.
-fn letters_to_symbols(text: &str) -> Result<Vec<u8>, char> {
-    text.chars()
-        .map(|c| {
-            if c.is_ascii_uppercase() {
-                Ok(c as u8 - b'A')
-            } else {
-                Err(c)
-            }
-        })
-        .collect()
 }

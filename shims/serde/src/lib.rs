@@ -18,10 +18,14 @@ pub trait Serialize {}
 /// Stand-in for `serde::Deserialize` (the trait namespace half of the name).
 pub trait Deserialize<'de>: Sized {}
 
-// Shared-byte-buffer fields (`Arc<[u8]>`) appear in types that derive the
-// serde traits, so the shim carries the impls the real crate would provide
-// via its `rc` feature. Kept explicit (not a blanket impl) to match real
-// serde's opt-in surface.
+// Shared-slice fields (`Arc<[u8]>`, `Arc<[String]>`) appear in types that
+// derive the serde traits, so the shim carries the impls the real crate
+// would provide via its `rc` feature. Kept explicit (not a blanket impl) to
+// match real serde's opt-in surface.
 impl Serialize for Arc<[u8]> {}
 
 impl<'de> Deserialize<'de> for Arc<[u8]> {}
+
+impl Serialize for Arc<[String]> {}
+
+impl<'de> Deserialize<'de> for Arc<[String]> {}

@@ -103,7 +103,7 @@ fn malformed_json_gets_a_typed_error_and_the_connection_survives() {
 fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
     let server = test_server(1 << 16);
     let mut client = Client::connect(server.addr()).unwrap();
-    let cases: [(&str, &str); 6] = [
+    let cases: [(&str, &str); 7] = [
         (
             r#"{"type":"divine","tenant":"acme","api_key":"key-a"}"#,
             "bad_request",
@@ -125,6 +125,10 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
             r#"{"type":"register","tenant":"acme","api_key":"key-a","stream":"never","seed":"ABAB","flush_count":0}"#,
             "bad_request", // no trigger could ever seal a window
         ),
+        (
+            r#"{"type":"register","tenant":"acme","api_key":"key-a","stream":"huge","seed":"ABAB","flush_count":1000000000000000}"#,
+            "bad_request", // a count no stream could reach before memory ran out
+        ),
     ];
     for (request, want_code) in cases {
         let reply = client.call_bytes(request.as_bytes()).unwrap();
@@ -134,14 +138,16 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
             "request {request}"
         );
     }
-    // The trigger refusal names the client's stream, not the tenant-scoped
+    // The trigger refusals name the client's stream, not the tenant-scoped
     // key the ingest layer saw.
-    let refusal = client.call_bytes(cases[5].0.as_bytes()).unwrap();
-    let message = refusal.get("message").and_then(Value::as_str).unwrap();
-    assert!(
-        message.contains("\"never\"") && !message.contains("acme"),
-        "{message}"
-    );
+    for (case, stream) in [(5, "\"never\""), (6, "\"huge\"")] {
+        let refusal = client.call_bytes(cases[case].0.as_bytes()).unwrap();
+        let message = refusal.get("message").and_then(Value::as_str).unwrap();
+        assert!(
+            message.contains(stream) && !message.contains("acme"),
+            "{message}"
+        );
+    }
     // The wire serves one backend: every other name, the paper baselines'
     // included, is a typed refusal that names it.
     for backend in [
