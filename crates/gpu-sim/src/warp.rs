@@ -131,19 +131,6 @@ impl LockstepRecorder {
     }
 }
 
-/// Extrapolates a sampled mean to a full population, guarding the empty case.
-///
-/// Sampling policy: the mining kernels execute a handful of warps exactly (every
-/// lane, every character) and scale the measured per-warp issue work to the full
-/// warp population, which is statistically uniform for these kernels (each warp
-/// processes the same stream positions for a different episode subset).
-pub fn extrapolate(sampled_total: u64, sampled_units: u64, population_units: u64) -> u64 {
-    if sampled_units == 0 {
-        return 0;
-    }
-    ((sampled_total as f64 / sampled_units as f64) * population_units as f64).round() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,8 +232,6 @@ mod tests {
         rec.record_step(&p, 0, true);
         rec.record_step(&p, 0, true);
         assert_eq!(rec.mean_instructions_per_step(), 4.0);
-        assert_eq!(extrapolate(rec.issue_instructions(), 2, 10), 40);
-        assert_eq!(extrapolate(0, 0, 10), 0);
     }
 
     #[test]

@@ -77,57 +77,20 @@ use crate::segment::{continuation_count_items, count_segmented_exact_items};
 /// are requested — dispatch costs more than the scan.
 pub const MIN_SHARD_STREAM: usize = 4096;
 
-/// A candidate set that does not fit the engine's `u32`-indexed CSR layout.
-///
-/// The compiled buffers index items and episodes with `u32` (half the memory
-/// traffic of `usize` on the hot scan path); a set larger than that limit
-/// must be split by the caller instead of silently wrapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompileError {
-    /// The episodes' total item count exceeds the `u32` offset range.
-    TooManyItems {
-        /// Total items across all episodes.
-        total: usize,
-        /// The layout's limit.
-        max: u32,
-    },
-    /// The episode count exceeds the `u32` index range.
-    TooManyEpisodes {
-        /// Number of episodes in the set.
-        episodes: usize,
-        /// The layout's limit.
-        max: u32,
-    },
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::TooManyItems { total, max } => {
-                write!(f, "{total} total items exceed the compiled layout's {max}")
-            }
-            CompileError::TooManyEpisodes { episodes, max } => {
-                write!(f, "{episodes} episodes exceed the compiled layout's {max}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
-
-/// Checks that `episodes` episodes holding `items` items in total fit a
-/// layout indexed below `cap`.
-fn check_layout(episodes: usize, items: usize, cap: u32) -> Result<(), CompileError> {
-    if episodes > cap as usize {
-        return Err(CompileError::TooManyEpisodes { episodes, max: cap });
-    }
-    if items > cap as usize {
-        return Err(CompileError::TooManyItems {
-            total: items,
-            max: cap,
-        });
-    }
-    Ok(())
+/// Panics unless `episodes` episodes holding `items` items in total fit a
+/// layout indexed below `cap`. The compiled buffers index items and episodes
+/// with `u32` (half the memory traffic of `usize` on the hot scan path), so a
+/// set larger than that must be split by the caller instead of silently
+/// wrapping.
+fn check_layout(episodes: usize, items: usize, cap: u32) {
+    assert!(
+        episodes <= cap as usize,
+        "candidate set exceeds the compiled layout: {episodes} episodes, limit {cap}"
+    );
+    assert!(
+        items <= cap as usize,
+        "candidate set exceeds the compiled layout: {items} total items, limit {cap}"
+    );
 }
 
 /// One of the engine's interchangeable counting strategies — all
@@ -205,70 +168,31 @@ impl CompiledCandidates {
     /// Compiles a candidate set over an alphabet of `alphabet_len` symbols.
     ///
     /// # Panics
-    /// When the set exceeds the `u32`-indexed layout (see [`try_compile`]).
-    ///
-    /// [`try_compile`]: CompiledCandidates::try_compile
+    /// When the set exceeds the `u32`-indexed layout: more than `u32::MAX`
+    /// episodes, or more than `u32::MAX` items in total.
     pub fn compile(alphabet_len: usize, episodes: &[Episode]) -> Self {
         let mut c = CompiledCandidates::default();
         c.recompile(alphabet_len, episodes);
         c
     }
 
-    /// Checked form of [`compile`]: errors instead of panicking when the set
-    /// exceeds the `u32`-indexed layout.
-    ///
-    /// # Errors
-    /// [`CompileError`] when the episodes' total item count or the episode
-    /// count exceeds `u32::MAX`.
-    ///
-    /// [`compile`]: CompiledCandidates::compile
-    pub fn try_compile(alphabet_len: usize, episodes: &[Episode]) -> Result<Self, CompileError> {
-        let mut c = CompiledCandidates::default();
-        c.try_recompile(alphabet_len, episodes)?;
-        Ok(c)
-    }
-
     /// Rebuilds the compiled layout in place, reusing every buffer's capacity.
     ///
     /// # Panics
-    /// When the set exceeds the `u32`-indexed layout (see [`try_recompile`]).
+    /// As [`compile`]. The limits are checked before any buffer is touched.
     ///
-    /// [`try_recompile`]: CompiledCandidates::try_recompile
+    /// [`compile`]: CompiledCandidates::compile
     pub fn recompile(&mut self, alphabet_len: usize, episodes: &[Episode]) {
-        self.try_recompile(alphabet_len, episodes)
-            .unwrap_or_else(|e| panic!("candidate set exceeds the compiled layout: {e}"));
+        self.recompile_capped(alphabet_len, episodes, u32::MAX);
     }
 
-    /// Checked form of [`recompile`]: errors instead of panicking when the
-    /// set exceeds the `u32`-indexed layout. The limits are checked **before**
-    /// any buffer is touched, so on error the previously compiled set is left
-    /// intact.
-    ///
-    /// # Errors
-    /// [`CompileError`] when the episodes' total item count or the episode
-    /// count exceeds `u32::MAX`.
+    /// [`recompile`] against an artificial layout cap, so the panic is
+    /// testable without a 4 GiB allocation.
     ///
     /// [`recompile`]: CompiledCandidates::recompile
-    pub fn try_recompile(
-        &mut self,
-        alphabet_len: usize,
-        episodes: &[Episode],
-    ) -> Result<(), CompileError> {
-        self.try_recompile_capped(alphabet_len, episodes, u32::MAX)
-    }
-
-    /// [`try_recompile`] against an artificial layout cap — the error paths
-    /// are testable without a 4 GiB allocation.
-    ///
-    /// [`try_recompile`]: CompiledCandidates::try_recompile
-    fn try_recompile_capped(
-        &mut self,
-        alphabet_len: usize,
-        episodes: &[Episode],
-        cap: u32,
-    ) -> Result<(), CompileError> {
+    fn recompile_capped(&mut self, alphabet_len: usize, episodes: &[Episode], cap: u32) {
         let total: usize = episodes.iter().map(|e| e.items().len()).sum();
-        check_layout(episodes.len(), total, cap)?;
+        check_layout(episodes.len(), total, cap);
         self.items.clear();
         self.offsets.clear();
         self.repeated.clear();
@@ -286,7 +210,6 @@ impl CompiledCandidates {
             }
         }
         self.index_anchors(alphabet_len);
-        Ok(())
     }
 
     /// Rebuilds the layout in place from equal-length rows of `level` items
@@ -315,8 +238,7 @@ impl CompiledCandidates {
         anchors: &[u32],
     ) {
         let rows = items.len() / level;
-        check_layout(rows, items.len(), u32::MAX)
-            .unwrap_or_else(|e| panic!("candidate set exceeds the compiled layout: {e}"));
+        check_layout(rows, items.len(), u32::MAX);
         debug_assert!(items.iter().all(|&s| (s as usize) < alphabet_len));
         debug_assert_eq!(anchors.len(), alphabet_len + 1);
         debug_assert!(items
@@ -952,35 +874,33 @@ mod tests {
 
     #[test]
     fn capped_compile_surfaces_typed_errors() {
-        let mut c = CompiledCandidates::compile(26, &eps_of(&["AB", "BC"]));
-        let before = c.len();
+        // The panic message of a capped recompile over `eps`.
+        let panic_of = |eps: &[Episode], cap: u32| {
+            let mut c = CompiledCandidates::compile(26, &eps_of(&["AB", "BC"]));
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                c.recompile_capped(26, eps, cap)
+            }))
+            .expect_err("a set past the cap must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted panic message")
+        };
 
         // 5 single-item episodes against an episode cap of 4.
         let five = eps_of(&["A", "B", "C", "D", "E"]);
-        assert_eq!(
-            c.try_recompile_capped(26, &five, 4),
-            Err(CompileError::TooManyEpisodes {
-                episodes: 5,
-                max: 4
-            })
-        );
+        let message = panic_of(&five, 4);
+        assert!(message.contains("5 episodes, limit 4"), "{message}");
         // 2 episodes × 3 items = 6 total items against an item cap of 5.
         let chunky = eps_of(&["ABC", "DEF"]);
-        assert_eq!(
-            c.try_recompile_capped(26, &chunky, 5),
-            Err(CompileError::TooManyItems { total: 6, max: 5 })
-        );
-        // Errors are raised before any buffer is touched.
-        assert_eq!(c.len(), before);
-        assert_eq!(c.items_of(0), eps_of(&["AB"])[0].items());
+        let message = panic_of(&chunky, 5);
+        assert!(message.contains("6 total items, limit 5"), "{message}");
 
         // At the cap exactly, compilation succeeds.
-        assert!(c.try_recompile_capped(26, &chunky, 6).is_ok());
+        let mut c = CompiledCandidates::default();
+        c.recompile_capped(26, &chunky, 6);
         assert_eq!(c.len(), 2);
-        // And the uncapped checked paths accept ordinary sets.
-        assert!(CompiledCandidates::try_compile(26, &five).is_ok());
-        let err = CompileError::TooManyItems { total: 6, max: 5 };
-        assert!(err.to_string().contains("6 total items"));
+        assert_eq!(c.items_of(1), chunky[1].items());
     }
 
     #[test]

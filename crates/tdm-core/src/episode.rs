@@ -1,8 +1,8 @@
 //! Episodes: ordered sequences of items (paper §3.1).
 //!
 //! An episode `A = <a1, a2, ..., aL>` appears in the database whenever its items
-//! occur in order (under the counting semantics of [`crate::semantics`]). The
-//! *level* of an episode is its length `L`.
+//! occur in order, as the paper's Figure-3 machine counts them ([`crate::fsm`]).
+//! The *level* of an episode is its length `L`.
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::{CoreError, Result};

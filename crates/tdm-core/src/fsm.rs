@@ -70,13 +70,6 @@ impl<'a> EpisodeFsm<'a> {
         self.state
     }
 
-    /// Forces the state (used by segmented counting to replay continuations).
-    #[inline]
-    pub fn set_state(&mut self, state: u8) {
-        debug_assert!((state as usize) < self.items.len() + 1);
-        self.state = state;
-    }
-
     /// Appearances counted so far.
     #[inline]
     pub fn count(&self) -> u64 {

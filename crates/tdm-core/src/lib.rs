@@ -11,8 +11,7 @@
 //! This crate provides:
 //!
 //! * the data model: [`Alphabet`], [`Symbol`], [`EventDb`], [`Episode`];
-//! * the paper's Figure-3 finite state machine and alternative counting semantics
-//!   ([`fsm`], [`semantics`]);
+//! * the paper's Figure-3 finite state machine ([`fsm`]);
 //! * sequential counters, including a fast multi-episode *active-set* counter
 //!   ([`count`]);
 //! * the counting **engine**: candidate sets compiled into flat CSR buffers
@@ -61,7 +60,6 @@ pub mod expiry;
 pub mod fsm;
 pub mod miner;
 pub mod segment;
-pub mod semantics;
 pub mod sequence;
 pub mod session;
 pub mod stats;
@@ -69,12 +67,10 @@ pub mod streaming;
 
 pub use alphabet::{Alphabet, Symbol};
 pub use engine::{
-    BitmaskNfa, CompileError, CompiledCandidates, CountScratch, CountStrategy, OccurrenceIndex,
-    StrategyCosts,
+    BitmaskNfa, CompiledCandidates, CountScratch, CountStrategy, OccurrenceIndex, StrategyCosts,
 };
 pub use episode::Episode;
 pub use miner::{AutoBackend, Miner, MinerConfig, SequentialBackend};
-pub use semantics::CountSemantics;
 pub use sequence::EventDb;
 pub use session::{
     BackendError, CancelToken, CountRequest, Counts, Executor, MineError, MiningSession,

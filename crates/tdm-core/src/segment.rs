@@ -119,17 +119,17 @@ pub fn count_segmented(db: &EventDb, episode: &Episode, bounds: &[usize]) -> u64
 /// episode — the classic parallel-FSM trick. Each segment costs `L + 1` parallel
 /// state tracks (cheap: states are `u8`s).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentEffect {
+struct SegmentEffect {
     /// `completions[s]` = appearances completed when entering at state `s`.
-    pub completions: Vec<u64>,
+    completions: Vec<u64>,
     /// `exit[s]` = FSM state after the segment when entering at state `s`.
-    pub exit: Vec<u8>,
+    exit: Vec<u8>,
 }
 
 impl SegmentEffect {
     /// Computes the effect of `stream[range]` for the episode whose items
     /// are `items`.
-    pub fn compute_items(stream: &[u8], items: &[u8], range: std::ops::Range<usize>) -> Self {
+    fn compute_items(stream: &[u8], items: &[u8], range: std::ops::Range<usize>) -> Self {
         let l = items.len();
         let mut completions = vec![0u64; l];
         let mut exit: Vec<u8> = (0..l as u8).collect();
@@ -146,7 +146,7 @@ impl SegmentEffect {
     }
 
     /// Sequentially composes `self` followed by `next`.
-    pub fn then(&self, next: &SegmentEffect) -> SegmentEffect {
+    fn then(&self, next: &SegmentEffect) -> SegmentEffect {
         let l = self.exit.len();
         let mut completions = vec![0u64; l];
         let mut exit = vec![0u8; l];

@@ -269,8 +269,11 @@ impl EventDb {
         Ok(epoch)
     }
 
-    /// Shared append tail: validates the suffix, reallocates the stream
-    /// buffer, bumps the epoch.
+    /// Shared append tail: validates the suffix, builds the grown stream in
+    /// one fresh buffer, bumps the epoch. The buffer is allocated at its
+    /// final length and filled in place with two slice copies, as
+    /// [`from_str_symbols`](EventDb::from_str_symbols) does; the old buffer
+    /// is left to the snapshots that hold it.
     fn extend_symbols(&mut self, suffix: &[u8]) -> Result<u64> {
         for &id in suffix {
             self.alphabet.check(id)?;
@@ -278,10 +281,12 @@ impl EventDb {
         if suffix.is_empty() {
             return Ok(self.epoch);
         }
-        let mut grown = Vec::with_capacity(self.symbols.len() + suffix.len());
-        grown.extend_from_slice(&self.symbols);
-        grown.extend_from_slice(suffix);
-        self.symbols = grown.into();
+        let old = self.symbols.len();
+        let mut grown: Arc<[u8]> = std::iter::repeat_n(0, old + suffix.len()).collect();
+        let slots = Arc::get_mut(&mut grown).expect("a fresh buffer has no other handle");
+        slots[..old].copy_from_slice(&self.symbols);
+        slots[old..].copy_from_slice(suffix);
+        self.symbols = grown;
         self.epoch += 1;
         Ok(self.epoch)
     }
@@ -476,6 +481,22 @@ mod tests {
         // An empty batch changes nothing, including the epoch.
         assert_eq!(db.extend(&[]).unwrap(), 2);
         assert_eq!(db.epoch(), 2);
+
+        // One snapshot per epoch, held over many appends (empty ones
+        // included): each still reads the stream as it was at its epoch.
+        let mut model = db.symbols().to_vec();
+        let mut held = vec![(db.clone(), model.clone())];
+        for step in 0..40u8 {
+            let batch: Vec<u8> = (0..step % 5).map(|i| (step + i) % 26).collect();
+            let epoch = db.epoch() + u64::from(!batch.is_empty());
+            assert_eq!(db.extend(&batch).unwrap(), epoch);
+            model.extend_from_slice(&batch);
+            held.push((db.clone(), model.clone()));
+        }
+        assert_eq!(db.symbols(), &model[..]);
+        for (snapshot, stream) in &held {
+            assert_eq!(snapshot.symbols(), &stream[..]);
+        }
     }
 
     #[test]

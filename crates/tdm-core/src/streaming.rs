@@ -18,11 +18,15 @@
 //! stream for **every** episode set and chunk schedule (the workspace
 //! differential suite pins this), while the scan work per append tracks the
 //! chunk, not the stream.
+//!
+//! A session only counts its episode set. Eliminating infrequent episodes
+//! or mining the grown stream is a
+//! [`MiningSession`](crate::session::MiningSession) over a
+//! [`db`](StreamingSession::db) snapshot.
 
-use crate::engine::{CompiledCandidates, CountScratch, OccurrenceIndex};
+use crate::engine::{CompiledCandidates, CountScratch};
 use crate::episode::Episode;
 use crate::sequence::EventDb;
-use crate::stats::support;
 use crate::{CoreError, Result};
 
 /// An incremental counter over an append-only event stream: owns the evolving
@@ -54,7 +58,6 @@ use crate::{CoreError, Result};
 #[derive(Debug, Clone)]
 pub struct StreamingSession {
     db: EventDb,
-    episodes: Vec<Episode>,
     compiled: CompiledCandidates,
     /// Exact serial count of each episode over the current stream.
     counts: Vec<u64>,
@@ -62,11 +65,7 @@ pub struct StreamingSession {
     /// = a live partial match) and the active set. Every append resumes the
     /// scan from here.
     head: CountScratch,
-    /// Lazily built vertical index, extended in place on every append once
-    /// materialized.
-    index: Option<OccurrenceIndex>,
     appends: u64,
-    appended_symbols: u64,
 }
 
 impl StreamingSession {
@@ -74,6 +73,11 @@ impl StreamingSession {
     /// fixed episode set (compiled once; `counts` stays aligned to
     /// `episodes` order): one scan of the base stream, whose end state
     /// later appends resume.
+    ///
+    /// Appends are symbol-only: a timestamped database is counted here, but
+    /// [`append`](StreamingSession::append) refuses to grow it (as
+    /// [`EventDb::extend`] does), and `tdm-serve`'s `StreamIngest` refuses
+    /// timed streams outright.
     ///
     /// # Errors
     /// [`CoreError::SymbolOutOfRange`] when an episode uses a symbol outside
@@ -95,13 +99,10 @@ impl StreamingSession {
         compiled.scan_range(db.symbols(), 0..db.len(), &mut head, &mut counts);
         Ok(StreamingSession {
             db: db.clone(),
-            episodes: episodes.to_vec(),
             compiled,
             counts,
             head,
-            index: None,
             appends: 0,
-            appended_symbols: 0,
         })
     }
 
@@ -111,36 +112,16 @@ impl StreamingSession {
     /// counts.
     ///
     /// # Errors
-    /// As [`EventDb::extend`]; on error nothing changes.
+    /// As [`EventDb::extend`] (which refuses a timestamped database); on
+    /// error nothing changes.
     pub fn append(&mut self, suffix: &[u8]) -> Result<&[u64]> {
         self.db.extend(suffix)?;
-        self.ingest(suffix);
-        Ok(&self.counts)
-    }
-
-    /// [`append`](StreamingSession::append) for timestamped databases.
-    ///
-    /// # Errors
-    /// As [`EventDb::extend_with_times`]; on error nothing changes.
-    pub fn append_with_times(&mut self, suffix: &[u8], times: &[u64]) -> Result<&[u64]> {
-        self.db.extend_with_times(suffix, times)?;
-        self.ingest(suffix);
-        Ok(&self.counts)
-    }
-
-    /// The incremental counting step: the scan continues from the head state
-    /// over the appended symbols, and a built index widens over them.
-    fn ingest(&mut self, suffix: &[u8]) {
-        if suffix.is_empty() {
-            return;
+        if !suffix.is_empty() {
+            self.appends += 1;
+            self.compiled
+                .resume_scan(suffix, &mut self.head, &mut self.counts);
         }
-        self.appends += 1;
-        self.appended_symbols += suffix.len() as u64;
-        self.compiled
-            .resume_scan(suffix, &mut self.head, &mut self.counts);
-        if let Some(index) = self.index.as_mut() {
-            index.extend(suffix);
-        }
+        Ok(&self.counts)
     }
 
     /// Exact per-episode counts over the current stream, aligned to the
@@ -159,58 +140,16 @@ impl StreamingSession {
         &self.db
     }
 
-    /// The episode set the session counts, in `counts` order.
-    #[inline]
-    pub fn episodes(&self) -> &[Episode] {
-        &self.episodes
-    }
-
     /// Current append epoch of the owned database.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.db.epoch()
     }
 
-    /// Indices of episodes currently frequent at support threshold `alpha`
-    /// (the mining loop's elimination rule, `support(count, n) > alpha`).
-    pub fn frequent(&self, alpha: f64) -> Vec<usize> {
-        let n = self.db.len();
-        (0..self.counts.len())
-            .filter(|&e| support(self.counts[e], n) > alpha)
-            .collect()
-    }
-
-    /// The vertical occurrence index over the current stream — built on first
-    /// use, then **extended in place** on every append
-    /// ([`OccurrenceIndex::extend`]), so the vertical counting strategy stays
-    /// usable on a live stream without per-append rebuilds.
-    pub fn occurrence_index(&mut self) -> &OccurrenceIndex {
-        if self.index.is_none() {
-            self.index = Some(OccurrenceIndex::build(
-                self.db.alphabet().len(),
-                self.db.symbols(),
-            ));
-        }
-        self.index.as_ref().expect("index built above")
-    }
-
-    /// Episodes with a live partial match at the stream head (a non-zero
-    /// FSM state in the head's scan state).
-    pub fn parked_partials(&self) -> usize {
-        self.head.end_states().iter().filter(|&&s| s != 0).count()
-    }
-
-    /// Append batches ingested since construction.
+    /// Append batches ingested since construction (empty appends excluded).
     #[inline]
     pub fn appends(&self) -> u64 {
         self.appends
-    }
-
-    /// Symbols ingested through appends since construction (excludes the base
-    /// stream).
-    #[inline]
-    pub fn appended_symbols(&self) -> u64 {
-        self.appended_symbols
     }
 }
 
@@ -244,7 +183,6 @@ mod tests {
             assert_eq!(live.counts(), &batch_counts(live.db(), &eps)[..]);
         }
         assert_eq!(live.appends(), text.len() as u64);
-        assert_eq!(live.appended_symbols(), text.len() as u64);
     }
 
     #[test]
@@ -253,15 +191,12 @@ mod tests {
         let eps = eps_of(&["ABCDE"]);
         let db = EventDb::from_str_symbols(&ab, "A").unwrap();
         let mut live = StreamingSession::new(&db, &eps).unwrap();
-        assert_eq!(live.parked_partials(), 1);
         for c in [1u8, 2, 3] {
             live.append(&[c]).unwrap();
             assert_eq!(live.counts(), &[0]);
-            assert_eq!(live.parked_partials(), 1);
         }
         live.append(&[4]).unwrap();
         assert_eq!(live.counts(), &[1]);
-        assert_eq!(live.parked_partials(), 0);
     }
 
     #[test]
@@ -281,31 +216,6 @@ mod tests {
                 "cut={cut}"
             );
         }
-    }
-
-    #[test]
-    fn frequent_mirrors_the_elimination_rule() {
-        let ab = Alphabet::latin26();
-        let eps = eps_of(&["A", "AB", "QZ"]);
-        let db = EventDb::from_str_symbols(&ab, "ABABAB").unwrap();
-        let mut live = StreamingSession::new(&db, &eps).unwrap();
-        assert_eq!(live.frequent(0.1), vec![0, 1]);
-        live.append(&[16, 25]).unwrap(); // "QZ"
-        assert_eq!(live.frequent(0.1), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn occurrence_index_extends_with_the_stream() {
-        let ab = Alphabet::latin26();
-        let eps = eps_of(&["AB"]);
-        let db = EventDb::from_str_symbols(&ab, "ABAB").unwrap();
-        let mut live = StreamingSession::new(&db, &eps).unwrap();
-        assert_eq!(live.occurrence_index().occ_len(0), 2);
-        live.append(&[0, 0]).unwrap();
-        let stream = live.db().symbols_shared();
-        let idx = live.occurrence_index();
-        assert_eq!(idx.stream_len(), 6);
-        assert_eq!(idx.occurrences(&stream, 0), &[0, 2, 4, 5]);
     }
 
     #[test]

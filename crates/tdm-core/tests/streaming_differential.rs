@@ -10,12 +10,10 @@
 //!   resume), at every cut: the scan's repeated-item guard must not carry a
 //!   stale position across a seam;
 //! * cross-checks against every counting strategy and worker counts 1..=8
-//!   through real [`MiningSession`]s over the final stream;
-//! * the incrementally **extended** occurrence index against a fresh batch
-//!   build.
+//!   through real [`MiningSession`]s over the final stream.
 
 use proptest::prelude::*;
-use tdm_core::engine::{CompiledCandidates, CountScratch, OccurrenceIndex};
+use tdm_core::engine::{CompiledCandidates, CountScratch};
 use tdm_core::miner::AutoBackend;
 use tdm_core::session::MiningSession;
 use tdm_core::streaming::StreamingSession;
@@ -136,8 +134,7 @@ proptest! {
     }
 
     /// The grown session agrees with every strategy and decomposition over
-    /// the final stream: real sessions at workers 1..=8 (Auto dispatch), and
-    /// the incrementally extended occurrence index against a fresh build.
+    /// the final stream: real sessions at workers 1..=8 (Auto dispatch).
     #[test]
     fn grown_stream_matches_all_strategies_and_workers(
         alpha in 1usize..=6,
@@ -150,21 +147,13 @@ proptest! {
         let ab = Alphabet::numbered(alpha).unwrap();
         let db = EventDb::new(ab, Vec::new()).unwrap();
         let mut live = StreamingSession::new(&db, &episodes).unwrap();
-        live.occurrence_index(); // materialize early: every append must extend it
         let mut fed = 0usize;
         for size in chunk_schedule(stream.len(), &raw_sizes) {
             live.append(&stream[fed..fed + size]).unwrap();
             fed += size;
         }
 
-        // The incrementally extended index is layout-identical to a fresh one.
-        let fresh = OccurrenceIndex::build(alpha, &stream);
-        let grown_index = live.occurrence_index();
-        for c in 0..alpha as u8 {
-            prop_assert_eq!(grown_index.occurrences(&stream, c), fresh.occurrences(&stream, c));
-        }
-
-        // And a real session over the final db agrees at every worker count.
+        // A real session over the final db agrees at every worker count.
         let mut session = MiningSession::builder(live.db()).workers(workers).build();
         let counts = session.count_candidates(&episodes, &mut AutoBackend)
             .expect("auto backend never fails");

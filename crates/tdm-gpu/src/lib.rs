@@ -29,7 +29,6 @@ pub mod device;
 pub mod launch;
 pub mod lockstep;
 pub mod pipeline;
-pub mod validate;
 
 pub use device::{
     DevicePipeline, DispatchClass, DispatchDecision, GpuDispatchModel, GpuPipelineBackend,

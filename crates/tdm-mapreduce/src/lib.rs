@@ -10,7 +10,7 @@
 //! reduce: sum, then the Fig. 5 boundary fix).
 //!
 //! This crate holds the execution substrate they run on, in the [`pool`]
-//! module: scoped parallel-for helpers for one-shot jobs, and the persistent,
+//! module: a scoped parallel map for one-shot jobs, and the persistent,
 //! shareable, priority-aware [`pool::Pool`] that mining sessions — and the
 //! whole `tdm-serve` multi-tenant service — dispatch their counting scans to.
 //!

@@ -2,8 +2,8 @@
 //!
 //! Two execution styles live here:
 //!
-//! * [`map_chunks`] / [`map_items`] — *scoped* parallel-for helpers that spawn
-//!   threads per call and may borrow their inputs. Right for one-shot jobs.
+//! * [`map_items`] — a *scoped* parallel map that spawns threads per call
+//!   and may borrow its inputs. Right for one-shot jobs.
 //! * [`Pool`] — a *persistent* team of worker threads fed through a shared
 //!   queue. Jobs are `'static` closures (share data via `Arc`), so the same
 //!   threads serve every counting call of a mining session's level loop — no
@@ -162,7 +162,7 @@ struct PoolShared {
 /// A persistent worker pool: `n` threads spawned once, fed through a shared
 /// FIFO queue, joined on drop.
 ///
-/// Unlike the scoped helpers, jobs must be `'static` — callers share read-only
+/// Unlike [`map_items`], jobs must be `'static` — callers share read-only
 /// inputs via [`Arc`] and receive results over channels ([`Pool::map_move`]
 /// wraps that pattern). The payoff is that the threads — and anything they
 /// cache in thread-local storage — persist across calls, which is what the
@@ -316,56 +316,31 @@ impl Drop for Pool {
     }
 }
 
-/// Applies `f` to contiguous chunks of `items` across `workers` scoped
-/// threads and returns the per-chunk results in input order.
-///
-/// `f` receives `(chunk_index, chunk)`. With one worker (or one chunk) this
-/// degrades to a sequential loop with identical results.
-pub fn map_chunks<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let workers = workers.max(1);
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let chunk = items.len().div_ceil(workers);
-    if workers == 1 || chunk == items.len() {
-        return items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| f(i, c))
-            .collect();
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| s.spawn(move || f(i, c)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
-            .collect()
-    })
-}
-
-/// A parallel map over individual items, preserving order.
+/// A parallel map over individual items, preserving order: `items` is cut
+/// into one contiguous chunk per worker, each mapped on its own scoped
+/// thread. With one worker (or one chunk) this degrades to a sequential loop
+/// with identical results.
 pub fn map_items<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    map_chunks(items, workers, |_, chunk| {
-        chunk.iter().map(&f).collect::<Vec<R>>()
+    let chunk = items.len().div_ceil(workers.max(1)).max(1);
+    if chunk >= items.len() {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|c| s.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("pool worker panicked"))
+            .collect()
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Default worker count: available parallelism, at least 1.
@@ -378,16 +353,6 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunked_results_in_order() {
-        let data: Vec<u32> = (0..100).collect();
-        let sums = map_chunks(&data, 4, |i, c| (i, c.iter().sum::<u32>()));
-        assert_eq!(sums.len(), 4);
-        assert_eq!(sums[0].0, 0);
-        let total: u32 = sums.iter().map(|(_, s)| s).sum();
-        assert_eq!(total, 4950);
-    }
 
     #[test]
     fn item_map_matches_sequential() {

@@ -30,6 +30,14 @@ use tdm_core::{CoreError, EventDb, MinerConfig};
 
 use crate::service::{bump, MiningRequest, MiningResponse, MiningService, ServeError};
 
+/// The longest stream a tenant may grow to, in letters: committed stream and
+/// pending buffer together. [`StreamIngest::append`] refuses an append past
+/// it ([`IngestError::StreamFull`]), so a stream's memory, and the copy and
+/// hash each seal makes of it, stay bounded for the life of the server. It is
+/// also the largest database a `mine` frame may name (`tdm-server`'s
+/// `MAX_WORKLOAD_N`).
+pub const MAX_STREAM_LEN: usize = 4_000_000;
+
 /// When a tenant's buffered appends are sealed into a window and re-mined.
 /// Both triggers may be armed at once; whichever fires first seals.
 #[derive(Debug, Clone, Copy)]
@@ -167,6 +175,9 @@ pub enum IngestError {
     /// `flush_age`): no window would ever seal, and its buffer would grow
     /// without bound.
     NoTrigger(String),
+    /// The append would take the tenant's stream past [`MAX_STREAM_LEN`]
+    /// letters; nothing was buffered.
+    StreamFull(String),
     /// A core-layer validation failed (e.g. an appended symbol outside the
     /// tenant's alphabet); nothing was buffered.
     Core(CoreError),
@@ -189,6 +200,10 @@ impl std::fmt::Display for IngestError {
             IngestError::NoTrigger(t) => {
                 write!(f, "tenant {t:?} arms no trigger; no window would ever seal")
             }
+            IngestError::StreamFull(t) => write!(
+                f,
+                "tenant {t:?} would grow past the {MAX_STREAM_LEN}-letter stream cap"
+            ),
             IngestError::Core(e) => write!(f, "append rejected: {e}"),
             IngestError::Serve(e) => write!(f, "window re-mine failed: {e}"),
         }
@@ -355,8 +370,10 @@ impl StreamIngest {
     /// window.
     ///
     /// # Errors
-    /// [`IngestError::Core`] rejects out-of-alphabet symbols without
-    /// buffering anything; [`IngestError::Serve`] reports a failed re-mine
+    /// [`IngestError::Core`] rejects out-of-alphabet symbols, and
+    /// [`IngestError::StreamFull`] an append that would take the committed
+    /// stream and the pending buffer past [`MAX_STREAM_LEN`] letters; neither
+    /// buffers anything. [`IngestError::Serve`] reports a failed re-mine
     /// (the window's symbols are committed and the fence released — the
     /// stream is not rolled back under a sick backend).
     pub fn append(&self, tenant: &str, symbols: &[u8]) -> Result<AppendOutcome, IngestError> {
@@ -371,6 +388,9 @@ impl StreamIngest {
                     id: bad,
                     alphabet,
                 }));
+            }
+            if t.db.len() + t.pending.len() + symbols.len() > MAX_STREAM_LEN {
+                return Err(IngestError::StreamFull(tenant.to_string()));
             }
             // The age is read before this append lands: a buffer it starts
             // is zero seconds old.
@@ -746,6 +766,37 @@ mod tests {
             ingest.register("timed", timed, cfg(), IngestTriggers::default()),
             Err(IngestError::TimedStream(_))
         ));
+    }
+
+    #[test]
+    fn an_append_past_the_stream_cap_is_refused_without_buffering() {
+        let service = Arc::new(MiningService::new(ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        }));
+        let ingest = StreamIngest::new(service);
+        let short_of_cap = EventDb::new(Alphabet::latin26(), vec![0; MAX_STREAM_LEN - 1]).unwrap();
+        let triggers = IngestTriggers {
+            flush_count: 2,
+            ..Default::default()
+        };
+        ingest.register("t", short_of_cap, cfg(), triggers).unwrap();
+
+        // One letter short of the cap: the last letter fits.
+        assert!(matches!(
+            ingest.append("t", &[1]),
+            Ok(AppendOutcome::Buffered { pending: 1, .. })
+        ));
+        // The next is refused, and neither it nor a longer batch buffers.
+        for batch in [&[2][..], &[2, 3]] {
+            assert!(matches!(
+                ingest.append("t", batch),
+                Err(IngestError::StreamFull(name)) if name == "t"
+            ));
+        }
+        let t = ingest.tenant("t").unwrap();
+        assert_eq!((t.stream_len, t.pending), (MAX_STREAM_LEN - 1, 1));
+        assert_eq!(ingest.stats().appended_symbols, 1);
     }
 
     #[test]

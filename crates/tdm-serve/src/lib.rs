@@ -74,7 +74,7 @@ pub use admission::{AdmissionQueue, Overloaded, Permit};
 pub use cache::CacheStats;
 pub use ingest::{
     AppendOutcome, FlushReport, IngestError, IngestStats, IngestTriggers, StreamIngest,
-    TenantSnapshot,
+    TenantSnapshot, MAX_STREAM_LEN,
 };
 pub use service::{
     BackendChoice, CacheOutcome, MiningRequest, MiningResponse, MiningService, ResponseStats,

@@ -38,7 +38,7 @@ use tdm_core::session::Executor;
 use tdm_core::{Alphabet, EventDb};
 use tdm_serve::{
     AppendOutcome, IngestError, IngestTriggers, MiningRequest, MiningService, Priority,
-    ServiceConfig, StreamIngest,
+    ServiceConfig, StreamIngest, MAX_STREAM_LEN,
 };
 
 use crate::json::{self, Value};
@@ -458,13 +458,15 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
 }
 
 /// Upper bound on a generated workload's `"n"`, and so on the largest
-/// database a request may name. Inline `"events"` are bounded by the frame
-/// cap (~1M letters); this keeps a named `"workload"` in the same ballpark —
-/// the field is attacker-controlled, and an unbounded `n` would let one
+/// database a request may name: the ingest layer's stream cap
+/// ([`MAX_STREAM_LEN`], 4,000,000 letters), so a mined workload and a grown
+/// stream share one bound. Inline `"events"` are bounded by the frame cap
+/// (~1M letters); this keeps a named `"workload"` in the same ballpark — the
+/// field is attacker-controlled, and an unbounded `n` would let one
 /// authenticated frame demand a petabyte-scale allocation and OOM the whole
 /// server. A stream's `"flush_count"` is capped by it too: a count trigger
-/// above it would let the pending buffer grow for the server's lifetime.
-pub const MAX_WORKLOAD_N: u64 = 4_000_000;
+/// above it could never fire.
+pub const MAX_WORKLOAD_N: u64 = MAX_STREAM_LEN as u64;
 
 /// Materializes the database a mine request names: inline `"events"`
 /// letters, or a named `"workload"` from the paper's generators. Generator
@@ -684,6 +686,10 @@ fn ingest_error_value(e: &IngestError, stream: &str) -> Value {
             format!(
                 "stream {stream:?} arms no trigger: set \"flush_count\" or \"flush_age_ms\" above 0"
             ),
+        ),
+        IngestError::StreamFull(_) => wire::error_value(
+            codes::BAD_REQUEST,
+            format!("stream {stream:?} would grow past the {MAX_STREAM_LEN}-letter stream cap"),
         ),
         IngestError::Core(e) => wire::error_value(codes::BAD_REQUEST, e.to_string()),
         IngestError::Serve(e) => wire::serve_error_value(e),

@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use tdm_core::{Alphabet, Episode, EventDb};
+use tdm_core::{Alphabet, EventDb};
 
 /// Configuration of a synthetic purchase stream.
 #[derive(Debug, Clone)]
@@ -104,21 +104,17 @@ pub fn market_basket(config: &BasketConfig) -> EventDb {
     EventDb::with_times(alphabet, symbols, times).expect("times monotone by construction")
 }
 
-/// The default motif as an [`Episode`] (peanut-butter, bread → jelly).
-pub fn default_motif_episode(db: &EventDb) -> Episode {
-    Episode::checked(db.alphabet(), vec![0, 1, 2]).expect("default alphabet has 10 products")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tdm_core::count::count_episode;
+    use tdm_core::Episode;
 
     #[test]
     fn motif_is_much_more_frequent_than_reversed() {
         let db = market_basket(&BasketConfig::default());
         assert_eq!(db.len(), 20_000);
-        let motif = default_motif_episode(&db);
+        let motif = Episode::new(vec![0, 1, 2]).unwrap();
         let reversed = Episode::new(vec![2, 1, 0]).unwrap();
         let m = count_episode(&db, &motif);
         let r = count_episode(&db, &reversed);

@@ -73,10 +73,10 @@ pub mod prelude {
     pub use tdm_baselines::{MapReduceBackend, SerialScanBackend, ShardedScanBackend};
     pub use tdm_core::StreamingSession;
     pub use tdm_core::{
-        Alphabet, AutoBackend, BackendError, BitmaskNfa, CompileError, CompiledCandidates,
-        CountRequest, CountScratch, CountSemantics, CountStrategy, Counts, Episode, EventDb,
-        Executor, MineError, Miner, MinerConfig, MiningResult, MiningSession, OccurrenceIndex,
-        SequentialBackend, StrategyCosts, Symbol,
+        Alphabet, AutoBackend, BackendError, BitmaskNfa, CompiledCandidates, CountRequest,
+        CountScratch, CountStrategy, Counts, Episode, EventDb, Executor, MineError, Miner,
+        MinerConfig, MiningResult, MiningSession, OccurrenceIndex, SequentialBackend,
+        StrategyCosts, Symbol,
     };
     pub use tdm_gpu::{
         Algorithm, DevicePipeline, GpuBackend, GpuPipelineBackend, KernelRun, MiningProblem,

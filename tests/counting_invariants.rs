@@ -5,8 +5,77 @@ use proptest::prelude::*;
 use temporal_mining::core::count::count_episode;
 use temporal_mining::core::expiry::count_with_expiry;
 use temporal_mining::core::segment::{count_segmented, count_segmented_exact_items, even_bounds};
-use temporal_mining::core::semantics::{count_distinct_starts, count_non_overlapping};
 use temporal_mining::core::{Alphabet, Episode, EventDb};
+
+/// Reference oracle: greedy non-overlapped subsequence occurrences. Scan left
+/// to right, matching the items in order and restarting only after each
+/// completion; foreign characters are skipped, where the FSM resets.
+fn count_non_overlapping(stream: &[u8], items: &[u8]) -> u64 {
+    let mut next = 0usize;
+    let mut count = 0u64;
+    for &c in stream {
+        if c == items[next] {
+            next += 1;
+            if next == items.len() {
+                count += 1;
+                next = 0;
+            }
+        }
+    }
+    count
+}
+
+/// Reference oracle: the stream positions at which an occurrence starts,
+/// i.e. positions `p` with `stream[p] == items[0]` and the remaining items
+/// appearing in order somewhere after `p`.
+fn count_distinct_starts(stream: &[u8], items: &[u8]) -> u64 {
+    // Swept right to left: `earliest[k]` is the first position of the
+    // current suffix at which a match of `items[k..]` starts (`usize::MAX`
+    // for none); the empty suffix `items[l..]` matches anywhere.
+    let l = items.len();
+    let mut earliest = vec![usize::MAX; l + 1];
+    earliest[l] = 0;
+    let mut count = 0u64;
+    for i in (0..stream.len()).rev() {
+        // The deepest item first, so this position can chain.
+        for k in (0..l).rev() {
+            let rest_follows = k + 1 == l || (earliest[k + 1] != usize::MAX && earliest[k + 1] > i);
+            if stream[i] == items[k] && rest_follows {
+                earliest[k] = i;
+            }
+        }
+        if earliest[0] == i {
+            count += 1;
+        }
+    }
+    count
+}
+
+/// The oracles' hand-computed values, beside the FSM's on the same input.
+#[test]
+fn oracles_match_hand_counts() {
+    let ab = Alphabet::latin26();
+    let count = |db: &str, ep: &str| {
+        let db = EventDb::from_str_symbols(&ab, db).unwrap();
+        let ep = Episode::from_str(&ab, ep).unwrap();
+        (
+            count_episode(&db, &ep),
+            count_non_overlapping(db.symbols(), ep.items()),
+            count_distinct_starts(db.symbols(), ep.items()),
+        )
+    };
+    // (FSM, non-overlapping, distinct starts). The FSM resets on a foreign
+    // character; the non-overlapped count skips it.
+    assert_eq!(count("AXB", "AB"), (0, 1, 1));
+    assert_eq!(count("AXBAXB", "AB"), (0, 2, 2));
+    // A@0..B@2 completes, then only B@3 remains; both As can start one.
+    assert_eq!(count("AABB", "AB"), (1, 1, 2));
+    assert_eq!(count("AAB", "AB"), (1, 1, 2));
+    assert_eq!(count("ABA", "AB"), (1, 1, 1));
+    assert_eq!(count("BBB", "AB"), (0, 0, 0));
+    // A single-item episode counts its item under all three.
+    assert_eq!(count("ABABZA", "A"), (3, 3, 3));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

@@ -196,6 +196,49 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
 }
 
 #[test]
+fn an_ingest_past_the_stream_cap_is_a_typed_refusal() {
+    let server = test_server(tdm_server::wire::MAX_FRAME);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let register = r#"{"type":"register","tenant":"acme","api_key":"key-a","stream":"long","seed":"ABAB","flush_count":4000000}"#;
+    let reply = client.call_bytes(register.as_bytes()).unwrap();
+    assert_eq!(
+        reply.get("type").and_then(Value::as_str),
+        Some("registered")
+    );
+    // Four appends of a quarter of the cap each: with the seed, the fourth
+    // would take the stream past it. No trigger fires, so nothing is mined.
+    let ingest = format!(
+        r#"{{"type":"ingest","tenant":"acme","api_key":"key-a","stream":"long","symbols":"{}"}}"#,
+        "A".repeat(1_000_000)
+    );
+    for pending in [1_000_000, 2_000_000, 3_000_000] {
+        let reply = client.call_bytes(ingest.as_bytes()).unwrap();
+        assert_eq!(
+            reply.get("outcome").and_then(Value::as_str),
+            Some("buffered"),
+            "unexpected reply: {}",
+            reply.encode()
+        );
+        assert_eq!(reply.get("pending").and_then(Value::as_u64), Some(pending));
+    }
+    let refusal = client.call_bytes(ingest.as_bytes()).unwrap();
+    assert_eq!(
+        refusal.get("code").and_then(Value::as_str),
+        Some("bad_request")
+    );
+    // The refusal names the client's stream and the cap, not the
+    // tenant-scoped key the ingest layer saw.
+    let message = refusal.get("message").and_then(Value::as_str).unwrap();
+    assert!(
+        message.contains("\"long\"") && message.contains("4000000") && !message.contains("acme"),
+        "{message}"
+    );
+    drop(client);
+    assert_drains_to_idle(&server);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_length_prefix_is_refused_with_a_typed_error_then_closed() {
     let server = test_server(4096);
     let mut client = Client::connect(server.addr()).unwrap();
