@@ -1,37 +1,8 @@
-//! `reproduce` — regenerates every table and figure of the paper.
-//!
-//! ```text
-//! reproduce [TARGETS..] [--out DIR] [--scale S] [--exact] [--quiet]
-//!           [--bench-json PATH] [--serve-bench-json PATH] [--gpu-bench-json PATH]
-//!           [--serve-open-loop]
-//!
-//! TARGETS: table1 table2 fig6 fig7 fig8 fig9 best characterizations grid ext
-//!          all (default: all; `ext` also runs the paper's future-work
-//!          extensions: level-4 sweep, phase pipelining, hardware discovery)
-//! --out DIR          output directory for CSV/markdown files (default: results)
-//! --scale S          database scale in (0,1], 1.0 = the paper's 393,019 letters
-//! --exact            execute every warp exactly instead of sampling (slow; small S)
-//! --quiet            suppress ASCII previews
-//! --bench-json PATH  run the real-CPU counting-backend benchmark at --scale and
-//!                    write the JSON report (e.g. BENCH_counting.json) to PATH;
-//!                    with no TARGETS, only the benchmark runs
-//! --serve-bench-json PATH  run the multi-tenant serving benchmark (QPS +
-//!                    latency at 1/4/16 concurrent clients, the streaming
-//!                    scenario, and the tdm-server socket
-//!                    rungs over loopback TCP) at --scale and write the
-//!                    JSON report (e.g. BENCH_serve.json) to PATH; with no
-//!                    TARGETS, only the benchmark(s) run
-//! --gpu-bench-json PATH  run the simulated GPU serving-pipeline benchmark
-//!                    (persistent fused pipeline vs per-level launches and
-//!                    the cost model's routed run; fully deterministic)
-//!                    and write the JSON report (e.g.
-//!                    BENCH_gpu.json) to PATH; with no TARGETS, only the
-//!                    benchmark(s) run
-//! --serve-open-loop  also run the open-loop serving benchmark (deterministic
-//!                    Poisson-ish arrivals at a target rate; reports queueing
-//!                    delay separately from service time). Folded into the
-//!                    --serve-bench-json report when given, printed otherwise
-//! ```
+//! `reproduce` — regenerates every table and figure of the paper, and the
+//! real-CPU and simulated-GPU benchmark reports. Its targets and options are
+//! the usage block at the top of `main`. Any other argument, or a `--scale`
+//! outside (0, 1], prints that block and exits 2 before anything runs or is
+//! written.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -48,7 +19,59 @@ fn save(fig: &Figure, out_dir: &Path, quiet: bool, written: &mut Vec<String>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    const USAGE: &str = "\
+usage: reproduce [TARGETS..] [--out DIR] [--scale S] [--exact] [--quiet]
+                 [--bench-json PATH] [--serve-bench-json PATH] [--gpu-bench-json PATH]
+
+TARGETS: table1 table2 fig6 fig7 fig8 fig9 best characterizations grid ext
+         all (default: all; `ext` also runs the paper's future-work
+         extensions: level-4 sweep, phase pipelining, hardware discovery)
+--out DIR          output directory for CSV/markdown files (default: results)
+--scale S          database scale in (0,1], 1.0 = the paper's 393,019 letters
+--exact            execute every warp exactly instead of sampling (slow; small S)
+--quiet            suppress ASCII previews
+--bench-json PATH  run the real-CPU counting-backend benchmark at --scale and
+                   write the JSON report (e.g. BENCH_counting.json) to PATH;
+                   with no TARGETS, only the benchmark runs
+--serve-bench-json PATH  run the serving benchmark (the streaming scenario,
+                   and the tdm-server socket rungs at 1/4/16 clients over
+                   loopback TCP beside an in-process 1-client baseline) at
+                   --scale and write the JSON report (e.g. BENCH_serve.json)
+                   to PATH; with no TARGETS, only the benchmark(s) run
+--gpu-bench-json PATH  run the simulated GPU serving-pipeline benchmark
+                   (persistent fused pipeline vs per-level launches and
+                   the cost model's routed run; fully deterministic)
+                   and write the JSON report (e.g.
+                   BENCH_gpu.json) to PATH; with no TARGETS, only the
+                   benchmark(s) run
+";
+
+    /// Every target `all` (and an empty target list) stands for.
+    const ALL_TARGETS: [&str; 10] = [
+        "table1",
+        "table2",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "best",
+        "characterizations",
+        "grid",
+        "ext",
+    ];
+
+    /// Refuses the command line: says why, prints the usage block and exits 2.
+    fn refuse(why: &str) -> ! {
+        eprintln!("reproduce: {why}\n\n{USAGE}");
+        std::process::exit(2)
+    }
+
+    /// The value after `flag`, or a refusal when the command line ends first.
+    fn value_of(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
+        args.next()
+            .unwrap_or_else(|| refuse(&format!("{flag} needs a value")))
+    }
+
     let mut targets: BTreeSet<String> = BTreeSet::new();
     let mut out_dir = PathBuf::from("results");
     let mut scale = 1.0f64;
@@ -57,64 +80,40 @@ fn main() {
     let mut bench_json: Option<PathBuf> = None;
     let mut serve_bench_json: Option<PathBuf> = None;
     let mut gpu_bench_json: Option<PathBuf> = None;
-    let mut serve_open_loop = false;
 
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => {
-                out_dir = PathBuf::from(it.next().expect("--out needs a directory"));
-            }
+            "--out" => out_dir = PathBuf::from(value_of("--out", &mut args)),
             "--scale" => {
-                scale = it
-                    .next()
-                    .expect("--scale needs a value")
-                    .parse()
-                    .expect("--scale must be a number in (0,1]");
+                let raw = value_of("--scale", &mut args);
+                scale = match raw.parse::<f64>() {
+                    Ok(s) if s > 0.0 && s <= 1.0 => s,
+                    _ => refuse(&format!("--scale must be a number in (0, 1], got {raw:?}")),
+                };
             }
             "--exact" => exact = true,
             "--quiet" => quiet = true,
-            "--bench-json" => {
-                bench_json = Some(PathBuf::from(it.next().expect("--bench-json needs a path")));
-            }
+            "--bench-json" => bench_json = Some(value_of("--bench-json", &mut args).into()),
             "--serve-bench-json" => {
-                serve_bench_json = Some(PathBuf::from(
-                    it.next().expect("--serve-bench-json needs a path"),
-                ));
+                serve_bench_json = Some(value_of("--serve-bench-json", &mut args).into());
             }
             "--gpu-bench-json" => {
-                gpu_bench_json = Some(PathBuf::from(
-                    it.next().expect("--gpu-bench-json needs a path"),
-                ));
+                gpu_bench_json = Some(value_of("--gpu-bench-json", &mut args).into());
             }
-            "--serve-open-loop" => serve_open_loop = true,
-            t => {
-                targets.insert(t.to_string());
+            t if t == "all" || ALL_TARGETS.contains(&t) => {
+                targets.insert(arg);
             }
+            other => refuse(&format!("unknown argument {other:?}")),
         }
     }
     if (targets.is_empty()
         && bench_json.is_none()
         && serve_bench_json.is_none()
-        && gpu_bench_json.is_none()
-        && !serve_open_loop)
+        && gpu_bench_json.is_none())
         || targets.contains("all")
     {
-        targets = [
-            "table1",
-            "table2",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "best",
-            "characterizations",
-            "grid",
-            "ext",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        targets = ALL_TARGETS.iter().map(|s| s.to_string()).collect();
     }
 
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
@@ -248,47 +247,16 @@ fn main() {
     }
 
     if let Some(path) = serve_bench_json {
-        eprintln!(
-            "benchmarking the serving layer (scale {scale}, 1/4/16 clients + streaming + socket)..."
-        );
-        let mut bench = tdm_bench::serve_bench::run(&tdm_bench::serve_bench::ServeBenchConfig {
+        eprintln!("benchmarking the serving layer (scale {scale}, streaming + socket)...");
+        let bench = tdm_bench::serve_bench::run(&tdm_bench::serve_bench::ServeBenchConfig {
             scale,
             ..Default::default()
         });
-        if serve_open_loop {
-            eprintln!("open-loop serving benchmark (deterministic arrival schedule)...");
-            bench.open_loop = Some(tdm_bench::serve_bench::run_open_loop(
-                &tdm_bench::serve_bench::OpenLoopConfig {
-                    scale,
-                    ..Default::default()
-                },
-            ));
-        }
         std::fs::write(&path, bench.to_json()).expect("write failed");
         written.push(path.display().to_string());
         if !quiet {
             println!("\n{}", bench.summary());
         }
-    } else if serve_open_loop {
-        eprintln!("open-loop serving benchmark (scale {scale}, deterministic arrival schedule)...");
-        let report =
-            tdm_bench::serve_bench::run_open_loop(&tdm_bench::serve_bench::OpenLoopConfig {
-                scale,
-                ..Default::default()
-            });
-        println!(
-            "open loop @ {:.1} req/s: {} requests in {:.2}s ({:.1} req/s achieved)\n  \
-             queueing delay: mean {:.2} ms, p95 {:.2} ms\n  \
-             service time:   mean {:.2} ms, p95 {:.2} ms",
-            report.rate_hz,
-            report.requests,
-            report.wall_s,
-            report.achieved_rate_hz,
-            report.mean_queue_ms,
-            report.p95_queue_ms,
-            report.mean_service_ms,
-            report.p95_service_ms
-        );
     }
 
     eprintln!("\nwrote {} files:", written.len());

@@ -16,8 +16,9 @@
 //! measure representative cells. [`counting_bench`] additionally measures the
 //! *real* CPU throughput of every counting backend (the engine's perf
 //! trajectory, `BENCH_counting.json`), and [`serve_bench`] measures the
-//! multi-tenant serving layer — QPS and latency percentiles at 1/4/16
-//! concurrent clients over one shared pool (`BENCH_serve.json`). The
+//! serving layer (`BENCH_serve.json`): incremental streaming appends against
+//! rescans, and the `tdm-server` socket path at 1/4/16 clients against an
+//! in-process client. The
 //! simulated-GPU serving trajectory ([`gpu_bench`], `BENCH_gpu.json`) models
 //! what the persistent device pipeline buys: fused advances vs per-level
 //! launches, and the cost model's per-level routing.

@@ -796,11 +796,6 @@ impl CountScratch {
         CountScratch::default()
     }
 
-    /// FSM end states of the most recent scan (one per episode).
-    pub fn end_states(&self) -> &[u8] {
-        &self.state
-    }
-
     /// Resets for a scan of `compiled`'s episode chunk `episodes` from the
     /// start state, reusing capacity.
     fn prepare(&mut self, compiled: &CompiledCandidates, episodes: std::ops::Range<usize>) {

@@ -388,7 +388,7 @@ mod tests {
             c.scan_range(&stream, 0..cut, &mut scratch, &mut counts);
             let (bm_counts, bm_states) = nfa.shard_scan(&stream, 0..cut);
             assert_eq!(bm_counts, counts, "cut={cut}");
-            assert_eq!(bm_states, scratch.end_states(), "cut={cut}");
+            assert_eq!(bm_states, scratch.state, "cut={cut}");
         }
     }
 

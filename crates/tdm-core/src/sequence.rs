@@ -216,71 +216,20 @@ impl EventDb {
     /// # Errors
     /// [`CoreError::SymbolOutOfRange`] for ids outside the alphabet;
     /// [`CoreError::MissingTimestamps`] when this database is timestamped
-    /// (use [`extend_with_times`](EventDb::extend_with_times)).
+    /// (an append carries no timestamps to keep its channel whole).
     pub fn extend(&mut self, suffix: &[u8]) -> Result<u64> {
         if self.times.is_some() {
             return Err(CoreError::MissingTimestamps);
         }
-        self.extend_symbols(suffix)
-    }
-
-    /// [`extend`](EventDb::extend) for timestamped databases: appends a batch
-    /// of events with one timestamp per symbol. Returns the new epoch.
-    ///
-    /// # Errors
-    /// [`CoreError::MissingTimestamps`] when this database has no timestamp
-    /// channel; [`CoreError::LengthMismatch`] when `times` and `suffix`
-    /// disagree; [`CoreError::UnsortedTimestamps`] when the batch regresses —
-    /// including across the append seam; plus the symbol validation of
-    /// [`extend`](EventDb::extend).
-    pub fn extend_with_times(&mut self, suffix: &[u8], times: &[u64]) -> Result<u64> {
-        let Some(existing) = self.times.as_ref() else {
-            return Err(CoreError::MissingTimestamps);
-        };
-        if suffix.len() != times.len() {
-            return Err(CoreError::LengthMismatch {
-                symbols: suffix.len(),
-                times: times.len(),
-            });
-        }
-        if existing
-            .last()
-            .zip(times.first())
-            .is_some_and(|(&head, &first)| first < head)
-        {
-            // The seam itself regresses: the first appended timestamp is the
-            // offender, at the first position past the current stream.
-            return Err(CoreError::UnsortedTimestamps {
-                at: self.symbols.len(),
-            });
-        }
-        if let Some(at) = times.windows(2).position(|w| w[0] > w[1]) {
-            return Err(CoreError::UnsortedTimestamps {
-                at: self.symbols.len() + at + 1,
-            });
-        }
-        let epoch = self.extend_symbols(suffix)?;
-        if !suffix.is_empty() {
-            self.times
-                .as_mut()
-                .expect("timestamp channel checked above")
-                .extend_from_slice(times);
-        }
-        Ok(epoch)
-    }
-
-    /// Shared append tail: validates the suffix, builds the grown stream in
-    /// one fresh buffer, bumps the epoch. The buffer is allocated at its
-    /// final length and filled in place with two slice copies, as
-    /// [`from_str_symbols`](EventDb::from_str_symbols) does; the old buffer
-    /// is left to the snapshots that hold it.
-    fn extend_symbols(&mut self, suffix: &[u8]) -> Result<u64> {
         for &id in suffix {
             self.alphabet.check(id)?;
         }
         if suffix.is_empty() {
             return Ok(self.epoch);
         }
+        // One buffer at the grown length, filled in place with two slice
+        // copies, as `from_str_symbols` does; the old buffer is left to the
+        // snapshots that hold it.
         let old = self.symbols.len();
         let mut grown: Arc<[u8]> = std::iter::repeat_n(0, old + suffix.len()).collect();
         let slots = Arc::get_mut(&mut grown).expect("a fresh buffer has no other handle");
@@ -515,31 +464,6 @@ mod tests {
             timed.extend(&[2]),
             Err(CoreError::MissingTimestamps)
         ));
-        assert!(matches!(
-            db.extend_with_times(&[2], &[7]),
-            Err(CoreError::MissingTimestamps)
-        ));
-    }
-
-    #[test]
-    fn extend_with_times_checks_the_seam() {
-        let ab = Alphabet::numbered(3).unwrap();
-        let mut db = EventDb::with_times(ab, vec![0, 1], vec![5, 6]).unwrap();
-        assert!(matches!(
-            db.extend_with_times(&[2, 2], &[4, 8]),
-            Err(CoreError::UnsortedTimestamps { at: 2 })
-        ));
-        assert!(matches!(
-            db.extend_with_times(&[2, 2], &[8, 7]),
-            Err(CoreError::UnsortedTimestamps { at: 3 })
-        ));
-        assert!(matches!(
-            db.extend_with_times(&[2], &[7, 8]),
-            Err(CoreError::LengthMismatch { .. })
-        ));
-        assert_eq!(db.extend_with_times(&[2, 0], &[6, 9]).unwrap(), 1);
-        assert_eq!(db.require_times().unwrap(), &[5, 6, 6, 9]);
-        assert_eq!(db.len(), 4);
     }
 
     #[test]

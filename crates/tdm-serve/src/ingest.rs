@@ -175,8 +175,8 @@ pub enum IngestError {
     /// `flush_age`): no window would ever seal, and its buffer would grow
     /// without bound.
     NoTrigger(String),
-    /// The append would take the tenant's stream past [`MAX_STREAM_LEN`]
-    /// letters; nothing was buffered.
+    /// The seed or an append would take the tenant's stream past
+    /// [`MAX_STREAM_LEN`] letters; nothing was registered or buffered.
     StreamFull(String),
     /// A core-layer validation failed (e.g. an appended symbol outside the
     /// tenant's alphabet); nothing was buffered.
@@ -330,7 +330,9 @@ impl StreamIngest {
     /// [`IngestError::DuplicateTenant`] for a name already registered;
     /// [`IngestError::TimedStream`] for a timestamped database (the append
     /// path is symbol-only); [`IngestError::NoTrigger`] when `triggers`
-    /// disables both the count and the age trigger.
+    /// disables both the count and the age trigger;
+    /// [`IngestError::StreamFull`] for a seed longer than [`MAX_STREAM_LEN`]
+    /// letters, which no append could grow.
     pub fn register(
         &self,
         name: &str,
@@ -343,6 +345,9 @@ impl StreamIngest {
         }
         if db.times().is_some() {
             return Err(IngestError::TimedStream(name.to_string()));
+        }
+        if db.len() > MAX_STREAM_LEN {
+            return Err(IngestError::StreamFull(name.to_string()));
         }
         let mut tenants = self.tenants.lock().expect("ingest tenants");
         if tenants.contains_key(name) {
@@ -797,6 +802,18 @@ mod tests {
         let t = ingest.tenant("t").unwrap();
         assert_eq!((t.stream_len, t.pending), (MAX_STREAM_LEN - 1, 1));
         assert_eq!(ingest.stats().appended_symbols, 1);
+
+        // A seed past the cap could never grow, so it never registers; a
+        // seed exactly at the cap does.
+        let past_cap = EventDb::new(Alphabet::latin26(), vec![0; MAX_STREAM_LEN + 1]).unwrap();
+        assert!(matches!(
+            ingest.register("over", past_cap, cfg(), triggers),
+            Err(IngestError::StreamFull(name)) if name == "over"
+        ));
+        assert!(ingest.tenant("over").is_none(), "nothing was registered");
+        let at_cap = EventDb::new(Alphabet::latin26(), vec![0; MAX_STREAM_LEN]).unwrap();
+        ingest.register("full", at_cap, cfg(), triggers).unwrap();
+        assert_eq!(ingest.tenant("full").unwrap().stream_len, MAX_STREAM_LEN);
     }
 
     #[test]

@@ -694,6 +694,70 @@ mod tests {
         assert_eq!(stats.completed + stats.rejected, 4);
     }
 
+    #[test]
+    fn queue_wait_is_time_spent_at_the_admission_gate() {
+        // Counts for real, after announcing each level and waiting for the
+        // test to open the gate: it holds the one slot for as long as the
+        // test says.
+        struct Gated {
+            reached: std::sync::mpsc::Sender<()>,
+            open: std::sync::mpsc::Receiver<()>,
+        }
+        impl Executor for Gated {
+            fn execute(
+                &mut self,
+                req: &tdm_core::session::CountRequest<'_>,
+            ) -> Result<tdm_core::session::Counts, tdm_core::session::BackendError> {
+                self.reached.send(()).ok();
+                self.open.recv().ok();
+                let mut scratch = tdm_core::engine::CountScratch::new();
+                Ok(req.compiled().count(req.stream(), &mut scratch))
+            }
+        }
+        const HOLD: Duration = Duration::from_millis(100);
+        let service = MiningService::new(ServiceConfig {
+            workers: 1,
+            max_in_flight: 1,
+            ..Default::default()
+        });
+        let (reached_tx, reached) = std::sync::mpsc::channel();
+        let (open, open_rx) = std::sync::mpsc::channel::<()>();
+        let (holder, queued, queued_wall) = std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let mut gated = Gated {
+                    reached: reached_tx,
+                    open: open_rx,
+                };
+                let req = MiningRequest::new(db_of(&"XYZ".repeat(20)), cfg());
+                service.submit_with(&req, &mut gated).unwrap()
+            });
+            // The holder is inside its first level, so it has the slot.
+            reached.recv().unwrap();
+            let queued = s.spawn(|| {
+                let started = Instant::now();
+                let resp = service
+                    .submit(&MiningRequest::new(db_of(&"AB".repeat(20)), cfg()))
+                    .unwrap();
+                (resp, started.elapsed())
+            });
+            while service.pending() == 0 {
+                std::thread::yield_now();
+            }
+            // The second request is waiting at the gate: hold it there.
+            std::thread::sleep(HOLD);
+            drop(open);
+            let (queued, wall) = queued.join().unwrap();
+            (holder.join().unwrap(), queued, wall)
+        });
+        // The wait for the slot is queue wait, not mine time.
+        assert!(queued.stats.queue_wait >= HOLD, "{:?}", queued.stats);
+        assert!(queued.stats.mine_time < HOLD, "{:?}", queued.stats);
+        assert!(queued.stats.queue_wait + queued.stats.mine_time <= queued_wall);
+        // Time spent holding the slot inside the executor is mine time.
+        assert!(holder.stats.mine_time >= HOLD, "{:?}", holder.stats);
+        assert_eq!(service.stats().completed, 2);
+    }
+
     /// A correct executor that dawdles: each level scan counts for real but
     /// takes at least `delay`, so a short deadline expires between levels.
     struct Dawdler {

@@ -468,11 +468,34 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
 /// above it could never fire.
 pub const MAX_WORKLOAD_N: u64 = MAX_STREAM_LEN as u64;
 
+/// Reads the optional workload field `name`: absent is `default`, and a
+/// present value that `read` refuses is a `bad_request` naming the field,
+/// what it `must` be, and what was sent.
+fn workload_field<T>(
+    spec: &Value,
+    name: &str,
+    read: impl Fn(&Value) -> Option<T>,
+    must: std::fmt::Arguments<'_>,
+    default: T,
+) -> Result<T, Value> {
+    let Some(v) = spec.get(name) else {
+        return Ok(default);
+    };
+    read(v).ok_or_else(|| {
+        wire::error_value(
+            codes::BAD_REQUEST,
+            format!("workload {name:?} must be {must}, got {}", v.encode()),
+        )
+    })
+}
+
 /// Materializes the database a mine request names: inline `"events"`
-/// letters, or a named `"workload"` from the paper's generators. Generator
-/// preconditions (`n` bounded, `scale` in (0, 1], `persistence` in [0, 1))
-/// are enforced here as typed errors — the generators assert them, and a
-/// panic would drop the connection without a response.
+/// letters, or a named `"workload"` from the paper's generators. A workload
+/// field that is present but out of its generator's domain (`n` at most
+/// [`MAX_WORKLOAD_N`], `scale` in (0, 1], `persistence` in [0, 1), `seed` a
+/// non-negative integer) is a typed error, never its default: the
+/// generators assert their preconditions, and a panic would drop the
+/// connection without a response.
 fn request_db(state: &ServerState, request: &Value) -> Result<EventDb, Value> {
     match (request.get("events"), request.get("workload")) {
         (Some(events), None) => {
@@ -487,41 +510,40 @@ fn request_db(state: &ServerState, request: &Value) -> Result<EventDb, Value> {
                 .get("kind")
                 .and_then(Value::as_str)
                 .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "workload needs \"kind\""))?;
-            let n = spec.get("n").and_then(Value::as_u64).unwrap_or(10_000);
-            if n > MAX_WORKLOAD_N {
-                return Err(wire::error_value(
-                    codes::BAD_REQUEST,
-                    format!("workload \"n\" of {n} exceeds the {MAX_WORKLOAD_N}-event cap"),
-                ));
-            }
-            let n = n as usize;
-            let seed = spec.get("seed").and_then(Value::as_u64).unwrap_or(2009);
+            let n = workload_field(
+                spec,
+                "n",
+                |v| v.as_u64().filter(|&n| n <= MAX_WORKLOAD_N),
+                format_args!("an integer from 0 to {MAX_WORKLOAD_N}"),
+                10_000,
+            )? as usize;
+            let seed = workload_field(
+                spec,
+                "seed",
+                Value::as_u64,
+                format_args!("a non-negative integer"),
+                2009,
+            )?;
             match kind {
                 "paper" => {
-                    let scale = spec.get("scale").and_then(Value::as_f64).unwrap_or(1.0);
-                    // Negated comparison so NaN is refused too.
-                    if !(scale > 0.0 && scale <= 1.0) {
-                        return Err(wire::error_value(
-                            codes::BAD_REQUEST,
-                            format!("workload \"scale\" must be in (0, 1], got {scale}"),
-                        ));
-                    }
+                    let scale = workload_field(
+                        spec,
+                        "scale",
+                        |v| v.as_f64().filter(|s| *s > 0.0 && *s <= 1.0),
+                        format_args!("a number in (0, 1]"),
+                        1.0,
+                    )?;
                     Ok(tdm_workloads::paper_database_scaled(scale))
                 }
                 "uniform" => Ok(tdm_workloads::uniform_letters(n, seed)),
                 "markov" => {
-                    let persistence = spec
-                        .get("persistence")
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.6);
-                    if !(0.0..1.0).contains(&persistence) {
-                        return Err(wire::error_value(
-                            codes::BAD_REQUEST,
-                            format!(
-                                "workload \"persistence\" must be in [0, 1), got {persistence}"
-                            ),
-                        ));
-                    }
+                    let persistence = workload_field(
+                        spec,
+                        "persistence",
+                        |v| v.as_f64().filter(|p| (0.0..1.0).contains(p)),
+                        format_args!("a number in [0, 1)"),
+                        0.6,
+                    )?;
                     Ok(tdm_workloads::markov_letters(n, seed, persistence))
                 }
                 other => Err(wire::error_value(

@@ -304,6 +304,38 @@ fn absurd_workload_parameters_are_typed_errors_not_allocations_or_panics() {
             reply.encode()
         );
     }
+    // A field that is present but does not parse is refused by name, never
+    // replaced by its default: each of these frames used to mine the
+    // default database (10,000 letters, or the whole paper database).
+    let mistyped = [
+        ("n", r#"{"kind":"uniform","n":10000000000000000}"#),
+        ("n", r#"{"kind":"uniform","n":-5}"#),
+        ("n", r#"{"kind":"uniform","n":"4000"}"#),
+        ("n", r#"{"kind":"uniform","n":2.5}"#),
+        ("scale", r#"{"kind":"paper","scale":"0.01"}"#),
+        (
+            "persistence",
+            r#"{"kind":"markov","n":100,"persistence":"x"}"#,
+        ),
+        ("seed", r#"{"kind":"markov","n":100,"seed":-1}"#),
+    ];
+    for (field, workload) in mistyped {
+        let request = format!(
+            r#"{{"type":"mine","tenant":"acme","api_key":"key-a","max_level":2,"workload":{workload}}}"#
+        );
+        let reply = client.call_bytes(request.as_bytes()).unwrap();
+        assert_eq!(
+            reply.get("code").and_then(Value::as_str),
+            Some("bad_request"),
+            "workload {workload}: {}",
+            reply.encode()
+        );
+        let message = reply.get("message").and_then(Value::as_str).unwrap();
+        assert!(
+            message.contains(&format!("\"{field}\"")),
+            "workload {workload}: {message}"
+        );
+    }
     // A sane workload on the same connection still mines.
     let reply = client
         .call_bytes(
