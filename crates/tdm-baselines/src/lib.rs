@@ -113,13 +113,11 @@ impl Executor for ShardedScanBackend {
         let ranges = segment_ranges(n, bounds);
         // Map on the persistent pool: workers borrow nothing — they share the
         // stream and compiled layout through Arc handles (refcount bumps).
-        // The jobs ride the request's scheduling lane, so a high-priority
-        // session's scans overtake queued normal ones on a shared pool.
         let compiled = req.compiled_shared();
         let shared_stream = req.stream_shared();
-        let shards = req.pool().map_move_prio(req.priority(), ranges, move |r| {
-            compiled.shard_scan(&shared_stream, r)
-        });
+        let shards = req
+            .pool()
+            .map_move(ranges, move |r| compiled.shard_scan(&shared_stream, r));
         Ok(req.compiled().merge_shard_counts(stream, bounds, &shards))
     }
 
@@ -166,9 +164,9 @@ impl Executor for MapReduceBackend {
         }
         let compiled = req.compiled_shared();
         let shared_stream = req.stream_shared();
-        let per_chunk = req.pool().map_move_prio(req.priority(), chunks, move |c| {
-            compiled.chunk_scan(&shared_stream, c)
-        });
+        let per_chunk = req
+            .pool()
+            .map_move(chunks, move |c| compiled.chunk_scan(&shared_stream, c));
         Ok(per_chunk.into_iter().flatten().collect())
     }
 

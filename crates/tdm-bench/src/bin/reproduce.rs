@@ -2,9 +2,13 @@
 //! real-CPU and simulated-GPU benchmark reports. Its targets and options are
 //! the usage block at the top of `main`. Any other argument, or a `--scale`
 //! outside (0, 1], prints that block and exits 2 before anything runs or is
-//! written.
+//! written. An output it cannot write exits 2 too, naming it: the `--out`
+//! directory (when a target writes there) is created, and every report file
+//! opened, before anything runs.
 
 use std::collections::BTreeSet;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use tdm_bench::figures::{best_config, fig6, fig7, fig8, fig9, grid_csv, Figure};
 use tdm_bench::{characterize, tables, Grid, GridConfig};
@@ -72,6 +76,34 @@ TARGETS: table1 table2 fig6 fig7 fig8 fig9 best characterizations grid ext
             .unwrap_or_else(|| refuse(&format!("{flag} needs a value")))
     }
 
+    /// A benchmark report's path and its file, opened before the benchmark
+    /// runs. The file keeps its old content until `write_report` replaces it.
+    fn open_report(flag: &str, path: Option<PathBuf>) -> Option<(PathBuf, File)> {
+        let path = path?;
+        let opened = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path);
+        let file = opened.unwrap_or_else(|e| unwritable(flag, &path, &e));
+        Some((path, file))
+    }
+
+    /// Replaces the opened report's content with `json`.
+    fn write_report(report: (PathBuf, File), json: &str, written: &mut Vec<String>) {
+        let (path, mut file) = report;
+        file.set_len(0)
+            .and_then(|()| file.write_all(json.as_bytes()))
+            .expect("write failed");
+        written.push(path.display().to_string());
+    }
+
+    /// Exits 2 naming the output `path` given to `flag` that cannot be written.
+    fn unwritable(flag: &str, path: &Path, e: &std::io::Error) -> ! {
+        eprintln!("reproduce: cannot write {flag} {}: {e}", path.display());
+        std::process::exit(2)
+    }
+
     let mut targets: BTreeSet<String> = BTreeSet::new();
     let mut out_dir = PathBuf::from("results");
     let mut scale = 1.0f64;
@@ -116,7 +148,16 @@ TARGETS: table1 table2 fig6 fig7 fig8 fig9 best characterizations grid ext
         targets = ALL_TARGETS.iter().map(|s| s.to_string()).collect();
     }
 
-    std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
+    // Every output is checked before anything runs, so a long run never ends
+    // in a write that fails.
+    if !targets.is_empty() {
+        if let Err(e) = std::fs::create_dir_all(&out_dir) {
+            unwritable("--out", &out_dir, &e);
+        }
+    }
+    let bench_json = open_report("--bench-json", bench_json);
+    let gpu_bench_json = open_report("--gpu-bench-json", gpu_bench_json);
+    let serve_bench_json = open_report("--serve-bench-json", serve_bench_json);
     let mut written: Vec<String> = Vec::new();
 
     // Tables need no simulation.
@@ -223,37 +264,34 @@ TARGETS: table1 table2 fig6 fig7 fig8 fig9 best characterizations grid ext
         }
     }
 
-    if let Some(path) = bench_json {
+    if let Some(report) = bench_json {
         eprintln!("benchmarking counting backends (scale {scale})...");
         let bench = tdm_bench::counting_bench::run(&tdm_bench::counting_bench::BenchConfig {
             scale,
             ..Default::default()
         });
-        std::fs::write(&path, bench.to_json()).expect("write failed");
-        written.push(path.display().to_string());
+        write_report(report, &bench.to_json(), &mut written);
         if !quiet {
             println!("\n{}", bench.summary());
         }
     }
 
-    if let Some(path) = gpu_bench_json {
+    if let Some(report) = gpu_bench_json {
         eprintln!("benchmarking the GPU serving pipeline (simulated, deterministic)...");
         let bench = tdm_bench::gpu_bench::run(&tdm_bench::gpu_bench::GpuBenchConfig::default());
-        std::fs::write(&path, bench.to_json()).expect("write failed");
-        written.push(path.display().to_string());
+        write_report(report, &bench.to_json(), &mut written);
         if !quiet {
             println!("\n{}", bench.summary());
         }
     }
 
-    if let Some(path) = serve_bench_json {
+    if let Some(report) = serve_bench_json {
         eprintln!("benchmarking the serving layer (scale {scale}, streaming + socket)...");
         let bench = tdm_bench::serve_bench::run(&tdm_bench::serve_bench::ServeBenchConfig {
             scale,
             ..Default::default()
         });
-        std::fs::write(&path, bench.to_json()).expect("write failed");
-        written.push(path.display().to_string());
+        write_report(report, &bench.to_json(), &mut written);
         if !quiet {
             println!("\n{}", bench.summary());
         }

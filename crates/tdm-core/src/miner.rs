@@ -112,7 +112,7 @@ impl Executor for AutoBackend {
                 let shared_compiled = req.compiled_shared();
                 let shared_stream = req.stream_shared();
                 let shared_index = req.occurrence_index_shared();
-                let parts = req.pool().map_move_prio(req.priority(), chunks, move |r| {
+                let parts = req.pool().map_move(chunks, move |r| {
                     let mut counts = vec![0u64; r.len()];
                     shared_compiled.count_vertical_range(
                         &shared_stream,
@@ -128,9 +128,9 @@ impl Executor for AutoBackend {
                 let nfa = Arc::new(compiled.packed());
                 let shared_stream = req.stream_shared();
                 let ranges = segment_ranges(stream.len(), bounds);
-                let shards = req.pool().map_move_prio(req.priority(), ranges, move |r| {
-                    nfa.shard_scan(&shared_stream, r)
-                });
+                let shards = req
+                    .pool()
+                    .map_move(ranges, move |r| nfa.shard_scan(&shared_stream, r));
                 Ok(compiled.merge_shard_counts(stream, bounds, &shards))
             }
             _ => Ok(compiled.count_serial(strategy, stream, index)),

@@ -73,7 +73,7 @@ use crate::segment::even_bounds;
 use crate::sequence::EventDb;
 use crate::stats::{min_frequent_count, LevelResult, MiningResult};
 use std::sync::OnceLock;
-use tdm_mapreduce::pool::{default_workers, Pool, Priority};
+use tdm_mapreduce::pool::{default_workers, Pool};
 
 /// Appearance counts, one per candidate episode in compiled order.
 pub type Counts = Vec<u64>;
@@ -299,7 +299,6 @@ pub struct CountRequest<'a> {
     shard_bounds: &'a [usize],
     pool: &'a PoolSlot,
     workers: usize,
-    priority: Priority,
     level: usize,
 }
 
@@ -394,15 +393,6 @@ impl<'a> CountRequest<'a> {
     #[inline]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The scheduling class this request's pool jobs should run at
-    /// ([`MiningSession::set_job_priority`]). Parallel executors pass it to
-    /// [`Pool::map_move_prio`] so high-priority requests overtake queued
-    /// normal-priority scans on a shared pool.
-    #[inline]
-    pub fn priority(&self) -> Priority {
-        self.priority
     }
 
     /// Episode level (item count) of this request's candidates.
@@ -581,7 +571,6 @@ impl<'db> MiningSessionBuilder<'db> {
             vertical: index.map_or_else(OnceLock::new, OnceLock::from),
             workers,
             pool,
-            priority: Priority::Normal,
             cancel: None,
             compiles: 0,
         }
@@ -643,7 +632,6 @@ pub struct MiningSession<'db> {
     shard_bounds: Vec<usize>,
     workers: usize,
     pool: PoolSlot,
-    priority: Priority,
     /// Cooperative cancellation for the level loop; checked before each
     /// level's compile+scan. `None` (the default) never cancels.
     cancel: Option<CancelToken>,
@@ -713,16 +701,6 @@ impl<'db> MiningSession<'db> {
         self.workers
     }
 
-    /// Sets the scheduling class for this session's pool jobs: subsequent
-    /// counting calls stamp their [`CountRequest`] with `priority`, and the
-    /// parallel executors submit their scans on that lane
-    /// ([`Pool::map_move_prio`]). On a *shared* pool this is how one
-    /// session's request overtakes queued scans of other sessions; on a
-    /// session-owned pool it is a no-op in effect (no competing jobs).
-    pub fn set_job_priority(&mut self, priority: Priority) {
-        self.priority = priority;
-    }
-
     /// Installs (or clears) the cooperative cancellation token the level loop
     /// checks before each level's compile+scan. A serving layer sets the
     /// request's token on the session it plans for that request.
@@ -762,7 +740,6 @@ impl<'db> MiningSession<'db> {
             shard_bounds: &self.shard_bounds,
             pool: &self.pool,
             workers: self.workers,
-            priority: self.priority,
             level,
         }
     }

@@ -11,8 +11,9 @@
 //!
 //! This crate holds the execution substrate they run on, in the [`pool`]
 //! module: a scoped parallel map for one-shot jobs, and the persistent,
-//! shareable, priority-aware [`pool::Pool`] that mining sessions — and the
-//! whole `tdm-serve` multi-tenant service — dispatch their counting scans to.
+//! shareable, first-in first-out [`pool::Pool`] that mining sessions — and
+//! the whole `tdm-serve` multi-tenant service — dispatch their counting scans
+//! to.
 //!
 //! ```
 //! use tdm_mapreduce::pool::map_items;

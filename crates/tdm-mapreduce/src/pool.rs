@@ -13,13 +13,8 @@
 //! A `Pool` is `Sync`: every method takes `&self`, so one pool wrapped in an
 //! [`Arc`] can be shared by any number of concurrent sessions (the
 //! `tdm-serve` service runs all of its clients over a single machine-sized
-//! pool this way). Jobs carry a [`Priority`] tag — [`Priority::High`] jobs
-//! overtake queued [`Priority::Normal`] ones, letting latency-sensitive
-//! requests cut ahead of bulk work sharing the same threads. The overtaking
-//! is **aged**: the queue is a [`PriorityLanes`], whose normal lane goes
-//! next after [`DEFAULT_LANE_AGING`] consecutive high-lane pops made while
-//! it waited, so a continuous high stream cannot starve the bulk lane. The
-//! serving layer's admission gate queues its tickets in the same type.
+//! pool this way). Jobs start in the order they were queued: the pool never
+//! reorders work by who asked for it.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -44,113 +39,8 @@ use std::thread::JoinHandle;
 /// A queued unit of work for a [`Pool`] worker.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Scheduling class of a pool job: [`Priority::High`] jobs are popped before
-/// any queued [`Priority::Normal`] job (subject to lane aging); within a
-/// class the queue is FIFO.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// Latency-sensitive work: overtakes every queued normal job.
-    High,
-    /// Bulk work (the default for [`Pool::execute`] / [`Pool::map_move`]).
-    #[default]
-    Normal,
-}
-
-/// Lane-aging limit: after this many consecutive high-lane pops made while
-/// normal items were waiting, one normal item goes next. Every
-/// [`PriorityLanes`] ages by it: the pool's job queue and the serving
-/// layer's admission gate alike.
-pub const DEFAULT_LANE_AGING: usize = 8;
-
-/// Two FIFO lanes drained high-first, with the normal lane aged: after
-/// [`DEFAULT_LANE_AGING`] consecutive high pops made while normal items
-/// waited, the oldest normal item goes next, so a continuous high stream
-/// cannot starve the normal lane. The one queue discipline of the stack:
-/// the pool's job queue and `tdm-serve`'s admission gate both hold one.
-///
-/// ```
-/// use tdm_mapreduce::pool::{Priority, PriorityLanes};
-///
-/// let mut lanes = PriorityLanes::default();
-/// lanes.push(Priority::Normal, "bulk");
-/// lanes.push(Priority::High, "interactive");
-/// assert_eq!(lanes.peek(), Some(&"interactive"));
-/// assert_eq!(lanes.pop(), Some("interactive"));
-/// assert_eq!(lanes.pop(), Some("bulk"));
-/// assert!(lanes.is_empty());
-/// ```
-#[derive(Debug)]
-pub struct PriorityLanes<T> {
-    high: VecDeque<T>,
-    normal: VecDeque<T>,
-    /// Consecutive high-lane pops made while the normal lane was non-empty.
-    high_streak: usize,
-}
-
-impl<T> Default for PriorityLanes<T> {
-    fn default() -> Self {
-        PriorityLanes {
-            high: VecDeque::new(),
-            normal: VecDeque::new(),
-            high_streak: 0,
-        }
-    }
-}
-
-impl<T> PriorityLanes<T> {
-    /// Queues `item` at the back of its priority's lane.
-    pub fn push(&mut self, priority: Priority, item: T) {
-        match priority {
-            Priority::High => self.high.push_back(item),
-            Priority::Normal => self.normal.push_back(item),
-        }
-    }
-
-    /// True when the normal lane has aged past the limit and goes next.
-    fn normal_aged(&self) -> bool {
-        self.high_streak >= DEFAULT_LANE_AGING && !self.normal.is_empty()
-    }
-
-    /// The item [`pop`](PriorityLanes::pop) would return next.
-    pub fn peek(&self) -> Option<&T> {
-        if self.normal_aged() {
-            return self.normal.front();
-        }
-        self.high.front().or_else(|| self.normal.front())
-    }
-
-    /// Removes the next item: the head of the high lane, or the head of the
-    /// normal lane when the high lane is empty or the normal lane has aged.
-    pub fn pop(&mut self) -> Option<T> {
-        if !self.normal_aged() {
-            if let Some(item) = self.high.pop_front() {
-                // Only count the streak against waiting normal items: a high
-                // lane running alone starves no one.
-                self.high_streak = if self.normal.is_empty() {
-                    0
-                } else {
-                    self.high_streak + 1
-                };
-                return Some(item);
-            }
-        }
-        self.high_streak = 0;
-        self.normal.pop_front()
-    }
-
-    /// Items queued in both lanes.
-    pub fn len(&self) -> usize {
-        self.high.len() + self.normal.len()
-    }
-
-    /// True when both lanes are empty.
-    pub fn is_empty(&self) -> bool {
-        self.high.is_empty() && self.normal.is_empty()
-    }
-}
-
 struct PoolState {
-    jobs: PriorityLanes<Job>,
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -182,13 +72,12 @@ impl std::fmt::Debug for Pool {
 }
 
 impl Pool {
-    /// Spawns a pool of `n` workers (0 is clamped to 1) whose normal lane
-    /// ages after [`DEFAULT_LANE_AGING`] high-lane pops.
+    /// Spawns a pool of `n` workers (0 is clamped to 1).
     pub fn with_workers(n: usize) -> Pool {
         let n = n.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                jobs: PriorityLanes::default(),
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             available: Condvar::new(),
@@ -202,7 +91,7 @@ impl Pool {
                         let job = {
                             let mut st = shared.state.lock().expect("pool state");
                             loop {
-                                if let Some(job) = st.jobs.pop() {
+                                if let Some(job) = st.jobs.pop_front() {
                                     break job;
                                 }
                                 if st.shutdown {
@@ -229,17 +118,10 @@ impl Pool {
         self.handles.len()
     }
 
-    /// Enqueues one [`Priority::Normal`] job; returns immediately.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.execute_prio(Priority::Normal, job);
-    }
-
-    /// Enqueues one job with an explicit [`Priority`] tag; returns
-    /// immediately. High-priority jobs overtake every queued normal job but
-    /// never preempt one already running.
-    pub fn execute_prio(&self, priority: Priority, job: impl FnOnce() + Send + 'static) {
+    /// Enqueues one job at the back of the queue; returns immediately.
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let mut st = self.shared.state.lock().expect("pool state");
-        st.jobs.push(priority, Box::new(job));
+        st.jobs.push_back(Box::new(job));
         drop(st);
         self.shared.available.notify_one();
     }
@@ -251,18 +133,6 @@ impl Pool {
     /// A single input is run inline on the caller's thread (no queue round
     /// trip).
     pub fn map_move<T, R, F>(&self, inputs: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        self.map_move_prio(Priority::Normal, inputs, f)
-    }
-
-    /// [`map_move`](Pool::map_move) with an explicit [`Priority`] tag for
-    /// every job of the map — how a serving layer lets an interactive
-    /// request's scans overtake queued bulk scans on a shared pool.
-    pub fn map_move_prio<T, R, F>(&self, priority: Priority, inputs: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
         R: Send + 'static,
@@ -281,7 +151,7 @@ impl Pool {
         for (i, input) in inputs.into_iter().enumerate() {
             let f = Arc::clone(&f);
             let tx = tx.clone();
-            self.execute_prio(priority, move || {
+            self.execute(move || {
                 let r = f(input);
                 // Release this job's handle on `f` (and any Arc data it
                 // captured) *before* signalling completion, so that once the
@@ -438,127 +308,6 @@ mod tests {
         assert_eq!(pool.workers(), 1);
         assert!(pool.map_move(Vec::<u32>::new(), |x| x).is_empty());
         assert_eq!(pool.map_move(vec![7u32], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn high_priority_jobs_overtake_queued_normal_jobs() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let pool = Pool::with_workers(1);
-        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        // Block the single worker so subsequent submissions queue up.
-        {
-            let gate = Arc::clone(&gate);
-            pool.execute(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            });
-        }
-        let submitted = Arc::new(AtomicBool::new(false));
-        for _ in 0..3 {
-            let order = Arc::clone(&order);
-            pool.execute(move || order.lock().unwrap().push("normal"));
-        }
-        {
-            let order = Arc::clone(&order);
-            let submitted = Arc::clone(&submitted);
-            pool.execute_prio(Priority::High, move || {
-                order.lock().unwrap().push("high");
-                submitted.store(true, Ordering::SeqCst);
-            });
-        }
-        // Open the gate and drain.
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        drop(pool); // joins the worker: everything queued has run
-        let order = order.lock().unwrap();
-        assert_eq!(
-            order.as_slice(),
-            ["high", "normal", "normal", "normal"],
-            "the high job must run before every queued normal job"
-        );
-        assert!(submitted.load(Ordering::SeqCst));
-    }
-
-    /// Blocks `pool`'s (single) worker behind a gate, runs `queue` to enqueue
-    /// jobs while the worker is pinned, opens the gate, joins the pool, and
-    /// returns the order the queued jobs ran in.
-    fn run_gated(
-        pool: Pool,
-        queue: impl FnOnce(&Pool, &Arc<Mutex<Vec<&'static str>>>),
-    ) -> Vec<&'static str> {
-        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let started = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            let started = Arc::clone(&started);
-            pool.execute(move || {
-                {
-                    let (lock, cv) = &*started;
-                    *lock.lock().unwrap() = true;
-                    cv.notify_all();
-                }
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            });
-        }
-        // Only queue once the worker is pinned behind the gate, so the queued
-        // jobs drain in one deterministic burst.
-        {
-            let (lock, cv) = &*started;
-            let mut ok = lock.lock().unwrap();
-            while !*ok {
-                ok = cv.wait(ok).unwrap();
-            }
-        }
-        queue(&pool, &order);
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        drop(pool); // joins the worker: everything queued has run
-        Arc::try_unwrap(order).unwrap().into_inner().unwrap()
-    }
-
-    #[test]
-    fn a_continuous_high_stream_no_longer_starves_the_normal_lane() {
-        // After DEFAULT_LANE_AGING high pops made while a normal job waits,
-        // the normal job must run — even though more high jobs are queued.
-        let highs = DEFAULT_LANE_AGING + 4;
-        let order = run_gated(Pool::with_workers(1), |pool, order| {
-            {
-                let order = Arc::clone(order);
-                pool.execute(move || order.lock().unwrap().push("normal"));
-            }
-            for _ in 0..highs {
-                let order = Arc::clone(order);
-                pool.execute_prio(Priority::High, move || order.lock().unwrap().push("high"));
-            }
-        });
-        let mut want = vec!["high"; highs];
-        want.insert(DEFAULT_LANE_AGING, "normal");
-        assert_eq!(
-            order, want,
-            "the aged normal job must run after exactly {DEFAULT_LANE_AGING} high pops"
-        );
-    }
-
-    #[test]
-    fn prioritized_map_returns_in_input_order() {
-        let pool = Pool::with_workers(3);
-        let out = pool.map_move_prio(Priority::High, (0..40u32).collect(), |x| x + 1);
-        assert_eq!(out, (1..=40).collect::<Vec<_>>());
     }
 
     #[test]

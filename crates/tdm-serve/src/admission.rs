@@ -1,31 +1,16 @@
-//! Fair FIFO admission with an in-flight limit and two priority classes.
+//! Fair FIFO admission with an in-flight limit.
 //!
 //! A mining request costs a level loop of pool-wide scans, so admitting every
 //! arriving client at once just convoys them on the shared worker pool and
 //! inflates everyone's latency. The service instead bounds how many requests
-//! *mine* concurrently: arrivals take a ticket and block until admitted.
-//! Admission order is strict FIFO within a priority class, and
-//! [`Priority::High`] tickets are admitted before waiting
-//! [`Priority::Normal`] ones, so interactive traffic overtakes bulk traffic
-//! here as it does on the pool. A bounded waiting room
+//! *mine* concurrently: arrivals take a ticket and block until admitted, in
+//! strict arrival order. The waiting room is two ticket counters, the next
+//! ticket to take and the next to admit, so it holds no queue: a ticket is
+//! admitted when it is the next to admit and a slot is free. Bounding it
 //! ([`AdmissionQueue::new`]'s `max_pending`) converts overload into an
 //! immediate, explicit rejection instead of an unbounded queue.
-//!
-//! ## Aging (starvation control)
-//!
-//! Strict high-before-normal would let a continuous High stream starve a
-//! queued Normal request forever. Waiting tickets therefore sit in a
-//! [`PriorityLanes`], the type the shared pool queues its jobs in, which
-//! **ages** the normal lane: after
-//! [`DEFAULT_LANE_AGING`](tdm_mapreduce::pool::DEFAULT_LANE_AGING) (8)
-//! consecutive High admissions while a Normal request was waiting, the next
-//! admission goes to the oldest Normal ticket (and the streak resets). High
-//! traffic still overtakes — it just can't monopolize: a waiting Normal
-//! request is admitted after at most 8 High admissions, however long the
-//! High stream runs.
 
 use std::sync::{Condvar, Mutex};
-use tdm_mapreduce::pool::{Priority, PriorityLanes};
 
 /// The admission queue refused to enqueue a request: the waiting room is
 /// already at `max_pending`.
@@ -38,15 +23,21 @@ pub struct Overloaded {
 }
 
 struct AdmitState {
+    /// The ticket the next arrival takes.
     next_ticket: u64,
+    /// The ticket admitted next; every ticket below it has been admitted.
+    next_admit: u64,
     in_flight: usize,
-    /// Waiting tickets; the one [`PriorityLanes::peek`] returns is admitted
-    /// next.
-    waiting: PriorityLanes<u64>,
 }
 
-/// A blocking, priority-aware, fair-FIFO admission gate with normal-lane
-/// aging. See the [module docs](self).
+impl AdmitState {
+    /// Tickets taken but not yet admitted.
+    fn pending(&self) -> usize {
+        (self.next_ticket - self.next_admit) as usize
+    }
+}
+
+/// A blocking, fair-FIFO admission gate. See the [module docs](self).
 pub struct AdmissionQueue {
     max_in_flight: usize,
     max_pending: usize,
@@ -60,7 +51,7 @@ impl std::fmt::Debug for AdmissionQueue {
         f.debug_struct("AdmissionQueue")
             .field("max_in_flight", &self.max_in_flight)
             .field("in_flight", &st.in_flight)
-            .field("pending", &st.waiting.len())
+            .field("pending", &st.pending())
             .finish()
     }
 }
@@ -84,17 +75,15 @@ impl Drop for Permit<'_> {
 impl AdmissionQueue {
     /// A gate admitting at most `max_in_flight` requests concurrently
     /// (clamped to ≥ 1) with at most `max_pending` more waiting (0 =
-    /// unbounded waiting room), aging its normal lane after
-    /// [`DEFAULT_LANE_AGING`](tdm_mapreduce::pool::DEFAULT_LANE_AGING) High
-    /// admissions.
+    /// unbounded waiting room).
     pub fn new(max_in_flight: usize, max_pending: usize) -> Self {
         AdmissionQueue {
             max_in_flight: max_in_flight.max(1),
             max_pending,
             state: Mutex::new(AdmitState {
                 next_ticket: 0,
+                next_admit: 0,
                 in_flight: 0,
-                waiting: PriorityLanes::default(),
             }),
             admitted: Condvar::new(),
         }
@@ -105,9 +94,9 @@ impl AdmissionQueue {
     ///
     /// # Errors
     /// [`Overloaded`] immediately when the waiting room is full.
-    pub fn acquire(&self, priority: Priority) -> Result<Permit<'_>, Overloaded> {
+    pub fn acquire(&self) -> Result<Permit<'_>, Overloaded> {
         let mut st = self.state.lock().expect("admission state");
-        let pending = st.waiting.len();
+        let pending = st.pending();
         if self.max_pending != 0 && pending >= self.max_pending {
             return Err(Overloaded {
                 pending,
@@ -116,10 +105,9 @@ impl AdmissionQueue {
         }
         let ticket = st.next_ticket;
         st.next_ticket += 1;
-        st.waiting.push(priority, ticket);
         loop {
-            if st.in_flight < self.max_in_flight && st.waiting.peek() == Some(&ticket) {
-                st.waiting.pop();
+            if st.in_flight < self.max_in_flight && st.next_admit == ticket {
+                st.next_admit += 1;
                 st.in_flight += 1;
                 let slots_left = st.in_flight < self.max_in_flight;
                 drop(st);
@@ -135,7 +123,7 @@ impl AdmissionQueue {
 
     /// Requests currently waiting for admission.
     pub fn pending(&self) -> usize {
-        self.state.lock().expect("admission state").waiting.len()
+        self.state.lock().expect("admission state").pending()
     }
 
     /// Requests currently admitted (holding a [`Permit`]).
@@ -149,7 +137,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-    use tdm_mapreduce::pool::DEFAULT_LANE_AGING;
 
     #[test]
     fn in_flight_never_exceeds_the_limit() {
@@ -162,7 +149,7 @@ mod tests {
                 let peak = Arc::clone(&peak);
                 let live = Arc::clone(&live);
                 s.spawn(move || {
-                    let permit = q.acquire(Priority::Normal).unwrap();
+                    let permit = q.acquire().unwrap();
                     let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -177,19 +164,19 @@ mod tests {
     }
 
     #[test]
-    fn fifo_within_a_priority_class() {
+    fn waiters_are_admitted_in_arrival_order() {
         // One slot; a holder blocks it while three tickets queue up. They
         // must be admitted in arrival order.
         let q = Arc::new(AdmissionQueue::new(1, 0));
         let order = Arc::new(Mutex::new(Vec::<usize>::new()));
-        let first = q.acquire(Priority::Normal).unwrap();
+        let first = q.acquire().unwrap();
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for i in 0..3 {
                 let qc = Arc::clone(&q);
                 let order = Arc::clone(&order);
                 handles.push(s.spawn(move || {
-                    let p = qc.acquire(Priority::Normal).unwrap();
+                    let p = qc.acquire().unwrap();
                     order.lock().unwrap().push(i);
                     drop(p);
                 }));
@@ -204,56 +191,21 @@ mod tests {
     }
 
     #[test]
-    fn high_priority_overtakes_waiting_normal() {
-        let q = Arc::new(AdmissionQueue::new(1, 0));
-        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        let holder = q.acquire(Priority::Normal).unwrap();
-        std::thread::scope(|s| {
-            {
-                let q = Arc::clone(&q);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    let p = q.acquire(Priority::Normal).unwrap();
-                    order.lock().unwrap().push("normal");
-                    drop(p);
-                });
-            }
-            while q.pending() < 1 {
-                std::thread::yield_now();
-            }
-            {
-                let q = Arc::clone(&q);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    let p = q.acquire(Priority::High).unwrap();
-                    order.lock().unwrap().push("high");
-                    drop(p);
-                });
-            }
-            while q.pending() < 2 {
-                std::thread::yield_now();
-            }
-            drop(holder);
-        });
-        assert_eq!(*order.lock().unwrap(), vec!["high", "normal"]);
-    }
-
-    #[test]
     fn bounded_waiting_room_rejects_overload() {
         let q = Arc::new(AdmissionQueue::new(1, 1));
-        let holder = q.acquire(Priority::Normal).unwrap();
+        let holder = q.acquire().unwrap();
         std::thread::scope(|s| {
             {
                 let q = Arc::clone(&q);
                 s.spawn(move || {
-                    let p = q.acquire(Priority::Normal).unwrap();
+                    let p = q.acquire().unwrap();
                     drop(p);
                 });
             }
             while q.pending() < 1 {
                 std::thread::yield_now();
             }
-            let err = q.acquire(Priority::Normal).unwrap_err();
+            let err = q.acquire().unwrap_err();
             assert_eq!(
                 err,
                 Overloaded {
@@ -266,62 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn aging_prevents_a_continuous_high_stream_from_starving_normal() {
-        // One slot. A Normal request queues first, then a stream of High
-        // requests keeps the high lane non-empty for the rest of the test.
-        // Under strict priority the Normal ticket would be admitted dead
-        // last; with aging it must go after exactly DEFAULT_LANE_AGING High
-        // admissions.
-        let highs = DEFAULT_LANE_AGING + 3;
-        let q = Arc::new(AdmissionQueue::new(1, 0));
-        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        let holder = q.acquire(Priority::Normal).unwrap();
-        std::thread::scope(|s| {
-            {
-                let q = Arc::clone(&q);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    let p = q.acquire(Priority::Normal).unwrap();
-                    order.lock().unwrap().push("normal");
-                    drop(p);
-                });
-            }
-            while q.pending() < 1 {
-                std::thread::yield_now();
-            }
-            for i in 0..highs {
-                {
-                    let q = Arc::clone(&q);
-                    let order = Arc::clone(&order);
-                    s.spawn(move || {
-                        let p = q.acquire(Priority::High).unwrap();
-                        order.lock().unwrap().push("high");
-                        drop(p);
-                    });
-                }
-                // Serialize arrivals so the high lane's ticket order is fixed.
-                while q.pending() < i + 2 {
-                    std::thread::yield_now();
-                }
-            }
-            drop(holder);
-        });
-        let order = order.lock().unwrap();
-        assert_eq!(order.len(), highs + 1);
-        let normal_pos = order
-            .iter()
-            .position(|s| *s == "normal")
-            .expect("normal request never admitted — starved");
-        assert_eq!(
-            normal_pos, DEFAULT_LANE_AGING,
-            "normal must be admitted after exactly {DEFAULT_LANE_AGING} high admissions: {order:?}"
-        );
-    }
-
-    #[test]
     fn zero_in_flight_clamps_to_one() {
         let q = AdmissionQueue::new(0, 0);
-        let p = q.acquire(Priority::Normal).unwrap();
+        let p = q.acquire().unwrap();
         assert_eq!(q.in_flight(), 1);
         drop(p);
         assert_eq!(q.in_flight(), 0);

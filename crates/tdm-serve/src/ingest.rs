@@ -33,9 +33,9 @@ use crate::service::{bump, MiningRequest, MiningResponse, MiningService, ServeEr
 /// The longest stream a tenant may grow to, in letters: committed stream and
 /// pending buffer together. [`StreamIngest::append`] refuses an append past
 /// it ([`IngestError::StreamFull`]), so a stream's memory, and the copy and
-/// hash each seal makes of it, stay bounded for the life of the server. It is
-/// also the largest database a `mine` frame may name (`tdm-server`'s
-/// `MAX_WORKLOAD_N`).
+/// hash each seal makes of it, stay bounded for the life of the server. It
+/// also caps a wire stream's `"flush_count"`: a count trigger above it could
+/// never fire.
 pub const MAX_STREAM_LEN: usize = 4_000_000;
 
 /// When a tenant's buffered appends are sealed into a window and re-mined.

@@ -8,8 +8,8 @@
 //! this reproduction:
 //!
 //! * [`MiningService`] — accepts [`MiningRequest`]s (an `Arc<EventDb>`
-//!   handle, a `MinerConfig`, a [`Priority`]) from any number of client
-//!   threads and serves each a full [`MiningResponse`];
+//!   handle and a `MinerConfig`) from any number of client threads and
+//!   serves each a full [`MiningResponse`], in arrival order;
 //! * **one executor** — [`MiningService::submit`] runs every request on the
 //!   engine's cost-dispatched executor (`tdm_core::AutoBackend`);
 //!   [`MiningService::submit_with`] runs any other `Executor` (a paper
@@ -22,8 +22,8 @@
 //!   built with `MiningSessionBuilder::with_pool`), so 16 clients use the
 //!   same threads one client would, instead of 16 × workers;
 //! * **fair admission** ([`admission`]) — a configurable in-flight limit with
-//!   strict FIFO order per priority class and a bounded waiting room that
-//!   rejects overload explicitly ([`ServeError::Overloaded`]);
+//!   strict FIFO order and a bounded waiting room that rejects overload
+//!   explicitly ([`ServeError::Overloaded`]);
 //! * **one index cache** ([`cache`]) — one entry per database, keyed by
 //!   database content hash alone and verified against the full database
 //!   content before reuse: the database handle and its `OccurrenceIndex`
@@ -77,9 +77,6 @@ pub use ingest::{
     TenantSnapshot, MAX_STREAM_LEN,
 };
 pub use service::{
-    BackendChoice, CacheOutcome, MiningRequest, MiningResponse, MiningService, ResponseStats,
-    ServeError, ServiceConfig, ServiceStats,
+    BackendChoice, CacheOutcome, MiningRequest, MiningResponse, MiningService, Priority,
+    ResponseStats, ServeError, ServiceConfig, ServiceStats,
 };
-
-// The scheduling vocabulary clients need when building requests.
-pub use tdm_mapreduce::pool::Priority;

@@ -10,7 +10,7 @@ use tdm_core::miner::AutoBackend;
 use tdm_core::session::{BackendError, CancelToken, Executor, MineError, MiningSession};
 use tdm_core::stats::MiningResult;
 use tdm_core::{EventDb, MinerConfig, OccurrenceIndex};
-use tdm_mapreduce::pool::{default_workers, Pool, Priority};
+use tdm_mapreduce::pool::{default_workers, Pool};
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{CacheStats, Entry, IndexCache};
@@ -35,8 +35,21 @@ pub enum BackendChoice {
     Auto,
 }
 
-/// One client request: a shared database handle, the mining configuration,
-/// and a scheduling priority.
+/// A request's scheduling class: always normal.
+///
+/// Requests run in arrival order, at the admission gate and on the shared
+/// pool alike, so there is one class. The type keeps its name and its
+/// `Default` so callers that spell the class keep compiling, as
+/// [`BackendChoice`] does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Priority {
+    /// The one class: first come, first served.
+    #[default]
+    Normal,
+}
+
+/// One client request: a shared database handle and the mining
+/// configuration.
 ///
 /// Reuse one `MiningRequest` value (or clones of it) across submissions: the
 /// database content hash that keys the index cache is computed once per
@@ -46,7 +59,6 @@ pub enum BackendChoice {
 pub struct MiningRequest {
     db: Arc<EventDb>,
     config: MinerConfig,
-    priority: Priority,
     /// Wall-clock budget from submission: past it, the level loop stops at
     /// the next level boundary with [`ServeError::Cancelled`].
     deadline: Option<Duration>,
@@ -60,12 +72,11 @@ pub struct MiningRequest {
 }
 
 impl MiningRequest {
-    /// A request at normal priority.
+    /// A request for `db` under `config`.
     pub fn new(db: Arc<EventDb>, config: MinerConfig) -> Self {
         MiningRequest {
             db,
             config,
-            priority: Priority::Normal,
             deadline: None,
             cancel: None,
             key: std::sync::OnceLock::new(),
@@ -79,12 +90,10 @@ impl MiningRequest {
         self
     }
 
-    /// Sets the admission priority: [`Priority::High`] requests overtake
-    /// waiting normal ones at the admission gate, and their counting scans
-    /// are submitted on the shared pool's high-priority job lane (overtaking
-    /// queued scans of already-admitted normal requests).
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
+    /// A no-op: [`Priority`] has one variant, and every request runs in
+    /// arrival order. Kept only so callers that spell the class keep
+    /// compiling; it goes once the benchmark harness stops calling it.
+    pub fn priority(self, _priority: Priority) -> Self {
         self
     }
 
@@ -412,7 +421,7 @@ impl MiningService {
             (None, Some(d)) => Some(CancelToken::new().deadline_within(d)),
             (None, None) => None,
         };
-        let permit = match self.admission.acquire(request.priority) {
+        let permit = match self.admission.acquire() {
             Ok(p) => p,
             Err(over) => {
                 bump(&self.counters.rejected, 1);
@@ -488,9 +497,6 @@ impl MiningService {
             .with_index(entry.index)
             .config(request.config)
             .build();
-        // The request's class rides through to the pool's job lanes: the
-        // parallel executors submit its scans at this priority.
-        session.set_job_priority(request.priority);
         session.set_cancel_token(token);
         let result = session.mine(executor)?;
         Ok((result, cache))

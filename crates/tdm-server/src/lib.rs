@@ -64,6 +64,6 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use json::{JsonError, Value};
-pub use server::{ExecutorFactory, Server, ServerConfig, ServerCounters, MAX_WORKLOAD_N};
+pub use server::{ExecutorFactory, Server, ServerConfig, ServerCounters};
 pub use tenant::{Denial, TenantConfig, TenantRegistry};
 pub use wire::{retry_after_hint, FrameError, MAX_FRAME};

@@ -37,8 +37,8 @@ use std::time::Duration;
 use tdm_core::session::Executor;
 use tdm_core::{Alphabet, EventDb};
 use tdm_serve::{
-    AppendOutcome, IngestError, IngestTriggers, MiningRequest, MiningService, Priority,
-    ServiceConfig, StreamIngest, MAX_STREAM_LEN,
+    AppendOutcome, IngestError, IngestTriggers, MiningRequest, MiningService, ServiceConfig,
+    StreamIngest, MAX_STREAM_LEN,
 };
 
 use crate::json::{self, Value};
@@ -367,20 +367,11 @@ fn dispatch_bytes(state: &ServerState, payload: &[u8]) -> Value {
 /// `Ok` covers served requests *and* domain errors like overload or
 /// deadline, which are healthy protocol exchanges.
 fn dispatch(state: &ServerState, request: &Value) -> Result<Value, Value> {
-    let kind = request
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"type\""))?;
+    let kind = required_str(request, "type")?;
 
     // Uniform authentication: every request type names its tenant.
-    let tenant = request
-        .get("tenant")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"tenant\""))?;
-    let api_key = request
-        .get("api_key")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"api_key\""))?;
+    let tenant = required_str(request, "tenant")?;
+    let api_key = required_str(request, "api_key")?;
     if let Err(denial) = state.tenants.authenticate(tenant, api_key) {
         return Err(denial.to_value());
     }
@@ -411,30 +402,13 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
         return Ok(denial.to_value());
     }
 
-    let db = Arc::new(request_db(state, request)?);
+    let db = Arc::new(letters(state, request, "events")?);
     let config =
         wire::config_from(request).map_err(|msg| wire::error_value(codes::BAD_REQUEST, msg))?;
-    match request.get("backend").and_then(Value::as_str) {
-        None | Some("auto") => {}
-        Some(other) => {
-            return Err(wire::error_value(
-                codes::BAD_REQUEST,
-                format!("unknown backend {other:?}: the only backend is \"auto\""),
-            ))
-        }
-    }
-    let priority = match request.get("priority").and_then(Value::as_str) {
-        None | Some("normal") => Priority::Normal,
-        Some("high") => Priority::High,
-        Some(other) => {
-            return Err(wire::error_value(
-                codes::BAD_REQUEST,
-                format!("unknown priority {other:?}"),
-            ))
-        }
-    };
+    only_value(request, "backend", "auto")?;
+    only_value(request, "priority", "normal")?;
 
-    let mut mining_request = MiningRequest::new(db, config).priority(priority);
+    let mut mining_request = MiningRequest::new(db, config);
     if let Some(deadline) = request.get("deadline_ms") {
         let ms = deadline.as_u64().ok_or_else(|| {
             wire::error_value(codes::BAD_REQUEST, "\"deadline_ms\" must be an integer")
@@ -457,106 +431,31 @@ fn serve_mine(state: &ServerState, tenant: &str, request: &Value) -> Result<Valu
     })
 }
 
-/// Upper bound on a generated workload's `"n"`, and so on the largest
-/// database a request may name: the ingest layer's stream cap
-/// ([`MAX_STREAM_LEN`], 4,000,000 letters), so a mined workload and a grown
-/// stream share one bound. Inline `"events"` are bounded by the frame cap
-/// (~1M letters); this keeps a named `"workload"` in the same ballpark — the
-/// field is attacker-controlled, and an unbounded `n` would let one
-/// authenticated frame demand a petabyte-scale allocation and OOM the whole
-/// server. A stream's `"flush_count"` is capped by it too: a count trigger
-/// above it could never fire.
-pub const MAX_WORKLOAD_N: u64 = MAX_STREAM_LEN as u64;
-
-/// Reads the optional workload field `name`: absent is `default`, and a
-/// present value that `read` refuses is a `bad_request` naming the field,
-/// what it `must` be, and what was sent.
-fn workload_field<T>(
-    spec: &Value,
-    name: &str,
-    read: impl Fn(&Value) -> Option<T>,
-    must: std::fmt::Arguments<'_>,
-    default: T,
-) -> Result<T, Value> {
-    let Some(v) = spec.get(name) else {
-        return Ok(default);
-    };
-    read(v).ok_or_else(|| {
-        wire::error_value(
-            codes::BAD_REQUEST,
-            format!("workload {name:?} must be {must}, got {}", v.encode()),
-        )
-    })
+/// Reads the string field `key`, or refuses the frame naming it.
+fn required_str<'a>(request: &'a Value, key: &str) -> Result<&'a str, Value> {
+    request
+        .get(key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, format!("missing string {key:?}")))
 }
 
-/// Materializes the database a mine request names: inline `"events"`
-/// letters, or a named `"workload"` from the paper's generators. A workload
-/// field that is present but out of its generator's domain (`n` at most
-/// [`MAX_WORKLOAD_N`], `scale` in (0, 1], `persistence` in [0, 1), `seed` a
-/// non-negative integer) is a typed error, never its default: the
-/// generators assert their preconditions, and a panic would drop the
-/// connection without a response.
-fn request_db(state: &ServerState, request: &Value) -> Result<EventDb, Value> {
-    match (request.get("events"), request.get("workload")) {
-        (Some(events), None) => {
-            let text = events.as_str().ok_or_else(|| {
-                wire::error_value(codes::BAD_REQUEST, "\"events\" must be a string")
-            })?;
-            EventDb::from_str_symbols(&state.alphabet, text)
-                .map_err(|e| wire::error_value(codes::BAD_REQUEST, e.to_string()))
-        }
-        (None, Some(spec)) => {
-            let kind = spec
-                .get("kind")
-                .and_then(Value::as_str)
-                .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "workload needs \"kind\""))?;
-            let n = workload_field(
-                spec,
-                "n",
-                |v| v.as_u64().filter(|&n| n <= MAX_WORKLOAD_N),
-                format_args!("an integer from 0 to {MAX_WORKLOAD_N}"),
-                10_000,
-            )? as usize;
-            let seed = workload_field(
-                spec,
-                "seed",
-                Value::as_u64,
-                format_args!("a non-negative integer"),
-                2009,
-            )?;
-            match kind {
-                "paper" => {
-                    let scale = workload_field(
-                        spec,
-                        "scale",
-                        |v| v.as_f64().filter(|s| *s > 0.0 && *s <= 1.0),
-                        format_args!("a number in (0, 1]"),
-                        1.0,
-                    )?;
-                    Ok(tdm_workloads::paper_database_scaled(scale))
-                }
-                "uniform" => Ok(tdm_workloads::uniform_letters(n, seed)),
-                "markov" => {
-                    let persistence = workload_field(
-                        spec,
-                        "persistence",
-                        |v| v.as_f64().filter(|p| (0.0..1.0).contains(p)),
-                        format_args!("a number in [0, 1)"),
-                        0.6,
-                    )?;
-                    Ok(tdm_workloads::markov_letters(n, seed, persistence))
-                }
-                other => Err(wire::error_value(
-                    codes::BAD_REQUEST,
-                    format!("unknown workload kind {other:?}"),
-                )),
-            }
-        }
-        _ => Err(wire::error_value(
+/// Checks that the optional field `key` is absent or `only`, the one value
+/// the server serves; any other value, of any type, is refused naming both.
+fn only_value(request: &Value, key: &str, only: &str) -> Result<(), Value> {
+    match request.get(key) {
+        Some(v) if v.as_str() != Some(only) => Err(wire::error_value(
             codes::BAD_REQUEST,
-            "exactly one of \"events\" or \"workload\" is required",
+            format!("unknown {key} {}: the only {key} is {only:?}", v.encode()),
         )),
+        _ => Ok(()),
     }
+}
+
+/// Decodes the string field `key` as letters of the server's alphabet, or
+/// refuses the frame naming the field.
+fn letters(state: &ServerState, request: &Value, key: &str) -> Result<EventDb, Value> {
+    EventDb::from_str_symbols(&state.alphabet, required_str(request, key)?)
+        .map_err(|e| wire::error_value(codes::BAD_REQUEST, format!("{key:?}: {e}")))
 }
 
 fn serve_stats(state: &ServerState) -> Value {
@@ -602,27 +501,19 @@ fn serve_register(state: &ServerState, tenant: &str, request: &Value) -> Result<
     if let Err(denial) = state.tenants.take_token(tenant) {
         return Ok(denial.to_value());
     }
-    let stream = request
-        .get("stream")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"stream\""))?;
-    let seed = request
-        .get("seed")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"seed\" events"))?;
-    let db = EventDb::from_str_symbols(&state.alphabet, seed)
-        .map_err(|e| wire::error_value(codes::BAD_REQUEST, e.to_string()))?;
+    let stream = required_str(request, "stream")?;
+    let db = letters(state, request, "seed")?;
     let config =
         wire::config_from(request).map_err(|msg| wire::error_value(codes::BAD_REQUEST, msg))?;
     let mut triggers = IngestTriggers::default();
     if let Some(count) = request.get("flush_count") {
         triggers.flush_count = count
             .as_u64()
-            .filter(|&count| count <= MAX_WORKLOAD_N)
+            .filter(|&count| count <= MAX_STREAM_LEN as u64)
             .ok_or_else(|| {
                 wire::error_value(
                     codes::BAD_REQUEST,
-                    format!("stream {stream:?}: \"flush_count\" must be an integer of at most {MAX_WORKLOAD_N}"),
+                    format!("stream {stream:?}: \"flush_count\" must be an integer of at most {MAX_STREAM_LEN}"),
                 )
             })? as usize;
     }
@@ -647,18 +538,10 @@ fn serve_ingest(state: &ServerState, tenant: &str, request: &Value) -> Result<Va
     if let Err(denial) = state.tenants.take_token(tenant) {
         return Ok(denial.to_value());
     }
-    let stream = request
-        .get("stream")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"stream\""))?;
-    let text = request
-        .get("symbols")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire::error_value(codes::BAD_REQUEST, "missing \"symbols\""))?;
-    let letters = EventDb::from_str_symbols(&state.alphabet, text)
-        .map_err(|e| wire::error_value(codes::BAD_REQUEST, e.to_string()))?;
+    let stream = required_str(request, "stream")?;
+    let appended = letters(state, request, "symbols")?;
     let key = stream_key(tenant, stream);
-    match state.ingest.append(&key, letters.symbols()) {
+    match state.ingest.append(&key, appended.symbols()) {
         Ok(AppendOutcome::Buffered { pending, deferred }) => Ok(Value::Object(vec![
             ("type".into(), Value::str("ingest")),
             ("outcome".into(), Value::str("buffered")),

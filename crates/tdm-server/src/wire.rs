@@ -10,9 +10,10 @@
 //!
 //! Requests are JSON objects dispatched on `"type"`:
 //!
-//! * `"mine"` — mine a database (inline `"events"` letters or a named
-//!   `"workload"`) under a [`MinerConfig`]; responds
-//!   with `"mine_result"`.
+//! * `"mine"` — mine the inline `"events"` letters under a [`MinerConfig`];
+//!   responds with `"mine_result"`. The database is bounded by the frame
+//!   that carries it ([`MAX_FRAME`]). `"backend"` may only be `"auto"` and
+//!   `"priority"` only `"normal"`: requests run in arrival order.
 //! * `"stats"` — a point-in-time metrics snapshot; responds with `"stats"`.
 //! * `"register"` — register a named stream (seed events + config +
 //!   triggers: `"flush_count"`, 256 when absent, and `"flush_age_ms"`, of

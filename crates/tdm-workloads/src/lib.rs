@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod basket;
-pub mod io;
 pub mod spikes;
 
 pub use basket::{market_basket, BasketConfig};

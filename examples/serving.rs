@@ -51,9 +51,8 @@ fn main() {
         ..Default::default()
     };
 
-    // 3. Eight clients, submitting concurrently from their own threads. An
-    //    interactive tenant flags its requests high-priority: they overtake
-    //    queued bulk requests at the admission gate.
+    // 3. Eight clients, submitting concurrently from their own threads. The
+    //    admission gate takes them in arrival order, whoever asks.
     std::thread::scope(|s| {
         for client in 0..8usize {
             let service = Arc::clone(&service);
@@ -61,10 +60,7 @@ fn main() {
             s.spawn(move || {
                 for round in 0..3usize {
                     let (name, db) = &dbs[(client + round) % dbs.len()];
-                    let mut req = MiningRequest::new(Arc::clone(db), config);
-                    if client == 0 {
-                        req = req.priority(Priority::High);
-                    }
+                    let req = MiningRequest::new(Arc::clone(db), config);
                     let resp = service.submit(&req).expect("request failed");
                     println!(
                         "client {client} round {round}: {name:<13} -> {:>3} frequent, \

@@ -82,7 +82,7 @@ pub mod prelude {
         Algorithm, DevicePipeline, GpuBackend, GpuPipelineBackend, KernelRun, MiningProblem,
         SimOptions, StreamResidency,
     };
-    pub use tdm_mapreduce::pool::{Pool, Priority};
+    pub use tdm_mapreduce::pool::Pool;
     pub use tdm_serve::{
         AppendOutcome, BackendChoice, IngestTriggers, MiningRequest, MiningResponse, MiningService,
         ServeError, ServiceConfig, StreamIngest,

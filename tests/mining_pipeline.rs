@@ -1,13 +1,13 @@
 //! End-to-end pipeline tests: workload generation → level-wise mining on every
 //! backend (CPU serial, CPU active-set, CPU MapReduce, four simulated GPU
-//! kernels) → identical results; plus the expiry extension on timestamped data
-//! and dataset (de)serialization in the loop.
+//! kernels) → identical results; plus the expiry extension on timestamped
+//! data.
 
 use temporal_mining::baselines::{MapReduceBackend, SerialScanBackend};
 use temporal_mining::core::expiry::count_with_expiry;
 use temporal_mining::prelude::*;
 use temporal_mining::workloads::{
-    io, market_basket, spike_trains, uniform_letters, BasketConfig, CausalChain, SpikeTrainConfig,
+    market_basket, spike_trains, uniform_letters, BasketConfig, CausalChain, SpikeTrainConfig,
 };
 
 #[test]
@@ -90,21 +90,15 @@ fn spike_train_expiry_mining_recovers_circuit() {
 }
 
 #[test]
-fn basket_round_trips_through_serialization_and_mines_the_motif() {
+fn basket_mines_the_seeded_motif() {
     let db = market_basket(&BasketConfig::default());
-    // Round-trip through the on-disk format.
-    let mut buf = Vec::new();
-    io::write_db(&db, &mut buf).unwrap();
-    let db2 = io::read_db(&buf[..]).unwrap();
-    assert_eq!(db, db2);
-
-    // Mine the deserialized copy and find the seeded motif at level 3.
+    // Find the seeded motif at level 3.
     let miner = Miner::new(MinerConfig {
         alpha: 0.004,
         max_level: Some(3),
         ..Default::default()
     });
-    let result = miner.mine(&db2, &mut SequentialBackend::default()).unwrap();
+    let result = miner.mine(&db, &mut SequentialBackend::default()).unwrap();
     let motif = Episode::new(vec![0, 1, 2]).unwrap(); // peanut-butter, bread, jelly
     assert!(
         result.count_of(&motif).is_some(),

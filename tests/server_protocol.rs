@@ -119,7 +119,7 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
         (r#"{"type":"mine","tenant":"acme"}"#, "bad_request"),
         (
             r#"{"type":"mine","tenant":"acme","api_key":"key-a"}"#,
-            "bad_request", // neither events nor workload
+            "bad_request", // no events
         ),
         (
             r#"{"type":"register","tenant":"acme","api_key":"key-a","stream":"never","seed":"ABAB","flush_count":0}"#,
@@ -148,32 +148,52 @@ fn unknown_types_bad_keys_and_missing_fields_are_typed_errors() {
             "{message}"
         );
     }
-    // The wire serves one backend: every other name, the paper baselines'
-    // included, is a typed refusal that names it.
-    for backend in [
-        "quantum",
-        "sharded",
-        "mapreduce",
-        "activeset",
-        "sequential",
-        "serialscan",
-    ] {
-        let request = format!(
-            r#"{{"type":"mine","tenant":"acme","api_key":"key-a","events":"ABAB","backend":"{backend}"}}"#
-        );
-        let reply = client.call_bytes(request.as_bytes()).unwrap();
-        assert_eq!(
-            reply.get("code").and_then(Value::as_str),
-            Some("bad_request"),
-            "backend {backend}"
-        );
-        let message = reply.get("message").and_then(Value::as_str).unwrap();
-        assert!(message.contains("\"auto\""), "backend {backend}: {message}");
+    // The wire serves one backend and one priority: every other name, the
+    // paper baselines' included, is a typed refusal naming the one it takes.
+    // Values are JSON: a mistyped one is refused too, never read as absent.
+    let refused: [(&str, &str, &[&str]); 2] = [
+        (
+            "backend",
+            "auto",
+            &[
+                r#""quantum""#,
+                r#""sharded""#,
+                r#""mapreduce""#,
+                r#""activeset""#,
+                r#""sequential""#,
+                r#""serialscan""#,
+                "7",
+            ],
+        ),
+        (
+            "priority",
+            "normal",
+            &[r#""high""#, r#""low""#, "5", "null"],
+        ),
+    ];
+    for (field, only, names) in refused {
+        for name in names {
+            let request = format!(
+                r#"{{"type":"mine","tenant":"acme","api_key":"key-a","events":"ABAB","{field}":{name}}}"#
+            );
+            let reply = client.call_bytes(request.as_bytes()).unwrap();
+            assert_eq!(
+                reply.get("code").and_then(Value::as_str),
+                Some("bad_request"),
+                "{field} {name}: {}",
+                reply.encode()
+            );
+            let message = reply.get("message").and_then(Value::as_str).unwrap();
+            assert!(
+                message.contains(&format!("\"{only}\"")),
+                "{field} {name}: {message}"
+            );
+        }
     }
-    // The same connection then serves the one name.
+    // The same connection then serves the one name of each.
     let reply = client
         .call_bytes(
-            br#"{"type":"mine","tenant":"acme","api_key":"key-a","events":"ABAB","backend":"auto"}"#,
+            br#"{"type":"mine","tenant":"acme","api_key":"key-a","events":"ABAB","backend":"auto","priority":"normal"}"#,
         )
         .unwrap();
     assert_eq!(
@@ -280,66 +300,27 @@ fn truncated_frames_close_cleanly_without_leaking_handlers() {
 }
 
 #[test]
-fn absurd_workload_parameters_are_typed_errors_not_allocations_or_panics() {
+fn a_workload_frame_is_refused_and_inline_events_still_mine() {
     let server = test_server(1 << 16);
     let mut client = Client::connect(server.addr()).unwrap();
-    let cases = [
-        // A petabyte-scale "n" must be refused before any allocation.
-        r#"{"type":"mine","tenant":"acme","api_key":"key-a","workload":{"kind":"uniform","n":1000000000000000}}"#,
-        r#"{"type":"mine","tenant":"acme","api_key":"key-a","workload":{"kind":"markov","n":1000000000000000}}"#,
-        // Generator preconditions come back as errors, not asserts that
-        // drop the connection without a response.
-        r#"{"type":"mine","tenant":"acme","api_key":"key-a","workload":{"kind":"paper","scale":0}}"#,
-        r#"{"type":"mine","tenant":"acme","api_key":"key-a","workload":{"kind":"paper","scale":-1}}"#,
-        r#"{"type":"mine","tenant":"acme","api_key":"key-a","workload":{"kind":"paper","scale":2}}"#,
-        r#"{"type":"mine","tenant":"acme","api_key":"key-a","workload":{"kind":"markov","n":100,"persistence":1}}"#,
-        r#"{"type":"mine","tenant":"acme","api_key":"key-a","workload":{"kind":"markov","n":100,"persistence":-0.5}}"#,
-    ];
-    for request in cases {
-        let reply = client.call_bytes(request.as_bytes()).unwrap();
-        assert_eq!(
-            reply.get("code").and_then(Value::as_str),
-            Some("bad_request"),
-            "request {request}: {}",
-            reply.encode()
-        );
-    }
-    // A field that is present but does not parse is refused by name, never
-    // replaced by its default: each of these frames used to mine the
-    // default database (10,000 letters, or the whole paper database).
-    let mistyped = [
-        ("n", r#"{"kind":"uniform","n":10000000000000000}"#),
-        ("n", r#"{"kind":"uniform","n":-5}"#),
-        ("n", r#"{"kind":"uniform","n":"4000"}"#),
-        ("n", r#"{"kind":"uniform","n":2.5}"#),
-        ("scale", r#"{"kind":"paper","scale":"0.01"}"#),
-        (
-            "persistence",
-            r#"{"kind":"markov","n":100,"persistence":"x"}"#,
-        ),
-        ("seed", r#"{"kind":"markov","n":100,"seed":-1}"#),
-    ];
-    for (field, workload) in mistyped {
-        let request = format!(
-            r#"{{"type":"mine","tenant":"acme","api_key":"key-a","max_level":2,"workload":{workload}}}"#
-        );
-        let reply = client.call_bytes(request.as_bytes()).unwrap();
-        assert_eq!(
-            reply.get("code").and_then(Value::as_str),
-            Some("bad_request"),
-            "workload {workload}: {}",
-            reply.encode()
-        );
-        let message = reply.get("message").and_then(Value::as_str).unwrap();
-        assert!(
-            message.contains(&format!("\"{field}\"")),
-            "workload {workload}: {message}"
-        );
-    }
-    // A sane workload on the same connection still mines.
+    // A mine's database comes in its frame: a frame of a few dozen bytes
+    // must not make the server generate, index and mine a large one.
     let reply = client
         .call_bytes(
-            br#"{"type":"mine","tenant":"acme","api_key":"key-a","max_level":2,"workload":{"kind":"markov","n":2000,"persistence":0.6}}"#,
+            br#"{"type":"mine","tenant":"acme","api_key":"key-a","max_level":2,"workload":{"kind":"markov","n":2000}}"#,
+        )
+        .unwrap();
+    assert_eq!(
+        reply.get("code").and_then(Value::as_str),
+        Some("bad_request"),
+        "{}",
+        reply.encode()
+    );
+    let message = reply.get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("\"events\""), "{message}");
+    let reply = client
+        .call_bytes(
+            br#"{"type":"mine","tenant":"acme","api_key":"key-a","max_level":2,"events":"ABCABD"}"#,
         )
         .unwrap();
     assert_eq!(
