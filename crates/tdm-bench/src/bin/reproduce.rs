@@ -34,9 +34,11 @@ TARGETS: table1 table2 fig6 fig7 fig8 fig9 best characterizations grid ext
 --scale S          database scale in (0,1], 1.0 = the paper's 393,019 letters
 --exact            execute every warp exactly instead of sampling (slow; small S)
 --quiet            suppress ASCII previews
---bench-json PATH  run the real-CPU counting-backend benchmark at --scale and
-                   write the JSON report (e.g. BENCH_counting.json) to PATH;
-                   with no TARGETS, only the benchmark runs
+--bench-json PATH  run the real-CPU counting benchmark (the level-2 rows and
+                   the small served mine behind tools/bench_guard.sh's three
+                   ratios against the seed counter) at --scale and write the
+                   JSON report (e.g. BENCH_counting.json) to PATH; with no
+                   TARGETS, only the benchmark runs
 --serve-bench-json PATH  run the serving benchmark (the streaming scenario,
                    and the tdm-server socket rungs at 1/4/16 clients over
                    loopback TCP beside an in-process 1-client baseline) at
@@ -265,11 +267,8 @@ TARGETS: table1 table2 fig6 fig7 fig8 fig9 best characterizations grid ext
     }
 
     if let Some(report) = bench_json {
-        eprintln!("benchmarking counting backends (scale {scale})...");
-        let bench = tdm_bench::counting_bench::run(&tdm_bench::counting_bench::BenchConfig {
-            scale,
-            ..Default::default()
-        });
+        eprintln!("benchmarking the counting engine against the seed counter (scale {scale})...");
+        let bench = tdm_bench::counting_bench::run(scale);
         write_report(report, &bench.to_json(), &mut written);
         if !quiet {
             println!("\n{}", bench.summary());

@@ -14,14 +14,15 @@
 //! Everything is driven by one [`grid::Grid`] of simulated measurements; the
 //! `reproduce` binary writes CSVs plus ASCII previews, and the criterion benches
 //! measure representative cells. [`counting_bench`] additionally measures the
-//! *real* CPU throughput of every counting backend (the engine's perf
-//! trajectory, `BENCH_counting.json`), and [`serve_bench`] measures the
-//! serving layer (`BENCH_serve.json`): incremental streaming appends against
-//! rescans, and the `tdm-server` socket path at 1/4/16 clients against an
-//! in-process client. The
-//! simulated-GPU serving trajectory ([`gpu_bench`], `BENCH_gpu.json`) models
-//! what the persistent device pipeline buys: fused advances vs per-level
-//! launches, and the cost model's per-level routing.
+//! *real* CPU speed of the engine's level-2 strategies and of a small served
+//! mine against the frozen seed counter (the three ratios
+//! `tools/bench_guard.sh` reads, `BENCH_counting.json`), and [`serve_bench`]
+//! measures the serving layer (`BENCH_serve.json`): incremental streaming
+//! appends against rescans, and the `tdm-server` socket path at 1/4/16
+//! clients against an in-process client. The simulated-GPU serving
+//! trajectory ([`gpu_bench`], `BENCH_gpu.json`) models what the persistent
+//! device pipeline buys: fused advances vs per-level launches, and the cost
+//! model's per-level routing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -248,14 +248,13 @@ struct IngestCounters {
 }
 
 /// A point-in-time view of one tenant ([`StreamIngest::tenant`]).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 pub struct TenantSnapshot {
     /// Symbols buffered behind the (possibly held) fence.
     pub pending: usize,
     /// Committed stream length.
     pub stream_len: usize,
-    /// Committed database epoch.
-    pub epoch: u64,
     /// Windows sealed so far.
     pub windows_sealed: u64,
     /// The window id currently being re-mined, if the fence is held.
@@ -452,12 +451,12 @@ impl StreamIngest {
     }
 
     /// A point-in-time view of one tenant, or `None` if unregistered.
+    #[cfg(test)]
     pub fn tenant(&self, name: &str) -> Option<TenantSnapshot> {
         let tenants = self.tenants.lock().expect("ingest tenants");
         tenants.get(name).map(|t| TenantSnapshot {
             pending: t.pending.len(),
             stream_len: t.db.len(),
-            epoch: t.db.epoch(),
             windows_sealed: t.windows_sealed,
             in_flight_window: match t.fence {
                 Fence::Idle => None,
@@ -468,6 +467,7 @@ impl StreamIngest {
 
     /// A shared handle to a tenant's committed database snapshot (the stream
     /// as of the last sealed window; pending symbols are not in it).
+    #[cfg(test)]
     pub fn snapshot(&self, name: &str) -> Option<Arc<EventDb>> {
         let tenants = self.tenants.lock().expect("ingest tenants");
         tenants.get(name).map(|t| Arc::clone(&t.db))
@@ -484,11 +484,6 @@ impl StreamIngest {
             windows_sealed: read(&c.windows_sealed),
             remines: read(&c.remines),
         }
-    }
-
-    /// The service re-mines are submitted through.
-    pub fn service(&self) -> &Arc<MiningService> {
-        &self.service
     }
 }
 

@@ -21,9 +21,9 @@
 //!   single machine-sized [`Pool`](tdm_mapreduce::pool::Pool) (sessions are
 //!   built with `MiningSessionBuilder::with_pool`), so 16 clients use the
 //!   same threads one client would, instead of 16 × workers;
-//! * **fair admission** ([`admission`]) — a configurable in-flight limit with
-//!   strict FIFO order and a bounded waiting room that rejects overload
-//!   explicitly ([`ServeError::Overloaded`]);
+//! * **fair admission** — a configurable in-flight limit with strict FIFO
+//!   order and a bounded waiting room that rejects overload explicitly
+//!   ([`ServeError::Overloaded`]);
 //! * **one index cache** ([`cache`]) — one entry per database, keyed by
 //!   database content hash alone and verified against the full database
 //!   content before reuse: the database handle and its `OccurrenceIndex`
@@ -65,16 +65,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod admission;
+mod admission;
 pub mod cache;
 pub mod ingest;
 pub mod service;
 
-pub use admission::{AdmissionQueue, Overloaded, Permit};
 pub use cache::CacheStats;
 pub use ingest::{
     AppendOutcome, FlushReport, IngestError, IngestStats, IngestTriggers, StreamIngest,
-    TenantSnapshot, MAX_STREAM_LEN,
+    MAX_STREAM_LEN,
 };
 pub use service::{
     BackendChoice, CacheOutcome, MiningRequest, MiningResponse, MiningService, Priority,

@@ -6,6 +6,9 @@
 //! ```
 //!
 //! With no `--tenant`, a single `demo:demo` tenant (no limits) is created.
+//! A RATE must be a finite number ≥ 0 (0 turns rate limiting off), nothing
+//! may follow QUOTA, and no NAME may be given twice: any other spec prints
+//! the usage block and exits 2 before binding.
 
 use std::time::Duration;
 
@@ -29,8 +32,11 @@ fn main() {
                     .unwrap_or_else(|_| usage("--handlers takes an integer"))
             }
             "--tenant" => {
-                let spec = expect_value(&mut args, "--tenant");
-                tenants.push(parse_tenant(&spec));
+                let tenant = parse_tenant(&expect_value(&mut args, "--tenant"));
+                if tenants.iter().any(|t| t.name == tenant.name) {
+                    usage(&format!("tenant {:?} is given twice", tenant.name));
+                }
+                tenants.push(tenant);
             }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag {other:?}")),
@@ -73,20 +79,28 @@ fn expect_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
         .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
 }
 
-/// `NAME:KEY[:RATE[:QUOTA]]` — e.g. `acme:s3cret:50:4`.
+/// `NAME:KEY[:RATE[:QUOTA]]` — e.g. `acme:s3cret:50:4`. The token bucket
+/// reads a negative rate as no limit and a NaN or infinite one as a full
+/// bucket on every check, so RATE must be a finite number ≥ 0.
 fn parse_tenant(spec: &str) -> TenantConfig {
-    let mut parts = spec.split(':');
-    let (Some(name), Some(key)) = (parts.next(), parts.next()) else {
-        usage(&format!("--tenant {spec:?} is not NAME:KEY[:RATE[:QUOTA]]"));
+    let parts: Vec<&str> = spec.split(':').collect();
+    let (name, key, rate, quota) = match parts[..] {
+        [name, key] => (name, key, None, None),
+        [name, key, rate] => (name, key, Some(rate), None),
+        [name, key, rate, quota] => (name, key, Some(rate), Some(quota)),
+        _ => usage(&format!("--tenant {spec:?} is not NAME:KEY[:RATE[:QUOTA]]")),
     };
     let mut tenant = TenantConfig::new(name, key);
-    if let Some(rate) = parts.next() {
-        let rate: f64 = rate
-            .parse()
-            .unwrap_or_else(|_| usage("tenant RATE must be a number"));
+    if let Some(rate) = rate {
+        let rate = match rate.parse::<f64>() {
+            Ok(rate) if rate.is_finite() && rate >= 0.0 => rate,
+            _ => usage(&format!(
+                "tenant RATE must be a finite number >= 0, got {rate:?}"
+            )),
+        };
         tenant = tenant.rate(rate, (rate / 2.0).max(1.0));
     }
-    if let Some(quota) = parts.next() {
+    if let Some(quota) = quota {
         tenant = tenant.quota(
             quota
                 .parse()

@@ -61,23 +61,24 @@ SERVE="${2:-}"
 GPU="${3:-}"
 # Every bound below is fixed here, not read from the environment: only a
 # reviewed edit moves one.
-# Committed baseline 0.886 (results/BENCH_counting.json, one core under
+# Committed baseline 0.869 (results/BENCH_counting.json, one core under
 # `taskset -c 0` on a 2-vCPU host, the median of three regenerations that
-# read 0.680, 0.886 and 0.991; earlier ones read 0.832-1.285 — on one core
-# every sharded row is the plain sequential scan, so the ratio is the
+# read 0.831, 0.869 and 0.905; earlier ones read 0.680-1.285 — on one core
+# the sharded row is the plain sequential scan, so the ratio is the
 # compiled scan's level-2 speed against the seed scan's, and the two move
 # apart with the host's state; the new strategies, not sharding, are what
 # beat the seed). The seed and sharded rows are sampled alternately, so a
 # swing in host speed lands on both sides. The floor sat under every
-# earlier reading with a timing-noise allowance; the 0.680 regeneration,
-# which timed the seed row at 52.8 ms against 80-89 ms in the other two,
-# fell under it, so on one core the floor sits inside this host's noise.
-# Multi-core CI runners clear it with real speedup.
+# earlier reading with a timing-noise allowance; one earlier regeneration,
+# which timed the seed row at 52.8 ms against 80-89 ms in its two
+# siblings, read 0.680 and fell under it, so on one core the floor sits
+# inside this host's noise. Multi-core CI runners clear it with real
+# speedup.
 MIN_SHARDED=0.70
 MIN_BEST=1.0
-# Committed baseline 31.89 (results/BENCH_counting.json, one core under
-# `taskset -c 0` on a 2-vCPU host; the three regenerations read 40.77,
-# 31.89 and 36.99, each planning a fresh session per call over a warm
+# Committed baseline 40.90 (results/BENCH_counting.json, one core under
+# `taskset -c 0` on a 2-vCPU host; the three regenerations read 40.90,
+# 39.32 and 34.47, each planning a fresh session per call over a warm
 # shared index, as a served cache hit does). On that host 28 earlier
 # readings of the level loop, on one reused session, ran 28.8-55.3,
 # median 36.2; 16 readings of the level loop before it, with the same bench
